@@ -17,11 +17,12 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .distortion import dilatation_analytic, distortion_report
+from .distortion import dilatation_analytic
 from .errors import (
-    CartaError,
     DegenerateBoundary,
     DisconnectedRegion,
+    DomainError,
+    EmptyRegion,
     NoConvergence,
     RegionTooSmall,
     SelfIntersectingBoundary,
@@ -426,6 +427,24 @@ def discretization_allowance(mesh: RegionMesh) -> float:
     return 10.0 * mesh.delta**2
 
 
+def projection_ratio(mesh: RegionMesh, spec: LagrangeProjectionSpec) -> float:
+    """max m / min m of a projection's dilatation sampled on the mesh nodes.
+
+    Nodes where the dilatation is singular (for instance the South pole
+    under an exponent below 1, where the scale diverges) are dropped,
+    which only lowers the ratio; the optimality inequality stays valid.
+    """
+    regular = []
+    for p in mesh.node_points():
+        try:
+            regular.append(dilatation_analytic(spec, p))
+        except DomainError:
+            continue
+    if not regular:
+        raise EmptyRegion("projection is singular on the whole region")
+    return max(regular) / min(regular)
+
+
 def chebyshev_vs_projection(
     mesh: RegionMesh, spec: LagrangeProjectionSpec
 ) -> tuple[float, float]:
@@ -435,20 +454,5 @@ def chebyshev_vs_projection(
     the projection ratio from sampling its dilatation on the mesh nodes.
     Up to discretization error the first can never exceed the second on a
     geodesically convex region.
-
-    Nodes where the projection's dilatation is singular (for instance the
-    South pole under an exponent below 1, where the scale diverges) are
-    dropped, which only lowers the reported projection ratio; the
-    optimality inequality stays valid.
     """
-    field = solve_log_scale(mesh)
-    ratio_optimal = distortion_ratio(field)
-    regular = []
-    for p in mesh.node_points():
-        try:
-            dilatation_analytic(spec, p)
-        except CartaError:
-            continue
-        regular.append(p)
-    report = distortion_report(spec, regular, include_defect=False)
-    return ratio_optimal, report.ratio
+    return distortion_ratio(solve_log_scale(mesh)), projection_ratio(mesh, spec)

@@ -2,15 +2,28 @@
 solve the optimal-scale field, and find triangle inversions.
 
 Angles in flags and files are degrees; everything internal is radians.
-Exit codes: 0 success (including valid negative answers), 2 config
-validation, 3 input parse failure, 4 projection-domain error, 5 solver
-non-convergence, 6 degenerate input.
+The exit code is 0 on success (including valid negative answers);
+otherwise it is fixed by the category of the error (see ``carta.errors``):
+
+* 2 ``ConfigError``: invalid or non-finite flag values, unreadable or
+  unwritable paths;
+* 3 ``InputError``: ``GeoJsonError``, input that is not valid GeoJSON;
+* 4 ``DomainError``: ``ProjectionPole``, ``PoleSingularity``,
+  ``PointAtInfinity``, ``BranchOverflow``, ``OutsideImage``,
+  ``OriginSingularity``, ``DomainEdge``, ``PoleDegenerate``,
+  ``EmptyRegion``, ``CriticalPoint``, and ``NonFiniteValue`` for results
+  beyond the floating-point range;
+* 5 ``SolverError``: ``NoConvergence``;
+* 6 ``DegenerateInput``: ``DegenerateBoundary``,
+  ``SelfIntersectingBoundary``, ``RegionTooSmall``, ``DisconnectedRegion``,
+  ``DegeneratePolygon``, ``DegenerateTriangle``, ``CoincidentPoints``,
+  ``InfeasibleAngles``, ``PoleOnVertex``, ``InsufficientPoints``,
+  ``DegenerateTransform``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -21,34 +34,20 @@ from .chebyshev import (
     build_region_mesh,
     discretization_allowance,
     distortion_ratio,
+    projection_ratio,
     solve_log_scale,
 )
-from .distortion import dilatation_analytic, distortion_report
+from .distortion import distortion_report
 from .darboux import Triangle, find_inversion, image_triangle_sides, inversions_for_sides
 from .errors import (
-    BranchOverflow,
     CartaError,
-    CoincidentPoints,
-    DegenerateBoundary,
-    DegeneratePolygon,
-    DegenerateTriangle,
-    DisconnectedRegion,
-    DomainEdge,
-    EmptyRegion,
-    InfeasibleAngles,
-    InsufficientPoints,
-    NoConvergence,
-    OriginSingularity,
-    OutsideImage,
-    PoleDegenerate,
-    PoleOnVertex,
-    PointAtInfinity,
-    PoleSingularity,
-    ProjectionPole,
-    RegionTooSmall,
-    SelfIntersectingBoundary,
+    ConfigError,
+    DegenerateInput,
+    DomainError,
+    InputError,
+    SolverError,
 )
-from .geojson_io import GeoJsonError, format_float as fmt
+from .geojson_io import format_float as fmt
 from .geometry import Inversion, PlanePoint, SpherePoint
 from .lagrange import (
     LagrangeProjectionSpec,
@@ -59,41 +58,7 @@ from .lagrange import (
 from .surfaces import SPHERE, SurfaceOfRevolution
 from .svg_render import render_svg
 
-EXIT_CONFIG = 2
-EXIT_PARSE = 3
-EXIT_DOMAIN = 4
-EXIT_CONVERGENCE = 5
-EXIT_DEGENERATE = 6
-
-_DOMAIN_ERRORS = (
-    ProjectionPole,
-    PoleSingularity,
-    PointAtInfinity,
-    BranchOverflow,
-    OutsideImage,
-    OriginSingularity,
-    DomainEdge,
-    PoleDegenerate,
-    EmptyRegion,
-)
-_DEGENERATE_ERRORS = (
-    DegenerateTriangle,
-    DegenerateBoundary,
-    SelfIntersectingBoundary,
-    RegionTooSmall,
-    DisconnectedRegion,
-    DegeneratePolygon,
-    CoincidentPoints,
-    InfeasibleAngles,
-    PoleOnVertex,
-    InsufficientPoints,
-)
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+EXIT_CODES = {ConfigError: 2, InputError: 3, DomainError: 4, SolverError: 5, DegenerateInput: 6}
 
 
 @dataclass
@@ -125,36 +90,42 @@ class JobConfig:
     outputs: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"non-finite value for {name}: {value}")
         if not (0.0 < self.exponent <= 2.0):
-            raise CliError(EXIT_CONFIG, f"--exponent {self.exponent} outside (0, 2]")
+            raise ConfigError(f"--exponent {self.exponent} outside (0, 2]")
         if not (-180.0 <= self.central_meridian_deg <= 180.0):
-            raise CliError(EXIT_CONFIG, "--central-meridian outside [-180, 180]")
+            raise ConfigError("--central-meridian outside [-180, 180]")
         if not (0.0 <= self.eccentricity < 1.0):
-            raise CliError(EXIT_CONFIG, f"--eccentricity {self.eccentricity} outside [0, 1)")
+            raise ConfigError(f"--eccentricity {self.eccentricity} outside [0, 1)")
         if (self.inversion_pole is None) != (self.inversion_power is None):
-            raise CliError(
-                EXIT_CONFIG, "--inversion-pole and --inversion-power go together"
-            )
+            raise ConfigError("--inversion-pole and --inversion-power go together")
         if self.inversion_power is not None and self.inversion_power == 0.0:
-            raise CliError(EXIT_CONFIG, "--inversion-power must be non-zero")
+            raise ConfigError("--inversion-power must be non-zero")
+        if self.inversion_pole is not None and max(map(abs, self.inversion_pole)) > 1e150:
+            raise ConfigError("--inversion-pole beyond 1e150: squared distances would overflow")
         if self.centered_on is not None and (
             self.inversion_pole is not None or self.exponent != 1.0
         ):
-            raise CliError(
-                EXIT_CONFIG, "--centered-on implies exponent 1 and no inversion flags"
-            )
-        if self.delta_deg is not None and self.delta_deg <= 0:
-            raise CliError(EXIT_CONFIG, "--delta-deg must be positive")
-        if self.cap_deg is not None and not (0.0 < self.cap_deg < 90.0):
-            raise CliError(EXIT_CONFIG, f"--cap-deg {self.cap_deg} outside (0, 90)")
+            raise ConfigError("--centered-on implies exponent 1 and no inversion flags")
+        if self.centered_on is not None and not (-90.0 <= self.centered_on[0] <= 90.0):
+            raise ConfigError(f"--centered-on latitude {self.centered_on[0]} outside [-90, 90]")
+        # angles are checked after conversion, as the library receives them
+        if self.delta_deg is not None and not math.radians(self.delta_deg) > 0.0:
+            raise ConfigError("--delta-deg must be positive")
+        if self.cap_deg is not None and not (0.0 < math.radians(self.cap_deg) < math.pi / 2):
+            raise ConfigError(f"--cap-deg {self.cap_deg} outside (0, 90)")
         if self.tolerance is not None and self.tolerance <= 0:
-            raise CliError(EXIT_CONFIG, "--tolerance must be positive")
-        if not (0.0 < self.lat_step_deg < 90.0):
-            raise CliError(EXIT_CONFIG, "--lat-step outside (0, 90)")
-        if not (0.0 < self.lon_step_deg <= 180.0):
-            raise CliError(EXIT_CONFIG, "--lon-step outside (0, 180]")
+            raise ConfigError("--tolerance must be positive")
+        # graticule_image keeps its parallels 1e-9 radians off the poles
+        if not (0.0 < math.radians(self.lat_step_deg) <= math.pi / 2 - 1e-9):
+            raise ConfigError("--lat-step outside (0, 90)")
+        if not (0.0 < math.radians(self.lon_step_deg) <= math.pi):
+            raise ConfigError("--lon-step outside (0, 180]")
         if self.samples < 8:
-            raise CliError(EXIT_CONFIG, "--samples must be at least 8")
+            raise ConfigError("--samples must be at least 8")
 
     def spec(self) -> LagrangeProjectionSpec:
         if self.centered_on is not None:
@@ -176,33 +147,14 @@ class JobConfig:
         )
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    try:
-        parts = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise CliError(EXIT_CONFIG, f"{flag} expects comma-separated numbers")
-    if len(parts) != 2:
-        raise CliError(EXIT_CONFIG, f"{flag} expects exactly two numbers")
-    return parts[0], parts[1]
-
-
 def _parse_floats(text: str, count: int, flag: str) -> tuple[float, ...]:
     try:
         parts = tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise CliError(EXIT_CONFIG, f"{flag} expects comma-separated numbers")
+        raise ConfigError(f"{flag} expects comma-separated numbers")
     if len(parts) != count:
-        raise CliError(EXIT_CONFIG, f"{flag} expects {count} numbers, got {len(parts)}")
+        raise ConfigError(f"{flag} expects {count} numbers, got {len(parts)}")
     return parts
-
-
-def _load_geojson(path: str) -> dict:
-    try:
-        return geojson_io.load(path)
-    except FileNotFoundError:
-        raise CliError(EXIT_CONFIG, f"input file not found: {path}")
-    except (json.JSONDecodeError, GeoJsonError, UnicodeDecodeError) as exc:
-        raise CliError(EXIT_PARSE, f"cannot parse {path}: {exc}")
 
 
 def _region_mesh(config: JobConfig):
@@ -210,12 +162,8 @@ def _region_mesh(config: JobConfig):
     if config.cap_deg is not None:
         return build_cap_mesh(math.radians(config.cap_deg), delta)
     if config.region_path is None:
-        raise CliError(EXIT_CONFIG, "need --region or --cap-deg")
-    region = _load_geojson(config.region_path)
-    try:
-        boundary = geojson_io.region_polyline(region)
-    except GeoJsonError as exc:
-        raise CliError(EXIT_PARSE, str(exc))
+        raise ConfigError("need --region or --cap-deg")
+    boundary = geojson_io.region_polyline(geojson_io.load(config.region_path))
     return build_region_mesh(boundary, delta)
 
 
@@ -229,11 +177,14 @@ def _write_report(config: JobConfig, lines: list[str]) -> str:
 def _flush_outputs(config: JobConfig) -> None:
     """All file writing happens here, after every computation succeeded."""
     for path, content in config.outputs.items():
-        if callable(content):
-            content(path)
-        else:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(content)
+        try:
+            if callable(content):
+                content(path)
+            else:
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(content)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -241,21 +192,16 @@ def _flush_outputs(config: JobConfig) -> None:
 
 def run_project(config: JobConfig) -> str:
     spec = config.spec()
-    data = _load_geojson(config.region_path)
+    data = geojson_io.load(config.region_path)
     positions = geojson_io.all_positions(data)
     if config.out_path is None and config.svg_path is None:
-        raise CliError(EXIT_CONFIG, "project needs --out and/or --svg")
+        raise ConfigError("project needs --out and/or --svg")
 
     def mapper(lon_deg: float, lat_deg: float):
-        if not (-90.0 <= lat_deg <= 90.0):
-            raise CliError(EXIT_PARSE, f"latitude {lat_deg} outside [-90, 90]")
         try:
             q = project(spec, SpherePoint.from_degrees(lat_deg, lon_deg))
-        except _DOMAIN_ERRORS as exc:
-            raise CliError(
-                EXIT_DOMAIN,
-                f"cannot project coordinate ({fmt(lon_deg)}, {fmt(lat_deg)}): {exc}",
-            )
+        except DomainError as exc:
+            raise type(exc)(f"cannot project ({fmt(lon_deg)}, {fmt(lat_deg)}): {exc}") from exc
         return q.x, q.y
 
     projected = geojson_io.map_positions(data, mapper)
@@ -269,7 +215,7 @@ def run_project(config: JobConfig) -> str:
         config.samples,
     )
     if config.svg_path:
-        feature_lines = _feature_lines(projected)
+        feature_lines = geojson_io.polylines(projected)
         svg_path = config.svg_path
         config.outputs[svg_path] = lambda p: render_svg(
             p, curves, feature_lines, timestamp=config.svg_timestamp
@@ -285,23 +231,6 @@ def run_project(config: JobConfig) -> str:
     worst = max((c.relative_residual for c in curves), default=0.0)
     lines.append(f"worst-relative-residual: {fmt(worst)}")
     return _write_report(config, lines)
-
-
-def _feature_lines(projected: dict) -> list[list[tuple[float, float]]]:
-    lines = []
-    for geom in geojson_io._geometries(projected):
-        kind = geom["type"]
-        coords = geom.get("coordinates", [])
-        if kind == "LineString":
-            lines.append([tuple(p[:2]) for p in coords])
-        elif kind in ("MultiLineString", "Polygon"):
-            for part in coords:
-                lines.append([tuple(p[:2]) for p in part])
-        elif kind == "MultiPolygon":
-            for poly in coords:
-                for part in poly:
-                    lines.append([tuple(p[:2]) for p in part])
-    return lines
 
 
 def run_graticule(config: JobConfig) -> str:
@@ -389,16 +318,7 @@ def run_chebyshev(config: JobConfig) -> str:
         or config.projection_requested
     )
     if wants_projection:
-        spec = config.spec()
-        regular = []
-        for p in mesh.node_points():
-            try:
-                regular.append(dilatation_analytic(spec, p))
-            except CartaError:
-                continue
-        if not regular:
-            raise CliError(EXIT_DOMAIN, "projection is singular on the whole region")
-        ratio_projection = max(regular) / min(regular)
+        ratio_projection = projection_ratio(mesh, config.spec())
         gap = ratio_projection - ratio_optimal
         if gap > allowance:
             verdict = "projection-suboptimal"
@@ -424,8 +344,6 @@ def run_chebyshev(config: JobConfig) -> str:
 
 
 def run_darboux(config: JobConfig) -> str:
-    if config.source is None:
-        raise CliError(EXIT_CONFIG, "darboux needs --source")
     sx = config.source
     source = Triangle(
         PlanePoint(sx[0], sx[1]), PlanePoint(sx[2], sx[3]), PlanePoint(sx[4], sx[5])
@@ -440,10 +358,10 @@ def run_darboux(config: JobConfig) -> str:
     elif config.target_sides is not None:
         target_sides = config.target_sides
         if min(target_sides) <= 0:
-            raise CliError(EXIT_CONFIG, "--target-sides must be positive")
+            raise ConfigError("--target-sides must be positive")
         solutions = inversions_for_sides(source, target_sides)
     else:
-        raise CliError(EXIT_CONFIG, "darboux needs --target or --target-sides")
+        raise ConfigError("darboux needs --target or --target-sides")
 
     lines = ["darboux report", f"solutions: {len(solutions)}"]
     if not solutions:
@@ -549,9 +467,9 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
     if getattr(args, "lon_step", None) is not None:
         config.lon_step_deg = args.lon_step
     if getattr(args, "inversion_pole", None) is not None:
-        config.inversion_pole = _parse_pair(args.inversion_pole, "--inversion-pole")
+        config.inversion_pole = _parse_floats(args.inversion_pole, 2, "--inversion-pole")
     if getattr(args, "centered_on", None) is not None:
-        config.centered_on = _parse_pair(args.centered_on, "--centered-on")
+        config.centered_on = _parse_floats(args.centered_on, 2, "--centered-on")
     config.region_path = getattr(args, "region", None)
     config.out_path = getattr(args, "out", None)
     config.svg_path = getattr(args, "svg", None)
@@ -578,26 +496,14 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
+        config = _config_from_args(args)
         config.validate()
         text = _RUNNERS[config.subcommand](config)
         _flush_outputs(config)
-    except CliError as exc:
-        print(f"carta: {exc}", file=sys.stderr)
-        return exc.code
-    except NoConvergence as exc:
-        print(f"carta: no convergence: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except _DEGENERATE_ERRORS as exc:
+    except CartaError as exc:
         print(f"carta: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except _DOMAIN_ERRORS as exc:
-        print(f"carta: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"carta: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
     sys.stdout.write(text)
     return 0
 

@@ -18,6 +18,7 @@ from .errors import (
     CoincidentPoints,
     DegenerateTriangle,
     InfeasibleAngles,
+    NonFiniteValue,
     PoleOnVertex,
 )
 from .geometry import GeneralizedCircle, Inversion, PlanePoint
@@ -133,7 +134,7 @@ def intersect_generalized(
     # radical line: foot of the common chord on the center axis
     x = (dist * dist + r1 * r1 - r2 * r2) / (2.0 * dist)
     disc = r1 * r1 - x * x
-    scale = max(r1, r2) ** 2
+    scale = max(r1 * r1, r2 * r2)
     ex, ey = (c2.x - c1.x) / dist, (c2.y - c1.y) / dist
     foot = PlanePoint(c1.x + x * ex, c1.y + x * ey)
     if disc < -1e-12 * scale:
@@ -163,15 +164,25 @@ def inversions_for_sides(
         raise ValueError("target side lengths must be positive")
     a, b, c = source.sides()
     va, vb, vc = source.vertices()
-    locus_ab = apollonius_circle(va, vb, (a0 * b) / (a * b0))  # |PA|/|PB|
-    locus_bc = apollonius_circle(vb, vc, (b0 * c) / (b * c0))  # |PB|/|PC|
+    try:
+        ratio_ab, ratio_bc = (a0 * b) / (a * b0), (b0 * c) / (b * c0)  # |PA|/|PB|, |PB|/|PC|
+    except ZeroDivisionError:  # a product of sides underflowed
+        ratio_ab = ratio_bc = math.inf
+    # apollonius_circle squares the ratios: keep the squares normal floats
+    if not (1e-150 < ratio_ab < 1e150 and 1e-150 < ratio_bc < 1e150):
+        raise NonFiniteValue("side-length ratio too extreme to square in floating point")
+    locus_ab = apollonius_circle(va, vb, ratio_ab)
+    locus_bc = apollonius_circle(vb, vc, ratio_bc)
     solutions = []
     for pole in intersect_generalized(locus_ab, locus_bc):
         pb = pole.distance(vb)
         pc = pole.distance(vc)
         if min(pole.distance(va), pb, pc) < 1e-12:
             continue  # pole on a vertex: no finite image triangle
-        candidate = Inversion(pole, a0 * pb * pc / a)
+        power = a0 * pb * pc / a
+        if not 0.0 < power < math.inf:
+            raise NonFiniteValue(f"inversion power {power} outside the floating-point range")
+        candidate = Inversion(pole, power)
         achieved = image_triangle_sides(candidate, source)
         err = max(
             abs(achieved[0] - a0) / a0,

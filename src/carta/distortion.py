@@ -13,8 +13,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import CartaError, DomainEdge, EmptyRegion, OriginSingularity, ProjectionPole
-from .geometry import POLE_COLATITUDE_EPS, Inversion, MobiusTransform, PlanePoint, SpherePoint, normalize_longitude
+from .errors import (
+    CartaError,
+    DomainEdge,
+    EmptyRegion,
+    NonFiniteValue,
+    OriginSingularity,
+    PointAtInfinity,
+    PoleSingularity,
+    ProjectionPole,
+)
+from .geometry import POLE_COLATITUDE_EPS, Inversion, PlanePoint, SpherePoint, normalize_longitude
 from .lagrange import LagrangeProjectionSpec
 from .surfaces import SPHERE, conformal_latitude
 
@@ -147,11 +156,16 @@ def dilatation_analytic(spec: LagrangeProjectionSpec, p: SpherePoint) -> float:
         dlon = normalize_longitude(p.longitude - spec.central_meridian)
         w = rho**c * complex(math.cos(c * dlon), math.sin(c * dlon))
         if isinstance(post, Inversion):
-            d2 = abs(w - post.pole.as_complex()) ** 2
-            post_factor = abs(post.power) / d2
-        elif isinstance(post, MobiusTransform):
-            post_factor = 1.0 / abs(post.c * w + post.d) ** 2  # |det| = 1
-    return surface_factor * stereo_factor * power_factor * post_factor
+            stretch, d, at_pole = abs(post.power), abs(w - post.pole.as_complex()), PoleSingularity
+        else:  # Mobius with |det| = 1
+            stretch, d, at_pole = 1.0, abs(post.c * w + post.d), PointAtInfinity
+        if d < 1e-14:
+            raise at_pole(f"point {w} at the pole of the post-transform")
+        post_factor = stretch / d**2
+    m = surface_factor * stereo_factor * power_factor * post_factor
+    if not (0.0 < m < math.inf):
+        raise NonFiniteValue(f"dilatation {m} outside the floating-point range")
+    return m
 
 
 def conformality_defect(

@@ -1,107 +1,135 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Every error derives from exactly one of five categories, and the category
+alone decides the command line's exit code (see ``carta.cli``).
+"""
 
 
 class CartaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# -- plane / sphere geometry ------------------------------------------------
+# -- ConfigError: invalid run parameters (exit 2) -------------------------------
 
-class PoleSingularity(CartaError):
+class ConfigError(CartaError, ValueError):
+    """Invalid or non-finite flag value, or an unreadable or unwritable path."""
+
+
+# -- InputError: malformed input data (exit 3) ----------------------------------
+
+class InputError(CartaError, ValueError):
+    """Malformed input data."""
+
+
+class GeoJsonError(InputError):
+    """Structurally invalid GeoJSON input."""
+
+
+# -- DomainError: evaluation outside a map's domain (exit 4) ----------------------
+
+class DomainError(CartaError):
+    """Evaluation outside the domain of a map or formula."""
+
+
+class NonFiniteValue(DomainError, ValueError):
+    """A computed value overflowed or is not a number."""
+
+
+class PoleSingularity(DomainError):
     """A point coincides with the pole of an inversion."""
 
 
-class PointAtInfinity(CartaError):
+class PointAtInfinity(DomainError):
     """A Mobius transform was evaluated at (or too close to) its pole."""
 
 
-class DegenerateTransform(CartaError):
-    """Mobius coefficients with a vanishing determinant."""
-
-
-class ProjectionPole(CartaError):
+class ProjectionPole(DomainError):
     """Stereographic projection evaluated at its center (the North pole)."""
 
 
-class DegeneratePolygon(CartaError):
-    """Spherical polygon with repeated or antipodal consecutive vertices."""
-
-
-class InsufficientPoints(CartaError):
-    """Too few (or coincident) points for a circle fit."""
-
-
-# -- surfaces of revolution --------------------------------------------------
-
-class PoleDegenerate(CartaError):
+class PoleDegenerate(DomainError):
     """Surface evaluator called at a rotation-axis pole."""
 
 
-# -- projection family -------------------------------------------------------
-
-class OriginSingularity(CartaError):
+class OriginSingularity(DomainError):
     """Power map z -> z^c evaluated at the origin with c != 1."""
 
 
-class BranchOverflow(CartaError):
+class BranchOverflow(DomainError):
     """Recentred longitude leaves the single-branch window of the power map."""
 
 
-class OutsideImage(CartaError):
+class OutsideImage(DomainError):
     """Plane point outside the image of the projection."""
 
 
-# -- distortion --------------------------------------------------------------
-
-class DomainEdge(CartaError):
+class DomainEdge(DomainError):
     """Finite-difference probe left the projection domain."""
 
 
-class EmptyRegion(CartaError):
+class EmptyRegion(DomainError):
     """An operation over a region received no sample points."""
 
 
-# -- region meshes / optimal-scale solve ---------------------------------
-
-class DegenerateBoundary(CartaError):
-    """Region boundary with fewer than three distinct vertices."""
+class CriticalPoint(DomainError):
+    """|f'| below threshold: Schwarzian derivative undefined."""
 
 
-class SelfIntersectingBoundary(CartaError):
-    """Region boundary polyline crosses itself."""
+# -- SolverError: a numerical solve failed (exit 5) -------------------------------
+
+class SolverError(CartaError):
+    """A numerical solve failed."""
 
 
-class RegionTooSmall(CartaError):
-    """Mesh spacing too coarse for the region (fewer than 9 interior nodes)."""
-
-
-class DisconnectedRegion(CartaError):
-    """Meshed region splits into several grid components."""
-
-
-class NoConvergence(CartaError):
+class NoConvergence(SolverError):
     """Field solve failed to reach the residual tolerance."""
 
 
-# -- triangle inversion solver ---------------------------------------------
+# -- DegenerateInput: degenerate geometry (exit 6) --------------------------------
 
-class PoleOnVertex(CartaError):
+class DegenerateInput(CartaError):
+    """Degenerate geometry: coincident, collinear or too small."""
+
+
+class DegenerateTransform(DegenerateInput):
+    """Mobius coefficients with a vanishing determinant."""
+
+
+class DegeneratePolygon(DegenerateInput):
+    """Spherical polygon with repeated or antipodal consecutive vertices."""
+
+
+class InsufficientPoints(DegenerateInput):
+    """Too few (or coincident) points for a circle fit."""
+
+
+class DegenerateBoundary(DegenerateInput):
+    """Region boundary with fewer than three distinct vertices."""
+
+
+class SelfIntersectingBoundary(DegenerateInput):
+    """Region boundary polyline crosses itself."""
+
+
+class RegionTooSmall(DegenerateInput):
+    """Mesh spacing too coarse for the region (fewer than 9 interior nodes)."""
+
+
+class DisconnectedRegion(DegenerateInput):
+    """Meshed region splits into several grid components."""
+
+
+class PoleOnVertex(DegenerateInput):
     """Inversion pole coincides with a triangle vertex."""
 
 
-class CoincidentPoints(CartaError):
+class CoincidentPoints(DegenerateInput):
     """Distinct points were required but coincide."""
 
 
-class DegenerateTriangle(CartaError):
+class DegenerateTriangle(DegenerateInput):
     """Collinear or zero-area triangle."""
 
 
-class InfeasibleAngles(CartaError):
+class InfeasibleAngles(DegenerateInput):
     """Requested subtended angle is not attainable on the locus."""
-
-
-# -- schwarzian --------------------------------------------------------------
-
-class CriticalPoint(CartaError):
-    """|f'| below threshold: Schwarzian derivative undefined."""

@@ -9,21 +9,22 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from typing import Callable, Sequence
 
+from .errors import ConfigError, GeoJsonError, NonFiniteValue
 from .geometry import SpherePoint
 
-
-class GeoJsonError(ValueError):
-    """Structurally invalid GeoJSON input."""
+# nesting depth of the positions in each geometry type's "coordinates"
+_POSITION_DEPTH = {"Point": 0, "MultiPoint": 1, "LineString": 1,
+                   "MultiLineString": 2, "Polygon": 2, "MultiPolygon": 3}
 
 
 def format_float(x: float) -> str:
     """Fixed 15-significant-digit decimal form used in all outputs."""
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"non-finite value {x} in output")
-    out = format(float(x), ".15g")
-    return "-0" if out == "-0" else out
+    if not math.isfinite(x):
+        raise NonFiniteValue(f"non-finite value {x} in output")
+    return format(float(x), ".15g")
 
 
 def dumps(obj) -> str:
@@ -67,48 +68,69 @@ def _write(obj, pieces: list[str]) -> None:
 
 
 def load(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    """Read a GeoJSON object (ConfigError if unreadable, GeoJsonError if malformed)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
+        raise GeoJsonError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(data, dict) or "type" not in data:
         raise GeoJsonError("input is not a GeoJSON object")
     return data
 
 
-def write(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(obj))
-        handle.write("\n")
+def _array(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise GeoJsonError(f"{what} is not an array")
+    return value
 
 
 def _geometries(obj: dict):
+    if not isinstance(obj, dict):
+        raise GeoJsonError("GeoJSON member is not an object")
     kind = obj.get("type")
     if kind == "FeatureCollection":
-        for feature in obj.get("features", []):
+        for feature in _array(obj.get("features", []), "features"):
             yield from _geometries(feature)
     elif kind == "Feature":
         geom = obj.get("geometry")
         if geom is not None:
             yield from _geometries(geom)
     elif kind == "GeometryCollection":
-        for geom in obj.get("geometries", []):
+        for geom in _array(obj.get("geometries", []), "geometries"):
             yield from _geometries(geom)
-    elif kind in ("Point", "MultiPoint", "LineString", "MultiLineString", "Polygon", "MultiPolygon"):
+    elif isinstance(kind, str) and kind in _POSITION_DEPTH:
         yield obj
     else:
-        raise GeoJsonError(f"unsupported GeoJSON type {kind!r}")
+        raise GeoJsonError(f"unsupported GeoJSON type {reprlib.repr(kind)}")
 
 
-def _positions(coords):
-    """Yield [lon, lat] leaves of a nested coordinate array."""
-    if not isinstance(coords, (list, tuple)):
-        raise GeoJsonError("malformed coordinates")
-    if coords and isinstance(coords[0], (int, float)):
-        if len(coords) < 2:
-            raise GeoJsonError("coordinate with fewer than 2 numbers")
+def _position(pos) -> tuple[float, float]:
+    """(lon, lat) of a position: two or more real numbers (booleans are not
+    numbers here), finite longitude, latitude in [-90, 90]."""
+    if not isinstance(pos, (list, tuple)) or len(pos) < 2:
+        raise GeoJsonError(f"malformed position {reprlib.repr(pos)}")
+    for v in pos:
+        if v.__class__ is not float and (isinstance(v, bool) or not isinstance(v, (int, float))):
+            raise GeoJsonError(f"non-numeric value in position {reprlib.repr(pos)}")
+    try:
+        lon, lat = float(pos[0]), float(pos[1])
+    except OverflowError:  # an integer beyond the float range
+        raise GeoJsonError(f"position {reprlib.repr(pos)} out of range") from None
+    if not (math.isfinite(lon) and -90.0 <= lat <= 90.0):
+        raise GeoJsonError(f"position {reprlib.repr(pos)}: need a finite lon and lat in [-90, 90]")
+    return lon, lat
+
+
+def _nested(coords, depth: int):
+    """Yield the members nested ``depth`` arrays deep in ``coords``."""
+    if depth == 0:
         yield coords
     else:
-        for item in coords:
-            yield from _positions(item)
+        for item in _array(coords, "coordinates"):
+            yield from _nested(item, depth - 1)
 
 
 def region_polyline(obj: dict) -> list[SpherePoint]:
@@ -118,37 +140,33 @@ def region_polyline(obj: dict) -> list[SpherePoint]:
     implicitly closed ring.
     """
     for geom in _geometries(obj):
-        if geom["type"] == "Polygon":
-            rings = geom.get("coordinates") or []
-            if not rings:
-                continue
-            return [_to_sphere(pos) for pos in rings[0]]
-        if geom["type"] == "MultiPolygon":
-            polys = geom.get("coordinates") or []
-            if not polys or not polys[0]:
-                continue
-            return [_to_sphere(pos) for pos in polys[0][0]]
-        if geom["type"] == "LineString":
-            return [_to_sphere(pos) for pos in geom.get("coordinates", [])]
+        kind = geom["type"]
+        if kind in ("LineString", "Polygon", "MultiPolygon"):
+            ring = next(_nested(geom.get("coordinates", []), _POSITION_DEPTH[kind] - 1), None)
+            if ring is not None:
+                positions = map(_position, _nested(ring, 1))
+                return [SpherePoint.from_degrees(lat, lon) for lon, lat in positions]
     raise GeoJsonError("no polygon or line boundary found in input")
-
-
-def _to_sphere(position) -> SpherePoint:
-    if not isinstance(position, (list, tuple)) or len(position) < 2:
-        raise GeoJsonError(f"malformed position {position!r}")
-    lon, lat = float(position[0]), float(position[1])
-    if not (-90.0 <= lat <= 90.0):
-        raise GeoJsonError(f"latitude {lat} outside [-90, 90]")
-    return SpherePoint.from_degrees(lat, lon)
 
 
 def all_positions(obj: dict) -> list[tuple[float, float]]:
     """Every (lon, lat) pair appearing in the object, in document order."""
     out = []
     for geom in _geometries(obj):
-        for pos in _positions(geom.get("coordinates", [])):
-            out.append((float(pos[0]), float(pos[1])))
+        coords = geom.get("coordinates", [])
+        if coords != []:  # an empty geometry, even a Point, has no positions
+            out.extend(map(_position, _nested(coords, _POSITION_DEPTH[geom["type"]])))
     return out
+
+
+def polylines(obj: dict) -> list[list[tuple[float, float]]]:
+    """Every line and polygon ring in the object, as (x, y) pairs."""
+    return [
+        [tuple(p[:2]) for p in line]
+        for geom in _geometries(obj)
+        if geom["type"] not in ("Point", "MultiPoint")
+        for line in _nested(geom.get("coordinates", []), _POSITION_DEPTH[geom["type"]] - 1)
+    ]
 
 
 def map_positions(obj, mapper: Callable[[float, float], Sequence[float]]):
@@ -157,25 +175,30 @@ def map_positions(obj, mapper: Callable[[float, float], Sequence[float]]):
     ``mapper`` receives (lon_deg, lat_deg) and returns the replacement
     coordinate pair.
     """
+    try:
+        return _map_members(obj, mapper)
+    except RecursionError:  # parsed JSON can nest deeper than the copy recurses
+        raise GeoJsonError("input nested too deeply") from None
+
+
+def _map_members(obj, mapper):
     if isinstance(obj, dict):
         out = {}
         for key, value in obj.items():
             if key == "coordinates":
                 out[key] = _map_coords(value, mapper)
             else:
-                out[key] = map_positions(value, mapper)
+                out[key] = _map_members(value, mapper)
         return out
     if isinstance(obj, list):
-        return [map_positions(item, mapper) for item in obj]
+        return [_map_members(item, mapper) for item in obj]
     return obj
 
 
 def _map_coords(coords, mapper):
-    if not isinstance(coords, (list, tuple)):
-        raise GeoJsonError("malformed coordinates")
-    if coords and isinstance(coords[0], (int, float)):
-        lon, lat = float(coords[0]), float(coords[1])
-        return [float(v) for v in mapper(lon, lat)]
+    _array(coords, "coordinates")
+    if coords and not isinstance(coords[0], (list, tuple)):
+        return [float(v) for v in mapper(*_position(coords))]
     return [_map_coords(item, mapper) for item in coords]
 
 

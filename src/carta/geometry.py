@@ -25,6 +25,7 @@ from .errors import (
     DegeneratePolygon,
     DegenerateTransform,
     InsufficientPoints,
+    NonFiniteValue,
     PointAtInfinity,
     PoleSingularity,
     ProjectionPole,
@@ -96,7 +97,7 @@ class PlanePoint:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite plane point ({self.x}, {self.y})")
+            raise NonFiniteValue(f"non-finite plane point ({self.x}, {self.y})")
 
     @classmethod
     def from_complex(cls, z: complex) -> "PlanePoint":
@@ -189,6 +190,15 @@ class MobiusTransform:
     def identity(cls) -> "MobiusTransform":
         return cls(1, 0, 0, 1)
 
+    @classmethod
+    def _normalized(cls, a: complex, b: complex, c: complex, d: complex) -> "MobiusTransform":
+        """Coefficients with determinant 1 by construction, unguarded: the guard's
+        threshold grows with the largest coefficient and misreads det 1 at ~1e6."""
+        m = object.__new__(cls)
+        for name, value in zip("abcd", (a, b, c, d)):
+            object.__setattr__(m, name, value)
+        return m
+
     def determinant(self) -> complex:
         return self.a * self.d - self.b * self.c
 
@@ -203,7 +213,7 @@ class MobiusTransform:
 
     def compose(self, other: "MobiusTransform") -> "MobiusTransform":
         """Return self after other: (self . other)(z) = self(other(z))."""
-        return MobiusTransform(
+        return MobiusTransform._normalized(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -211,7 +221,7 @@ class MobiusTransform:
         )
 
     def inverse(self) -> "MobiusTransform":
-        return MobiusTransform(self.d, -self.b, -self.c, self.a)
+        return MobiusTransform._normalized(self.d, -self.b, -self.c, self.a)
 
     @classmethod
     def from_point_triples(
@@ -423,6 +433,8 @@ def circle_fit(points: Sequence[PlanePoint]) -> tuple[GeneralizedCircle, float]:
     centroid = xy.mean(axis=0)
     shifted = xy - centroid
     scale = math.sqrt(float(np.mean(np.sum(shifted**2, axis=1))))
+    if not math.isfinite(scale):
+        raise NonFiniteValue("point spread beyond the floating-point range")
     if scale < 1e-14:
         raise InsufficientPoints("all points coincide")
     u = shifted / scale

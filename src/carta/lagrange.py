@@ -225,8 +225,8 @@ def _singular_preimages(spec: LagrangeProjectionSpec) -> list[np.ndarray]:
         )
         try:
             points.append(unproject(bare, singular_plane).unit_vector())
-        except (CartaError, ValueError):
-            pass  # the singular point is outside the image: nothing to avoid
+        except (CartaError, ValueError, OverflowError):
+            pass  # outside the image, or numerically at the (avoided) center
     return points
 
 

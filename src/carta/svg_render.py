@@ -68,7 +68,8 @@ def render_svg(
             xs, ys = [-1.0, 1.0], [-1.0, 1.0]
         bounds = (min(xs), min(ys), max(xs), max(ys))
     x0, y0, x1, y1 = bounds
-    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
+    # the floor grows with the coordinates so that padding never rounds away
+    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9 * max(1.0, abs(x0), abs(x1), abs(y0), abs(y1)))
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
     width, height = x1 - x0, y1 - y0
     stroke = max(width, height) / 400.0

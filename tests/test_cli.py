@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import carta.cli as cli
+import carta.errors as errors
 
 
 def run_cli(*argv):
@@ -296,3 +301,308 @@ def test_installed_entry_point(band_geojson, tmp_path):
     )
     assert result.returncode == 0
     assert "graticule report" in result.stdout
+
+
+def test_bench_tracer_installs_on_current_package(tmp_path):
+    """The benchmark's tracer patches functions by name; a rename must fail here."""
+    root = Path(__file__).resolve().parent.parent
+    record = tmp_path / "record.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [
+            sys.executable, str(root / "bench" / "child.py"), str(record), "1",
+            "chebyshev", "--cap-deg", "30", "--delta-deg", "5", "--compare-projection",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    trace = json.loads(record.read_text())["trace"]
+    spans = {span["name"] for span in trace["spans"]}
+    assert {"cli.main", "chebyshev.build_cap_mesh", "chebyshev.spsolve"} <= spans
+    assert "distortion.dilatation_analytic" in {agg["name"] for agg in trace["aggregates"]}
+
+
+# -- exit-code contract -----------------------------------------------------------
+
+
+ALLOWED_EXITS = {0, 2, 3, 4, 5, 6}
+
+
+def test_every_error_class_has_exactly_one_category():
+    assert sorted(cli.EXIT_CODES.values()) == [2, 3, 4, 5, 6]
+    for name, value in vars(errors).items():
+        if not isinstance(value, type) or not issubclass(value, errors.CartaError):
+            continue
+        if value is errors.CartaError:
+            continue
+        categories = [c for c in cli.EXIT_CODES if issubclass(value, c)]
+        assert len(categories) == 1, f"{name}: {categories}"
+
+
+def _polygon(coordinates_json):
+    return '{"type": "Polygon", "coordinates": %s}' % coordinates_json
+
+
+DEEP = 600  # loads as JSON, but nests deeper than a recursive copy can follow
+
+
+@pytest.mark.parametrize(
+    "command, document, extra, expected",
+    [
+        ("chebyshev", _polygon("5"), [], 3),
+        ("project", _polygon("5"), [], 3),
+        ("project", _polygon('[[[0, 0], ["1", 1], [1, 0], [0, 0]]]'), [], 3),
+        ("project", _polygon("[[[0, 0], [NaN, 1], [1, 0], [0, 0]]]"), [], 3),
+        ("chebyshev", _polygon("[[[0, 0], [0, NaN], [1, 0], [0, 0]]]"), [], 3),
+        ("project", _polygon("[[[0, 0], [1e400, 1], [1, 0], [0, 0]]]"), [], 3),
+        ("project", _polygon("[[[0, 0], [true, false], [1, 0], [0, 0]]]"), [], 3),
+        ("chebyshev", _polygon("[[[0, 0], [1], [1, 0], [0, 0]]]"), [], 3),
+        ("project", '{"type": "Feature", "geometry": null, "properties": %s}'
+         % ("[" * DEEP + "]" * DEEP), [], 3),
+        ("project", _polygon("[" * 5000 + "]" * 5000), [], 3),
+        ("chebyshev", _polygon("[[[0, 0], [0, 1], [1, 0], [0, 0]]]"), ["--delta-deg", "nan"], 2),
+        ("chebyshev", _polygon("[[[0, 0], [0, 5], [5, 0], [0, 0]]]"), ["--centered-on", "95,0"], 2),
+        ("project", _polygon("[]"), ["--lat-step", "89.99999999"], 2),
+        # a zero-length line far out: the SVG padding must not round away
+        ("project", '{"type": "LineString", "coordinates": [[0, 0], [0, 0]]}',
+         ["--inversion-pole", "0,0", "--inversion-power", "1e10", "--lat-step", "89",
+          "--lon-step", "180"], 0),
+    ],
+    ids=[
+        "coordinates-5-chebyshev", "coordinates-5-project", "string", "nan-project",
+        "nan-chebyshev", "1e400", "bools", "short-position", "deep-properties", "deep-json",
+        "delta-nan", "centered-on-95", "lat-step-edge", "zero-extent-svg",
+    ],
+)
+def test_pinned_inputs_exit_codes(tmp_path, capsys, command, document, extra, expected):
+    region = tmp_path / "in.geojson"
+    region.write_text(document)
+    argv = [command, "--region", str(region), *extra]
+    if command == "project":
+        argv += ["--out", str(tmp_path / "out.geojson"), "--svg", str(tmp_path / "out.svg")]
+    assert run_cli(*argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["graticule", "--inversion-pole", "1,0", "--inversion-power", "1e300"], 4),
+        (["graticule", "--exponent", "0.01", "--inversion-pole", "1e4,0", "--inversion-power", "1"],
+         0),
+        (["distortion", "--cap-deg", "10", "--inversion-pole", "1e200,0", "--inversion-power", "1"],
+         2),
+        (["distortion", "--cap-deg", "10", "--inversion-pole", "0,0", "--inversion-power", "1"], 4),
+        (["chebyshev", "--cap-deg", "10", "--delta-deg", "1", "--inversion-pole", "0,0",
+          "--inversion-power", "1"], 0),
+        (["chebyshev", "--cap-deg", "10", "--inversion-pole", "x", "--inversion-power", "1"], 2),
+        (["distortion", "--cap-deg", "5e-324"], 2),
+        (["darboux", "--source", "0,0,1e300,0,0,1e300", "--target", "0,0,2,0.3,0.7,1.8"], 4),
+        (["darboux", "--source", "0,0,2,0.3,0.7,1.8",
+          "--target-sides", "2.368395386452327e-151,9.328371860139446e+172,1e300"], 4),
+        (["darboux", "--source", "3,-1.3,-1e-10,0,1.3e-150,-1e-300", "--target-sides", "1,5e-324,2"],
+         4),
+        (["darboux", "--source", "1.3e-150,0,5e-324,1e-10,3.9,-5e-324",
+          "--target-sides", "5e-324,2,1e-300"], 4),
+        (["darboux", "--source", "1.3e150,1e-300,-5e-324,3.9,5e-324,1e150",
+          "--target", "1.3e10,1e-150,1e-150,-0.0,-2.0,1.3e10"], 4),
+    ],
+)
+def test_extreme_flag_values_exit_codes(capsys, argv, expected):
+    assert run_cli(*argv) == expected
+
+
+@pytest.mark.parametrize("flag", ["--region", "--out", "--svg", "--report"])
+def test_unusable_paths_exit_2(band_geojson, tmp_path, capsys, flag):
+    paths = {"--region": band_geojson, "--out": str(tmp_path / "out.geojson")}
+    paths[flag] = str(tmp_path)  # a directory can be neither read nor written as a file
+    argv = ["project", "--lat-step", "30", "--lon-step", "45", "--samples", "8"]
+    for name, path in paths.items():
+        argv += [name, path]
+    assert run_cli(*argv) == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+# JSON values of every kind, GeoJSON-shaped documents built from them, and
+# documents with one defect where every subcommand reads
+NAN, INF = float("nan"), float("inf")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.just(10**400),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["type", "coordinates", "x"]), inner, max_size=2),
+    max_leaves=8,
+)
+positions = st.one_of(
+    st.lists(st.floats(-180, 180) | st.integers(-90, 90), min_size=2, max_size=3),
+    st.lists(json_values, max_size=3),
+    json_values,
+)
+_DEPTHS = {"Point": 0, "MultiPoint": 1, "LineString": 1, "MultiLineString": 2,
+           "Polygon": 2, "MultiPolygon": 3}
+
+
+def _nested(depth):
+    if depth == 0:
+        return positions
+    return st.lists(_nested(depth - 1), max_size=5) | json_values
+
+
+geometries = st.sampled_from(sorted(_DEPTHS)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"type": st.just(kind), "coordinates": _nested(_DEPTHS[kind])}
+    )
+)
+features = st.fixed_dictionaries(
+    {"type": st.just("Feature"), "geometry": st.none() | geometries | json_values,
+     "properties": st.none() | json_values}
+)
+documents = st.one_of(
+    geometries,
+    features,
+    st.fixed_dictionaries(
+        {"type": st.just("FeatureCollection"),
+         "features": st.lists(features | json_values, max_size=3) | json_values}
+    ),
+    st.fixed_dictionaries(
+        {"type": st.just("GeometryCollection"),
+         "geometries": st.lists(geometries | json_values, max_size=3) | json_values}
+    ),
+    json_values,
+)
+
+GOOD_RING = [[-5, 40], [9, 40], [9, 52], [-5, 52], [-5, 40]]
+bad_positions = st.one_of(
+    st.lists(st.floats(-10, 10), max_size=1),
+    st.tuples(st.floats(-10, 10), st.floats(min_value=90, exclude_min=True)).map(list),
+    st.tuples(st.floats(-10, 10), st.floats(max_value=-90, exclude_max=True)).map(list),
+    st.tuples(st.sampled_from([NAN, INF, -INF, 10**400, True, "1", None, [1]]),
+              st.just(45)).map(list),
+    st.tuples(st.just(0), st.sampled_from([NAN, 10**400, False, "1", {}])).map(list),
+    st.sampled_from([5, "x", None, {}, True, 1.5]),
+)
+
+
+@st.composite
+def malformed_documents(draw):
+    kind = draw(st.sampled_from(["position", "coordinates", "features", "geometries", "top"]))
+    if kind == "position":
+        ring = list(GOOD_RING)
+        ring[draw(st.integers(0, len(ring) - 1))] = draw(bad_positions)
+        geometry = {"type": "Polygon", "coordinates": [ring]}
+    elif kind == "coordinates":
+        geometry = {"type": draw(st.sampled_from(["Polygon", "MultiPolygon", "LineString"])),
+                    "coordinates": draw(st.sampled_from([5, "x", {}, True, [5], [[5]]]))}
+    elif kind == "features":
+        return {"type": "FeatureCollection",
+                "features": draw(st.sampled_from([5, "x", {}, None, [5], ["x"]]))}
+    elif kind == "geometries":
+        return {"type": "GeometryCollection",
+                "geometries": draw(st.sampled_from([5, "x", {}, [5], [{"type": "Nope"}]]))}
+    else:
+        return draw(st.sampled_from([[], 5, "x", None, {}, {"type": "Nope"}, {"type": []}]))
+    wrap = draw(st.sampled_from(["geometry", "feature", "collection"]))
+    if wrap == "geometry":
+        return geometry
+    feature = {"type": "Feature", "properties": {}, "geometry": geometry}
+    return feature if wrap == "feature" else {"type": "FeatureCollection", "features": [feature]}
+
+
+REGION_ARGS = {
+    "project": ["--lat-step", "45", "--lon-step", "90", "--samples", "8"],
+    "chebyshev": ["--delta-deg", "5", "--compare-projection"],
+    "distortion": ["--delta-deg", "5"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _run_region(fuzz_dir, command, document):
+    region = fuzz_dir / "region.geojson"
+    region.write_text(json.dumps(document))
+    argv = [command, "--region", str(region), *REGION_ARGS[command]]
+    if command == "project":
+        argv += ["--out", str(fuzz_dir / "out.geojson")]
+    return run_cli(*argv)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(sorted(REGION_ARGS)), document=documents)
+def test_any_region_document_exits_with_a_category(fuzz_dir, command, document):
+    assert _run_region(fuzz_dir, command, document) in ALLOWED_EXITS
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(sorted(REGION_ARGS)), document=malformed_documents())
+def test_malformed_geojson_exits_3(fuzz_dir, command, document):
+    assert _run_region(fuzz_dir, command, document) == 3
+
+
+# numeric flag values: any float, or, for the flags that size the work, a
+# value that is either invalid or at least the floor (so no test meshes finely)
+any_number = st.floats() | st.floats(-2, 2) | st.sampled_from([1e300, -1e300, 1e-300, 5e-324])
+
+
+def _sized(floor):
+    return st.floats(min_value=floor, max_value=1e300) | st.floats(max_value=0) | st.sampled_from(
+        [NAN, INF, -INF]
+    )
+
+
+def _numbers(count):
+    return st.lists(any_number, min_size=count, max_size=count).map(
+        lambda values: ",".join(repr(v) for v in values)
+    )
+
+
+PROJECTION_FLAGS = {
+    "--exponent": any_number,
+    "--central-meridian": any_number,
+    "--inversion-pole": _numbers(2),
+    "--inversion-power": any_number,
+    "--centered-on": _numbers(2),
+    "--eccentricity": any_number,
+}
+GRATICULE_FLAGS = {
+    "--lat-step": _sized(5.0),
+    "--lon-step": _sized(5.0),
+    "--samples": st.integers(-2, 32),
+}
+MESH_FLAGS = {"--cap-deg": any_number, "--delta-deg": _sized(1.0)}
+FLAGS = {
+    "project": {**PROJECTION_FLAGS, **GRATICULE_FLAGS},
+    "graticule": {**PROJECTION_FLAGS, **GRATICULE_FLAGS},
+    "distortion": {**PROJECTION_FLAGS, **MESH_FLAGS},
+    "chebyshev": {**PROJECTION_FLAGS, **MESH_FLAGS, "--tolerance": any_number},
+    "darboux": {"--source": _numbers(6), "--target": _numbers(6), "--target-sides": _numbers(3)},
+}
+
+
+@st.composite
+def flag_sets(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = []
+    for flag, values in FLAGS[command].items():
+        if draw(st.sampled_from([False, False, True])):
+            flags.append(f"{flag}={draw(values)}")
+    return command, flags
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flag_set=flag_sets())
+def test_any_flag_values_exit_with_a_category(fuzz_dir, flag_set):
+    command, flags = flag_set
+    argv = [command, *flags]
+    if command in ("project", "distortion", "chebyshev"):
+        region = fuzz_dir / "small.geojson"
+        region.write_text(json.dumps({"type": "Polygon", "coordinates": [GOOD_RING]}))
+        argv += ["--region", str(region)]
+    if command == "project":
+        argv += ["--out", str(fuzz_dir / "flags.geojson"), "--svg", str(fuzz_dir / "flags.svg")]
+    if command == "darboux" and not any(f.startswith("--source=") for f in flags):
+        argv += ["--source", "0,0,2,0.3,0.7,1.8"]
+    assert run_cli(*argv) in ALLOWED_EXITS

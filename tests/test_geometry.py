@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carta import (
@@ -23,6 +23,7 @@ from carta import (
 )
 from carta.errors import (
     DegeneratePolygon,
+    DegenerateTransform,
     InsufficientPoints,
     PointAtInfinity,
     PoleSingularity,
@@ -99,11 +100,18 @@ def test_mobius_point_at_infinity():
         mobius_apply(m, PlanePoint(2, 0))
 
 
+def test_mobius_singular_coefficients_raise():
+    with pytest.raises(DegenerateTransform):
+        MobiusTransform(1, 2, 2, 4)
+
+
 @settings(max_examples=100)
 @given(
     coeffs=st.tuples(*[st.complex_numbers(max_magnitude=3, allow_nan=False) for _ in range(8)]),
     z=st.complex_numbers(max_magnitude=3, allow_nan=False),
 )
+# a det-1 product whose coefficients reach ~1e6
+@example(coeffs=(1 / 32, 0, 1, 1e-9, 0, 2, 1 / 16, 0), z=1)
 def test_mobius_composition_group_law(coeffs, z):
     try:
         m1 = MobiusTransform(*coeffs[:4])
