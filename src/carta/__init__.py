@@ -52,6 +52,7 @@ from .lagrange import (
     graticule_image,
     lambert_power,
     project,
+    project_array,
     unproject,
 )
 from .schwarzian import (

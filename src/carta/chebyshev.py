@@ -27,7 +27,7 @@ from .errors import (
     RegionTooSmall,
     SelfIntersectingBoundary,
 )
-from .geometry import SpherePoint, normalize_longitude
+from .geometry import SpherePoint, normalize_longitude, normalize_longitude_array
 from .lagrange import LagrangeProjectionSpec
 
 RESIDUAL_TOL = 1e-8
@@ -161,27 +161,31 @@ def _gnomonic_frame(vertices: list[SpherePoint]):
     return to_plane, center
 
 
+# rows of segment pairs tested at once in _check_simple: each temporary
+# array holds about this many values (1 MB of float64)
+_PAIR_BLOCK = 1 << 17
+
+
 def _check_simple(poly_xy: np.ndarray) -> None:
+    """Raise for the first pair (i, j), i < j, of non-adjacent edges that
+    cross properly (edge i runs from vertex i to vertex i + 1)."""
     n = len(poly_xy)
-    segs = [(poly_xy[i], poly_xy[(i + 1) % n]) for i in range(n)]
-
-    def cross2(u, v) -> float:
-        return u[0] * v[1] - u[1] * v[0]
-
-    def crosses(s1, s2) -> bool:
-        (p1, p2), (q1, q2) = s1, s2
-        d1 = cross2(p2 - p1, q1 - p1)
-        d2 = cross2(p2 - p1, q2 - p1)
-        d3 = cross2(q2 - q1, p1 - q1)
-        d4 = cross2(q2 - q1, p2 - q1)
-        return (d1 * d2 < 0) and (d3 * d4 < 0)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j - i) % n == 1 or (i - j) % n == 1:
-                continue
-            if crosses(segs[i], segs[j]):
-                raise SelfIntersectingBoundary(f"boundary edges {i} and {j} cross")
+    x, y = poly_xy[:, 0], poly_xy[:, 1]
+    x2, y2 = np.roll(x, -1), np.roll(y, -1)  # far end of each edge
+    ex, ey = x2 - x, y2 - y
+    rows = max(1, _PAIR_BLOCK // n)
+    for start in range(0, n, rows):
+        i = np.arange(start, min(start + rows, n))[:, None]
+        j = np.arange(start + 1, n)[None, :]
+        d1 = ex[i] * (y[j] - y[i]) - ey[i] * (x[j] - x[i])
+        d2 = ex[i] * (y2[j] - y[i]) - ey[i] * (x2[j] - x[i])
+        d3 = ex[j] * (y[i] - y[j]) - ey[j] * (x[i] - x[j])
+        d4 = ex[j] * (y2[i] - y[j]) - ey[j] * (x2[i] - x[j])
+        adjacent = (j - i == 1) | (j - i == n - 1)
+        crossing = (d1 * d2 < 0) & (d3 * d4 < 0) & (j > i) & ~adjacent
+        if crossing.any():
+            a, b = np.unravel_index(np.argmax(crossing), crossing.shape)
+            raise SelfIntersectingBoundary(f"boundary edges {i[a, 0]} and {j[0, b]} cross")
 
 
 def _points_in_polygon(xy: np.ndarray, poly_xy: np.ndarray) -> np.ndarray:
@@ -331,7 +335,7 @@ def build_region_mesh(boundary, delta: float) -> RegionMesh:
         kind="grid",
         delta=delta,
         latitudes=lat_grid[ii, jj],
-        longitudes=np.array([normalize_longitude(v) for v in lon_grid[ii, jj]]),
+        longitudes=normalize_longitude_array(lon_grid[ii, jj]),
         boundary_flag=boundary_flag_grid[ii, jj],
         neighbors=neighbors,
     )

@@ -28,6 +28,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import geojson_io
 from .chebyshev import (
     build_cap_mesh,
@@ -53,10 +55,11 @@ from .lagrange import (
     LagrangeProjectionSpec,
     centered_stereographic,
     graticule_image,
-    project,
+    project_array,
+    projection_error,
 )
 from .surfaces import SPHERE, SurfaceOfRevolution
-from .svg_render import render_svg
+from .svg_render import svg_text
 
 EXIT_CODES = {ConfigError: 2, InputError: 3, DomainError: 4, SolverError: 5, DegenerateInput: 6}
 
@@ -175,14 +178,11 @@ def _write_report(config: JobConfig, lines: list[str]) -> str:
 
 
 def _flush_outputs(config: JobConfig) -> None:
-    """All file writing happens here, after every computation succeeded."""
+    """All file writing happens here, after every output has been computed."""
     for path, content in config.outputs.items():
         try:
-            if callable(content):
-                content(path)
-            else:
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(content)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(content)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -192,21 +192,24 @@ def _flush_outputs(config: JobConfig) -> None:
 
 def run_project(config: JobConfig) -> str:
     spec = config.spec()
-    data = geojson_io.load(config.region_path)
-    positions = geojson_io.all_positions(data)
     if config.out_path is None and config.svg_path is None:
         raise ConfigError("project needs --out and/or --svg")
 
-    def mapper(lon_deg: float, lat_deg: float):
-        try:
-            q = project(spec, SpherePoint.from_degrees(lat_deg, lon_deg))
-        except DomainError as exc:
-            raise type(exc)(f"cannot project ({fmt(lon_deg)}, {fmt(lat_deg)}): {exc}") from exc
-        return q.x, q.y
+    def mapper(lon_deg: np.ndarray, lat_deg: np.ndarray):
+        w, code = project_array(spec, np.radians(lat_deg), np.radians(lon_deg))
+        failed = np.flatnonzero(code)
+        if failed.size:
+            i = failed[0]
+            exc = projection_error(spec, code[i], np.radians(lon_deg[i]), w[i])
+            where = f"({fmt(lon_deg[i])}, {fmt(lat_deg[i])})"
+            raise type(exc)(f"cannot project {where}: {exc}") from exc
+        return w.real, w.imag
 
-    projected = geojson_io.map_positions(data, mapper)
+    projected, count = geojson_io.map_positions(geojson_io.load(config.region_path), mapper)
     if config.out_path:
         config.outputs[config.out_path] = geojson_io.dumps(projected) + "\n"
+    feature_lines = geojson_io.polylines(projected) if config.svg_path else ()
+    del projected  # not kept alive while the SVG text is built
 
     curves = graticule_image(
         spec,
@@ -215,17 +218,15 @@ def run_project(config: JobConfig) -> str:
         config.samples,
     )
     if config.svg_path:
-        feature_lines = geojson_io.polylines(projected)
-        svg_path = config.svg_path
-        config.outputs[svg_path] = lambda p: render_svg(
-            p, curves, feature_lines, timestamp=config.svg_timestamp
+        config.outputs[config.svg_path] = svg_text(
+            curves, feature_lines, timestamp=config.svg_timestamp
         )
 
     lines = [
         "project report",
         f"exponent: {fmt(config.exponent)}",
         f"central-meridian-deg: {fmt(config.central_meridian_deg)}",
-        f"coordinates-projected: {len(positions)}",
+        f"coordinates-projected: {count}",
         f"graticule-curves: {len(curves)}",
     ]
     worst = max((c.relative_residual for c in curves), default=0.0)
@@ -242,9 +243,7 @@ def run_graticule(config: JobConfig) -> str:
         config.samples,
     )
     if config.svg_path:
-        config.outputs[config.svg_path] = lambda p: render_svg(
-            p, curves, timestamp=config.svg_timestamp
-        )
+        config.outputs[config.svg_path] = svg_text(curves, timestamp=config.svg_timestamp)
     lines = [
         "graticule report",
         f"exponent: {fmt(config.exponent)}",
@@ -273,13 +272,9 @@ def run_distortion(config: JobConfig) -> str:
     mesh = _region_mesh(config)
     report = distortion_report(spec, mesh.node_points())
     if config.out_path:
-        by_point = {id(s.point): s for s in report.samples}
         collection = geojson_io.point_feature_collection(
             [s.point for s in report.samples],
-            lambda p: {
-                "m": by_point[id(p)].m,
-                "conformality_defect": by_point[id(p)].conformality_defect,
-            },
+            [{"m": s.m, "conformality_defect": s.conformality_defect} for s in report.samples],
         )
         config.outputs[config.out_path] = geojson_io.dumps(collection) + "\n"
     lines = [
@@ -332,12 +327,9 @@ def run_chebyshev(config: JobConfig) -> str:
             f"verdict: {verdict}",
         ]
     if config.out_path:
-        points = mesh.node_points()
-        values = mesh.node_values(field.values)
-        u_by_point = dict(zip((id(p) for p in points), values))
         collection = geojson_io.point_feature_collection(
-            points,
-            lambda p: {"u": float(u_by_point[id(p)]), "m": math.exp(float(u_by_point[id(p)]))},
+            mesh.node_points(),
+            [{"u": u, "m": math.exp(u)} for u in mesh.node_values(field.values).tolist()],
         )
         config.outputs[config.out_path] = geojson_io.dumps(collection) + "\n"
     return _write_report(config, lines)

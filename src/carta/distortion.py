@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import (
     CartaError,
     DomainEdge,
@@ -23,8 +25,15 @@ from .errors import (
     PoleSingularity,
     ProjectionPole,
 )
-from .geometry import POLE_COLATITUDE_EPS, Inversion, PlanePoint, SpherePoint, normalize_longitude
-from .lagrange import LagrangeProjectionSpec
+from .geometry import (
+    POLE_COLATITUDE_EPS,
+    Inversion,
+    PlanePoint,
+    SpherePoint,
+    normalize_longitude,
+    normalize_longitude_array,
+)
+from .lagrange import LagrangeProjectionSpec, project_array
 from .surfaces import SPHERE, conformal_latitude
 
 Projection = Callable[[SpherePoint], PlanePoint]
@@ -56,20 +65,25 @@ def _check_step(h: float) -> None:
         raise ValueError(f"finite-difference step {h} outside [1e-8, 1e-2]")
 
 
+def _offset(lat, lon, dlat, dlon):
+    """Displace points on the parameter grid (arrays broadcast), walking
+    through a pole along the great circle when the latitude passes it.
+
+    Returns the probe latitudes, longitudes, and where a pole was crossed.
+    """
+    lat = lat + dlat
+    lon = lon + dlon
+    north, south = lat > math.pi / 2, lat < -math.pi / 2
+    crossed = north | south
+    lat = np.where(north, math.pi - lat, np.where(south, -math.pi - lat, lat))
+    return lat, normalize_longitude_array(np.where(crossed, lon + math.pi, lon)), crossed
+
+
 def _offset_point(p: SpherePoint, dlat: float, dlon: float, surface) -> SpherePoint:
-    """Displace p on the parameter grid, walking through a pole if needed."""
-    lat = p.latitude + dlat
-    lon = p.longitude + dlon
-    if abs(lat) <= math.pi / 2:
-        return SpherePoint(lat, normalize_longitude(lon))
-    if not getattr(surface, "is_sphere", True):
+    lat, lon, crossed = _offset(p.latitude, p.longitude, dlat, dlon)
+    if crossed and not getattr(surface, "is_sphere", True):
         raise DomainEdge("probe crosses a pole on a non-spherical surface")
-    # continue along the great circle through the pole
-    if lat > math.pi / 2:
-        lat = math.pi - lat
-    else:
-        lat = -math.pi - lat
-    return SpherePoint(lat, normalize_longitude(lon + math.pi))
+    return SpherePoint(float(lat), float(lon))
 
 
 def _image(projection: Projection, p: SpherePoint) -> complex:
@@ -168,6 +182,36 @@ def dilatation_analytic(spec: LagrangeProjectionSpec, p: SpherePoint) -> float:
     return m
 
 
+def _diagonal_offsets(lat, h: float, surface):
+    """Parameter offsets (dlat, dlon) of the four diagonal probes, in the
+    order (+,+), (-,-), (+,-), (-,+), with one column per latitude.
+
+    At a pole the parallel direction degenerates, and probes along two
+    perpendicular great circles through it serve as the frame instead.
+    """
+    polar = math.pi / 2 - np.abs(lat) < _POLAR_PROBE_EPS
+    regular = np.where(polar, 0.0, lat)
+    half = h / math.sqrt(2.0)
+    dlat = np.where(polar, h, half / surface.meridian_factor(regular))
+    dlon = np.where(polar, 0.0, half / surface.parallel_radius(regular))
+    quarter = np.where(polar, math.pi / 2, 0.0)
+    return (
+        np.stack([dlat, -dlat, dlat, -dlat]),
+        np.stack([dlon, -dlon, quarter - dlon, quarter + dlon]),
+    )
+
+
+def _angle_defect(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deviation from pi/2 of the angle between the two probe chords, from
+    the probe images in ``_diagonal_offsets`` order; and where a chord is
+    degenerate."""
+    d_plus = images[0] - images[1]
+    d_minus = images[2] - images[3]
+    cross = d_plus.real * d_minus.imag - d_plus.imag * d_minus.real
+    dot = d_plus.real * d_minus.real + d_plus.imag * d_minus.imag
+    return np.abs(np.abs(np.arctan2(cross, dot)) - math.pi / 2), (d_plus == 0) | (d_minus == 0)
+
+
 def conformality_defect(
     projection: Projection,
     p: SpherePoint,
@@ -182,30 +226,28 @@ def conformality_defect(
     plate carree does), and only the diagonals expose that distortion.
     """
     _check_step(h)
-    lat = p.latitude
-    if math.pi / 2 - abs(lat) < _POLAR_PROBE_EPS:
-        # at the pole any two perpendicular great circles serve as the frame
-        d_plus = _image(projection, _offset_point(p, h, 0.0, surface)) - _image(
-            projection, _offset_point(p, -h, 0.0, surface)
-        )
-        d_minus = _image(projection, _offset_point(p, h, math.pi / 2, surface)) - _image(
-            projection, _offset_point(p, -h, math.pi / 2, surface)
-        )
-    else:
-        half = h / math.sqrt(2.0)
-        dlat = half / surface.meridian_factor(lat)
-        dlon = half / surface.parallel_radius(lat)
-        d_plus = _image(projection, _offset_point(p, dlat, dlon, surface)) - _image(
-            projection, _offset_point(p, -dlat, -dlon, surface)
-        )
-        d_minus = _image(projection, _offset_point(p, dlat, -dlon, surface)) - _image(
-            projection, _offset_point(p, -dlat, dlon, surface)
-        )
-    if d_plus == 0 or d_minus == 0:
+    dlat, dlon = _diagonal_offsets(p.latitude, h, surface)
+    images = np.array(
+        [_image(projection, _offset_point(p, a, b, surface)) for a, b in zip(dlat, dlon)]
+    )
+    defect, degenerate = _angle_defect(images)
+    if degenerate:
         raise DomainEdge("degenerate probe image")
-    cross = d_plus.real * d_minus.imag - d_plus.imag * d_minus.real
-    dot = d_plus.real * d_minus.real + d_plus.imag * d_minus.imag
-    return abs(abs(math.atan2(cross, dot)) - math.pi / 2)
+    return float(defect)
+
+
+def _diagonal_defects(
+    spec: LagrangeProjectionSpec, lat: np.ndarray, lon: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``conformality_defect`` of the projection at every point, with all
+    probes in one ``project_array`` call; and where that function raises."""
+    dlat, dlon = _diagonal_offsets(lat, h, spec.surface)
+    probe_lat, probe_lon, crossed = _offset(lat, lon, dlat, dlon)
+    w, code = project_array(spec, probe_lat, probe_lon)
+    with np.errstate(invalid="ignore", over="ignore"):
+        defects, degenerate = _angle_defect(w)
+    failed = (code != 0) | (crossed & (not spec.surface.is_sphere))
+    return defects, failed.any(axis=0) | degenerate
 
 
 @dataclass(frozen=True)
@@ -227,13 +269,17 @@ def distortion_report(
     """Evaluate the dilatation field over sample points and report extrema."""
     if len(points) == 0:
         raise EmptyRegion("no sample points")
+    defects, failing = np.zeros(len(points)), np.zeros(len(points), dtype=bool)
+    if include_defect:
+        _check_step(h)
+        lat = np.array([p.latitude for p in points])
+        lon = np.array([p.longitude for p in points])
+        defects, failing = _diagonal_defects(spec, lat, lon, h)
     samples = []
-    proj = spec.projection()
-    for p in points:
+    for p, defect, fails in zip(points, defects.tolist(), failing.tolist()):
         m = dilatation_analytic(spec, p)
-        defect = (
-            conformality_defect(proj, p, h, spec.surface) if include_defect else 0.0
-        )
+        if fails:  # the per-point function raises the error of this sample
+            defect = conformality_defect(spec.projection(), p, h, spec.surface)
         samples.append(DilatationSample(p, m, defect))
     m_values = [s.m for s in samples]
     m_min, m_max = min(m_values), max(m_values)

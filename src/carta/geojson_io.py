@@ -10,7 +10,10 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from typing import Callable, Sequence
+from json.encoder import encode_basestring_ascii  # what json.dumps does to a str
+from typing import Callable
+
+import numpy as np
 
 from .errors import ConfigError, GeoJsonError, NonFiniteValue
 from .geometry import SpherePoint
@@ -35,24 +38,17 @@ def dumps(obj) -> str:
 
 
 def _write(obj, pieces: list[str]) -> None:
-    if obj is None:
-        pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
+    # most frequent types first; bool is tested before int, of which it is a subclass
+    if isinstance(obj, float):
         pieces.append(format_float(obj))
+    elif isinstance(obj, str):
+        pieces.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         pieces.append("{")
         for i, (key, value) in enumerate(obj.items()):
             if i:
                 pieces.append(", ")
-            pieces.append(json.dumps(str(key)))
+            pieces.append(encode_basestring_ascii(str(key)))
             pieces.append(": ")
             _write(value, pieces)
         pieces.append("}")
@@ -63,6 +59,14 @@ def _write(obj, pieces: list[str]) -> None:
                 pieces.append(", ")
             _write(value, pieces)
         pieces.append("]")
+    elif obj is None:
+        pieces.append("null")
+    elif obj is True:
+        pieces.append("true")
+    elif obj is False:
+        pieces.append("false")
+    elif isinstance(obj, int):
+        pieces.append(str(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj)}")
 
@@ -149,16 +153,6 @@ def region_polyline(obj: dict) -> list[SpherePoint]:
     raise GeoJsonError("no polygon or line boundary found in input")
 
 
-def all_positions(obj: dict) -> list[tuple[float, float]]:
-    """Every (lon, lat) pair appearing in the object, in document order."""
-    out = []
-    for geom in _geometries(obj):
-        coords = geom.get("coordinates", [])
-        if coords != []:  # an empty geometry, even a Point, has no positions
-            out.extend(map(_position, _nested(coords, _POSITION_DEPTH[geom["type"]])))
-    return out
-
-
 def polylines(obj: dict) -> list[list[tuple[float, float]]]:
     """Every line and polygon ring in the object, as (x, y) pairs."""
     return [
@@ -169,51 +163,55 @@ def polylines(obj: dict) -> list[list[tuple[float, float]]]:
     ]
 
 
-def map_positions(obj, mapper: Callable[[float, float], Sequence[float]]):
-    """Copy of a GeoJSON object with every position transformed.
+def map_positions(obj, mapper: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]):
+    """Copy of a GeoJSON object with the position of every geometry
+    transformed, and the number of positions.
 
-    ``mapper`` receives (lon_deg, lat_deg) and returns the replacement
-    coordinate pair.
+    Every position is validated before ``mapper`` runs.  It receives all
+    of them at once as (lon_deg, lat_deg) arrays in document order and
+    returns the replacement x and y arrays.
     """
     try:
-        return _map_members(obj, mapper)
+        copy = _copy(obj)
     except RecursionError:  # parsed JSON can nest deeper than the copy recurses
         raise GeoJsonError("input nested too deeply") from None
+    positions = [
+        pos
+        for geom in _geometries(copy)
+        if geom.get("coordinates", []) != []  # an empty geometry, even a Point, has no positions
+        for pos in _nested(geom["coordinates"], _POSITION_DEPTH[geom["type"]])
+    ]
+    columns = np.fromiter(
+        (v for pos in positions for v in _position(pos)), dtype=float, count=2 * len(positions)
+    )
+    x, y = mapper(columns[0::2], columns[1::2])
+    for pos, xy in zip(positions, zip(x.tolist(), y.tolist())):
+        pos[:] = xy
+    return copy, len(positions)
 
 
-def _map_members(obj, mapper):
+def _copy(obj):
+    """Copy of the lists and objects of parsed JSON."""
     if isinstance(obj, dict):
-        out = {}
-        for key, value in obj.items():
-            if key == "coordinates":
-                out[key] = _map_coords(value, mapper)
-            else:
-                out[key] = _map_members(value, mapper)
-        return out
-    if isinstance(obj, list):
-        return [_map_members(item, mapper) for item in obj]
+        return {key: _copy(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_copy(item) for item in obj]
     return obj
 
 
-def _map_coords(coords, mapper):
-    _array(coords, "coordinates")
-    if coords and not isinstance(coords[0], (list, tuple)):
-        return [float(v) for v in mapper(*_position(coords))]
-    return [_map_coords(item, mapper) for item in coords]
-
-
-def point_feature_collection(points, properties_for) -> dict:
-    """FeatureCollection of Point features with computed properties."""
-    features = []
-    for p in points:
-        features.append(
+def point_feature_collection(points, properties) -> dict:
+    """FeatureCollection of Point features, one properties object per point."""
+    return {
+        "type": "FeatureCollection",
+        "features": [
             {
                 "type": "Feature",
                 "geometry": {
                     "type": "Point",
                     "coordinates": [math.degrees(p.longitude), math.degrees(p.latitude)],
                 },
-                "properties": properties_for(p),
+                "properties": props,
             }
-        )
-    return {"type": "FeatureCollection", "features": features}
+            for p, props in zip(points, properties)
+        ],
+    }

@@ -51,6 +51,12 @@ def normalize_longitude(lon: float) -> float:
     return lon
 
 
+def normalize_longitude_array(lon: np.ndarray) -> np.ndarray:
+    """``normalize_longitude`` elementwise, with the same arithmetic."""
+    lon = np.fmod(lon, TWO_PI)
+    return np.where(lon <= -math.pi, lon + TWO_PI, np.where(lon > math.pi, lon - TWO_PI, lon))
+
+
 @dataclass(frozen=True)
 class SpherePoint:
     """Position on the unit sphere, latitude/longitude in radians."""

@@ -18,8 +18,12 @@ import numpy as np
 from .errors import (
     BranchOverflow,
     CartaError,
+    DomainError,
+    NonFiniteValue,
     OriginSingularity,
     OutsideImage,
+    PointAtInfinity,
+    PoleSingularity,
     ProjectionPole,
 )
 from .geometry import (
@@ -32,6 +36,7 @@ from .geometry import (
     circle_fit,
     invert_point,
     normalize_longitude,
+    normalize_longitude_array,
     stereographic_project,
 )
 from .surfaces import (
@@ -90,35 +95,86 @@ def lambert_power(z: PlanePoint, c: float) -> PlanePoint:
     return PlanePoint.from_complex(_power(z.as_complex(), c))
 
 
-def _apply_post(spec: LagrangeProjectionSpec, w: complex) -> complex:
-    post = spec.post_transform
-    if post is None:
-        return w
-    if isinstance(post, Inversion):
-        q = invert_point(post, PlanePoint.from_complex(w))
-        return q.as_complex()
-    return post.apply_complex(w)
+# failures of project_array, in the order its checks run: code k >= 1
+# stands for _FAILURES[k - 1], the error class and message of scalar project
+_FAILURES = (
+    (ProjectionPole, "the projection center has no image"),
+    (BranchOverflow, "longitude {lon} leaves the single-branch window for c={c}"),
+    (PoleSingularity, "point at the inversion pole"),
+    (PointAtInfinity, "point {w} maps to infinity"),
+    (NonFiniteValue, "non-finite plane point ({x}, {y})"),
+)
+
+
+def project_array(
+    spec: LagrangeProjectionSpec, lat: np.ndarray, lon: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward projection of arrays of latitudes and longitudes (radians).
+
+    Returns ``(w, code)``: the complex images and a per-point failure code,
+    0 where the point projects (see ``projection_error`` for the others).
+    Where the post-transform's pole stops a point, ``w`` holds the image
+    before the post-transform, which the error message quotes.  Closed
+    forms after Snyder, *Map Projections: A Working Manual* (USGS PP 1395).
+    """
+    lat = np.asarray(lat, dtype=float)
+    if not spec.surface.is_sphere:
+        lat = conformal_latitude(spec.surface.eccentricity, lat)
+    lon = normalize_longitude_array(np.asarray(lon, dtype=float))
+    omega = spec.exponent * normalize_longitude_array(lon - spec.central_meridian)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho = np.tan(math.pi / 4 + lat / 2)
+        w = np.where(rho == 0.0, 0j, rho**spec.exponent * np.exp(1j * omega))
+        post = spec.post_transform
+        if post is None:
+            at_post_pole = np.zeros(w.shape, dtype=bool)
+            image = w
+        elif isinstance(post, Inversion):
+            dx = w.real - post.pole.x
+            dy = w.imag - post.pole.y
+            r2 = dx * dx + dy * dy
+            at_post_pole = np.sqrt(r2) < 1e-14
+            s = post.power / r2
+            image = np.empty_like(w)
+            image.real = post.pole.x + s * dx
+            image.imag = post.pole.y + s * dy
+        else:
+            den = post.c * w + post.d
+            at_post_pole = np.abs(den) < 1e-14
+            image = (post.a * w + post.b) / den
+    code = np.select(
+        [
+            math.pi / 2 - lat < POLE_COLATITUDE_EPS,
+            np.abs(omega) > math.pi + 1e-12,
+            at_post_pole,
+            ~(np.isfinite(image.real) & np.isfinite(image.imag)),
+        ],
+        [1, 2, 3 if isinstance(post, Inversion) else 4, 5],
+        0,
+    )
+    return np.where(at_post_pole, w, image), code
+
+
+def projection_error(
+    spec: LagrangeProjectionSpec, code: int, lon: float, w: complex
+) -> DomainError:
+    """The error scalar ``project`` raises for failure ``code`` of
+    ``project_array`` at a point of longitude ``lon`` and output ``w``."""
+    kind, message = _FAILURES[code - 1]
+    w = complex(w)
+    return kind(
+        message.format(
+            lon=normalize_longitude(float(lon)), c=spec.exponent, w=w, x=w.real, y=w.imag
+        )
+    )
 
 
 def project(spec: LagrangeProjectionSpec, p: SpherePoint) -> PlanePoint:
     """Forward projection of a sphere (or spheroid) point."""
-    lat = p.latitude
-    if not spec.surface.is_sphere:
-        lat = conformal_latitude(spec.surface.eccentricity, lat)
-    if math.pi / 2 - lat < POLE_COLATITUDE_EPS:
-        raise ProjectionPole("the projection center has no image")
-    dlon = normalize_longitude(p.longitude - spec.central_meridian)
-    omega = spec.exponent * dlon
-    if abs(omega) > math.pi + 1e-12:
-        raise BranchOverflow(
-            f"longitude {p.longitude} leaves the single-branch window for c={spec.exponent}"
-        )
-    rho = math.tan(math.pi / 4 + lat / 2)
-    if rho == 0.0:
-        w = 0.0j
-    else:
-        w = rho**spec.exponent * cmath.exp(1j * omega)
-    return PlanePoint.from_complex(_apply_post(spec, w))
+    w, code = project_array(spec, [p.latitude], [p.longitude])
+    if code[0]:
+        raise projection_error(spec, code[0], p.longitude, w[0])
+    return PlanePoint(float(w[0].real), float(w[0].imag))
 
 
 def unproject(spec: LagrangeProjectionSpec, q: PlanePoint) -> SpherePoint:
@@ -259,36 +315,27 @@ def graticule_image(
     avoid = _singular_preimages(spec)
     results: list[GraticuleCurveFit] = []
 
-    def fit_curve(curve_id: str, candidates: list[SpherePoint]):
-        images = []
-        for p in candidates:
-            v = p.unit_vector()
-            if any(np.linalg.norm(v - s) < SAMPLE_CLEARANCE for s in avoid):
-                continue
-            try:
-                images.append(project(spec, p))
-            except CartaError:
-                continue
-        if len(images) < 8:
+    def fit_curve(curve_id: str, lat, lon):
+        lat, lon = np.broadcast_arrays(lat, normalize_longitude_array(lon))
+        cos_lat = np.cos(lat)
+        v = np.stack([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)], axis=1)
+        clear = np.all([np.linalg.norm(v - s, axis=1) >= SAMPLE_CLEARANCE for s in avoid], axis=0)
+        w, code = project_array(spec, lat[clear], lon[clear])
+        w = w[code == 0]
+        if len(w) < 8:
             return  # fully clipped curve
-        xs = [q.x for q in images]
-        ys = [q.y for q in images]
-        diameter = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-        curve, residual = circle_fit(images)
-        results.append(
-            GraticuleCurveFit(curve_id, curve, residual, diameter, len(images))
+        diameter = math.hypot(np.ptp(w.real), np.ptp(w.imag))
+        curve, residual = circle_fit(
+            [PlanePoint(x, y) for x, y in zip(w.real.tolist(), w.imag.tolist())]
         )
+        results.append(GraticuleCurveFit(curve_id, curve, residual, diameter, len(w)))
 
     # parallels: clip longitudes to the branch window when c > 1
     half_window = min(math.pi, (math.pi - SAMPLE_CLEARANCE) / c)
     for k in range(-n_parallel_half, n_parallel_half + 1):
         lat = k * lat_step
         dlons = np.linspace(-half_window, half_window, samples_per_curve)
-        pts = [
-            SpherePoint(lat, normalize_longitude(d + spec.central_meridian))
-            for d in dlons
-        ]
-        fit_curve(f"parallel lat={math.degrees(lat):+.1f}", pts)
+        fit_curve(f"parallel lat={math.degrees(lat):+.1f}", lat, dlons + spec.central_meridian)
 
     # meridians: skip those outside the branch window entirely
     lat_hi = math.pi / 2 - SAMPLE_CLEARANCE
@@ -297,7 +344,6 @@ def graticule_image(
         if abs(c * dlon) > math.pi:
             continue
         lats = np.linspace(-math.pi / 2, lat_hi, samples_per_curve)
-        pts = [SpherePoint(lat, lon) for lat in lats]
-        fit_curve(f"meridian lon={math.degrees(normalize_longitude(lon)):+.1f}", pts)
+        fit_curve(f"meridian lon={math.degrees(normalize_longitude(lon)):+.1f}", lats, lon)
 
     return results

@@ -2,7 +2,8 @@
 
 The spheroid is an ellipse of revolution with semi-major axis 1 and
 eccentricity e; latitudes are geodetic.  All evaluators are singular at the
-poles and clip their domain to |lat| <= pi/2 - 1e-8.
+poles and clip their domain to |lat| <= pi/2 - 1e-8.  The latitude
+functions take a float or a numpy array of latitudes.
 """
 
 from __future__ import annotations
@@ -10,13 +11,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PoleDegenerate
 
 POLE_LATITUDE_MARGIN = 1e-8
 
 
-def _check_latitude(latitude: float) -> None:
-    if abs(latitude) > math.pi / 2 - POLE_LATITUDE_MARGIN:
+def _xp(x):
+    """numpy for an array, math for a float: each formula is written once,
+    and a float keeps the speed and the exact results of the math module."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _check_latitude(latitude) -> None:
+    too_close = abs(latitude) > math.pi / 2 - POLE_LATITUDE_MARGIN
+    if too_close.any() if isinstance(too_close, np.ndarray) else too_close:
         raise PoleDegenerate(f"latitude {latitude} too close to a pole")
 
 
@@ -38,21 +48,22 @@ class SurfaceOfRevolution:
     def is_sphere(self) -> bool:
         return self.eccentricity == 0.0
 
-    def meridian_factor(self, latitude: float) -> float:
+    def meridian_factor(self, latitude):
         """ds/dlat: metres of meridian arc per radian of latitude."""
         e2 = self.eccentricity**2
         if e2 == 0.0:
             return 1.0
-        w2 = 1.0 - e2 * math.sin(latitude) ** 2
+        w2 = 1.0 - e2 * _xp(latitude).sin(latitude) ** 2
         return (1.0 - e2) / w2**1.5
 
-    def parallel_radius(self, latitude: float) -> float:
+    def parallel_radius(self, latitude):
         """Distance from the surface point to the rotation axis."""
         _check_latitude(latitude)
+        xp = _xp(latitude)
         if self.is_sphere:
-            return math.cos(latitude)
+            return xp.cos(latitude)
         e2 = self.eccentricity**2
-        return math.cos(latitude) / math.sqrt(1.0 - e2 * math.sin(latitude) ** 2)
+        return xp.cos(latitude) / xp.sqrt(1.0 - e2 * xp.sin(latitude) ** 2)
 
     def gaussian_curvature(self, latitude: float) -> float:
         """1/(M N), the product of the principal curvatures; 1 on the sphere."""
@@ -66,7 +77,7 @@ class SurfaceOfRevolution:
 SPHERE = SurfaceOfRevolution(0.0)
 
 
-def parallel_radius(surface: SurfaceOfRevolution, latitude: float) -> float:
+def parallel_radius(surface: SurfaceOfRevolution, latitude):
     """Distance from the surface point to the rotation axis.
 
     cos(lat) on the sphere, cos(lat)/sqrt(1 - e^2 sin^2 lat) on the spheroid.
@@ -74,7 +85,7 @@ def parallel_radius(surface: SurfaceOfRevolution, latitude: float) -> float:
     return surface.parallel_radius(latitude)
 
 
-def isometric_coordinate(surface: SurfaceOfRevolution, latitude: float) -> float:
+def isometric_coordinate(surface: SurfaceOfRevolution, latitude):
     """Isothermal latitude: integral of (meridian arc element)/q from 0.
 
     Closed forms: asinh(tan lat) for the sphere, minus the eccentricity
@@ -82,19 +93,21 @@ def isometric_coordinate(surface: SurfaceOfRevolution, latitude: float) -> float
     and odd in the latitude.
     """
     _check_latitude(latitude)
-    sigma = math.asinh(math.tan(latitude))
+    xp = _xp(latitude)
+    sigma = xp.asinh(xp.tan(latitude))
     e = surface.eccentricity
     if e > 0.0:
-        sigma -= e * math.atanh(e * math.sin(latitude))
+        sigma -= e * xp.atanh(e * xp.sin(latitude))
     return sigma
 
 
-def gudermannian(x: float) -> float:
+def gudermannian(x):
     """Inverse of the sphere isometric coordinate: gd(x) = atan(sinh x)."""
-    return math.atan(math.sinh(x))
+    xp = _xp(x)
+    return xp.atan(xp.sinh(x))
 
 
-def conformal_latitude(eccentricity: float, latitude: float) -> float:
+def conformal_latitude(eccentricity: float, latitude):
     """Sphere latitude chi making the spheroid->sphere substitution conformal.
 
     Defined by equal isometric coordinates: tan(pi/4 + chi/2) =
@@ -103,11 +116,19 @@ def conformal_latitude(eccentricity: float, latitude: float) -> float:
     """
     if not (0.0 <= eccentricity < 1.0):
         raise ValueError(f"eccentricity {eccentricity} outside [0, 1)")
-    if eccentricity == 0.0 or latitude == 0.0:
+    if eccentricity == 0.0:
         return latitude
-    if abs(latitude) >= math.pi / 2 - POLE_LATITUDE_MARGIN:
-        return math.copysign(math.pi / 2, latitude)
     surface = SurfaceOfRevolution(eccentricity)
+    near_pole = math.pi / 2 - POLE_LATITUDE_MARGIN
+    if isinstance(latitude, np.ndarray):  # the branches below, elementwise
+        pole = np.abs(latitude) >= near_pole
+        chi = gudermannian(isometric_coordinate(surface, np.where(pole, 0.0, latitude)))
+        chi = np.where(pole, np.copysign(math.pi / 2, latitude), chi)
+        return np.where(latitude == 0.0, latitude, chi)
+    if latitude == 0.0:
+        return latitude
+    if abs(latitude) >= near_pole:
+        return math.copysign(math.pi / 2, latitude)
     return gudermannian(isometric_coordinate(surface, latitude))
 
 

@@ -49,7 +49,18 @@ def render_svg(
     bounds: tuple[float, float, float, float] | None = None,
     timestamp: bool = False,
 ) -> None:
-    """Write an SVG map: graticule primitives plus projected feature paths.
+    """Write ``svg_text(curves, feature_lines, bounds, timestamp)`` to ``path``."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(svg_text(curves, feature_lines, bounds, timestamp))
+
+
+def svg_text(
+    curves: Sequence[GraticuleCurveFit],
+    feature_lines: Sequence[Sequence[tuple[float, float]]] = (),
+    bounds: tuple[float, float, float, float] | None = None,
+    timestamp: bool = False,
+) -> str:
+    """An SVG map: graticule primitives plus projected feature paths.
 
     ``bounds`` is (xmin, ymin, xmax, ymax) in projection coordinates; when
     omitted it is taken from the feature paths and circle boxes.
@@ -119,6 +130,5 @@ def render_svg(
             parts.append(f'<polyline points="{coords}"/>')
         parts.append("</g>")
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts))
-        handle.write("\n")
+    parts.append("")
+    return "\n".join(parts)

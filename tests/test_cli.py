@@ -128,6 +128,21 @@ def test_project_pole_coordinate_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_svg_failure_writes_no_output(band_geojson, tmp_path, monkeypatch, capsys):
+    # every output is computed before the first one is written
+    def fail(*args, **kwargs):
+        raise errors.NonFiniteValue("non-finite value inf in output")
+
+    monkeypatch.setattr(cli, "svg_text", fail)
+    out, report = tmp_path / "out.geojson", tmp_path / "report.txt"
+    code = run_cli(
+        "project", "--region", band_geojson, "--out", str(out),
+        "--svg", str(tmp_path / "map.svg"), "--report", str(report),
+    )
+    assert code == 4
+    assert not out.exists() and not report.exists()
+
+
 def test_config_validation_exit_2(band_geojson, tmp_path, capsys):
     out = tmp_path / "never.geojson"
     code = run_cli(

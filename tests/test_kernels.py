@@ -1,0 +1,275 @@
+"""Array kernels against the per-point code they replace.
+
+The per-point forward projection and the double loop of the boundary
+self-intersection test are kept here as oracles; the batched conformality
+probes are checked against the public per-point ``conformality_defect``.
+"""
+
+import cmath
+import json
+import math
+
+import numpy as np
+import pytest
+
+import carta.cli as cli
+from carta import (
+    Inversion,
+    LagrangeProjectionSpec,
+    MobiusTransform,
+    PlanePoint,
+    SpherePoint,
+    centered_stereographic,
+    conformality_defect,
+    distortion_report,
+    project,
+)
+from carta.chebyshev import _check_simple
+from carta.errors import (
+    BranchOverflow,
+    DomainEdge,
+    NonFiniteValue,
+    PointAtInfinity,
+    PoleDegenerate,
+    PoleSingularity,
+    ProjectionPole,
+    SelfIntersectingBoundary,
+)
+from carta.geometry import POLE_COLATITUDE_EPS, invert_point, normalize_longitude
+from carta.lagrange import project_array
+from carta.surfaces import SurfaceOfRevolution, conformal_latitude
+
+from conftest import random_point_for_spec, random_spec
+
+
+def reference_project(spec, p):
+    """The per-point forward projection, step by step."""
+    lat = p.latitude
+    if not spec.surface.is_sphere:
+        lat = conformal_latitude(spec.surface.eccentricity, lat)
+    if math.pi / 2 - lat < POLE_COLATITUDE_EPS:
+        raise ProjectionPole("the projection center has no image")
+    omega = spec.exponent * normalize_longitude(p.longitude - spec.central_meridian)
+    if abs(omega) > math.pi + 1e-12:
+        raise BranchOverflow("branch")
+    rho = math.tan(math.pi / 4 + lat / 2)
+    w = 0.0j if rho == 0.0 else rho**spec.exponent * cmath.exp(1j * omega)
+    post = spec.post_transform
+    if isinstance(post, Inversion):
+        w = invert_point(post, PlanePoint.from_complex(w)).as_complex()
+    elif post is not None:
+        w = post.apply_complex(w)
+    return PlanePoint.from_complex(w)
+
+
+def _suite(rng, name):
+    if name == "centered_stereographic":
+        return centered_stereographic(
+            SpherePoint(rng.uniform(-1.4, 1.4), rng.uniform(-math.pi, math.pi))
+        )
+    post_kinds = {"inversion": ("inversion",), "mobius": ("mobius",)}.get(name, ("none",))
+    spec = random_spec(rng, allow_spheroid=False, post_kinds=post_kinds)
+    if name == "spheroid":
+        spec = LagrangeProjectionSpec(
+            spec.exponent, spec.central_meridian, spec.post_transform,
+            SurfaceOfRevolution(float(rng.uniform(0.02, 0.3))),
+        )
+    return spec
+
+
+@pytest.mark.parametrize(
+    "suite", ["sphere", "spheroid", "inversion", "mobius", "centered_stereographic"]
+)
+def test_project_array_matches_reference(rng, suite):
+    worst = 0.0
+    for _ in range(40):
+        spec = _suite(rng, suite)
+        points = [random_point_for_spec(rng, spec) for _ in range(50)]
+        lat = np.array([p.latitude for p in points])
+        lon = np.array([p.longitude for p in points])
+        w, code = project_array(spec, lat, lon)
+        assert not code.any()
+        for p, got in zip(points, w):
+            want = reference_project(spec, p).as_complex()
+            worst = max(worst, abs(got - want) / abs(want))
+            scalar = project(spec, p).as_complex()
+            assert abs(scalar - got) <= 1e-15 * abs(got)  # the wrapper adds no arithmetic
+    assert worst <= 1e-13
+
+
+def test_conformal_latitude_array_branches():
+    # e = 0, lat = +-0 (sign kept) and the near-pole clamp, elementwise
+    lat = np.array([0.0, -0.0, -math.pi / 2, -math.pi / 2 + 1e-9, math.pi / 2, 1e-300, 0.3, -1.2])
+    for e in (0.0, 0.08):
+        chi = conformal_latitude(e, lat)
+        for la, got in zip(lat, chi):
+            want = conformal_latitude(e, float(la))
+            assert got == pytest.approx(want, abs=1e-15)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert list(chi[:6]) == [conformal_latitude(e, float(la)) for la in lat[:6]]
+    spec = LagrangeProjectionSpec(0.8, surface=SurfaceOfRevolution(0.08))
+    w, code = project_array(spec, [math.pi / 2 - 1e-9, -math.pi / 2], [0.0, 0.0])
+    assert list(code) == [1, 0] and w[1] == 0
+
+
+# -- error parity -------------------------------------------------------------------
+# messages as the per-point code raised them
+
+
+@pytest.mark.parametrize(
+    "coordinates, flags, message",
+    [
+        ([[0, 10], [10, 90], [20, 89]], [],
+         "ProjectionPole: cannot project (10, 90): the projection center has no image"),
+        ([[0, 10], [170, 0], [10, 90]], ["--exponent", "2"],
+         "BranchOverflow: cannot project (170, 0): longitude 2.9670597283903604 leaves the"
+         " single-branch window for c=2.0"),
+        ([[5, 5], [0, 0], [10, 90]], ["--inversion-pole", "1,0", "--inversion-power", "1"],
+         "PoleSingularity: cannot project (0, 0): point at the inversion pole"),
+        ([[5, 5], [1e-9, 0], [10, 90]], ["--inversion-pole", "1,0", "--inversion-power", "1e300"],
+         "NonFiniteValue: cannot project (1e-09, 0): non-finite plane point (-inf, inf)"),
+    ],
+    ids=["north-pole", "branch", "inversion-pole", "overflow"],
+)
+def test_project_cli_reports_first_failing_position(tmp_path, capsys, coordinates, flags, message):
+    region = tmp_path / "line.geojson"
+    region.write_text(json.dumps({"type": "LineString", "coordinates": coordinates}))
+    out = tmp_path / "out.geojson"
+    assert cli.main(["project", "--region", str(region), "--out", str(out), *flags]) == 4
+    assert capsys.readouterr().err == f"carta: {message}\n"
+    assert not out.exists()
+
+
+def test_malformed_position_wins_over_unprojectable_one(tmp_path, capsys):
+    # every position is validated before any is projected
+    region = tmp_path / "line.geojson"
+    region.write_text(json.dumps({"type": "LineString", "coordinates": [[10, 90], [0, "x"]]}))
+    assert cli.main(["project", "--region", str(region), "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize(
+    "spec, point, kind, message",
+    [
+        (LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(1, 0, 1, -1)),
+         SpherePoint(0.0, 0.0), PointAtInfinity, "point (0.9999999999999999+0j) maps to infinity"),
+        (LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, 0), 1.0)),
+         SpherePoint(0.0, 0.0), PoleSingularity, "point at the inversion pole"),
+        (LagrangeProjectionSpec(1.0, surface=SurfaceOfRevolution(0.1),
+                                post_transform=Inversion(PlanePoint(1, 0), 1e300)),
+         SpherePoint(0.0, 1e-11), NonFiniteValue, "non-finite plane point (-inf, inf)"),
+        (LagrangeProjectionSpec(2.0, central_meridian=1.0), SpherePoint(0.0, -3.0),
+         BranchOverflow, "longitude -3.0 leaves the single-branch window for c=2.0"),
+    ],
+    ids=["mobius-pole", "inversion-pole", "overflow", "branch"],
+)
+def test_scalar_project_errors(spec, point, kind, message):
+    with pytest.raises(kind) as info:
+        project(spec, point)
+    assert type(info.value) is kind and str(info.value) == message
+
+
+# -- batched conformality defect -------------------------------------------------------
+
+
+def test_batched_defect_matches_scalar(rng):
+    worst = 0.0
+    for _ in range(30):
+        spec = random_spec(rng)
+        points = [random_point_for_spec(rng, spec) for _ in range(40)]
+        report = distortion_report(spec, points)
+        for p, sample in zip(points, report.samples):
+            scalar = conformality_defect(spec.projection(), p, surface=spec.surface)
+            worst = max(worst, abs(sample.conformality_defect - scalar))
+    assert worst <= 1e-9
+
+
+def test_batched_defect_at_the_pole():
+    # the polar node is probed along two perpendicular great circles
+    spec = LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(3, 0), 2.0))
+    points = [SpherePoint(-math.pi / 2, 0.0), SpherePoint(-math.pi / 2 + 5e-8, 1.0)]
+    report = distortion_report(spec, points)
+    for p, sample in zip(points, report.samples):
+        scalar = conformality_defect(spec.projection(), p)
+        assert sample.conformality_defect == pytest.approx(scalar, abs=1e-9)
+
+
+def _raised(fn, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        fn(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+SPHEROID = LagrangeProjectionSpec(1.0, surface=SurfaceOfRevolution(0.1))
+NEAR_SOUTH = SpherePoint(-math.pi / 2 + 1e-5, 0.0)  # diagonal probes cross the pole
+SOUTH = SpherePoint(-math.pi / 2, 0.0)  # dilatation and probes both fail
+FINE = SpherePoint(0.3, 0.2)
+
+
+def test_batched_defect_spheroid_pole_crossing():
+    error = _raised(distortion_report, SPHEROID, [FINE, NEAR_SOUTH])
+    assert error == (DomainEdge, "probe crosses a pole on a non-spherical surface")
+    assert error == _raised(
+        conformality_defect, SPHEROID.projection(), NEAR_SOUTH, surface=SPHEROID.surface
+    )
+
+
+def test_batched_defect_error_order():
+    # within a sample the dilatation fails first; across samples, the first sample
+    assert _raised(distortion_report, SPHEROID, [FINE, SOUTH])[0] is PoleDegenerate
+    assert _raised(distortion_report, SPHEROID, [SOUTH, NEAR_SOUTH])[0] is PoleDegenerate
+    assert _raised(distortion_report, SPHEROID, [NEAR_SOUTH, SOUTH])[0] is DomainEdge
+    center = LagrangeProjectionSpec(1.0)
+    probe_at_center = SpherePoint(math.pi / 2 - 1e-4 / math.sqrt(2.0), 0.0)
+    error = _raised(distortion_report, center, [FINE, probe_at_center])
+    assert error == _raised(conformality_defect, center.projection(), probe_at_center)
+    assert error[0] is DomainEdge and "projection center" in error[1]
+
+
+# -- boundary self-intersection -----------------------------------------------------
+
+
+def reference_check_simple(poly_xy):
+    """The double loop over segment pairs."""
+    n = len(poly_xy)
+    segs = [(poly_xy[i], poly_xy[(i + 1) % n]) for i in range(n)]
+
+    def cross2(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (j - i) % n == 1 or (i - j) % n == 1:
+                continue
+            (p1, p2), (q1, q2) = segs[i], segs[j]
+            d1 = cross2(p2 - p1, q1 - p1)
+            d2 = cross2(p2 - p1, q2 - p1)
+            d3 = cross2(q2 - q1, p1 - q1)
+            d4 = cross2(q2 - q1, p2 - q1)
+            if d1 * d2 < 0 and d3 * d4 < 0:
+                raise SelfIntersectingBoundary(f"boundary edges {i} and {j} cross")
+
+
+def _outcome(check, poly):
+    try:
+        check(poly)
+    except SelfIntersectingBoundary as exc:
+        return str(exc)
+    return None
+
+
+def test_check_simple_matches_double_loop(rng, monkeypatch):
+    import carta.chebyshev as chebyshev
+
+    monkeypatch.setattr(chebyshev, "_PAIR_BLOCK", 64)  # several row blocks per ring
+    outcomes = set()
+    for _ in range(150):
+        n = int(rng.integers(3, 40))
+        angles = np.sort(rng.uniform(0, 2 * math.pi, n))
+        radii = rng.uniform(0.5, 1.5, n)
+        star = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        scrambled = rng.permutation(star)
+        for poly in (star, scrambled):
+            got = _outcome(_check_simple, poly)
+            assert got == _outcome(reference_check_simple, poly)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}  # both simple and self-intersecting rings were drawn
