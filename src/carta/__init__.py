@@ -49,6 +49,7 @@ from .lagrange import (
     GraticuleCurveFit,
     LagrangeProjectionSpec,
     centered_stereographic,
+    dilatation_array,
     graticule_image,
     lambert_power,
     project,

@@ -17,18 +17,16 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .distortion import dilatation_analytic
 from .errors import (
     DegenerateBoundary,
     DisconnectedRegion,
-    DomainError,
     EmptyRegion,
     NoConvergence,
     RegionTooSmall,
     SelfIntersectingBoundary,
 )
 from .geometry import SpherePoint, normalize_longitude, normalize_longitude_array
-from .lagrange import LagrangeProjectionSpec
+from .lagrange import LagrangeProjectionSpec, dilatation_array
 
 RESIDUAL_TOL = 1e-8
 
@@ -438,15 +436,15 @@ def projection_ratio(mesh: RegionMesh, spec: LagrangeProjectionSpec) -> float:
     under an exponent below 1, where the scale diverges) are dropped,
     which only lowers the ratio; the optimality inequality stays valid.
     """
-    regular = []
-    for p in mesh.node_points():
-        try:
-            regular.append(dilatation_analytic(spec, p))
-        except DomainError:
-            continue
-    if not regular:
+    points = mesh.node_points()
+    lat = np.fromiter((p.latitude for p in points), float, len(points))
+    lon = np.fromiter((p.longitude for p in points), float, len(points))
+    del points  # the kernel's temporaries take its room
+    m, code = dilatation_array(spec, lat, lon)
+    regular = m[code == 0]
+    if not regular.size:
         raise EmptyRegion("projection is singular on the whole region")
-    return max(regular) / min(regular)
+    return float(regular.max() / regular.min())
 
 
 def chebyshev_vs_projection(

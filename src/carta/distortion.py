@@ -15,26 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CartaError,
-    DomainEdge,
-    EmptyRegion,
-    NonFiniteValue,
-    OriginSingularity,
-    PointAtInfinity,
-    PoleSingularity,
-    ProjectionPole,
-)
-from .geometry import (
-    POLE_COLATITUDE_EPS,
-    Inversion,
-    PlanePoint,
-    SpherePoint,
-    normalize_longitude,
-    normalize_longitude_array,
-)
-from .lagrange import LagrangeProjectionSpec, project_array
-from .surfaces import SPHERE, conformal_latitude
+from .errors import CartaError, DomainEdge, EmptyRegion
+from .geometry import PlanePoint, SpherePoint, normalize_longitude_array
+from .lagrange import LagrangeProjectionSpec, dilatation_array, dilatation_error, project_array
+from .surfaces import SPHERE
 
 Projection = Callable[[SpherePoint], PlanePoint]
 
@@ -141,45 +125,11 @@ def dilatation_fd(
 
 
 def dilatation_analytic(spec: LagrangeProjectionSpec, p: SpherePoint) -> float:
-    """Closed-form dilatation: the product of the step scale factors.
-
-    Stereographic factor 1/(2 sin^2(theta/2)) (after the spheroid-to-sphere
-    correction), power-map factor c rho^(c-1), and the local stretch of the
-    post-transform.
-    """
-    lat = p.latitude
-    surface_factor = 1.0
-    if not spec.surface.is_sphere:
-        chi = conformal_latitude(spec.surface.eccentricity, lat)
-        surface_factor = math.cos(chi) / spec.surface.parallel_radius(lat)
-        lat = chi
-    colat = math.pi / 2 - lat
-    if colat < POLE_COLATITUDE_EPS:
-        raise ProjectionPole("dilatation diverges at the projection center")
-    stereo_factor = 1.0 / (2.0 * math.sin(colat / 2.0) ** 2)
-
-    c = spec.exponent
-    rho = math.tan(math.pi / 4 + lat / 2)
-    if rho == 0.0 and c != 1.0:
-        raise OriginSingularity("power-map scale is singular at the South pole")
-    power_factor = c if c == 1.0 else c * rho ** (c - 1.0)
-
-    post = spec.post_transform
-    post_factor = 1.0
-    if post is not None:
-        dlon = normalize_longitude(p.longitude - spec.central_meridian)
-        w = rho**c * complex(math.cos(c * dlon), math.sin(c * dlon))
-        if isinstance(post, Inversion):
-            stretch, d, at_pole = abs(post.power), abs(w - post.pole.as_complex()), PoleSingularity
-        else:  # Mobius with |det| = 1
-            stretch, d, at_pole = 1.0, abs(post.c * w + post.d), PointAtInfinity
-        if d < 1e-14:
-            raise at_pole(f"point {w} at the pole of the post-transform")
-        post_factor = stretch / d**2
-    m = surface_factor * stereo_factor * power_factor * post_factor
-    if not (0.0 < m < math.inf):
-        raise NonFiniteValue(f"dilatation {m} outside the floating-point range")
-    return m
+    """Closed-form dilatation at one point (see ``dilatation_array``)."""
+    m, code = dilatation_array(spec, [p.latitude], [p.longitude])
+    if code[0]:
+        raise dilatation_error(spec, code[0], p.latitude, p.longitude, m[0])
+    return float(m[0])
 
 
 def _diagonal_offsets(lat, h: float, surface):
@@ -264,23 +214,28 @@ def distortion_report(
     spec: LagrangeProjectionSpec,
     points: Sequence[SpherePoint],
     h: float = DEFAULT_STEP,
-    include_defect: bool = True,
 ) -> DistortionReport:
-    """Evaluate the dilatation field over sample points and report extrema."""
+    """Evaluate the dilatation field over sample points and report extrema.
+
+    The first failing sample raises; within a sample the dilatation's
+    error comes before the conformality defect's.
+    """
     if len(points) == 0:
         raise EmptyRegion("no sample points")
-    defects, failing = np.zeros(len(points)), np.zeros(len(points), dtype=bool)
-    if include_defect:
-        _check_step(h)
-        lat = np.array([p.latitude for p in points])
-        lon = np.array([p.longitude for p in points])
-        defects, failing = _diagonal_defects(spec, lat, lon, h)
+    _check_step(h)
+    lat = np.array([p.latitude for p in points])
+    lon = np.array([p.longitude for p in points])
+    m, code = dilatation_array(spec, lat, lon)
+    m_values = m.tolist()
+    defects, failing = _diagonal_defects(spec, lat, lon, h)
     samples = []
-    for p, defect, fails in zip(points, defects.tolist(), failing.tolist()):
-        m = dilatation_analytic(spec, p)
+    for p, m_p, code_p, defect, fails in zip(
+        points, m_values, code.tolist(), defects.tolist(), failing.tolist()
+    ):
+        if code_p:
+            raise dilatation_error(spec, code_p, p.latitude, p.longitude, m_p)
         if fails:  # the per-point function raises the error of this sample
             defect = conformality_defect(spec.projection(), p, h, spec.surface)
-        samples.append(DilatationSample(p, m, defect))
-    m_values = [s.m for s in samples]
+        samples.append(DilatationSample(p, m_p, defect))
     m_min, m_max = min(m_values), max(m_values)
     return DistortionReport(m_min, m_max, m_max / m_min, tuple(samples))

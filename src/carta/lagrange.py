@@ -23,6 +23,7 @@ from .errors import (
     OriginSingularity,
     OutsideImage,
     PointAtInfinity,
+    PoleDegenerate,
     PoleSingularity,
     ProjectionPole,
 )
@@ -40,6 +41,7 @@ from .geometry import (
     stereographic_project,
 )
 from .surfaces import (
+    POLE_LATITUDE_MARGIN,
     SPHERE,
     SurfaceOfRevolution,
     conformal_latitude,
@@ -78,21 +80,50 @@ class LagrangeProjectionSpec:
         return lambda p: project(self, p)
 
 
-def _power(w: complex, c: float) -> complex:
-    """Principal-branch power map in polar form; fixes the origin."""
-    if c == 1.0:
-        return w
-    rho = abs(w)
-    if rho == 0.0:
-        return 0.0j
-    return rho**c * cmath.exp(1j * c * math.atan2(w.imag, w.real))
-
-
 def lambert_power(z: PlanePoint, c: float) -> PlanePoint:
     """Polar power map (rho, omega) -> (rho^c, c omega) about the origin."""
-    if z.x == 0.0 and z.y == 0.0 and c != 1.0:
+    if c == 1.0:
+        return z
+    if z.x == 0.0 and z.y == 0.0:
         raise OriginSingularity("power map with c != 1 is singular at the origin")
-    return PlanePoint.from_complex(_power(z.as_complex(), c))
+    w = abs(z.as_complex()) ** c * cmath.exp(1j * c * math.atan2(z.y, z.x))
+    return PlanePoint.from_complex(w)
+
+
+def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
+    """Every step of the projection at arrays of latitudes and longitudes
+    (radians), for the image and for its scale alike: the conformal
+    latitude, the image angle omega = c (lon - central meridian), the
+    radius rho = tan(pi/4 + lat/2), the image w = rho^c e^(i omega) before
+    the post-transform T and T(w) after it, where w is at T's pole, and
+    T's local stretch |T'(w)|.  Closed forms after Snyder, *Map
+    Projections: A Working Manual* (USGS PP 1395)."""
+    lat = np.asarray(lat, dtype=float)
+    if not spec.surface.is_sphere:
+        lat = conformal_latitude(spec.surface.eccentricity, lat)
+    lon = normalize_longitude_array(np.asarray(lon, dtype=float))
+    omega = spec.exponent * normalize_longitude_array(lon - spec.central_meridian)
+    post = spec.post_transform
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho = np.tan(math.pi / 4 + lat / 2)
+        w = np.where(rho == 0.0, 0j, rho**spec.exponent * np.exp(1j * omega))
+        if post is None:
+            return lat, omega, rho, w, w, np.zeros(w.shape, dtype=bool), 1.0
+        if isinstance(post, Inversion):
+            dx = w.real - post.pole.x
+            dy = w.imag - post.pole.y
+            distance = np.hypot(dx, dy)
+            s = post.power / (dx * dx + dy * dy)
+            image = np.empty_like(w)
+            image.real = post.pole.x + s * dx
+            image.imag = post.pole.y + s * dy
+            stretch = abs(post.power) / distance**2
+        else:  # Mobius with det = 1
+            den = post.c * w + post.d
+            distance = np.abs(den)
+            image = (post.a * w + post.b) / den
+            stretch = 1.0 / distance**2
+    return lat, omega, rho, w, image, distance < 1e-14, stretch
 
 
 # failures of project_array, in the order its checks run: code k >= 1
@@ -114,45 +145,20 @@ def project_array(
     Returns ``(w, code)``: the complex images and a per-point failure code,
     0 where the point projects (see ``projection_error`` for the others).
     Where the post-transform's pole stops a point, ``w`` holds the image
-    before the post-transform, which the error message quotes.  Closed
-    forms after Snyder, *Map Projections: A Working Manual* (USGS PP 1395).
+    before the post-transform, which the error message quotes.
     """
-    lat = np.asarray(lat, dtype=float)
-    if not spec.surface.is_sphere:
-        lat = conformal_latitude(spec.surface.eccentricity, lat)
-    lon = normalize_longitude_array(np.asarray(lon, dtype=float))
-    omega = spec.exponent * normalize_longitude_array(lon - spec.central_meridian)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rho = np.tan(math.pi / 4 + lat / 2)
-        w = np.where(rho == 0.0, 0j, rho**spec.exponent * np.exp(1j * omega))
-        post = spec.post_transform
-        if post is None:
-            at_post_pole = np.zeros(w.shape, dtype=bool)
-            image = w
-        elif isinstance(post, Inversion):
-            dx = w.real - post.pole.x
-            dy = w.imag - post.pole.y
-            r2 = dx * dx + dy * dy
-            at_post_pole = np.sqrt(r2) < 1e-14
-            s = post.power / r2
-            image = np.empty_like(w)
-            image.real = post.pole.x + s * dx
-            image.imag = post.pole.y + s * dy
-        else:
-            den = post.c * w + post.d
-            at_post_pole = np.abs(den) < 1e-14
-            image = (post.a * w + post.b) / den
+    lat, omega, _, w, image, at_pole, _ = _chart(spec, lat, lon)
     code = np.select(
         [
             math.pi / 2 - lat < POLE_COLATITUDE_EPS,
             np.abs(omega) > math.pi + 1e-12,
-            at_post_pole,
+            at_pole,
             ~(np.isfinite(image.real) & np.isfinite(image.imag)),
         ],
-        [1, 2, 3 if isinstance(post, Inversion) else 4, 5],
+        [1, 2, 3 if isinstance(spec.post_transform, Inversion) else 4, 5],
         0,
     )
-    return np.where(at_post_pole, w, image), code
+    return np.where(at_pole, w, image), code
 
 
 def projection_error(
@@ -167,6 +173,63 @@ def projection_error(
             lon=normalize_longitude(float(lon)), c=spec.exponent, w=w, x=w.real, y=w.imag
         )
     )
+
+
+# failures of dilatation_array, in the order its checks run
+_DILATATION_FAILURES = (
+    (PoleDegenerate, "latitude {lat} too close to a pole"),
+    (ProjectionPole, "dilatation diverges at the projection center"),
+    (OriginSingularity, "power-map scale is singular at the South pole"),
+    (PoleSingularity, "point {w} at the pole of the post-transform"),
+    (PointAtInfinity, "point {w} at the pole of the post-transform"),
+    (NonFiniteValue, "dilatation {m} outside the floating-point range"),
+)
+
+
+def dilatation_array(
+    spec: LagrangeProjectionSpec, lat: np.ndarray, lon: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form dilatation at arrays of latitudes and longitudes
+    (radians): the product of the spheroid-to-sphere factor cos(chi)/q, the
+    stereographic factor 1/(2 sin^2(colat/2)), the power-map factor
+    c rho^(c-1) and the post-transform's stretch.  Returns ``(m, code)``,
+    code 0 where m is finite and positive (see ``dilatation_error``).
+    """
+    geodetic = np.asarray(lat, dtype=float)
+    chi, _, rho, _, _, at_pole, stretch = _chart(spec, geodetic, lon)
+    c = spec.exponent
+    colat = math.pi / 2 - chi
+    degenerate, surface_factor = np.zeros(colat.shape, dtype=bool), 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not spec.surface.is_sphere:
+            degenerate = np.abs(geodetic) > math.pi / 2 - POLE_LATITUDE_MARGIN
+            q = spec.surface.parallel_radius(np.where(degenerate, 0.0, geodetic))
+            surface_factor = np.cos(chi) / q
+        stereo_factor = 1.0 / (2.0 * np.sin(colat / 2.0) ** 2)
+        power_factor = c if c == 1.0 else c * rho ** (c - 1.0)
+        m = surface_factor * stereo_factor * power_factor * stretch
+    code = np.select(
+        [
+            degenerate,
+            colat < POLE_COLATITUDE_EPS,
+            (rho == 0.0) & (c != 1.0),
+            at_pole,
+            ~((0.0 < m) & (m < math.inf)),
+        ],
+        [1, 2, 3, 4 if isinstance(spec.post_transform, Inversion) else 5, 6],
+        0,
+    )
+    return m, code
+
+
+def dilatation_error(
+    spec: LagrangeProjectionSpec, code: int, lat: float, lon: float, m: float
+) -> DomainError:
+    """The error for failure ``code`` of ``dilatation_array`` at the point
+    (``lat``, ``lon``) with dilatation ``m``."""
+    kind, message = _DILATATION_FAILURES[code - 1]
+    w = complex(_chart(spec, [lat], [lon])[3][0])
+    return kind(message.format(lat=float(lat), w=w, m=float(m)))
 
 
 def project(spec: LagrangeProjectionSpec, p: SpherePoint) -> PlanePoint:

@@ -3,7 +3,8 @@
 The spheroid is an ellipse of revolution with semi-major axis 1 and
 eccentricity e; latitudes are geodetic.  All evaluators are singular at the
 poles and clip their domain to |lat| <= pi/2 - 1e-8.  The latitude
-functions take a float or a numpy array of latitudes.
+functions take a float or a numpy array of latitudes and evaluate with
+numpy either way.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ from .errors import PoleDegenerate
 POLE_LATITUDE_MARGIN = 1e-8
 
 
-def _xp(x):
-    """numpy for an array, math for a float: each formula is written once,
-    and a float keeps the speed and the exact results of the math module."""
-    return np if isinstance(x, np.ndarray) else math
-
-
 def _check_latitude(latitude) -> None:
-    too_close = abs(latitude) > math.pi / 2 - POLE_LATITUDE_MARGIN
-    if too_close.any() if isinstance(too_close, np.ndarray) else too_close:
+    if np.any(np.abs(latitude) > math.pi / 2 - POLE_LATITUDE_MARGIN):
         raise PoleDegenerate(f"latitude {latitude} too close to a pole")
 
 
@@ -53,17 +47,16 @@ class SurfaceOfRevolution:
         e2 = self.eccentricity**2
         if e2 == 0.0:
             return 1.0
-        w2 = 1.0 - e2 * _xp(latitude).sin(latitude) ** 2
+        w2 = 1.0 - e2 * np.sin(latitude) ** 2
         return (1.0 - e2) / w2**1.5
 
     def parallel_radius(self, latitude):
         """Distance from the surface point to the rotation axis."""
         _check_latitude(latitude)
-        xp = _xp(latitude)
         if self.is_sphere:
-            return xp.cos(latitude)
+            return np.cos(latitude)
         e2 = self.eccentricity**2
-        return xp.cos(latitude) / xp.sqrt(1.0 - e2 * xp.sin(latitude) ** 2)
+        return np.cos(latitude) / np.sqrt(1.0 - e2 * np.sin(latitude) ** 2)
 
     def gaussian_curvature(self, latitude: float) -> float:
         """1/(M N), the product of the principal curvatures; 1 on the sphere."""
@@ -93,18 +86,16 @@ def isometric_coordinate(surface: SurfaceOfRevolution, latitude):
     and odd in the latitude.
     """
     _check_latitude(latitude)
-    xp = _xp(latitude)
-    sigma = xp.asinh(xp.tan(latitude))
+    sigma = np.asinh(np.tan(latitude))
     e = surface.eccentricity
     if e > 0.0:
-        sigma -= e * xp.atanh(e * xp.sin(latitude))
+        sigma -= e * np.atanh(e * np.sin(latitude))
     return sigma
 
 
 def gudermannian(x):
     """Inverse of the sphere isometric coordinate: gd(x) = atan(sinh x)."""
-    xp = _xp(x)
-    return xp.atan(xp.sinh(x))
+    return np.atan(np.sinh(x))
 
 
 def conformal_latitude(eccentricity: float, latitude):
@@ -118,18 +109,12 @@ def conformal_latitude(eccentricity: float, latitude):
         raise ValueError(f"eccentricity {eccentricity} outside [0, 1)")
     if eccentricity == 0.0:
         return latitude
+    latitude = np.asarray(latitude, dtype=float)
+    pole = np.abs(latitude) >= math.pi / 2 - POLE_LATITUDE_MARGIN
     surface = SurfaceOfRevolution(eccentricity)
-    near_pole = math.pi / 2 - POLE_LATITUDE_MARGIN
-    if isinstance(latitude, np.ndarray):  # the branches below, elementwise
-        pole = np.abs(latitude) >= near_pole
-        chi = gudermannian(isometric_coordinate(surface, np.where(pole, 0.0, latitude)))
-        chi = np.where(pole, np.copysign(math.pi / 2, latitude), chi)
-        return np.where(latitude == 0.0, latitude, chi)
-    if latitude == 0.0:
-        return latitude
-    if abs(latitude) >= near_pole:
-        return math.copysign(math.pi / 2, latitude)
-    return gudermannian(isometric_coordinate(surface, latitude))
+    chi = gudermannian(isometric_coordinate(surface, np.where(pole, 0.0, latitude)))
+    chi = np.where(pole, np.copysign(math.pi / 2, latitude), chi)
+    return np.where(latitude == 0.0, latitude, chi)[()]
 
 
 def inverse_conformal_latitude(eccentricity: float, chi: float) -> float:

@@ -323,20 +323,22 @@ def test_bench_tracer_installs_on_current_package(tmp_path):
     root = Path(__file__).resolve().parent.parent
     record = tmp_path / "record.json"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    result = subprocess.run(
-        [
-            sys.executable, str(root / "bench" / "child.py"), str(record), "1",
-            "chebyshev", "--cap-deg", "30", "--delta-deg", "5", "--compare-projection",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert result.returncode == 0, result.stderr
-    trace = json.loads(record.read_text())["trace"]
+
+    def traced(*argv):
+        result = subprocess.run(
+            [sys.executable, str(root / "bench" / "child.py"), str(record), "1", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(record.read_text())["trace"]
+
+    trace = traced("chebyshev", "--cap-deg", "30", "--delta-deg", "5", "--compare-projection")
     spans = {span["name"] for span in trace["spans"]}
     assert {"cli.main", "chebyshev.build_cap_mesh", "chebyshev.spsolve"} <= spans
-    assert "distortion.dilatation_analytic" in {agg["name"] for agg in trace["aggregates"]}
+    trace = traced("graticule", "--lat-step", "30", "--lon-step", "45")
+    assert "geometry.circle_fit" in {agg["name"] for agg in trace["aggregates"]}
 
 
 # -- exit-code contract -----------------------------------------------------------
@@ -430,13 +432,32 @@ def test_extreme_flag_values_exit_codes(capsys, argv, expected):
 
 @pytest.mark.parametrize("flag", ["--region", "--out", "--svg", "--report"])
 def test_unusable_paths_exit_2(band_geojson, tmp_path, capsys, flag):
-    paths = {"--region": band_geojson, "--out": str(tmp_path / "out.geojson")}
+    out = tmp_path / "out.geojson"
+    paths = {"--region": band_geojson, "--out": str(out)}
     paths[flag] = str(tmp_path)  # a directory can be neither read nor written as a file
     argv = ["project", "--lat-step", "30", "--lon-step", "45", "--samples", "8"]
     for name, path in paths.items():
         argv += [name, path]
     assert run_cli(*argv) == 2
     assert "ConfigError" in capsys.readouterr().err
+    if flag != "--out":
+        # no partial outputs: --out is not created, and an existing one keeps its bytes
+        assert not out.exists()
+        out.write_bytes(b"earlier run")
+        assert run_cli(*argv) == 2
+        assert out.read_bytes() == b"earlier run"
+
+
+def test_failed_write_removes_temporary_files(band_geojson, tmp_path, capsys):
+    # --out and --svg are staged before --report fails to open
+    code = run_cli(
+        "project", "--region", band_geojson, "--lat-step", "30", "--lon-step", "45",
+        "--out", str(tmp_path / "out.geojson"), "--svg", str(tmp_path / "map.svg"),
+        "--report", str(tmp_path / "missing" / "report.txt"),
+    )
+    assert code == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["band.geojson"]
 
 
 # JSON values of every kind, GeoJSON-shaped documents built from them, and

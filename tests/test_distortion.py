@@ -190,7 +190,7 @@ def test_report_polar_cap_ratio():
         for r in np.linspace(0.0, math.radians(30), 31)
         for lon in np.linspace(-math.pi, math.pi, 8, endpoint=False)
     ]
-    report = distortion_report(STEREO, points, include_defect=False)
+    report = distortion_report(STEREO, points)
     expected = 1.0 / math.sin(math.radians(75)) ** 2
     assert report.ratio == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(1.0718, abs=5e-5)
@@ -215,6 +215,6 @@ def test_ratio_invariant_under_similarity(rng):
 
     # and the reported max/min ratio of the field is unchanged
     points = [random_point_for_spec(rng, spec) for _ in range(25)]
-    before = distortion_report(spec, points, include_defect=False)
-    after = distortion_report(spec_after, points, include_defect=False)
+    before = distortion_report(spec, points)
+    after = distortion_report(spec_after, points)
     assert after.ratio == pytest.approx(before.ratio, rel=1e-12)

@@ -1,8 +1,9 @@
 """Array kernels against the per-point code they replace.
 
-The per-point forward projection and the double loop of the boundary
-self-intersection test are kept here as oracles; the batched conformality
-probes are checked against the public per-point ``conformality_defect``.
+The per-point forward projection, the per-point closed-form dilatation
+and the double loop of the boundary self-intersection test are kept here
+as oracles; the batched conformality probes are checked against the
+public per-point ``conformality_defect``.
 """
 
 import cmath
@@ -24,11 +25,13 @@ from carta import (
     distortion_report,
     project,
 )
-from carta.chebyshev import _check_simple
+from carta.chebyshev import _check_simple, build_cap_mesh, projection_ratio
+from carta.distortion import dilatation_analytic
 from carta.errors import (
     BranchOverflow,
     DomainEdge,
     NonFiniteValue,
+    OriginSingularity,
     PointAtInfinity,
     PoleDegenerate,
     PoleSingularity,
@@ -36,7 +39,7 @@ from carta.errors import (
     SelfIntersectingBoundary,
 )
 from carta.geometry import POLE_COLATITUDE_EPS, invert_point, normalize_longitude
-from carta.lagrange import project_array
+from carta.lagrange import dilatation_array, project_array
 from carta.surfaces import SurfaceOfRevolution, conformal_latitude
 
 from conftest import random_point_for_spec, random_spec
@@ -273,3 +276,94 @@ def test_check_simple_matches_double_loop(rng, monkeypatch):
             assert got == _outcome(reference_check_simple, poly)
             outcomes.add(got is None)
     assert outcomes == {True, False}  # both simple and self-intersecting rings were drawn
+
+
+# -- closed-form dilatation ---------------------------------------------------------
+
+
+def reference_dilatation(spec, p):
+    """The per-point closed form: the product of the step scale factors."""
+    lat = p.latitude
+    surface_factor = 1.0
+    if not spec.surface.is_sphere:
+        chi = conformal_latitude(spec.surface.eccentricity, lat)
+        surface_factor = math.cos(chi) / spec.surface.parallel_radius(lat)
+        lat = chi
+    colat = math.pi / 2 - lat
+    stereo_factor = 1.0 / (2.0 * math.sin(colat / 2.0) ** 2)
+    c = spec.exponent
+    rho = math.tan(math.pi / 4 + lat / 2)
+    power_factor = c if c == 1.0 else c * rho ** (c - 1.0)
+    post = spec.post_transform
+    post_factor = 1.0
+    if post is not None:
+        dlon = normalize_longitude(p.longitude - spec.central_meridian)
+        w = rho**c * complex(math.cos(c * dlon), math.sin(c * dlon))
+        if isinstance(post, Inversion):
+            post_factor = abs(post.power) / abs(w - post.pole.as_complex()) ** 2
+        else:  # Mobius with det = 1
+            post_factor = 1.0 / abs(post.c * w + post.d) ** 2
+    return surface_factor * stereo_factor * power_factor * post_factor
+
+
+@pytest.mark.parametrize(
+    "suite", ["sphere", "spheroid", "inversion", "mobius", "centered_stereographic"]
+)
+def test_dilatation_array_matches_reference(rng, suite):
+    worst = 0.0
+    for _ in range(40):
+        spec = _suite(rng, suite)
+        points = [random_point_for_spec(rng, spec) for _ in range(50)]
+        lat = np.array([p.latitude for p in points])
+        lon = np.array([p.longitude for p in points])
+        m, code = dilatation_array(spec, lat, lon)
+        assert not code.any()
+        for p, got in zip(points, m.tolist()):
+            want = reference_dilatation(spec, p)
+            worst = max(worst, abs(got - want) / want)
+            assert dilatation_analytic(spec, p) == got  # the wrapper adds no arithmetic
+    assert worst <= 1e-13
+
+
+# messages as the per-point closed form raised them
+@pytest.mark.parametrize(
+    "spec, point, kind, message",
+    [
+        (LagrangeProjectionSpec(0.7), SpherePoint(math.pi / 2, 0.3),
+         ProjectionPole, "dilatation diverges at the projection center"),
+        (LagrangeProjectionSpec(0.5), SpherePoint(-math.pi / 2, 0.0),
+         OriginSingularity, "power-map scale is singular at the South pole"),
+        (LagrangeProjectionSpec(1.0, surface=SurfaceOfRevolution(0.1)),
+         SpherePoint(-math.pi / 2, 0.0),
+         PoleDegenerate, "latitude -1.5707963267948966 too close to a pole"),
+        (LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, 0), 1.0)),
+         SpherePoint(0.0, 0.0),
+         PoleSingularity, "point (0.9999999999999999+0j) at the pole of the post-transform"),
+        (LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(1, 0, 1, -1)),
+         SpherePoint(0.0, 0.0),
+         PointAtInfinity, "point (0.9999999999999999+0j) at the pole of the post-transform"),
+        (LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, 0), 1e300)),
+         SpherePoint(0.0, 1e-11),
+         NonFiniteValue, "dilatation inf outside the floating-point range"),
+    ],
+    ids=["center", "south-pole", "spheroid-pole", "inversion-pole", "mobius-pole", "overflow"],
+)
+def test_dilatation_errors(spec, point, kind, message):
+    with pytest.raises(kind) as info:
+        dilatation_analytic(spec, point)
+    assert type(info.value) is kind and str(info.value) == message
+    # the report raises the same error for its first failing sample
+    assert _raised(distortion_report, spec, [FINE, point]) == (kind, message)
+
+
+@pytest.mark.parametrize(
+    "eccentricity, ratio", [(0.0, 5.170322795542452), (0.08, 5.168395192679835)]
+)
+def test_projection_ratio_drops_singular_nodes(eccentricity, ratio):
+    # the South-pole node of the cap has no finite scale under exponent 0.5
+    mesh = build_cap_mesh(math.radians(30), math.radians(1.0))
+    spec = LagrangeProjectionSpec(0.5, surface=SurfaceOfRevolution(eccentricity))
+    pole = SpherePoint(mesh.cap_pole_latitude, 0.0)
+    with pytest.raises((OriginSingularity, PoleDegenerate)):
+        dilatation_analytic(spec, pole)
+    assert projection_ratio(mesh, spec) == ratio
