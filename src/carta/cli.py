@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
 
@@ -180,24 +181,47 @@ def _write_report(config: JobConfig, lines: list[str]) -> str:
 
 def _flush_outputs(config: JobConfig) -> None:
     """All file writing happens here, after every output has been computed.
-    Temporary files beside the targets replace them once all were written,
-    so a failure while writing leaves every target as it was."""
-    for path in config.outputs:
-        if os.path.isdir(path):
+
+    A regular file, or one not there yet, is written to a temporary file
+    beside it (beside the file a symlink points to), and the temporary
+    files replace their targets once all were written: a failed write
+    leaves every such target as it was.  Devices and pipes (``/dev/null``,
+    a terminal, ``/dev/stdout`` or ``/dev/fd/N`` naming a pipe) are
+    written directly afterwards.
+    Spellings of one path are written once, with the last content given.
+    """
+    staged, direct = {}, {}
+    for path, content in config.outputs.items():
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        if mode is not None and stat.S_ISDIR(mode):
             raise ConfigError(f"cannot write {path}: Is a directory")
-    staged = []
+        group = direct if mode is not None and not stat.S_ISREG(mode) else staged
+        group[os.path.realpath(path)] = (path, content, mode)
+    written = []
     try:
-        for path, content in config.outputs.items():
-            with open(f"{path}.{os.getpid()}.tmp", "x", encoding="utf-8") as handle:
-                staged.append(handle.name)
+        for target, (path, content, mode) in staged.items():
+            temporary = f"{target}.{os.getpid()}.tmp"
+            with open(temporary, "x", encoding="utf-8") as handle:
+                written.append(temporary)
                 handle.write(content)
-        for temporary, path in zip(staged, config.outputs):
-            os.replace(temporary, path)
+            if mode is not None:  # the replaced file's permissions carry over
+                os.chmod(temporary, stat.S_IMODE(mode))
+        for temporary, (target, (path, _, _)) in zip(written, staged.items()):
+            os.replace(temporary, target)
+        for path, content, _ in direct.values():
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(content)
     except OSError as exc:
-        for temporary in staged:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for temporary in written:
             if os.path.exists(temporary):
                 os.remove(temporary)
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -449,27 +473,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags stored under another JobConfig field, and flags holding comma-separated numbers
-_FIELDS = {
-    "central_meridian": "central_meridian_deg",
-    "lat_step": "lat_step_deg",
-    "lon_step": "lon_step_deg",
-    "region": "region_path",
-    "out": "out_path",
-    "svg": "svg_path",
-    "report": "report_path",
-    "compare_projection": "projection_requested",
-}
-_NUMBER_LISTS = {"inversion_pole": 2, "centered_on": 2, "source": 6, "target": 6, "target_sides": 3}
-
-
 def _config_from_args(args: argparse.Namespace) -> JobConfig:
     config = JobConfig(subcommand=args.subcommand)
-    for name, value in vars(args).items():
-        if name in _NUMBER_LISTS and value is not None:
-            value = _parse_floats(value, _NUMBER_LISTS[name], "--" + name.replace("_", "-"))
-        if value is not None:
-            setattr(config, _FIELDS.get(name, name), value)
+    for name in (
+        "exponent",
+        "eccentricity",
+        "delta_deg",
+        "cap_deg",
+        "tolerance",
+        "samples",
+        "svg_timestamp",
+        "inversion_power",
+    ):
+        if hasattr(args, name):
+            value = getattr(args, name)
+            if value is not None:
+                setattr(config, name, value)
+    if getattr(args, "central_meridian", None) is not None:
+        config.central_meridian_deg = args.central_meridian
+    if getattr(args, "lat_step", None) is not None:
+        config.lat_step_deg = args.lat_step
+    if getattr(args, "lon_step", None) is not None:
+        config.lon_step_deg = args.lon_step
+    if getattr(args, "inversion_pole", None) is not None:
+        config.inversion_pole = _parse_floats(args.inversion_pole, 2, "--inversion-pole")
+    if getattr(args, "centered_on", None) is not None:
+        config.centered_on = _parse_floats(args.centered_on, 2, "--centered-on")
+    config.region_path = getattr(args, "region", None)
+    config.out_path = getattr(args, "out", None)
+    config.svg_path = getattr(args, "svg", None)
+    config.report_path = getattr(args, "report", None)
+    if getattr(args, "source", None) is not None:
+        config.source = _parse_floats(args.source, 6, "--source")
+    if getattr(args, "target", None) is not None:
+        config.target = _parse_floats(args.target, 6, "--target")
+    if getattr(args, "target_sides", None) is not None:
+        config.target_sides = _parse_floats(args.target_sides, 3, "--target-sides")
+    config.projection_requested = bool(getattr(args, "compare_projection", False))
     return config
 
 

@@ -80,14 +80,21 @@ class LagrangeProjectionSpec:
         return lambda p: project(self, p)
 
 
+def _power(w: complex, c: float) -> complex:
+    """Principal-branch power map in polar form; fixes the origin."""
+    if c == 1.0:
+        return w
+    rho = abs(w)
+    if rho == 0.0:
+        return 0.0j
+    return rho**c * cmath.exp(1j * c * math.atan2(w.imag, w.real))
+
+
 def lambert_power(z: PlanePoint, c: float) -> PlanePoint:
     """Polar power map (rho, omega) -> (rho^c, c omega) about the origin."""
-    if c == 1.0:
-        return z
-    if z.x == 0.0 and z.y == 0.0:
+    if z.x == 0.0 and z.y == 0.0 and c != 1.0:
         raise OriginSingularity("power map with c != 1 is singular at the origin")
-    w = abs(z.as_complex()) ** c * cmath.exp(1j * c * math.atan2(z.y, z.x))
-    return PlanePoint.from_complex(w)
+    return PlanePoint.from_complex(_power(z.as_complex(), c))
 
 
 def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
@@ -95,9 +102,10 @@ def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
     (radians), for the image and for its scale alike: the conformal
     latitude, the image angle omega = c (lon - central meridian), the
     radius rho = tan(pi/4 + lat/2), the image w = rho^c e^(i omega) before
-    the post-transform T and T(w) after it, where w is at T's pole, and
-    T's local stretch |T'(w)|.  Closed forms after Snyder, *Map
-    Projections: A Working Manual* (USGS PP 1395)."""
+    the post-transform T and T(w) after it, w's distance to T's pole
+    (|w - pole| for an inversion, |c w + d| for a Mobius map) and where
+    w is at that pole.  Closed forms after Snyder, *Map Projections: A
+    Working Manual* (USGS PP 1395)."""
     lat = np.asarray(lat, dtype=float)
     if not spec.surface.is_sphere:
         lat = conformal_latitude(spec.surface.eccentricity, lat)
@@ -108,7 +116,7 @@ def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
         rho = np.tan(math.pi / 4 + lat / 2)
         w = np.where(rho == 0.0, 0j, rho**spec.exponent * np.exp(1j * omega))
         if post is None:
-            return lat, omega, rho, w, w, np.zeros(w.shape, dtype=bool), 1.0
+            return lat, omega, rho, w, w, None, np.zeros(w.shape, dtype=bool)
         if isinstance(post, Inversion):
             dx = w.real - post.pole.x
             dy = w.imag - post.pole.y
@@ -117,13 +125,11 @@ def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
             image = np.empty_like(w)
             image.real = post.pole.x + s * dx
             image.imag = post.pole.y + s * dy
-            stretch = abs(post.power) / distance**2
         else:  # Mobius with det = 1
             den = post.c * w + post.d
             distance = np.abs(den)
             image = (post.a * w + post.b) / den
-            stretch = 1.0 / distance**2
-    return lat, omega, rho, w, image, distance < 1e-14, stretch
+    return lat, omega, rho, w, image, distance, distance < 1e-14
 
 
 # failures of project_array, in the order its checks run: code k >= 1
@@ -147,7 +153,7 @@ def project_array(
     Where the post-transform's pole stops a point, ``w`` holds the image
     before the post-transform, which the error message quotes.
     """
-    lat, omega, _, w, image, at_pole, _ = _chart(spec, lat, lon)
+    lat, omega, _, w, image, _, at_pole = _chart(spec, lat, lon)
     code = np.select(
         [
             math.pi / 2 - lat < POLE_COLATITUDE_EPS,
@@ -196,8 +202,8 @@ def dilatation_array(
     code 0 where m is finite and positive (see ``dilatation_error``).
     """
     geodetic = np.asarray(lat, dtype=float)
-    chi, _, rho, _, _, at_pole, stretch = _chart(spec, geodetic, lon)
-    c = spec.exponent
+    chi, _, rho, _, _, distance, at_pole = _chart(spec, geodetic, lon)
+    c, post = spec.exponent, spec.post_transform
     colat = math.pi / 2 - chi
     degenerate, surface_factor = np.zeros(colat.shape, dtype=bool), 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -207,6 +213,9 @@ def dilatation_array(
             surface_factor = np.cos(chi) / q
         stereo_factor = 1.0 / (2.0 * np.sin(colat / 2.0) ** 2)
         power_factor = c if c == 1.0 else c * rho ** (c - 1.0)
+        # the post-transform's local stretch |T'(w)|, with det = 1 for a Mobius map
+        power = abs(post.power) if isinstance(post, Inversion) else 1.0
+        stretch = 1.0 if post is None else power / distance**2
         m = surface_factor * stereo_factor * power_factor * stretch
     code = np.select(
         [
@@ -216,7 +225,7 @@ def dilatation_array(
             at_pole,
             ~((0.0 < m) & (m < math.inf)),
         ],
-        [1, 2, 3, 4 if isinstance(spec.post_transform, Inversion) else 5, 6],
+        [1, 2, 3, 4 if isinstance(post, Inversion) else 5, 6],
         0,
     )
     return m, code

@@ -460,6 +460,48 @@ def test_failed_write_removes_temporary_files(band_geojson, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["band.geojson"]
 
 
+def test_interrupted_write_removes_temporary_files(band_geojson, tmp_path, monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(
+            "project", "--region", band_geojson, "--lat-step", "30", "--lon-step", "45",
+            "--out", str(tmp_path / "out.geojson"), "--svg", str(tmp_path / "map.svg"),
+        )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["band.geojson"]
+
+
+def test_outputs_through_symlinks_and_devices(band_geojson, tmp_path, capsys):
+    real = tmp_path / "real.geojson"
+    real.write_bytes(b"earlier run")
+    real.chmod(0o640)
+    link = tmp_path / "link.geojson"
+    link.symlink_to(real)
+    code = run_cli(
+        "project", "--region", band_geojson, "--lat-step", "30", "--lon-step", "45",
+        "--out", str(link), "--svg", os.devnull,
+    )
+    assert code == 0
+    # the write went through the link, and the device is still a device
+    assert link.is_symlink() and json.loads(real.read_text())["type"] == "FeatureCollection"
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert Path(os.devnull).is_char_device()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["band.geojson", "link.geojson", "real.geojson"]
+
+
+def test_two_spellings_of_one_output_path(band_geojson, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    code = run_cli(
+        "project", "--region", band_geojson, "--lat-step", "30", "--lon-step", "45",
+        "--svg", str(out), "--report", str(tmp_path / "." / "out.txt"),
+    )
+    assert code == 0
+    assert out.read_text().startswith("project report")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["band.geojson", "out.txt"]
+
+
 # JSON values of every kind, GeoJSON-shaped documents built from them, and
 # documents with one defect where every subcommand reads
 NAN, INF = float("nan"), float("inf")
