@@ -22,7 +22,6 @@ from .darboux import (
     lagrange_constraints_to_triangles,
 )
 from .distortion import (
-    DilatationSample,
     DistortionReport,
     conformality_defect,
     dilatation_analytic,

@@ -76,20 +76,17 @@ class RegionMesh:
         counts.append(max(1, round(math.pi * math.sin(self.radii[-1]) / self.delta)))
         return counts
 
-    def node_points(self) -> list[SpherePoint]:
-        """All mesh nodes as sphere points (rings expanded for caps)."""
+    def node_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """(latitude, longitude) arrays of all mesh nodes (rings expanded for caps)."""
         if self.kind == "grid":
-            return [
-                SpherePoint(lat, lon)
-                for lat, lon in zip(self.latitudes, self.longitudes)
-            ]
+            return self.latitudes, self.longitudes
         sign = 1.0 if self.cap_pole_latitude > 0 else -1.0
-        points = []
-        for r, count in zip(self.radii, self._ring_counts()):
-            lat = self.cap_pole_latitude - sign * r
-            for j in range(count):
-                points.append(SpherePoint(lat, normalize_longitude(2 * math.pi * j / count)))
-        return points
+        counts = self._ring_counts()
+        # node j of a ring of `count` nodes sits at longitude 2 pi j / count
+        count = np.repeat(counts, counts)
+        j = np.arange(len(count)) - np.repeat(np.cumsum(counts) - counts, counts)
+        lat = np.repeat(self.cap_pole_latitude - sign * self.radii, counts)
+        return lat, normalize_longitude_array(2 * math.pi * j / count)
 
     def node_values(self, radial_values: np.ndarray) -> np.ndarray:
         """Expand per-ring values to per-node values (caps only)."""
@@ -192,24 +189,29 @@ def _points_in_polygon(xy: np.ndarray, poly_xy: np.ndarray) -> np.ndarray:
     Points within 1e-9 of an edge count as outside, so grid nodes landing
     exactly on the boundary are classified consistently.
     """
+    order = np.argsort(xy[:, 1], kind="stable")
+    x, y = xy[order, 0], xy[order, 1]
     inside = np.zeros(len(xy), dtype=bool)
     near_edge = np.zeros(len(xy), dtype=bool)
     n = len(poly_xy)
-    x, y = xy[:, 0], xy[:, 1]
     for i in range(n):
         x1, y1 = poly_xy[i]
         x2, y2 = poly_xy[(i + 1) % n]
-        straddles = (y1 > y) != (y2 > y)
+        # in y order, the points that may straddle the edge or lie within 1e-9 of it
+        lo, hi = np.searchsorted(y, [min(y1, y2) - 2e-9, max(y1, y2) + 2e-9])
+        xs, ys = x[lo:hi], y[lo:hi]
+        straddles = (y1 > ys) != (y2 > ys)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= straddles & (x < np.where(straddles, x_cross, np.inf))
+            x_cross = x1 + (ys - y1) * (x2 - x1) / (y2 - y1)
+        inside[lo:hi] ^= straddles & (xs < np.where(straddles, x_cross, np.inf))
         # squared distance to the segment
         ex, ey = x2 - x1, y2 - y1
         seg2 = ex * ex + ey * ey
-        t = np.clip(((x - x1) * ex + (y - y1) * ey) / max(seg2, 1e-300), 0.0, 1.0)
-        d2 = (x - (x1 + t * ex)) ** 2 + (y - (y1 + t * ey)) ** 2
-        near_edge |= d2 < 1e-18
-    return inside & ~near_edge
+        t = np.clip(((xs - x1) * ex + (ys - y1) * ey) / max(seg2, 1e-300), 0.0, 1.0)
+        d2 = (xs - (x1 + t * ex)) ** 2 + (ys - (y1 + t * ey)) ** 2
+        near_edge[lo:hi] |= d2 < 1e-18
+    inside[order] = inside & ~near_edge  # back to the order of xy
+    return inside
 
 
 def _detect_cap(vertices: list[SpherePoint]) -> tuple[float, float] | None:
@@ -436,11 +438,7 @@ def projection_ratio(mesh: RegionMesh, spec: LagrangeProjectionSpec) -> float:
     under an exponent below 1, where the scale diverges) are dropped,
     which only lowers the ratio; the optimality inequality stays valid.
     """
-    points = mesh.node_points()
-    lat = np.fromiter((p.latitude for p in points), float, len(points))
-    lon = np.fromiter((p.longitude for p in points), float, len(points))
-    del points  # the kernel's temporaries take its room
-    m, code = dilatation_array(spec, lat, lon)
+    m, code = dilatation_array(spec, *mesh.node_points())
     regular = m[code == 0]
     if not regular.size:
         raise EmptyRegion("projection is singular on the whole region")

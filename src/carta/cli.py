@@ -5,8 +5,10 @@ Angles in flags and files are degrees; everything internal is radians.
 The exit code is 0 on success (including valid negative answers);
 otherwise it is fixed by the category of the error (see ``carta.errors``):
 
-* 2 ``ConfigError``: invalid or non-finite flag values, unreadable or
-  unwritable paths;
+* 2 ``ConfigError``: invalid or non-finite flag values, ``chebyshev
+  --eccentricity`` other than 0 (the solve has the sphere's metric),
+  unreadable or unwritable paths, and an output naming the regular file
+  or pipe of standard output, which takes the report;
 * 3 ``InputError``: ``GeoJsonError``, input that is not valid GeoJSON;
 * 4 ``DomainError``: ``ProjectionPole``, ``PoleSingularity``,
   ``PointAtInfinity``, ``BranchOverflow``, ``OutsideImage``,
@@ -105,6 +107,8 @@ class JobConfig:
             raise ConfigError("--central-meridian outside [-180, 180]")
         if not (0.0 <= self.eccentricity < 1.0):
             raise ConfigError(f"--eccentricity {self.eccentricity} outside [0, 1)")
+        if self.subcommand == "chebyshev" and self.eccentricity != 0.0:
+            raise ConfigError("chebyshev solves with the sphere's metric: --eccentricity must be 0")
         if (self.inversion_pole is None) != (self.inversion_power is None):
             raise ConfigError("--inversion-pole and --inversion-power go together")
         if self.inversion_power is not None and self.inversion_power == 0.0:
@@ -186,31 +190,38 @@ def _flush_outputs(config: JobConfig) -> None:
     beside it (beside the file a symlink points to), and the temporary
     files replace their targets once all were written: a failed write
     leaves every such target as it was.  Devices and pipes (``/dev/null``,
-    a terminal, ``/dev/stdout`` or ``/dev/fd/N`` naming a pipe) are
-    written directly afterwards.
+    a terminal, ``/dev/fd/N`` naming a pipe) are written directly
+    afterwards; standard output's file or pipe, which gets the report, is refused.
     Spellings of one path are written once, with the last content given.
     """
+    try:  # the report goes to standard output; a terminal can take both
+        stdout = os.fstat(1)
+        shared = stat.S_ISREG(stdout.st_mode) or stat.S_ISFIFO(stdout.st_mode)
+    except OSError:  # standard output is closed
+        shared = False
     staged, direct = {}, {}
     for path, content in config.outputs.items():
         try:
-            mode = os.stat(path).st_mode
+            st = os.stat(path)
         except FileNotFoundError:
-            mode = None
+            st = None
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        if mode is not None and stat.S_ISDIR(mode):
+        if st is not None and stat.S_ISDIR(st.st_mode):
             raise ConfigError(f"cannot write {path}: Is a directory")
-        group = direct if mode is not None and not stat.S_ISREG(mode) else staged
-        group[os.path.realpath(path)] = (path, content, mode)
+        if shared and st is not None and os.path.samestat(st, stdout):
+            raise ConfigError(f"cannot write {path}: it is the standard output")
+        group = direct if st is not None and not stat.S_ISREG(st.st_mode) else staged
+        group[os.path.realpath(path)] = (path, content, st)
     written = []
     try:
-        for target, (path, content, mode) in staged.items():
+        for target, (path, content, st) in staged.items():
             temporary = f"{target}.{os.getpid()}.tmp"
             with open(temporary, "x", encoding="utf-8") as handle:
                 written.append(temporary)
                 handle.write(content)
-            if mode is not None:  # the replaced file's permissions carry over
-                os.chmod(temporary, stat.S_IMODE(mode))
+            if st is not None:  # the replaced file's permissions carry over
+                os.chmod(temporary, stat.S_IMODE(st.st_mode))
         for temporary, (target, (path, _, _)) in zip(written, staged.items()):
             os.replace(temporary, target)
         for path, content, _ in direct.values():
@@ -307,21 +318,21 @@ def run_graticule(config: JobConfig) -> str:
 def run_distortion(config: JobConfig) -> str:
     spec = config.spec()
     mesh = _region_mesh(config)
-    report = distortion_report(spec, mesh.node_points())
+    report = distortion_report(spec, *mesh.node_points())
     if config.out_path:
-        collection = geojson_io.point_feature_collection(
-            [s.point for s in report.samples],
-            [{"m": s.m, "conformality_defect": s.conformality_defect} for s in report.samples],
-        )
-        config.outputs[config.out_path] = geojson_io.dumps(collection) + "\n"
+        config.outputs[config.out_path] = geojson_io.point_feature_collection(
+            np.degrees(report.longitude),
+            np.degrees(report.latitude),
+            {"m": report.m, "conformality_defect": report.conformality_defect},
+        ) + "\n"
     lines = [
         "distortion report",
         f"exponent: {fmt(config.exponent)}",
-        f"samples: {len(report.samples)}",
+        f"samples: {len(report.m)}",
         f"m-min: {fmt(report.m_min)}",
         f"m-max: {fmt(report.m_max)}",
         f"ratio: {fmt(report.ratio)}",
-        f"worst-conformality-defect: {fmt(max(s.conformality_defect for s in report.samples))}",
+        f"worst-conformality-defect: {fmt(report.conformality_defect.max())}",
     ]
     return _write_report(config, lines)
 
@@ -364,11 +375,12 @@ def run_chebyshev(config: JobConfig) -> str:
             f"verdict: {verdict}",
         ]
     if config.out_path:
-        collection = geojson_io.point_feature_collection(
-            mesh.node_points(),
-            [{"u": u, "m": math.exp(u)} for u in mesh.node_values(field.values).tolist()],
-        )
-        config.outputs[config.out_path] = geojson_io.dumps(collection) + "\n"
+        lat, lon = mesh.node_points()
+        u = mesh.node_values(field.values)
+        m = np.fromiter(map(math.exp, u.tolist()), float, len(u))  # np.exp may round differently
+        config.outputs[config.out_path] = geojson_io.point_feature_collection(
+            np.degrees(lon), np.degrees(lat), {"u": u, "m": m}
+        ) + "\n"
     return _write_report(config, lines)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -27,21 +27,6 @@ DEFAULT_STEP = 1e-4
 # colatitude below which the parallel direction degenerates and probes are
 # taken along two perpendicular meridians through the pole instead
 _POLAR_PROBE_EPS = 1e-7
-
-
-@dataclass(frozen=True)
-class DilatationSample:
-    """Dilatation and conformality defect at one sphere point."""
-
-    point: SpherePoint
-    m: float
-    conformality_defect: float
-
-    def __post_init__(self):
-        if not (self.m > 0.0):
-            raise ValueError("dilatation must be positive")
-        if self.conformality_defect < 0.0:
-            raise ValueError("conformality defect must be >= 0")
 
 
 def _check_step(h: float) -> None:
@@ -202,40 +187,43 @@ def _diagonal_defects(
 
 @dataclass(frozen=True)
 class DistortionReport:
-    """Dilatation extrema over a sample set."""
+    """Dilatation and conformality defect per sample point, and the extrema."""
 
+    latitude: np.ndarray
+    longitude: np.ndarray
+    m: np.ndarray
+    conformality_defect: np.ndarray
     m_min: float
     m_max: float
     ratio: float
-    samples: tuple[DilatationSample, ...]
 
 
 def distortion_report(
     spec: LagrangeProjectionSpec,
-    points: Sequence[SpherePoint],
+    lat: np.ndarray,
+    lon: np.ndarray,
     h: float = DEFAULT_STEP,
 ) -> DistortionReport:
-    """Evaluate the dilatation field over sample points and report extrema.
+    """Dilatation field at the points (lat, lon), in radians, and its extrema.
 
     The first failing sample raises; within a sample the dilatation's
     error comes before the conformality defect's.
     """
-    if len(points) == 0:
+    lat, lon = np.asarray(lat, dtype=float), np.asarray(lon, dtype=float)
+    if lat.size == 0:
         raise EmptyRegion("no sample points")
     _check_step(h)
-    lat = np.array([p.latitude for p in points])
-    lon = np.array([p.longitude for p in points])
     m, code = dilatation_array(spec, lat, lon)
-    m_values = m.tolist()
     defects, failing = _diagonal_defects(spec, lat, lon, h)
-    samples = []
-    for p, m_p, code_p, defect, fails in zip(
-        points, m_values, code.tolist(), defects.tolist(), failing.tolist()
-    ):
-        if code_p:
-            raise dilatation_error(spec, code_p, p.latitude, p.longitude, m_p)
-        if fails:  # the per-point function raises the error of this sample
-            defect = conformality_defect(spec.projection(), p, h, spec.surface)
-        samples.append(DilatationSample(p, m_p, defect))
-    m_min, m_max = min(m_values), max(m_values)
-    return DistortionReport(m_min, m_max, m_max / m_min, tuple(samples))
+    for i in np.flatnonzero((code != 0) | failing).tolist():
+        p = SpherePoint(float(lat[i]), float(lon[i]))
+        if code[i]:
+            raise dilatation_error(spec, int(code[i]), p.latitude, p.longitude, float(m[i]))
+        # the per-point function raises the error of this sample or gives its defect
+        defects[i] = conformality_defect(spec.projection(), p, h, spec.surface)
+    if not np.all(m > 0.0):
+        raise ValueError("dilatation must be positive")
+    if np.any(defects < 0.0):
+        raise ValueError("conformality defect must be >= 0")
+    m_min, m_max = float(m.min()), float(m.max())
+    return DistortionReport(lat, lon, m, defects, m_min, m_max, m_max / m_min)

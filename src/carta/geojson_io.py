@@ -199,19 +199,22 @@ def _copy(obj):
     return obj
 
 
-def point_feature_collection(points, properties) -> dict:
-    """FeatureCollection of Point features, one properties object per point."""
-    return {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [math.degrees(p.longitude), math.degrees(p.latitude)],
-                },
-                "properties": props,
-            }
-            for p, props in zip(points, properties)
-        ],
-    }
+def point_feature_collection(lon_deg: np.ndarray, lat_deg: np.ndarray, columns: dict) -> str:
+    """FeatureCollection of Point features, as the text ``dumps`` writes for
+    it: feature i is at (lon_deg[i], lat_deg[i]) with one property per
+    column, column[i].  One ``%`` fills a repeated feature template, as
+    ``"%.15g" % x`` is ``format(x, ".15g")``.
+    """
+    values = np.column_stack([lon_deg, lat_deg, *columns.values()])
+    bad = ~np.isfinite(values)
+    if bad.any():  # the first in document order raises format_float's error
+        format_float(float(values.flat[np.argmax(bad)]))
+    properties = ", ".join(
+        encode_basestring_ascii(str(name)).replace("%", "%%") + ": %.15g" for name in columns
+    )
+    feature = (
+        '{"type": "Feature", "geometry": {"type": "Point", "coordinates": [%.15g, %.15g]}, '
+        '"properties": {' + properties + "}}"
+    )
+    features = ", ".join([feature] * len(values)) % tuple(values.ravel().tolist())
+    return '{"type": "FeatureCollection", "features": [' + features + "]}"

@@ -105,3 +105,8 @@ def random_point_for_spec(rng, spec, max_tries=500):
                     continue
         return p
     raise AssertionError("could not sample a well-conditioned point for the spec")
+
+
+def point_columns(points):
+    """(latitudes, longitudes) of sphere points, the columns ``distortion_report`` takes."""
+    return [p.latitude for p in points], [p.longitude for p in points]

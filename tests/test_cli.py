@@ -381,6 +381,9 @@ DEEP = 600  # loads as JSON, but nests deeper than a recursive copy can follow
         ("project", _polygon("[" * 5000 + "]" * 5000), [], 3),
         ("chebyshev", _polygon("[[[0, 0], [0, 1], [1, 0], [0, 0]]]"), ["--delta-deg", "nan"], 2),
         ("chebyshev", _polygon("[[[0, 0], [0, 5], [5, 0], [0, 0]]]"), ["--centered-on", "95,0"], 2),
+        # the solve has the sphere's metric, so a spheroid's scale cannot be compared with it
+        ("chebyshev", _polygon("[[[0, 0], [0, 5], [5, 0], [0, 0]]]"),
+         ["--eccentricity", "0.08", "--compare-projection"], 2),
         ("project", _polygon("[]"), ["--lat-step", "89.99999999"], 2),
         # a zero-length line far out: the SVG padding must not round away
         ("project", '{"type": "LineString", "coordinates": [[0, 0], [0, 0]]}',
@@ -390,7 +393,7 @@ DEEP = 600  # loads as JSON, but nests deeper than a recursive copy can follow
     ids=[
         "coordinates-5-chebyshev", "coordinates-5-project", "string", "nan-project",
         "nan-chebyshev", "1e400", "bools", "short-position", "deep-properties", "deep-json",
-        "delta-nan", "centered-on-95", "lat-step-edge", "zero-extent-svg",
+        "delta-nan", "centered-on-95", "chebyshev-eccentricity", "lat-step-edge", "zero-extent-svg",
     ],
 )
 def test_pinned_inputs_exit_codes(tmp_path, capsys, command, document, extra, expected):
@@ -500,6 +503,31 @@ def test_two_spellings_of_one_output_path(band_geojson, tmp_path, capsys):
     assert code == 0
     assert out.read_text().startswith("project report")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["band.geojson", "out.txt"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("flag", ["--out", "--svg", "--report"])
+@pytest.mark.parametrize("sink, expected", [("file", 2), ("pipe", 2), ("devnull", 0)])
+def test_output_naming_standard_output(band_geojson, tmp_path, flag, sink, expected):
+    # the report goes to standard output: an output naming its file or pipe
+    # is refused before anything is written; a device such as /dev/null is not
+    root = Path(__file__).resolve().parent.parent
+    paths = {"--out": tmp_path / "out.geojson", "--svg": tmp_path / "map.svg", flag: "/dev/stdout"}
+    argv = [sys.executable, "-m", "carta.cli", "project", "--region", band_geojson,
+            "--lat-step", "30", "--lon-step", "45"]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    stdout_path = tmp_path / "stdout.txt"
+    with open(stdout_path, "wb") as handle:
+        sinks = {"file": handle, "pipe": subprocess.PIPE, "devnull": subprocess.DEVNULL}
+        result = subprocess.run(argv, stdout=sinks[sink], stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert result.returncode == expected, result.stderr
+    if expected == 2:
+        message = b"carta: ConfigError: cannot write /dev/stdout: it is the standard output"
+        assert message in result.stderr
+        assert stdout_path.read_bytes() == b"" and not result.stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["band.geojson", "stdout.txt"]
 
 
 # JSON values of every kind, GeoJSON-shaped documents built from them, and

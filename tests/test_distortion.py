@@ -17,7 +17,7 @@ from carta import (
 )
 from carta.errors import DomainEdge, EmptyRegion
 
-from conftest import random_point_for_spec, random_spec
+from conftest import point_columns, random_point_for_spec, random_spec
 
 STEREO = LagrangeProjectionSpec(exponent=1.0)
 
@@ -172,14 +172,14 @@ def test_defect_small_for_lagrange_specs(rng):
 
 
 def test_report_single_point():
-    report = distortion_report(STEREO, [SpherePoint(0.2, 0.1)])
+    report = distortion_report(STEREO, *point_columns([SpherePoint(0.2, 0.1)]))
     assert report.ratio == 1.0
-    assert len(report.samples) == 1
+    assert len(report.m) == 1
 
 
 def test_report_empty_region():
     with pytest.raises(EmptyRegion):
-        distortion_report(STEREO, [])
+        distortion_report(STEREO, [], [])
 
 
 def test_report_polar_cap_ratio():
@@ -190,7 +190,7 @@ def test_report_polar_cap_ratio():
         for r in np.linspace(0.0, math.radians(30), 31)
         for lon in np.linspace(-math.pi, math.pi, 8, endpoint=False)
     ]
-    report = distortion_report(STEREO, points)
+    report = distortion_report(STEREO, *point_columns(points))
     expected = 1.0 / math.sin(math.radians(75)) ** 2
     assert report.ratio == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(1.0718, abs=5e-5)
@@ -215,6 +215,6 @@ def test_ratio_invariant_under_similarity(rng):
 
     # and the reported max/min ratio of the field is unchanged
     points = [random_point_for_spec(rng, spec) for _ in range(25)]
-    before = distortion_report(spec, points)
-    after = distortion_report(spec_after, points)
+    before = distortion_report(spec, *point_columns(points))
+    after = distortion_report(spec_after, *point_columns(points))
     assert after.ratio == pytest.approx(before.ratio, rel=1e-12)

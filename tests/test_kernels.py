@@ -1,9 +1,11 @@
 """Array kernels against the per-point code they replace.
 
-The per-point forward projection, the per-point closed-form dilatation
-and the double loop of the boundary self-intersection test are kept here
-as oracles; the batched conformality probes are checked against the
-public per-point ``conformality_defect``.
+The per-point forward projection, the per-point closed-form dilatation,
+the double loop of the boundary self-intersection test, the edge loop of
+the point-in-polygon test and the ring loop of the cap node expansion are
+kept here as oracles; the batched conformality probes are checked against
+the public per-point ``conformality_defect``, and the columnar point
+GeoJSON writer against ``dumps`` of the same collection built as objects.
 """
 
 import cmath
@@ -12,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carta.cli as cli
 from carta import (
@@ -25,7 +29,12 @@ from carta import (
     distortion_report,
     project,
 )
-from carta.chebyshev import _check_simple, build_cap_mesh, projection_ratio
+from carta.chebyshev import (
+    _check_simple,
+    _points_in_polygon,
+    build_cap_mesh,
+    projection_ratio,
+)
 from carta.distortion import dilatation_analytic
 from carta.errors import (
     BranchOverflow,
@@ -38,11 +47,12 @@ from carta.errors import (
     ProjectionPole,
     SelfIntersectingBoundary,
 )
+from carta.geojson_io import dumps, point_feature_collection
 from carta.geometry import POLE_COLATITUDE_EPS, invert_point, normalize_longitude
 from carta.lagrange import dilatation_array, project_array
 from carta.surfaces import SurfaceOfRevolution, conformal_latitude
 
-from conftest import random_point_for_spec, random_spec
+from conftest import point_columns, random_point_for_spec, random_spec
 
 
 def reference_project(spec, p):
@@ -179,10 +189,10 @@ def test_batched_defect_matches_scalar(rng):
     for _ in range(30):
         spec = random_spec(rng)
         points = [random_point_for_spec(rng, spec) for _ in range(40)]
-        report = distortion_report(spec, points)
-        for p, sample in zip(points, report.samples):
+        report = distortion_report(spec, *point_columns(points))
+        for p, defect in zip(points, report.conformality_defect):
             scalar = conformality_defect(spec.projection(), p, surface=spec.surface)
-            worst = max(worst, abs(sample.conformality_defect - scalar))
+            worst = max(worst, abs(defect - scalar))
     assert worst <= 1e-9
 
 
@@ -190,10 +200,10 @@ def test_batched_defect_at_the_pole():
     # the polar node is probed along two perpendicular great circles
     spec = LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(3, 0), 2.0))
     points = [SpherePoint(-math.pi / 2, 0.0), SpherePoint(-math.pi / 2 + 5e-8, 1.0)]
-    report = distortion_report(spec, points)
-    for p, sample in zip(points, report.samples):
+    report = distortion_report(spec, *point_columns(points))
+    for p, defect in zip(points, report.conformality_defect):
         scalar = conformality_defect(spec.projection(), p)
-        assert sample.conformality_defect == pytest.approx(scalar, abs=1e-9)
+        assert defect == pytest.approx(scalar, abs=1e-9)
 
 
 def _raised(fn, *args, **kwargs):
@@ -202,14 +212,20 @@ def _raised(fn, *args, **kwargs):
     return type(info.value), str(info.value)
 
 
+def _report_error(spec, points):
+    return _raised(distortion_report, spec, *point_columns(points))
+
+
 SPHEROID = LagrangeProjectionSpec(1.0, surface=SurfaceOfRevolution(0.1))
 NEAR_SOUTH = SpherePoint(-math.pi / 2 + 1e-5, 0.0)  # diagonal probes cross the pole
 SOUTH = SpherePoint(-math.pi / 2, 0.0)  # dilatation and probes both fail
 FINE = SpherePoint(0.3, 0.2)
+NORTH = SpherePoint(math.pi / 2, 0.0)
+PROBE_AT_CENTER = SpherePoint(math.pi / 2 - 1e-4 / math.sqrt(2.0), 0.0)  # a probe hits the pole
 
 
 def test_batched_defect_spheroid_pole_crossing():
-    error = _raised(distortion_report, SPHEROID, [FINE, NEAR_SOUTH])
+    error = _report_error(SPHEROID, [FINE, NEAR_SOUTH])
     assert error == (DomainEdge, "probe crosses a pole on a non-spherical surface")
     assert error == _raised(
         conformality_defect, SPHEROID.projection(), NEAR_SOUTH, surface=SPHEROID.surface
@@ -218,14 +234,44 @@ def test_batched_defect_spheroid_pole_crossing():
 
 def test_batched_defect_error_order():
     # within a sample the dilatation fails first; across samples, the first sample
-    assert _raised(distortion_report, SPHEROID, [FINE, SOUTH])[0] is PoleDegenerate
-    assert _raised(distortion_report, SPHEROID, [SOUTH, NEAR_SOUTH])[0] is PoleDegenerate
-    assert _raised(distortion_report, SPHEROID, [NEAR_SOUTH, SOUTH])[0] is DomainEdge
+    assert _report_error(SPHEROID, [FINE, SOUTH])[0] is PoleDegenerate
+    assert _report_error(SPHEROID, [SOUTH, NEAR_SOUTH])[0] is PoleDegenerate
+    assert _report_error(SPHEROID, [NEAR_SOUTH, SOUTH])[0] is DomainEdge
     center = LagrangeProjectionSpec(1.0)
     probe_at_center = SpherePoint(math.pi / 2 - 1e-4 / math.sqrt(2.0), 0.0)
-    error = _raised(distortion_report, center, [FINE, probe_at_center])
+    error = _report_error(center, [FINE, probe_at_center])
     assert error == _raised(conformality_defect, center.projection(), probe_at_center)
     assert error[0] is DomainEdge and "projection center" in error[1]
+
+
+@pytest.mark.parametrize(
+    "spec, failing, expected",
+    [
+        (SPHEROID, {300: NEAR_SOUTH, 700: SOUTH},
+         (DomainEdge, "probe crosses a pole on a non-spherical surface")),
+        (SPHEROID, {300: SOUTH, 700: NEAR_SOUTH},
+         (PoleDegenerate, "latitude -1.5707963267948966 too close to a pole")),
+        (LagrangeProjectionSpec(1.0), {500: PROBE_AT_CENTER, 800: NORTH},
+         (DomainEdge, "probe left the projection domain: the projection center has no image")),
+        (LagrangeProjectionSpec(1.0), {500: NORTH, 800: PROBE_AT_CENTER},
+         (ProjectionPole, "dilatation diverges at the projection center")),
+        (LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, 0), 1.0)),
+         {600: SpherePoint(0.0, 0.0), 800: SOUTH},
+         (PoleSingularity, "point (0.9999999999999999+0j) at the pole of the post-transform")),
+    ],
+    ids=["defect-first", "dilatation-first", "center-probe-first", "center-first", "inversion"],
+)
+def test_report_error_mid_array(spec, failing, expected):
+    # a failing sample among a thousand fine ones: the first failing sample
+    # raises, with the parent's class and message
+    rng = np.random.default_rng(7)
+    points = [
+        SpherePoint(float(a), float(b))
+        for a, b in zip(rng.uniform(-1.2, 1.2, 1000), rng.uniform(-3, 3, 1000))
+    ]
+    for i, p in failing.items():
+        points[i] = p
+    assert _report_error(spec, points) == expected
 
 
 # -- boundary self-intersection -----------------------------------------------------
@@ -276,6 +322,165 @@ def test_check_simple_matches_double_loop(rng, monkeypatch):
             assert got == _outcome(reference_check_simple, poly)
             outcomes.add(got is None)
     assert outcomes == {True, False}  # both simple and self-intersecting rings were drawn
+
+
+# -- point-in-polygon ----------------------------------------------------------------
+
+
+def reference_points_in_polygon(xy, poly_xy):
+    """The edge loop, each edge over every point."""
+    inside = np.zeros(len(xy), dtype=bool)
+    near_edge = np.zeros(len(xy), dtype=bool)
+    n = len(poly_xy)
+    x, y = xy[:, 0], xy[:, 1]
+    for i in range(n):
+        x1, y1 = poly_xy[i]
+        x2, y2 = poly_xy[(i + 1) % n]
+        straddles = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= straddles & (x < np.where(straddles, x_cross, np.inf))
+        ex, ey = x2 - x1, y2 - y1
+        seg2 = ex * ex + ey * ey
+        t = np.clip(((x - x1) * ex + (y - y1) * ey) / max(seg2, 1e-300), 0.0, 1.0)
+        d2 = (x - (x1 + t * ex)) ** 2 + (y - (y1 + t * ey)) ** 2
+        near_edge |= d2 < 1e-18
+    return inside & ~near_edge
+
+
+def _test_points(rng, poly):
+    """Random points, the vertices, points on the edges, points about 1e-9
+    off them on either side or off the vertices in any direction, and
+    points level with the vertices."""
+    edges = np.roll(poly, -1, axis=0) - poly
+    t = rng.uniform(0.0, 1.0, (len(poly), 4, 1))
+    on_edges = (poly[:, None, :] + t * edges[:, None, :]).reshape(-1, 2)
+    normals = np.repeat(np.column_stack([-edges[:, 1], edges[:, 0]]), 4, axis=0)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    offsets = rng.choice([-3e-9, -2e-9, -1e-9, -5e-10, 5e-10, 1e-9, 2e-9, 3e-9], len(on_edges))
+    turn = rng.uniform(0.0, 2 * math.pi, (len(poly), 8))
+    distance = rng.uniform(0.0, 3e-9, (len(poly), 8))
+    around = poly[:, None, :] + distance[..., None] * np.stack([np.cos(turn), np.sin(turn)], -1)
+    level = np.column_stack([rng.uniform(-1.6, 1.6, len(poly)), poly[:, 1]])
+    return np.vstack(
+        [rng.uniform(-1.6, 1.6, (300, 2)), poly, on_edges,
+         on_edges + offsets[:, None] * normals, around.reshape(-1, 2), level]
+    )
+
+
+def test_points_in_polygon_matches_edge_loop(rng):
+    outcomes = set()
+    for _ in range(100):
+        n = int(rng.integers(3, 40))
+        angles = np.sort(rng.uniform(0, 2 * math.pi, n))
+        radii = rng.uniform(0.5, 1.5, n)
+        star = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        xy = _test_points(rng, star)
+        got = _points_in_polygon(xy, star)
+        assert np.array_equal(got, reference_points_in_polygon(xy, star))
+        outcomes.update(got.tolist())
+    assert outcomes == {True, False}
+
+
+def test_points_in_polygon_on_a_fine_ring(rng):
+    # a 720-gon with grid points, some landing on its vertices and edges
+    angles = 2 * math.pi * np.arange(720) / 720
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    grid = np.stack(np.meshgrid(np.linspace(-1.1, 1.1, 45), np.linspace(-1.1, 1.1, 45)), -1)
+    xy = np.vstack([grid.reshape(-1, 2), _test_points(rng, ring)])
+    assert np.array_equal(_points_in_polygon(xy, ring), reference_points_in_polygon(xy, ring))
+
+
+# -- cap node expansion ---------------------------------------------------------------
+
+
+def reference_node_points(mesh):
+    """The ring loop: one node after another, pole ring first."""
+    sign = 1.0 if mesh.cap_pole_latitude > 0 else -1.0
+    lat, lon = [], []
+    for r, count in zip(mesh.radii, mesh._ring_counts()):
+        for j in range(count):
+            lat.append(mesh.cap_pole_latitude - sign * r)
+            lon.append(normalize_longitude(2 * math.pi * j / count))
+    return np.array(lat), np.array(lon)
+
+
+@pytest.mark.parametrize("pole", ["south", "north"])
+def test_cap_node_points_match_ring_loop(pole):
+    mesh = build_cap_mesh(math.radians(30), math.radians(0.25), pole)
+    lat, lon = mesh.node_points()
+    ref_lat, ref_lon = reference_node_points(mesh)
+    assert len(lat) == mesh.node_count
+    assert lat.tobytes() == ref_lat.tobytes() and lon.tobytes() == ref_lon.tobytes()
+
+
+# -- columnar point GeoJSON -----------------------------------------------------------
+
+
+def reference_collection(lon_deg, lat_deg, columns):
+    """The collection as objects, for ``dumps``."""
+    return {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": [x, y]},
+                "properties": {name: float(values[i]) for name, values in columns.items()},
+            }
+            for i, (x, y) in enumerate(zip(lon_deg.tolist(), lat_deg.tolist()))
+        ],
+    }
+
+
+# -0, subnormals, the normal minimum, the %g switches to and from exponents
+# (1e-5, 1e15, 1e16) and the top of the range
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-5, 9.99999999999999e-5,
+    1e-4, 999999999999999.0, 1e15, -1e15, 9999999999999998.0, 1e16, -1e16, 1.5e16,
+    123456789012345.67, 1e308, -1.7976931348623157e308,
+]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def point_tables(draw):
+    names = draw(st.lists(st.text(max_size=4), max_size=3, unique=True))
+    rows = draw(st.integers(0, 6))
+    values = draw(st.lists(finite_floats, min_size=rows * (2 + len(names)),
+                           max_size=rows * (2 + len(names))))
+    table = np.array(values, dtype=float).reshape(rows, 2 + len(names))
+    return table[:, 0], table[:, 1], {name: table[:, 2 + k] for k, name in enumerate(names)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=point_tables())
+def test_point_collection_text_is_dumps_of_objects(table):
+    lon, lat, columns = table
+    assert point_feature_collection(lon, lat, columns) == dumps(
+        reference_collection(lon, lat, columns)
+    )
+
+
+def test_point_collection_property_names_are_escaped():
+    columns = {'m "%s" %%': np.array([1.5]), "\u00e9\n": np.array([-0.0]), "": np.array([2.0])}
+    lon, lat = np.array([10.0]), np.array([-20.0])
+    text = point_feature_collection(lon, lat, columns)
+    assert text == dumps(reference_collection(lon, lat, columns))
+    properties = json.loads(text)["features"][0]["properties"]
+    assert properties == {'m "%s" %%': 1.5, "\u00e9\n": 0.0, "": 2.0}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", range(4))
+def test_point_collection_non_finite_value(bad, column):
+    # the first non-finite value in document order raises what dumps raises
+    table = np.ones((3, 4))
+    table[1, column] = bad
+    table[2, 0] = -math.inf if bad == math.inf else math.inf  # later, and another value
+    lon, lat, columns = table[:, 0], table[:, 1], {"m": table[:, 2], "u": table[:, 3]}
+    error = _raised(point_feature_collection, lon, lat, columns)
+    assert error == (NonFiniteValue, f"non-finite value {bad} in output")
+    assert error == _raised(dumps, reference_collection(lon, lat, columns))
 
 
 # -- closed-form dilatation ---------------------------------------------------------
@@ -353,7 +558,7 @@ def test_dilatation_errors(spec, point, kind, message):
         dilatation_analytic(spec, point)
     assert type(info.value) is kind and str(info.value) == message
     # the report raises the same error for its first failing sample
-    assert _raised(distortion_report, spec, [FINE, point]) == (kind, message)
+    assert _report_error(spec, [FINE, point]) == (kind, message)
 
 
 @pytest.mark.parametrize(
