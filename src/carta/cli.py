@@ -318,11 +318,11 @@ def run_graticule(config: JobConfig) -> str:
 def run_distortion(config: JobConfig) -> str:
     spec = config.spec()
     mesh = _region_mesh(config)
-    report = distortion_report(spec, *mesh.node_points())
+    lat, lon = mesh.node_points()
+    report = distortion_report(spec, lat, lon)
     if config.out_path:
         config.outputs[config.out_path] = geojson_io.point_feature_collection(
-            np.degrees(report.longitude),
-            np.degrees(report.latitude),
+            np.degrees(lon), np.degrees(lat),
             {"m": report.m, "conformality_defect": report.conformality_defect},
         ) + "\n"
     lines = [

@@ -189,8 +189,6 @@ def _diagonal_defects(
 class DistortionReport:
     """Dilatation and conformality defect per sample point, and the extrema."""
 
-    latitude: np.ndarray
-    longitude: np.ndarray
     m: np.ndarray
     conformality_defect: np.ndarray
     m_min: float
@@ -226,4 +224,4 @@ def distortion_report(
     if np.any(defects < 0.0):
         raise ValueError("conformality defect must be >= 0")
     m_min, m_max = float(m.min()), float(m.max())
-    return DistortionReport(lat, lon, m, defects, m_min, m_max, m_max / m_min)
+    return DistortionReport(m, defects, m_min, m_max, m_max / m_min)
