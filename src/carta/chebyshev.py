@@ -6,6 +6,16 @@ Poisson problem  Delta_sphere u = 1  with u = 0 on the boundary (the
 boundary constant is free, so zero is used).  Solving that problem on a
 mesh yields the optimal distortion ratio exp(-min u) directly, without
 reconstructing the map itself.
+
+Caps and polygons share one discretization.  The region is drawn in the
+stereographic chart centred on it, which is conformal, so the equation
+becomes  Delta_z u = 4 / (1 + |z|^2)^2.  Every boundary piece is a plane
+section n.v = d of the sphere (a cap is one circle, a polygon edge a
+great-circle arc with d = 0), so it crosses each line of a square chart
+grid where a quadratic is zero.  Those crossings give the even-odd inside
+test and the arm lengths of the Shortley-Weller stencil (J. Appl. Phys.
+9, 334, 1938), whose arms end on the true boundary: the solve is second
+order, for regions around a pole too.
 """
 
 from __future__ import annotations
@@ -19,98 +29,69 @@ import scipy.sparse.linalg
 
 from .errors import (
     DegenerateBoundary,
-    DisconnectedRegion,
     EmptyRegion,
     NoConvergence,
     RegionTooSmall,
     SelfIntersectingBoundary,
 )
-from .geometry import SpherePoint, normalize_longitude, normalize_longitude_array
+from .geometry import SpherePoint, normalize_longitude_array
 from .lagrange import LagrangeProjectionSpec, dilatation_array
 
 RESIDUAL_TOL = 1e-8
 
-# nodes this close (radians) to a boundary vertex latitude count as on-ring
-_CAP_LATITUDE_TOL = 1e-9
+# a grid node closer than this (in grid spacings) to the boundary is taken
+# as a boundary point: its stencil would divide by the distance
+_MIN_ARM = 1e-6
 
 
 @dataclass(frozen=True)
 class RegionMesh:
-    """Grid discretization of a spherical region for the 5-point stencil.
+    """Chart grid nodes inside a region, then the boundary points where
+    their stencil arms end.
 
-    Two layouts: ``grid`` is a latitude/longitude grid clipped to a
-    polygon; ``cap`` is the 1D radial layout for pole-centred caps, which
-    sidesteps the longitude-grid singularity at the pole.
+    The first ``interior_count`` points are the unknowns; row k of
+    ``neighbors`` and ``arms`` gives, east, west, north and south in the
+    chart, the point each arm of unknown k ends at and the arm's length in
+    grid spacings (1 for a full arm, less where it meets the boundary).
     """
 
-    kind: str  # "grid" | "cap"
-    delta: float
-    # grid layout
-    latitudes: np.ndarray | None = None  # per node
-    longitudes: np.ndarray | None = None
-    boundary_flag: np.ndarray | None = None  # True on Dirichlet nodes
-    neighbors: np.ndarray | None = None  # (n, 4) indices, -1 outside
-    # cap layout
-    cap_radius: float = 0.0
-    cap_pole_latitude: float = 0.0  # -pi/2 (south) or +pi/2 (north)
-    radii: np.ndarray | None = None
+    delta: float  # geodesic spacing asked for: the chart spacing is delta / 2
+    center: np.ndarray  # unit vector of the chart centre
+    latitudes: np.ndarray  # per point
+    longitudes: np.ndarray
+    neighbors: np.ndarray  # (interior_count, 4) point indices
+    arms: np.ndarray  # (interior_count, 4) in (0, 1]
 
     @property
     def node_count(self) -> int:
-        if self.kind == "grid":
-            return len(self.latitudes)
-        return sum(self._ring_counts())
+        return len(self.latitudes)
 
     @property
     def interior_count(self) -> int:
-        if self.kind == "grid":
-            return int(np.sum(~self.boundary_flag))
-        return sum(self._ring_counts()[:-1])
+        return len(self.neighbors)
 
-    def _ring_counts(self) -> list[int]:
-        # one node at the pole, full rings inside, a half-weight ring on the
-        # boundary (its cell is clipped by the region edge)
-        counts = [1]
-        for r in self.radii[1:-1]:
-            counts.append(max(1, round(2.0 * math.pi * math.sin(r) / self.delta)))
-        counts.append(max(1, round(math.pi * math.sin(self.radii[-1]) / self.delta)))
-        return counts
+    @property
+    def boundary_flag(self) -> np.ndarray:
+        """True on the boundary points, where u = 0."""
+        return np.arange(self.node_count) >= self.interior_count
 
     def node_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """(latitude, longitude) arrays of all mesh nodes (rings expanded for caps)."""
-        if self.kind == "grid":
-            return self.latitudes, self.longitudes
-        sign = 1.0 if self.cap_pole_latitude > 0 else -1.0
-        counts = self._ring_counts()
-        # node j of a ring of `count` nodes sits at longitude 2 pi j / count
-        count = np.repeat(counts, counts)
-        j = np.arange(len(count)) - np.repeat(np.cumsum(counts) - counts, counts)
-        lat = np.repeat(self.cap_pole_latitude - sign * self.radii, counts)
-        return lat, normalize_longitude_array(2 * math.pi * j / count)
-
-    def node_values(self, radial_values: np.ndarray) -> np.ndarray:
-        """Expand per-ring values to per-node values (caps only)."""
-        if self.kind == "grid":
-            return radial_values
-        return np.repeat(radial_values, self._ring_counts())
+        """(latitude, longitude) arrays of all mesh points."""
+        return self.latitudes, self.longitudes
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """One value per mesh node (per ring for cap meshes)."""
+    """One value per mesh point."""
 
     mesh: RegionMesh
     values: np.ndarray
 
     def boundary_values(self) -> np.ndarray:
-        if self.mesh.kind == "grid":
-            return self.values[self.mesh.boundary_flag]
-        return self.values[-1:]
+        return self.values[self.mesh.boundary_flag]
 
     def interior_values(self) -> np.ndarray:
-        if self.mesh.kind == "grid":
-            return self.values[~self.mesh.boundary_flag]
-        return self.values[:-1]
+        return self.values[~self.mesh.boundary_flag]
 
 
 # -- region meshing ------------------------------------------------------------
@@ -129,31 +110,27 @@ def _close_ring(vertices) -> list[SpherePoint]:
     return distinct
 
 
-def _gnomonic_frame(vertices: list[SpherePoint]):
-    """Tangent-plane chart about the vertex centroid; great circles map to
-    straight lines, so polygon edges become segments."""
-    vs = np.array([p.unit_vector() for p in vertices])
-    center = vs.sum(axis=0)
-    norm = np.linalg.norm(center)
-    if norm < 1e-9:
-        raise SelfIntersectingBoundary("boundary vertices have no mean direction")
-    center /= norm
+def _frame(center: np.ndarray) -> np.ndarray:
+    """Rows e1, e2, center: an orthonormal frame with the chart axes first."""
     helper = np.array([0.0, 0.0, 1.0]) if abs(center[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     e1 = np.cross(center, helper)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(center, e1)
-    cos_margin = math.cos(math.radians(89.0))
+    return np.array([e1, np.cross(center, e1), center])
 
-    def to_plane(unit_vectors: np.ndarray) -> np.ndarray:
-        dots = unit_vectors @ center
-        if np.any(dots < cos_margin):
-            raise SelfIntersectingBoundary(
-                "region is not contained in one hemisphere (with margin)"
-            )
-        scaled = unit_vectors / dots[:, None]
-        return np.column_stack([scaled @ e1, scaled @ e2])
 
-    return to_plane, center
+def _gnomonic_frame(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(frame, vertex images) of the tangent-plane chart about the vertex
+    centroid; great circles map to straight lines, so polygon edges become
+    segments."""
+    center = units.sum(axis=0)
+    norm = np.linalg.norm(center)
+    if norm < 1e-9:
+        raise SelfIntersectingBoundary("boundary vertices have no mean direction")
+    frame = _frame(center / norm)
+    local = units @ frame.T
+    if np.any(local[:, 2] < math.cos(math.radians(89.0))):
+        raise SelfIntersectingBoundary("region is not contained in one hemisphere (with margin)")
+    return frame, local[:, :2] / local[:, 2:]
 
 
 # rows of segment pairs tested at once in _check_simple: each temporary
@@ -183,242 +160,197 @@ def _check_simple(poly_xy: np.ndarray) -> None:
             raise SelfIntersectingBoundary(f"boundary edges {i[a, 0]} and {j[0, b]} cross")
 
 
-def _points_in_polygon(xy: np.ndarray, poly_xy: np.ndarray) -> np.ndarray:
-    """Strict even-odd crossing test, vectorized over test points.
+def _crossings(normals, offsets, ends, h, axes):
+    """Crossings of the chart lines v = j h (j integer) with the boundary.
 
-    Points within 1e-9 of an edge count as outside, so grid nodes landing
-    exactly on the boundary are classified consistently.
+    The pieces are the planes n.v = d, in frame coordinates; ``ends`` is
+    None for full circles, else the (start, stop) unit vectors of
+    great-circle arcs.  ``axes`` orders the chart axes as (u, v): (0, 1)
+    for lines of constant y, (1, 0) for lines of constant x.  Returns the
+    line numbers j and the crossings' u in grid spacings.
+
+    An arc crosses a line an odd number of times exactly when its two ends
+    lie on either side of it (an end on the line counts as below), so the
+    ends, which neighbouring arcs share, fix the parity and the roots only
+    place the crossings.  How far inside the arc each root lies (its
+    margin, in radians) picks the root when the parity is odd, and both
+    roots or neither when it is even.
     """
-    order = np.argsort(xy[:, 1], kind="stable")
-    x, y = xy[order, 0], xy[order, 1]
-    inside = np.zeros(len(xy), dtype=bool)
-    near_edge = np.zeros(len(xy), dtype=bool)
-    n = len(poly_xy)
-    for i in range(n):
-        x1, y1 = poly_xy[i]
-        x2, y2 = poly_xy[(i + 1) % n]
-        # in y order, the points that may straddle the edge or lie within 1e-9 of it
-        lo, hi = np.searchsorted(y, [min(y1, y2) - 2e-9, max(y1, y2) + 2e-9])
-        xs, ys = x[lo:hi], y[lo:hi]
-        straddles = (y1 > ys) != (y2 > ys)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = x1 + (ys - y1) * (x2 - x1) / (y2 - y1)
-        inside[lo:hi] ^= straddles & (xs < np.where(straddles, x_cross, np.inf))
-        # squared distance to the segment
-        ex, ey = x2 - x1, y2 - y1
-        seg2 = ex * ex + ey * ey
-        t = np.clip(((xs - x1) * ex + (ys - y1) * ey) / max(seg2, 1e-300), 0.0, 1.0)
-        d2 = (xs - (x1 + t * ex)) ** 2 + (ys - (y1 + t * ey)) ** 2
-        near_edge[lo:hi] |= d2 < 1e-18
-    inside[order] = inside & ~near_edge  # back to the order of xy
-    return inside
-
-
-def _detect_cap(vertices: list[SpherePoint]) -> tuple[float, float] | None:
-    """(pole latitude, cap radius) when the ring bounds a polar cap."""
-    lats = np.array([p.latitude for p in vertices])
-    if np.ptp(lats) > _CAP_LATITUDE_TOL:
-        return None
-    lat0 = float(lats.mean())
-    winding = 0.0
-    for i in range(len(vertices)):
-        winding += normalize_longitude(
-            vertices[(i + 1) % len(vertices)].longitude - vertices[i].longitude
+    order = [*axes, 2]
+    a, b, g = normals[:, order].T
+    area = g + offsets  # chart curve: area |z|^2 - 2 a u - 2 b v + offsets - g = 0
+    radius_area = np.sqrt(np.maximum(a * a + b * b + g * g - offsets**2, 0.0))
+    if ends is None:
+        lo, hi = (b - radius_area) / area, (b + radius_area) / area
+    else:
+        across = np.cross(normals, ends[0])[:, order]
+        total = np.arctan2(np.linalg.norm(np.cross(*ends), axis=1), np.sum(ends[0] * ends[1], 1))
+        start, stop = (e[:, order] for e in ends)
+        (us, vs), (ut, vt) = (e[:, :2].T / (1.0 + e[:, 2]) for e in (start, stop))
+        half2 = ((us - ut) ** 2 + (vs - vt) ** 2) / 4
+        # sagitta of the chord: how far the arc bulges past its ends
+        sag = half2 * np.abs(area) / (
+            radius_area + np.sqrt(np.maximum(radius_area**2 - half2 * area**2, 0.0))
         )
-    if abs(abs(winding) - 2 * math.pi) > 1e-6:
-        raise DegenerateBoundary("constant-latitude boundary does not encircle a pole")
-    if lat0 < 0:
-        return -math.pi / 2, math.pi / 2 + lat0
-    return math.pi / 2, math.pi / 2 - lat0
+        lo, hi = np.minimum(vs, vt) - sag, np.maximum(vs, vt) + sag
+    first = np.ceil(lo / h).astype(int)
+    counts = np.maximum(np.floor(hi / h).astype(int) - first + 1, 0)
+    piece = np.repeat(np.arange(len(a)), counts)
+    line = first[piece] + np.arange(len(piece)) - np.repeat(np.cumsum(counts) - counts, counts)
+    v = line * h
+    quad, lin = area[piece], -2.0 * a[piece]
+    const = quad * v * v - 2.0 * b[piece] * v + (offsets - g)[piece]
+    disc = lin * lin - 4.0 * quad * const
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (lin + np.copysign(np.sqrt(np.maximum(disc, 0.0)), lin))
+        roots = np.stack([q / quad, const / q])  # no cancellation; a line's q / 0 is dropped
+    finite = np.isfinite(roots)
+    if ends is None:  # a tangent line (disc = 0) crosses twice or not at all: not at all
+        keep = finite & (disc > 0)
+    else:
+
+        def dot(e):  # (1 + |z|^2) times the root's unit vector, dotted with e
+            e = e[piece]
+            return 2.0 * (roots * e[:, 0] + v * e[:, 1]) + (1.0 - roots**2 - v * v) * e[:, 2]
+
+        with np.errstate(invalid="ignore"):
+            angle = np.arctan2(dot(across), dot(start))
+        margin = np.where(finite, np.minimum(angle, total[piece] - angle), -np.inf)
+        odd = (vs[piece] > v) != (vt[piece] > v)
+        first_root = margin[0] >= margin[1]
+        both = (disc > 0) & (margin.sum(axis=0) > 0)
+        keep = finite & np.where(odd, [first_root, ~first_root], both)
+    keep = keep.ravel()
+    return np.concatenate([line, line])[keep], (roots / h).ravel()[keep]
+
+
+def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
+    """Mesh the region bounded by the plane sections n.v = d (in the
+    coordinates of ``frame``) on the chart grid of spacing delta / 2."""
+    h = delta / 2
+    row_j, row_x = _crossings(normals, offsets, ends, h, (0, 1))
+    col_i, col_y = _crossings(normals, offsets, ends, h, (1, 0))
+    if not len(row_j):
+        raise RegionTooSmall(f"no grid nodes inside the region at delta={delta}")
+    # the grid spans the crossings with one node to spare on every side
+    xs, ys = np.concatenate([row_x, col_i]), np.concatenate([row_j, col_y])
+    i0, j0 = math.floor(xs.min()) - 1, math.floor(ys.min()) - 1
+    shape = (math.ceil(ys.max()) + 2 - j0, math.ceil(xs.max()) + 2 - i0)
+
+    arms = np.ones((4,) + shape)  # east, west, north, south
+    toggles = np.zeros(shape, dtype=int)
+    cell = np.floor(row_x).astype(int)
+    r, c, frac = row_j - j0, cell - i0, row_x - cell
+    np.add.at(toggles, (r, c + 1), 1)  # a crossing flips the nodes east of it
+    np.minimum.at(arms[0], (r, c), frac)
+    np.minimum.at(arms[1], (r, c + 1), 1.0 - frac)
+    cell = np.floor(col_y).astype(int)
+    r, c, frac = cell - j0, col_i - i0, col_y - cell
+    np.minimum.at(arms[2], (r, c), frac)
+    np.minimum.at(arms[3], (r + 1, c), 1.0 - frac)
+    unknown = (np.cumsum(toggles, axis=1) % 2 == 1) & (arms.min(axis=0) >= _MIN_ARM)
+
+    jj, ii = np.nonzero(unknown)
+    n = len(jj)
+    if n < 9:
+        raise RegionTooSmall(f"only {n} interior nodes at delta={delta}")
+    theta = arms[:, jj, ii].T
+    dj, di = np.array([0, 0, 1, -1]), np.array([1, -1, 0, 0])
+    nj, ni = jj[:, None] + dj, ii[:, None] + di
+    full = theta == 1.0
+    # a full arm that does not reach an unknown ends at a node on the boundary
+    edge = np.zeros(shape, dtype=bool)
+    edge[nj[full], ni[full]] = True
+    bj, bi = np.nonzero(edge & ~unknown)
+    index = np.zeros(shape, dtype=int)
+    index[jj, ii] = np.arange(n)
+    index[bj, bi] = n + np.arange(len(bj))
+    neighbors = index[nj, ni]
+    neighbors[~full] = n + len(bj) + np.arange(np.count_nonzero(~full))
+    # points: the unknowns, the boundary nodes, then the short arms' ends
+    x = h * (i0 + np.concatenate([ii, bi, (ii[:, None] + di * theta)[~full]]))
+    y = h * (j0 + np.concatenate([jj, bj, (jj[:, None] + dj * theta)[~full]]))
+    rho2 = x * x + y * y
+    v = frame.T @ (np.stack([2.0 * x, 2.0 * y, 1.0 - rho2]) / (1.0 + rho2))
+    return RegionMesh(
+        delta=delta,
+        center=frame[2],
+        latitudes=np.arctan2(v[2], np.hypot(v[0], v[1])),
+        longitudes=normalize_longitude_array(np.arctan2(v[1], v[0])),
+        neighbors=neighbors,
+        arms=theta,
+    )
 
 
 def build_cap_mesh(radius: float, delta: float, pole: str = "south") -> RegionMesh:
-    """Radial mesh of a pole-centred cap of the given geodesic radius."""
+    """Mesh of the pole-centred cap of the given geodesic radius: a disc
+    about the pole in the chart."""
     if not (0.0 < radius < math.pi / 2):
         raise ValueError(f"cap radius {radius} outside (0, pi/2)")
     if delta <= 0:
         raise ValueError("mesh spacing must be positive")
-    n = round(radius / delta)
-    if n < 3:
-        raise RegionTooSmall(f"cap of radius {radius} has {max(n - 1, 0)} interior rings")
-    step = radius / n
-    mesh = RegionMesh(
-        kind="cap",
-        delta=step,
-        cap_radius=radius,
-        cap_pole_latitude=-math.pi / 2 if pole == "south" else math.pi / 2,
-        radii=np.arange(n + 1) * step,
-    )
-    if mesh.interior_count < 9:
-        raise RegionTooSmall("fewer than 9 interior nodes")
-    return mesh
+    frame = _frame(np.array([0.0, 0.0, -1.0 if pole == "south" else 1.0]))
+    circle = np.array([[0.0, 0.0, 1.0]]), np.array([math.cos(radius)])  # n = pole, d = cos R
+    return _chart_mesh(frame, *circle, None, delta)
 
 
 def build_region_mesh(boundary, delta: float) -> RegionMesh:
-    """Mesh the inside of a closed boundary polyline at grid spacing delta.
+    """Mesh the inside of a closed boundary polyline at spacing delta.
 
     Vertices may be SpherePoints or (lat, lon) pairs in radians; edges are
-    great-circle arcs.  A constant-latitude ring around a pole is routed to
-    the radial cap layout.
+    great-circle arcs.  The chart is centred on the vertex centroid.
     """
     if delta <= 0:
         raise ValueError("mesh spacing must be positive")
-    vertices = _close_ring(boundary)
-
-    cap = _detect_cap(vertices)
-    if cap is not None:
-        pole_lat, radius = cap
-        return build_cap_mesh(radius, delta, "south" if pole_lat < 0 else "north")
-
-    to_plane, _ = _gnomonic_frame(vertices)
-    poly_xy = to_plane(np.array([p.unit_vector() for p in vertices]))
+    units = np.array([p.unit_vector() for p in _close_ring(boundary)])
+    frame, poly_xy = _gnomonic_frame(units)
     _check_simple(poly_xy)
-
-    lats = np.array([p.latitude for p in vertices])
-    lons = np.unwrap(np.array([p.longitude for p in vertices]))
-    i_lat = np.arange(math.ceil(lats.min() / delta), math.floor(lats.max() / delta) + 1)
-    i_lon = np.arange(math.ceil(lons.min() / delta), math.floor(lons.max() / delta) + 1)
-    if len(i_lat) == 0 or len(i_lon) == 0:
-        raise RegionTooSmall("no grid nodes inside the region")
-    lat_grid, lon_grid = np.meshgrid(i_lat * delta, i_lon * delta, indexing="ij")
-    shape = lat_grid.shape
-
-    cos_lat = np.cos(lat_grid.ravel())
-    units = np.column_stack(
-        [
-            cos_lat * np.cos(lon_grid.ravel()),
-            cos_lat * np.sin(lon_grid.ravel()),
-            np.sin(lat_grid.ravel()),
-        ]
-    )
-    inside = _points_in_polygon(to_plane(units), poly_xy).reshape(shape)
-
-    padded = np.zeros((shape[0] + 2, shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = inside
-    nbr_inside = (
-        padded[:-2, 1:-1].astype(int)
-        + padded[2:, 1:-1]
-        + padded[1:-1, :-2]
-        + padded[1:-1, 2:]
-    )
-    boundary_flag_grid = inside & (nbr_inside < 4)
-
-    index = -np.ones(shape, dtype=int)
-    node_ids = np.flatnonzero(inside.ravel())
-    index.ravel()[node_ids] = np.arange(len(node_ids))
-    ii, jj = np.nonzero(inside)
-    neighbors = np.full((len(node_ids), 4), -1, dtype=int)
-    for k, (di, dj) in enumerate([(1, 0), (-1, 0), (0, 1), (0, -1)]):
-        ni, nj = ii + di, jj + dj
-        valid = (ni >= 0) & (ni < shape[0]) & (nj >= 0) & (nj < shape[1])
-        neighbors[valid, k] = index[ni[valid], nj[valid]]
-
-    interior = ~boundary_flag_grid[ii, jj]
-    if int(interior.sum()) < 9:
-        raise RegionTooSmall(f"only {int(interior.sum())} interior nodes at delta={delta}")
-
-    # connectivity over the 4-adjacency graph
-    n_nodes = len(node_ids)
-    seen = np.zeros(n_nodes, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for nb in neighbors[node]:
-            if nb >= 0 and not seen[nb]:
-                seen[nb] = True
-                stack.append(nb)
-    if not seen.all():
-        raise DisconnectedRegion("region mesh splits into several components")
-
-    return RegionMesh(
-        kind="grid",
-        delta=delta,
-        latitudes=lat_grid[ii, jj],
-        longitudes=normalize_longitude_array(lon_grid[ii, jj]),
-        boundary_flag=boundary_flag_grid[ii, jj],
-        neighbors=neighbors,
-    )
+    starts = units @ frame.T
+    stops = np.roll(starts, -1, axis=0)
+    normals = np.cross(starts, stops)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return _chart_mesh(frame, normals, np.zeros(len(units)), (starts, stops), delta)
 
 
 # -- the Poisson solve ----------------------------------------------------------
 
 
-def _solve_grid(mesh: RegionMesh) -> np.ndarray:
-    n = mesh.node_count
-    interior = np.flatnonzero(~mesh.boundary_flag)
-    pos = -np.ones(n, dtype=int)
-    pos[interior] = np.arange(len(interior))
-    d = mesh.delta
-    rows, cols, data = [], [], []
-    rhs = np.full(len(interior), 1.0)
-    for row, node in enumerate(interior):
-        lat = mesh.latitudes[node]
-        tan_lat = math.tan(lat)
-        sec2 = 1.0 / math.cos(lat) ** 2
-        north, south, east, west = mesh.neighbors[node]
-        if min(north, south, east, west) < 0:
-            raise NoConvergence("interior node lost a neighbor (malformed mesh)")
-        stencil = [
-            (node, -2.0 / d**2 - 2.0 * sec2 / d**2),
-            (north, 1.0 / d**2 - tan_lat / (2.0 * d)),
-            (south, 1.0 / d**2 + tan_lat / (2.0 * d)),
-            (east, sec2 / d**2),
-            (west, sec2 / d**2),
-        ]
-        for nb, coeff in stencil:
-            if pos[nb] >= 0:
-                rows.append(row)
-                cols.append(pos[nb])
-                data.append(coeff)
-            # boundary neighbors contribute coeff * 0: nothing to move
-    matrix = scipy.sparse.csr_matrix(
-        (data, (rows, cols)), shape=(len(interior), len(interior))
-    )
-    u_int = scipy.sparse.linalg.spsolve(matrix, rhs)
-    u = np.zeros(n)
-    u[interior] = u_int
-
-    residual = np.abs(matrix @ u_int - rhs).max() if len(interior) else 0.0
-    if not np.all(np.isfinite(u)) or residual > RESIDUAL_TOL:
-        raise NoConvergence(f"grid solve residual {residual}")
-    return u
-
-
-def _solve_cap(mesh: RegionMesh) -> np.ndarray:
-    # radial problem u'' + cot(r) u' = 1, u'(0) = 0, u(R) = 0
-    n = len(mesh.radii) - 1
-    d = mesh.delta
-    main = np.zeros(n)
-    lower = np.zeros(n - 1)
-    upper = np.zeros(n - 1)
-    rhs = np.full(n, 1.0)
-    main[0] = -4.0 / d**2
-    upper[0] = 4.0 / d**2
-    for i in range(1, n):
-        cot = 1.0 / math.tan(mesh.radii[i])
-        main[i] = -2.0 / d**2
-        lower[i - 1] = 1.0 / d**2 - cot / (2.0 * d)
-        if i < n - 1:
-            upper[i] = 1.0 / d**2 + cot / (2.0 * d)
-        # at i = n-1 the (i+1) term multiplies u(R) = 0 and drops
-    matrix = scipy.sparse.diags([lower, main, upper], [-1, 0, 1], format="csr")
-    u_in = scipy.sparse.linalg.spsolve(matrix, rhs)
-    u = np.append(u_in, 0.0)
-    residual = np.abs(matrix @ u_in - rhs).max()
-    if not np.all(np.isfinite(u)) or residual > RESIDUAL_TOL:
-        raise NoConvergence(f"cap solve residual {residual}")
-    return u
-
-
 def solve_log_scale(mesh: RegionMesh) -> ScalarField:
-    """Solve Delta u = 1 with u = 0 on the boundary nodes.
+    """Solve Delta u = 1 with u = 0 on the boundary points.
 
     The solution is the log-scale of the distortion-minimizing conformal
     map, non-positive everywhere by the maximum principle.
     """
-    values = _solve_grid(mesh) if mesh.kind == "grid" else _solve_cap(mesh)
-    return ScalarField(mesh, values)
+    n = mesh.interior_count
+    east, west, north, south = mesh.arms.T
+    scale = 2.0 / (mesh.delta / 2) ** 2  # the chart spacing is delta / 2
+    coeffs = scale * np.column_stack(
+        [1 / (east * (east + west)), 1 / (west * (east + west)),
+         1 / (north * (north + south)), 1 / (south * (north + south))]
+    )
+    # arms ending at boundary points multiply u = 0 and drop out
+    row, arm = np.nonzero(mesh.neighbors < n)
+    diagonal = -scale * (1 / (east * west) + 1 / (north * south))
+    matrix = scipy.sparse.csr_matrix(
+        (
+            np.concatenate([diagonal, coeffs[row, arm]]),
+            (np.concatenate([np.arange(n), row]),
+             np.concatenate([np.arange(n), mesh.neighbors[row, arm]])),
+        ),
+        shape=(n, n),
+    )
+    lat, lon = mesh.latitudes[:n], mesh.longitudes[:n]
+    cx, cy, cz = mesh.center
+    cos_angle = np.cos(lat) * (np.cos(lon) * cx + np.sin(lon) * cy) + np.sin(lat) * cz
+    rhs = (1.0 + cos_angle) ** 2  # 4 / (1 + |z|^2)^2, as |z| = tan(angle / 2)
+    u_int = scipy.sparse.linalg.spsolve(matrix, rhs)
+    u = np.zeros(mesh.node_count)
+    u[:n] = u_int
+
+    residual = np.abs(matrix @ u_int - rhs).max()
+    if not np.all(np.isfinite(u)) or residual > RESIDUAL_TOL:
+        raise NoConvergence(f"solve residual {residual}")
+    return ScalarField(mesh, u)
 
 
 def distortion_ratio(field: ScalarField) -> float:
@@ -432,9 +364,9 @@ def discretization_allowance(mesh: RegionMesh) -> float:
 
 
 def projection_ratio(mesh: RegionMesh, spec: LagrangeProjectionSpec) -> float:
-    """max m / min m of a projection's dilatation sampled on the mesh nodes.
+    """max m / min m of a projection's dilatation sampled on the mesh points.
 
-    Nodes where the dilatation is singular (for instance the South pole
+    Points where the dilatation is singular (for instance the South pole
     under an exponent below 1, where the scale diverges) are dropped,
     which only lowers the ratio; the optimality inequality stays valid.
     """
@@ -451,7 +383,7 @@ def chebyshev_vs_projection(
     """(optimal ratio, projection ratio) over the same region mesh.
 
     The optimal ratio comes from the boundary-constant log-scale solve;
-    the projection ratio from sampling its dilatation on the mesh nodes.
+    the projection ratio from sampling its dilatation on the mesh points.
     Up to discretization error the first can never exceed the second on a
     geodesically convex region.
     """

@@ -17,10 +17,9 @@ otherwise it is fixed by the category of the error (see ``carta.errors``):
   beyond the floating-point range;
 * 5 ``SolverError``: ``NoConvergence``;
 * 6 ``DegenerateInput``: ``DegenerateBoundary``,
-  ``SelfIntersectingBoundary``, ``RegionTooSmall``, ``DisconnectedRegion``,
-  ``DegeneratePolygon``, ``DegenerateTriangle``, ``CoincidentPoints``,
-  ``InfeasibleAngles``, ``PoleOnVertex``, ``InsufficientPoints``,
-  ``DegenerateTransform``.
+  ``SelfIntersectingBoundary``, ``RegionTooSmall``, ``DegeneratePolygon``,
+  ``DegenerateTriangle``, ``CoincidentPoints``, ``InfeasibleAngles``,
+  ``PoleOnVertex``, ``InsufficientPoints``, ``DegenerateTransform``.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .chebyshev import (
     projection_ratio,
     solve_log_scale,
 )
-from .distortion import distortion_report
+from .distortion import cap_samples, distortion_report
 from .darboux import Triangle, find_inversion, image_triangle_sides, inversions_for_sides
 from .errors import (
     CartaError,
@@ -317,8 +316,10 @@ def run_graticule(config: JobConfig) -> str:
 
 def run_distortion(config: JobConfig) -> str:
     spec = config.spec()
-    mesh = _region_mesh(config)
-    lat, lon = mesh.node_points()
+    if config.cap_deg is not None:  # a cap is sampled on rings, without a mesh
+        lat, lon = cap_samples(math.radians(config.cap_deg), math.radians(config.delta_deg))
+    else:
+        lat, lon = _region_mesh(config).node_points()
     report = distortion_report(spec, lat, lon)
     if config.out_path:
         config.outputs[config.out_path] = geojson_io.point_feature_collection(
@@ -346,7 +347,6 @@ def run_chebyshev(config: JobConfig) -> str:
     )
     lines = [
         "chebyshev report",
-        f"mesh-kind: {mesh.kind}",
         f"delta-deg: {fmt(math.degrees(mesh.delta))}",
         f"nodes: {mesh.node_count}",
         f"interior-nodes: {mesh.interior_count}",
@@ -376,7 +376,7 @@ def run_chebyshev(config: JobConfig) -> str:
         ]
     if config.out_path:
         lat, lon = mesh.node_points()
-        u = mesh.node_values(field.values)
+        u = field.values
         m = np.fromiter(map(math.exp, u.tolist()), float, len(u))  # np.exp may round differently
         config.outputs[config.out_path] = geojson_io.point_feature_collection(
             np.degrees(lon), np.degrees(lat), {"u": u, "m": m}
@@ -538,10 +538,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        config.validate()
-        text = _RUNNERS[config.subcommand](config)
-        _flush_outputs(config)
+        # every result is checked for finiteness, so numpy's own warnings
+        # would only precede the one error line
+        with np.errstate(all="ignore"):
+            config = _config_from_args(args)
+            config.validate()
+            text = _RUNNERS[config.subcommand](config)
+            _flush_outputs(config)
     except CartaError as exc:
         print(f"carta: {type(exc).__name__}: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CartaError, DomainEdge, EmptyRegion
+from .errors import CartaError, DomainEdge, EmptyRegion, RegionTooSmall
 from .geometry import PlanePoint, SpherePoint, normalize_longitude_array
 from .lagrange import LagrangeProjectionSpec, dilatation_array, dilatation_error, project_array
 from .surfaces import SPHERE
@@ -225,3 +225,22 @@ def distortion_report(
         raise ValueError("conformality defect must be >= 0")
     m_min, m_max = float(m.min()), float(m.max())
     return DistortionReport(m, defects, m_min, m_max, m_max / m_min)
+
+
+def cap_samples(radius: float, delta: float, pole: str = "south") -> tuple[np.ndarray, np.ndarray]:
+    """(latitude, longitude) arrays of a radial sample layout of the
+    pole-centred cap: the pole, then rings about delta apart with about
+    one sample per delta of their length, and half as many on the rim."""
+    n = round(radius / delta)
+    if n < 3:
+        raise RegionTooSmall(f"cap of radius {radius} has {max(n - 1, 0)} interior rings")
+    step = radius / n
+    radii = np.arange(n + 1) * step
+    counts = [1] + [max(1, round(2.0 * math.pi * math.sin(r) / step)) for r in radii[1:-1]]
+    counts.append(max(1, round(math.pi * math.sin(radii[-1]) / step)))
+    sign = 1.0 if pole == "north" else -1.0
+    # sample j of a ring of `count` samples sits at longitude 2 pi j / count
+    count = np.repeat(counts, counts)
+    j = np.arange(len(count)) - np.repeat(np.cumsum(counts) - counts, counts)
+    lat = np.repeat(sign * math.pi / 2 - sign * radii, counts)
+    return lat, normalize_longitude_array(2 * math.pi * j / count)

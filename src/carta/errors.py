@@ -115,10 +115,6 @@ class RegionTooSmall(DegenerateInput):
     """Mesh spacing too coarse for the region (fewer than 9 interior nodes)."""
 
 
-class DisconnectedRegion(DegenerateInput):
-    """Meshed region splits into several grid components."""
-
-
 class PoleOnVertex(DegenerateInput):
     """Inversion pole coincides with a triangle vertex."""
 

@@ -2,7 +2,8 @@
 
 Closed-form oracle for pole-centred caps: u(r) = ln((1+cos R)/(1+cos r)),
 the log-scale of the centred stereographic projection, which satisfies
-the unit-curvature Poisson equation exactly.
+the unit-curvature Poisson equation exactly.  Its optimal ratio is
+1/cos^2(R/2) (Milnor 1969).
 """
 
 import math
@@ -32,6 +33,24 @@ def cap_u_exact(cap_radius, r):
     return math.log((1.0 + math.cos(cap_radius)) / (1.0 + math.cos(r)))
 
 
+def distances_from_south_pole(mesh):
+    lat, _ = mesh.node_points()
+    return lat + math.pi / 2
+
+
+def pole_value(field):
+    """u at the pole node of a south cap: the chart centre is a grid node."""
+    lat, _ = field.mesh.node_points()
+    return field.values[np.argmin(lat)]
+
+
+def worst_cap_error(field, cap_radius):
+    return max(
+        abs(u - cap_u_exact(cap_radius, r))
+        for u, r in zip(field.values, distances_from_south_pole(field.mesh))
+    )
+
+
 def france_boundary():
     return [
         SpherePoint.from_degrees(40, -5),
@@ -45,11 +64,20 @@ def france_boundary():
 
 
 def test_cap_mesh_node_count_matches_area_estimate():
+    # grid nodes only: the boundary points where arms end lie on the rim
     mesh = build_cap_mesh(math.radians(20), math.radians(1.0))
     estimate = 2 * math.pi * (1 - math.cos(math.radians(20))) / math.radians(1.0) ** 2
-    assert abs(mesh.node_count - estimate) / estimate < 0.05
-    # connected by construction: rings are contiguous in radius
-    assert mesh.kind == "cap"
+    assert abs(mesh.interior_count - estimate) / estimate < 0.05
+
+
+def test_cap_boundary_points_lie_on_the_rim():
+    # arms end where they meet the cap circle, or at a node within 1e-6
+    # grid spacings of it
+    cap_radius, delta = math.radians(25), math.radians(0.5)
+    mesh = build_cap_mesh(cap_radius, delta)
+    rim = distances_from_south_pole(mesh)[mesh.boundary_flag]
+    assert np.all(np.abs(rim - cap_radius) < 1e-6 * delta)
+    assert np.all(distances_from_south_pole(mesh)[~mesh.boundary_flag] < cap_radius)
 
 
 def test_degenerate_boundary_rejected():
@@ -84,11 +112,103 @@ def test_france_mesh_interior_fully_connected():
     assert mesh.interior_count >= 9
 
 
-def test_cap_detected_from_ring_boundary():
-    ring = [SpherePoint.from_degrees(-60, lon) for lon in range(-180, 180, 5)]
-    mesh = build_region_mesh(ring, math.radians(0.5))
-    assert mesh.kind == "cap"
-    assert mesh.cap_radius == pytest.approx(math.radians(30), abs=1e-9)
+def test_great_circle_square_below_its_cap():
+    # great-circle edges bow inside the parallel through the vertices, so
+    # the square is a proper part of the 10-degree cap and does better
+    square = [SpherePoint.from_degrees(80, lon) for lon in (0, 90, 180, 270)]
+    delta = math.radians(0.5)
+    ratio_square = distortion_ratio(solve_log_scale(build_region_mesh(square, delta)))
+    ratio_cap = distortion_ratio(
+        solve_log_scale(build_cap_mesh(math.radians(10), delta, "north"))
+    )
+    assert 1.0 < ratio_square < ratio_cap
+
+
+@pytest.mark.parametrize(
+    "spacings, delta", [(5, 0.05), (6, 0.04542372881355933), (7, 0.044661016949152546)]
+)
+def test_cap_rim_tangent_to_a_grid_line(spacings, delta):
+    # the rim touches the grid line `spacings` chart spacings from the pole;
+    # a tangent line has a double root and must add no crossing, or every
+    # node east of the pole on that line is taken as inside
+    cap_radius = 2 * math.atan(spacings * delta / 2)
+    mesh = build_cap_mesh(cap_radius, delta)
+    ratio = distortion_ratio(solve_log_scale(mesh))
+    assert abs(ratio - 1 / math.cos(cap_radius / 2) ** 2) <= discretization_allowance(mesh)
+    assert np.all(distances_from_south_pole(mesh) < cap_radius + 1e-12)
+
+
+def unit_vectors(lat, lon):
+    return np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+
+
+def reference_inside(points, vertices):
+    """Even-odd ray casting, point after point, in a gnomonic chart about
+    the vertex centroid, where the great-circle edges are straight."""
+    c = vertices.sum(axis=0) / np.linalg.norm(vertices.sum(axis=0))
+    e1 = np.cross(c, [0.3, -0.5, 0.8])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(c, e1)
+    poly = [(v @ e1 / (v @ c), v @ e2 / (v @ c)) for v in vertices]
+    inside = []
+    for p in points:
+        x, y = p @ e1 / (p @ c), p @ e2 / (p @ c)
+        crossings = 0
+        for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+            if (y1 > y) != (y2 > y) and x < x1 + (y - y1) * (x2 - x1) / (y2 - y1):
+                crossings += 1
+        inside.append(crossings % 2 == 1)
+    return np.array(inside)
+
+
+def distance_to_boundary(points, vertices):
+    """Geodesic distance from each point to the nearest great-circle edge."""
+    stops = np.roll(vertices, -1, axis=0)
+    normals = np.cross(vertices, stops)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    sin_off = points @ normals.T
+    foot = points[:, None, :] - sin_off[..., None] * normals
+    on_arc = (np.einsum("pkj,kj->pk", foot, np.cross(normals, vertices)) >= 0) & (
+        np.einsum("pkj,kj->pk", foot, np.cross(stops, normals)) >= 0
+    )
+    to_vertex = np.arccos(np.clip(points @ vertices.T, -1.0, 1.0))
+    return np.where(on_arc, np.arcsin(np.abs(sin_off)), to_vertex).min(axis=1)
+
+
+def test_mesh_points_against_per_point_reference(rng):
+    # random star-shaped polygons, and regular ones about a pole with
+    # vertices on the chart axes, so that grid lines pass through vertices:
+    # every unknown is inside and every boundary point is on the boundary
+    # (a point within 1e-6 grid spacings of it counts), so no run of nodes
+    # was put on the wrong side of a crossing
+    meshed = 0
+    for k in range(100):
+        n = int(rng.integers(3, 40))
+        if k % 4 == 0:
+            r = np.full(n, math.radians(8.0))
+            lat, lon = math.pi / 2 - r, 2 * math.pi * np.arange(n) / n
+        else:
+            lat0, lon0 = rng.uniform(-1.5, 1.5), rng.uniform(-math.pi, math.pi)
+            bearing = np.sort(rng.uniform(0, 2 * math.pi, n))
+            r = np.radians(rng.uniform(2, 15, n))
+            lat = np.arcsin(
+                math.sin(lat0) * np.cos(r) + math.cos(lat0) * np.sin(r) * np.cos(bearing)
+            )
+            lon = lon0 + np.arctan2(
+                np.sin(bearing) * np.sin(r) * math.cos(lat0),
+                np.cos(r) - math.sin(lat0) * np.sin(lat),
+            )
+        delta = math.radians(float(rng.choice([0.5, 1.0, 2.0])))
+        try:
+            mesh = build_region_mesh(list(zip(lat, lon)), delta)
+        except (RegionTooSmall, SelfIntersectingBoundary):
+            continue
+        meshed += 1
+        vertices = unit_vectors(lat, lon)
+        points = unit_vectors(*mesh.node_points())
+        assert reference_inside(points[: mesh.interior_count], vertices).all()
+        assert np.all(distance_to_boundary(points[mesh.boundary_flag], vertices) < 1e-6 * delta)
+    assert meshed >= 80
 
 
 # -- the solve ------------------------------------------------------------------
@@ -98,12 +218,8 @@ def test_cap_solution_matches_closed_form():
     cap_radius = math.radians(30)
     mesh = build_cap_mesh(cap_radius, math.radians(0.25))
     field = solve_log_scale(mesh)
-    assert field.values[0] == pytest.approx(cap_u_exact(cap_radius, 0.0), abs=1e-4)
-    worst = max(
-        abs(u - cap_u_exact(cap_radius, r))
-        for u, r in zip(field.values, mesh.radii)
-    )
-    assert worst < 1e-4
+    assert pole_value(field) == pytest.approx(cap_u_exact(cap_radius, 0.0), abs=1e-4)
+    assert worst_cap_error(field, cap_radius) < 1e-4
 
 
 def test_shrinking_cap_leading_order():
@@ -111,7 +227,7 @@ def test_shrinking_cap_leading_order():
     cap_radius = math.radians(2)
     mesh = build_cap_mesh(cap_radius, math.radians(0.25))
     field = solve_log_scale(mesh)
-    assert field.values[0] == pytest.approx(-(cap_radius**2) / 4.0, rel=0.05)
+    assert pole_value(field) == pytest.approx(-(cap_radius**2) / 4.0, rel=0.05)
 
 
 def test_boundary_values_exactly_zero():
@@ -138,33 +254,40 @@ def test_grid_convergence_second_order():
     errors = []
     for delta in (math.radians(1.0), math.radians(0.5)):
         mesh = build_cap_mesh(cap_radius, delta)
-        field = solve_log_scale(mesh)
-        errors.append(
-            max(
-                abs(u - cap_u_exact(cap_radius, r))
-                for u, r in zip(field.values, mesh.radii)
-            )
-        )
+        errors.append(worst_cap_error(solve_log_scale(mesh), cap_radius))
     factor = errors[0] / errors[1]
     assert 3.5 <= factor <= 4.5
 
 
+def test_cap_ratio_converges_at_second_order():
+    cap_radius = math.radians(10)
+    exact = 1.0 / math.cos(cap_radius / 2) ** 2
+    errors = [
+        abs(distortion_ratio(solve_log_scale(build_cap_mesh(cap_radius, math.radians(d)))) - exact)
+        for d in (0.4, 0.2, 0.1)
+    ]
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert min(orders) >= 1.8, orders
+
+
 def test_grid_solution_satisfies_stencil_residual():
-    # the discrete equations hold to 1e-8 at every interior node
+    # the Shortley-Weller equations hold to 1e-8 at every interior node
     mesh = build_region_mesh(france_boundary(), math.radians(0.5))
     field = solve_log_scale(mesh)
-    d = mesh.delta
+    h = mesh.delta / 2  # the chart spacing
+    lat, lon = mesh.node_points()
     worst = 0.0
     for node in np.flatnonzero(~mesh.boundary_flag):
-        lat = mesh.latitudes[node]
-        north, south, east, west = (field.values[i] for i in mesh.neighbors[node])
+        east, west, north, south = (field.values[i] for i in mesh.neighbors[node])
+        te, tw, tn, ts = mesh.arms[node]
         u = field.values[node]
-        laplacian = (
-            (north - 2 * u + south) / d**2
-            - math.tan(lat) * (north - south) / (2 * d)
-            + (east - 2 * u + west) / (d * math.cos(lat)) ** 2
+        laplacian = (2 / h**2) * (
+            (east / te + west / tw) / (te + tw) - u / (te * tw)
+            + (north / tn + south / ts) / (tn + ts) - u / (tn * ts)
         )
-        worst = max(worst, abs(laplacian - 1.0))
+        # in the stereographic chart, Delta_z u = 4 / (1 + |z|^2)^2 = (1 + cos angle)^2
+        cos_angle = SpherePoint(lat[node], lon[node]).unit_vector() @ mesh.center
+        worst = max(worst, abs(laplacian - (1 + cos_angle) ** 2))
     assert worst < 1e-8
 
 

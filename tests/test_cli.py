@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -202,6 +203,40 @@ def test_chebyshev_region_too_small_exit_6(france_geojson, capsys):
     )
     assert code == 6
     assert "RegionTooSmall" in capsys.readouterr().err
+
+
+def _write_ring(path, lat_lon_deg):
+    ring = [[lon, lat] for lat, lon in lat_lon_deg]
+    path.write_text(json.dumps({"type": "Polygon", "coordinates": [ring + ring[:1]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("delta_deg", ["0.8", "0.4", "0.2", "0.1"])
+def test_chebyshev_offcap_polygon_matches_stereographic(tmp_path, capsys, delta_deg):
+    # a 720-gon on the 10-degree cap about (20N, 37E): the stereographic
+    # centred there is optimal (Milnor 1969) at every resolution
+    lat0, lon0, r = math.radians(20), math.radians(37), math.radians(10)
+    bearing = 0.003 + np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
+    lat = np.arcsin(math.sin(lat0) * math.cos(r) + math.cos(lat0) * math.sin(r) * np.cos(bearing))
+    lon = lon0 + np.arctan2(
+        np.sin(bearing) * math.sin(r) * math.cos(lat0), math.cos(r) - math.sin(lat0) * np.sin(lat)
+    )
+    region = _write_ring(tmp_path / "offcap.geojson", zip(np.degrees(lat), np.degrees(lon)))
+    report = tmp_path / "report.txt"
+    code = run_cli(
+        "chebyshev", "--region", region, "--centered-on", "20,37",
+        "--delta-deg", delta_deg, "--report", str(report),
+    )
+    assert code == 0
+    assert "verdict: optimal-matches-projection" in report.read_text()
+
+
+def test_chebyshev_region_around_a_pole(tmp_path, capsys):
+    region = _write_ring(
+        tmp_path / "polar.geojson", [(70, 0), (75, 90), (70, 180), (75, 270)]
+    )
+    assert run_cli("chebyshev", "--region", region, "--delta-deg", "0.5") == 0
+    assert "ratio-optimal: 1.0" in capsys.readouterr().out
 
 
 def test_chebyshev_no_convergence_exit_5(monkeypatch, capsys):
@@ -405,32 +440,43 @@ def test_pinned_inputs_exit_codes(tmp_path, capsys, command, document, extra, ex
     assert run_cli(*argv) == expected
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["graticule", "--inversion-pole", "1,0", "--inversion-power", "1e300"], 4),
-        (["graticule", "--exponent", "0.01", "--inversion-pole", "1e4,0", "--inversion-power", "1"],
-         0),
-        (["distortion", "--cap-deg", "10", "--inversion-pole", "1e200,0", "--inversion-power", "1"],
-         2),
-        (["distortion", "--cap-deg", "10", "--inversion-pole", "0,0", "--inversion-power", "1"], 4),
-        (["chebyshev", "--cap-deg", "10", "--delta-deg", "1", "--inversion-pole", "0,0",
-          "--inversion-power", "1"], 0),
-        (["chebyshev", "--cap-deg", "10", "--inversion-pole", "x", "--inversion-power", "1"], 2),
-        (["distortion", "--cap-deg", "5e-324"], 2),
-        (["darboux", "--source", "0,0,1e300,0,0,1e300", "--target", "0,0,2,0.3,0.7,1.8"], 4),
-        (["darboux", "--source", "0,0,2,0.3,0.7,1.8",
-          "--target-sides", "2.368395386452327e-151,9.328371860139446e+172,1e300"], 4),
-        (["darboux", "--source", "3,-1.3,-1e-10,0,1.3e-150,-1e-300", "--target-sides", "1,5e-324,2"],
-         4),
-        (["darboux", "--source", "1.3e-150,0,5e-324,1e-10,3.9,-5e-324",
-          "--target-sides", "5e-324,2,1e-300"], 4),
-        (["darboux", "--source", "1.3e150,1e-300,-5e-324,3.9,5e-324,1e150",
-          "--target", "1.3e10,1e-150,1e-150,-0.0,-2.0,1.3e10"], 4),
-    ],
-)
+EXTREME_FLAG_VALUES = [
+    (["graticule", "--inversion-pole", "1,0", "--inversion-power", "1e300"], 4),
+    (["graticule", "--exponent", "0.01", "--inversion-pole", "1e4,0", "--inversion-power", "1"],
+     0),
+    (["distortion", "--cap-deg", "10", "--inversion-pole", "1e200,0", "--inversion-power", "1"],
+     2),
+    (["distortion", "--cap-deg", "10", "--inversion-pole", "0,0", "--inversion-power", "1"], 4),
+    (["chebyshev", "--cap-deg", "10", "--delta-deg", "1", "--inversion-pole", "0,0",
+      "--inversion-power", "1"], 0),
+    (["chebyshev", "--cap-deg", "10", "--inversion-pole", "x", "--inversion-power", "1"], 2),
+    (["distortion", "--cap-deg", "5e-324"], 2),
+    (["darboux", "--source", "0,0,1e300,0,0,1e300", "--target", "0,0,2,0.3,0.7,1.8"], 4),
+    (["darboux", "--source", "0,0,2,0.3,0.7,1.8",
+      "--target-sides", "2.368395386452327e-151,9.328371860139446e+172,1e300"], 4),
+    (["darboux", "--source", "3,-1.3,-1e-10,0,1.3e-150,-1e-300", "--target-sides", "1,5e-324,2"],
+     4),
+    (["darboux", "--source", "1.3e-150,0,5e-324,1e-10,3.9,-5e-324",
+      "--target-sides", "5e-324,2,1e-300"], 4),
+    (["darboux", "--source", "1.3e150,1e-300,-5e-324,3.9,5e-324,1e150",
+      "--target", "1.3e10,1e-150,1e-150,-0.0,-2.0,1.3e10"], 4),
+]
+
+
+@pytest.mark.parametrize("argv, expected", EXTREME_FLAG_VALUES)
 def test_extreme_flag_values_exit_codes(capsys, argv, expected):
     assert run_cli(*argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, expected", [case for case in EXTREME_FLAG_VALUES if case[1] != 0]
+)
+def test_extreme_flag_values_print_one_error_line(capsys, recwarn, argv, expected):
+    # numpy's overflow warnings would precede the error line
+    assert run_cli(*argv) == expected
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("carta: "), err
 
 
 @pytest.mark.parametrize("flag", ["--region", "--out", "--svg", "--report"])

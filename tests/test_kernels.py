@@ -1,11 +1,11 @@
 """Array kernels against the per-point code they replace.
 
 The per-point forward projection, the per-point closed-form dilatation,
-the double loop of the boundary self-intersection test, the edge loop of
-the point-in-polygon test and the ring loop of the cap node expansion are
-kept here as oracles; the batched conformality probes are checked against
-the public per-point ``conformality_defect``, and the columnar point
-GeoJSON writer against ``dumps`` of the same collection built as objects.
+the double loop of the boundary self-intersection test and the ring loop
+of the cap sample layout are kept here as oracles; the batched
+conformality probes are checked against the public per-point
+``conformality_defect``, and the columnar point GeoJSON writer against
+``dumps`` of the same collection built as objects.
 """
 
 import cmath
@@ -29,13 +29,8 @@ from carta import (
     distortion_report,
     project,
 )
-from carta.chebyshev import (
-    _check_simple,
-    _points_in_polygon,
-    build_cap_mesh,
-    projection_ratio,
-)
-from carta.distortion import dilatation_analytic
+from carta.chebyshev import _check_simple, build_cap_mesh, projection_ratio
+from carta.distortion import cap_samples, dilatation_analytic
 from carta.errors import (
     BranchOverflow,
     DomainEdge,
@@ -45,6 +40,7 @@ from carta.errors import (
     PoleDegenerate,
     PoleSingularity,
     ProjectionPole,
+    RegionTooSmall,
     SelfIntersectingBoundary,
 )
 from carta.geojson_io import dumps, point_feature_collection
@@ -324,94 +320,41 @@ def test_check_simple_matches_double_loop(rng, monkeypatch):
     assert outcomes == {True, False}  # both simple and self-intersecting rings were drawn
 
 
-# -- point-in-polygon ----------------------------------------------------------------
+# -- cap sample layout ----------------------------------------------------------------
 
 
-def reference_points_in_polygon(xy, poly_xy):
-    """The edge loop, each edge over every point."""
-    inside = np.zeros(len(xy), dtype=bool)
-    near_edge = np.zeros(len(xy), dtype=bool)
-    n = len(poly_xy)
-    x, y = xy[:, 0], xy[:, 1]
-    for i in range(n):
-        x1, y1 = poly_xy[i]
-        x2, y2 = poly_xy[(i + 1) % n]
-        straddles = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= straddles & (x < np.where(straddles, x_cross, np.inf))
-        ex, ey = x2 - x1, y2 - y1
-        seg2 = ex * ex + ey * ey
-        t = np.clip(((x - x1) * ex + (y - y1) * ey) / max(seg2, 1e-300), 0.0, 1.0)
-        d2 = (x - (x1 + t * ex)) ** 2 + (y - (y1 + t * ey)) ** 2
-        near_edge |= d2 < 1e-18
-    return inside & ~near_edge
-
-
-def _test_points(rng, poly):
-    """Random points, the vertices, points on the edges, points about 1e-9
-    off them on either side or off the vertices in any direction, and
-    points level with the vertices."""
-    edges = np.roll(poly, -1, axis=0) - poly
-    t = rng.uniform(0.0, 1.0, (len(poly), 4, 1))
-    on_edges = (poly[:, None, :] + t * edges[:, None, :]).reshape(-1, 2)
-    normals = np.repeat(np.column_stack([-edges[:, 1], edges[:, 0]]), 4, axis=0)
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-    offsets = rng.choice([-3e-9, -2e-9, -1e-9, -5e-10, 5e-10, 1e-9, 2e-9, 3e-9], len(on_edges))
-    turn = rng.uniform(0.0, 2 * math.pi, (len(poly), 8))
-    distance = rng.uniform(0.0, 3e-9, (len(poly), 8))
-    around = poly[:, None, :] + distance[..., None] * np.stack([np.cos(turn), np.sin(turn)], -1)
-    level = np.column_stack([rng.uniform(-1.6, 1.6, len(poly)), poly[:, 1]])
-    return np.vstack(
-        [rng.uniform(-1.6, 1.6, (300, 2)), poly, on_edges,
-         on_edges + offsets[:, None] * normals, around.reshape(-1, 2), level]
-    )
-
-
-def test_points_in_polygon_matches_edge_loop(rng):
-    outcomes = set()
-    for _ in range(100):
-        n = int(rng.integers(3, 40))
-        angles = np.sort(rng.uniform(0, 2 * math.pi, n))
-        radii = rng.uniform(0.5, 1.5, n)
-        star = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-        xy = _test_points(rng, star)
-        got = _points_in_polygon(xy, star)
-        assert np.array_equal(got, reference_points_in_polygon(xy, star))
-        outcomes.update(got.tolist())
-    assert outcomes == {True, False}
-
-
-def test_points_in_polygon_on_a_fine_ring(rng):
-    # a 720-gon with grid points, some landing on its vertices and edges
-    angles = 2 * math.pi * np.arange(720) / 720
-    ring = np.column_stack([np.cos(angles), np.sin(angles)])
-    grid = np.stack(np.meshgrid(np.linspace(-1.1, 1.1, 45), np.linspace(-1.1, 1.1, 45)), -1)
-    xy = np.vstack([grid.reshape(-1, 2), _test_points(rng, ring)])
-    assert np.array_equal(_points_in_polygon(xy, ring), reference_points_in_polygon(xy, ring))
-
-
-# -- cap node expansion ---------------------------------------------------------------
-
-
-def reference_node_points(mesh):
-    """The ring loop: one node after another, pole ring first."""
-    sign = 1.0 if mesh.cap_pole_latitude > 0 else -1.0
+def reference_cap_samples(radius, delta, pole):
+    """The ring loop: n rings radius / n apart, one sample after another,
+    pole first; each ring has one sample per step of its length, the rim
+    half as many."""
+    pole_lat = math.pi / 2 if pole == "north" else -math.pi / 2
+    sign = 1.0 if pole == "north" else -1.0
+    n = round(radius / delta)
+    step = radius / n
     lat, lon = [], []
-    for r, count in zip(mesh.radii, mesh._ring_counts()):
+    for i in range(n + 1):
+        r = np.float64(i) * step
+        length = math.pi * math.sin(r) if i == n else 2.0 * math.pi * math.sin(r)
+        count = 1 if i == 0 else max(1, round(length / step))
         for j in range(count):
-            lat.append(mesh.cap_pole_latitude - sign * r)
+            lat.append(pole_lat - sign * r)
             lon.append(normalize_longitude(2 * math.pi * j / count))
     return np.array(lat), np.array(lon)
 
 
 @pytest.mark.parametrize("pole", ["south", "north"])
 def test_cap_node_points_match_ring_loop(pole):
-    mesh = build_cap_mesh(math.radians(30), math.radians(0.25), pole)
-    lat, lon = mesh.node_points()
-    ref_lat, ref_lon = reference_node_points(mesh)
-    assert len(lat) == mesh.node_count
+    radius, delta = math.radians(30), math.radians(0.25)
+    lat, lon = cap_samples(radius, delta, pole)
+    ref_lat, ref_lon = reference_cap_samples(radius, delta, pole)
     assert lat.tobytes() == ref_lat.tobytes() and lon.tobytes() == ref_lon.tobytes()
+
+
+def test_cap_samples_need_two_interior_rings():
+    # two rings inside hold at least 16 samples, so no other count is checked
+    message = "^cap of radius 0.03490658503988659 has 1 interior rings$"
+    with pytest.raises(RegionTooSmall, match=message):
+        cap_samples(math.radians(2), math.radians(1))
 
 
 # -- columnar point GeoJSON -----------------------------------------------------------
@@ -561,14 +504,18 @@ def test_dilatation_errors(spec, point, kind, message):
     assert _report_error(spec, [FINE, point]) == (kind, message)
 
 
-@pytest.mark.parametrize(
-    "eccentricity, ratio", [(0.0, 5.170322795542452), (0.08, 5.168395192679835)]
-)
-def test_projection_ratio_drops_singular_nodes(eccentricity, ratio):
+@pytest.mark.parametrize("eccentricity", [0.0, 0.08])
+def test_projection_ratio_drops_singular_nodes(eccentricity):
     # the South-pole node of the cap has no finite scale under exponent 0.5
-    mesh = build_cap_mesh(math.radians(30), math.radians(1.0))
+    radius, delta = math.radians(30), math.radians(1.0)
+    mesh = build_cap_mesh(radius, delta)
     spec = LagrangeProjectionSpec(0.5, surface=SurfaceOfRevolution(eccentricity))
-    pole = SpherePoint(mesh.cap_pole_latitude, 0.0)
     with pytest.raises((OriginSingularity, PoleDegenerate)):
-        dilatation_analytic(spec, pole)
-    assert projection_ratio(mesh, spec) == ratio
+        dilatation_analytic(spec, SpherePoint(-math.pi / 2, 0.0))
+    # m(lat) falls away from the pole: the largest regular value is on the
+    # four nodes one chart spacing delta / 2 from it, at the geodesic
+    # distance 2 atan(delta / 2); the smallest is on the rim
+    nearest = SpherePoint(-math.pi / 2 + 2 * math.atan(delta / 2), 0.0)
+    rim = SpherePoint(-math.pi / 2 + radius, 0.0)
+    ratio = reference_dilatation(spec, nearest) / reference_dilatation(spec, rim)
+    assert projection_ratio(mesh, spec) == pytest.approx(ratio, rel=1e-12)
