@@ -479,6 +479,153 @@ def test_extreme_flag_values_print_one_error_line(capsys, recwarn, argv, expecte
     assert err.count("\n") == 1 and err.startswith("carta: "), err
 
 
+# argv (split on spaces; {region} is a small polygon file, {tmp} a scratch
+# directory), exit code and the one stderr line after "carta: "
+SOURCE = "0,0,2,0.3,0.7,1.8"
+GOLDEN_ERRORS = [
+    # the exit-2 cases of EXTREME_FLAG_VALUES and test_pinned_inputs_exit_codes
+    ("distortion --cap-deg 10 --inversion-pole 1e200,0 --inversion-power 1", 2,
+     "ConfigError: --inversion-pole beyond 1e150: squared distances would overflow"),
+    ("chebyshev --cap-deg 10 --inversion-pole x --inversion-power 1", 2,
+     "ConfigError: --inversion-pole expects comma-separated numbers"),
+    ("distortion --cap-deg 5e-324", 2, "ConfigError: --cap-deg 5e-324 outside (0, 90)"),
+    ("chebyshev --region {region} --delta-deg nan", 2,
+     "ConfigError: non-finite value for delta_deg: nan"),
+    ("chebyshev --region {region} --centered-on 95,0", 2,
+     "ConfigError: --centered-on latitude 95.0 outside [-90, 90]"),
+    ("chebyshev --region {region} --eccentricity 0.08 --compare-projection", 2,
+     "ConfigError: chebyshev solves with the sphere's metric: --eccentricity must be 0"),
+    ("project --region {region} --lat-step 89.99999999 --out {tmp}/out.geojson"
+     " --svg {tmp}/out.svg", 2, "ConfigError: --lat-step outside (0, 90)"),
+    # comma lists
+    ("graticule --centered-on 10", 2, "ConfigError: --centered-on expects 2 numbers, got 1"),
+    ("graticule --centered-on=", 2, "ConfigError: --centered-on expects comma-separated numbers"),
+    ("graticule --inversion-pole 1,2,3 --inversion-power 1", 2,
+     "ConfigError: --inversion-pole expects 2 numbers, got 3"),
+    ("darboux --source 0,0,1,0,0", 2, "ConfigError: --source expects 6 numbers, got 5"),
+    ("darboux --source 0;0;1;0;0;1", 2, "ConfigError: --source expects comma-separated numbers"),
+    (f"darboux --source {SOURCE} --target 1,2,x,4,5,6", 2,
+     "ConfigError: --target expects comma-separated numbers"),
+    (f"darboux --source {SOURCE} --target-sides 1,2", 2,
+     "ConfigError: --target-sides expects 3 numbers, got 2"),
+    (f"darboux --source {SOURCE} --target-sides 1,,2", 2,
+     "ConfigError: --target-sides expects comma-separated numbers"),
+    # non-finite values, named as the run's parameters
+    ("graticule --exponent nan", 2, "ConfigError: non-finite value for exponent: nan"),
+    ("graticule --central-meridian inf", 2,
+     "ConfigError: non-finite value for central_meridian_deg: inf"),
+    ("graticule --inversion-pole nan,0 --inversion-power 1", 2,
+     "ConfigError: non-finite value for inversion_pole: (nan, 0.0)"),
+    ("graticule --inversion-pole 1,0 --inversion-power=-inf", 2,
+     "ConfigError: non-finite value for inversion_power: -inf"),
+    ("graticule --centered-on 0,inf", 2,
+     "ConfigError: non-finite value for centered_on: (0.0, inf)"),
+    ("graticule --eccentricity nan", 2, "ConfigError: non-finite value for eccentricity: nan"),
+    ("distortion --cap-deg nan", 2, "ConfigError: non-finite value for cap_deg: nan"),
+    ("chebyshev --cap-deg 10 --tolerance nan", 2,
+     "ConfigError: non-finite value for tolerance: nan"),
+    ("graticule --lat-step inf", 2, "ConfigError: non-finite value for lat_step_deg: inf"),
+    ("project --region {region} --lon-step nan", 2,
+     "ConfigError: non-finite value for lon_step_deg: nan"),
+    ("darboux --source 0,0,1,0,0,nan --target-sides 1,1,1", 2,
+     "ConfigError: non-finite value for source: (0.0, 0.0, 1.0, 0.0, 0.0, nan)"),
+    (f"darboux --source {SOURCE} --target 0,0,1,0,0,1e400", 2,
+     "ConfigError: non-finite value for target: (0.0, 0.0, 1.0, 0.0, 0.0, inf)"),
+    (f"darboux --source {SOURCE} --target-sides nan,1,1", 2,
+     "ConfigError: non-finite value for target_sides: (nan, 1.0, 1.0)"),
+    # each range and combination check
+    ("graticule --exponent 0", 2, "ConfigError: --exponent 0.0 outside (0, 2]"),
+    ("graticule --exponent 2.5", 2, "ConfigError: --exponent 2.5 outside (0, 2]"),
+    ("graticule --central-meridian 181", 2,
+     "ConfigError: --central-meridian outside [-180, 180]"),
+    ("graticule --eccentricity 1", 2, "ConfigError: --eccentricity 1.0 outside [0, 1)"),
+    ("chebyshev --cap-deg 10 --eccentricity 0.1", 2,
+     "ConfigError: chebyshev solves with the sphere's metric: --eccentricity must be 0"),
+    ("graticule --inversion-pole 1,0", 2,
+     "ConfigError: --inversion-pole and --inversion-power go together"),
+    ("graticule --inversion-power 2", 2,
+     "ConfigError: --inversion-pole and --inversion-power go together"),
+    ("graticule --inversion-pole 1,0 --inversion-power 0", 2,
+     "ConfigError: --inversion-power must be non-zero"),
+    ("graticule --centered-on 10,10 --exponent 0.5", 2,
+     "ConfigError: --centered-on implies exponent 1 and no inversion flags"),
+    ("graticule --centered-on 10,10 --inversion-pole 1,0 --inversion-power 1", 2,
+     "ConfigError: --centered-on implies exponent 1 and no inversion flags"),
+    ("graticule --centered-on=-91,0", 2,
+     "ConfigError: --centered-on latitude -91.0 outside [-90, 90]"),
+    ("distortion --cap-deg 10 --delta-deg 0", 2, "ConfigError: --delta-deg must be positive"),
+    ("distortion --cap-deg 10 --delta-deg 5e-324", 2,
+     "ConfigError: --delta-deg must be positive"),
+    ("distortion --cap-deg 90", 2, "ConfigError: --cap-deg 90.0 outside (0, 90)"),
+    ("chebyshev --cap-deg -5", 2, "ConfigError: --cap-deg -5.0 outside (0, 90)"),
+    ("chebyshev --cap-deg 10 --tolerance 0", 2, "ConfigError: --tolerance must be positive"),
+    ("graticule --lat-step 0", 2, "ConfigError: --lat-step outside (0, 90)"),
+    ("graticule --lat-step 90", 2, "ConfigError: --lat-step outside (0, 90)"),
+    ("graticule --lon-step 181", 2, "ConfigError: --lon-step outside (0, 180]"),
+    ("graticule --lon-step -1", 2, "ConfigError: --lon-step outside (0, 180]"),
+    ("graticule --samples 7", 2, "ConfigError: --samples must be at least 8"),
+    # checks made by the subcommands, and paths
+    ("project --region {region}", 2, "ConfigError: project needs --out and/or --svg"),
+    ("distortion", 2, "ConfigError: need --region or --cap-deg"),
+    ("chebyshev --delta-deg 2", 2, "ConfigError: need --region or --cap-deg"),
+    (f"darboux --source {SOURCE}", 2, "ConfigError: darboux needs --target or --target-sides"),
+    (f"darboux --source {SOURCE} --target-sides 1,0,2", 2,
+     "ConfigError: --target-sides must be positive"),
+    ("darboux --source 0,0,1,0,2,0", 6, "DegenerateTriangle: triangle area below 1e-12"),
+    ("distortion --region {tmp}/missing.geojson", 2,
+     "ConfigError: cannot read {tmp}/missing.geojson: No such file or directory"),
+    ("project --region {tmp}/missing.geojson --out {tmp}/out.geojson", 2,
+     "ConfigError: cannot read {tmp}/missing.geojson: No such file or directory"),
+    ("graticule --svg {tmp}", 2, "ConfigError: cannot write {tmp}: Is a directory"),
+    # two bad flags: the order of the checks decides which one is reported
+    ("graticule --exponent 3 --central-meridian 200", 2,
+     "ConfigError: --exponent 3.0 outside (0, 2]"),
+    ("graticule --central-meridian 200 --eccentricity 2", 2,
+     "ConfigError: --central-meridian outside [-180, 180]"),
+    ("graticule --exponent nan --central-meridian inf", 2,
+     "ConfigError: non-finite value for exponent: nan"),
+    ("graticule --lat-step nan --exponent 5", 2,
+     "ConfigError: non-finite value for lat_step_deg: nan"),
+    ("graticule --centered-on x --exponent nan", 2,
+     "ConfigError: --centered-on expects comma-separated numbers"),
+    ("graticule --inversion-pole 1 --centered-on x", 2,
+     "ConfigError: --inversion-pole expects 2 numbers, got 1"),
+    ("darboux --source 1,2 --target x", 2, "ConfigError: --source expects 6 numbers, got 2"),
+    (f"darboux --source {SOURCE} --target 1 --target-sides x", 2,
+     "ConfigError: --target expects 6 numbers, got 1"),
+    ("chebyshev --cap-deg 100 --delta-deg 0", 2, "ConfigError: --delta-deg must be positive"),
+    ("chebyshev --cap-deg 100 --tolerance -1", 2,
+     "ConfigError: --cap-deg 100.0 outside (0, 90)"),
+    ("graticule --lat-step 0 --lon-step 0", 2, "ConfigError: --lat-step outside (0, 90)"),
+    ("graticule --lon-step 0 --samples 2", 2, "ConfigError: --lon-step outside (0, 180]"),
+    ("graticule --eccentricity 1.5 --inversion-pole 1,0", 2,
+     "ConfigError: --eccentricity 1.5 outside [0, 1)"),
+    ("chebyshev --cap-deg 10 --eccentricity 0.5 --inversion-power 1", 2,
+     "ConfigError: chebyshev solves with the sphere's metric: --eccentricity must be 0"),
+    ("graticule --centered-on 95,0 --exponent 0.5", 2,
+     "ConfigError: --centered-on implies exponent 1 and no inversion flags"),
+    ("distortion --centered-on 95,0 --cap-deg 100", 2,
+     "ConfigError: --centered-on latitude 95.0 outside [-90, 90]"),
+    ("graticule --inversion-power 0 --inversion-pole 1e200,0", 2,
+     "ConfigError: --inversion-power must be non-zero"),
+    ("project --region {tmp}/missing.geojson --exponent 3", 2,
+     "ConfigError: --exponent 3.0 outside (0, 2]"),
+    ("project --region {tmp}/missing.geojson", 2,
+     "ConfigError: project needs --out and/or --svg"),
+    ("darboux --source 0,0,1,0,2,0 --target-sides=-1,1,1", 6,
+     "DegenerateTriangle: triangle area below 1e-12"),
+]
+
+
+@pytest.mark.parametrize("argv, expected, line", GOLDEN_ERRORS)
+def test_golden_error_transcript(tmp_path, capsys, argv, expected, line):
+    region = tmp_path / "region.geojson"
+    region.write_text(json.dumps({"type": "Polygon", "coordinates": [GOOD_RING]}))
+    names = {"tmp": tmp_path, "region": region}
+    assert run_cli(*argv.format(**names).split(" ")) == expected
+    assert capsys.readouterr().err == f"carta: {line.format(**names)}\n"
+
+
 @pytest.mark.parametrize("flag", ["--region", "--out", "--svg", "--report"])
 def test_unusable_paths_exit_2(band_geojson, tmp_path, capsys, flag):
     out = tmp_path / "out.geojson"
