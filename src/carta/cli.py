@@ -7,8 +7,11 @@ otherwise it is fixed by the category of the error (see ``carta.errors``):
 
 * 2 ``ConfigError``: invalid or non-finite flag values, ``chebyshev
   --eccentricity`` other than 0 (the solve has the sphere's metric),
-  unreadable or unwritable paths, and an output naming the regular file
-  or pipe of standard output, which takes the report;
+  flags that would be ignored (``--centered-on`` with ``--eccentricity``
+  or ``--central-meridian`` other than 0, ``--cap-deg`` with ``--region``,
+  ``--target`` with ``--target-sides``), unreadable or unwritable paths,
+  and an output naming the regular file or pipe of standard output, which
+  takes the report;
 * 3 ``InputError``: ``GeoJsonError``, input that is not valid GeoJSON;
 * 4 ``DomainError``: ``ProjectionPole``, ``PoleSingularity``,
   ``PointAtInfinity``, ``BranchOverflow``, ``OutsideImage``,
@@ -29,7 +32,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,92 +69,8 @@ from .svg_render import svg_text
 EXIT_CODES = {ConfigError: 2, InputError: 3, DomainError: 4, SolverError: 5, DegenerateInput: 6}
 
 
-@dataclass
-class JobConfig:
-    """Validated run parameters; construction fails fast on bad values."""
-
-    subcommand: str
-    exponent: float = 1.0
-    central_meridian_deg: float = 0.0
-    inversion_pole: tuple[float, float] | None = None
-    inversion_power: float | None = None
-    centered_on: tuple[float, float] | None = None
-    eccentricity: float = 0.0
-    region_path: str | None = None
-    cap_deg: float | None = None
-    delta_deg: float | None = None
-    lat_step_deg: float = 15.0
-    lon_step_deg: float = 15.0
-    samples: int = 64
-    tolerance: float | None = None
-    out_path: str | None = None
-    svg_path: str | None = None
-    report_path: str | None = None
-    svg_timestamp: bool = False
-    source: tuple[float, ...] | None = None
-    target: tuple[float, ...] | None = None
-    target_sides: tuple[float, float, float] | None = None
-    projection_requested: bool = False
-    outputs: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        for name, value in vars(self).items():
-            values = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise ConfigError(f"non-finite value for {name}: {value}")
-        if not (0.0 < self.exponent <= 2.0):
-            raise ConfigError(f"--exponent {self.exponent} outside (0, 2]")
-        if not (-180.0 <= self.central_meridian_deg <= 180.0):
-            raise ConfigError("--central-meridian outside [-180, 180]")
-        if not (0.0 <= self.eccentricity < 1.0):
-            raise ConfigError(f"--eccentricity {self.eccentricity} outside [0, 1)")
-        if self.subcommand == "chebyshev" and self.eccentricity != 0.0:
-            raise ConfigError("chebyshev solves with the sphere's metric: --eccentricity must be 0")
-        if (self.inversion_pole is None) != (self.inversion_power is None):
-            raise ConfigError("--inversion-pole and --inversion-power go together")
-        if self.inversion_power is not None and self.inversion_power == 0.0:
-            raise ConfigError("--inversion-power must be non-zero")
-        if self.inversion_pole is not None and max(map(abs, self.inversion_pole)) > 1e150:
-            raise ConfigError("--inversion-pole beyond 1e150: squared distances would overflow")
-        if self.centered_on is not None and (
-            self.inversion_pole is not None or self.exponent != 1.0
-        ):
-            raise ConfigError("--centered-on implies exponent 1 and no inversion flags")
-        if self.centered_on is not None and not (-90.0 <= self.centered_on[0] <= 90.0):
-            raise ConfigError(f"--centered-on latitude {self.centered_on[0]} outside [-90, 90]")
-        # angles are checked after conversion, as the library receives them
-        if self.delta_deg is not None and not math.radians(self.delta_deg) > 0.0:
-            raise ConfigError("--delta-deg must be positive")
-        if self.cap_deg is not None and not (0.0 < math.radians(self.cap_deg) < math.pi / 2):
-            raise ConfigError(f"--cap-deg {self.cap_deg} outside (0, 90)")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ConfigError("--tolerance must be positive")
-        # graticule_image keeps its parallels 1e-9 radians off the poles
-        if not (0.0 < math.radians(self.lat_step_deg) <= math.pi / 2 - 1e-9):
-            raise ConfigError("--lat-step outside (0, 90)")
-        if not (0.0 < math.radians(self.lon_step_deg) <= math.pi):
-            raise ConfigError("--lon-step outside (0, 180]")
-        if self.samples < 8:
-            raise ConfigError("--samples must be at least 8")
-
-    def spec(self) -> LagrangeProjectionSpec:
-        if self.centered_on is not None:
-            return centered_stereographic(
-                SpherePoint.from_degrees(self.centered_on[0], self.centered_on[1])
-            )
-        post = None
-        if self.inversion_pole is not None:
-            post = Inversion(
-                PlanePoint(self.inversion_pole[0], self.inversion_pole[1]),
-                self.inversion_power,
-            )
-        surface = SPHERE if self.eccentricity == 0.0 else SurfaceOfRevolution(self.eccentricity)
-        return LagrangeProjectionSpec(
-            exponent=self.exponent,
-            central_meridian=math.radians(self.central_meridian_deg),
-            post_transform=post,
-            surface=surface,
-        )
+# the comma-list flags and how many numbers each takes
+_FLOAT_LISTS = {"inversion_pole": 2, "centered_on": 2, "source": 6, "target": 6, "target_sides": 3}
 
 
 def _parse_floats(text: str, count: int, flag: str) -> tuple[float, ...]:
@@ -165,24 +83,86 @@ def _parse_floats(text: str, count: int, flag: str) -> tuple[float, ...]:
     return parts
 
 
-def _region_mesh(config: JobConfig):
-    delta = math.radians(config.delta_deg if config.delta_deg is not None else 1.0)
-    if config.cap_deg is not None:
-        return build_cap_mesh(math.radians(config.cap_deg), delta)
-    if config.region_path is None:
+def validate(args: argparse.Namespace) -> None:
+    """Fail fast on bad flag values; flags a subcommand lacks are skipped."""
+    for name, value in vars(args).items():
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError(f"non-finite value for {name}: {value}")
+    if "exponent" in args:  # the projection flags: every subcommand but darboux
+        if not (0.0 < args.exponent <= 2.0):
+            raise ConfigError(f"--exponent {args.exponent} outside (0, 2]")
+        if not (-180.0 <= args.central_meridian_deg <= 180.0):
+            raise ConfigError("--central-meridian outside [-180, 180]")
+        if not (0.0 <= args.eccentricity < 1.0):
+            raise ConfigError(f"--eccentricity {args.eccentricity} outside [0, 1)")
+        if args.subcommand == "chebyshev" and args.eccentricity != 0.0:
+            raise ConfigError("chebyshev solves with the sphere's metric: --eccentricity must be 0")
+        if (args.inversion_pole is None) != (args.inversion_power is None):
+            raise ConfigError("--inversion-pole and --inversion-power go together")
+        if args.inversion_power == 0.0:
+            raise ConfigError("--inversion-power must be non-zero")
+        if args.inversion_pole is not None and max(map(abs, args.inversion_pole)) > 1e150:
+            raise ConfigError("--inversion-pole beyond 1e150: squared distances would overflow")
+        if args.centered_on is not None and (
+            args.inversion_pole is not None or args.exponent != 1.0
+        ):
+            raise ConfigError("--centered-on implies exponent 1 and no inversion flags")
+        if args.centered_on is not None and not (-90.0 <= args.centered_on[0] <= 90.0):
+            raise ConfigError(f"--centered-on latitude {args.centered_on[0]} outside [-90, 90]")
+    # angles are checked after conversion, as the library receives them
+    if "delta_deg" in args:  # distortion and chebyshev
+        if not math.radians(args.delta_deg) > 0.0:
+            raise ConfigError("--delta-deg must be positive")
+        if args.cap_deg is not None and not (0.0 < math.radians(args.cap_deg) < math.pi / 2):
+            raise ConfigError(f"--cap-deg {args.cap_deg} outside (0, 90)")
+    if getattr(args, "tolerance", None) is not None and args.tolerance <= 0:
+        raise ConfigError("--tolerance must be positive")
+    if "lat_step_deg" in args:  # project and graticule
+        # graticule_image keeps its parallels 1e-9 radians off the poles
+        if not (0.0 < math.radians(args.lat_step_deg) <= math.pi / 2 - 1e-9):
+            raise ConfigError("--lat-step outside (0, 90)")
+        if not (0.0 < math.radians(args.lon_step_deg) <= math.pi):
+            raise ConfigError("--lon-step outside (0, 180]")
+        if args.samples < 8:
+            raise ConfigError("--samples must be at least 8")
+    # flags that the run would otherwise ignore
+    if getattr(args, "centered_on", None) is not None and (
+        args.eccentricity != 0.0 or args.central_meridian_deg != 0.0
+    ):
+        raise ConfigError("--centered-on implies eccentricity 0 and central meridian 0")
+    if getattr(args, "cap_deg", None) is not None and args.region_path is not None:
+        raise ConfigError("give --cap-deg or --region, not both")
+    if getattr(args, "target", None) is not None and args.target_sides is not None:
+        raise ConfigError("give --target or --target-sides, not both")
+
+
+def projection_spec(args: argparse.Namespace) -> LagrangeProjectionSpec:
+    if args.centered_on is not None:
+        return centered_stereographic(SpherePoint.from_degrees(*args.centered_on))
+    post = None
+    if args.inversion_pole is not None:
+        post = Inversion(PlanePoint(*args.inversion_pole), args.inversion_power)
+    surface = SPHERE if args.eccentricity == 0.0 else SurfaceOfRevolution(args.eccentricity)
+    return LagrangeProjectionSpec(
+        exponent=args.exponent,
+        central_meridian=math.radians(args.central_meridian_deg),
+        post_transform=post,
+        surface=surface,
+    )
+
+
+def _region_mesh(args: argparse.Namespace):
+    delta = math.radians(args.delta_deg)
+    if args.cap_deg is not None:
+        return build_cap_mesh(math.radians(args.cap_deg), delta)
+    if args.region_path is None:
         raise ConfigError("need --region or --cap-deg")
-    boundary = geojson_io.region_polyline(geojson_io.load(config.region_path))
+    boundary = geojson_io.region_polyline(geojson_io.load(args.region_path))
     return build_region_mesh(boundary, delta)
 
 
-def _write_report(config: JobConfig, lines: list[str]) -> str:
-    text = "\n".join(lines) + "\n"
-    if config.report_path:
-        config.outputs[config.report_path] = text
-    return text
-
-
-def _flush_outputs(config: JobConfig) -> None:
+def _flush_outputs(outputs: dict[str, str]) -> None:
     """All file writing happens here, after every output has been computed.
 
     A regular file, or one not there yet, is written to a temporary file
@@ -199,7 +179,7 @@ def _flush_outputs(config: JobConfig) -> None:
     except OSError:  # standard output is closed
         shared = False
     staged, direct = {}, {}
-    for path, content in config.outputs.items():
+    for path, content in outputs.items():
         try:
             st = os.stat(path)
         except FileNotFoundError:
@@ -237,9 +217,24 @@ def _flush_outputs(config: JobConfig) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
-def run_project(config: JobConfig) -> str:
-    spec = config.spec()
-    if config.out_path is None and config.svg_path is None:
+def _graticule(
+    args: argparse.Namespace,
+    outputs: dict[str, str],
+    spec: LagrangeProjectionSpec,
+    feature_lines: list | tuple = (),
+) -> list:
+    """The fitted graticule curves; with ``--svg``, the map drawn over them."""
+    curves = graticule_image(
+        spec, math.radians(args.lat_step_deg), math.radians(args.lon_step_deg), args.samples
+    )
+    if args.svg_path:
+        outputs[args.svg_path] = svg_text(curves, feature_lines)
+    return curves
+
+
+def run_project(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
+    spec = projection_spec(args)
+    if args.out_path is None and args.svg_path is None:
         raise ConfigError("project needs --out and/or --svg")
 
     def mapper(lon_deg: np.ndarray, lat_deg: np.ndarray):
@@ -252,48 +247,28 @@ def run_project(config: JobConfig) -> str:
             raise type(exc)(f"cannot project {where}: {exc}") from exc
         return w.real, w.imag
 
-    projected, count = geojson_io.map_positions(geojson_io.load(config.region_path), mapper)
-    if config.out_path:
-        config.outputs[config.out_path] = geojson_io.dumps(projected) + "\n"
-    feature_lines = geojson_io.polylines(projected) if config.svg_path else ()
+    projected, count = geojson_io.map_positions(geojson_io.load(args.region_path), mapper)
+    if args.out_path:
+        outputs[args.out_path] = geojson_io.dumps(projected) + "\n"
+    feature_lines = geojson_io.polylines(projected) if args.svg_path else ()
     del projected  # not kept alive while the SVG text is built
-
-    curves = graticule_image(
-        spec,
-        math.radians(config.lat_step_deg),
-        math.radians(config.lon_step_deg),
-        config.samples,
-    )
-    if config.svg_path:
-        config.outputs[config.svg_path] = svg_text(
-            curves, feature_lines, timestamp=config.svg_timestamp
-        )
-
-    lines = [
+    curves = _graticule(args, outputs, spec, feature_lines)
+    worst = max((c.relative_residual for c in curves), default=0.0)
+    return [
         "project report",
-        f"exponent: {fmt(config.exponent)}",
-        f"central-meridian-deg: {fmt(config.central_meridian_deg)}",
+        f"exponent: {fmt(args.exponent)}",
+        f"central-meridian-deg: {fmt(args.central_meridian_deg)}",
         f"coordinates-projected: {count}",
         f"graticule-curves: {len(curves)}",
+        f"worst-relative-residual: {fmt(worst)}",
     ]
-    worst = max((c.relative_residual for c in curves), default=0.0)
-    lines.append(f"worst-relative-residual: {fmt(worst)}")
-    return _write_report(config, lines)
 
 
-def run_graticule(config: JobConfig) -> str:
-    spec = config.spec()
-    curves = graticule_image(
-        spec,
-        math.radians(config.lat_step_deg),
-        math.radians(config.lon_step_deg),
-        config.samples,
-    )
-    if config.svg_path:
-        config.outputs[config.svg_path] = svg_text(curves, timestamp=config.svg_timestamp)
+def run_graticule(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
+    curves = _graticule(args, outputs, projection_spec(args))
     lines = [
         "graticule report",
-        f"exponent: {fmt(config.exponent)}",
+        f"exponent: {fmt(args.exponent)}",
         f"curves: {len(curves)}",
     ]
     for fit in curves:
@@ -311,40 +286,37 @@ def run_graticule(config: JobConfig) -> str:
             f"{fit.curve_id} | {shape} | rms={fmt(fit.rms_residual)}"
             f" diameter={fmt(fit.diameter)} relative={fmt(fit.relative_residual)}"
         )
-    return _write_report(config, lines)
+    return lines
 
 
-def run_distortion(config: JobConfig) -> str:
-    spec = config.spec()
-    if config.cap_deg is not None:  # a cap is sampled on rings, without a mesh
-        lat, lon = cap_samples(math.radians(config.cap_deg), math.radians(config.delta_deg))
+def run_distortion(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
+    spec = projection_spec(args)
+    if args.cap_deg is not None:  # a cap is sampled on rings, without a mesh
+        lat, lon = cap_samples(math.radians(args.cap_deg), math.radians(args.delta_deg))
     else:
-        lat, lon = _region_mesh(config).node_points()
+        lat, lon = _region_mesh(args).node_points()
     report = distortion_report(spec, lat, lon)
-    if config.out_path:
-        config.outputs[config.out_path] = geojson_io.point_feature_collection(
+    if args.out_path:
+        outputs[args.out_path] = geojson_io.point_feature_collection(
             np.degrees(lon), np.degrees(lat),
             {"m": report.m, "conformality_defect": report.conformality_defect},
         ) + "\n"
-    lines = [
+    return [
         "distortion report",
-        f"exponent: {fmt(config.exponent)}",
+        f"exponent: {fmt(args.exponent)}",
         f"samples: {len(report.m)}",
         f"m-min: {fmt(report.m_min)}",
         f"m-max: {fmt(report.m_max)}",
         f"ratio: {fmt(report.ratio)}",
         f"worst-conformality-defect: {fmt(report.conformality_defect.max())}",
     ]
-    return _write_report(config, lines)
 
 
-def run_chebyshev(config: JobConfig) -> str:
-    mesh = _region_mesh(config)
+def run_chebyshev(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
+    mesh = _region_mesh(args)
     field = solve_log_scale(mesh)
     ratio_optimal = distortion_ratio(field)
-    allowance = (
-        config.tolerance if config.tolerance is not None else discretization_allowance(mesh)
-    )
+    allowance = args.tolerance if args.tolerance is not None else discretization_allowance(mesh)
     lines = [
         "chebyshev report",
         f"delta-deg: {fmt(math.degrees(mesh.delta))}",
@@ -355,13 +327,13 @@ def run_chebyshev(config: JobConfig) -> str:
         f"allowance: {fmt(allowance)}",
     ]
     wants_projection = (
-        config.centered_on is not None
-        or config.inversion_pole is not None
-        or config.exponent != 1.0
-        or config.projection_requested
+        args.centered_on is not None
+        or args.inversion_pole is not None
+        or args.exponent != 1.0
+        or args.compare_projection
     )
     if wants_projection:
-        ratio_projection = projection_ratio(mesh, config.spec())
+        ratio_projection = projection_ratio(mesh, projection_spec(args))
         gap = ratio_projection - ratio_optimal
         if gap > allowance:
             verdict = "projection-suboptimal"
@@ -374,30 +346,28 @@ def run_chebyshev(config: JobConfig) -> str:
             f"gap: {fmt(gap)}",
             f"verdict: {verdict}",
         ]
-    if config.out_path:
+    if args.out_path:
         lat, lon = mesh.node_points()
         u = field.values
         m = np.fromiter(map(math.exp, u.tolist()), float, len(u))  # np.exp may round differently
-        config.outputs[config.out_path] = geojson_io.point_feature_collection(
+        outputs[args.out_path] = geojson_io.point_feature_collection(
             np.degrees(lon), np.degrees(lat), {"u": u, "m": m}
         ) + "\n"
-    return _write_report(config, lines)
+    return lines
 
 
-def run_darboux(config: JobConfig) -> str:
-    sx = config.source
-    source = Triangle(
-        PlanePoint(sx[0], sx[1]), PlanePoint(sx[2], sx[3]), PlanePoint(sx[4], sx[5])
-    )
-    if config.target is not None:
-        tx = config.target
-        target = Triangle(
-            PlanePoint(tx[0], tx[1]), PlanePoint(tx[2], tx[3]), PlanePoint(tx[4], tx[5])
-        )
+def _triangle(xy: tuple[float, ...]) -> Triangle:
+    return Triangle(*(PlanePoint(xy[i], xy[i + 1]) for i in (0, 2, 4)))
+
+
+def run_darboux(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
+    source = _triangle(args.source)
+    if args.target is not None:
+        target = _triangle(args.target)
         target_sides = target.sides()
         solutions = find_inversion(source, target)
-    elif config.target_sides is not None:
-        target_sides = config.target_sides
+    elif args.target_sides is not None:
+        target_sides = args.target_sides
         if min(target_sides) <= 0:
             raise ConfigError("--target-sides must be positive")
         solutions = inversions_for_sides(source, target_sides)
@@ -415,7 +385,7 @@ def run_darboux(config: JobConfig) -> str:
             f" power={fmt(inv.power)}"
             f" side-errors=({fmt(errs[0])}, {fmt(errs[1])}, {fmt(errs[2])})"
         )
-    return _write_report(config, lines)
+    return lines
 
 
 # -- argument wiring ------------------------------------------------------------
@@ -423,19 +393,26 @@ def run_darboux(config: JobConfig) -> str:
 
 def _add_projection_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--exponent", type=float, default=1.0)
-    sub.add_argument("--central-meridian", type=float, default=0.0, metavar="DEG")
+    sub.add_argument(
+        "--central-meridian", type=float, default=0.0, metavar="DEG", dest="central_meridian_deg"
+    )
     sub.add_argument("--inversion-pole", metavar="X,Y")
     sub.add_argument("--inversion-power", type=float)
     sub.add_argument("--centered-on", metavar="LAT,LON")
     sub.add_argument("--eccentricity", type=float, default=0.0)
 
 
+def _add_graticule_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--lat-step", type=float, default=15.0, metavar="DEG", dest="lat_step_deg")
+    sub.add_argument("--lon-step", type=float, default=15.0, metavar="DEG", dest="lon_step_deg")
+    sub.add_argument("--samples", type=int, default=64)
+
+
 def _add_output_flags(sub: argparse.ArgumentParser, svg: bool = True) -> None:
-    sub.add_argument("--out", metavar="PATH")
-    sub.add_argument("--report", metavar="PATH")
+    sub.add_argument("--out", metavar="PATH", dest="out_path")
+    sub.add_argument("--report", metavar="PATH", dest="report_path")
     if svg:
-        sub.add_argument("--svg", metavar="PATH")
-        sub.add_argument("--svg-timestamp", action="store_true")
+        sub.add_argument("--svg", metavar="PATH", dest="svg_path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,29 +424,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("project", help="project GeoJSON and draw the graticule")
     _add_projection_flags(p)
-    p.add_argument("--region", required=True, metavar="PATH")
-    p.add_argument("--lat-step", type=float, default=15.0, metavar="DEG")
-    p.add_argument("--lon-step", type=float, default=15.0, metavar="DEG")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--region", required=True, metavar="PATH", dest="region_path")
+    _add_graticule_flags(p)
     _add_output_flags(p)
 
     p = subs.add_parser("graticule", help="fit circles to all graticule images")
     _add_projection_flags(p)
-    p.add_argument("--lat-step", type=float, default=15.0, metavar="DEG")
-    p.add_argument("--lon-step", type=float, default=15.0, metavar="DEG")
-    p.add_argument("--samples", type=int, default=64)
+    _add_graticule_flags(p)
     _add_output_flags(p)
 
     p = subs.add_parser("distortion", help="dilatation extrema over a region")
     _add_projection_flags(p)
-    p.add_argument("--region", metavar="PATH")
+    p.add_argument("--region", metavar="PATH", dest="region_path")
     p.add_argument("--cap-deg", type=float)
     p.add_argument("--delta-deg", type=float, default=1.0)
     _add_output_flags(p, svg=False)
 
     p = subs.add_parser("chebyshev", help="optimal-distortion field of a region")
     _add_projection_flags(p)
-    p.add_argument("--region", metavar="PATH")
+    p.add_argument("--region", metavar="PATH", dest="region_path")
     p.add_argument("--cap-deg", type=float)
     p.add_argument("--delta-deg", type=float, default=0.25)
     p.add_argument("--tolerance", type=float)
@@ -485,46 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    config = JobConfig(subcommand=args.subcommand)
-    for name in (
-        "exponent",
-        "eccentricity",
-        "delta_deg",
-        "cap_deg",
-        "tolerance",
-        "samples",
-        "svg_timestamp",
-        "inversion_power",
-    ):
-        if hasattr(args, name):
-            value = getattr(args, name)
-            if value is not None:
-                setattr(config, name, value)
-    if getattr(args, "central_meridian", None) is not None:
-        config.central_meridian_deg = args.central_meridian
-    if getattr(args, "lat_step", None) is not None:
-        config.lat_step_deg = args.lat_step
-    if getattr(args, "lon_step", None) is not None:
-        config.lon_step_deg = args.lon_step
-    if getattr(args, "inversion_pole", None) is not None:
-        config.inversion_pole = _parse_floats(args.inversion_pole, 2, "--inversion-pole")
-    if getattr(args, "centered_on", None) is not None:
-        config.centered_on = _parse_floats(args.centered_on, 2, "--centered-on")
-    config.region_path = getattr(args, "region", None)
-    config.out_path = getattr(args, "out", None)
-    config.svg_path = getattr(args, "svg", None)
-    config.report_path = getattr(args, "report", None)
-    if getattr(args, "source", None) is not None:
-        config.source = _parse_floats(args.source, 6, "--source")
-    if getattr(args, "target", None) is not None:
-        config.target = _parse_floats(args.target, 6, "--target")
-    if getattr(args, "target_sides", None) is not None:
-        config.target_sides = _parse_floats(args.target_sides, 3, "--target-sides")
-    config.projection_requested = bool(getattr(args, "compare_projection", False))
-    return config
-
-
 _RUNNERS = {
     "project": run_project,
     "graticule": run_graticule,
@@ -535,16 +468,21 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # every result is checked for finiteness, so numpy's own warnings
         # would only precede the one error line
         with np.errstate(all="ignore"):
-            config = _config_from_args(args)
-            config.validate()
-            text = _RUNNERS[config.subcommand](config)
-            _flush_outputs(config)
+            for name, count in _FLOAT_LISTS.items():
+                if getattr(args, name, None) is not None:
+                    flag = "--" + name.replace("_", "-")
+                    setattr(args, name, _parse_floats(getattr(args, name), count, flag))
+            validate(args)
+            outputs: dict[str, str] = {}
+            text = "\n".join(_RUNNERS[args.subcommand](args, outputs)) + "\n"
+            if args.report_path:
+                outputs[args.report_path] = text
+            _flush_outputs(outputs)
     except CartaError as exc:
         print(f"carta: {type(exc).__name__}: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

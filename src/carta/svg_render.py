@@ -2,14 +2,13 @@
 
 Graticule images are emitted as native <circle> and <line> primitives
 rather than polylines: the rendered file itself exhibits that the curves
-are exact circles.  Output is deterministic; an optional header timestamp
-is off by default.
+are exact circles.  Output is deterministic: the same input gives the
+same bytes.
 """
 
 from __future__ import annotations
 
 import math
-from datetime import datetime, timezone
 from typing import Sequence
 
 from .geojson_io import format_float as fmt
@@ -46,39 +45,33 @@ def render_svg(
     path: str,
     curves: Sequence[GraticuleCurveFit],
     feature_lines: Sequence[Sequence[tuple[float, float]]] = (),
-    bounds: tuple[float, float, float, float] | None = None,
-    timestamp: bool = False,
 ) -> None:
-    """Write ``svg_text(curves, feature_lines, bounds, timestamp)`` to ``path``."""
+    """Write ``svg_text(curves, feature_lines)`` to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(svg_text(curves, feature_lines, bounds, timestamp))
+        handle.write(svg_text(curves, feature_lines))
 
 
 def svg_text(
     curves: Sequence[GraticuleCurveFit],
     feature_lines: Sequence[Sequence[tuple[float, float]]] = (),
-    bounds: tuple[float, float, float, float] | None = None,
-    timestamp: bool = False,
 ) -> str:
     """An SVG map: graticule primitives plus projected feature paths.
 
-    ``bounds`` is (xmin, ymin, xmax, ymax) in projection coordinates; when
-    omitted it is taken from the feature paths and circle boxes.
+    The view is the box of the feature paths and of the circles of radius
+    below 1e3, padded by 5%.
     """
-    if bounds is None:
-        xs, ys = [], []
-        for line in feature_lines:
-            for x, y in line:
-                xs.append(x)
-                ys.append(y)
-        for fit in curves:
-            if fit.image.kind == "circle" and fit.image.radius < 1e3:
-                xs += [fit.image.center.x - fit.image.radius, fit.image.center.x + fit.image.radius]
-                ys += [fit.image.center.y - fit.image.radius, fit.image.center.y + fit.image.radius]
-        if not xs:
-            xs, ys = [-1.0, 1.0], [-1.0, 1.0]
-        bounds = (min(xs), min(ys), max(xs), max(ys))
-    x0, y0, x1, y1 = bounds
+    xs, ys = [], []
+    for line in feature_lines:
+        for x, y in line:
+            xs.append(x)
+            ys.append(y)
+    for fit in curves:
+        if fit.image.kind == "circle" and fit.image.radius < 1e3:
+            xs += [fit.image.center.x - fit.image.radius, fit.image.center.x + fit.image.radius]
+            ys += [fit.image.center.y - fit.image.radius, fit.image.center.y + fit.image.radius]
+    if not xs:
+        xs, ys = [-1.0, 1.0], [-1.0, 1.0]
+    x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
     # the floor grows with the coordinates so that padding never rounds away
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9 * max(1.0, abs(x0), abs(x1), abs(y0), abs(y1)))
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
@@ -92,12 +85,8 @@ def svg_text(
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}" '
         f'width="800" height="{fmt(800.0 * height / width)}">',
+        f'<g fill="none" stroke="#3366aa" stroke-width="{fmt(stroke)}">',
     ]
-    if timestamp:
-        parts.append(f"<!-- generated {datetime.now(timezone.utc).isoformat()} -->")
-    parts.append(
-        f'<g fill="none" stroke="#3366aa" stroke-width="{fmt(stroke)}">'
-    )
     clip = (x0, y0, x1, y1)
     for fit in curves:
         label = (

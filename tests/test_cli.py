@@ -614,6 +614,17 @@ GOLDEN_ERRORS = [
      "ConfigError: project needs --out and/or --svg"),
     ("darboux --source 0,0,1,0,2,0 --target-sides=-1,1,1", 6,
      "DegenerateTriangle: triangle area below 1e-12"),
+    # flags that the run would ignore are refused before any work
+    ("graticule --centered-on 20,5 --eccentricity 0.08 --central-meridian 40", 2,
+     "ConfigError: --centered-on implies eccentricity 0 and central meridian 0"),
+    ("distortion --cap-deg 10 --centered-on 80,0 --central-meridian 40", 2,
+     "ConfigError: --centered-on implies eccentricity 0 and central meridian 0"),
+    ("distortion --cap-deg 10 --region {tmp}/missing.geojson", 2,
+     "ConfigError: give --cap-deg or --region, not both"),
+    ("chebyshev --cap-deg 10 --region {region} --out {tmp}/field.geojson", 2,
+     "ConfigError: give --cap-deg or --region, not both"),
+    (f"darboux --source {SOURCE} --target {SOURCE} --target-sides 1,1,1", 2,
+     "ConfigError: give --target or --target-sides, not both"),
 ]
 
 
