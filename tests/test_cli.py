@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism, fail-fast."""
 
+import hashlib
 import json
 import math
 import os
@@ -338,6 +339,62 @@ def test_byte_identical_reruns(band_geojson, france_geojson, tmp_path, capsys):
         assert code == 0
         cheb.append((rep.read_bytes(), field.read_bytes()))
     assert cheb[0] == cheb[1]
+
+
+# every kind of geometry, with altitudes, empty geometries, a hole and
+# property text with "%", quotes and non-ASCII letters; the one-position
+# line sets the SVG's view, and the MultiPoint's far image stays outside it
+PINNED_DOCUMENT = {
+    "type": "FeatureCollection",
+    "features": [
+        {"type": "Feature", "properties": {"name": 'café "50%"', "%s": [1, 2.5, None]},
+         "geometry": {"type": "Point", "coordinates": [2.35, 48.85, 35]}},
+        {"type": "Feature", "properties": None,
+         "geometry": {"type": "MultiPoint", "coordinates": [[-70.5, -33.4], [0.5, 61.8, 3.5]]}},
+        {"type": "Feature", "properties": {},
+         "geometry": {"type": "LineString", "coordinates": [[1, 61.5]]}},
+        {"type": "Feature", "properties": {"holes": 1},
+         "geometry": {"type": "Polygon", "coordinates": [
+             [[0, 0], [20, 0], [20, 20], [0, 20], [0, 0]],
+             [[5, 5], [5, 10, 100], [10, 10], [10, 5], [5, 5]]]}},
+        {"type": "Feature", "properties": {},
+         "geometry": {"type": "MultiPolygon", "coordinates": [
+             [[[-30, -10], [-20, -10], [-25, 0], [-30, -10]]],
+             [[[40, 50], [45, 55], [50, 50], [40, 50]]]]}},
+        {"type": "Feature", "properties": {"empty": True},
+         "geometry": {"type": "MultiLineString", "coordinates": []}},
+        {"type": "Feature", "properties": {}, "geometry": None},
+        {"type": "Feature", "properties": {},
+         "geometry": {"type": "GeometryCollection", "geometries": [
+             {"type": "Point", "coordinates": []},
+             {"type": "GeometryCollection", "geometries": [
+                 {"type": "LineString", "coordinates": [[-60, 30], [-50, 35], [-40, 30]]}]},
+             {"type": "MultiLineString", "coordinates": [[[100, -20], [110, -25]], []]}]}},
+    ],
+}
+
+# SHA-256 of the report, GeoJSON and SVG, recorded before the GeoJSON and SVG
+# writers read position columns
+PINNED_SHA256 = {
+    "report": "c1ef5088d79a87b85acaf5554b8494fe88fbc5ba7192b8cc063b6702b788f9ec",
+    "out": "ead8a3a02670ac89d40ec4b8e79748c6643ca9de989b18aaac040c1add18f0c9",
+    "svg": "dced3766d02abdd3cb8b426e30c9f1e49e8bacc4e5137d40b672cc897c536221",
+}
+
+
+def test_project_outputs_pinned(tmp_path, capsys):
+    region = tmp_path / "pinned.geojson"
+    region.write_text(json.dumps(PINNED_DOCUMENT))
+    paths = {name: tmp_path / name for name in PINNED_SHA256}
+    code = run_cli(
+        "project", "--region", str(region),
+        "--exponent", "0.5", "--inversion-pole", "2,0", "--inversion-power", "1",
+        "--lat-step", "30", "--lon-step", "45", "--samples", "16",
+        "--out", str(paths["out"]), "--svg", str(paths["svg"]), "--report", str(paths["report"]),
+    )
+    assert code == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == PINNED_SHA256
 
 
 def test_installed_entry_point(band_geojson, tmp_path):
