@@ -218,17 +218,15 @@ def _flush_outputs(outputs: dict[str, str]) -> None:
 
 
 def _graticule(
-    args: argparse.Namespace,
-    outputs: dict[str, str],
-    spec: LagrangeProjectionSpec,
-    feature_lines: list | tuple = (),
+    args: argparse.Namespace, outputs: dict[str, str], spec: LagrangeProjectionSpec, *features
 ) -> list:
-    """The fitted graticule curves; with ``--svg``, the map drawn over them."""
+    """The fitted graticule curves; with ``--svg``, the map drawn over them
+    and over the ``features`` lines (``svg_text``'s x, y and lines)."""
     curves = graticule_image(
         spec, math.radians(args.lat_step_deg), math.radians(args.lon_step_deg), args.samples
     )
     if args.svg_path:
-        outputs[args.svg_path] = svg_text(curves, feature_lines)
+        outputs[args.svg_path] = svg_text(curves, *features)
     return curves
 
 
@@ -247,12 +245,13 @@ def run_project(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
             raise type(exc)(f"cannot project {where}: {exc}") from exc
         return w.real, w.imag
 
-    projected, count = geojson_io.map_positions(geojson_io.load(args.region_path), mapper)
+    document = geojson_io.load(args.region_path)
+    positions, x, y, lines = geojson_io.map_positions(document, mapper)
     if args.out_path:
-        outputs[args.out_path] = geojson_io.dumps(projected) + "\n"
-    feature_lines = geojson_io.polylines(projected) if args.svg_path else ()
-    del projected  # not kept alive while the SVG text is built
-    curves = _graticule(args, outputs, spec, feature_lines)
+        outputs[args.out_path] = geojson_io.dumps(document, positions, x, y) + "\n"
+    count = len(positions)
+    del document, positions  # not kept alive while the SVG text is built
+    curves = _graticule(args, outputs, spec, x, y, lines)
     worst = max((c.relative_residual for c in curves), default=0.0)
     return [
         "project report",
@@ -408,11 +407,10 @@ def _add_graticule_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--samples", type=int, default=64)
 
 
-def _add_output_flags(sub: argparse.ArgumentParser, svg: bool = True) -> None:
-    sub.add_argument("--out", metavar="PATH", dest="out_path")
-    sub.add_argument("--report", metavar="PATH", dest="report_path")
-    if svg:
-        sub.add_argument("--svg", metavar="PATH", dest="svg_path")
+def _add_output_flags(sub: argparse.ArgumentParser, *written: str) -> None:
+    """``--report``, and those of ``--out`` and ``--svg`` the subcommand writes."""
+    for name in (*written, "report"):
+        sub.add_argument(f"--{name}", metavar="PATH", dest=f"{name}_path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,19 +424,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_projection_flags(p)
     p.add_argument("--region", required=True, metavar="PATH", dest="region_path")
     _add_graticule_flags(p)
-    _add_output_flags(p)
+    _add_output_flags(p, "out", "svg")
 
     p = subs.add_parser("graticule", help="fit circles to all graticule images")
     _add_projection_flags(p)
     _add_graticule_flags(p)
-    _add_output_flags(p)
+    _add_output_flags(p, "svg")
 
     p = subs.add_parser("distortion", help="dilatation extrema over a region")
     _add_projection_flags(p)
     p.add_argument("--region", metavar="PATH", dest="region_path")
     p.add_argument("--cap-deg", type=float)
     p.add_argument("--delta-deg", type=float, default=1.0)
-    _add_output_flags(p, svg=False)
+    _add_output_flags(p, "out")
 
     p = subs.add_parser("chebyshev", help="optimal-distortion field of a region")
     _add_projection_flags(p)
@@ -447,13 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-deg", type=float, default=0.25)
     p.add_argument("--tolerance", type=float)
     p.add_argument("--compare-projection", action="store_true")
-    _add_output_flags(p, svg=False)
+    _add_output_flags(p, "out")
 
     p = subs.add_parser("darboux", help="inversion carrying one triangle to another")
     p.add_argument("--source", required=True, metavar="X1,Y1,X2,Y2,X3,Y3")
     p.add_argument("--target", metavar="X1,Y1,X2,Y2,X3,Y3")
     p.add_argument("--target-sides", metavar="A,B,C")
-    _add_output_flags(p, svg=False)
+    _add_output_flags(p)
 
     return parser
 

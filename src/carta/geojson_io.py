@@ -30,34 +30,58 @@ def format_float(x: float) -> str:
     return format(float(x), ".15g")
 
 
-def dumps(obj) -> str:
-    """Serialize JSON with deterministic float formatting."""
+def dumps(obj, positions=(), x=(), y=()) -> str:
+    """Serialize JSON with deterministic float formatting.
+
+    Each array in ``positions`` (positions of ``obj``, in document order)
+    is written as its image [x[i], y[i]], without a third element: one
+    ``%`` fills the ``[%.15g, %.15g]`` template written in its place.
+    """
     pieces: list[str] = []
-    _write(obj, pieces)
-    return "".join(pieces)
+    try:
+        _write(obj, pieces, set(map(id, positions)))
+    except RecursionError:  # parsed JSON can nest deeper than the writer recurses
+        raise GeoJsonError("input nested too deeply") from None
+    return "".join(pieces) % _rows(x, y)
 
 
-def _write(obj, pieces: list[str]) -> None:
-    # most frequent types first; bool is tested before int, of which it is a subclass
+def _rows(*columns) -> tuple:
+    """The columns' values row by row, for one ``%`` over repeated
+    templates, as ``"%.15g" % v`` is ``format(v, ".15g")``; the first
+    non-finite one raises ``format_float``'s error.  Callers build the
+    template first: boxed after it, the values raise the peak memory less."""
+    values = np.column_stack(columns)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        format_float(float(values.flat[np.argmax(bad)]))
+    return tuple(values.ravel().tolist())
+
+
+def _write(obj, pieces: list[str], positions: set[int]) -> None:
+    # most frequent types first; bool is tested before int, of which it is a subclass;
+    # a "%" in text is doubled for dumps' final "%"
     if isinstance(obj, float):
         pieces.append(format_float(obj))
     elif isinstance(obj, str):
-        pieces.append(encode_basestring_ascii(obj))
+        pieces.append(encode_basestring_ascii(obj).replace("%", "%%"))
     elif isinstance(obj, dict):
         pieces.append("{")
         for i, (key, value) in enumerate(obj.items()):
             if i:
                 pieces.append(", ")
-            pieces.append(encode_basestring_ascii(str(key)))
+            pieces.append(encode_basestring_ascii(str(key)).replace("%", "%%"))
             pieces.append(": ")
-            _write(value, pieces)
+            _write(value, pieces, positions)
         pieces.append("}")
     elif isinstance(obj, (list, tuple)):
+        if id(obj) in positions:
+            pieces.append("[%.15g, %.15g]")
+            return
         pieces.append("[")
         for i, value in enumerate(obj):
             if i:
                 pieces.append(", ")
-            _write(value, pieces)
+            _write(value, pieces, positions)
         pieces.append("]")
     elif obj is None:
         pieces.append("null")
@@ -153,62 +177,44 @@ def region_polyline(obj: dict) -> list[SpherePoint]:
     raise GeoJsonError("no polygon or line boundary found in input")
 
 
-def polylines(obj: dict) -> list[list[tuple[float, float]]]:
-    """Every line and polygon ring in the object, as (x, y) pairs."""
-    return [
-        [tuple(p[:2]) for p in line]
-        for geom in _geometries(obj)
-        if geom["type"] not in ("Point", "MultiPoint")
-        for line in _nested(geom.get("coordinates", []), _POSITION_DEPTH[geom["type"]] - 1)
-    ]
-
-
 def map_positions(obj, mapper: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]):
-    """Copy of a GeoJSON object with the position of every geometry
-    transformed, and the number of positions.
+    """The positions of every geometry of a GeoJSON object, their images
+    and the lines among them: ``(positions, x, y, lines)``.
 
-    Every position is validated before ``mapper`` runs.  It receives all
-    of them at once as (lon_deg, lat_deg) arrays in document order and
-    returns the replacement x and y arrays.
+    ``positions`` are the position arrays of ``obj`` in document order,
+    which is left as it is.  Every one is validated before ``mapper`` runs.
+    It receives all of them at once as (lon_deg, lat_deg) arrays and
+    returns the image columns x and y.  ``lines`` holds the range
+    ``(start, end)`` in them of each line and polygon ring.
     """
+    positions, lines = [], []
     try:
-        copy = _copy(obj)
-    except RecursionError:  # parsed JSON can nest deeper than the copy recurses
+        for geom in _geometries(obj):
+            kind, coords = geom["type"], geom.get("coordinates", [])
+            if kind == "Point":
+                if coords != []:  # an empty Point has no position
+                    positions.append(coords)
+            elif kind == "MultiPoint":
+                positions += _nested(coords, 1)
+            else:
+                for line in _nested(coords, _POSITION_DEPTH[kind] - 1):
+                    start = len(positions)
+                    positions += _nested(line, 1)
+                    lines.append((start, len(positions)))
+    except RecursionError:  # parsed JSON can nest deeper than the walk recurses
         raise GeoJsonError("input nested too deeply") from None
-    positions = [
-        pos
-        for geom in _geometries(copy)
-        if geom.get("coordinates", []) != []  # an empty geometry, even a Point, has no positions
-        for pos in _nested(geom["coordinates"], _POSITION_DEPTH[geom["type"]])
-    ]
     columns = np.fromiter(
         (v for pos in positions for v in _position(pos)), dtype=float, count=2 * len(positions)
     )
     x, y = mapper(columns[0::2], columns[1::2])
-    for pos, xy in zip(positions, zip(x.tolist(), y.tolist())):
-        pos[:] = xy
-    return copy, len(positions)
-
-
-def _copy(obj):
-    """Copy of the lists and objects of parsed JSON."""
-    if isinstance(obj, dict):
-        return {key: _copy(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_copy(item) for item in obj]
-    return obj
+    return positions, x, y, lines
 
 
 def point_feature_collection(lon_deg: np.ndarray, lat_deg: np.ndarray, columns: dict) -> str:
     """FeatureCollection of Point features, as the text ``dumps`` writes for
     it: feature i is at (lon_deg[i], lat_deg[i]) with one property per
-    column, column[i].  One ``%`` fills a repeated feature template, as
-    ``"%.15g" % x`` is ``format(x, ".15g")``.
+    column, column[i].  One ``%`` fills a repeated feature template.
     """
-    values = np.column_stack([lon_deg, lat_deg, *columns.values()])
-    bad = ~np.isfinite(values)
-    if bad.any():  # the first in document order raises format_float's error
-        format_float(float(values.flat[np.argmax(bad)]))
     properties = ", ".join(
         encode_basestring_ascii(str(name)).replace("%", "%%") + ": %.15g" for name in columns
     )
@@ -216,5 +222,5 @@ def point_feature_collection(lon_deg: np.ndarray, lat_deg: np.ndarray, columns: 
         '{"type": "Feature", "geometry": {"type": "Point", "coordinates": [%.15g, %.15g]}, '
         '"properties": {' + properties + "}}"
     )
-    features = ", ".join([feature] * len(values)) % tuple(values.ravel().tolist())
+    features = ", ".join([feature] * len(lon_deg)) % _rows(lon_deg, lat_deg, *columns.values())
     return '{"type": "FeatureCollection", "features": [' + features + "]}"

@@ -80,21 +80,15 @@ class LagrangeProjectionSpec:
         return lambda p: project(self, p)
 
 
-def _power(w: complex, c: float) -> complex:
-    """Principal-branch power map in polar form; fixes the origin."""
-    if c == 1.0:
-        return w
-    rho = abs(w)
-    if rho == 0.0:
-        return 0.0j
-    return rho**c * cmath.exp(1j * c * math.atan2(w.imag, w.real))
-
-
 def lambert_power(z: PlanePoint, c: float) -> PlanePoint:
-    """Polar power map (rho, omega) -> (rho^c, c omega) about the origin."""
-    if z.x == 0.0 and z.y == 0.0 and c != 1.0:
+    """Polar power map (rho, omega) -> (rho^c, c omega) about the origin,
+    on the principal branch."""
+    if c == 1.0:
+        return z
+    if z.x == 0.0 and z.y == 0.0:
         raise OriginSingularity("power map with c != 1 is singular at the origin")
-    return PlanePoint.from_complex(_power(z.as_complex(), c))
+    rho, omega = abs(z.as_complex()), math.atan2(z.y, z.x)
+    return PlanePoint.from_complex(rho**c * cmath.exp(1j * c * omega))
 
 
 def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .geojson_io import format_float as fmt
 from .geometry import GeneralizedCircle
 from .lagrange import GraticuleCurveFit
@@ -41,37 +43,29 @@ def _line_endpoints(curve: GeneralizedCircle, bounds) -> tuple | None:
     return unique[0], unique[1]
 
 
-def render_svg(
-    path: str,
-    curves: Sequence[GraticuleCurveFit],
-    feature_lines: Sequence[Sequence[tuple[float, float]]] = (),
-) -> None:
-    """Write ``svg_text(curves, feature_lines)`` to ``path``."""
+def render_svg(path: str, curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=()) -> None:
+    """Write ``svg_text(curves, x, y, lines)`` to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(svg_text(curves, feature_lines))
+        handle.write(svg_text(curves, x, y, lines))
 
 
-def svg_text(
-    curves: Sequence[GraticuleCurveFit],
-    feature_lines: Sequence[Sequence[tuple[float, float]]] = (),
-) -> str:
+def svg_text(curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=()) -> str:
     """An SVG map: graticule primitives plus projected feature paths.
 
-    The view is the box of the feature paths and of the circles of radius
-    below 1e3, padded by 5%.
+    Feature line k runs through the points (x[i], y[i]) for i in
+    ``range(*lines[k])``.  The view is the box of the feature lines and of
+    the circles of radius below 1e3, padded by 5%.
     """
-    xs, ys = [], []
-    for line in feature_lines:
-        for x, y in line:
-            xs.append(x)
-            ys.append(y)
+    xs, ys = [x[a:b] for a, b in lines], [y[a:b] for a, b in lines]
     for fit in curves:
-        if fit.image.kind == "circle" and fit.image.radius < 1e3:
-            xs += [fit.image.center.x - fit.image.radius, fit.image.center.x + fit.image.radius]
-            ys += [fit.image.center.y - fit.image.radius, fit.image.center.y + fit.image.radius]
-    if not xs:
-        xs, ys = [-1.0, 1.0], [-1.0, 1.0]
-    x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+        circle = fit.image
+        if circle.kind == "circle" and circle.radius < 1e3:
+            xs.append([circle.center.x - circle.radius, circle.center.x + circle.radius])
+            ys.append([circle.center.y - circle.radius, circle.center.y + circle.radius])
+    xs, ys = np.concatenate([[], *xs]), np.concatenate([[], *ys])
+    if not xs.size:
+        xs, ys = np.array([-1.0, 1.0]), np.array([-1.0, 1.0])
+    x0, y0, x1, y1 = (float(v) for v in (xs.min(), ys.min(), xs.max(), ys.max()))
     # the floor grows with the coordinates so that padding never rounds away
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9 * max(1.0, abs(x0), abs(x1), abs(y0), abs(y1)))
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
@@ -108,15 +102,15 @@ def svg_text(
                 f"<title>{label}</title></line>"
             )
     parts.append("</g>")
-    if feature_lines:
+    if lines:
         parts.append(
             f'<g fill="none" stroke="#aa3322" stroke-width="{fmt(1.5 * stroke)}">'
         )
-        for line in feature_lines:
-            if len(line) < 2:
-                continue
-            coords = " ".join(f"{fmt(x)},{fmt(-y)}" for x, y in line)
-            parts.append(f'<polyline points="{coords}"/>')
+        flipped = np.column_stack([x, -y]).ravel().tolist()  # (x, -y) row by row
+        for a, b in lines:
+            if b - a >= 2:
+                points = " ".join(["%.15g,%.15g"] * (b - a)) % tuple(flipped[2 * a:2 * b])
+                parts.append(f'<polyline points="{points}"/>')
         parts.append("</g>")
     parts.append("</svg>")
     parts.append("")

@@ -454,7 +454,9 @@ def _polygon(coordinates_json):
     return '{"type": "Polygon", "coordinates": %s}' % coordinates_json
 
 
-DEEP = 600  # loads as JSON, but nests deeper than a recursive copy can follow
+# loads as JSON; project writes the parsed document itself, whose writer
+# takes one frame a level, so these properties project (exit 0)
+DEEP = 600
 
 
 @pytest.mark.parametrize(
@@ -469,7 +471,7 @@ DEEP = 600  # loads as JSON, but nests deeper than a recursive copy can follow
         ("project", _polygon("[[[0, 0], [true, false], [1, 0], [0, 0]]]"), [], 3),
         ("chebyshev", _polygon("[[[0, 0], [1], [1, 0], [0, 0]]]"), [], 3),
         ("project", '{"type": "Feature", "geometry": null, "properties": %s}'
-         % ("[" * DEEP + "]" * DEEP), [], 3),
+         % ("[" * DEEP + "]" * DEEP), [], 0),
         ("project", _polygon("[" * 5000 + "]" * 5000), [], 3),
         ("chebyshev", _polygon("[[[0, 0], [0, 1], [1, 0], [0, 0]]]"), ["--delta-deg", "nan"], 2),
         ("chebyshev", _polygon("[[[0, 0], [0, 5], [5, 0], [0, 0]]]"), ["--centered-on", "95,0"], 2),
@@ -692,6 +694,23 @@ def test_golden_error_transcript(tmp_path, capsys, argv, expected, line):
     names = {"tmp": tmp_path, "region": region}
     assert run_cli(*argv.format(**names).split(" ")) == expected
     assert capsys.readouterr().err == f"carta: {line.format(**names)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "graticule --out {tmp}/g.geojson",
+        f"darboux --source {SOURCE} --target-sides 1,1,1 --out {{tmp}}/d.geojson",
+    ],
+    ids=["graticule", "darboux"],
+)
+def test_out_refused_where_nothing_is_written(tmp_path, capsys, argv):
+    # argparse refuses the flag: these subcommands write no GeoJSON
+    with pytest.raises(SystemExit) as raised:
+        run_cli(*argv.format(tmp=tmp_path).split(" "))
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag", ["--region", "--out", "--svg", "--report"])

@@ -4,11 +4,12 @@ The per-point forward projection, the per-point closed-form dilatation,
 the double loop of the boundary self-intersection test and the ring loop
 of the cap sample layout are kept here as oracles; the batched
 conformality probes are checked against the public per-point
-``conformality_defect``, and the columnar point GeoJSON writer against
-``dumps`` of the same collection built as objects.
+``conformality_defect``, and the columnar GeoJSON writers against
+``dumps`` of the same document built as objects.
 """
 
 import cmath
+import copy
 import json
 import math
 
@@ -34,6 +35,7 @@ from carta.distortion import cap_samples, dilatation_analytic
 from carta.errors import (
     BranchOverflow,
     DomainEdge,
+    GeoJsonError,
     NonFiniteValue,
     OriginSingularity,
     PointAtInfinity,
@@ -43,7 +45,7 @@ from carta.errors import (
     RegionTooSmall,
     SelfIntersectingBoundary,
 )
-from carta.geojson_io import dumps, point_feature_collection
+from carta.geojson_io import dumps, map_positions, point_feature_collection
 from carta.geometry import POLE_COLATITUDE_EPS, invert_point, normalize_longitude
 from carta.lagrange import dilatation_array, project_array
 from carta.surfaces import SurfaceOfRevolution, conformal_latitude
@@ -424,6 +426,132 @@ def test_point_collection_non_finite_value(bad, column):
     error = _raised(point_feature_collection, lon, lat, columns)
     assert error == (NonFiniteValue, f"non-finite value {bad} in output")
     assert error == _raised(dumps, reference_collection(lon, lat, columns))
+
+
+# -- GeoJSON written from position columns -------------------------------------------
+
+DEPTH = {"Point": 0, "MultiPoint": 1, "LineString": 1, "MultiLineString": 2, "Polygon": 2,
+         "MultiPolygon": 3}
+
+
+def reference_projection(document, images):
+    """A deep copy of a parsed GeoJSON document with each position replaced
+    by the next of ``images`` as [x, y], and the copy's lines and rings."""
+    projected, lines = copy.deepcopy(document), []
+
+    def replaced(coords, depth):
+        return list(next(images)) if depth == 0 else [replaced(c, depth - 1) for c in coords]
+
+    def parts(coords, depth):
+        return [coords] if depth == 0 else [part for c in coords for part in parts(c, depth - 1)]
+
+    def walk(obj):
+        kind = obj["type"]
+        if kind == "FeatureCollection":
+            for feature in obj["features"]:
+                walk(feature)
+        elif kind == "Feature":
+            if obj["geometry"] is not None:
+                walk(obj["geometry"])
+        elif kind == "GeometryCollection":
+            for geometry in obj["geometries"]:
+                walk(geometry)
+        else:
+            if obj["coordinates"] != []:  # an empty Point has no position
+                obj["coordinates"] = replaced(obj["coordinates"], DEPTH[kind])
+            if kind not in ("Point", "MultiPoint"):
+                lines.extend(parts(obj["coordinates"], DEPTH[kind] - 1))
+
+    walk(projected)
+    return projected, lines
+
+
+# positions as parsed: two numbers or three (an altitude), integers or floats
+valid_positions = st.builds(
+    lambda lon, lat, altitude: [lon, lat, *altitude],
+    st.integers(-180, 180) | st.floats(-1e3, 1e3),
+    st.integers(-90, 90) | st.floats(-90, 90),
+    st.lists(st.integers(-10, 10) | finite_floats, max_size=1),
+)
+
+
+def _coordinates(depth):
+    values = valid_positions
+    for _ in range(depth):
+        values = st.lists(values, max_size=3)
+    return values
+
+
+def _geometry(kind, coordinates):
+    return {"type": kind, "coordinates": coordinates}
+
+
+geometries = st.recursive(
+    st.one_of(
+        [st.builds(_geometry, st.just("Point"), st.just([]))]
+        + [st.builds(_geometry, st.just(kind), _coordinates(n)) for kind, n in DEPTH.items()]
+    ),
+    lambda children: st.builds(
+        lambda members: {"type": "GeometryCollection", "geometries": members},
+        st.lists(children, max_size=3),
+    ),
+    max_leaves=6,
+)
+# property text with "%" (a format directive), quotes, escapes and non-ASCII letters
+# text with "%" (a format directive), quotes, escapes and non-ASCII letters
+awkward_text = (
+    st.text(st.sampled_from('%s"\\\né€\U0001f30d a'), max_size=5) | st.text(max_size=3)
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite_floats | awkward_text,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(awkward_text, children, max_size=3),
+    max_leaves=6,
+)
+features = st.fixed_dictionaries(
+    {"type": st.just("Feature"),
+     "properties": st.none() | st.dictionaries(awkward_text, json_values, max_size=3),
+     "geometry": st.none() | geometries},
+    optional={"bbox": st.lists(finite_floats, max_size=4), "id": awkward_text},
+)
+geojson_documents = (
+    geometries
+    | features
+    | st.builds(lambda members: {"type": "FeatureCollection", "features": members},
+                st.lists(features, max_size=4))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=geojson_documents, data=st.data())
+def test_projected_text_is_dumps_of_projected_copy(document, data):
+    document = json.loads(json.dumps(document))  # as load parses it
+    parsed = copy.deepcopy(document)
+
+    def mapper(lon, lat):
+        images = data.draw(st.lists(finite_floats, min_size=2 * len(lon), max_size=2 * len(lon)))
+        return np.array(images[0::2], dtype=float), np.array(images[1::2], dtype=float)
+
+    positions, x, y, lines = map_positions(document, mapper)
+    text = dumps(document, positions, x, y)
+    assert document == parsed  # read, not written to
+    projected, reference_lines = reference_projection(document, zip(x.tolist(), y.tolist()))
+    assert text == dumps(projected)
+    images = [[a, b] for a, b in zip(x.tolist(), y.tolist())]
+    assert [images[start:end] for start, end in lines] == reference_lines
+
+
+def test_nesting_beyond_the_recursion_limit_is_a_geojson_error():
+    # the json parser of Python 3.12 and later accepts documents this deep
+    document = {"type": "Point", "coordinates": [1, 2]}
+    for _ in range(5000):
+        document = {"type": "GeometryCollection", "geometries": [document]}
+    assert _raised(map_positions, document, None) == (GeoJsonError, "input nested too deeply")
+    properties = []
+    for _ in range(5000):
+        properties = [properties]
+    feature = {"type": "Feature", "geometry": None, "properties": properties}
+    assert _raised(dumps, feature) == (GeoJsonError, "input nested too deeply")
 
 
 # -- closed-form dilatation ---------------------------------------------------------
