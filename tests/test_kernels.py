@@ -541,6 +541,31 @@ def test_projected_text_is_dumps_of_projected_copy(document, data):
     assert [images[start:end] for start, end in lines] == reference_lines
 
 
+def test_projected_text_of_empty_arrays_and_altitudes():
+    document = {"type": "GeometryCollection", "geometries": [
+        {"type": "MultiPoint", "coordinates": []},
+        {"type": "LineString", "coordinates": []},
+        {"type": "Polygon", "coordinates": [[[0, 0], [10, 0], [10, 10], [0, 0]], []]},
+        {"type": "MultiPolygon", "coordinates": [[], [[[1, 1], [2, 1], [2, 2.5], [1, 1]]]]},
+        {"type": "Point", "coordinates": [5, 6, 100]},
+        {"type": "LineString", "coordinates": [[1, 2, 3], [4, 5, 6.5]]},
+    ]}
+    positions, x, y, lines = map_positions(document, lambda lon, lat: (lon / 3, lat * 0.1 - 1))
+    assert dumps(document, positions, x, y) == (
+        '{"type": "GeometryCollection", "geometries": ['
+        '{"type": "MultiPoint", "coordinates": []}, '
+        '{"type": "LineString", "coordinates": []}, '
+        '{"type": "Polygon", "coordinates": [[[0, -1], [3.33333333333333, -1], '
+        "[3.33333333333333, 0], [0, -1]], []]}, "
+        '{"type": "MultiPolygon", "coordinates": [[], [[[0.333333333333333, -0.9], '
+        "[0.666666666666667, -0.9], [0.666666666666667, -0.75], [0.333333333333333, -0.9]]]]}, "
+        '{"type": "Point", "coordinates": [1.66666666666667, -0.4]}, '
+        '{"type": "LineString", "coordinates": [[0.333333333333333, -0.8], '
+        "[1.33333333333333, -0.5]]}]}"
+    )
+    assert lines == [(0, 0), (0, 4), (4, 4), (4, 8), (9, 11)]
+
+
 def test_nesting_beyond_the_recursion_limit_is_a_geojson_error():
     # the json parser of Python 3.12 and later accepts documents this deep
     document = {"type": "Point", "coordinates": [1, 2]}
