@@ -133,31 +133,45 @@ def _gnomonic_frame(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return frame, local[:, :2] / local[:, 2:]
 
 
-# rows of segment pairs tested at once in _check_simple: each temporary
-# array holds about this many values (1 MB of float64)
+# segment pairs tested at once in _check_simple: each temporary array
+# holds this many values (1 MB of float64)
 _PAIR_BLOCK = 1 << 17
 
 
 def _check_simple(poly_xy: np.ndarray) -> None:
     """Raise for the first pair (i, j), i < j, of non-adjacent edges that
-    cross properly (edge i runs from vertex i to vertex i + 1)."""
+    cross properly (edge i runs from vertex i to vertex i + 1).
+
+    Edges that cross share an x, so only the pairs whose x-ranges overlap
+    are tested: with the edges sorted by their least x, the partners of
+    each edge follow it in that order up to the first that starts past its
+    greatest x.  All such pairs are numbered and tested in blocks.
+    """
     n = len(poly_xy)
     x, y = poly_xy[:, 0], poly_xy[:, 1]
     x2, y2 = np.roll(x, -1), np.roll(y, -1)  # far end of each edge
     ex, ey = x2 - x, y2 - y
-    rows = max(1, _PAIR_BLOCK // n)
-    for start in range(0, n, rows):
-        i = np.arange(start, min(start + rows, n))[:, None]
-        j = np.arange(start + 1, n)[None, :]
+    lo, hi = np.minimum(x, x2), np.maximum(x, x2)
+    order = np.argsort(lo)
+    stop = np.searchsorted(lo[order], hi[order], side="right")
+    counts = stop - np.arange(n) - 1  # partners of each sorted edge
+    ends = np.cumsum(counts)
+    total, first = int(ends[-1]), n * n
+    for start in range(0, total, _PAIR_BLOCK):
+        pair = np.arange(start, min(start + _PAIR_BLOCK, total))
+        rank = np.searchsorted(ends, pair, side="right")
+        a, b = order[rank], order[rank + 1 + pair - (ends[rank] - counts[rank])]
+        i, j = np.minimum(a, b), np.maximum(a, b)
         d1 = ex[i] * (y[j] - y[i]) - ey[i] * (x[j] - x[i])
         d2 = ex[i] * (y2[j] - y[i]) - ey[i] * (x2[j] - x[i])
         d3 = ex[j] * (y[i] - y[j]) - ey[j] * (x[i] - x[j])
         d4 = ex[j] * (y2[i] - y[j]) - ey[j] * (x2[i] - x[j])
         adjacent = (j - i == 1) | (j - i == n - 1)
-        crossing = (d1 * d2 < 0) & (d3 * d4 < 0) & (j > i) & ~adjacent
+        crossing = (d1 * d2 < 0) & (d3 * d4 < 0) & ~adjacent
         if crossing.any():
-            a, b = np.unravel_index(np.argmax(crossing), crossing.shape)
-            raise SelfIntersectingBoundary(f"boundary edges {i[a, 0]} and {j[0, b]} cross")
+            first = min(first, int((i * n + j)[crossing].min()))
+    if first < n * n:
+        raise SelfIntersectingBoundary(f"boundary edges {first // n} and {first % n} cross")
 
 
 def _crossings(normals, offsets, ends, h, axes):

@@ -246,18 +246,17 @@ def run_project(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
         return w.real, w.imag
 
     document = geojson_io.load(args.region_path)
-    positions, x, y, lines = geojson_io.map_positions(document, mapper)
+    arrays, x, y, lines = geojson_io.map_positions(document, mapper)
     if args.out_path:
-        outputs[args.out_path] = geojson_io.dumps(document, positions, x, y) + "\n"
-    count = len(positions)
-    del document, positions  # not kept alive while the SVG text is built
+        outputs[args.out_path] = geojson_io.dumps(document, arrays, x, y) + "\n"
+    del document, arrays  # not kept alive while the SVG text is built
     curves = _graticule(args, outputs, spec, x, y, lines)
     worst = max((c.relative_residual for c in curves), default=0.0)
     return [
         "project report",
         f"exponent: {fmt(args.exponent)}",
         f"central-meridian-deg: {fmt(args.central_meridian_deg)}",
-        f"coordinates-projected: {count}",
+        f"coordinates-projected: {len(x)}",
         f"graticule-curves: {len(curves)}",
         f"worst-relative-residual: {fmt(worst)}",
     ]

@@ -21,6 +21,7 @@ from .geometry import SpherePoint
 # nesting depth of the positions in each geometry type's "coordinates"
 _POSITION_DEPTH = {"Point": 0, "MultiPoint": 1, "LineString": 1,
                    "MultiLineString": 2, "Polygon": 2, "MultiPolygon": 3}
+_POSITION = "[%.15g, %.15g]"  # a position's image as dumps writes it
 
 
 def format_float(x: float) -> str:
@@ -30,16 +31,16 @@ def format_float(x: float) -> str:
     return format(float(x), ".15g")
 
 
-def dumps(obj, positions=(), x=(), y=()) -> str:
+def dumps(obj, arrays=(), x=(), y=()) -> str:
     """Serialize JSON with deterministic float formatting.
 
-    Each array in ``positions`` (positions of ``obj``, in document order)
-    is written as its image [x[i], y[i]], without a third element: one
-    ``%`` fills the ``[%.15g, %.15g]`` template written in its place.
+    ``arrays`` are ``map_positions``' (array, count) pairs of ``obj``.  Each
+    position in them is written as its image [x[i], y[i]], without a third
+    element: one ``%`` fills the ``[%.15g, %.15g]`` templates written there.
     """
     pieces: list[str] = []
     try:
-        _write(obj, pieces, set(map(id, positions)))
+        _write(obj, pieces, {id(array): count for array, count in arrays})
     except RecursionError:  # parsed JSON can nest deeper than the writer recurses
         raise GeoJsonError("input nested too deeply") from None
     return "".join(pieces) % _rows(x, y)
@@ -57,7 +58,7 @@ def _rows(*columns) -> tuple:
     return tuple(values.ravel().tolist())
 
 
-def _write(obj, pieces: list[str], positions: set[int]) -> None:
+def _write(obj, pieces: list[str], arrays: dict[int, int | None]) -> None:
     # most frequent types first; bool is tested before int, of which it is a subclass;
     # a "%" in text is doubled for dumps' final "%"
     if isinstance(obj, float):
@@ -71,17 +72,18 @@ def _write(obj, pieces: list[str], positions: set[int]) -> None:
                 pieces.append(", ")
             pieces.append(encode_basestring_ascii(str(key)).replace("%", "%%"))
             pieces.append(": ")
-            _write(value, pieces, positions)
+            _write(value, pieces, arrays)
         pieces.append("}")
     elif isinstance(obj, (list, tuple)):
-        if id(obj) in positions:
-            pieces.append("[%.15g, %.15g]")
+        if id(obj) in arrays:
+            count = arrays[id(obj)]
+            pieces.append(_POSITION if count is None else "[" + ", ".join([_POSITION] * count) + "]")
             return
         pieces.append("[")
         for i, value in enumerate(obj):
             if i:
                 pieces.append(", ")
-            _write(value, pieces, positions)
+            _write(value, pieces, arrays)
         pieces.append("]")
     elif obj is None:
         pieces.append("null")
@@ -178,36 +180,38 @@ def region_polyline(obj: dict) -> list[SpherePoint]:
 
 
 def map_positions(obj, mapper: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]):
-    """The positions of every geometry of a GeoJSON object, their images
-    and the lines among them: ``(positions, x, y, lines)``.
+    """The position arrays of every geometry of a GeoJSON object, their
+    images and the lines among them: ``(arrays, x, y, lines)``.
 
-    ``positions`` are the position arrays of ``obj`` in document order,
-    which is left as it is.  Every one is validated before ``mapper`` runs.
-    It receives all of them at once as (lon_deg, lat_deg) arrays and
-    returns the image columns x and y.  ``lines`` holds the range
-    ``(start, end)`` in them of each line and polygon ring.
+    ``arrays`` pairs each array of positions of ``obj`` (a line, a ring or a
+    MultiPoint's coordinates) with its length, and each Point's position with
+    None, in document order; ``obj`` is left as it is.  Every position is
+    validated before ``mapper`` runs.  It receives all of them at once as
+    (lon_deg, lat_deg) arrays and returns the image columns x and y.
+    ``lines`` holds the range ``(start, end)`` in them of each line and ring.
     """
-    positions, lines = [], []
+    positions, arrays, lines = [], [], []
     try:
         for geom in _geometries(obj):
             kind, coords = geom["type"], geom.get("coordinates", [])
             if kind == "Point":
                 if coords != []:  # an empty Point has no position
                     positions.append(coords)
-            elif kind == "MultiPoint":
-                positions += _nested(coords, 1)
+                    arrays.append((coords, None))
             else:
                 for line in _nested(coords, _POSITION_DEPTH[kind] - 1):
                     start = len(positions)
-                    positions += _nested(line, 1)
-                    lines.append((start, len(positions)))
+                    positions += _array(line, "coordinates")
+                    arrays.append((line, len(positions) - start))
+                    if kind != "MultiPoint":
+                        lines.append((start, len(positions)))
     except RecursionError:  # parsed JSON can nest deeper than the walk recurses
         raise GeoJsonError("input nested too deeply") from None
     columns = np.fromiter(
         (v for pos in positions for v in _position(pos)), dtype=float, count=2 * len(positions)
     )
     x, y = mapper(columns[0::2], columns[1::2])
-    return positions, x, y, lines
+    return arrays, x, y, lines
 
 
 def point_feature_collection(lon_deg: np.ndarray, lat_deg: np.ndarray, columns: dict) -> str:

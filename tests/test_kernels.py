@@ -1,9 +1,9 @@
 """Array kernels against the per-point code they replace.
 
 The per-point forward projection, the per-point closed-form dilatation,
-the double loop of the boundary self-intersection test and the ring loop
-of the cap sample layout are kept here as oracles; the batched
-conformality probes are checked against the public per-point
+the double loop and the all-pairs blocks of the boundary self-intersection
+test and the ring loop of the cap sample layout are kept here as oracles;
+the batched conformality probes are checked against the public per-point
 ``conformality_defect``, and the columnar GeoJSON writers against
 ``dumps`` of the same document built as objects.
 """
@@ -12,12 +12,14 @@ import cmath
 import copy
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carta.chebyshev as chebyshev
 import carta.cli as cli
 from carta import (
     Inversion,
@@ -320,6 +322,53 @@ def test_check_simple_matches_double_loop(rng, monkeypatch):
             assert got == _outcome(reference_check_simple, poly)
             outcomes.add(got is None)
     assert outcomes == {True, False}  # both simple and self-intersecting rings were drawn
+
+
+def all_pairs_check_simple(poly_xy, pair_block):
+    """The all-pairs test: every edge against every later edge, in row blocks."""
+    n = len(poly_xy)
+    x, y = poly_xy[:, 0], poly_xy[:, 1]
+    x2, y2 = np.roll(x, -1), np.roll(y, -1)
+    ex, ey = x2 - x, y2 - y
+    rows = max(1, pair_block // n)
+    for start in range(0, n, rows):
+        i = np.arange(start, min(start + rows, n))[:, None]
+        j = np.arange(start + 1, n)[None, :]
+        d1 = ex[i] * (y[j] - y[i]) - ey[i] * (x[j] - x[i])
+        d2 = ex[i] * (y2[j] - y[i]) - ey[i] * (x2[j] - x[i])
+        d3 = ex[j] * (y[i] - y[j]) - ey[j] * (x[i] - x[j])
+        d4 = ex[j] * (y2[i] - y[j]) - ey[j] * (x2[i] - x[j])
+        adjacent = (j - i == 1) | (j - i == n - 1)
+        crossing = (d1 * d2 < 0) & (d3 * d4 < 0) & (j > i) & ~adjacent
+        if crossing.any():
+            a, b = np.unravel_index(np.argmax(crossing), crossing.shape)
+            raise SelfIntersectingBoundary(f"boundary edges {i[a, 0]} and {j[0, b]} cross")
+
+
+def _monotone_polygon(columns):
+    """A ring of small integers that is simple: an upper chain left to right
+    above a lower chain right to left over the same sorted x (repeats give
+    vertical edges, equal y collinear ones)."""
+    xs, tops, bottoms = zip(*sorted(columns))
+    return [*zip(xs, tops), *zip(reversed(xs), reversed(bottoms))]
+
+
+# small integer coordinates: many collinear, touching and repeated edges, and
+# every orientation product exact, so both tests see the same signs
+grid_points = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+test_rings = st.lists(grid_points, min_size=4, max_size=60) | st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(1, 4), st.integers(-4, 0)), min_size=2, max_size=30
+).map(_monotone_polygon)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ring=test_rings, transpose=st.booleans(),
+       pair_block=st.sampled_from([1, 7, 64, chebyshev._PAIR_BLOCK]))
+def test_check_simple_matches_all_pairs(ring, transpose, pair_block):
+    poly = np.array(ring, dtype=float)[:, ::-1 if transpose else 1]
+    with mock.patch.object(chebyshev, "_PAIR_BLOCK", pair_block):
+        got = _outcome(_check_simple, poly)
+    assert got == _outcome(lambda p: all_pairs_check_simple(p, pair_block), poly)
 
 
 # -- cap sample layout ----------------------------------------------------------------
