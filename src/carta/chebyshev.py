@@ -142,25 +142,40 @@ def _check_simple(poly_xy: np.ndarray) -> None:
     """Raise for the first pair (i, j), i < j, of non-adjacent edges that
     cross properly (edge i runs from vertex i to vertex i + 1).
 
-    Edges that cross share an x, so only the pairs whose x-ranges overlap
-    are tested: with the edges sorted by their least x, the partners of
-    each edge follow it in that order up to the first that starts past its
-    greatest x.  All such pairs are numbered and tested in blocks.
+    Edges that cross share a point, so only the pairs whose x- and
+    y-ranges overlap are tested.  The plane is cut into horizontal strips
+    at least as tall as the edges are on average, and each edge is listed
+    in every strip its y-range meets: at most three per edge on average.
+    Within a strip, with its edges sorted by their least x, the partners
+    of each edge follow it up to the first that starts past its greatest
+    x.  Two edges whose y-ranges overlap share the strip of the higher of
+    their lowest points, and are tested there only.  All pairs are
+    numbered and tested in blocks.
     """
     n = len(poly_xy)
     x, y = poly_xy[:, 0], poly_xy[:, 1]
     x2, y2 = np.roll(x, -1), np.roll(y, -1)  # far end of each edge
     ex, ey = x2 - x, y2 - y
-    lo, hi = np.minimum(x, x2), np.maximum(x, x2)
+    # strips no shorter than 1/n of the ring's height: at most n + 1 of them
+    height = max(np.abs(ey).mean(), (y.max() - y.min()) / n) or 1.0
+    bottom = np.floor((np.minimum(y, y2) - y.min()) / height).astype(int)
+    strips = np.floor((np.maximum(y, y2) - y.min()) / height).astype(int) - bottom + 1
+    edge = np.repeat(np.arange(n), strips)
+    strip = bottom[edge] + np.arange(len(edge)) - np.repeat(np.cumsum(strips) - strips, strips)
+    # x-ranges as ranks of their ends, so that (strip, x) is one integer key
+    xrank = np.unique(np.concatenate([np.minimum(x, x2), np.maximum(x, x2)]), return_inverse=True)[1]
+    lo, hi = (strip * 2 * n + r[edge] for r in (xrank[:n], xrank[n:]))
     order = np.argsort(lo)
     stop = np.searchsorted(lo[order], hi[order], side="right")
-    counts = stop - np.arange(n) - 1  # partners of each sorted edge
+    counts = stop - np.arange(len(edge)) - 1  # partners of each sorted entry
     ends = np.cumsum(counts)
     total, first = int(ends[-1]), n * n
     for start in range(0, total, _PAIR_BLOCK):
         pair = np.arange(start, min(start + _PAIR_BLOCK, total))
         rank = np.searchsorted(ends, pair, side="right")
         a, b = order[rank], order[rank + 1 + pair - (ends[rank] - counts[rank])]
+        own = strip[a] == np.maximum(bottom[edge[a]], bottom[edge[b]])
+        a, b = edge[a[own]], edge[b[own]]
         i, j = np.minimum(a, b), np.maximum(a, b)
         d1 = ex[i] * (y[j] - y[i]) - ey[i] * (x[j] - x[i])
         d2 = ex[i] * (y2[j] - y[i]) - ey[i] * (x2[j] - x[i])
@@ -357,7 +372,8 @@ def solve_log_scale(mesh: RegionMesh) -> ScalarField:
     cx, cy, cz = mesh.center
     cos_angle = np.cos(lat) * (np.cos(lon) * cx + np.sin(lon) * cy) + np.sin(lat) * cz
     rhs = (1.0 + cos_angle) ** 2  # 4 / (1 + |z|^2)^2, as |z| = tan(angle / 2)
-    u_int = scipy.sparse.linalg.spsolve(matrix, rhs)
+    # every arm between two unknowns runs both ways, so the pattern is symmetric
+    u_int = scipy.sparse.linalg.spsolve(matrix, rhs, permc_spec="MMD_AT_PLUS_A")
     u = np.zeros(mesh.node_count)
     u[:n] = u_int
 

@@ -110,3 +110,15 @@ def random_point_for_spec(rng, spec, max_tries=500):
 def point_columns(points):
     """(latitudes, longitudes) of sphere points, the columns ``distortion_report`` takes."""
     return [p.latitude for p in points], [p.longitude for p in points]
+
+
+def offcap_ring(sides):
+    """(lat, lon) radians of a regular polygon inscribed in the 10-degree cap
+    about (20N, 37E), where the centred stereographic map is optimal."""
+    lat0, lon0, r = math.radians(20), math.radians(37), math.radians(10)
+    bearing = 0.003 + np.linspace(0.0, 2 * math.pi, sides, endpoint=False)
+    lat = np.arcsin(math.sin(lat0) * math.cos(r) + math.cos(lat0) * math.sin(r) * np.cos(bearing))
+    lon = lon0 + np.arctan2(
+        np.sin(bearing) * math.sin(r) * math.cos(lat0), math.cos(r) - math.sin(lat0) * np.sin(lat)
+    )
+    return lat, lon

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from carta import (
     LagrangeProjectionSpec,
@@ -22,11 +23,13 @@ from carta import (
     distortion_ratio,
     solve_log_scale,
 )
+from carta.chebyshev import RESIDUAL_TOL
 from carta.errors import (
     DegenerateBoundary,
     RegionTooSmall,
     SelfIntersectingBoundary,
 )
+from conftest import offcap_ring
 
 
 def cap_u_exact(cap_radius, r):
@@ -289,6 +292,38 @@ def test_grid_solution_satisfies_stencil_residual():
         cos_angle = SpherePoint(lat[node], lon[node]).unit_vector() @ mesh.center
         worst = max(worst, abs(laplacian - (1 + cos_angle) ** 2))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_cap_mesh(math.radians(10), math.radians(0.25)),
+        lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.4)),
+        lambda: build_region_mesh(
+            [SpherePoint.from_degrees(lat, lon) for lat, lon in [(70, 0), (75, 90), (70, 180), (75, 270)]],
+            math.radians(0.5),
+        ),
+    ],
+    ids=["cap-10", "offcap-720-gon", "around-a-pole"],
+)
+def test_minimum_degree_ordering_matches_default(build, monkeypatch):
+    # the solve orders the unknowns for the symmetric pattern of A + A^T;
+    # SuperLU's default column ordering, as solved before, is the reference
+    spsolve = scipy.sparse.linalg.spsolve
+    systems = []
+
+    def capture(matrix, rhs, **options):
+        systems.append((matrix, rhs))
+        return spsolve(matrix, rhs, **options)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", capture)
+    mesh = build()
+    u = solve_log_scale(mesh).interior_values()
+    [(matrix, rhs)] = systems
+    pattern = matrix != 0
+    assert (pattern != pattern.T).nnz == 0
+    assert np.abs(u - spsolve(matrix, rhs)).max() <= 1e-13
+    assert np.abs(matrix @ u - rhs).max() <= RESIDUAL_TOL
 
 
 # -- distortion ratios ------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import carta.cli as cli
 import carta.errors as errors
+from conftest import offcap_ring
 
 
 def run_cli(*argv):
@@ -216,12 +217,7 @@ def _write_ring(path, lat_lon_deg):
 def test_chebyshev_offcap_polygon_matches_stereographic(tmp_path, capsys, delta_deg):
     # a 720-gon on the 10-degree cap about (20N, 37E): the stereographic
     # centred there is optimal (Milnor 1969) at every resolution
-    lat0, lon0, r = math.radians(20), math.radians(37), math.radians(10)
-    bearing = 0.003 + np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
-    lat = np.arcsin(math.sin(lat0) * math.cos(r) + math.cos(lat0) * math.sin(r) * np.cos(bearing))
-    lon = lon0 + np.arctan2(
-        np.sin(bearing) * math.sin(r) * math.cos(lat0), math.cos(r) - math.sin(lat0) * np.sin(lat)
-    )
+    lat, lon = offcap_ring(720)
     region = _write_ring(tmp_path / "offcap.geojson", zip(np.degrees(lat), np.degrees(lon)))
     report = tmp_path / "report.txt"
     code = run_cli(

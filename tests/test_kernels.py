@@ -353,12 +353,27 @@ def _monotone_polygon(columns):
     return [*zip(xs, tops), *zip(reversed(xs), reversed(bottoms))]
 
 
+def _star_ring(spokes):
+    """A ring of spokes (bearing in degrees, radius) in the order given:
+    simple when the bearings are sorted, often crossing when not."""
+    bearings, radii = np.radians([b for b, _ in spokes]), np.array([r for _, r in spokes])
+    return np.column_stack([radii * np.cos(bearings), radii * np.sin(bearings)]).tolist()
+
+
 # small integer coordinates: many collinear, touching and repeated edges, and
-# every orientation product exact, so both tests see the same signs
+# every orientation product exact, so both tests see the same signs; star
+# rings, whose edges overlap many others in x but few in y, are in floats,
+# where both tests still form each product from the same operands
 grid_points = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
-test_rings = st.lists(grid_points, min_size=4, max_size=60) | st.lists(
-    st.tuples(st.integers(-4, 4), st.integers(1, 4), st.integers(-4, 0)), min_size=2, max_size=30
-).map(_monotone_polygon)
+star_spokes = st.lists(st.tuples(st.integers(0, 359), st.floats(0.1, 0.13)), min_size=4, max_size=60)
+test_rings = (
+    st.lists(grid_points, min_size=4, max_size=60)
+    | st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(1, 4), st.integers(-4, 0)), min_size=2, max_size=30
+    ).map(_monotone_polygon)
+    | star_spokes.map(sorted).map(_star_ring)
+    | star_spokes.map(_star_ring)
+)
 
 
 @settings(max_examples=500, deadline=None)
