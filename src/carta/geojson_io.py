@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+from itertools import chain
 from json.encoder import encode_basestring_ascii  # what json.dumps does to a str
 from typing import Callable
 
@@ -154,6 +155,26 @@ def _position(pos) -> tuple[float, float]:
     return lon, lat
 
 
+def _columns(positions: list) -> np.ndarray:
+    """The (lon, lat) of every position, one after the other, as ``_position``
+    reads them.  Positions of two ints or floats are checked in bulk;
+    ``_position`` reads them one by one only when that check fails, to
+    name the first bad one or to read what the check does not take
+    (tuples, altitudes, subclasses of float)."""
+    count = 2 * len(positions)
+    if (set(map(type, positions)) <= {list} and set(map(len, positions)) <= {2}
+            and set(map(type, chain.from_iterable(positions))) <= {float, int}):
+        try:
+            columns = np.fromiter(chain.from_iterable(positions), dtype=float, count=count)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            lon, lat = columns[0::2], columns[1::2]
+            if np.isfinite(lon).all() and ((-90.0 <= lat) & (lat <= 90.0)).all():
+                return columns
+    return np.fromiter((v for pos in positions for v in _position(pos)), dtype=float, count=count)
+
+
 def _nested(coords, depth: int):
     """Yield the members nested ``depth`` arrays deep in ``coords``."""
     if depth == 0:
@@ -207,9 +228,7 @@ def map_positions(obj, mapper: Callable[[np.ndarray, np.ndarray], tuple[np.ndarr
                         lines.append((start, len(positions)))
     except RecursionError:  # parsed JSON can nest deeper than the walk recurses
         raise GeoJsonError("input nested too deeply") from None
-    columns = np.fromiter(
-        (v for pos in positions for v in _position(pos)), dtype=float, count=2 * len(positions)
-    )
+    columns = _columns(positions)
     x, y = mapper(columns[0::2], columns[1::2])
     return arrays, x, y, lines
 

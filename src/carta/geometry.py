@@ -427,15 +427,21 @@ _PRATT_CONSTRAINT = np.array(
 )
 
 
-def circle_fit(points: Sequence[PlanePoint]) -> tuple[GeneralizedCircle, float]:
-    """Fit a generalized circle; returns (curve, rms orthogonal distance).
+def circle_fit(x, y) -> tuple[GeneralizedCircle, float]:
+    """Fit a generalized circle to the points (x[i], y[i]); returns (curve,
+    rms orthogonal distance).
 
     Degenerates to a line when the fitted curvature magnitude is below
-    1e-10; raises InsufficientPoints for < 3 points or coincident data.
+    1e-10; raises NonFiniteValue for a non-finite coordinate and
+    InsufficientPoints for < 3 points or coincident data.
     """
-    if len(points) < 3:
-        raise InsufficientPoints(f"need at least 3 points, got {len(points)}")
-    xy = np.array([[p.x, p.y] for p in points], dtype=float)
+    xy = np.column_stack((x, y)).astype(float, copy=False)
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():
+        bad = xy[np.argmin(finite)]
+        raise NonFiniteValue(f"non-finite plane point ({bad[0]}, {bad[1]})")
+    if len(xy) < 3:
+        raise InsufficientPoints(f"need at least 3 points, got {len(xy)}")
     centroid = xy.mean(axis=0)
     shifted = xy - centroid
     scale = math.sqrt(float(np.mean(np.sum(shifted**2, axis=1))))
@@ -485,5 +491,11 @@ def circle_fit(points: Sequence[PlanePoint]) -> tuple[GeneralizedCircle, float]:
             PlanePoint(cx0 + scale * cx, cy0 + scale * cy),
             scale * radius_u,
         )
-    residuals = np.array([fitted.distance_to(p) for p in points])
+    x, y = xy[:, 0], xy[:, 1]
+    if fitted.kind == "circle":
+        # math.hypot, as distance_to uses: np.hypot rounds differently
+        dx, dy = (x - fitted.center.x).tolist(), (y - fitted.center.y).tolist()
+        residuals = np.abs(np.fromiter(map(math.hypot, dx, dy), float, len(dx)) - fitted.radius)
+    else:
+        residuals = np.abs(fitted.normal[0] * x + fitted.normal[1] * y - fitted.offset)
     return fitted, float(math.sqrt(np.mean(residuals**2)))

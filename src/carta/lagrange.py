@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BranchOverflow,
     CartaError,
+    ConfigError,
     DomainError,
     NonFiniteValue,
     OriginSingularity,
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .geometry import (
     POLE_COLATITUDE_EPS,
+    TWO_PI,
     GeneralizedCircle,
     Inversion,
     MobiusTransform,
@@ -53,6 +55,12 @@ from .surfaces import (
 # image circle, and staying off the singularities keeps the fit
 # well-conditioned.
 SAMPLE_CLEARANCE = 1e-3
+
+# graticule_image refuses graticules of more samples than this (16 MB per
+# float64 array of them), and projects its curves in blocks of whole curves
+# of at most _GRATICULE_BLOCK samples (or one curve), to bound its memory
+GRATICULE_SAMPLE_LIMIT = 1 << 21
+_GRATICULE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -352,6 +360,46 @@ def _singular_preimages(spec: LagrangeProjectionSpec) -> list[np.ndarray]:
     return points
 
 
+def _clear_samples(avoid: list[np.ndarray], lat: np.ndarray, lon: np.ndarray) -> tuple:
+    """The samples of rows of latitudes and longitudes that lie at least
+    ``SAMPLE_CLEARANCE`` from every unit vector of ``avoid``, flattened,
+    and the end of each row among them."""
+    cos_lat = np.cos(lat)
+    v = (cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat))
+    clear = np.ones(lat.shape, dtype=bool)
+    for s in avoid:  # the Euclidean norm, summed in np.linalg.norm's order
+        clear &= np.sqrt(sum((a - b) ** 2 for a, b in zip(v, s))) >= SAMPLE_CLEARANCE
+    return lat[clear], lon[clear], np.cumsum(clear.sum(axis=1)).tolist()
+
+
+def _in_branch_window(spec: LagrangeProjectionSpec, lon: float) -> bool:
+    """Whether the meridian at ``lon`` lies within pi / c of the central
+    meridian, where the power map is single-valued."""
+    return abs(spec.exponent * normalize_longitude(lon - spec.central_meridian)) <= math.pi
+
+
+def _meridians_in_window(
+    spec: LagrangeProjectionSpec, k_min: int, k_max: int, lon_step: float
+) -> int:
+    """How many of the meridians k * lon_step, k_min <= k <= k_max, lie in
+    the branch window (all of them for c <= 1), counted without listing
+    them.  The window is an interval of longitude, repeated every 2 pi;
+    rounding can move only the meridian nearest each of its edges, so that
+    one is counted by ``_in_branch_window`` itself."""
+    c, center = spec.exponent, spec.central_meridian
+    if c <= 1.0:
+        return k_max - k_min + 1
+    edges = [(center + side * math.pi / c + shift) / lon_step
+             for shift in (-TWO_PI, 0.0, TWO_PI) for side in (-1, 1)]
+    windows = [(math.ceil(lo), math.floor(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
+    count = sum(max(0, min(k_max, hi) - max(k_min, lo) + 1) for lo, hi in windows)
+    for k in {round(edge) for edge in edges}:
+        if k_min <= k <= k_max:
+            counted = any(lo <= k <= hi for lo, hi in windows)
+            count += _in_branch_window(spec, k * lon_step) - counted
+    return count
+
+
 def graticule_image(
     spec: LagrangeProjectionSpec,
     lat_step: float,
@@ -362,54 +410,68 @@ def graticule_image(
 
     Curves running through a singular point (projection center, inversion
     pole) are clipped around it rather than failed; curves entirely
-    outside the branch window are skipped.
+    outside the branch window are skipped.  A graticule of more than
+    ``GRATICULE_SAMPLE_LIMIT`` samples is refused before anything is built.
     """
     if samples_per_curve < 8:
         raise ValueError("need at least 8 samples per curve")
     if not (0.0 < lat_step < math.pi / 2) or not (0.0 < lon_step <= math.pi):
         raise ValueError("graticule steps out of range")
+    # a step below pi / limit gives more curves than the limit has samples
+    # (and the quotients below could overflow)
+    if min(lat_step, lon_step) < math.pi / GRATICULE_SAMPLE_LIMIT:
+        raise ConfigError(
+            f"graticule step {min(lat_step, lon_step):g} rad gives over"
+            f" {GRATICULE_SAMPLE_LIMIT} samples"
+        )
     n_parallel_half = int(math.floor((math.pi / 2 - 1e-9) / lat_step))
     if 2 * n_parallel_half + 1 < 2:
         raise ValueError("lat_step yields fewer than 2 parallels")
     k_min = int(math.floor(-math.pi / lon_step)) + 1
     k_max = int(math.floor(math.pi / lon_step))
-    meridian_lons = [k * lon_step for k in range(k_min, k_max + 1)]
-    if len(meridian_lons) < 2:
+    if k_max - k_min + 1 < 2:
         raise ValueError("lon_step yields fewer than 2 meridians")
+    n_curves = 2 * n_parallel_half + 1 + _meridians_in_window(spec, k_min, k_max, lon_step)
+    if n_curves * samples_per_curve > GRATICULE_SAMPLE_LIMIT:
+        raise ConfigError(
+            f"graticule of {n_curves} curves x {samples_per_curve} samples is over"
+            f" the limit of {GRATICULE_SAMPLE_LIMIT} samples"
+        )
 
-    c = spec.exponent
+    # each curve is a fixed latitude (parallels) or longitude (meridians),
+    # sampled along the other coordinate's row; meridians outside the
+    # branch window are skipped
+    lats = [k * lat_step for k in range(-n_parallel_half, n_parallel_half + 1)]
+    lons = [normalize_longitude(k * lon_step) for k in range(k_min, k_max + 1)
+            if _in_branch_window(spec, k * lon_step)]
+    ids = [f"parallel lat={math.degrees(lat):+.1f}" for lat in lats]
+    ids += [f"meridian lon={math.degrees(lon):+.1f}" for lon in lons]
+    fixed = np.array(lats + lons)
+    parallel = np.arange(len(ids)) < len(lats)
+    # parallels: clip longitudes to the branch window when c > 1
+    half_window = min(math.pi, (math.pi - SAMPLE_CLEARANCE) / spec.exponent)
+    lon_row = normalize_longitude_array(
+        np.linspace(-half_window, half_window, samples_per_curve) + spec.central_meridian
+    )
+    lat_row = np.linspace(-math.pi / 2, math.pi / 2 - SAMPLE_CLEARANCE, samples_per_curve)
+
     avoid = _singular_preimages(spec)
     results: list[GraticuleCurveFit] = []
-
-    def fit_curve(curve_id: str, lat, lon):
-        lat, lon = np.broadcast_arrays(lat, normalize_longitude_array(lon))
-        cos_lat = np.cos(lat)
-        v = np.stack([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)], axis=1)
-        clear = np.all([np.linalg.norm(v - s, axis=1) >= SAMPLE_CLEARANCE for s in avoid], axis=0)
-        w, code = project_array(spec, lat[clear], lon[clear])
-        w = w[code == 0]
-        if len(w) < 8:
-            return  # fully clipped curve
-        diameter = math.hypot(np.ptp(w.real), np.ptp(w.imag))
-        curve, residual = circle_fit(
-            [PlanePoint(x, y) for x, y in zip(w.real.tolist(), w.imag.tolist())]
+    rows = max(1, _GRATICULE_BLOCK // samples_per_curve)
+    for first in range(0, len(ids), rows):
+        block = slice(first, first + rows)
+        lat, lon, ends = _clear_samples(
+            avoid,
+            np.where(parallel[block, None], fixed[block, None], lat_row),
+            np.where(parallel[block, None], lon_row, fixed[block, None]),
         )
-        results.append(GraticuleCurveFit(curve_id, curve, residual, diameter, len(w)))
-
-    # parallels: clip longitudes to the branch window when c > 1
-    half_window = min(math.pi, (math.pi - SAMPLE_CLEARANCE) / c)
-    for k in range(-n_parallel_half, n_parallel_half + 1):
-        lat = k * lat_step
-        dlons = np.linspace(-half_window, half_window, samples_per_curve)
-        fit_curve(f"parallel lat={math.degrees(lat):+.1f}", lat, dlons + spec.central_meridian)
-
-    # meridians: skip those outside the branch window entirely
-    lat_hi = math.pi / 2 - SAMPLE_CLEARANCE
-    for lon in meridian_lons:
-        dlon = normalize_longitude(lon - spec.central_meridian)
-        if abs(c * dlon) > math.pi:
-            continue
-        lats = np.linspace(-math.pi / 2, lat_hi, samples_per_curve)
-        fit_curve(f"meridian lon={math.degrees(normalize_longitude(lon)):+.1f}", lats, lon)
-
+        w, code = project_array(spec, lat, lon)
+        for curve_id, start, end in zip(ids[block], [0, *ends], ends):
+            image = w[start:end][code[start:end] == 0]
+            if len(image) < 8:
+                continue  # fully clipped curve
+            x, y = image.real, image.imag
+            diameter = math.hypot(np.ptp(x), np.ptp(y))
+            curve, residual = circle_fit(x, y)
+            results.append(GraticuleCurveFit(curve_id, curve, residual, diameter, len(image)))
     return results

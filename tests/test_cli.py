@@ -680,6 +680,12 @@ GOLDEN_ERRORS = [
      "ConfigError: give --cap-deg or --region, not both"),
     (f"darboux --source {SOURCE} --target {SOURCE} --target-sides 1,1,1", 2,
      "ConfigError: give --target or --target-sides, not both"),
+    # graticules too large to build are refused before anything is allocated
+    ("graticule --lon-step 1e-300", 2,
+     "ConfigError: graticule step 1.74533e-302 rad gives over 2097152 samples"),
+    ("graticule --samples 100000000000", 2,
+     "ConfigError: graticule of 35 curves x 100000000000 samples is over the limit of"
+     " 2097152 samples"),
 ]
 
 

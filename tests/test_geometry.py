@@ -25,6 +25,7 @@ from carta.errors import (
     DegeneratePolygon,
     DegenerateTransform,
     InsufficientPoints,
+    NonFiniteValue,
     PointAtInfinity,
     PoleSingularity,
     ProjectionPole,
@@ -248,7 +249,7 @@ def test_image_of_circle_matches_pointwise_oracle(rng):
                 mapped.append(q)
         if len(mapped) < 8:
             continue
-        fitted, residual = circle_fit(mapped)
+        fitted, residual = circle_fit([p.x for p in mapped], [p.y for p in mapped])
         scale = max(1.0, *(abs(v) for p in mapped for v in (p.x, p.y)))
         # sampled mapped points land on the computed image...
         assert max(image.distance_to(p) for p in mapped) < 1e-9 * scale
@@ -399,8 +400,8 @@ def test_degenerate_polygons():
 
 
 def test_circle_fit_exact_circle():
-    pts = [PlanePoint(math.cos(t), math.sin(t)) for t in np.linspace(0, 2 * math.pi, 8, endpoint=False)]
-    fitted, residual = circle_fit(pts)
+    t = np.linspace(0, 2 * math.pi, 8, endpoint=False)
+    fitted, residual = circle_fit(np.cos(t), np.sin(t))
     assert fitted.kind == "circle"
     assert fitted.center.distance(PlanePoint(0, 0)) < 1e-12
     assert fitted.radius == pytest.approx(1.0, abs=1e-12)
@@ -408,8 +409,8 @@ def test_circle_fit_exact_circle():
 
 
 def test_circle_fit_collinear_points():
-    pts = [PlanePoint(0.5 * i, 2.0 + 0.25 * i) for i in range(8)]
-    fitted, residual = circle_fit(pts)
+    i = np.arange(8)
+    fitted, residual = circle_fit(0.5 * i, 2.0 + 0.25 * i)
     assert fitted.kind == "line"
     assert residual < 1e-12
 
@@ -419,14 +420,21 @@ def test_circle_fit_radial_noise(rng):
     for _ in range(50):
         radii = 1.0 + rng.uniform(-1e-6, 1e-6, 16)
         angles = np.linspace(0, 2 * math.pi, 16, endpoint=False)
-        pts = [PlanePoint(r * math.cos(t), r * math.sin(t)) for r, t in zip(radii, angles)]
-        fitted, _ = circle_fit(pts)
+        fitted, _ = circle_fit(radii * np.cos(angles), radii * np.sin(angles))
         worst = max(worst, abs(fitted.radius - 1.0))
     assert worst < 1e-5
 
 
 def test_circle_fit_insufficient():
     with pytest.raises(InsufficientPoints):
-        circle_fit([PlanePoint(0, 0), PlanePoint(1, 1)])
+        circle_fit(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(InsufficientPoints):
-        circle_fit([PlanePoint(1, 1)] * 10)
+        circle_fit(np.ones(10), np.ones(10))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_circle_fit_non_finite(bad):
+    x, y = np.cos(np.arange(8.0)), np.sin(np.arange(8.0))
+    y[5] = bad
+    with pytest.raises(NonFiniteValue, match=rf"non-finite plane point \({x[5]}, {bad}\)"):
+        circle_fit(x, y)

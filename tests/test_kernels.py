@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import carta.chebyshev as chebyshev
 import carta.cli as cli
+import carta.geojson_io as geojson_io
 from carta import (
     Inversion,
     LagrangeProjectionSpec,
@@ -628,6 +629,53 @@ def test_projected_text_of_empty_arrays_and_altitudes():
         "[1.33333333333333, -0.5]]}]}"
     )
     assert lines == [(0, 0), (0, 4), (4, 4), (4, 8), (9, 11)]
+
+
+# what a position may hold in place of a valid one: each is checked in bulk, and
+# _position names the first bad one (or reads it: altitudes, tuples, float subclasses)
+POSITION_DEFECTS = {
+    "bool": lambda pos: [True, pos[1]],
+    "str": lambda pos: [pos[0], "1"],
+    "None": lambda pos: [None, pos[1]],
+    "nested list": lambda pos: [pos[0], [pos[1]]],
+    "huge int": lambda pos: [10**400, pos[1]],
+    "nan": lambda pos: [math.nan, pos[1]],
+    "inf": lambda pos: [-math.inf, pos[1]],
+    "lat above 90": lambda pos: [pos[0], 90.0000001],
+    "lat below -90": lambda pos: [pos[0], -90.0000001],
+    "length 1": lambda pos: pos[:1],
+    "length 3": lambda pos: [*pos, 7],
+    "tuple": tuple,
+    "dict": lambda pos: {1: 2, 3: 4},  # iterates to two ints
+    "float subclass": lambda pos: [np.float64(pos[0]), pos[1]],
+}
+two_number_positions = st.builds(
+    lambda lon, lat: [lon, lat],
+    st.integers(-(10**20), 10**20) | finite_floats,
+    st.integers(-90, 90) | st.floats(-90, 90),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.lists(two_number_positions, max_size=5), min_size=1, max_size=4),
+    defect=st.none() | st.sampled_from(sorted(POSITION_DEFECTS)),
+    data=st.data(),
+)
+def test_bulk_position_check_matches_position_by_position(lines, defect, data):
+    if defect is not None and any(lines):
+        line = data.draw(st.sampled_from([line for line in lines if line]))
+        i = data.draw(st.integers(0, len(line) - 1))
+        line[i] = POSITION_DEFECTS[defect](line[i])
+    positions = [pos for line in lines for pos in line]
+    document = {"type": "MultiLineString", "coordinates": lines}
+    try:
+        expected = [repr(v) for pos in positions for v in geojson_io._position(pos)]
+    except GeoJsonError as exc:
+        assert _raised(map_positions, document, None) == (GeoJsonError, str(exc))
+    else:
+        lon, lat = map_positions(document, lambda lon, lat: (lon, lat))[1:3]
+        assert [repr(v) for pair in zip(lon.tolist(), lat.tolist()) for v in pair] == expected
 
 
 def test_nesting_beyond_the_recursion_limit_is_a_geojson_error():

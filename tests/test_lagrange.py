@@ -18,7 +18,16 @@ from carta import (
     stereographic_project,
     unproject,
 )
-from carta.errors import BranchOverflow, OriginSingularity, OutsideImage, ProjectionPole
+from carta import lagrange
+from carta.errors import (
+    BranchOverflow,
+    ConfigError,
+    OriginSingularity,
+    OutsideImage,
+    ProjectionPole,
+)
+from carta.geometry import normalize_longitude, normalize_longitude_array
+from carta.lagrange import GraticuleCurveFit, project_array
 from carta.surfaces import SurfaceOfRevolution
 
 from conftest import random_spec
@@ -89,7 +98,7 @@ def test_central_meridian_maps_to_positive_x_axis():
         project(spec, SpherePoint(lat, 0.7))
         for lat in np.linspace(-math.pi / 2, math.pi / 2 - 1e-3, 64)
     ]
-    fitted, residual = circle_fit(images)
+    fitted, residual = circle_fit([q.x for q in images], [q.y for q in images])
     assert fitted.kind == "line"
     assert residual < 1e-12
     assert all(q.x >= 0 and abs(q.y) < 1e-12 * max(1.0, q.x) for q in images)
@@ -241,3 +250,129 @@ def test_graticule_validation():
         graticule_image(spec, math.radians(30), math.radians(30), samples_per_curve=4)
     with pytest.raises(ValueError):
         graticule_image(spec, math.radians(89), math.radians(300), 64)
+
+
+def _graticule_per_curve(spec, lat_step, lon_step, samples):
+    """graticule_image as it was written before its curves were batched:
+    one clearance test, one project_array call and one circle_fit call per
+    curve, in the same order."""
+    c = spec.exponent
+    avoid = lagrange._singular_preimages(spec)
+    curves = []
+    half_window = min(math.pi, (math.pi - lagrange.SAMPLE_CLEARANCE) / c)
+    n_half = int(math.floor((math.pi / 2 - 1e-9) / lat_step))
+    for k in range(-n_half, n_half + 1):
+        lons = np.linspace(-half_window, half_window, samples) + spec.central_meridian
+        curves.append((f"parallel lat={math.degrees(k * lat_step):+.1f}", k * lat_step, lons))
+    lats = np.linspace(-math.pi / 2, math.pi / 2 - lagrange.SAMPLE_CLEARANCE, samples)
+    for k in range(int(math.floor(-math.pi / lon_step)) + 1, int(math.floor(math.pi / lon_step)) + 1):
+        lon = k * lon_step
+        if abs(c * normalize_longitude(lon - spec.central_meridian)) <= math.pi:
+            curves.append((f"meridian lon={math.degrees(normalize_longitude(lon)):+.1f}", lats, lon))
+    fits = []
+    for curve_id, lat, lon in curves:
+        lat, lon = np.broadcast_arrays(lat, normalize_longitude_array(lon))
+        cos_lat = np.cos(lat)
+        v = np.stack([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)], axis=1)
+        clear = np.all(
+            [np.linalg.norm(v - s, axis=1) >= lagrange.SAMPLE_CLEARANCE for s in avoid], axis=0
+        )
+        w, code = project_array(spec, lat[clear], lon[clear])
+        w = w[code == 0]
+        if len(w) >= 8:
+            diameter = math.hypot(np.ptp(w.real), np.ptp(w.imag))
+            image, rms = circle_fit(w.real, w.imag)
+            fits.append(GraticuleCurveFit(curve_id, image, rms, diameter, len(w)))
+    return fits
+
+
+# (spec, lat step, lon step, samples per curve)
+GRATICULE_CASES = {
+    # the pole is the image of (0, 0): the equator and the Greenwich meridian are clipped
+    "inversion-pole-on-curves": (
+        LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, 0), 1.0)), 15, 15, 65
+    ),
+    # c > 1: meridians outside the branch window are skipped, parallels clipped to it
+    "exponent-above-1": (
+        LagrangeProjectionSpec(1.6, central_meridian=math.radians(100)), 10, 7, 50
+    ),
+    "spheroid": (
+        LagrangeProjectionSpec(
+            0.5,
+            post_transform=Inversion(PlanePoint(2, 0), 1.0),
+            surface=SurfaceOfRevolution(0.0818191908426),
+        ),
+        3, 3, 256,
+    ),
+    "mobius": (centered_stereographic(SpherePoint.from_degrees(40, 20)), 10, 12, 40),
+}
+
+
+@pytest.mark.parametrize("case", GRATICULE_CASES.values(), ids=GRATICULE_CASES)
+def test_graticule_matches_per_curve_reference(case):
+    spec, lat_step, lon_step, samples = case
+    steps = math.radians(lat_step), math.radians(lon_step)
+    fits = graticule_image(spec, *steps, samples)
+    assert fits == _graticule_per_curve(spec, *steps, samples)
+    assert len(fits) >= 20
+
+
+def test_graticule_reference_cases_clip_and_skip():
+    # the cases above reach the clipping and skipping they are named for
+    spec, lat_step, lon_step, samples = GRATICULE_CASES["inversion-pole-on-curves"]
+    fits = graticule_image(spec, math.radians(lat_step), math.radians(lon_step), samples)
+    # every meridian loses its sample next to the projection center
+    clipped = {f.curve_id for f in fits if f.samples_used < samples - (f.curve_id[0] == "m")}
+    assert clipped == {"parallel lat=+0.0", "meridian lon=+0.0"}
+    spec, lat_step, lon_step, samples = GRATICULE_CASES["exponent-above-1"]
+    fits = graticule_image(spec, math.radians(lat_step), math.radians(lon_step), samples)
+    assert sum(f.curve_id.startswith("meridian") for f in fits) < 360 // lon_step
+
+
+@pytest.mark.parametrize("block", [1, 100, 1000])
+def test_graticule_blocks_do_not_change_the_fits(monkeypatch, block):
+    spec, lat_step, lon_step, samples = GRATICULE_CASES["inversion-pole-on-curves"]
+    steps = math.radians(lat_step), math.radians(lon_step)
+    expected = graticule_image(spec, *steps, samples)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return project_array(*args)
+
+    monkeypatch.setattr(lagrange, "_GRATICULE_BLOCK", block)
+    monkeypatch.setattr(lagrange, "project_array", counted)
+    assert graticule_image(spec, *steps, samples) == expected
+    # 11 parallels and 24 meridians, whole curves in each block
+    rows = max(1, block // samples)
+    assert len(calls) == -(-35 // rows) > 1
+    assert max(calls) <= rows * samples
+
+
+def test_graticule_sample_limit_refused_before_allocating(monkeypatch):
+    spec = LagrangeProjectionSpec(exponent=1.5)
+    monkeypatch.setattr(lagrange, "_clear_samples", None)  # never reached
+    limit = lagrange.GRATICULE_SAMPLE_LIMIT
+    with pytest.raises(ConfigError, match=f"28 curves x {10**11} samples"):
+        graticule_image(spec, math.radians(15), math.radians(15), 10**11)
+    # just over the limit: 11 parallels and 17 of the 24 meridians
+    with pytest.raises(ConfigError, match=f"28 curves x {limit // 28 + 1} samples"):
+        graticule_image(spec, math.radians(15), math.radians(15), limit // 28 + 1)
+    for step in (1e-300, 5e-324, math.pi / limit / 2):
+        with pytest.raises(ConfigError, match="gives over"):
+            graticule_image(spec, step, 0.1, 8)
+        with pytest.raises(ConfigError, match="gives over"):
+            graticule_image(spec, 0.1, step, 8)
+
+
+def test_meridian_count_matches_the_drawn_meridians(rng):
+    # round values put meridians on the window's edges, where rounding decides
+    for _ in range(2000):
+        spec = LagrangeProjectionSpec(
+            exponent=float(rng.choice([rng.uniform(0.3, 2.0), 2.0, 1.5, 1.25, 1.0, 1 + 1e-9])),
+            central_meridian=math.radians(float(rng.choice([rng.uniform(-180, 180), 0, 90, 120, 180]))),
+        )
+        lon_step = math.radians(float(rng.choice([rng.uniform(0.5, 180), 3, 10, 15, 30, 90, 180])))
+        k_min, k_max = int(math.floor(-math.pi / lon_step)) + 1, int(math.floor(math.pi / lon_step))
+        drawn = sum(lagrange._in_branch_window(spec, k * lon_step) for k in range(k_min, k_max + 1))
+        assert lagrange._meridians_in_window(spec, k_min, k_max, lon_step) == drawn
