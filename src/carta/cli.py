@@ -221,7 +221,7 @@ def _graticule(
     args: argparse.Namespace, outputs: dict[str, str], spec: LagrangeProjectionSpec, *features
 ) -> list:
     """The fitted graticule curves; with ``--svg``, the map drawn over them
-    and over the ``features`` lines (``svg_text``'s x, y and lines)."""
+    and over the ``features`` lines (``svg_text``'s x, y, lines and texts)."""
     curves = graticule_image(
         spec, math.radians(args.lat_step_deg), math.radians(args.lon_step_deg), args.samples
     )
@@ -247,10 +247,15 @@ def run_project(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
 
     document = geojson_io.load(args.region_path)
     arrays, x, y, lines = geojson_io.map_positions(document, mapper)
+    texts = geojson_io.position_texts(arrays, x, y)
     if args.out_path:
-        outputs[args.out_path] = geojson_io.dumps(document, arrays, x, y) + "\n"
-    del document, arrays  # not kept alive while the SVG text is built
-    curves = _graticule(args, outputs, spec, x, y, lines)
+        outputs[args.out_path] = geojson_io.dumps(document, arrays, texts) + "\n"
+    by_range, end = {}, 0  # the lines are among the arrays, found by their range
+    for (_, count), text in zip(arrays, texts):
+        start, end = end, end + (1 if count is None else count)
+        by_range[start, end] = text
+    del document, arrays, texts  # not kept alive while the SVG text is built
+    curves = _graticule(args, outputs, spec, x, y, lines, [by_range[line] for line in lines])
     worst = max((c.relative_residual for c in curves), default=0.0)
     return [
         "project report",

@@ -32,19 +32,33 @@ def format_float(x: float) -> str:
     return format(float(x), ".15g")
 
 
-def dumps(obj, arrays=(), x=(), y=()) -> str:
+def dumps(obj, arrays=(), texts=()) -> str:
     """Serialize JSON with deterministic float formatting.
 
-    ``arrays`` are ``map_positions``' (array, count) pairs of ``obj``.  Each
-    position in them is written as its image [x[i], y[i]], without a third
-    element: one ``%`` fills the ``[%.15g, %.15g]`` templates written there.
+    ``arrays`` are ``map_positions``' (array, count) pairs of ``obj`` and
+    ``texts`` their ``position_texts``: each array is written as its text
+    in brackets.
     """
     pieces: list[str] = []
     try:
-        _write(obj, pieces, {id(array): count for array, count in arrays})
+        _write(obj, pieces, {id(array) for array, _ in arrays})
     except RecursionError:  # parsed JSON can nest deeper than the writer recurses
         raise GeoJsonError("input nested too deeply") from None
-    return "".join(pieces) % _rows(x, y)
+    return "".join(pieces) % tuple(texts)
+
+
+def position_texts(arrays, x, y) -> list[str]:
+    """The text inside the brackets of each of ``map_positions``' arrays
+    with every position written as its image [x[i], y[i]], without a third
+    element: ``x, y`` for a Point's position, ``[x, y], [x, y]`` for an
+    array of two.  One ``%`` fills the ``[%.15g, %.15g]`` templates of all
+    of them, so each position is formatted once for every writer.
+    """
+    template = "".join(
+        (_POSITION[1:-1] if count is None else ", ".join([_POSITION] * count)) + "\0"
+        for _, count in arrays
+    )
+    return (template % _rows(x, y)).split("\0")[:-1]  # a NUL is in no number's text
 
 
 def _rows(*columns) -> tuple:
@@ -59,7 +73,7 @@ def _rows(*columns) -> tuple:
     return tuple(values.ravel().tolist())
 
 
-def _write(obj, pieces: list[str], arrays: dict[int, int | None]) -> None:
+def _write(obj, pieces: list[str], arrays: set[int]) -> None:
     # most frequent types first; bool is tested before int, of which it is a subclass;
     # a "%" in text is doubled for dumps' final "%"
     if isinstance(obj, float):
@@ -77,8 +91,7 @@ def _write(obj, pieces: list[str], arrays: dict[int, int | None]) -> None:
         pieces.append("}")
     elif isinstance(obj, (list, tuple)):
         if id(obj) in arrays:
-            count = arrays[id(obj)]
-            pieces.append(_POSITION if count is None else "[" + ", ".join([_POSITION] * count) + "]")
+            pieces.append("[%s]")
             return
         pieces.append("[")
         for i, value in enumerate(obj):

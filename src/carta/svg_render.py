@@ -43,18 +43,19 @@ def _line_endpoints(curve: GeneralizedCircle, bounds) -> tuple | None:
     return unique[0], unique[1]
 
 
-def render_svg(path: str, curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=()) -> None:
-    """Write ``svg_text(curves, x, y, lines)`` to ``path``."""
+def render_svg(path: str, curves: Sequence[GraticuleCurveFit], *features) -> None:
+    """Write ``svg_text(curves, *features)`` to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(svg_text(curves, x, y, lines))
+        handle.write(svg_text(curves, *features))
 
 
-def svg_text(curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=()) -> str:
+def svg_text(curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=(), texts=()) -> str:
     """An SVG map: graticule primitives plus projected feature paths.
 
     Feature line k runs through the points (x[i], y[i]) for i in
-    ``range(*lines[k])``.  The view is the box of the feature lines and of
-    the circles of radius below 1e3, padded by 5%.
+    ``range(*lines[k])``, and ``texts[k]`` is its text as ``position_texts``
+    writes it.  The view is the box of the feature lines and of the circles
+    of radius below 1e3, padded by 5%.
     """
     xs, ys = [x[a:b] for a, b in lines], [y[a:b] for a, b in lines]
     for fit in curves:
@@ -106,10 +107,11 @@ def svg_text(curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=()) -> str:
         parts.append(
             f'<g fill="none" stroke="#aa3322" stroke-width="{fmt(1.5 * stroke)}">'
         )
-        flipped = np.column_stack([x, -y]).ravel().tolist()  # (x, -y) row by row
-        for a, b in lines:
+        for (a, b), text in zip(lines, texts):
             if b - a >= 2:
-                points = " ".join(["%.15g,%.15g"] * (b - a)) % tuple(flipped[2 * a:2 * b])
+                # "[x, y], [x, -y]" becomes "x,-y x,y": %.15g rounds correctly, so
+                # the text of -v is that of v with its sign flipped, zeros included
+                points = text[1:-1].replace("], [", " ").replace(", -", ",").replace(", ", ",-")
                 parts.append(f'<polyline points="{points}"/>')
         parts.append("</g>")
     parts.append("</svg>")

@@ -393,6 +393,20 @@ def test_project_outputs_pinned(tmp_path, capsys):
     assert digests == PINNED_SHA256
 
 
+def test_project_svg_alone_is_the_pinned_svg(tmp_path, capsys):
+    # without --out the position texts are made for the SVG alone
+    region = tmp_path / "pinned.geojson"
+    region.write_text(json.dumps(PINNED_DOCUMENT))
+    svg = tmp_path / "alone.svg"
+    code = run_cli(
+        "project", "--region", str(region),
+        "--exponent", "0.5", "--inversion-pole", "2,0", "--inversion-power", "1",
+        "--lat-step", "30", "--lon-step", "45", "--samples", "16", "--svg", str(svg),
+    )
+    assert code == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == PINNED_SHA256["svg"]
+
+
 def test_installed_entry_point(band_geojson, tmp_path):
     result = subprocess.run(
         [

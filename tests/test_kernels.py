@@ -4,8 +4,9 @@ The per-point forward projection, the per-point closed-form dilatation,
 the double loop and the all-pairs blocks of the boundary self-intersection
 test and the ring loop of the cap sample layout are kept here as oracles;
 the batched conformality probes are checked against the public per-point
-``conformality_defect``, and the columnar GeoJSON writers against
-``dumps`` of the same document built as objects.
+``conformality_defect``, the columnar GeoJSON writers against ``dumps``
+of the same document built as objects, and the SVG polylines against
+points formatted line by line.
 """
 
 import cmath
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carta.chebyshev as chebyshev
@@ -48,9 +49,16 @@ from carta.errors import (
     RegionTooSmall,
     SelfIntersectingBoundary,
 )
-from carta.geojson_io import dumps, map_positions, point_feature_collection
+from carta.geojson_io import (
+    dumps,
+    format_float,
+    map_positions,
+    point_feature_collection,
+    position_texts,
+)
 from carta.geometry import POLE_COLATITUDE_EPS, invert_point, normalize_longitude
 from carta.lagrange import dilatation_array, project_array
+from carta.svg_render import svg_text
 from carta.surfaces import SurfaceOfRevolution, conformal_latitude
 
 from conftest import point_columns, random_point_for_spec, random_spec
@@ -598,7 +606,7 @@ def test_projected_text_is_dumps_of_projected_copy(document, data):
         return np.array(images[0::2], dtype=float), np.array(images[1::2], dtype=float)
 
     positions, x, y, lines = map_positions(document, mapper)
-    text = dumps(document, positions, x, y)
+    text = dumps(document, positions, position_texts(positions, x, y))
     assert document == parsed  # read, not written to
     projected, reference_lines = reference_projection(document, zip(x.tolist(), y.tolist()))
     assert text == dumps(projected)
@@ -616,7 +624,7 @@ def test_projected_text_of_empty_arrays_and_altitudes():
         {"type": "LineString", "coordinates": [[1, 2, 3], [4, 5, 6.5]]},
     ]}
     positions, x, y, lines = map_positions(document, lambda lon, lat: (lon / 3, lat * 0.1 - 1))
-    assert dumps(document, positions, x, y) == (
+    assert dumps(document, positions, position_texts(positions, x, y)) == (
         '{"type": "GeometryCollection", "geometries": ['
         '{"type": "MultiPoint", "coordinates": []}, '
         '{"type": "LineString", "coordinates": []}, '
@@ -629,6 +637,58 @@ def test_projected_text_of_empty_arrays_and_altitudes():
         "[1.33333333333333, -0.5]]}]}"
     )
     assert lines == [(0, 0), (0, 4), (4, 4), (4, 8), (9, 11)]
+
+
+def reference_svg(x, y, lines):
+    """``svg_text`` without curves, each line's points formatted from (x, -y)."""
+    xs = np.concatenate([[], *(x[a:b] for a, b in lines)])
+    ys = np.concatenate([[], *(y[a:b] for a, b in lines)])
+    if not xs.size:
+        xs, ys = np.array([-1.0, 1.0]), np.array([-1.0, 1.0])
+    x0, y0, x1, y1 = (float(v) for v in (xs.min(), ys.min(), xs.max(), ys.max()))
+    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9 * max(1.0, abs(x0), abs(x1), abs(y0), abs(y1)))
+    x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
+    width, height = x1 - x0, y1 - y0
+    stroke = max(width, height) / 400.0
+    view = " ".join(map(format_float, (x0, -y1, width, height)))
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}" '
+        f'width="800" height="{format_float(800.0 * height / width)}">',
+        f'<g fill="none" stroke="#3366aa" stroke-width="{format_float(stroke)}">',
+        "</g>",
+    ]
+    if lines:
+        parts.append(f'<g fill="none" stroke="#aa3322" stroke-width="{format_float(1.5 * stroke)}">')
+        for a, b in lines:
+            if b - a >= 2:
+                rows = zip(x[a:b].tolist(), (-y[a:b]).tolist())
+                parts.append('<polyline points="%s"/>' % " ".join("%.15g,%.15g" % row for row in rows))
+        parts.append("</g>")
+    return "\n".join([*parts, "</svg>", ""])
+
+
+# zeros of both signs, a subnormal and the %g switches to exponents
+svg_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-05, -1e-300, 1e16]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(svg_floats, svg_floats), max_size=4), max_size=4))
+@example([[(1.0, 0.0), (0.5, -0.0), (-2.0, -3.5), (1e16, 1e-05)], [(-1e-300, 5e-324)], []])
+def test_svg_polylines_are_the_position_texts_with_y_negated(point_lines):
+    x = np.array([px for line in point_lines for px, _ in line], dtype=float)
+    y = np.array([py for line in point_lines for _, py in line], dtype=float)
+    ends = np.cumsum([0, *map(len, point_lines)]).tolist()
+    lines = list(zip(ends[:-1], ends[1:]))
+    texts = position_texts([(line, len(line)) for line in point_lines], x, y)
+    try:
+        expected = reference_svg(x, y, lines)
+    except NonFiniteValue as exc:  # the view spans beyond the floating-point range
+        assert _raised(svg_text, (), x, y, lines, texts) == (NonFiniteValue, str(exc))
+    else:
+        assert svg_text((), x, y, lines, texts) == expected
 
 
 # what a position may hold in place of a valid one: each is checked in bulk, and
