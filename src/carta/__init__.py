@@ -19,7 +19,6 @@ from .darboux import (
     image_triangle_sides,
     intersect_generalized,
     inversions_for_sides,
-    lagrange_constraints_to_triangles,
 )
 from .distortion import (
     DistortionReport,
@@ -36,13 +35,10 @@ from .geometry import (
     PlanePoint,
     SpherePoint,
     circle_fit,
-    image_of_circle,
     invert_point,
-    mobius_apply,
     normalize_longitude,
     spherical_polygon_area,
     stereographic_project,
-    stereographic_unproject,
 )
 from .lagrange import (
     GraticuleCurveFit,
@@ -50,7 +46,6 @@ from .lagrange import (
     centered_stereographic,
     dilatation_array,
     graticule_image,
-    lambert_power,
     project,
     project_array,
     unproject,
@@ -70,7 +65,6 @@ from .surfaces import (
     conformal_latitude,
     gauss_scale,
     isometric_coordinate,
-    parallel_radius,
 )
 
 __version__ = "0.1.0"

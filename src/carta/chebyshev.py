@@ -87,12 +87,6 @@ class ScalarField:
     mesh: RegionMesh
     values: np.ndarray
 
-    def boundary_values(self) -> np.ndarray:
-        return self.values[self.mesh.boundary_flag]
-
-    def interior_values(self) -> np.ndarray:
-        return self.values[~self.mesh.boundary_flag]
-
 
 # -- region meshing ------------------------------------------------------------
 

@@ -21,8 +21,8 @@ otherwise it is fixed by the category of the error (see ``carta.errors``):
 * 5 ``SolverError``: ``NoConvergence``;
 * 6 ``DegenerateInput``: ``DegenerateBoundary``,
   ``SelfIntersectingBoundary``, ``RegionTooSmall``, ``DegeneratePolygon``,
-  ``DegenerateTriangle``, ``CoincidentPoints``, ``InfeasibleAngles``,
-  ``PoleOnVertex``, ``InsufficientPoints``, ``DegenerateTransform``.
+  ``DegenerateTriangle``, ``CoincidentPoints``, ``PoleOnVertex``,
+  ``InsufficientPoints``, ``DegenerateTransform``.
 """
 
 from __future__ import annotations

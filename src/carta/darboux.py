@@ -3,8 +3,6 @@
 An inversion with pole P and power k maps a segment XY to one of length
 |k| |XY| / (|PX| |PY|), so prescribing the three image side lengths pins P
 to the intersection of two Apollonius circles and |k| to a closed form.
-The historical three-triangles-on-a-basis construction reduces to the same
-locus machinery plus one free angle.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from typing import Sequence
 from .errors import (
     CoincidentPoints,
     DegenerateTriangle,
-    InfeasibleAngles,
     NonFiniteValue,
     PoleOnVertex,
 )
@@ -221,47 +218,3 @@ def find_inversion(
             ):
                 found.append(cand)
     return found
-
-
-def lagrange_constraints_to_triangles(
-    basis: tuple[PlanePoint, PlanePoint],
-    ratios: tuple[float, float, float],
-    angle_diffs: tuple[float, float],
-    free_angle: float,
-) -> tuple[PlanePoint, PlanePoint, PlanePoint]:
-    """Construct the three apex points R, R', R'' over a fixed basis AB.
-
-    Each point R_i sees AB under an angle gamma_i and divides the view in
-    the prescribed ratio |R_i B| / |R_i A|; the data fix the apex angles
-    only up to a common shift, exposed as ``free_angle`` (the angle at R).
-    Apexes are placed in the upper half-plane relative to the directed
-    basis A -> B.
-    """
-    a, b = basis
-    base = a.distance(b)
-    if base < 1e-14:
-        raise CoincidentPoints("basis endpoints coincide")
-    if min(ratios) <= 0:
-        raise ValueError("ratios must be positive")
-    gammas = (free_angle, free_angle + angle_diffs[0], free_angle + angle_diffs[1])
-    points = []
-    for lam, gamma in zip(ratios, gammas):
-        if not (1e-9 < gamma < math.pi - 1e-9):
-            raise InfeasibleAngles(
-                f"apex angle {gamma} outside the attainable range (0, pi)"
-            )
-        # triangle ARB: apex angle gamma at R, |RB|/|RA| = lam; the law of
-        # sines gives the base angle at A directly
-        beta = math.atan2(math.sin(gamma), lam - math.cos(gamma))  # angle at B
-        alpha = math.pi - gamma - beta  # angle at A
-        ra = base * math.sin(beta) / math.sin(gamma)
-        ux, uy = (b.x - a.x) / base, (b.y - a.y) / base
-        cos_a, sin_a = math.cos(alpha), math.sin(alpha)
-        # rotate the A->B direction by +alpha: upper half-plane apex
-        points.append(
-            PlanePoint(
-                a.x + ra * (cos_a * ux - sin_a * uy),
-                a.y + ra * (sin_a * ux + cos_a * uy),
-            )
-        )
-    return tuple(points)

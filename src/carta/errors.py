@@ -125,7 +125,3 @@ class CoincidentPoints(DegenerateInput):
 
 class DegenerateTriangle(DegenerateInput):
     """Collinear or zero-area triangle."""
-
-
-class InfeasibleAngles(DegenerateInput):
-    """Requested subtended angle is not attainable on the locus."""

@@ -193,10 +193,6 @@ class MobiusTransform:
             object.__setattr__(self, name, complex(getattr(self, name)) / s)
 
     @classmethod
-    def identity(cls) -> "MobiusTransform":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
     def _normalized(cls, a: complex, b: complex, c: complex, d: complex) -> "MobiusTransform":
         """Coefficients with determinant 1 by construction, unguarded: the guard's
         threshold grows with the largest coefficient and misreads det 1 at ~1e6."""
@@ -272,86 +268,6 @@ def invert_point(inv: Inversion, p: PlanePoint) -> PlanePoint:
     return PlanePoint(inv.pole.x + s * dx, inv.pole.y + s * dy)
 
 
-def mobius_apply(m: MobiusTransform, z: PlanePoint) -> PlanePoint:
-    """Apply a Mobius transform to a plane point."""
-    return PlanePoint.from_complex(m.apply_complex(z.as_complex()))
-
-
-# -- exact circle images -----------------------------------------------------
-#
-# A generalized circle is the zero set of  A|z|^2 + B z + conj(B z) + C
-# with A, C real.  Mobius substitution z = (d w - b)/(a - c w) turns one
-# such form into another, which gives the exact image without sampling.
-
-
-def _hermitian_of(c: GeneralizedCircle) -> tuple[float, complex, float]:
-    if c.kind == "circle":
-        z0 = c.center.as_complex()
-        return 1.0, -z0.conjugate(), abs(z0) ** 2 - c.radius**2
-    nx, ny = c.normal
-    nu = complex(nx, ny)
-    return 0.0, nu.conjugate(), -2.0 * c.offset
-
-
-def _hermitian_to_circle(A: float, B: complex, C: float) -> GeneralizedCircle:
-    scale = max(abs(A), abs(B), abs(C))
-    if abs(A) < 1e-12 * scale:
-        nu = B.conjugate()
-        mag = abs(nu)
-        return GeneralizedCircle.line((nu.real / mag, nu.imag / mag), -C / (2.0 * mag))
-    center = -B.conjugate() / A
-    r2 = abs(center) ** 2 - C / A
-    if r2 <= 0.0:
-        raise ValueError("image is an imaginary circle (invalid input)")
-    return GeneralizedCircle.circle(PlanePoint.from_complex(center), math.sqrt(r2))
-
-
-def _hermitian_mobius(
-    coeffs: tuple[complex, complex, complex, complex],
-    herm: tuple[float, complex, float],
-) -> tuple[float, complex, float]:
-    a, b, c, d = coeffs
-    A, B, C = herm
-    A2 = A * abs(d) ** 2 - 2.0 * (B * d * c.conjugate()).real + C * abs(c) ** 2
-    B2 = (
-        -A * d * b.conjugate()
-        + B * d * a.conjugate()
-        + B.conjugate() * b.conjugate() * c
-        - C * c * a.conjugate()
-    )
-    C2 = A * abs(b) ** 2 - 2.0 * (B * b * a.conjugate()).real + C * abs(a) ** 2
-    return A2, B2, C2
-
-
-def _conjugate_circle(c: GeneralizedCircle) -> GeneralizedCircle:
-    # image under z -> conj(z), i.e. reflection across the x-axis
-    if c.kind == "circle":
-        return GeneralizedCircle.circle(PlanePoint(c.center.x, -c.center.y), c.radius)
-    nx, ny = c.normal
-    return GeneralizedCircle.line((nx, -ny), c.offset)
-
-
-def image_of_circle(
-    transform: Inversion | MobiusTransform, c: GeneralizedCircle
-) -> GeneralizedCircle:
-    """Exact image of a generalized circle under an inversion or Mobius map.
-
-    A circle through the pole of the transform comes out as a line and
-    vice versa; the kind switch is a normal result, not an error.
-    """
-    if isinstance(transform, MobiusTransform):
-        herm = _hermitian_of(c)
-        coeffs = (transform.a, transform.b, transform.c, transform.d)
-        return _hermitian_to_circle(*_hermitian_mobius(coeffs, herm))
-    # inversion = conjugation followed by the Mobius map
-    #   u -> pole + k / (u - conj(pole))
-    p = transform.pole.as_complex()
-    k = transform.power
-    herm = _hermitian_of(_conjugate_circle(c))
-    coeffs = (p, k - abs(p) ** 2, 1.0 + 0.0j, -p.conjugate())
-    return _hermitian_to_circle(*_hermitian_mobius(coeffs, herm))
-
-
 # -- stereographic bridge -----------------------------------------------------
 
 
@@ -365,13 +281,6 @@ def stereographic_project(p: SpherePoint) -> PlanePoint:
         raise ProjectionPole("the North pole has no stereographic image")
     rho = math.tan(math.pi / 4 + p.latitude / 2)
     return PlanePoint(rho * math.cos(p.longitude), rho * math.sin(p.longitude))
-
-
-def stereographic_unproject(q: PlanePoint) -> SpherePoint:
-    """Inverse stereographic projection; the origin returns the South pole."""
-    rho = math.hypot(q.x, q.y)
-    lat = 2.0 * math.atan(rho) - math.pi / 2
-    return SpherePoint(lat, math.atan2(q.y, q.x))
 
 
 # -- spherical polygon area ----------------------------------------------------
@@ -414,8 +323,8 @@ def spherical_polygon_area(vertices: Sequence[SpherePoint]) -> float:
 #
 # Pratt's algebraic fit: minimize sum (A|p|^2 + B x + C y + D)^2 subject to
 # B^2 + C^2 - 4 A D = 1.  Handles the line limit (A -> 0) gracefully and is
-# exact on exact data, which makes it usable as the oracle side of the
-# circle-image tests.
+# exact on exact data, so a graticule curve that is a circle fits with a
+# residual at rounding level (criterion 1).
 
 _PRATT_CONSTRAINT = np.array(
     [

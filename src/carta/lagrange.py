@@ -9,7 +9,6 @@ by conformal latitudes first, so the composite stays conformal.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -86,17 +85,6 @@ class LagrangeProjectionSpec:
     def projection(self):
         """The forward map as a plain callable SpherePoint -> PlanePoint."""
         return lambda p: project(self, p)
-
-
-def lambert_power(z: PlanePoint, c: float) -> PlanePoint:
-    """Polar power map (rho, omega) -> (rho^c, c omega) about the origin,
-    on the principal branch."""
-    if c == 1.0:
-        return z
-    if z.x == 0.0 and z.y == 0.0:
-        raise OriginSingularity("power map with c != 1 is singular at the origin")
-    rho, omega = abs(z.as_complex()), math.atan2(z.y, z.x)
-    return PlanePoint.from_complex(rho**c * cmath.exp(1j * c * omega))
 
 
 def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:

@@ -35,10 +35,6 @@ class SurfaceOfRevolution:
             raise ValueError(f"eccentricity {self.eccentricity} outside [0, 1)")
 
     @property
-    def kind(self) -> str:
-        return "sphere" if self.eccentricity == 0.0 else "spheroid"
-
-    @property
     def is_sphere(self) -> bool:
         return self.eccentricity == 0.0
 
@@ -68,14 +64,6 @@ class SurfaceOfRevolution:
 
 
 SPHERE = SurfaceOfRevolution(0.0)
-
-
-def parallel_radius(surface: SurfaceOfRevolution, latitude):
-    """Distance from the surface point to the rotation axis.
-
-    cos(lat) on the sphere, cos(lat)/sqrt(1 - e^2 sin^2 lat) on the spheroid.
-    """
-    return surface.parallel_radius(latitude)
 
 
 def isometric_coordinate(surface: SurfaceOfRevolution, latitude):
@@ -167,7 +155,7 @@ class GaussSphereMapping:
         psi0 = math.asin(math.sin(phi0) / alpha)
         surface = SurfaceOfRevolution(self.eccentricity)
         log_k = math.asinh(math.tan(psi0)) - alpha * isometric_coordinate(surface, phi0)
-        radius = parallel_radius(surface, phi0) / (alpha * math.cos(psi0))
+        radius = surface.parallel_radius(phi0) / (alpha * math.cos(psi0))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sphere_radius", radius)
         object.__setattr__(self, "log_k", log_k)
@@ -191,5 +179,5 @@ def gauss_scale(mapping: GaussSphereMapping, latitude: float) -> float:
         mapping.sphere_radius
         * mapping.alpha
         * math.cos(psi)
-        / parallel_radius(surface, latitude)
+        / surface.parallel_radius(latitude)
     )

@@ -1,5 +1,5 @@
 """Triangle inversion solver: distance identity, Apollonius loci, the
-forward-synthesis completeness oracle, and the basis construction."""
+forward-synthesis completeness oracle."""
 
 import math
 
@@ -16,12 +16,10 @@ from carta import (
     intersect_generalized,
     invert_point,
     inversions_for_sides,
-    lagrange_constraints_to_triangles,
 )
 from carta.errors import (
     CoincidentPoints,
     DegenerateTriangle,
-    InfeasibleAngles,
     PoleOnVertex,
 )
 
@@ -224,61 +222,3 @@ def test_any_labeling_superset(rng):
     labeled = find_inversion(source, target)
     relabeled = find_inversion(source, target, any_labeling=True)
     assert len(relabeled) >= len(labeled)
-
-
-# -- the three-apexes construction ----------------------------------------------------------
-
-
-BASIS = (PlanePoint(0, 0), PlanePoint(3, 0))
-
-
-def subtended_angle(r, a, b):
-    va = complex(a.x - r.x, a.y - r.y)
-    vb = complex(b.x - r.x, b.y - r.y)
-    return abs(math.remainder(math.atan2(vb.imag, vb.real) - math.atan2(va.imag, va.real), 2 * math.pi))
-
-
-def test_symmetric_construction_collapses_to_right_apex():
-    points = lagrange_constraints_to_triangles(BASIS, (1.0, 1.0, 1.0), (0.0, 0.0), math.pi / 2)
-    for p in points:
-        assert p.distance(points[0]) < 1e-12
-    apex = points[0]
-    # on the perpendicular bisector, seeing AB under a right angle
-    assert apex.x == pytest.approx(1.5, abs=1e-12)
-    assert apex.y == pytest.approx(1.5, abs=1e-12)
-    assert subtended_angle(apex, *BASIS) == pytest.approx(math.pi / 2, abs=1e-12)
-
-
-def test_construction_reproduces_ratio_and_lies_on_locus():
-    ratio = 2.0
-    points = lagrange_constraints_to_triangles(BASIS, (ratio, 1.0, 1.0), (0.1, -0.2), 1.1)
-    r = points[0]
-    assert r.distance(BASIS[1]) / r.distance(BASIS[0]) == pytest.approx(ratio, abs=1e-10)
-    locus = apollonius_circle(BASIS[1], BASIS[0], ratio)
-    assert locus.distance_to(r) < 1e-10
-    assert r.y > 0  # canonical upper half-plane branch
-
-
-def test_construction_reproduces_angle_differences(rng):
-    for _ in range(50):
-        ratios = tuple(rng.uniform(0.3, 3.0, 3))
-        free = float(rng.uniform(0.3, 2.6))
-        diffs = tuple(rng.uniform(-0.25, 0.25, 2))
-        if not all(0.05 < free + d < math.pi - 0.05 for d in (0.0, *diffs)):
-            continue
-        r, r1, r2 = lagrange_constraints_to_triangles(BASIS, ratios, diffs, free)
-        base_angle = subtended_angle(r, *BASIS)
-        assert base_angle == pytest.approx(free, abs=1e-10)
-        assert subtended_angle(r1, *BASIS) - base_angle == pytest.approx(diffs[0], abs=1e-10)
-        assert subtended_angle(r2, *BASIS) - base_angle == pytest.approx(diffs[1], abs=1e-10)
-        for lam, point in zip(ratios, (r, r1, r2)):
-            assert point.distance(BASIS[1]) / point.distance(BASIS[0]) == pytest.approx(
-                lam, abs=1e-10
-            )
-
-
-def test_infeasible_angles():
-    with pytest.raises(InfeasibleAngles):
-        lagrange_constraints_to_triangles(BASIS, (1.0, 1.0, 1.0), (2.0, 0.0), 2.0)
-    with pytest.raises(InfeasibleAngles):
-        lagrange_constraints_to_triangles(BASIS, (1.0, 1.0, 1.0), (-1.0, 0.0), 0.5)

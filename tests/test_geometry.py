@@ -8,18 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carta import (
-    GeneralizedCircle,
     Inversion,
+    LagrangeProjectionSpec,
     MobiusTransform,
     PlanePoint,
     SpherePoint,
     circle_fit,
-    image_of_circle,
     invert_point,
-    mobius_apply,
     spherical_polygon_area,
     stereographic_project,
-    stereographic_unproject,
+    unproject,
 )
 from carta.errors import (
     DegeneratePolygon,
@@ -85,20 +83,18 @@ def test_involution_bulk(rng):
 
 def test_mobius_identity():
     m = MobiusTransform(1, 0, 0, 1)
-    q = mobius_apply(m, PlanePoint(3, 4))
-    assert (q.x, q.y) == pytest.approx((3.0, 4.0), abs=1e-15)
+    assert m.apply_complex(3 + 4j) == pytest.approx(3 + 4j, abs=1e-15)
 
 
 def test_mobius_reciprocal():
     m = MobiusTransform(0, 1, 1, 0)
-    q = mobius_apply(m, PlanePoint(2, 0))
-    assert (q.x, q.y) == pytest.approx((0.5, 0.0), abs=1e-15)
+    assert m.apply_complex(2) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_mobius_point_at_infinity():
     m = MobiusTransform(1, 0, 1, -2)  # pole at z = 2
     with pytest.raises(PointAtInfinity):
-        mobius_apply(m, PlanePoint(2, 0))
+        m.apply_complex(2)
 
 
 def test_mobius_singular_coefficients_raise():
@@ -177,95 +173,6 @@ def test_mobius_from_point_triples(rng):
             assert abs(m.apply_complex(z) - w) < 1e-9
 
 
-# -- exact circle images ---------------------------------------------------------
-
-
-def test_line_through_pole_maps_to_line():
-    inv = Inversion(PlanePoint(0, 0), 1.0)
-    line = GeneralizedCircle.line((0.0, 1.0), 0.0)  # the x-axis, through the pole
-    image = image_of_circle(inv, line)
-    assert image.kind == "line"
-    assert abs(abs(image.normal[1]) - 1.0) < 1e-12
-    assert abs(image.offset) < 1e-12
-
-
-def test_unit_circle_fixed_by_unit_inversion():
-    inv = Inversion(PlanePoint(0, 0), 1.0)
-    circle = GeneralizedCircle.circle(PlanePoint(0, 0), 1.0)
-    image = image_of_circle(inv, circle)
-    assert image.kind == "circle"
-    assert image.center.distance(PlanePoint(0, 0)) < 1e-12
-    assert image.radius == pytest.approx(1.0, abs=1e-12)
-
-
-def test_circle_through_pole_maps_to_line():
-    inv = Inversion(PlanePoint(0, 0), 1.0)
-    circle = GeneralizedCircle.circle(PlanePoint(1, 0), 1.0)
-    image = image_of_circle(inv, circle)
-    assert image.kind == "line"
-
-
-def _sample_circle(curve, n=32):
-    return [curve.point_at(t) for t in np.linspace(0.1, 2 * math.pi, n, endpoint=False)]
-
-
-def _random_curve(rng):
-    if rng.random() < 0.25:
-        angle = rng.uniform(0, 2 * math.pi)
-        return GeneralizedCircle.line(
-            (math.cos(angle), math.sin(angle)), float(rng.uniform(-2, 2))
-        )
-    return GeneralizedCircle.circle(
-        PlanePoint(*rng.uniform(-2, 2, 2)), float(rng.uniform(0.2, 2.0))
-    )
-
-
-def _random_transform(rng):
-    if rng.random() < 0.5:
-        return Inversion(PlanePoint(*rng.uniform(-2, 2, 2)), float(rng.uniform(0.3, 2.0)))
-    while True:
-        a, b, c, d = rng.normal(size=4) + 1j * rng.normal(size=4)
-        if abs(a * d - b * c) > 0.3:
-            return MobiusTransform(a, b, c, d)
-
-
-def test_image_of_circle_matches_pointwise_oracle(rng):
-    # sample points on the source curve, map them pointwise, fit a circle:
-    # the fit must coincide with the computed exact image
-    for _ in range(60):
-        curve = _random_curve(rng)
-        transform = _random_transform(rng)
-        image = image_of_circle(transform, curve)
-        mapped = []
-        for p in _sample_circle(curve):
-            try:
-                if isinstance(transform, Inversion):
-                    q = invert_point(transform, p)
-                else:
-                    q = mobius_apply(transform, p)
-            except (PoleSingularity, PointAtInfinity):
-                continue
-            if math.hypot(q.x, q.y) < 1e4:  # keep the fit well-scaled
-                mapped.append(q)
-        if len(mapped) < 8:
-            continue
-        fitted, residual = circle_fit([p.x for p in mapped], [p.y for p in mapped])
-        scale = max(1.0, *(abs(v) for p in mapped for v in (p.x, p.y)))
-        # sampled mapped points land on the computed image...
-        assert max(image.distance_to(p) for p in mapped) < 1e-9 * scale
-        # ...and the independent fit reproduces its parameters
-        assert fitted.kind == image.kind
-        if image.kind == "circle":
-            assert fitted.center.distance(image.center) < 1e-9 * max(1.0, image.radius)
-            assert abs(fitted.radius - image.radius) < 1e-9 * max(1.0, image.radius)
-        else:
-            dot = fitted.normal[0] * image.normal[0] + fitted.normal[1] * image.normal[1]
-            sign = 1.0 if dot > 0 else -1.0
-            assert abs(dot) > 1.0 - 1e-9
-            assert abs(sign * fitted.offset - image.offset) < 1e-9 * scale
-        assert residual < 1e-9 * scale
-
-
 # -- stereographic -----------------------------------------------------------------
 
 
@@ -305,16 +212,17 @@ def test_stereographic_pole_raises():
 
 
 def test_stereographic_round_trip(rng):
+    stereographic = LagrangeProjectionSpec(1.0)
     for _ in range(2000):
         p = SpherePoint(
             rng.uniform(-math.pi / 2, math.pi / 2 - 1e-6), rng.uniform(-math.pi, math.pi)
         )
-        back = stereographic_unproject(stereographic_project(p))
+        back = unproject(stereographic, stereographic_project(p))
         assert back.chord_distance(p) < 1e-12
 
 
 def test_unproject_origin_is_south_pole():
-    p = stereographic_unproject(PlanePoint(0, 0))
+    p = unproject(LagrangeProjectionSpec(1.0), PlanePoint(0, 0))
     assert p.latitude == pytest.approx(-math.pi / 2, abs=1e-15)
 
 

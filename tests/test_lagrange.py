@@ -13,7 +13,6 @@ from carta import (
     centered_stereographic,
     circle_fit,
     graticule_image,
-    lambert_power,
     project,
     stereographic_project,
     unproject,
@@ -27,7 +26,12 @@ from carta.errors import (
     ProjectionPole,
 )
 from carta.geometry import normalize_longitude, normalize_longitude_array
-from carta.lagrange import GraticuleCurveFit, project_array
+from carta.lagrange import (
+    GraticuleCurveFit,
+    dilatation_array,
+    dilatation_error,
+    project_array,
+)
 from carta.surfaces import SurfaceOfRevolution
 
 from conftest import random_spec
@@ -36,29 +40,44 @@ from conftest import random_spec
 # -- power map -------------------------------------------------------------------
 
 
+# plane points, and the latitudes and longitudes of their stereographic
+# preimages, through which the power-map tests reach the projection kernel
+POWER_MAP_POINTS = np.array([0.5 + 0.2j, -1 + 3j, -2j, 4 + 0j])
+PREIMAGE = (2.0 * np.arctan(np.abs(POWER_MAP_POINTS)) - math.pi / 2, np.angle(POWER_MAP_POINTS))
+
+
 def test_lambert_power_identity():
-    for x, y in [(0.5, 0.2), (-1, 3), (0, -2), (4, 0)]:
-        q = lambert_power(PlanePoint(x, y), 1.0)
-        assert (q.x, q.y) == (x, y)
+    # exponent 1 leaves the stereographic image unchanged
+    w, code = project_array(LagrangeProjectionSpec(1.0), *PREIMAGE)
+    assert not code.any()
+    assert np.allclose(w, POWER_MAP_POINTS, rtol=1e-14, atol=0)
 
 
 def test_lambert_power_square_root():
-    q = lambert_power(PlanePoint(4, 0), 0.5)
-    assert (q.x, q.y) == pytest.approx((2.0, 0.0), abs=1e-15)
+    w, code = project_array(LagrangeProjectionSpec(0.5), *PREIMAGE)
+    assert not code.any()
+    assert np.allclose(np.abs(w), np.sqrt(np.abs(POWER_MAP_POINTS)), rtol=1e-14, atol=0)
 
 
 def test_lambert_power_rotates_angle():
-    q = lambert_power(PlanePoint(0, 1), 0.5)
-    assert (q.x, q.y) == pytest.approx(
-        (math.cos(math.pi / 4), math.sin(math.pi / 4)), abs=1e-15
-    )
+    w, _ = project_array(LagrangeProjectionSpec(0.5), *PREIMAGE)
+    assert np.allclose(np.angle(w), np.angle(POWER_MAP_POINTS) / 2, rtol=0, atol=1e-15)
 
 
 def test_lambert_power_origin_singularity():
+    # the South pole goes to the origin, where the power map's scale is
+    # singular for c != 1 and finite for c = 1
+    south = ([-math.pi / 2], [0.3])
+    for c in (0.5, 1.0):
+        w, code = project_array(LagrangeProjectionSpec(c), *south)
+        assert (code[0], w[0]) == (0, 0)
+    m, code = dilatation_array(LagrangeProjectionSpec(1.0), *south)
+    assert code[0] == 0 and m[0] == pytest.approx(0.5, abs=1e-15)
+    spec = LagrangeProjectionSpec(0.5)
+    m, code = dilatation_array(spec, *south)
+    assert code[0] == 3
     with pytest.raises(OriginSingularity):
-        lambert_power(PlanePoint(0, 0), 0.5)
-    q = lambert_power(PlanePoint(0, 0), 1.0)
-    assert (q.x, q.y) == (0.0, 0.0)
+        raise dilatation_error(spec, code[0], south[0][0], south[1][0], m[0])
 
 
 # -- forward projection -------------------------------------------------------------

@@ -14,7 +14,6 @@ from carta import (
     conformal_latitude,
     gauss_scale,
     isometric_coordinate,
-    parallel_radius,
 )
 from carta.errors import PoleDegenerate
 from carta.surfaces import SPHERE, inverse_conformal_latitude
@@ -26,13 +25,13 @@ WGS84_E = 0.0818191908
 
 
 def test_sphere_parallel_radius():
-    assert parallel_radius(SPHERE, 0.0) == 1.0
-    assert parallel_radius(SPHERE, math.pi / 3) == pytest.approx(0.5, abs=1e-15)
+    assert SPHERE.parallel_radius(0.0) == 1.0
+    assert SPHERE.parallel_radius(math.pi / 3) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_parallel_radius_pole_degenerate():
     with pytest.raises(PoleDegenerate):
-        parallel_radius(SPHERE, math.pi / 2)
+        SPHERE.parallel_radius(math.pi / 2)
 
 
 def _axis_distance_3d(e, lat):
@@ -48,7 +47,7 @@ def _axis_distance_3d(e, lat):
 def test_spheroid_parallel_radius_matches_ellipse():
     surface = SurfaceOfRevolution(WGS84_E)
     lat = math.radians(45)
-    assert parallel_radius(surface, lat) == pytest.approx(
+    assert surface.parallel_radius(lat) == pytest.approx(
         _axis_distance_3d(WGS84_E, lat), abs=1e-12
     )
 
@@ -56,7 +55,7 @@ def test_spheroid_parallel_radius_matches_ellipse():
 def test_spheroid_reduces_to_sphere_at_zero_eccentricity():
     zero = SurfaceOfRevolution(0.0)
     for lat in np.linspace(-1.5, 1.5, 101):
-        assert parallel_radius(zero, lat) == pytest.approx(math.cos(lat), abs=1e-12)
+        assert zero.parallel_radius(lat) == pytest.approx(math.cos(lat), abs=1e-12)
         assert isometric_coordinate(zero, lat) == pytest.approx(
             math.asinh(math.tan(lat)), abs=1e-12
         )
