@@ -28,6 +28,7 @@ otherwise it is fixed by the category of the error (see ``carta.errors``):
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import stat
@@ -470,8 +471,13 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # the run's data holds no reference cycles, so the cyclic collector
+    # would only walk the document's position lists again and again; the
+    # caller's setting comes back on every exit
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         # every result is checked for finiteness, so numpy's own warnings
         # would only precede the one error line
         with np.errstate(all="ignore"):
@@ -485,11 +491,14 @@ def main(argv: list[str] | None = None) -> int:
             if args.report_path:
                 outputs[args.report_path] = text
             _flush_outputs(outputs)
+        sys.stdout.write(text)
+        return 0
     except CartaError as exc:
         print(f"carta: {type(exc).__name__}: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
-    sys.stdout.write(text)
-    return 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CartaError, DomainEdge, EmptyRegion, RegionTooSmall
+from .errors import CartaError, ConfigError, DomainEdge, EmptyRegion, RegionTooSmall
 from .geometry import PlanePoint, SpherePoint, normalize_longitude_array
 from .lagrange import LagrangeProjectionSpec, dilatation_array, dilatation_error, project_array
 from .surfaces import SPHERE
@@ -27,6 +27,13 @@ DEFAULT_STEP = 1e-4
 # colatitude below which the parallel direction degenerates and probes are
 # taken along two perpendicular meridians through the pole instead
 _POLAR_PROBE_EPS = 1e-7
+
+# cap_samples refuses layouts of more samples than this, counted before any
+# array is built.  A distortion run peaks at about 0.6 kB of RSS per sample
+# with --out (0.4 kB without; 4.4 million samples took 2.5 GiB), so a run
+# at the limit stays near 1.2 GiB; every cap the CLI takes (under 90
+# degrees) fits at a 0.1 degree step.
+CAP_SAMPLE_LIMIT = 1 << 21
 
 
 def _check_step(h: float) -> None:
@@ -230,7 +237,16 @@ def distortion_report(
 def cap_samples(radius: float, delta: float, pole: str = "south") -> tuple[np.ndarray, np.ndarray]:
     """(latitude, longitude) arrays of a radial sample layout of the
     pole-centred cap: the pole, then rings about delta apart with about
-    one sample per delta of their length, and half as many on the rim."""
+    one sample per delta of their length, and half as many on the rim.
+
+    A layout of more than ``CAP_SAMPLE_LIMIT`` samples is refused before
+    anything of its size is built."""
+    # ring i of n holds round(2 pi sin(i step) / step) >= 4 i samples, as
+    # sin x >= 2 x / pi below pi / 2, so n >= 4 rings hold over (n + 1)**2:
+    # a radius / delta above the square root of the limit is refused without
+    # counting (and rounding it could overflow)
+    if not radius / delta <= math.isqrt(CAP_SAMPLE_LIMIT):
+        raise ConfigError(f"cap sample step {delta:g} rad gives over {CAP_SAMPLE_LIMIT} samples")
     n = round(radius / delta)
     if n < 3:
         raise RegionTooSmall(f"cap of radius {radius} has {max(n - 1, 0)} interior rings")
@@ -238,6 +254,11 @@ def cap_samples(radius: float, delta: float, pole: str = "south") -> tuple[np.nd
     radii = np.arange(n + 1) * step
     counts = [1] + [max(1, round(2.0 * math.pi * math.sin(r) / step)) for r in radii[1:-1]]
     counts.append(max(1, round(math.pi * math.sin(radii[-1]) / step)))
+    total = sum(counts)
+    if total > CAP_SAMPLE_LIMIT:
+        raise ConfigError(
+            f"cap of {n} rings and {total} samples is over the limit of {CAP_SAMPLE_LIMIT} samples"
+        )
     sign = 1.0 if pole == "north" else -1.0
     # sample j of a ring of `count` samples sits at longitude 2 pi j / count
     count = np.repeat(counts, counts)

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism, fail-fast."""
 
+import gc
 import hashlib
 import json
 import math
@@ -700,6 +701,13 @@ GOLDEN_ERRORS = [
     ("graticule --samples 100000000000", 2,
      "ConfigError: graticule of 35 curves x 100000000000 samples is over the limit of"
      " 2097152 samples"),
+    # and so are cap sample layouts
+    ("distortion --cap-deg 10 --delta-deg 1e-300", 2,
+     "ConfigError: cap sample step 1.74533e-302 rad gives over 2097152 samples"),
+    ("distortion --cap-deg 10 --delta-deg 1e-5", 2,
+     "ConfigError: cap sample step 1.74533e-07 rad gives over 2097152 samples"),
+    ("distortion --cap-deg 89 --delta-deg 0.09", 2,
+     "ConfigError: cap of 989 rings and 2502599 samples is over the limit of 2097152 samples"),
 ]
 
 
@@ -710,6 +718,110 @@ def test_golden_error_transcript(tmp_path, capsys, argv, expected, line):
     names = {"tmp": tmp_path, "region": region}
     assert run_cli(*argv.format(**names).split(" ")) == expected
     assert capsys.readouterr().err == f"carta: {line.format(**names)}\n"
+
+
+# -- the cyclic garbage collector ------------------------------------------------
+
+
+def _write_lines(path, positions):
+    """A FeatureCollection of LineStrings of 100 positions, away from the poles."""
+    k = np.arange(positions)
+    coords = np.column_stack([k * 0.37 % 360 - 180, k * 0.11 % 140 - 70]).tolist()
+    features = [
+        {"type": "Feature", "properties": {"n": i},
+         "geometry": {"type": "LineString", "coordinates": coords[i:i + 100]}}
+        for i in range(0, positions, 100)
+    ]
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    return str(path)
+
+
+def _project(tmp_path, region):
+    return run_cli("project", "--region", region, "--out", str(tmp_path / "out.geojson"),
+                   "--svg", str(tmp_path / "out.svg"))
+
+
+@pytest.fixture
+def collector():
+    """Gives the collector's setting back after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_project_runs_no_collection(tmp_path, capsys, collector):
+    region = _write_lines(tmp_path / "lines.geojson", 20_000)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        code = _project(tmp_path, region)
+    finally:
+        gc.callbacks.remove(count)
+    assert code == 0
+    assert starts == []
+
+
+def _stub_no_convergence(mesh):
+    raise errors.NoConvergence("stub")
+
+
+def _raise_runtime_error(args, outputs):
+    raise RuntimeError("stub")
+
+
+# one command line per way out of main: its exit code, or the exception it raises
+COLLECTOR_EXITS = [
+    ("graticule --lat-step 30 --lon-step 45", 0),
+    next((argv, code) for argv, code, _ in GOLDEN_ERRORS if code == 2),
+    ("project --region {tmp}/bad.geojson --out {tmp}/out.geojson", 3),
+    ("distortion --cap-deg 10 --inversion-pole 0,0 --inversion-power 1", 4),
+    ("chebyshev --cap-deg 30 --delta-deg 0.5", 5),  # solve_log_scale stubbed
+    next((argv, code) for argv, code, _ in GOLDEN_ERRORS if code == 6),
+    ("graticule --no-such-flag", SystemExit),
+    (f"darboux --source {SOURCE} --target-sides 1,1,1", RuntimeError),  # stubbed runner
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, outcome", COLLECTOR_EXITS)
+def test_main_gives_the_collector_setting_back(
+    tmp_path, capsys, monkeypatch, collector, enabled, argv, outcome
+):
+    region = tmp_path / "region.geojson"
+    region.write_text(json.dumps({"type": "Polygon", "coordinates": [GOOD_RING]}))
+    (tmp_path / "bad.geojson").write_text("{ not json")
+    monkeypatch.setattr(cli, "solve_log_scale", _stub_no_convergence)
+    if outcome is RuntimeError:
+        monkeypatch.setitem(cli._RUNNERS, "darboux", _raise_runtime_error)
+    args = argv.format(tmp=tmp_path, region=region).split(" ")
+    (gc.enable if enabled else gc.disable)()
+    if isinstance(outcome, int):
+        assert run_cli(*args) == outcome
+    else:
+        with pytest.raises(outcome):
+            run_cli(*args)
+    assert gc.isenabled() is enabled
+
+
+def test_project_leaves_no_garbage_that_grows_with_the_input(tmp_path, capsys, collector):
+    # the pause is safe only while a run builds no reference cycles: what a
+    # collection after the run finds must not depend on the document's size
+    gc.disable()
+    # a first run does the lazy imports and fills the caches
+    assert _project(tmp_path, _write_lines(tmp_path / "warm-up.geojson", 100)) == 0
+    found = []
+    for positions in (5_000, 20_000):
+        region = _write_lines(tmp_path / f"lines-{positions}.geojson", positions)
+        gc.collect()
+        assert _project(tmp_path, region) == 0
+        found.append(gc.collect())
+    assert found[0] == found[1]
 
 
 @pytest.mark.parametrize(

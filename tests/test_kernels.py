@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import carta.chebyshev as chebyshev
 import carta.cli as cli
+import carta.distortion as distortion
 import carta.geojson_io as geojson_io
 from carta import (
     Inversion,
@@ -38,6 +39,7 @@ from carta.chebyshev import _check_simple, build_cap_mesh, projection_ratio
 from carta.distortion import cap_samples, dilatation_analytic
 from carta.errors import (
     BranchOverflow,
+    ConfigError,
     DomainEdge,
     GeoJsonError,
     NonFiniteValue,
@@ -430,6 +432,31 @@ def test_cap_samples_need_two_interior_rings():
     message = "^cap of radius 0.03490658503988659 has 1 interior rings$"
     with pytest.raises(RegionTooSmall, match=message):
         cap_samples(math.radians(2), math.radians(1))
+
+
+def test_cap_sample_limit_is_exact(monkeypatch):
+    radius, delta = math.radians(10), math.radians(1)
+    total = cap_samples(radius, delta)[0].size
+    monkeypatch.setattr(distortion, "CAP_SAMPLE_LIMIT", total)
+    assert cap_samples(radius, delta)[0].size == total
+    monkeypatch.setattr(distortion, "CAP_SAMPLE_LIMIT", total - 1)
+    message = f"^cap of 10 rings and {total} samples is over the limit of {total - 1} samples$"
+    with pytest.raises(ConfigError, match=message):
+        cap_samples(radius, delta)
+
+
+@pytest.mark.parametrize("radius_deg", [1, 45, 89.99])
+@pytest.mark.parametrize("root", [4, 10, 100, 1448])
+def test_cap_refused_by_ring_count_is_over_any_limit_of_that_root(monkeypatch, radius_deg, root):
+    # rings just above the root of a limit round to `root` rings; the exact
+    # count must still exceed (root + 1)**2, more than any limit of that root,
+    # so the refusal without counting turns down no layout that fits
+    monkeypatch.setattr(distortion, "CAP_SAMPLE_LIMIT", (root + 1) ** 2)
+    radius = math.radians(radius_deg)
+    with pytest.raises(ConfigError, match=f"^cap of {root} rings and "):
+        cap_samples(radius, radius / (root + 0.49))
+    with pytest.raises(ConfigError, match=" rad gives over "):
+        cap_samples(radius, radius / (root + 1.01))
 
 
 # -- columnar point GeoJSON -----------------------------------------------------------
