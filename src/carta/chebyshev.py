@@ -28,6 +28,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import (
+    ConfigError,
     DegenerateBoundary,
     EmptyRegion,
     NoConvergence,
@@ -42,6 +43,14 @@ RESIDUAL_TOL = 1e-8
 # a grid node closer than this (in grid spacings) to the boundary is taken
 # as a boundary point: its stencil would divide by the distance
 _MIN_ARM = 1e-6
+
+# _chart_mesh refuses chart grids of more nodes than this, counted before
+# any array is built.  A chebyshev run peaks at about 1.2 kB of RSS per
+# grid node (the 60 and 75 degree caps at the default 0.25 degree step,
+# 533 x 533 and 707 x 707 nodes, took 393 and 657 MB), so a run at the
+# limit stays near 1.3 GB; every cap the CLI takes (under 90 degrees)
+# fits at the default step.
+CHART_NODE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -183,6 +192,26 @@ def _check_simple(poly_xy: np.ndarray) -> None:
         raise SelfIntersectingBoundary(f"boundary edges {first // n} and {first % n} cross")
 
 
+def _extent(normals, offsets, ends, axes):
+    """The least and greatest v of each boundary piece in the chart, as
+    ``_crossings`` orders the axes: exact for a circle, for an arc the
+    range of its ends widened by how far the arc bulges past its chord."""
+    order = [*axes, 2]
+    a, b, g = normals[:, order].T
+    area = g + offsets  # chart curve: area |z|^2 - 2 a u - 2 b v + offsets - g = 0
+    radius_area = np.sqrt(np.maximum(a * a + b * b + g * g - offsets**2, 0.0))
+    if ends is None:
+        return (b - radius_area) / area, (b + radius_area) / area
+    start, stop = (e[:, order] for e in ends)
+    (us, vs), (ut, vt) = (e[:, :2].T / (1.0 + e[:, 2]) for e in (start, stop))
+    half2 = ((us - ut) ** 2 + (vs - vt) ** 2) / 4
+    # sagitta of the chord: how far the arc bulges past its ends
+    sag = half2 * np.abs(area) / (
+        radius_area + np.sqrt(np.maximum(radius_area**2 - half2 * area**2, 0.0))
+    )
+    return np.minimum(vs, vt) - sag, np.maximum(vs, vt) + sag
+
+
 def _crossings(normals, offsets, ends, h, axes):
     """Crossings of the chart lines v = j h (j integer) with the boundary.
 
@@ -201,21 +230,13 @@ def _crossings(normals, offsets, ends, h, axes):
     """
     order = [*axes, 2]
     a, b, g = normals[:, order].T
-    area = g + offsets  # chart curve: area |z|^2 - 2 a u - 2 b v + offsets - g = 0
-    radius_area = np.sqrt(np.maximum(a * a + b * b + g * g - offsets**2, 0.0))
-    if ends is None:
-        lo, hi = (b - radius_area) / area, (b + radius_area) / area
-    else:
+    area = g + offsets
+    lo, hi = _extent(normals, offsets, ends, axes)
+    if ends is not None:
         across = np.cross(normals, ends[0])[:, order]
         total = np.arctan2(np.linalg.norm(np.cross(*ends), axis=1), np.sum(ends[0] * ends[1], 1))
         start, stop = (e[:, order] for e in ends)
-        (us, vs), (ut, vt) = (e[:, :2].T / (1.0 + e[:, 2]) for e in (start, stop))
-        half2 = ((us - ut) ** 2 + (vs - vt) ** 2) / 4
-        # sagitta of the chord: how far the arc bulges past its ends
-        sag = half2 * np.abs(area) / (
-            radius_area + np.sqrt(np.maximum(radius_area**2 - half2 * area**2, 0.0))
-        )
-        lo, hi = np.minimum(vs, vt) - sag, np.maximum(vs, vt) + sag
+        vs, vt = (e[:, 1] / (1.0 + e[:, 2]) for e in (start, stop))
     first = np.ceil(lo / h).astype(int)
     counts = np.maximum(np.floor(hi / h).astype(int) - first + 1, 0)
     piece = np.repeat(np.arange(len(a)), counts)
@@ -249,8 +270,23 @@ def _crossings(normals, offsets, ends, h, axes):
 
 def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
     """Mesh the region bounded by the plane sections n.v = d (in the
-    coordinates of ``frame``) on the chart grid of spacing delta / 2."""
+    coordinates of ``frame``) on the chart grid of spacing delta / 2.
+
+    A grid of more than ``CHART_NODE_LIMIT`` nodes is refused before
+    anything of its size is built."""
     h = delta / 2
+    # the grid spans the pieces' extents with one node to spare on every
+    # side: a span above the limit is refused without counting (rounding
+    # it could overflow), as the grid is at least three nodes across
+    spans = [(lo.min() / h, hi.max() / h)
+             for lo, hi in (_extent(normals, offsets, ends, axes) for axes in ((0, 1), (1, 0)))]
+    if not all(top - bottom <= CHART_NODE_LIMIT for bottom, top in spans):
+        raise ConfigError(f"mesh step {delta:g} rad gives over {CHART_NODE_LIMIT} grid nodes")
+    rows, cols = (math.ceil(top) - math.floor(bottom) + 3 for bottom, top in spans)
+    if rows * cols > CHART_NODE_LIMIT:
+        raise ConfigError(
+            f"chart grid of {rows} x {cols} nodes is over the limit of {CHART_NODE_LIMIT} nodes"
+        )
     row_j, row_x = _crossings(normals, offsets, ends, h, (0, 1))
     col_i, col_y = _crossings(normals, offsets, ends, h, (1, 0))
     if not len(row_j):

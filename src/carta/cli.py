@@ -5,8 +5,10 @@ Angles in flags and files are degrees; everything internal is radians.
 The exit code is 0 on success (including valid negative answers);
 otherwise it is fixed by the category of the error (see ``carta.errors``):
 
-* 2 ``ConfigError``: invalid or non-finite flag values, ``chebyshev
-  --eccentricity`` other than 0 (the solve has the sphere's metric),
+* 2 ``ConfigError``: invalid or non-finite flag values, graticules, cap
+  sample layouts and chart grids over their size limits (counted before
+  anything is built), ``chebyshev --eccentricity`` other than 0 (the
+  solve has the sphere's metric),
   flags that would be ignored (``--centered-on`` with ``--eccentricity``
   or ``--central-meridian`` other than 0, ``--cap-deg`` with ``--region``,
   ``--target`` with ``--target-sides``), unreadable or unwritable paths,
@@ -33,6 +35,8 @@ import math
 import os
 import stat
 import sys
+from collections.abc import Iterable
+from itertools import chain
 
 import numpy as np
 
@@ -163,8 +167,13 @@ def _region_mesh(args: argparse.Namespace):
     return build_region_mesh(boundary, delta)
 
 
-def _flush_outputs(outputs: dict[str, str]) -> None:
-    """All file writing happens here, after every output has been computed.
+def _flush_outputs(outputs: dict[str, Iterable[str]]) -> None:
+    """All file writing happens here, after every output has been checked.
+
+    Each output is an iterable of text pieces, written in turn: a piece
+    may be formatted only as it is written, but every check that can fail
+    ran before the runner returned, so no error but a failed write can
+    arise here.
 
     A regular file, or one not there yet, is written to a temporary file
     beside it (beside the file a symlink points to), and the temporary
@@ -199,14 +208,14 @@ def _flush_outputs(outputs: dict[str, str]) -> None:
             temporary = f"{target}.{os.getpid()}.tmp"
             with open(temporary, "x", encoding="utf-8") as handle:
                 written.append(temporary)
-                handle.write(content)
+                handle.writelines(content)
             if st is not None:  # the replaced file's permissions carry over
                 os.chmod(temporary, stat.S_IMODE(st.st_mode))
         for temporary, (target, (path, _, _)) in zip(written, staged.items()):
             os.replace(temporary, target)
         for path, content, _ in direct.values():
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(content)
+                handle.writelines(content)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
@@ -219,7 +228,8 @@ def _flush_outputs(outputs: dict[str, str]) -> None:
 
 
 def _graticule(
-    args: argparse.Namespace, outputs: dict[str, str], spec: LagrangeProjectionSpec, *features
+    args: argparse.Namespace, outputs: dict[str, Iterable[str]], spec: LagrangeProjectionSpec,
+    *features,
 ) -> list:
     """The fitted graticule curves; with ``--svg``, the map drawn over them
     and over the ``features`` lines (``svg_text``'s x, y, lines and texts)."""
@@ -227,11 +237,11 @@ def _graticule(
         spec, math.radians(args.lat_step_deg), math.radians(args.lon_step_deg), args.samples
     )
     if args.svg_path:
-        outputs[args.svg_path] = svg_text(curves, *features)
+        outputs[args.svg_path] = (svg_text(curves, *features),)
     return curves
 
 
-def run_project(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
+def run_project(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
     spec = projection_spec(args)
     if args.out_path is None and args.svg_path is None:
         raise ConfigError("project needs --out and/or --svg")
@@ -250,7 +260,7 @@ def run_project(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
     arrays, x, y, lines = geojson_io.map_positions(document, mapper)
     texts = geojson_io.position_texts(arrays, x, y)
     if args.out_path:
-        outputs[args.out_path] = geojson_io.dumps(document, arrays, texts) + "\n"
+        outputs[args.out_path] = (geojson_io.dumps(document, arrays, texts), "\n")
     by_range, end = {}, 0  # the lines are among the arrays, found by their range
     for (_, count), text in zip(arrays, texts):
         start, end = end, end + (1 if count is None else count)
@@ -268,7 +278,7 @@ def run_project(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
     ]
 
 
-def run_graticule(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
+def run_graticule(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
     curves = _graticule(args, outputs, projection_spec(args))
     lines = [
         "graticule report",
@@ -293,7 +303,7 @@ def run_graticule(args: argparse.Namespace, outputs: dict[str, str]) -> list[str
     return lines
 
 
-def run_distortion(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
+def run_distortion(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
     spec = projection_spec(args)
     if args.cap_deg is not None:  # a cap is sampled on rings, without a mesh
         lat, lon = cap_samples(math.radians(args.cap_deg), math.radians(args.delta_deg))
@@ -301,10 +311,10 @@ def run_distortion(args: argparse.Namespace, outputs: dict[str, str]) -> list[st
         lat, lon = _region_mesh(args).node_points()
     report = distortion_report(spec, lat, lon)
     if args.out_path:
-        outputs[args.out_path] = geojson_io.point_feature_collection(
+        outputs[args.out_path] = chain(geojson_io.point_feature_collection(
             np.degrees(lon), np.degrees(lat),
             {"m": report.m, "conformality_defect": report.conformality_defect},
-        ) + "\n"
+        ), ("\n",))
     return [
         "distortion report",
         f"exponent: {fmt(args.exponent)}",
@@ -316,7 +326,7 @@ def run_distortion(args: argparse.Namespace, outputs: dict[str, str]) -> list[st
     ]
 
 
-def run_chebyshev(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
+def run_chebyshev(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
     mesh = _region_mesh(args)
     field = solve_log_scale(mesh)
     ratio_optimal = distortion_ratio(field)
@@ -354,9 +364,9 @@ def run_chebyshev(args: argparse.Namespace, outputs: dict[str, str]) -> list[str
         lat, lon = mesh.node_points()
         u = field.values
         m = np.fromiter(map(math.exp, u.tolist()), float, len(u))  # np.exp may round differently
-        outputs[args.out_path] = geojson_io.point_feature_collection(
+        outputs[args.out_path] = chain(geojson_io.point_feature_collection(
             np.degrees(lon), np.degrees(lat), {"u": u, "m": m}
-        ) + "\n"
+        ), ("\n",))
     return lines
 
 
@@ -364,7 +374,7 @@ def _triangle(xy: tuple[float, ...]) -> Triangle:
     return Triangle(*(PlanePoint(xy[i], xy[i + 1]) for i in (0, 2, 4)))
 
 
-def run_darboux(args: argparse.Namespace, outputs: dict[str, str]) -> list[str]:
+def run_darboux(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
     source = _triangle(args.source)
     if args.target is not None:
         target = _triangle(args.target)
@@ -486,10 +496,10 @@ def main(argv: list[str] | None = None) -> int:
                     flag = "--" + name.replace("_", "-")
                     setattr(args, name, _parse_floats(getattr(args, name), count, flag))
             validate(args)
-            outputs: dict[str, str] = {}
+            outputs: dict[str, Iterable[str]] = {}
             text = "\n".join(_RUNNERS[args.subcommand](args, outputs)) + "\n"
             if args.report_path:
-                outputs[args.report_path] = text
+                outputs[args.report_path] = (text,)
             _flush_outputs(outputs)
         sys.stdout.write(text)
         return 0

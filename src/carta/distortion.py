@@ -29,11 +29,16 @@ DEFAULT_STEP = 1e-4
 _POLAR_PROBE_EPS = 1e-7
 
 # cap_samples refuses layouts of more samples than this, counted before any
-# array is built.  A distortion run peaks at about 0.6 kB of RSS per sample
-# with --out (0.4 kB without; 4.4 million samples took 2.5 GiB), so a run
-# at the limit stays near 1.2 GiB; every cap the CLI takes (under 90
-# degrees) fits at a 0.1 degree step.
+# array is built.  A distortion run peaks at about 60 bytes of RSS per
+# sample on top of a fixed 62 MiB, with --out or without (0.28, 1.1 and
+# 2.0 million samples took 79, 129 and 186 MiB), so a run at the limit
+# stays near 190 MiB; every cap the CLI takes (under 90 degrees) fits at
+# a 0.1 degree step.
 CAP_SAMPLE_LIMIT = 1 << 21
+
+# samples that distortion_report evaluates at once: its probes and their
+# temporaries take a fixed amount of memory, whatever the sample count
+_SAMPLE_BLOCK = 1 << 13
 
 
 def _check_step(h: float) -> None:
@@ -211,26 +216,31 @@ def distortion_report(
 ) -> DistortionReport:
     """Dilatation field at the points (lat, lon), in radians, and its extrema.
 
-    The first failing sample raises; within a sample the dilatation's
-    error comes before the conformality defect's.
+    The samples are evaluated ``_SAMPLE_BLOCK`` at a time.  The first
+    failing sample raises; within a sample the dilatation's error comes
+    before the conformality defect's.
     """
     lat, lon = np.asarray(lat, dtype=float), np.asarray(lon, dtype=float)
     if lat.size == 0:
         raise EmptyRegion("no sample points")
     _check_step(h)
-    m, code = dilatation_array(spec, lat, lon)
-    defects, failing = _diagonal_defects(spec, lat, lon, h)
-    for i in np.flatnonzero((code != 0) | failing).tolist():
-        p = SpherePoint(float(lat[i]), float(lon[i]))
-        if code[i]:
-            raise dilatation_error(spec, int(code[i]), p.latitude, p.longitude, float(m[i]))
-        # the per-point function raises the error of this sample or gives its defect
-        defects[i] = conformality_defect(spec.projection(), p, h, spec.surface)
-    if not np.all(m > 0.0):
-        raise ValueError("dilatation must be positive")
-    if np.any(defects < 0.0):
-        raise ValueError("conformality defect must be >= 0")
+    m, defects = np.empty(lat.size), np.empty(lat.size)
+    for start in range(0, lat.size, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        m[block], code = dilatation_array(spec, lat[block], lon[block])
+        defects[block], failing = _diagonal_defects(spec, lat[block], lon[block], h)
+        for k in np.flatnonzero((code != 0) | failing).tolist():
+            i = start + k
+            p = SpherePoint(float(lat[i]), float(lon[i]))
+            if code[k]:
+                raise dilatation_error(spec, int(code[k]), p.latitude, p.longitude, float(m[i]))
+            # the per-point function raises the error of this sample or gives its defect
+            defects[i] = conformality_defect(spec.projection(), p, h, spec.surface)
     m_min, m_max = float(m.min()), float(m.max())
+    if not m_min > 0.0:
+        raise ValueError("dilatation must be positive")
+    if defects.min() < 0.0:
+        raise ValueError("conformality defect must be >= 0")
     return DistortionReport(m, defects, m_min, m_max, m_max / m_min)
 
 

@@ -12,7 +12,7 @@ import math
 import reprlib
 from itertools import chain
 from json.encoder import encode_basestring_ascii  # what json.dumps does to a str
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .geometry import SpherePoint
 _POSITION_DEPTH = {"Point": 0, "MultiPoint": 1, "LineString": 1,
                    "MultiLineString": 2, "Polygon": 2, "MultiPolygon": 3}
 _POSITION = "[%.15g, %.15g]"  # a position's image as dumps writes it
+# features that point_feature_collection formats with one `%`
+_ROW_BLOCK = 1 << 13
 
 
 def format_float(x: float) -> str:
@@ -66,11 +68,17 @@ def _rows(*columns) -> tuple:
     templates, as ``"%.15g" % v`` is ``format(v, ".15g")``; the first
     non-finite one raises ``format_float``'s error.  Callers build the
     template first: boxed after it, the values raise the peak memory less."""
+    return tuple(_finite_rows(columns).ravel().tolist())
+
+
+def _finite_rows(columns) -> np.ndarray:
+    """The columns side by side; the first non-finite value, row by row,
+    raises ``format_float``'s error."""
     values = np.column_stack(columns)
     bad = ~np.isfinite(values)
     if bad.any():
         format_float(float(values.flat[np.argmax(bad)]))
-    return tuple(values.ravel().tolist())
+    return values
 
 
 def _write(obj, pieces: list[str], arrays: set[int]) -> None:
@@ -246,11 +254,21 @@ def map_positions(obj, mapper: Callable[[np.ndarray, np.ndarray], tuple[np.ndarr
     return arrays, x, y, lines
 
 
-def point_feature_collection(lon_deg: np.ndarray, lat_deg: np.ndarray, columns: dict) -> str:
-    """FeatureCollection of Point features, as the text ``dumps`` writes for
-    it: feature i is at (lon_deg[i], lat_deg[i]) with one property per
-    column, column[i].  One ``%`` fills a repeated feature template.
+def point_feature_collection(
+    lon_deg: np.ndarray, lat_deg: np.ndarray, columns: dict
+) -> Iterator[str]:
+    """FeatureCollection of Point features, as pieces of the text ``dumps``
+    writes for it: feature i is at (lon_deg[i], lat_deg[i]) with one
+    property per column, column[i].
+
+    Every value is checked before this returns, so the first non-finite
+    one raises here.  The text then comes ``_ROW_BLOCK`` features at a
+    time, each block from one ``%`` over a repeated feature template.
     """
+    table = (lon_deg, lat_deg, *columns.values())
+    blocks = [slice(start, start + _ROW_BLOCK) for start in range(0, len(lon_deg), _ROW_BLOCK)]
+    for block in blocks:
+        _finite_rows([column[block] for column in table])
     properties = ", ".join(
         encode_basestring_ascii(str(name)).replace("%", "%%") + ": %.15g" for name in columns
     )
@@ -258,5 +276,14 @@ def point_feature_collection(lon_deg: np.ndarray, lat_deg: np.ndarray, columns: 
         '{"type": "Feature", "geometry": {"type": "Point", "coordinates": [%.15g, %.15g]}, '
         '"properties": {' + properties + "}}"
     )
-    features = ", ".join([feature] * len(lon_deg)) % _rows(lon_deg, lat_deg, *columns.values())
-    return '{"type": "FeatureCollection", "features": [' + features + "]}"
+
+    def pieces():
+        yield '{"type": "FeatureCollection", "features": ['
+        for block in blocks:
+            part = [column[block] for column in table]
+            if block.start:
+                yield ", "
+            yield ", ".join([feature] * len(part[0])) % _rows(*part)
+        yield "]}"
+
+    return pieces()

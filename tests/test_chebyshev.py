@@ -23,8 +23,10 @@ from carta import (
     distortion_ratio,
     solve_log_scale,
 )
+import carta.chebyshev as chebyshev
 from carta.chebyshev import RESIDUAL_TOL
 from carta.errors import (
+    ConfigError,
     DegenerateBoundary,
     RegionTooSmall,
     SelfIntersectingBoundary,
@@ -369,3 +371,52 @@ def test_france_rectangle_optimality():
     spec = centered_stereographic(SpherePoint.from_degrees(46, 2))
     ratio_opt, ratio_proj = chebyshev_vs_projection(mesh, spec)
     assert ratio_opt <= ratio_proj + discretization_allowance(mesh)
+
+
+# -- the chart grid budget ---------------------------------------------------------
+
+
+def test_chart_grid_limit_is_exact(monkeypatch):
+    # the disc's crossings lie within tan(R / 2) of the centre, 10.03 grid
+    # spacings here, and the grid spares a node on every side
+    radius, delta = math.radians(10), math.radians(1)
+    side = 2 * math.ceil(math.tan(radius / 2) / (delta / 2)) + 3
+    assert side == 25
+    monkeypatch.setattr(chebyshev, "CHART_NODE_LIMIT", side * side)
+    assert build_cap_mesh(radius, delta).interior_count > 0
+    monkeypatch.setattr(chebyshev, "CHART_NODE_LIMIT", side * side - 1)
+    message = f"^chart grid of 25 x 25 nodes is over the limit of {side * side - 1} nodes$"
+    with pytest.raises(ConfigError, match=message):
+        build_cap_mesh(radius, delta)
+
+
+class Reached(Exception):
+    """Raised in place of building the crossings."""
+
+
+def _unreached(*args):
+    raise Reached
+
+
+def test_chart_grid_limit_admits_the_60_degree_cap(monkeypatch):
+    # at the default step: counted at 533 x 533 nodes, within the limit
+    monkeypatch.setattr(chebyshev, "_crossings", _unreached)
+    radius, delta = math.radians(60), math.radians(0.25)
+    with pytest.raises(Reached):
+        build_cap_mesh(radius, delta)
+    monkeypatch.setattr(chebyshev, "CHART_NODE_LIMIT", 533 * 533 - 1)
+    with pytest.raises(ConfigError, match="^chart grid of 533 x 533 nodes is over "):
+        build_cap_mesh(radius, delta)
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-14, 1e-7])
+def test_chart_grid_refused_before_allocating(monkeypatch, delta):
+    monkeypatch.setattr(chebyshev, "_crossings", _unreached)
+    limit = chebyshev.CHART_NODE_LIMIT
+    with pytest.raises(ConfigError, match=f"^mesh step {delta:g} rad gives over {limit} grid "):
+        build_cap_mesh(math.radians(10), delta)
+    with pytest.raises(ConfigError, match=f"^mesh step {delta:g} rad gives over {limit} grid "):
+        build_region_mesh(list(zip(*offcap_ring(720))), delta)
+    # counted: a span within the limit, the grid over it
+    with pytest.raises(ConfigError, match="^chart grid of 2009 x 2009 nodes is over "):
+        build_cap_mesh(math.radians(10), math.radians(0.01))

@@ -708,6 +708,17 @@ GOLDEN_ERRORS = [
      "ConfigError: cap sample step 1.74533e-07 rad gives over 2097152 samples"),
     ("distortion --cap-deg 89 --delta-deg 0.09", 2,
      "ConfigError: cap of 989 rings and 2502599 samples is over the limit of 2097152 samples"),
+    # and so are chart grids, caps and regions alike
+    ("chebyshev --cap-deg 10 --delta-deg 1e-12", 2,
+     "ConfigError: mesh step 1.74533e-14 rad gives over 1048576 grid nodes"),
+    ("chebyshev --cap-deg 10 --delta-deg 1e-300", 2,
+     "ConfigError: mesh step 1.74533e-302 rad gives over 1048576 grid nodes"),
+    ("chebyshev --cap-deg 10 --delta-deg 0.01", 2,
+     "ConfigError: chart grid of 2009 x 2009 nodes is over the limit of 1048576 nodes"),
+    ("chebyshev --region {region} --delta-deg 1e-12 --compare-projection", 2,
+     "ConfigError: mesh step 1.74533e-14 rad gives over 1048576 grid nodes"),
+    ("chebyshev --region {region} --delta-deg 0.01 --out {tmp}/field.geojson", 2,
+     "ConfigError: chart grid of 1205 x 1081 nodes is over the limit of 1048576 nodes"),
 ]
 
 

@@ -13,6 +13,7 @@ import cmath
 import copy
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -285,6 +286,79 @@ def test_report_error_mid_array(spec, failing, expected):
     assert _report_error(spec, points) == expected
 
 
+# -- blocks: the same arrays, errors and text whatever the block size ----------------
+
+BLOCKS = [1, 7, 64]
+CAP_SPEC = LagrangeProjectionSpec(1.0, central_meridian=0.3)
+
+
+def _point_pieces(lat, lon, report):
+    columns = {"m": report.m, "conformality_defect": report.conformality_defect}
+    return list(point_feature_collection(np.degrees(lon), np.degrees(lat), columns))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_distortion_path_is_block_invariant(monkeypatch, block):
+    lat, lon = cap_samples(math.radians(20), math.radians(1))
+    expected = distortion_report(CAP_SPEC, lat, lon)
+    text = "".join(_point_pieces(lat, lon, expected))
+    monkeypatch.setattr(distortion, "_SAMPLE_BLOCK", block)
+    monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
+    report = distortion_report(CAP_SPEC, lat, lon)
+    assert report.m.tobytes() == expected.m.tobytes()
+    assert report.conformality_defect.tobytes() == expected.conformality_defect.tobytes()
+    assert (report.m_min, report.m_max, report.ratio) == (
+        expected.m_min, expected.m_max, expected.ratio)
+    pieces = _point_pieces(lat, lon, report)
+    assert "".join(pieces) == text
+    # the opening, each block, the separators between blocks and the closing
+    assert len(pieces) == 2 * -(-lat.size // block) + 1
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize(
+    "spec, first, second",
+    [(SPHEROID, NEAR_SOUTH, SOUTH), (SPHEROID, SOUTH, NEAR_SOUTH),
+     (LagrangeProjectionSpec(1.0), PROBE_AT_CENTER, NORTH)],
+    ids=["defect-first", "dilatation-first", "center-probe-first"],
+)
+def test_report_error_past_a_block_boundary(monkeypatch, block, spec, first, second):
+    # the first failing sample opens the second block, and another follows it
+    rng = np.random.default_rng(7)
+    points = [
+        SpherePoint(float(a), float(b))
+        for a, b in zip(rng.uniform(-1.2, 1.2, 200), rng.uniform(-3, 3, 200))
+    ]
+    points[block], points[block + 1] = first, second
+    expected = _report_error(spec, points)
+    monkeypatch.setattr(distortion, "_SAMPLE_BLOCK", block)
+    assert _report_error(spec, points) == expected
+
+
+def _peak_above_columns(lat, lon):
+    """tracemalloc's peak while ``distortion_report`` runs on the samples
+    and the point text is drained piece by piece, less the columns that
+    stay: the report's two and the two positions in degrees."""
+    tracemalloc.start()
+    try:
+        report = distortion_report(CAP_SPEC, lat, lon)
+        columns = {"m": report.m, "conformality_defect": report.conformality_defect}
+        for _ in point_feature_collection(np.degrees(lon), np.degrees(lat), columns):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - 4 * lat.nbytes
+
+
+def test_distortion_path_memory_does_not_grow_with_samples():
+    lat, lon = cap_samples(math.radians(30), math.radians(0.1))
+    _peak_above_columns(lat[:64], lon[:64])  # numpy's first-call allocations
+    small, large = (_peak_above_columns(lat[:n], lon[:n]) for n in (1 << 15, 1 << 17))
+    # whole-array temporaries of even 8 bytes a sample would add 0.75 MiB
+    assert large <= small + (1 << 18), (small, large)
+
+
 # -- boundary self-intersection -----------------------------------------------------
 
 
@@ -501,7 +575,7 @@ def point_tables(draw):
 @given(table=point_tables())
 def test_point_collection_text_is_dumps_of_objects(table):
     lon, lat, columns = table
-    assert point_feature_collection(lon, lat, columns) == dumps(
+    assert "".join(point_feature_collection(lon, lat, columns)) == dumps(
         reference_collection(lon, lat, columns)
     )
 
@@ -509,10 +583,20 @@ def test_point_collection_text_is_dumps_of_objects(table):
 def test_point_collection_property_names_are_escaped():
     columns = {'m "%s" %%': np.array([1.5]), "\u00e9\n": np.array([-0.0]), "": np.array([2.0])}
     lon, lat = np.array([10.0]), np.array([-20.0])
-    text = point_feature_collection(lon, lat, columns)
+    text = "".join(point_feature_collection(lon, lat, columns))
     assert text == dumps(reference_collection(lon, lat, columns))
     properties = json.loads(text)["features"][0]["properties"]
     assert properties == {'m "%s" %%': 1.5, "\u00e9\n": 0.0, "": 2.0}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_point_collection_non_finite_past_a_block_boundary(monkeypatch, block):
+    table = np.ones((3 * block, 4))
+    table[block, 3], table[block + 1, 0] = math.nan, math.inf
+    lon, lat, columns = table[:, 0], table[:, 1], {"m": table[:, 2], "u": table[:, 3]}
+    monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
+    error = _raised(point_feature_collection, lon, lat, columns)
+    assert error == (NonFiniteValue, "non-finite value nan in output")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
