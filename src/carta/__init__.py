@@ -15,7 +15,6 @@ from .chebyshev import (
 from .darboux import (
     Triangle,
     apollonius_circle,
-    find_inversion,
     image_triangle_sides,
     intersect_generalized,
     inversions_for_sides,

@@ -341,14 +341,14 @@ def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
     )
 
 
-def build_cap_mesh(radius: float, delta: float, pole: str = "south") -> RegionMesh:
-    """Mesh of the pole-centred cap of the given geodesic radius: a disc
-    about the pole in the chart."""
+def build_cap_mesh(radius: float, delta: float) -> RegionMesh:
+    """Mesh of the cap of the given geodesic radius about the South pole:
+    a disc about the pole in the chart."""
     if not (0.0 < radius < math.pi / 2):
         raise ValueError(f"cap radius {radius} outside (0, pi/2)")
     if delta <= 0:
         raise ValueError("mesh spacing must be positive")
-    frame = _frame(np.array([0.0, 0.0, -1.0 if pole == "south" else 1.0]))
+    frame = _frame(np.array([0.0, 0.0, -1.0]))
     circle = np.array([[0.0, 0.0, 1.0]]), np.array([math.cos(radius)])  # n = pole, d = cos R
     return _chart_mesh(frame, *circle, None, delta)
 

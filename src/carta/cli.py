@@ -3,28 +3,8 @@ solve the optimal-scale field, and find triangle inversions.
 
 Angles in flags and files are degrees; everything internal is radians.
 The exit code is 0 on success (including valid negative answers);
-otherwise it is fixed by the category of the error (see ``carta.errors``):
-
-* 2 ``ConfigError``: invalid or non-finite flag values, graticules, cap
-  sample layouts and chart grids over their size limits (counted before
-  anything is built), ``chebyshev --eccentricity`` other than 0 (the
-  solve has the sphere's metric),
-  flags that would be ignored (``--centered-on`` with ``--eccentricity``
-  or ``--central-meridian`` other than 0, ``--cap-deg`` with ``--region``,
-  ``--target`` with ``--target-sides``), unreadable or unwritable paths,
-  and an output naming the regular file or pipe of standard output, which
-  takes the report;
-* 3 ``InputError``: ``GeoJsonError``, input that is not valid GeoJSON;
-* 4 ``DomainError``: ``ProjectionPole``, ``PoleSingularity``,
-  ``PointAtInfinity``, ``BranchOverflow``, ``OutsideImage``,
-  ``OriginSingularity``, ``DomainEdge``, ``PoleDegenerate``,
-  ``EmptyRegion``, ``CriticalPoint``, and ``NonFiniteValue`` for results
-  beyond the floating-point range;
-* 5 ``SolverError``: ``NoConvergence``;
-* 6 ``DegenerateInput``: ``DegenerateBoundary``,
-  ``SelfIntersectingBoundary``, ``RegionTooSmall``, ``DegeneratePolygon``,
-  ``DegenerateTriangle``, ``CoincidentPoints``, ``PoleOnVertex``,
-  ``InsufficientPoints``, ``DegenerateTransform``.
+otherwise it is the ``exit_code`` of the error's category, 2 to 6 (see
+``carta.errors``, and README for which inputs give which).
 """
 
 from __future__ import annotations
@@ -50,15 +30,8 @@ from .chebyshev import (
     solve_log_scale,
 )
 from .distortion import cap_samples, distortion_report
-from .darboux import Triangle, find_inversion, image_triangle_sides, inversions_for_sides
-from .errors import (
-    CartaError,
-    ConfigError,
-    DegenerateInput,
-    DomainError,
-    InputError,
-    SolverError,
-)
+from .darboux import Triangle, image_triangle_sides, inversions_for_sides
+from .errors import CartaError, ConfigError
 from .geojson_io import format_float as fmt
 from .geometry import Inversion, PlanePoint, SpherePoint
 from .lagrange import (
@@ -70,9 +43,6 @@ from .lagrange import (
 )
 from .surfaces import SPHERE, SurfaceOfRevolution
 from .svg_render import svg_text
-
-EXIT_CODES = {ConfigError: 2, InputError: 3, DomainError: 4, SolverError: 5, DegenerateInput: 6}
-
 
 # the comma-list flags and how many numbers each takes
 _FLOAT_LISTS = {"inversion_pole": 2, "centered_on": 2, "source": 6, "target": 6, "target_sides": 3}
@@ -377,16 +347,14 @@ def _triangle(xy: tuple[float, ...]) -> Triangle:
 def run_darboux(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
     source = _triangle(args.source)
     if args.target is not None:
-        target = _triangle(args.target)
-        target_sides = target.sides()
-        solutions = find_inversion(source, target)
+        target_sides = _triangle(args.target).sides()
     elif args.target_sides is not None:
         target_sides = args.target_sides
         if min(target_sides) <= 0:
             raise ConfigError("--target-sides must be positive")
-        solutions = inversions_for_sides(source, target_sides)
     else:
         raise ConfigError("darboux needs --target or --target-sides")
+    solutions = inversions_for_sides(source, target_sides)
 
     lines = ["darboux report", f"solutions: {len(solutions)}"]
     if not solutions:
@@ -505,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except CartaError as exc:
         print(f"carta: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+        return exc.exit_code
     finally:
         if collecting:
             gc.enable()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Sequence
 
 from .errors import (
@@ -19,8 +18,6 @@ from .errors import (
     PoleOnVertex,
 )
 from .geometry import GeneralizedCircle, Inversion, PlanePoint
-
-SIDE_MATCH_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -150,6 +147,8 @@ def inversions_for_sides(
 ) -> list[Inversion]:
     """Inversions mapping ``source`` to given (possibly infeasible) side
     lengths, labels matched.  Empty when the two pole loci do not meet.
+    Inverted images are mirror copies, so the inversions onto a copy of a
+    triangle T are those for ``T.sides()``.
 
     Any genuine triangle of target sides is attainable (the generalized
     Ptolemy inequalities are exactly the triangle inequalities of the
@@ -189,32 +188,3 @@ def inversions_for_sides(
         if err <= 1e-6:  # tangency-grade poles can miss; exact ones land ~1e-15
             solutions.append(candidate)
     return solutions
-
-
-def find_inversion(
-    source: Triangle, target: Triangle, any_labeling: bool = False
-) -> list[Inversion]:
-    """Inversions sending ``source`` to a triangle congruent to ``target``.
-
-    Side lengths are matched label to label (A to A0 and so on); inverted
-    images are mirror copies, so congruence is read as equality of the
-    matched side lengths.  With ``any_labeling`` all six vertex relabelings
-    of the target are tried.
-    """
-    if not any_labeling:
-        return inversions_for_sides(source, target.sides())
-    found: list[Inversion] = []
-    for perm in permutations(target.vertices()):
-        sides = (
-            perm[1].distance(perm[2]),
-            perm[2].distance(perm[0]),
-            perm[0].distance(perm[1]),
-        )
-        for cand in inversions_for_sides(source, sides):
-            if not any(
-                cand.pole.distance(known.pole) < 1e-9
-                and abs(cand.power - known.power) < 1e-9 * abs(known.power)
-                for known in found
-            ):
-                found.append(cand)
-    return found

@@ -184,11 +184,11 @@ def conformality_defect(
 
 
 def _diagonal_defects(
-    spec: LagrangeProjectionSpec, lat: np.ndarray, lon: np.ndarray, h: float
+    spec: LagrangeProjectionSpec, lat: np.ndarray, lon: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``conformality_defect`` of the projection at every point, with all
     probes in one ``project_array`` call; and where that function raises."""
-    dlat, dlon = _diagonal_offsets(lat, h, spec.surface)
+    dlat, dlon = _diagonal_offsets(lat, DEFAULT_STEP, spec.surface)
     probe_lat, probe_lon, crossed = _offset(lat, lon, dlat, dlon)
     w, code = project_array(spec, probe_lat, probe_lon)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -212,7 +212,6 @@ def distortion_report(
     spec: LagrangeProjectionSpec,
     lat: np.ndarray,
     lon: np.ndarray,
-    h: float = DEFAULT_STEP,
 ) -> DistortionReport:
     """Dilatation field at the points (lat, lon), in radians, and its extrema.
 
@@ -223,19 +222,18 @@ def distortion_report(
     lat, lon = np.asarray(lat, dtype=float), np.asarray(lon, dtype=float)
     if lat.size == 0:
         raise EmptyRegion("no sample points")
-    _check_step(h)
     m, defects = np.empty(lat.size), np.empty(lat.size)
     for start in range(0, lat.size, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
         m[block], code = dilatation_array(spec, lat[block], lon[block])
-        defects[block], failing = _diagonal_defects(spec, lat[block], lon[block], h)
+        defects[block], failing = _diagonal_defects(spec, lat[block], lon[block])
         for k in np.flatnonzero((code != 0) | failing).tolist():
             i = start + k
             p = SpherePoint(float(lat[i]), float(lon[i]))
             if code[k]:
                 raise dilatation_error(spec, int(code[k]), p.latitude, p.longitude, float(m[i]))
             # the per-point function raises the error of this sample or gives its defect
-            defects[i] = conformality_defect(spec.projection(), p, h, spec.surface)
+            defects[i] = conformality_defect(spec.projection(), p, surface=spec.surface)
     m_min, m_max = float(m.min()), float(m.max())
     if not m_min > 0.0:
         raise ValueError("dilatation must be positive")
@@ -244,9 +242,9 @@ def distortion_report(
     return DistortionReport(m, defects, m_min, m_max, m_max / m_min)
 
 
-def cap_samples(radius: float, delta: float, pole: str = "south") -> tuple[np.ndarray, np.ndarray]:
-    """(latitude, longitude) arrays of a radial sample layout of the
-    pole-centred cap: the pole, then rings about delta apart with about
+def cap_samples(radius: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(latitude, longitude) arrays of a radial sample layout of the cap
+    about the South pole: the pole, then rings about delta apart with about
     one sample per delta of their length, and half as many on the rim.
 
     A layout of more than ``CAP_SAMPLE_LIMIT`` samples is refused before
@@ -269,9 +267,8 @@ def cap_samples(radius: float, delta: float, pole: str = "south") -> tuple[np.nd
         raise ConfigError(
             f"cap of {n} rings and {total} samples is over the limit of {CAP_SAMPLE_LIMIT} samples"
         )
-    sign = 1.0 if pole == "north" else -1.0
     # sample j of a ring of `count` samples sits at longitude 2 pi j / count
     count = np.repeat(counts, counts)
     j = np.arange(len(count)) - np.repeat(np.cumsum(counts) - counts, counts)
-    lat = np.repeat(sign * math.pi / 2 - sign * radii, counts)
+    lat = np.repeat(-math.pi / 2 + radii, counts)
     return lat, normalize_longitude_array(2 * math.pi * j / count)

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-Every error derives from exactly one of five categories, and the category
-alone decides the command line's exit code (see ``carta.cli``).
+Every error derives from exactly one of five categories, and the
+category's ``exit_code`` is the command line's exit code for it.
 """
 
 
@@ -14,11 +14,15 @@ class CartaError(Exception):
 class ConfigError(CartaError, ValueError):
     """Invalid or non-finite flag value, or an unreadable or unwritable path."""
 
+    exit_code = 2
+
 
 # -- InputError: malformed input data (exit 3) ----------------------------------
 
 class InputError(CartaError, ValueError):
     """Malformed input data."""
+
+    exit_code = 3
 
 
 class GeoJsonError(InputError):
@@ -29,6 +33,8 @@ class GeoJsonError(InputError):
 
 class DomainError(CartaError):
     """Evaluation outside the domain of a map or formula."""
+
+    exit_code = 4
 
 
 class NonFiniteValue(DomainError, ValueError):
@@ -80,6 +86,8 @@ class CriticalPoint(DomainError):
 class SolverError(CartaError):
     """A numerical solve failed."""
 
+    exit_code = 5
+
 
 class NoConvergence(SolverError):
     """Field solve failed to reach the residual tolerance."""
@@ -89,6 +97,8 @@ class NoConvergence(SolverError):
 
 class DegenerateInput(CartaError):
     """Degenerate geometry: coincident, collinear or too small."""
+
+    exit_code = 6
 
 
 class DegenerateTransform(DegenerateInput):

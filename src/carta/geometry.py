@@ -83,13 +83,6 @@ class SpherePoint:
             [cl * math.cos(self.longitude), cl * math.sin(self.longitude), math.sin(self.latitude)]
         )
 
-    @classmethod
-    def from_vector(cls, v: Sequence[float]) -> "SpherePoint":
-        x, y, z = v
-        r = math.sqrt(x * x + y * y + z * z)
-        lat = math.asin(max(-1.0, min(1.0, z / r)))
-        return cls(lat, math.atan2(y, x))
-
     def chord_distance(self, other: "SpherePoint") -> float:
         return float(np.linalg.norm(self.unit_vector() - other.unit_vector()))
 
@@ -224,25 +217,6 @@ class MobiusTransform:
 
     def inverse(self) -> "MobiusTransform":
         return MobiusTransform._normalized(self.d, -self.b, -self.c, self.a)
-
-    @classmethod
-    def from_point_triples(
-        cls,
-        sources: tuple[complex, complex, complex],
-        targets: tuple[complex, complex, complex],
-    ) -> "MobiusTransform":
-        """The unique Mobius map sending three points to three points."""
-
-        def to_standard(z1, z2, z3):
-            # sends z1, z2, z3 to 0, 1, infinity
-            return np.array(
-                [[z2 - z3, -z1 * (z2 - z3)], [z2 - z1, -z3 * (z2 - z1)]], dtype=complex
-            )
-
-        u = to_standard(*sources)
-        w = to_standard(*targets)
-        m = np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]]) @ u
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 @dataclass(frozen=True)

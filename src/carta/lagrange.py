@@ -269,43 +269,19 @@ def unproject(spec: LagrangeProjectionSpec, q: PlanePoint) -> SpherePoint:
 def centered_stereographic(center: SpherePoint) -> LagrangeProjectionSpec:
     """Stereographic projection re-centred on an arbitrary sphere point.
 
-    A rotation of the sphere conjugates to a Mobius map of the image
-    plane, so the oblique aspect stays inside the projection family as
-    exponent 1 plus a Mobius post-transform; ``center`` maps to the
-    origin.
+    The rotation taking ``center``, of stereographic image z0, to the South
+    pole acts on the image plane as z -> (z - z0) / (conj(z0) z + 1)
+    (Needham, *Visual Complex Analysis*, ch. 6), so the oblique aspect
+    stays inside the projection family as exponent 1 plus that Mobius
+    post-transform; ``center`` maps to the origin.  At the North pole the
+    rotation is the half turn about the x axis, z -> 1 / z.
     """
-    v = center.unit_vector()
-    target = np.array([0.0, 0.0, -1.0])
-    axis = np.cross(v, target)
-    s = float(np.linalg.norm(axis))
-    cos_angle = float(v @ target)
-    if s < 1e-15:
-        if cos_angle > 0:  # already the South pole
-            return LagrangeProjectionSpec(exponent=1.0)
-        rot = np.diag([1.0, -1.0, -1.0])  # North pole: half turn about x
-    else:
-        k = axis / s
-        kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-        angle = math.atan2(s, cos_angle)
-        rot = np.eye(3) + math.sin(angle) * kx + (1 - math.cos(angle)) * (kx @ kx)
-
-    anchors = [
-        SpherePoint(0.0, 0.0),
-        SpherePoint(0.0, math.pi / 2),
-        SpherePoint(math.pi / 4, -math.pi / 3),
-        SpherePoint(-math.pi / 5, 2.0),
-    ]
-    sources, targets = [], []
-    for p in anchors:
-        image = SpherePoint.from_vector(rot @ p.unit_vector())
-        if p.colatitude < 1e-6 or image.colatitude < 1e-6:
-            continue
-        sources.append(stereographic_project(p).as_complex())
-        targets.append(stereographic_project(image).as_complex())
-        if len(sources) == 3:
-            break
-    mobius = MobiusTransform.from_point_triples(tuple(sources), tuple(targets))
-    return LagrangeProjectionSpec(exponent=1.0, post_transform=mobius)
+    if center.colatitude < POLE_COLATITUDE_EPS:
+        return LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(0, 1, 1, 0))
+    z0 = stereographic_project(center).as_complex()
+    if z0 == 0:
+        return LagrangeProjectionSpec(1.0)
+    return LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(1, -z0, z0.conjugate(), 1))
 
 
 # -- graticule tracing --------------------------------------------------------
@@ -417,8 +393,6 @@ def graticule_image(
         raise ValueError("lat_step yields fewer than 2 parallels")
     k_min = int(math.floor(-math.pi / lon_step)) + 1
     k_max = int(math.floor(math.pi / lon_step))
-    if k_max - k_min + 1 < 2:
-        raise ValueError("lon_step yields fewer than 2 meridians")
     n_curves = 2 * n_parallel_half + 1 + _meridians_in_window(spec, k_min, k_max, lon_step)
     if n_curves * samples_per_curve > GRATICULE_SAMPLE_LIMIT:
         raise ConfigError(

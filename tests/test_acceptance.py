@@ -26,10 +26,10 @@ from carta import (
     chebyshev_vs_projection,
     dilatation_analytic,
     dilatation_fd,
-    find_inversion,
     gauss_scale,
     graticule_image,
     image_triangle_sides,
+    inversions_for_sides,
     invert_point,
     mobius_deviation,
     project,
@@ -225,7 +225,7 @@ def test_criterion_6_triangle_inversion_solver():
                 break
         synth = Inversion(pole, float(rng.uniform(0.3, 2.5) * rng.choice([-1.0, 1.0])))
         target = Triangle(*[invert_point(synth, v) for v in source.vertices()])
-        solutions = find_inversion(source, target)
+        solutions = inversions_for_sides(source, target.sides())
         if not solutions:
             false_negatives += 1
             continue

@@ -156,6 +156,18 @@ def test_config_validation_exit_2(band_geojson, tmp_path, capsys):
     assert not out.exists()
 
 
+# -- graticule --------------------------------------------------------------------
+
+
+def test_graticule_centered_on_north_pole(capsys):
+    # the half turn z -> 1 / z keeps every meridian and parallel a circle or line
+    assert run_cli("graticule", "--centered-on", "90,0") == 0
+    curves = [line for line in capsys.readouterr().out.splitlines() if " | " in line]
+    assert curves
+    for line in curves:
+        assert float(line.split("relative=")[1]) < 1e-12, line
+
+
 # -- chebyshev --------------------------------------------------------------------
 
 
@@ -451,14 +463,16 @@ ALLOWED_EXITS = {0, 2, 3, 4, 5, 6}
 
 
 def test_every_error_class_has_exactly_one_category():
-    assert sorted(cli.EXIT_CODES.values()) == [2, 3, 4, 5, 6]
-    for name, value in vars(errors).items():
-        if not isinstance(value, type) or not issubclass(value, errors.CartaError):
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, errors.CartaError)]
+    # a category is a class that defines exit_code itself
+    categories = [kind for kind in classes if "exit_code" in vars(kind)]
+    assert sorted(kind.exit_code for kind in categories) == [2, 3, 4, 5, 6]
+    for kind in classes:
+        if kind is errors.CartaError:
             continue
-        if value is errors.CartaError:
-            continue
-        categories = [c for c in cli.EXIT_CODES if issubclass(value, c)]
-        assert len(categories) == 1, f"{name}: {categories}"
+        defining = [c for c in kind.__mro__ if "exit_code" in vars(c)]
+        assert len(defining) == 1, f"{kind.__name__}: {defining}"
 
 
 def _polygon(coordinates_json):

@@ -11,7 +11,6 @@ from carta import (
     PlanePoint,
     Triangle,
     apollonius_circle,
-    find_inversion,
     image_triangle_sides,
     intersect_generalized,
     invert_point,
@@ -165,7 +164,7 @@ def test_forward_synthesis_round_trip(rng):
         power = float(rng.uniform(0.3, 2.5) * rng.choice([-1.0, 1.0]))
         synth = Inversion(pole, power)
         target = Triangle(*[invert_point(synth, v) for v in source.vertices()])
-        solutions = find_inversion(source, target)
+        solutions = inversions_for_sides(source, target.sides())
         assert solutions, "synthesized instance must be solvable"
         best_side_err = math.inf
         pole_recovered = False
@@ -185,7 +184,7 @@ def test_forward_synthesis_round_trip(rng):
 def test_equilateral_self_solution():
     side = 1.0
     eq = Triangle(PlanePoint(0, 0), PlanePoint(side, 0), PlanePoint(side / 2, side * math.sqrt(3) / 2))
-    solutions = find_inversion(eq, eq)
+    solutions = inversions_for_sides(eq, eq.sides())
     assert len(solutions) == 1
     sol = solutions[0]
     # both loci are perpendicular bisectors: the pole is the circumcenter
@@ -207,18 +206,10 @@ def test_valid_targets_always_solvable(rng):
     for _ in range(200):
         source = random_triangle(rng)
         target = random_triangle(rng)
-        solutions = find_inversion(source, target)
+        solutions = inversions_for_sides(source, target.sides())
         assert solutions
         for sol in solutions:
             achieved = image_triangle_sides(sol, source)
             assert max(
                 abs(x - y) / y for x, y in zip(achieved, target.sides())
             ) < 1e-9
-
-
-def test_any_labeling_superset(rng):
-    source = random_triangle(rng)
-    target = random_triangle(rng)
-    labeled = find_inversion(source, target)
-    relabeled = find_inversion(source, target, any_labeling=True)
-    assert len(relabeled) >= len(labeled)

@@ -160,19 +160,6 @@ def test_mobius_composition_associative(rng):
             continue
 
 
-def test_mobius_from_point_triples(rng):
-    for _ in range(20):
-        zs = tuple(complex(*rng.normal(size=2)) for _ in range(3))
-        ws = tuple(complex(*rng.normal(size=2)) for _ in range(3))
-        if min(abs(zs[0] - zs[1]), abs(zs[1] - zs[2]), abs(zs[0] - zs[2])) < 1e-2:
-            continue
-        if min(abs(ws[0] - ws[1]), abs(ws[1] - ws[2]), abs(ws[0] - ws[2])) < 1e-2:
-            continue
-        m = MobiusTransform.from_point_triples(zs, ws)
-        for z, w in zip(zs, ws):
-            assert abs(m.apply_complex(z) - w) < 1e-9
-
-
 # -- stereographic -----------------------------------------------------------------
 
 

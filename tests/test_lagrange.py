@@ -214,6 +214,48 @@ def test_centered_stereographic_is_rotation_composed(rng):
     assert m == pytest.approx(0.5, rel=1e-7)
 
 
+def _rotated_image(center, p):
+    """Stereographic image of R p, with R the minimal rotation taking
+    ``center`` to the South pole by Rodrigues' formula; at the North pole
+    itself, where no rotation is minimal, the half turn about the x axis."""
+    v, south = center.unit_vector(), np.array([0.0, 0.0, -1.0])
+    if center.latitude == math.pi / 2:
+        rot = np.diag([1.0, -1.0, -1.0])
+    elif center.latitude == -math.pi / 2:
+        rot = np.eye(3)
+    else:
+        axis = np.cross(v, south)
+        s = float(np.linalg.norm(axis))
+        k = axis / s
+        kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+        angle = math.atan2(s, float(v @ south))
+        rot = np.eye(3) + math.sin(angle) * kx + (1 - math.cos(angle)) * (kx @ kx)
+    x, y, z = rot @ p.unit_vector()
+    return complex(x, y) / (1.0 - z)
+
+
+def test_centered_stereographic_is_the_minimal_rotation(rng):
+    # the orientation as well as the centre: every point lands where the
+    # rotation taking the centre to the South pole puts it
+    def near(pole_lat):
+        return [SpherePoint(pole_lat - math.copysign(d, pole_lat), rng.uniform(-math.pi, math.pi))
+                for d in (1e-6, *10 ** rng.uniform(-11, -6, 9))]
+
+    centers = [SpherePoint(math.asin(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi))
+               for _ in range(50)]
+    centers += near(math.pi / 2) + near(-math.pi / 2)
+    centers += [SpherePoint(math.pi / 2, 0.7), SpherePoint(-math.pi / 2, 0.7)]
+    for center in centers:
+        spec = centered_stereographic(center)
+        for _ in range(20):
+            p = SpherePoint(math.asin(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi))
+            expected = _rotated_image(center, p)
+            if abs(expected) > 20.0:
+                continue  # near the centre's antipode, the map's pole
+            got = project(spec, p).as_complex()
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected)), (center, p)
+
+
 def test_centered_stereographic_south_pole_is_plain():
     spec = centered_stereographic(SpherePoint(-math.pi / 2, 0.0))
     assert spec.post_transform is None
