@@ -16,6 +16,13 @@ grid where a quadratic is zero.  Those crossings give the even-odd inside
 test and the arm lengths of the Shortley-Weller stencil (J. Appl. Phys.
 9, 334, 1938), whose arms end on the true boundary: the solve is second
 order, for regions around a pole too.
+
+The linear system is solved on box-shaped arrays of the chart grid by
+BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992), right-
+preconditioned by one geometric-multigrid V-cycle.  The grid is anchored
+at the chart origin, so the unknowns at even indices are the nodes of the
+grid of twice the step: each coarser level keeps those, with the 5-point
+Laplacian, down to a level small enough to solve densely.
 """
 
 from __future__ import annotations
@@ -24,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     ConfigError,
@@ -45,11 +50,11 @@ RESIDUAL_TOL = 1e-8
 _MIN_ARM = 1e-6
 
 # _chart_mesh refuses chart grids of more nodes than this, counted before
-# any array is built.  A chebyshev run peaks at about 1.2 kB of RSS per
-# grid node (the 60 and 75 degree caps at the default 0.25 degree step,
-# 533 x 533 and 707 x 707 nodes, took 393 and 657 MB), so a run at the
-# limit stays near 1.3 GB; every cap the CLI takes (under 90 degrees)
-# fits at the default step.
+# any array is built.  A chebyshev run with --out peaks at about 0.3 kB of
+# RSS per grid node on top of 30 MB (the 60 and 75 degree caps at the
+# default 0.25 degree step, 533 x 533 and 707 x 707 nodes, took 115 and
+# 180 MB), so a run at the limit stays near 350 MB; every cap the CLI
+# takes (under 90 degrees) fits at the default step.
 CHART_NODE_LIMIT = 1 << 20
 
 
@@ -70,6 +75,7 @@ class RegionMesh:
     longitudes: np.ndarray
     neighbors: np.ndarray  # (interior_count, 4) point indices
     arms: np.ndarray  # (interior_count, 4) in (0, 1]
+    grid: np.ndarray  # (interior_count, 2) chart-grid row and column of each unknown
 
     @property
     def node_count(self) -> int:
@@ -338,6 +344,7 @@ def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
         longitudes=normalize_longitude_array(np.arctan2(v[1], v[0])),
         neighbors=neighbors,
         arms=theta,
+        grid=np.column_stack([j0 + jj, i0 + ii]),
     )
 
 
@@ -373,6 +380,182 @@ def build_region_mesh(boundary, delta: float) -> RegionMesh:
 
 # -- the Poisson solve ----------------------------------------------------------
 
+# BiCGSTAB stops at a largest residual of _STOP, and gives up with
+# NoConvergence after ITERATION_LIMIT iterations; a solve takes 10 to 15.
+# Stopped at RESIDUAL_TOL / 10, u was up to 4e-11 (relative) off a dense
+# solve of the same system; at RESIDUAL_TOL / 1000, within 1e-14.
+ITERATION_LIMIT = 100
+_STOP = RESIDUAL_TOL / 1000
+
+# the multigrid hierarchy stops coarsening at this many unknowns and
+# solves that level densely
+_COARSEST = 400
+
+_JACOBI_WEIGHT = 0.8
+_SWEEPS = 3  # smoothing sweeps before and after each coarse correction
+
+_ARM_SHIFTS = ((0, 1), (0, -1), (1, 0), (-1, 0))  # east, west, north, south
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One grid of the multigrid hierarchy, held in a box of its chart grid
+    whose first row and column are at even indices and whose border holds
+    no unknown.  ``coeffs`` are the diagonal and the east, west, north and
+    south arm coefficients of each box node, all 0 off the unknowns."""
+
+    coeffs: np.ndarray  # (5, rows, cols)
+    mask: np.ndarray  # the unknowns
+    step: np.ndarray  # Jacobi weight / diagonal on the unknowns, 0 elsewhere
+    origin: tuple[int, int]  # grid row and column of the box's first node
+    inverse: np.ndarray | None  # of the dense matrix, on the coarsest level
+
+
+def _apply(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The operator of ``coeffs`` times ``u``, on the flattened box: the
+    arms are shifts by one node and by one row, and the empty border keeps
+    them from wrapping from one row to the next."""
+    cols, c, v = u.shape[1], coeffs.reshape(5, -1), u.reshape(-1)
+    out = c[0] * v
+    out[:-1] += c[1, :-1] * v[1:]
+    out[1:] += c[2, 1:] * v[:-1]
+    out[:-cols] += c[3, :-cols] * v[cols:]
+    out[cols:] += c[4, cols:] * v[:-cols]
+    return out.reshape(u.shape)
+
+
+def _level(coeffs, mask, origin) -> _Level:
+    """The level of operator ``coeffs``; solved densely when it is small."""
+    inverse = None
+    if np.count_nonzero(mask) <= _COARSEST:
+        index = np.cumsum(mask).reshape(mask.shape) - 1
+        matrix = np.diag(coeffs[0][mask])
+        for arm, (dj, di) in enumerate(_ARM_SHIFTS, 1):
+            j, i = np.nonzero(coeffs[arm])
+            matrix[index[j, i], index[j + dj, i + di]] = coeffs[arm, j, i]
+        inverse = _inverse(matrix)
+    step = np.zeros(mask.shape)
+    step[mask] = _JACOBI_WEIGHT / coeffs[0][mask]
+    return _Level(coeffs, mask, step, origin, inverse)
+
+
+def _inverse(matrix: np.ndarray) -> np.ndarray:
+    """The inverse from LU without pivoting (the matrix is diagonally
+    dominant), by elementwise steps inside its band: LAPACK splits the work
+    among BLAS threads, and the last bits of u would follow their count."""
+    n = len(matrix)
+    rows, cols = np.nonzero(matrix)
+    w = int(np.abs(rows - cols).max(initial=0))  # nonzeros lie within w of the diagonal
+    lu, x = matrix.copy(), np.eye(n)
+    for k in range(n):  # lu: L (unit) below the diagonal, U on and above; x = L^-1
+        below = slice(k + 1, k + w + 1)
+        lu[below, k] /= lu[k, k]
+        lu[below, below] -= np.outer(lu[below, k], lu[k, below])
+        x[below] -= np.outer(lu[below, k], x[k])
+    for k in reversed(range(n)):  # x = U^-1 L^-1
+        above = slice(max(k - w, 0), k)
+        x[k] /= lu[k, k]
+        x[above] -= np.outer(lu[above, k], x[k])
+    return x
+
+
+def _coarsen(fine: _Level, spacing: float) -> _Level:
+    """The fine unknowns at even indices, with the 5-point Laplacian of
+    the coarse grid's ``spacing``."""
+    offset = tuple(f // 2 % 2 for f in fine.origin)
+    origin = tuple(f // 2 - o for f, o in zip(fine.origin, offset))
+    # a row or column before brings the origin to even indices, and one
+    # after keeps the border empty
+    mask = np.pad(fine.mask[::2, ::2], [(o, 1) for o in offset])
+    coeffs = np.zeros((5,) + mask.shape)
+    coeffs[0] = -4.0 * mask
+    for arm, (dj, di) in enumerate(_ARM_SHIFTS, 1):
+        coeffs[arm] = mask & np.roll(mask, (-dj, -di), axis=(0, 1))
+    coeffs /= spacing**2
+    return _level(coeffs, mask, origin)
+
+
+def _full_weight(r: np.ndarray) -> np.ndarray:
+    """[1, 2, 1] / 4 along axis 0, at the even rows."""
+    m = (len(r) + 1) // 2
+    padded = np.zeros((len(r) + 2,) + r.shape[1:])
+    padded[1:-1] = r
+    return (padded[0 : 2 * m : 2] + 2.0 * padded[1 : 2 * m : 2] + padded[2 : 2 * m + 1 : 2]) / 4
+
+
+def _interpolate(e: np.ndarray, n: int) -> np.ndarray:
+    """n rows linear in the rows of e, which sit at the even ones."""
+    out = np.empty((n,) + e.shape[1:])
+    out[0::2] = e[: (n + 1) // 2]
+    out[1::2] = (e[: n // 2] + e[1 : n // 2 + 1]) / 2
+    return out
+
+
+def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
+    """One V-cycle for A u = b from u = 0: weighted Jacobi, full-weighting
+    restriction and bilinear prolongation, a dense solve at the bottom."""
+    level, coarse = levels[0], levels[1:]
+    if level.inverse is not None:
+        u = np.zeros(b.shape)
+        u[level.mask] = (level.inverse * b[level.mask]).sum(axis=1)
+        return u
+    u = level.step * b  # the first sweep, from u = 0
+    for _ in range(_SWEEPS - 1):
+        u += level.step * (b - _apply(level.coeffs, u))
+    # where this box's even nodes start in the coarse box
+    oj, oi = (f // 2 - c for f, c in zip(level.origin, coarse[0].origin))
+    rc = np.zeros(coarse[0].mask.shape)
+    r = _full_weight(_full_weight(b - _apply(level.coeffs, u)).T).T
+    rc[oj : oj + r.shape[0], oi : oi + r.shape[1]] = r
+    ec = _vcycle(coarse, rc * coarse[0].mask)[oj:, oi:]
+    u += _interpolate(_interpolate(ec, b.shape[0]).T, b.shape[1]).T * level.mask
+    for _ in range(_SWEEPS):
+        u += level.step * (b - _apply(level.coeffs, u))
+    return u
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product by numpy's pairwise sum: a BLAS dot splits the sum
+    among its threads, and the last bits of u would follow the thread
+    count."""
+    return float(np.sum(a * b))
+
+
+def _bicgstab(levels: list[_Level], b: np.ndarray) -> np.ndarray:
+    """BiCGSTAB (van der Vorst 1992) right-preconditioned by one V-cycle,
+    until the largest residual is at most _STOP."""
+    coeffs = levels[0].coeffs
+    x, r = np.zeros(b.shape), b.copy()
+    r_hat = b.copy()
+    p = v = np.zeros(b.shape)
+    rho = alpha = omega = 1.0
+    for _ in range(ITERATION_LIMIT):
+        rho, rho_prev = _dot(r_hat, r), rho
+        if rho == 0.0 or omega == 0.0:
+            break
+        p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
+        p_hat = _vcycle(levels, p)
+        v = _apply(coeffs, p_hat)
+        denominator = _dot(r_hat, v)
+        if denominator == 0.0:
+            break
+        alpha = rho / denominator
+        x += alpha * p_hat
+        s = r - alpha * v
+        if np.abs(s).max() <= _STOP:
+            return x
+        s_hat = _vcycle(levels, s)
+        t = _apply(coeffs, s_hat)
+        tt = _dot(t, t)
+        if tt == 0.0:
+            break
+        omega = _dot(t, s) / tt
+        x += omega * s_hat
+        r = s - omega * t
+        if np.abs(r).max() <= _STOP:
+            return x
+    raise NoConvergence(f"BiCGSTAB stopped above the residual tolerance, at {np.abs(r).max()}")
+
 
 def solve_log_scale(mesh: RegionMesh) -> ScalarField:
     """Solve Delta u = 1 with u = 0 on the boundary points.
@@ -382,32 +565,34 @@ def solve_log_scale(mesh: RegionMesh) -> ScalarField:
     """
     n = mesh.interior_count
     east, west, north, south = mesh.arms.T
-    scale = 2.0 / (mesh.delta / 2) ** 2  # the chart spacing is delta / 2
-    coeffs = scale * np.column_stack(
-        [1 / (east * (east + west)), 1 / (west * (east + west)),
+    h = mesh.delta / 2  # the chart spacing
+    scale = 2.0 / h**2
+    rows = scale * np.column_stack(
+        [-(1 / (east * west) + 1 / (north * south)),
+         1 / (east * (east + west)), 1 / (west * (east + west)),
          1 / (north * (north + south)), 1 / (south * (north + south))]
     )
     # arms ending at boundary points multiply u = 0 and drop out
-    row, arm = np.nonzero(mesh.neighbors < n)
-    diagonal = -scale * (1 / (east * west) + 1 / (north * south))
-    matrix = scipy.sparse.csr_matrix(
-        (
-            np.concatenate([diagonal, coeffs[row, arm]]),
-            (np.concatenate([np.arange(n), row]),
-             np.concatenate([np.arange(n), mesh.neighbors[row, arm]])),
-        ),
-        shape=(n, n),
-    )
+    rows[:, 1:][mesh.neighbors >= n] = 0.0
     lat, lon = mesh.latitudes[:n], mesh.longitudes[:n]
     cx, cy, cz = mesh.center
     cos_angle = np.cos(lat) * (np.cos(lon) * cx + np.sin(lon) * cy) + np.sin(lat) * cz
-    rhs = (1.0 + cos_angle) ** 2  # 4 / (1 + |z|^2)^2, as |z| = tan(angle / 2)
-    # every arm between two unknowns runs both ways, so the pattern is symmetric
-    u_int = scipy.sparse.linalg.spsolve(matrix, rhs, permc_spec="MMD_AT_PLUS_A")
+    # the unknowns in a box of the chart grid with an even origin and an
+    # empty border; each coarser level takes the even nodes of the last
+    origin = tuple(2 * ((mesh.grid.min(axis=0) - 1) // 2))
+    j, i = (mesh.grid - origin).T
+    coeffs = np.zeros((5, j.max() + 2, i.max() + 2))
+    coeffs[:, j, i] = rows.T
+    rhs = np.zeros(coeffs.shape[1:])
+    rhs[j, i] = (1.0 + cos_angle) ** 2  # 4 / (1 + |z|^2)^2, as |z| = tan(angle / 2)
+    levels = [_level(coeffs, coeffs[0] != 0, origin)]
+    while levels[-1].inverse is None:
+        levels.append(_coarsen(levels[-1], h * 2 ** len(levels)))
+    box = _bicgstab(levels, rhs)
     u = np.zeros(mesh.node_count)
-    u[:n] = u_int
+    u[:n] = box[j, i]
 
-    residual = np.abs(matrix @ u_int - rhs).max()
+    residual = np.abs(_apply(coeffs, box) - rhs).max()
     if not np.all(np.isfinite(u)) or residual > RESIDUAL_TOL:
         raise NoConvergence(f"solve residual {residual}")
     return ScalarField(mesh, u)

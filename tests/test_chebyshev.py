@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from carta import (
     LagrangeProjectionSpec,
@@ -294,36 +293,66 @@ def test_grid_solution_satisfies_stencil_residual():
     assert worst < 1e-8
 
 
+def thin_band_mesh():
+    """A U of bands one chart node wide: its arms lie on odd chart rows and
+    its bottom on an odd column, so no unknown is at even indices and the
+    first coarse level of the solve is empty.
+
+    Near the chart centre, at (0, 0), the grid node (row j, column i) sits
+    at latitude -j delta and longitude -i delta; the vertices are mirrored
+    in the equator and their mean longitude is 0, so the chart is centred
+    there."""
+    k, m, w, delta = 151, 151, 0.35, 2e-5  # column -k, rows -m and m, half-width w
+    end = (5 * k + w) / 4  # where the arms stop, for a mean column of 0
+    corners = [(-k - w, -m - w), (end, -m - w), (end, -m + w), (-k + w, -m + w),
+               (-k + w, m - w), (end, m - w), (end, m + w), (-k - w, m + w), (-k - w, 0)]
+    return build_region_mesh([SpherePoint(-y * delta, -x * delta) for x, y in corners], delta)
+
+
+def dense_system(mesh):
+    """The Shortley-Weller system of ``mesh``, assembled densely from its
+    neighbours and arm lengths: the weight of an arm is 2 / (h^2 t (t + t')),
+    t' the opposite arm, and the diagonal is minus the sum of the weights."""
+    n, h = mesh.interior_count, mesh.delta / 2
+    theta = mesh.arms
+    weights = 2 / (h**2 * theta * (theta + theta[:, [1, 0, 3, 2]]))
+    matrix = np.zeros((n, n))
+    matrix[np.arange(n), np.arange(n)] = -weights.sum(axis=1)
+    row, arm = np.nonzero(mesh.neighbors < n)
+    matrix[row, mesh.neighbors[row, arm]] = weights[row, arm]
+    lat, lon = mesh.latitudes[:n], mesh.longitudes[:n]
+    units = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+    return matrix, (1 + units @ mesh.center) ** 2
+
+
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: build_cap_mesh(math.radians(10), math.radians(0.25)),
-        lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.4)),
+        lambda: build_cap_mesh(math.radians(10), math.radians(0.5)),
+        lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.5)),
         lambda: build_region_mesh(
             [SpherePoint.from_degrees(lat, lon) for lat, lon in [(70, 0), (75, 90), (70, 180), (75, 270)]],
-            math.radians(0.5),
+            math.radians(0.8),
         ),
+        thin_band_mesh,
     ],
-    ids=["cap-10", "offcap-720-gon", "around-a-pole"],
+    ids=["cap-10", "offcap-720-gon", "around-a-pole", "thin-band"],
 )
-def test_minimum_degree_ordering_matches_default(build, monkeypatch):
-    # the solve orders the unknowns for the symmetric pattern of A + A^T;
-    # SuperLU's default column ordering, as solved before, is the reference
-    spsolve = scipy.sparse.linalg.spsolve
-    systems = []
-
-    def capture(matrix, rhs, **options):
-        systems.append((matrix, rhs))
-        return spsolve(matrix, rhs, **options)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", capture)
+def test_solve_matches_dense_reference(build):
     mesh = build()
+    assert 400 < mesh.interior_count <= 2000  # the solve coarsens at least once
+    matrix, rhs = dense_system(mesh)
+    reference = np.linalg.solve(matrix, rhs)
     u = solve_log_scale(mesh).values[~mesh.boundary_flag]
-    [(matrix, rhs)] = systems
-    pattern = matrix != 0
-    assert (pattern != pattern.T).nnz == 0
-    assert np.abs(u - spsolve(matrix, rhs)).max() <= 1e-13
+    assert np.abs(u - reference).max() <= 1e-12 * np.abs(reference).max()
     assert np.abs(matrix @ u - rhs).max() <= RESIDUAL_TOL
+
+
+def test_thin_band_empties_the_coarse_level():
+    mesh = thin_band_mesh()
+    rows, cols = mesh.grid.T
+    assert set(rows % 2) == set(cols % 2) == {0, 1}
+    assert not np.any((rows % 2 == 0) & (cols % 2 == 0))
 
 
 # -- distortion ratios ------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import carta.chebyshev as chebyshev
 import carta.cli as cli
 import carta.errors as errors
 from conftest import offcap_ring
@@ -260,6 +261,46 @@ def test_chebyshev_no_convergence_exit_5(monkeypatch, capsys):
     assert code == 5
 
 
+def test_chebyshev_iteration_limit_exit_5(monkeypatch, capsys, recwarn):
+    # one BiCGSTAB iteration leaves the residual of 11,700 unknowns far above the tolerance
+    monkeypatch.setattr(chebyshev, "ITERATION_LIMIT", 1)
+    assert run_cli("chebyshev", "--cap-deg", "30", "--delta-deg", "0.5") == 5
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("carta: NoConvergence: "), err
+
+
+def test_chebyshev_bytes_do_not_follow_the_blas_thread_count():
+    # a threaded BLAS dot or LAPACK factorization splits its sums among
+    # the threads, and the last digits of u followed their count
+    root = Path(__file__).resolve().parent.parent
+    reports = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-m", "carta.cli", "chebyshev", "--cap-deg", "30", "--delta-deg", "0.5"],
+            capture_output=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        reports.add(result.stdout)
+    assert len(reports) == 1
+
+
+def test_cli_imports_no_scipy():
+    script = (
+        "import sys, carta.cli\n"
+        "assert carta.cli.main(['chebyshev', '--cap-deg', '10', '--delta-deg', '1']) == 0\n"
+        "sys.exit(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')) or None)\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+
+
 # -- distortion ---------------------------------------------------------------------
 
 
@@ -451,7 +492,7 @@ def test_bench_tracer_installs_on_current_package(tmp_path):
 
     trace = traced("chebyshev", "--cap-deg", "30", "--delta-deg", "5", "--compare-projection")
     spans = {span["name"] for span in trace["spans"]}
-    assert {"cli.main", "chebyshev.build_cap_mesh", "chebyshev.spsolve"} <= spans
+    assert {"cli.main", "chebyshev.build_cap_mesh", "chebyshev.solve_log_scale"} <= spans
     trace = traced("graticule", "--lat-step", "30", "--lon-step", "45")
     assert "geometry.circle_fit" in {agg["name"] for agg in trace["aggregates"]}
 
