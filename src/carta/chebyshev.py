@@ -22,7 +22,7 @@ BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992), right-
 preconditioned by one geometric-multigrid V-cycle.  The grid is anchored
 at the chart origin, so the unknowns at even indices are the nodes of the
 grid of twice the step: each coarser level keeps those, with the 5-point
-Laplacian, down to a level small enough to solve densely.
+Laplacian, and every level, the last too, is smoothed by Jacobi sweeps.
 """
 
 from __future__ import annotations
@@ -49,11 +49,13 @@ RESIDUAL_TOL = 1e-8
 # as a boundary point: its stencil would divide by the distance
 _MIN_ARM = 1e-6
 
+_ARM_SHIFTS = ((0, 1), (0, -1), (1, 0), (-1, 0))  # east, west, north, south
+
 # _chart_mesh refuses chart grids of more nodes than this, counted before
-# any array is built.  A chebyshev run with --out peaks at about 0.3 kB of
-# RSS per grid node on top of 30 MB (the 60 and 75 degree caps at the
-# default 0.25 degree step, 533 x 533 and 707 x 707 nodes, took 115 and
-# 180 MB), so a run at the limit stays near 350 MB; every cap the CLI
+# any array is built.  A chebyshev run with --out peaks at about 0.25 kB
+# of RSS per grid node on top of 31 MB (the 60 and 75 degree caps at the
+# default 0.25 degree step, 533 x 533 and 708 x 708 nodes, took 102 and
+# 157 MB), so a run at the limit stays near 300 MB; every cap the CLI
 # takes (under 90 degrees) fits at the default step.
 CHART_NODE_LIMIT = 1 << 20
 
@@ -63,19 +65,21 @@ class RegionMesh:
     """Chart grid nodes inside a region, then the boundary points where
     their stencil arms end.
 
-    The first ``interior_count`` points are the unknowns; row k of
-    ``neighbors`` and ``arms`` gives, east, west, north and south in the
-    chart, the point each arm of unknown k ends at and the arm's length in
-    grid spacings (1 for a full arm, less where it meets the boundary).
+    The unknowns, the first ``interior_count`` points in row order, are
+    the nodes of ``mask``: a box of the chart grid whose first row and
+    column are at even indices and whose border holds no unknown.  On them
+    ``arms`` gives the length in grid spacings of each arm, east, west,
+    north and south: 1 for a full arm, which ends at the next node, less
+    where it meets the boundary.
     """
 
     delta: float  # geodesic spacing asked for: the chart spacing is delta / 2
     center: np.ndarray  # unit vector of the chart centre
     latitudes: np.ndarray  # per point
     longitudes: np.ndarray
-    neighbors: np.ndarray  # (interior_count, 4) point indices
-    arms: np.ndarray  # (interior_count, 4) in (0, 1]
-    grid: np.ndarray  # (interior_count, 2) chart-grid row and column of each unknown
+    mask: np.ndarray  # (rows, cols) the unknowns
+    arms: np.ndarray  # (4, rows, cols) in (0, 1] on the unknowns
+    origin: tuple[int, int]  # chart-grid row and column of the box's first node
 
     @property
     def node_count(self) -> int:
@@ -83,7 +87,7 @@ class RegionMesh:
 
     @property
     def interior_count(self) -> int:
-        return len(self.neighbors)
+        return int(np.count_nonzero(self.mask))
 
     @property
     def boundary_flag(self) -> np.ndarray:
@@ -281,14 +285,14 @@ def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
     A grid of more than ``CHART_NODE_LIMIT`` nodes is refused before
     anything of its size is built."""
     h = delta / 2
-    # the grid spans the pieces' extents with one node to spare on every
-    # side: a span above the limit is refused without counting (rounding
-    # it could overflow), as the grid is at least three nodes across
+    # the grid spans the pieces' extents, from an even index with a node
+    # to spare on every side: a span above the limit is refused uncounted
+    # (rounding could overflow), as the grid is at least three nodes across
     spans = [(lo.min() / h, hi.max() / h)
              for lo, hi in (_extent(normals, offsets, ends, axes) for axes in ((0, 1), (1, 0)))]
     if not all(top - bottom <= CHART_NODE_LIMIT for bottom, top in spans):
         raise ConfigError(f"mesh step {delta:g} rad gives over {CHART_NODE_LIMIT} grid nodes")
-    rows, cols = (math.ceil(top) - math.floor(bottom) + 3 for bottom, top in spans)
+    rows, cols = (math.ceil(top) + 2 - 2 * ((math.floor(bottom) - 1) // 2) for bottom, top in spans)
     if rows * cols > CHART_NODE_LIMIT:
         raise ConfigError(
             f"chart grid of {rows} x {cols} nodes is over the limit of {CHART_NODE_LIMIT} nodes"
@@ -297,9 +301,10 @@ def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
     col_i, col_y = _crossings(normals, offsets, ends, h, (1, 0))
     if not len(row_j):
         raise RegionTooSmall(f"no grid nodes inside the region at delta={delta}")
-    # the grid spans the crossings with one node to spare on every side
+    # the grid spans the crossings with one node to spare on every side and
+    # starts at even indices, where the coarse grids of the solve start
     xs, ys = np.concatenate([row_x, col_i]), np.concatenate([row_j, col_y])
-    i0, j0 = math.floor(xs.min()) - 1, math.floor(ys.min()) - 1
+    i0, j0 = (2 * ((math.floor(v.min()) - 1) // 2) for v in (xs, ys))
     shape = (math.ceil(ys.max()) + 2 - j0, math.ceil(xs.max()) + 2 - i0)
 
     arms = np.ones((4,) + shape)  # east, west, north, south
@@ -320,18 +325,13 @@ def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
     if n < 9:
         raise RegionTooSmall(f"only {n} interior nodes at delta={delta}")
     theta = arms[:, jj, ii].T
-    dj, di = np.array([0, 0, 1, -1]), np.array([1, -1, 0, 0])
+    dj, di = np.array(_ARM_SHIFTS).T
     nj, ni = jj[:, None] + dj, ii[:, None] + di
     full = theta == 1.0
     # a full arm that does not reach an unknown ends at a node on the boundary
     edge = np.zeros(shape, dtype=bool)
     edge[nj[full], ni[full]] = True
     bj, bi = np.nonzero(edge & ~unknown)
-    index = np.zeros(shape, dtype=int)
-    index[jj, ii] = np.arange(n)
-    index[bj, bi] = n + np.arange(len(bj))
-    neighbors = index[nj, ni]
-    neighbors[~full] = n + len(bj) + np.arange(np.count_nonzero(~full))
     # points: the unknowns, the boundary nodes, then the short arms' ends
     x = h * (i0 + np.concatenate([ii, bi, (ii[:, None] + di * theta)[~full]]))
     y = h * (j0 + np.concatenate([jj, bj, (jj[:, None] + dj * theta)[~full]]))
@@ -342,9 +342,9 @@ def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
         center=frame[2],
         latitudes=np.arctan2(v[2], np.hypot(v[0], v[1])),
         longitudes=normalize_longitude_array(np.arctan2(v[1], v[0])),
-        neighbors=neighbors,
-        arms=theta,
-        grid=np.column_stack([j0 + jj, i0 + ii]),
+        mask=unknown,
+        arms=arms,
+        origin=(j0, i0),
     )
 
 
@@ -387,14 +387,12 @@ def build_region_mesh(boundary, delta: float) -> RegionMesh:
 ITERATION_LIMIT = 100
 _STOP = RESIDUAL_TOL / 1000
 
-# the multigrid hierarchy stops coarsening at this many unknowns and
-# solves that level densely
-_COARSEST = 400
+# the multigrid hierarchy stops coarsening at a level of at most this many
+# unknowns, which Jacobi sweeps alone smooth
+_COARSEST = 16
 
 _JACOBI_WEIGHT = 0.8
 _SWEEPS = 3  # smoothing sweeps before and after each coarse correction
-
-_ARM_SHIFTS = ((0, 1), (0, -1), (1, 0), (-1, 0))  # east, west, north, south
 
 
 @dataclass(frozen=True)
@@ -408,7 +406,6 @@ class _Level:
     mask: np.ndarray  # the unknowns
     step: np.ndarray  # Jacobi weight / diagonal on the unknowns, 0 elsewhere
     origin: tuple[int, int]  # grid row and column of the box's first node
-    inverse: np.ndarray | None  # of the dense matrix, on the coarsest level
 
 
 def _apply(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -425,38 +422,10 @@ def _apply(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _level(coeffs, mask, origin) -> _Level:
-    """The level of operator ``coeffs``; solved densely when it is small."""
-    inverse = None
-    if np.count_nonzero(mask) <= _COARSEST:
-        index = np.cumsum(mask).reshape(mask.shape) - 1
-        matrix = np.diag(coeffs[0][mask])
-        for arm, (dj, di) in enumerate(_ARM_SHIFTS, 1):
-            j, i = np.nonzero(coeffs[arm])
-            matrix[index[j, i], index[j + dj, i + di]] = coeffs[arm, j, i]
-        inverse = _inverse(matrix)
+    """The level of operator ``coeffs``, with its Jacobi step."""
     step = np.zeros(mask.shape)
     step[mask] = _JACOBI_WEIGHT / coeffs[0][mask]
-    return _Level(coeffs, mask, step, origin, inverse)
-
-
-def _inverse(matrix: np.ndarray) -> np.ndarray:
-    """The inverse from LU without pivoting (the matrix is diagonally
-    dominant), by elementwise steps inside its band: LAPACK splits the work
-    among BLAS threads, and the last bits of u would follow their count."""
-    n = len(matrix)
-    rows, cols = np.nonzero(matrix)
-    w = int(np.abs(rows - cols).max(initial=0))  # nonzeros lie within w of the diagonal
-    lu, x = matrix.copy(), np.eye(n)
-    for k in range(n):  # lu: L (unit) below the diagonal, U on and above; x = L^-1
-        below = slice(k + 1, k + w + 1)
-        lu[below, k] /= lu[k, k]
-        lu[below, below] -= np.outer(lu[below, k], lu[k, below])
-        x[below] -= np.outer(lu[below, k], x[k])
-    for k in reversed(range(n)):  # x = U^-1 L^-1
-        above = slice(max(k - w, 0), k)
-        x[k] /= lu[k, k]
-        x[above] -= np.outer(lu[above, k], x[k])
-    return x
+    return _Level(coeffs, mask, step, origin)
 
 
 def _coarsen(fine: _Level, spacing: float) -> _Level:
@@ -492,23 +461,21 @@ def _interpolate(e: np.ndarray, n: int) -> np.ndarray:
 
 
 def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
-    """One V-cycle for A u = b from u = 0: weighted Jacobi, full-weighting
-    restriction and bilinear prolongation, a dense solve at the bottom."""
+    """One V-cycle for A u = b from u = 0: weighted Jacobi sweeps, then,
+    if a coarser level exists, its correction to the full-weighted
+    residual, prolonged bilinearly, then Jacobi sweeps again."""
     level, coarse = levels[0], levels[1:]
-    if level.inverse is not None:
-        u = np.zeros(b.shape)
-        u[level.mask] = (level.inverse * b[level.mask]).sum(axis=1)
-        return u
     u = level.step * b  # the first sweep, from u = 0
     for _ in range(_SWEEPS - 1):
         u += level.step * (b - _apply(level.coeffs, u))
-    # where this box's even nodes start in the coarse box
-    oj, oi = (f // 2 - c for f, c in zip(level.origin, coarse[0].origin))
-    rc = np.zeros(coarse[0].mask.shape)
-    r = _full_weight(_full_weight(b - _apply(level.coeffs, u)).T).T
-    rc[oj : oj + r.shape[0], oi : oi + r.shape[1]] = r
-    ec = _vcycle(coarse, rc * coarse[0].mask)[oj:, oi:]
-    u += _interpolate(_interpolate(ec, b.shape[0]).T, b.shape[1]).T * level.mask
+    if coarse:
+        # where this box's even nodes start in the coarse box
+        oj, oi = (f // 2 - c for f, c in zip(level.origin, coarse[0].origin))
+        rc = np.zeros(coarse[0].mask.shape)
+        r = _full_weight(_full_weight(b - _apply(level.coeffs, u)).T).T
+        rc[oj : oj + r.shape[0], oi : oi + r.shape[1]] = r
+        ec = _vcycle(coarse, rc * coarse[0].mask)[oj:, oi:]
+        u += _interpolate(_interpolate(ec, b.shape[0]).T, b.shape[1]).T * level.mask
     for _ in range(_SWEEPS):
         u += level.step * (b - _apply(level.coeffs, u))
     return u
@@ -563,34 +530,32 @@ def solve_log_scale(mesh: RegionMesh) -> ScalarField:
     The solution is the log-scale of the distortion-minimizing conformal
     map, non-positive everywhere by the maximum principle.
     """
-    n = mesh.interior_count
-    east, west, north, south = mesh.arms.T
+    n, mask = mesh.interior_count, mesh.mask
+    east, west, north, south = mesh.arms[:, mask]
     h = mesh.delta / 2  # the chart spacing
     scale = 2.0 / h**2
-    rows = scale * np.column_stack(
+    coeffs = np.zeros((5,) + mask.shape)
+    coeffs[:, mask] = scale * np.stack(
         [-(1 / (east * west) + 1 / (north * south)),
          1 / (east * (east + west)), 1 / (west * (east + west)),
          1 / (north * (north + south)), 1 / (south * (north + south))]
     )
-    # arms ending at boundary points multiply u = 0 and drop out
-    rows[:, 1:][mesh.neighbors >= n] = 0.0
+    # arms ending at boundary points multiply u = 0 and drop out: an arm
+    # keeps its coefficient where it is full and the next node is unknown
+    for arm, (dj, di) in enumerate(_ARM_SHIFTS, 1):
+        coeffs[arm] *= (mesh.arms[arm - 1] == 1.0) & np.roll(mask, (-dj, -di), axis=(0, 1))
     lat, lon = mesh.latitudes[:n], mesh.longitudes[:n]
     cx, cy, cz = mesh.center
     cos_angle = np.cos(lat) * (np.cos(lon) * cx + np.sin(lon) * cy) + np.sin(lat) * cz
-    # the unknowns in a box of the chart grid with an even origin and an
-    # empty border; each coarser level takes the even nodes of the last
-    origin = tuple(2 * ((mesh.grid.min(axis=0) - 1) // 2))
-    j, i = (mesh.grid - origin).T
-    coeffs = np.zeros((5, j.max() + 2, i.max() + 2))
-    coeffs[:, j, i] = rows.T
-    rhs = np.zeros(coeffs.shape[1:])
-    rhs[j, i] = (1.0 + cos_angle) ** 2  # 4 / (1 + |z|^2)^2, as |z| = tan(angle / 2)
-    levels = [_level(coeffs, coeffs[0] != 0, origin)]
-    while levels[-1].inverse is None:
+    rhs = np.zeros(mask.shape)
+    rhs[mask] = (1.0 + cos_angle) ** 2  # 4 / (1 + |z|^2)^2, as |z| = tan(angle / 2)
+    # a box over 6 nodes across shrinks, and a 6 x 6 box has at most 16 unknowns
+    levels = [_level(coeffs, mask, mesh.origin)]
+    while np.count_nonzero(levels[-1].mask) > _COARSEST:
         levels.append(_coarsen(levels[-1], h * 2 ** len(levels)))
     box = _bicgstab(levels, rhs)
     u = np.zeros(mesh.node_count)
-    u[:n] = box[j, i]
+    u[:n] = box[mask]
 
     residual = np.abs(_apply(coeffs, box) - rhs).max()
     if not np.all(np.isfinite(u)) or residual > RESIDUAL_TOL:

@@ -108,12 +108,40 @@ def test_region_too_small():
         build_region_mesh(france_boundary(), math.radians(8))
 
 
+# the chart-grid steps of the arms east, west, north and south
+ARM_SHIFTS = [(0, 1), (0, -1), (1, 0), (-1, 0)]
+
+
+def chart_node_units(mesh, j, i):
+    """Unit vectors of the chart-grid nodes at box row j and column i."""
+    h = mesh.delta / 2
+    x, y = h * (mesh.origin[1] + i), h * (mesh.origin[0] + j)
+    rho2 = x * x + y * y
+    return (chebyshev._frame(mesh.center).T @ np.stack([2 * x, 2 * y, 1 - rho2]) / (1 + rho2)).T
+
+
 def test_france_mesh_interior_fully_connected():
-    mesh = build_region_mesh(france_boundary(), math.radians(0.25))
-    interior = np.flatnonzero(~mesh.boundary_flag)
-    for node in interior:
-        assert (mesh.neighbors[node] >= 0).all()
-    assert mesh.interior_count >= 9
+    # every full arm of an unknown ends on an unknown or on a boundary node
+    # among the mesh points; the rim of the cap passes through grid nodes
+    # 40 spacings from the pole, so some arms end on such nodes
+    delta = 0.01
+    meshes = (build_region_mesh(france_boundary(), math.radians(0.25)),
+              build_cap_mesh(2 * math.atan(40 * delta / 2), delta))
+    ends = 0
+    for mesh in meshes:
+        assert mesh.interior_count >= 9
+        points = unit_vectors(*mesh.node_points())
+        jj, ii = np.nonzero(mesh.mask)
+        assert np.abs(chart_node_units(mesh, jj, ii) - points[~mesh.boundary_flag]).max() < 1e-14
+        boundary = points[mesh.boundary_flag]
+        for arm, (dj, di) in enumerate(ARM_SHIFTS):
+            full = mesh.arms[arm, jj, ii] == 1.0
+            j, i = jj[full] + dj, ii[full] + di
+            off = ~mesh.mask[j, i]
+            gap = np.linalg.norm(chart_node_units(mesh, j[off], i[off])[:, None] - boundary, axis=2)
+            assert np.all(gap.min(axis=1) < 1e-14)
+            ends += np.count_nonzero(off)
+    assert ends > 0
 
 
 def test_great_circle_square_below_its_cap():
@@ -278,10 +306,17 @@ def test_grid_solution_satisfies_stencil_residual():
     field = solve_log_scale(mesh)
     h = mesh.delta / 2  # the chart spacing
     lat, lon = mesh.node_points()
+    # u on the box, 0 off the unknowns: a full arm ends at an unknown or at
+    # a boundary node, and a short arm's end is on the boundary
+    box = np.zeros(mesh.mask.shape)
+    box[mesh.mask] = field.values[~mesh.boundary_flag]
     worst = 0.0
-    for node in np.flatnonzero(~mesh.boundary_flag):
-        east, west, north, south = (field.values[i] for i in mesh.neighbors[node])
-        te, tw, tn, ts = mesh.arms[node]
+    for node, (j, i) in enumerate(zip(*np.nonzero(mesh.mask))):
+        te, tw, tn, ts = mesh.arms[:, j, i]
+        east, west, north, south = (
+            box[j + dj, i + di] if t == 1.0 else 0.0
+            for t, (dj, di) in zip((te, tw, tn, ts), ARM_SHIFTS)
+        )
         u = field.values[node]
         laplacian = (2 / h**2) * (
             (east / te + west / tw) / (te + tw) - u / (te * tw)
@@ -311,36 +346,55 @@ def thin_band_mesh():
 
 def dense_system(mesh):
     """The Shortley-Weller system of ``mesh``, assembled densely from its
-    neighbours and arm lengths: the weight of an arm is 2 / (h^2 t (t + t')),
-    t' the opposite arm, and the diagonal is minus the sum of the weights."""
+    box and arm lengths: the weight of an arm is 2 / (h^2 t (t + t')), t'
+    the opposite arm, and the diagonal is minus the sum of the weights; a
+    full arm links unknown k to the unknown at its neighbouring node, and
+    any other arm ends on the boundary and drops out."""
     n, h = mesh.interior_count, mesh.delta / 2
-    theta = mesh.arms
+    theta = mesh.arms[:, mesh.mask].T
     weights = 2 / (h**2 * theta * (theta + theta[:, [1, 0, 3, 2]]))
     matrix = np.zeros((n, n))
     matrix[np.arange(n), np.arange(n)] = -weights.sum(axis=1)
-    row, arm = np.nonzero(mesh.neighbors < n)
-    matrix[row, mesh.neighbors[row, arm]] = weights[row, arm]
+    index = np.full(mesh.mask.shape, -1)
+    index[mesh.mask] = np.arange(n)
+    jj, ii = np.nonzero(mesh.mask)
+    for arm, (dj, di) in enumerate(ARM_SHIFTS):
+        k = index[jj + dj, ii + di]
+        row = np.flatnonzero((theta[:, arm] == 1.0) & (k >= 0))
+        matrix[row, k[row]] = weights[row, arm]
     lat, lon = mesh.latitudes[:n], mesh.longitudes[:n]
     units = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
     return matrix, (1 + units @ mesh.center) ** 2
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, coarsens",
     [
-        lambda: build_cap_mesh(math.radians(10), math.radians(0.5)),
-        lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.5)),
-        lambda: build_region_mesh(
-            [SpherePoint.from_degrees(lat, lon) for lat, lon in [(70, 0), (75, 90), (70, 180), (75, 270)]],
-            math.radians(0.8),
+        pytest.param(lambda: build_cap_mesh(math.radians(10), math.radians(0.5)), True, id="cap-10"),
+        pytest.param(
+            lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.5)),
+            True,
+            id="offcap-720-gon",
         ),
-        thin_band_mesh,
+        pytest.param(
+            lambda: build_region_mesh(
+                [SpherePoint.from_degrees(lat, lon) for lat, lon in [(70, 0), (75, 90), (70, 180), (75, 270)]],
+                math.radians(0.8),
+            ),
+            True,
+            id="around-a-pole",
+        ),
+        pytest.param(thin_band_mesh, True, id="thin-band"),
+        # 12 unknowns: the hierarchy is the fine level alone, and the
+        # preconditioner Jacobi sweeps alone
+        pytest.param(lambda: build_region_mesh(france_boundary(), math.radians(3)), False, id="one-level"),
     ],
-    ids=["cap-10", "offcap-720-gon", "around-a-pole", "thin-band"],
 )
-def test_solve_matches_dense_reference(build):
+def test_solve_matches_dense_reference(build, coarsens):
     mesh = build()
-    assert 400 < mesh.interior_count <= 2000  # the solve coarsens at least once
+    # the solve coarsens a mesh of more than _COARSEST unknowns at least once
+    assert (mesh.interior_count > chebyshev._COARSEST) == coarsens
+    assert mesh.interior_count <= 2000  # small enough for the dense reference
     matrix, rhs = dense_system(mesh)
     reference = np.linalg.solve(matrix, rhs)
     u = solve_log_scale(mesh).values[~mesh.boundary_flag]
@@ -350,7 +404,7 @@ def test_solve_matches_dense_reference(build):
 
 def test_thin_band_empties_the_coarse_level():
     mesh = thin_band_mesh()
-    rows, cols = mesh.grid.T
+    rows, cols = np.nonzero(mesh.mask) + np.array(mesh.origin)[:, None]
     assert set(rows % 2) == set(cols % 2) == {0, 1}
     assert not np.any((rows % 2 == 0) & (cols % 2 == 0))
 

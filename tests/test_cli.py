@@ -271,8 +271,9 @@ def test_chebyshev_iteration_limit_exit_5(monkeypatch, capsys, recwarn):
 
 
 def test_chebyshev_bytes_do_not_follow_the_blas_thread_count():
-    # a threaded BLAS dot or LAPACK factorization splits its sums among
-    # the threads, and the last digits of u followed their count
+    # a threaded BLAS dot splits its sums among the threads, and the last
+    # digits of u followed their count; the solve's inner products are
+    # numpy pairwise sums for that reason
     root = Path(__file__).resolve().parent.parent
     reports = set()
     for threads in ("1", "2"):
