@@ -4,10 +4,8 @@ tools, plus a GeoJSON/SVG command line."""
 
 from .chebyshev import (
     RegionMesh,
-    ScalarField,
     build_cap_mesh,
     build_region_mesh,
-    chebyshev_vs_projection,
     discretization_allowance,
     distortion_ratio,
     solve_log_scale,

@@ -5,17 +5,19 @@ ratio has constant scale on the boundary, and its log-scale u solves the
 Poisson problem  Delta_sphere u = 1  with u = 0 on the boundary (the
 boundary constant is free, so zero is used).  Solving that problem on a
 mesh yields the optimal distortion ratio exp(-min u) directly, without
-reconstructing the map itself.
+reconstructing the map itself: ``solve_log_scale`` returns u at the mesh
+points as an array, and ``distortion_ratio`` reads it.
 
 Caps and polygons share one discretization.  The region is drawn in the
 stereographic chart centred on it, which is conformal, so the equation
-becomes  Delta_z u = 4 / (1 + |z|^2)^2.  Every boundary piece is a plane
-section n.v = d of the sphere (a cap is one circle, a polygon edge a
-great-circle arc with d = 0), so it crosses each line of a square chart
-grid where a quadratic is zero.  Those crossings give the even-odd inside
-test and the arm lengths of the Shortley-Weller stencil (J. Appl. Phys.
-9, 334, 1938), whose arms end on the true boundary: the solve is second
-order, for regions around a pole too.
+becomes  Delta_z u = 4 / (1 + |z|^2)^2, its right-hand side taken at the
+grid nodes' chart coordinates.  Every boundary piece is a plane section
+n.v = d of the sphere (a cap is one circle, a polygon edge a great-circle
+arc with d = 0), so it crosses each line of a square chart grid where a
+quadratic is zero.  Those crossings give the even-odd inside test and the
+arm lengths of the Shortley-Weller stencil (J. Appl. Phys. 9, 334, 1938),
+whose arms end on the true boundary: the solve is second order, for
+regions around a pole too.
 
 The linear system is solved on box-shaped arrays of the chart grid by
 BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992), right-
@@ -53,9 +55,9 @@ _ARM_SHIFTS = ((0, 1), (0, -1), (1, 0), (-1, 0))  # east, west, north, south
 
 # _chart_mesh refuses chart grids of more nodes than this, counted before
 # any array is built.  A chebyshev run with --out peaks at about 0.25 kB
-# of RSS per grid node on top of 31 MB (the 60 and 75 degree caps at the
-# default 0.25 degree step, 533 x 533 and 708 x 708 nodes, took 102 and
-# 157 MB), so a run at the limit stays near 300 MB; every cap the CLI
+# of RSS per grid node on top of 30 MB (the 60 and 75 degree caps at the
+# default 0.25 degree step, 533 x 533 and 708 x 708 nodes, took 100 and
+# 154 MB), so a run at the limit stays near 290 MB; every cap the CLI
 # takes (under 90 degrees) fits at the default step.
 CHART_NODE_LIMIT = 1 << 20
 
@@ -89,22 +91,9 @@ class RegionMesh:
     def interior_count(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    @property
-    def boundary_flag(self) -> np.ndarray:
-        """True on the boundary points, where u = 0."""
-        return np.arange(self.node_count) >= self.interior_count
-
     def node_points(self) -> tuple[np.ndarray, np.ndarray]:
         """(latitude, longitude) arrays of all mesh points."""
         return self.latitudes, self.longitudes
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """One value per mesh point."""
-
-    mesh: RegionMesh
-    values: np.ndarray
 
 
 # -- region meshing ------------------------------------------------------------
@@ -222,14 +211,15 @@ def _extent(normals, offsets, ends, axes):
     return np.minimum(vs, vt) - sag, np.maximum(vs, vt) + sag
 
 
-def _crossings(normals, offsets, ends, h, axes):
+def _crossings(normals, offsets, ends, h, axes, lo, hi):
     """Crossings of the chart lines v = j h (j integer) with the boundary.
 
     The pieces are the planes n.v = d, in frame coordinates; ``ends`` is
     None for full circles, else the (start, stop) unit vectors of
     great-circle arcs.  ``axes`` orders the chart axes as (u, v): (0, 1)
-    for lines of constant y, (1, 0) for lines of constant x.  Returns the
-    line numbers j and the crossings' u in grid spacings.
+    for lines of constant y, (1, 0) for lines of constant x, and (lo, hi)
+    are the pieces' ``_extent`` in v.  Returns the line numbers j and the
+    crossings' u in grid spacings.
 
     An arc crosses a line an odd number of times exactly when its two ends
     lie on either side of it (an end on the line counts as below), so the
@@ -241,7 +231,6 @@ def _crossings(normals, offsets, ends, h, axes):
     order = [*axes, 2]
     a, b, g = normals[:, order].T
     area = g + offsets
-    lo, hi = _extent(normals, offsets, ends, axes)
     if ends is not None:
         across = np.cross(normals, ends[0])[:, order]
         total = np.arctan2(np.linalg.norm(np.cross(*ends), axis=1), np.sum(ends[0] * ends[1], 1))
@@ -288,8 +277,9 @@ def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
     # the grid spans the pieces' extents, from an even index with a node
     # to spare on every side: a span above the limit is refused uncounted
     # (rounding could overflow), as the grid is at least three nodes across
-    spans = [(lo.min() / h, hi.max() / h)
-             for lo, hi in (_extent(normals, offsets, ends, axes) for axes in ((0, 1), (1, 0)))]
+    axes = ((0, 1), (1, 0))
+    extents = [_extent(normals, offsets, ends, a) for a in axes]
+    spans = [(lo.min() / h, hi.max() / h) for lo, hi in extents]
     if not all(top - bottom <= CHART_NODE_LIMIT for bottom, top in spans):
         raise ConfigError(f"mesh step {delta:g} rad gives over {CHART_NODE_LIMIT} grid nodes")
     rows, cols = (math.ceil(top) + 2 - 2 * ((math.floor(bottom) - 1) // 2) for bottom, top in spans)
@@ -297,8 +287,9 @@ def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
         raise ConfigError(
             f"chart grid of {rows} x {cols} nodes is over the limit of {CHART_NODE_LIMIT} nodes"
         )
-    row_j, row_x = _crossings(normals, offsets, ends, h, (0, 1))
-    col_i, col_y = _crossings(normals, offsets, ends, h, (1, 0))
+    (row_j, row_x), (col_i, col_y) = (
+        _crossings(normals, offsets, ends, h, a, *extent) for a, extent in zip(axes, extents)
+    )
     if not len(row_j):
         raise RegionTooSmall(f"no grid nodes inside the region at delta={delta}")
     # the grid spans the crossings with one node to spare on every side and
@@ -308,17 +299,18 @@ def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
     shape = (math.ceil(ys.max()) + 2 - j0, math.ceil(xs.max()) + 2 - i0)
 
     arms = np.ones((4,) + shape)  # east, west, north, south
-    toggles = np.zeros(shape, dtype=int)
+    inside = np.zeros(shape, dtype=bool)
     cell = np.floor(row_x).astype(int)
     r, c, frac = row_j - j0, cell - i0, row_x - cell
-    np.add.at(toggles, (r, c + 1), 1)  # a crossing flips the nodes east of it
+    np.logical_xor.at(inside, (r, c + 1), True)  # a crossing flips the nodes east of it
     np.minimum.at(arms[0], (r, c), frac)
     np.minimum.at(arms[1], (r, c + 1), 1.0 - frac)
     cell = np.floor(col_y).astype(int)
     r, c, frac = cell - j0, col_i - i0, col_y - cell
     np.minimum.at(arms[2], (r, c), frac)
     np.minimum.at(arms[3], (r + 1, c), 1.0 - frac)
-    unknown = (np.cumsum(toggles, axis=1) % 2 == 1) & (arms.min(axis=0) >= _MIN_ARM)
+    np.logical_xor.accumulate(inside, axis=1, out=inside)
+    unknown = inside & (arms.min(axis=0) >= _MIN_ARM)
 
     jj, ii = np.nonzero(unknown)
     n = len(jj)
@@ -524,11 +516,13 @@ def _bicgstab(levels: list[_Level], b: np.ndarray) -> np.ndarray:
     raise NoConvergence(f"BiCGSTAB stopped above the residual tolerance, at {np.abs(r).max()}")
 
 
-def solve_log_scale(mesh: RegionMesh) -> ScalarField:
-    """Solve Delta u = 1 with u = 0 on the boundary points.
+def solve_log_scale(mesh: RegionMesh) -> np.ndarray:
+    """u at the mesh points: the solution of Delta_z u = 4 / (1 + |z|^2)^2
+    on the chart grid, with u = 0 on the boundary points.
 
     The solution is the log-scale of the distortion-minimizing conformal
-    map, non-positive everywhere by the maximum principle.
+    map, non-positive everywhere by the maximum principle.  The right-hand
+    side is evaluated at the box nodes' chart coordinates.
     """
     n, mask = mesh.interior_count, mesh.mask
     east, west, north, south = mesh.arms[:, mask]
@@ -544,11 +538,10 @@ def solve_log_scale(mesh: RegionMesh) -> ScalarField:
     # keeps its coefficient where it is full and the next node is unknown
     for arm, (dj, di) in enumerate(_ARM_SHIFTS, 1):
         coeffs[arm] *= (mesh.arms[arm - 1] == 1.0) & np.roll(mask, (-dj, -di), axis=(0, 1))
-    lat, lon = mesh.latitudes[:n], mesh.longitudes[:n]
-    cx, cy, cz = mesh.center
-    cos_angle = np.cos(lat) * (np.cos(lon) * cx + np.sin(lon) * cy) + np.sin(lat) * cz
-    rhs = np.zeros(mask.shape)
-    rhs[mask] = (1.0 + cos_angle) ** 2  # 4 / (1 + |z|^2)^2, as |z| = tan(angle / 2)
+    (j0, i0), (rows, cols) = mesh.origin, mask.shape
+    x2 = (h * (i0 + np.arange(cols))) ** 2
+    y2 = (h * (j0 + np.arange(rows))[:, None]) ** 2
+    rhs = 4.0 / (1.0 + x2 + y2) ** 2 * mask
     # a box over 6 nodes across shrinks, and a 6 x 6 box has at most 16 unknowns
     levels = [_level(coeffs, mask, mesh.origin)]
     while np.count_nonzero(levels[-1].mask) > _COARSEST:
@@ -560,12 +553,12 @@ def solve_log_scale(mesh: RegionMesh) -> ScalarField:
     residual = np.abs(_apply(coeffs, box) - rhs).max()
     if not np.all(np.isfinite(u)) or residual > RESIDUAL_TOL:
         raise NoConvergence(f"solve residual {residual}")
-    return ScalarField(mesh, u)
+    return u
 
 
-def distortion_ratio(field: ScalarField) -> float:
-    """max m / min m of the optimal map: exp(max u - min u)."""
-    return float(math.exp(field.values.max() - field.values.min()))
+def distortion_ratio(u: np.ndarray) -> float:
+    """max m / min m of the optimal map of log-scale u: exp(max u - min u)."""
+    return float(math.exp(u.max() - u.min()))
 
 
 def discretization_allowance(mesh: RegionMesh) -> float:
@@ -586,15 +579,3 @@ def projection_ratio(mesh: RegionMesh, spec: LagrangeProjectionSpec) -> float:
         raise EmptyRegion("projection is singular on the whole region")
     return float(regular.max() / regular.min())
 
-
-def chebyshev_vs_projection(
-    mesh: RegionMesh, spec: LagrangeProjectionSpec
-) -> tuple[float, float]:
-    """(optimal ratio, projection ratio) over the same region mesh.
-
-    The optimal ratio comes from the boundary-constant log-scale solve;
-    the projection ratio from sampling its dilatation on the mesh points.
-    Up to discretization error the first can never exceed the second on a
-    geodesically convex region.
-    """
-    return distortion_ratio(solve_log_scale(mesh)), projection_ratio(mesh, spec)

@@ -298,15 +298,15 @@ def run_distortion(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) 
 
 def run_chebyshev(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
     mesh = _region_mesh(args)
-    field = solve_log_scale(mesh)
-    ratio_optimal = distortion_ratio(field)
+    u = solve_log_scale(mesh)
+    ratio_optimal = distortion_ratio(u)
     allowance = args.tolerance if args.tolerance is not None else discretization_allowance(mesh)
     lines = [
         "chebyshev report",
         f"delta-deg: {fmt(math.degrees(mesh.delta))}",
         f"nodes: {mesh.node_count}",
         f"interior-nodes: {mesh.interior_count}",
-        f"u-min: {fmt(float(field.values.min()))}",
+        f"u-min: {fmt(float(u.min()))}",
         f"ratio-optimal: {fmt(ratio_optimal)}",
         f"allowance: {fmt(allowance)}",
     ]
@@ -332,7 +332,6 @@ def run_chebyshev(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -
         ]
     if args.out_path:
         lat, lon = mesh.node_points()
-        u = field.values
         m = np.fromiter(map(math.exp, u.tolist()), float, len(u))  # np.exp may round differently
         outputs[args.out_path] = chain(geojson_io.point_feature_collection(
             np.degrees(lon), np.degrees(lat), {"u": u, "m": m}

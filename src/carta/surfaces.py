@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleDegenerate
+from .errors import NoConvergence, PoleDegenerate
 
 POLE_LATITUDE_MARGIN = 1e-8
 
@@ -105,22 +105,34 @@ def conformal_latitude(eccentricity: float, latitude):
     return np.where(latitude == 0.0, latitude, chi)[()]
 
 
-def inverse_conformal_latitude(eccentricity: float, chi: float) -> float:
-    """Geodetic latitude with the given conformal latitude (fixed point)."""
+def inverse_conformal_latitude(eccentricity: float, chi):
+    """Geodetic latitude with the given conformal latitude chi.
+
+    Newton steps solve psi(lat) = asinh(tan chi) for the isometric
+    coordinate psi, whose slope psi' = (1 - e^2) / ((1 - e^2 sin^2 lat)
+    cos lat) grows with |lat|.  They start from atan(tan chi / (1 - e^2)),
+    never nearer the equator than the answer, so they approach it
+    monotonically from the pole side; they stop once every step is within
+    rounding.  Exact at both poles.
+    """
     if eccentricity == 0.0:
         return chi
-    if abs(chi) >= math.pi / 2 - POLE_LATITUDE_MARGIN:
-        return math.copysign(math.pi / 2, chi)
-    e = eccentricity
-    t = math.tan(math.pi / 4 + chi / 2)
-    phi = chi
-    for _ in range(50):
-        s = e * math.sin(phi)
-        new = 2.0 * math.atan(t * ((1.0 + s) / (1.0 - s)) ** (e / 2.0)) - math.pi / 2
-        if abs(new - phi) < 1e-15:
-            return new
-        phi = new
-    return phi
+    e, e2 = eccentricity, eccentricity**2
+    chi = np.asarray(chi, dtype=float)
+    pole = np.abs(chi) >= math.pi / 2 - POLE_LATITUDE_MARGIN
+    tan_chi = np.tan(np.where(pole, 0.0, chi))
+    target = np.asinh(tan_chi)
+    lat = np.atan(tan_chi / (1.0 - e2))
+    for _ in range(50):  # at most 18 are taken, for e up to 1 - 1e-12
+        sigma = np.asinh(np.tan(lat))
+        s = e * np.sin(lat)
+        scale = np.cos(lat) / (1.0 - e2)
+        step = (sigma - e * np.atanh(s) - target) * (1.0 - s * s) * scale
+        lat = lat - step
+        # rounding: a unit of the latitude, and of psi's terms over psi'
+        if np.all(np.abs(step) <= 8 * np.finfo(float).eps * (1.0 + (1.0 + np.abs(sigma)) * scale)):
+            return np.where(pole, np.copysign(math.pi / 2, chi), lat)[()]
+    raise NoConvergence(f"conformal latitude not inverted at eccentricity {e}")
 
 
 @dataclass(frozen=True)

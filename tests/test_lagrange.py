@@ -189,6 +189,15 @@ def test_round_trip_spheroid():
             assert back.chord_distance(p) < 1e-10
 
 
+def test_project_unproject_round_trip_high_eccentricity():
+    spec = LagrangeProjectionSpec(1.0, surface=SurfaceOfRevolution(0.99))
+    for r in np.geomspace(0.1, 10, 21):
+        for angle in np.linspace(-3, 3, 7):
+            q = PlanePoint(r * math.cos(angle), r * math.sin(angle))
+            back = project(spec, unproject(spec, q))
+            assert abs(back.as_complex() - q.as_complex()) <= 1e-13 * r
+
+
 # -- centered stereographic -----------------------------------------------------------
 
 

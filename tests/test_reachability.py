@@ -10,7 +10,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # definitions that only tests/test_acceptance.py calls
 KEEP = {
     "dilatation_fd": "criterion 3",
-    "chebyshev_vs_projection": "criterion 4",
     "gauss_scale": "criterion 5",
     "is_mobius": "criterion 7 (the verdict of schwarzian.py)",
     "schwarzian_cocycle_residual": "criterion 7",

@@ -168,6 +168,27 @@ def test_inverse_conformal_latitude_round_trip():
             assert inverse_conformal_latitude(e, chi) == pytest.approx(lat, abs=1e-12)
 
 
+@pytest.mark.parametrize("e", [WGS84_E, 0.5, 0.9, 0.99, 0.999])
+def test_inverse_conformal_latitude_converges_up_to_high_eccentricity(e):
+    # conformal_latitude's atanh(e sin lat) magnifies the rounding of its
+    # argument by up to 1 / (1 - e^2), which bounds what a round trip keeps
+    worst = max(
+        abs(conformal_latitude(e, inverse_conformal_latitude(e, chi)) - chi)
+        for chi in np.linspace(-1.5, 1.5, 301)
+    )
+    assert worst <= 4e-15 / (1 - e * e)
+
+
+def test_inverse_conformal_latitude_evaluates_arrays():
+    chi = np.array([-math.pi / 2, -1.2, 0.0, 1e-9, 0.7, math.pi / 2 - 1e-9])
+    for e in (WGS84_E, 0.99):
+        lat = inverse_conformal_latitude(e, chi)
+        assert lat.shape == chi.shape
+        assert lat[[0, 2, -1]].tolist() == [-math.pi / 2, 0.0, math.pi / 2]
+        scalars = [inverse_conformal_latitude(e, c) for c in chi]
+        assert np.abs(lat - scalars).max() <= 1e-15
+
+
 # -- Gauss spheroid-to-sphere reduction -----------------------------------------------
 
 
