@@ -1,8 +1,15 @@
 """GeoJSON ingestion and emission (RFC 7946: [longitude, latitude] degrees).
 
 Writing goes through a small serializer of our own so every float is
-printed with exactly 15 significant digits: byte-identical output for
-identical inputs is part of the command-line contract.
+printed with exactly 15 significant digits, as ``format(v, ".15g")``:
+byte-identical output for identical inputs is part of the command-line
+contract.  The bulk writers (``position_texts`` and
+``point_feature_collection``) produce that text from float64 columns with
+one numpy kernel, ``_number_words``: it rounds each value to its 15-digit
+integer exactly (Dekker's error-free product with 5**k), lays the digits
+out in fixed or exponent form, and hands the few values it cannot prove
+(|v| below 1e-31 or from 1e15 up, or a near-half that is not an exact
+tie) to ``format_float``, the reference.
 """
 
 from __future__ import annotations
@@ -22,9 +29,8 @@ from .geometry import SpherePoint
 # nesting depth of the positions in each geometry type's "coordinates"
 _POSITION_DEPTH = {"Point": 0, "MultiPoint": 1, "LineString": 1,
                    "MultiLineString": 2, "Polygon": 2, "MultiPolygon": 3}
-_POSITION = "[%.15g, %.15g]"  # a position's image as dumps writes it
-# features that point_feature_collection formats with one `%`
-_ROW_BLOCK = 1 << 13
+# rows (positions or features) written per block by the bulk writers
+_ROW_BLOCK = 1 << 11
 
 
 def format_float(x: float) -> str:
@@ -53,32 +59,223 @@ def position_texts(arrays, x, y) -> list[str]:
     """The text inside the brackets of each of ``map_positions``' arrays
     with every position written as its image [x[i], y[i]], without a third
     element: ``x, y`` for a Point's position, ``[x, y], [x, y]`` for an
-    array of two.  One ``%`` fills the ``[%.15g, %.15g]`` templates of all
-    of them, so each position is formatted once for every writer.
+    array of two.  Each position is formatted once for every writer, by
+    the number kernel, ``_ROW_BLOCK`` positions at a time; the first
+    non-finite value raises ``format_float``'s error before any text is made.
     """
-    template = "".join(
-        (_POSITION[1:-1] if count is None else ", ".join([_POSITION] * count)) + "\0"
-        for _, count in arrays
-    )
-    return (template % _rows(x, y)).split("\0")[:-1]  # a NUL is in no number's text
+    _check_finite((x, y))
+    counts = [1 if count is None else count for _, count in arrays]
+    ends = np.cumsum(counts, dtype=np.intp)
+    # each position's row: 0 inside an array, 1 an array's last, 2 a Point's
+    kind = np.zeros(len(x), np.intp)
+    kind[ends[np.flatnonzero(counts)] - 1] = 1
+    kind[ends[[k for k, (_, count) in enumerate(arrays) if count is None]] - 1] = 2
+    opening = np.concatenate((_words("["), _words("["), np.zeros(1, _WORD)))
+    # a newline ends each array's text
+    closing = np.concatenate((_words("], "), _words("]\n"), _words("\n")))
+    texts, pending = [], []
+    for start in range(0, len(x), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        rows = _row_words((x[block], y[block]), ("[", ", ", "], "))
+        rows[:, 0], rows[:, -1] = opening[kind[block]], closing[kind[block]]
+        first, *done = _text(rows).split("\n")
+        pending.append(first)
+        if done:
+            texts.append("".join(pending))
+            texts += done[:-1]
+            pending = [done[-1]]
+    nonempty = iter(texts)
+    return [next(nonempty) if count else "" for count in counts]
 
 
-def _rows(*columns) -> tuple:
-    """The columns' values row by row, for one ``%`` over repeated
-    templates, as ``"%.15g" % v`` is ``format(v, ".15g")``; the first
-    non-finite one raises ``format_float``'s error.  Callers build the
-    template first: boxed after it, the values raise the peak memory less."""
-    return tuple(_finite_rows(columns).ravel().tolist())
+def _check_finite(columns) -> None:
+    """The first non-finite value of the columns, row by row, raises
+    ``format_float``'s error."""
+    bad = [np.flatnonzero(~np.isfinite(column))[:1] for column in columns]
+    if any(first.size for first in bad):
+        row = min(int(first[0]) for first in bad if first.size)
+        for column in columns:
+            format_float(float(column[row]))
 
 
-def _finite_rows(columns) -> np.ndarray:
-    """The columns side by side; the first non-finite value, row by row,
-    raises ``format_float``'s error."""
-    values = np.column_stack(columns)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        format_float(float(values.flat[np.argmax(bad)]))
-    return values
+# -- the number kernel: %.15g of float64 values, as words of bytes -------------------
+#
+# A value's text is three little-endian 64-bit words, from byte 0 on, and NUL
+# after its end; a literal piece of text is words that end with it, NUL before
+# its start.  So a row of pieces and values is a run of text per piece and
+# the value after it, and one boolean compaction that drops the NULs makes
+# the rows one string.  The tables are indexed by a value's decade d + 31 (d
+# from -31 to 15), digit count and sign, or by its digits, and are built at
+# import by array arithmetic.
+
+_WORD = np.dtype("<u8")
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))  # of 0..9999
+# _COUNTS[j, g]: the digits up to the last nonzero one when group j (of 4)
+# holds g and those after it hold zeros; a zero is written "0"
+_COUNTS = ((_DIGITS != ord("0")) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
+_COUNTS = np.where(_COUNTS > 0, _COUNTS + np.arange(0, 16, 4, dtype=np.uint8)[:, None], 0)
+_COUNTS[0, 0] = 1
+_DIGITS = np.ascontiguousarray(_DIGITS).view("<u4").ravel()
+
+
+def _layouts():
+    """``(layouts, moves)``: a value's text by 2 * (16 * (decade + 31) +
+    digit count) + negative, as nine words, and by 2 * (decade + 31) +
+    negative the bits that its digits after the point move up.
+
+    The first three words take bytes from the digits moved up by the sign,
+    the next three from the digits moved up by all before them, and the last
+    three are the rest: the sign, the "0." and zeros of 1e-4 <= |v| < 1, the
+    point and the exponent.  Built on int8 arrays by (decade, digit count,
+    negative, byte).
+    """
+    minus, dot, zero, e, plus = np.frombuffer(b"-.0e+", np.int8)
+    decade = np.arange(-31, 16, dtype=np.int8)
+    exponents = np.column_stack((  # "e-31" ... "e+15"
+        np.full(len(decade), e), np.where(decade < 0, minus, plus),
+        abs(decade) // 10 + zero, abs(decade) % 10 + zero))
+    decade = decade[:, None, None, None]
+    count = np.arange(16, dtype=np.int8)[:, None, None]
+    negative = np.arange(2, dtype=np.int8)[:, None]
+    at = np.arange(24, dtype=np.int8) - negative  # the byte after the sign
+    scientific = (decade < -4) | (decade > 14)
+    leading = np.where(scientific | (decade >= 0), 0, 1 - decade)  # "0." and zeros
+    point = np.where(scientific, 1, decade + 1)  # digits before the point
+    length = np.where(leading > 0, leading + count,
+                      np.maximum(count + (count > point), point))  # up to the exponent
+    layouts = np.stack((
+        -((leading == 0) & (0 <= at) & (at < np.minimum(point, length))).astype(np.int8),
+        -((np.where(leading > 0, leading, point + 1) <= at) & (at < length)).astype(np.int8),
+        minus * ((at == -1) & (negative == 1))
+        + np.where(at == 1, dot, zero) * ((0 <= at) & (at < leading))
+        + dot * ((leading == 0) & (at == point) & (point < length))
+        + exponents[decade + 31, np.clip(at - length, 0, 3)]
+        * (scientific & (length <= at) & (at < length + 4)),
+    )).astype(np.uint8).view(_WORD).reshape(3, -1, 3).transpose(1, 0, 2).reshape(-1, 9)
+    moves = (8 * (np.where(leading > 0, leading, 1) + negative)).astype(_WORD).ravel()
+    return layouts, moves
+
+
+_LAYOUTS, _MOVES = _layouts()
+# 10**k = 2**k * 5**k, and 5**k = hi + lo exactly for k <= 45 (it has at most 105 bits)
+_POWERS = np.arange(46)
+_TWOS = np.ldexp(1.0, _POWERS)
+_FIVES = 5 ** _POWERS.astype(object)
+_FIVES_HI = _FIVES.astype(float)
+_FIVES_LO = (_FIVES - np.frompyfunc(int, 1, 1)(_FIVES_HI)).astype(float)
+
+
+def _split(v):
+    """Dekker's split of v into two halves of 26 bits: v = hi + lo exactly."""
+    c = 134217729.0 * v  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+_FIVES_HH, _FIVES_HL = _split(_FIVES_HI)
+
+
+def _decade(a: np.ndarray) -> np.ndarray:
+    """floor(log10(a)): an estimate, one off where log10 rounds across an integer."""
+    return np.floor(np.log10(a))
+
+
+def _rounded(a: np.ndarray, k: np.ndarray):
+    """``(q, rest, unsure)``: q is a * 10**k rounded half-even to an integer,
+    rest is a * 10**k - q to within 1e-15, and unsure marks where q is not
+    proven: a rest within 1e-9 of a half that is not an exact tie.
+
+    With x = a * 2**k (exact), x * hi = p + e exactly (Dekker's product),
+    and a * 10**k = p + e + x * lo, whose last term is below 0.2.  An exact
+    tie n + 1/2 has k <= 21, so lo = 0 and e = 0: rint(p) settles it.
+    """
+    x = a * np.take(_TWOS, k)
+    p = x * np.take(_FIVES_HI, k)
+    xh, xl = _split(x)
+    hh, hl = np.take(_FIVES_HH, k), np.take(_FIVES_HL, k)
+    q = np.rint(p)
+    rest = (((xh * hh - p) + xh * hl + xl * hh) + xl * hl + (p - q)) + x * np.take(_FIVES_LO, k)
+    step = np.rint(rest)
+    tie = x - np.floor(x) == 0.5  # 5**k is odd
+    unsure = ~tie & (np.abs(np.abs(rest) - 0.5) < 1e-9)
+    return q + step, rest - step, unsure
+
+
+def _moved(digits, bits):
+    """The two words of digits moved up ``bits`` (0 to 48) into three."""
+    down = _WORD.type(64) - bits
+    return digits[0] << bits, (digits[1] << bits) | (digits[0] >> down), digits[1] >> down
+
+
+def _number_words(v: np.ndarray) -> np.ndarray:
+    """The ``format_float`` text of each finite value of ``v`` as three
+    words, word j of value i at [j, i]."""
+    a = np.abs(v)
+    sure = (a >= 1e-31) & (a < 1e15)
+    a = np.where(sure, a, 1.0)  # the others are not computed on
+    k = (14 - np.clip(_decade(a), -31, 14)).astype(np.intp)
+    q, rest, unsure = _rounded(a, k)
+    # 10**14 <= a * 10**k < 10**15 fixes the decade; where the estimate was
+    # one off, q is out of that range (or it is 10**14 with a negative rest)
+    off = np.flatnonzero(((q - 1e14) + rest < 0) | (q > 1e15))
+    if off.size:
+        k[off] += np.where(q[off] > 1e15, -1, 1)
+        q[off], rest[off], unsure[off] = _rounded(a[off], k[off])
+    d = 45 - k  # the decade + 31
+    up = q == 1e15  # rounded up into the next decade
+    q[up], d[up] = 1e14, d[up] + 1
+    q[v == 0] = 0.0
+    # the 15 digits as four-digit groups, the last three and a pad, two to a
+    # word (floors of quotients: q < 2**50 leaves their rounding below 1e-7)
+    groups = np.empty((2, len(v), 2))
+    head = np.floor(q / 1e7)
+    groups[0, :, 0] = np.floor(head / 1e4)
+    groups[0, :, 1] = head - 1e4 * groups[0, :, 0]
+    tail = q - 1e7 * head
+    groups[1, :, 0] = np.floor(tail / 1e3)
+    groups[1, :, 1] = (tail - 1e3 * groups[1, :, 0]) * 10
+    groups = groups.astype(np.intp)
+    digits = np.take(_DIGITS, groups).view(_WORD)[..., 0]
+    counts = [np.take(_COUNTS[j], groups[j // 2, :, j % 2]) for j in range(4)]
+    counts = np.maximum(np.maximum(counts[0], counts[1]), np.maximum(counts[2], counts[3]))
+    negative = np.signbit(v)
+    keep = _moved(digits, negative * _WORD.type(8))
+    move = _moved(digits, np.take(_MOVES, 2 * d + negative))
+    layout = np.take(_LAYOUTS, 2 * (16 * d + counts) + negative, axis=0)
+    words = np.empty((3, len(v)), _WORD)
+    for j in range(3):
+        words[j] = (keep[j] & layout[:, j]) | (move[j] & layout[:, 3 + j]) | layout[:, 6 + j]
+    for i in np.flatnonzero(~(sure | (v == 0)) | unsure):
+        words[:, i] = np.frombuffer(format_float(float(v[i])).encode().ljust(24, b"\0"), _WORD)
+    return words
+
+
+def _words(text: str) -> np.ndarray:
+    """ASCII ``text`` as words that end with it, NULs before it."""
+    data = text.encode("ascii")
+    return np.frombuffer(data.rjust(-(-len(data) // 8) * 8, b"\0"), _WORD)
+
+
+def _row_words(columns, pieces) -> np.ndarray:
+    """The words of each row ``pieces[0] columns[0][i] pieces[1] ...
+    columns[-1][i] pieces[-1]``, one row of a 2-D array per i."""
+    literals = [_words(piece) for piece in pieces]
+    numbers = _number_words(np.concatenate(columns)).reshape(3, len(columns), -1)
+    rows = np.empty((numbers.shape[2], 3 * len(columns) + sum(map(len, literals))), _WORD)
+    at = 0
+    for c, literal in enumerate(literals):
+        rows[:, at:at + len(literal)] = literal
+        at += len(literal)
+        if c < len(columns):
+            rows[:, at:at + 3] = numbers[:, c].T
+            at += 3
+    return rows
+
+
+def _text(words: np.ndarray) -> str:
+    """The bytes of ``words`` without their NULs: one boolean compaction."""
+    data = words.view(np.uint8)
+    return str(data[data != 0].data, "ascii")
 
 
 def _write(obj, pieces: list[str], arrays: set[int]) -> None:
@@ -263,27 +460,27 @@ def point_feature_collection(
 
     Every value is checked before this returns, so the first non-finite
     one raises here.  The text then comes ``_ROW_BLOCK`` features at a
-    time, each block from one ``%`` over a repeated feature template.
+    time, each block written by the number kernel.
     """
     table = (lon_deg, lat_deg, *columns.values())
-    blocks = [slice(start, start + _ROW_BLOCK) for start in range(0, len(lon_deg), _ROW_BLOCK)]
-    for block in blocks:
-        _finite_rows([column[block] for column in table])
-    properties = ", ".join(
-        encode_basestring_ascii(str(name)).replace("%", "%%") + ": %.15g" for name in columns
-    )
-    feature = (
-        '{"type": "Feature", "geometry": {"type": "Point", "coordinates": [%.15g, %.15g]}, '
-        '"properties": {' + properties + "}}"
-    )
+    _check_finite(table)
+    # \x01 marks a value: encode_basestring_ascii escapes it in a name
+    pieces = (
+        '{"type": "Feature", "geometry": {"type": "Point", "coordinates": [\x01, \x01]}, '
+        '"properties": {'
+        + ", ".join(encode_basestring_ascii(str(name)) + ": \x01" for name in columns)
+        + "}}, "
+    ).split("\x01")
+    last = _words(pieces[-1][:-2] + "\0\0")  # the last feature of a block has no ", "
 
-    def pieces():
+    def text():
         yield '{"type": "FeatureCollection", "features": ['
-        for block in blocks:
-            part = [column[block] for column in table]
-            if block.start:
+        for start in range(0, len(lon_deg), _ROW_BLOCK):
+            rows = _row_words([column[start:start + _ROW_BLOCK] for column in table], pieces)
+            rows[-1, -len(last):] = last
+            if start:
                 yield ", "
-            yield ", ".join([feature] * len(part[0])) % _rows(*part)
+            yield _text(rows)
         yield "]}"
 
-    return pieces()
+    return text()

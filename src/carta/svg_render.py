@@ -109,8 +109,8 @@ def svg_text(curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=(), texts=()
         )
         for (a, b), text in zip(lines, texts):
             if b - a >= 2:
-                # "[x, y], [x, -y]" becomes "x,-y x,y": %.15g rounds correctly, so
-                # the text of -v is that of v with its sign flipped, zeros included
+                # "[x, y], [x, -y]" becomes "x,-y x,y": the number kernel writes -v
+                # as v's text after a "-" (%.15g rounds |v|), zeros included
                 points = text[1:-1].replace("], [", " ").replace(", -", ",").replace(", ", ",-")
                 parts.append(f'<polyline points="{points}"/>')
         parts.append("</g>")

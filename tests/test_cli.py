@@ -462,6 +462,25 @@ def test_project_svg_alone_is_the_pinned_svg(tmp_path, capsys):
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == PINNED_SHA256["svg"]
 
 
+# SHA-256 of a small cap's point GeoJSON, recorded before the number kernel
+# wrote it: it holds defects in exponent form, negative latitudes and a zero
+# longitude
+DISTORTION_OUT_SHA256 = "a87f9c7889eb9b6e82f02f2db842a43a562b91e35879fb68bb3ddc4d4967e481"
+
+
+def test_distortion_out_pinned(tmp_path, capsys):
+    out = tmp_path / "dilatation.geojson"
+    code = run_cli(
+        "distortion", "--cap-deg", "30", "--delta-deg", "2",
+        "--inversion-pole", "1,-2.8", "--inversion-power", "2", "--out", str(out),
+    )
+    assert code == 0
+    text = out.read_text()
+    assert '"coordinates": [0, -88]}' in text
+    assert '"conformality_defect": 1.40077081312029e-06}' in text
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DISTORTION_OUT_SHA256
+
+
 def test_installed_entry_point(band_geojson, tmp_path):
     result = subprocess.run(
         [

@@ -14,6 +14,9 @@ import copy
 import json
 import math
 import tracemalloc
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -292,8 +295,16 @@ BLOCKS = [1, 7, 64]
 CAP_SPEC = LagrangeProjectionSpec(1.0, central_meridian=0.3)
 
 
-def _point_pieces(lat, lon, report):
-    columns = {"m": report.m, "conformality_defect": report.conformality_defect}
+# values the number kernel leaves to format_float, and zeros, which it writes itself
+REFERENCE_PATH = [0.0, -0.0, 1e300, 5e-324]
+
+
+def _point_pieces(lat, lon, report, block):
+    """The point text of a report, with the reference-path values put on
+    both sides of the first and the third block boundary."""
+    m = report.m.copy()
+    m[[block - 1, block, 3 * block - 1, 3 * block]] = REFERENCE_PATH
+    columns = {"m": m, "conformality_defect": report.conformality_defect}
     return list(point_feature_collection(np.degrees(lon), np.degrees(lat), columns))
 
 
@@ -301,7 +312,7 @@ def _point_pieces(lat, lon, report):
 def test_distortion_path_is_block_invariant(monkeypatch, block):
     lat, lon = cap_samples(math.radians(20), math.radians(1))
     expected = distortion_report(CAP_SPEC, lat, lon)
-    text = "".join(_point_pieces(lat, lon, expected))
+    text = "".join(_point_pieces(lat, lon, expected, block))
     monkeypatch.setattr(distortion, "_SAMPLE_BLOCK", block)
     monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
     report = distortion_report(CAP_SPEC, lat, lon)
@@ -309,8 +320,10 @@ def test_distortion_path_is_block_invariant(monkeypatch, block):
     assert report.conformality_defect.tobytes() == expected.conformality_defect.tobytes()
     assert (report.m_min, report.m_max, report.ratio) == (
         expected.m_min, expected.m_max, expected.ratio)
-    pieces = _point_pieces(lat, lon, report)
+    pieces = _point_pieces(lat, lon, report, block)
     assert "".join(pieces) == text
+    for value in map(format_float, REFERENCE_PATH):
+        assert f'"m": {value}, ' in text
     # the opening, each block, the separators between blocks and the closing
     assert len(pieces) == 2 * -(-lat.size // block) + 1
 
@@ -530,6 +543,138 @@ def test_cap_refused_by_ring_count_is_over_any_limit_of_that_root(monkeypatch, r
         cap_samples(radius, radius / (root + 1.01))
 
 
+# -- the number kernel against format_float ------------------------------------------
+
+
+def kernel_texts(values):
+    """Each value's text as the bulk writers lay it out, one per row; a
+    RuntimeWarning fails the test."""
+    column = np.asarray(values, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return geojson_io._text(geojson_io._row_words((column,), ("", "\n"))).split("\n")[:-1]
+
+
+def assert_kernel_is_format_float(values):
+    values = np.asarray(values, dtype=float)
+    texts = kernel_texts(values)
+    assert len(texts) == values.size
+    wrong = [(v, text) for v, text in zip(values.tolist(), texts) if text != format_float(v)]
+    assert wrong[:5] == []
+
+
+def exact_ties(rng, count):
+    """odd * 2**-(k + 1) with 16 significant digits, the last a 5: exactly
+    halfway between two 15-digit decimals, for k from 0 to 21."""
+    k = rng.integers(0, 22, count)
+    low, high = 10.0**15 / 5.0 ** (k + 1), 10.0**16 / 5.0 ** (k + 1)
+    odd = 2 * np.floor(rng.uniform(low, high) / 2) + 1
+    odd = np.where(odd < low, odd + 2, np.where(odd >= high, odd - 2, odd))
+    return np.ldexp(odd, -(k + 1))
+
+
+def near_halves(limit=1e-14, tries=300):
+    """Doubles a whose a * 10**(14 - decade) is within ``limit`` of a half
+    and not one: x = a * 2**k = m * 2**-e (53-bit m) and m * 5**k is
+    2**(e - 1) + t modulo 2**e for small t, so the rest is 1/2 + t * 2**-e."""
+    found = []
+    for k in range(21, 46):
+        low, high = Fraction(10**14, 5**k), Fraction(10**15, 5**k)  # the range of x
+        for e in range(40, 120):
+            span = min(int(limit * 2**e), tries)
+            if not span or Fraction(2**53, 2**e) <= low or high <= Fraction(2**52, 2**e):
+                continue
+            inverse = pow(5**k, -1, 2**e)
+            for t in [*range(1, span + 1), *range(-span, 0)]:
+                m = (2 ** (e - 1) + t) * inverse % 2**e
+                if 2**52 <= m < 2**53 and low <= Fraction(m, 2**e) < high:
+                    found.append(float(Fraction(m, 2 ** (e + k))))
+    return found
+
+
+def decade_edges():
+    """One ulp on each side of 10**j for j from -40 to 20, and both sides of
+    the fixed/exponent switches at 1e-4 and 1e15."""
+    powers = np.array([float(f"1e{j}") for j in range(-40, 21)])
+    switches = np.array([1e-4, 9.99999999999999e-5, 9.999999999999995e-5, 1e15,
+                         999999999999999.0, 999999999999999.4, 999999999999999.5])
+    edges = np.concatenate([powers, switches])
+    return np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+
+
+def test_kernel_text_of_random_bit_patterns():
+    bits = np.random.default_rng(20).integers(0, 1 << 64, 100_000, dtype=np.uint64)
+    values = bits.view(float)
+    assert_kernel_is_format_float(values[np.isfinite(values)])
+
+
+def test_kernel_text_across_magnitudes():
+    rng = np.random.default_rng(21)
+    assert_kernel_is_format_float(rng.choice([-1, 1], 50_000) * 10 ** rng.uniform(-40, 20, 50_000))
+
+
+def test_kernel_settles_exact_ties_half_even(monkeypatch):
+    ties = np.concatenate([[1.000030517578125], exact_ties(np.random.default_rng(22), 20_000)])
+    calls = []
+    monkeypatch.setattr(geojson_io, "format_float", lambda v: calls.append(v) or format_float(v))
+    texts = kernel_texts(ties)
+    assert calls == []  # no tie is left to the reference
+    assert texts == list(map(format_float, ties.tolist()))
+    assert texts[0] == "1.00003051757812"  # the even neighbour, below
+
+
+def test_kernel_leaves_near_halves_to_the_reference(monkeypatch):
+    # within the rest's rounding error of a half the kernel cannot tell the
+    # side: 1.064195944169395e-09 * 1e23 is 106419594416939.5 + 4.2e-17, so
+    # its text is 1.0641959441694e-09
+    values = near_halves()
+    assert len(values) > 400 and 1.064195944169395e-09 in values
+    calls = []
+    monkeypatch.setattr(geojson_io, "format_float", lambda v: calls.append(v) or format_float(v))
+    assert kernel_texts(values) == list(map(format_float, values))
+    assert calls == values
+
+
+def test_kernel_text_at_decade_edges_zeros_and_subnormals():
+    subnormals = np.random.default_rng(23).integers(1, 1 << 52, 1000).astype(np.uint64).view(float)
+    values = np.concatenate([decade_edges(), [0.0, 5e-324, 2.2250738585072014e-308, 1.7e308],
+                             subnormals])
+    assert_kernel_is_format_float(np.concatenate([values, -values]))
+    # rounded up into the next decade; the double nearest 9.999999999999995 is
+    # 9.99999999999999467..., below the half, and the next one up is above it
+    assert kernel_texts([9.999999999999995, 9.999999999999996, 999999999999999.5]) == [
+        "9.99999999999999", "10", "1e+15"]
+    assert kernel_texts([0.0, -0.0]) == ["0", "-0"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_kernel_text_is_format_float(values):
+    assert kernel_texts(values) == list(map(format_float, values))
+
+
+def test_kernel_text_is_sign_symmetric():
+    # svg_text writes -y by flipping the sign in the text of y
+    rng = np.random.default_rng(24)
+    values = np.concatenate([decade_edges(), exact_ties(rng, 2000), [0.0, 5e-324],
+                             10 ** rng.uniform(-40, 20, 5000)])
+    assert kernel_texts(-values) == ["-" + text for text in kernel_texts(values)]
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_kernel_text_does_not_trust_the_decade_estimate(monkeypatch, shift):
+    rng = np.random.default_rng(25)
+    values = np.concatenate([decade_edges(), exact_ties(rng, 500),
+                             [0.0, 1e-31, 9.99999999999999e-31],
+                             rng.choice([-1, 1], 5000) * 10 ** rng.uniform(-32, 16, 5000)])
+
+    def estimate(a):  # the exact decade of each value, one off
+        return np.array([Decimal(x).adjusted() + shift for x in a.tolist()], dtype=float)
+
+    monkeypatch.setattr(geojson_io, "_decade", estimate)
+    assert_kernel_is_format_float(values)
+
+
 # -- columnar point GeoJSON -----------------------------------------------------------
 
 
@@ -745,6 +890,104 @@ def test_projected_text_of_empty_arrays_and_altitudes():
         "[1.33333333333333, -0.5]]}]}"
     )
     assert lines == [(0, 0), (0, 4), (4, 4), (4, 8), (9, 11)]
+
+
+def _block_document(rng):
+    """Points, empty arrays, and lines and rings of up to 150 positions."""
+    def line(count):
+        return [[float(a), float(b)] for a, b in zip(rng.uniform(-170, 170, count),
+                                                     rng.uniform(-80, 80, count))]
+
+    return {"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {"k": k}, "geometry": geometry}
+        for k, geometry in enumerate([
+            {"type": "Point", "coordinates": line(1)[0]},
+            {"type": "LineString", "coordinates": line(150)},
+            {"type": "MultiPoint", "coordinates": []},
+            {"type": "Point", "coordinates": line(1)[0]},
+            {"type": "Polygon", "coordinates": [line(40), [], line(7)]},
+            {"type": "MultiLineString", "coordinates": [line(1), line(2), line(130)]},
+            {"type": "Point", "coordinates": line(1)[0]},
+        ])
+    ]}
+
+
+def _block_images(block):
+    """A mapper whose images take the reference path on both sides of the
+    first and the third block boundary, and hold exact ties."""
+    def mapper(lon, lat):
+        x, y = lon / 7, lat * 1e-3
+        x[[block - 1, block, 3 * block - 1, 3 * block]] = REFERENCE_PATH
+        y[1::5] = 1.000030517578125
+        return x, y
+
+    return mapper
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_position_texts_are_block_invariant(monkeypatch, block):
+    document = _block_document(np.random.default_rng(26))
+    arrays, x, y, _ = map_positions(document, _block_images(block))
+    texts = position_texts(arrays, x, y)
+    text = dumps(document, arrays, texts)
+    monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
+    assert position_texts(arrays, x, y) == texts
+    assert dumps(document, arrays, texts) == text
+    # each position formatted on its own
+    positions = iter(zip(map(format_float, x.tolist()), map(format_float, y.tolist())))
+    assert texts == [
+        "%s, %s" % next(positions) if count is None
+        else ", ".join("[%s, %s]" % next(positions) for _ in range(count))
+        for _, count in arrays
+    ]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_position_texts_non_finite_past_a_block_boundary(monkeypatch, block):
+    x, y = np.ones(3 * block), np.ones(3 * block)
+    x[block], y[block + 1] = math.inf, math.nan
+    arrays = [(None, 3 * block)]
+    monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
+    assert _raised(position_texts, arrays, x, y) == (
+        NonFiniteValue, "non-finite value inf in output")
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_project_run_is_block_invariant(monkeypatch, tmp_path, capsys, block):
+    region = tmp_path / "region.geojson"
+    region.write_text(json.dumps(_block_document(np.random.default_rng(27))))
+
+    def run(tag):
+        paths = [tmp_path / f"{tag}.{suffix}" for suffix in ("geojson", "svg", "txt")]
+        argv = ["project", "--region", str(region), "--exponent", "0.5", "--out", str(paths[0]),
+                "--svg", str(paths[1]), "--report", str(paths[2])]
+        assert cli.main(argv) == 0
+        return [path.read_bytes() for path in paths]
+
+    expected = run("whole")
+    monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
+    assert run("blocks") == expected
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_project_non_finite_past_a_block_boundary(monkeypatch, tmp_path, capsys, block):
+    region = tmp_path / "region.geojson"
+    region.write_text(json.dumps(_block_document(np.random.default_rng(28))))
+    project = cli.project_array
+
+    def overflowing(spec, lat, lon):
+        w, code = project(spec, lat, lon)
+        w[block], w[block + 1] = complex(1.0, math.inf), complex(math.nan, 0.0)
+        return w, code
+
+    monkeypatch.setattr(cli, "project_array", overflowing)
+    monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
+    outputs = [tmp_path / name for name in ("out.geojson", "map.svg", "report.txt")]
+    code = cli.main(["project", "--region", str(region), "--out", str(outputs[0]),
+                     "--svg", str(outputs[1]), "--report", str(outputs[2])])
+    assert code == NonFiniteValue.exit_code
+    assert capsys.readouterr().err == "carta: NonFiniteValue: non-finite value inf in output\n"
+    assert not any(path.exists() for path in outputs)
 
 
 def reference_svg(x, y, lines):
