@@ -23,8 +23,9 @@ The linear system is solved on box-shaped arrays of the chart grid by
 BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992), right-
 preconditioned by one geometric-multigrid V-cycle.  The grid is anchored
 at the chart origin, so the unknowns at even indices are the nodes of the
-grid of twice the step: each coarser level keeps those, with the 5-point
-Laplacian, and every level, the last too, is smoothed by Jacobi sweeps.
+grid of twice the step: each coarser level keeps those, with the
+Shortley-Weller stencil of that grid, whose arms follow from the finer
+level's, and every level, the last too, is smoothed by Jacobi sweeps.
 """
 
 from __future__ import annotations
@@ -99,17 +100,21 @@ class RegionMesh:
 # -- region meshing ------------------------------------------------------------
 
 
-def _close_ring(vertices) -> list[SpherePoint]:
-    pts = [p if isinstance(p, SpherePoint) else SpherePoint(*p) for p in vertices]
-    if len(pts) > 1 and pts[0].chord_distance(pts[-1]) < 1e-12:
-        pts = pts[:-1]
-    distinct = []
-    for p in pts:
-        if not distinct or distinct[-1].chord_distance(p) > 1e-12:
-            distinct.append(p)
-    if len(distinct) < 3:
-        raise DegenerateBoundary(f"boundary has {len(distinct)} distinct vertices")
-    return distinct
+def _close_ring(vertices) -> np.ndarray:
+    """Unit vectors of the distinct vertices: a last one within 1e-12
+    (chord) of the first is dropped, as is each within 1e-12 of the last kept."""
+    pts = (p if isinstance(p, SpherePoint) else SpherePoint(*p) for p in vertices)
+    units = np.array([p.unit_vector() for p in pts]).reshape(-1, 3)
+    if len(units) > 1 and np.linalg.norm(units[0] - units[-1]) < 1e-12:
+        units = units[:-1]
+    apart = (np.linalg.norm(np.diff(units, axis=0), axis=1) > 1e-12).tolist()
+    keep = [0] if len(units) else []
+    for i in range(1, len(units)):  # the step from vertex i - 1 serves if that was kept
+        if apart[i - 1] if keep[-1] == i - 1 else np.linalg.norm(units[i] - units[keep[-1]]) > 1e-12:
+            keep.append(i)
+    if len(keep) < 3:
+        raise DegenerateBoundary(f"boundary has {len(keep)} distinct vertices")
+    return units[keep]
 
 
 def _frame(center: np.ndarray) -> np.ndarray:
@@ -360,7 +365,7 @@ def build_region_mesh(boundary, delta: float) -> RegionMesh:
     """
     if delta <= 0:
         raise ValueError("mesh spacing must be positive")
-    units = np.array([p.unit_vector() for p in _close_ring(boundary)])
+    units = _close_ring(boundary)
     frame, poly_xy = _gnomonic_frame(units)
     _check_simple(poly_xy)
     starts = units @ frame.T
@@ -373,7 +378,7 @@ def build_region_mesh(boundary, delta: float) -> RegionMesh:
 # -- the Poisson solve ----------------------------------------------------------
 
 # BiCGSTAB stops at a largest residual of _STOP, and gives up with
-# NoConvergence after ITERATION_LIMIT iterations; a solve takes 10 to 15.
+# NoConvergence after ITERATION_LIMIT iterations; a solve takes 6 to 8.
 # Stopped at RESIDUAL_TOL / 10, u was up to 4e-11 (relative) off a dense
 # solve of the same system; at RESIDUAL_TOL / 1000, within 1e-14.
 ITERATION_LIMIT = 100
@@ -389,10 +394,10 @@ _SWEEPS = 3  # smoothing sweeps before and after each coarse correction
 
 @dataclass(frozen=True)
 class _Level:
-    """One grid of the multigrid hierarchy, held in a box of its chart grid
-    whose first row and column are at even indices and whose border holds
-    no unknown.  ``coeffs`` are the diagonal and the east, west, north and
-    south arm coefficients of each box node, all 0 off the unknowns."""
+    """One grid of the multigrid hierarchy, in a box of its chart grid whose
+    first row and column are at even indices and whose border holds no
+    unknown.  ``coeffs`` are the diagonal and east, west, north and south
+    Shortley-Weller coefficients of each box node, all 0 off the unknowns."""
 
     coeffs: np.ndarray  # (5, rows, cols)
     mask: np.ndarray  # the unknowns
@@ -413,34 +418,43 @@ def _apply(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out.reshape(u.shape)
 
 
-def _level(coeffs, mask, origin) -> _Level:
-    """The level of operator ``coeffs``, with its Jacobi step."""
-    step = np.zeros(mask.shape)
-    step[mask] = _JACOBI_WEIGHT / coeffs[0][mask]
+def _level(arms, mask, spacing, origin) -> _Level:
+    """The Shortley-Weller level of ``arms``, in steps of ``spacing`` and at least _MIN_ARM."""
+    east, west, north, south = np.maximum(arms[:, mask], _MIN_ARM)
+    coeffs = np.zeros((5,) + mask.shape)
+    coeffs[:, mask] = 2.0 / spacing**2 * np.stack(
+        [-(1 / (east * west) + 1 / (north * south)),
+         1 / (east * (east + west)), 1 / (west * (east + west)),
+         1 / (north * (north + south)), 1 / (south * (north + south))]
+    )
+    # arms ending at boundary points multiply u = 0 and drop out: an arm
+    # keeps its coefficient where it is full and the next node is unknown
+    for arm, (dj, di) in enumerate(_ARM_SHIFTS, 1):
+        coeffs[arm] *= (arms[arm - 1] == 1.0) & np.roll(mask, (-dj, -di), axis=(0, 1))
+    step = np.divide(_JACOBI_WEIGHT, coeffs[0], out=np.zeros(mask.shape), where=mask)
     return _Level(coeffs, mask, step, origin)
 
 
-def _coarsen(fine: _Level, spacing: float) -> _Level:
-    """The fine unknowns at even indices, with the 5-point Laplacian of
-    the coarse grid's ``spacing``."""
-    offset = tuple(f // 2 % 2 for f in fine.origin)
-    origin = tuple(f // 2 - o for f, o in zip(fine.origin, offset))
+def _coarsen(arms, mask, origin):
+    """(arms, mask, origin) of the unknowns at even indices, on the grid of
+    twice the step: a short arm halves, a full one to an unknown goes on
+    along that node's arm, and any other ends half a coarse step away."""
+    ahead = np.stack(  # each arm of the next node, 0 where that is no unknown
+        [np.roll(a * mask, (-dj, -di), (0, 1))[::2, ::2] for a, (dj, di) in zip(arms, _ARM_SHIFTS)]
+    )
+    coarse = np.where(arms[:, ::2, ::2] < 1.0, arms[:, ::2, ::2], 1.0 + ahead) / 2
     # a row or column before brings the origin to even indices, and one
     # after keeps the border empty
-    mask = np.pad(fine.mask[::2, ::2], [(o, 1) for o in offset])
-    coeffs = np.zeros((5,) + mask.shape)
-    coeffs[0] = -4.0 * mask
-    for arm, (dj, di) in enumerate(_ARM_SHIFTS, 1):
-        coeffs[arm] = mask & np.roll(mask, (-dj, -di), axis=(0, 1))
-    coeffs /= spacing**2
-    return _level(coeffs, mask, origin)
+    offset = tuple(f // 2 % 2 for f in origin)
+    pad = [(o, 1) for o in offset]
+    origin = tuple(f // 2 - o for f, o in zip(origin, offset))
+    return np.pad(coarse, [(0, 0)] + pad), np.pad(mask[::2, ::2], pad), origin
 
 
 def _full_weight(r: np.ndarray) -> np.ndarray:
     """[1, 2, 1] / 4 along axis 0, at the even rows."""
     m = (len(r) + 1) // 2
-    padded = np.zeros((len(r) + 2,) + r.shape[1:])
-    padded[1:-1] = r
+    padded = np.pad(r, [(1, 1)] + [(0, 0)] * (r.ndim - 1))
     return (padded[0 : 2 * m : 2] + 2.0 * padded[1 : 2 * m : 2] + padded[2 : 2 * m + 1 : 2]) / 4
 
 
@@ -484,8 +498,7 @@ def _bicgstab(levels: list[_Level], b: np.ndarray) -> np.ndarray:
     """BiCGSTAB (van der Vorst 1992) right-preconditioned by one V-cycle,
     until the largest residual is at most _STOP."""
     coeffs = levels[0].coeffs
-    x, r = np.zeros(b.shape), b.copy()
-    r_hat = b.copy()
+    x, r, r_hat = np.zeros(b.shape), b.copy(), b.copy()
     p = v = np.zeros(b.shape)
     rho = alpha = omega = 1.0
     for _ in range(ITERATION_LIMIT):
@@ -524,33 +537,20 @@ def solve_log_scale(mesh: RegionMesh) -> np.ndarray:
     map, non-positive everywhere by the maximum principle.  The right-hand
     side is evaluated at the box nodes' chart coordinates.
     """
-    n, mask = mesh.interior_count, mesh.mask
-    east, west, north, south = mesh.arms[:, mask]
+    n, mask, arms, origin = mesh.interior_count, mesh.mask, mesh.arms, mesh.origin
     h = mesh.delta / 2  # the chart spacing
-    scale = 2.0 / h**2
-    coeffs = np.zeros((5,) + mask.shape)
-    coeffs[:, mask] = scale * np.stack(
-        [-(1 / (east * west) + 1 / (north * south)),
-         1 / (east * (east + west)), 1 / (west * (east + west)),
-         1 / (north * (north + south)), 1 / (south * (north + south))]
-    )
-    # arms ending at boundary points multiply u = 0 and drop out: an arm
-    # keeps its coefficient where it is full and the next node is unknown
-    for arm, (dj, di) in enumerate(_ARM_SHIFTS, 1):
-        coeffs[arm] *= (mesh.arms[arm - 1] == 1.0) & np.roll(mask, (-dj, -di), axis=(0, 1))
-    (j0, i0), (rows, cols) = mesh.origin, mask.shape
-    x2 = (h * (i0 + np.arange(cols))) ** 2
-    y2 = (h * (j0 + np.arange(rows))[:, None]) ** 2
-    rhs = 4.0 / (1.0 + x2 + y2) ** 2 * mask
+    y, x = (h * (o + np.arange(k)) for o, k in zip(origin, mask.shape))
+    rhs = 4.0 / (1.0 + x * x + (y * y)[:, None]) ** 2 * mask
     # a box over 6 nodes across shrinks, and a 6 x 6 box has at most 16 unknowns
-    levels = [_level(coeffs, mask, mesh.origin)]
-    while np.count_nonzero(levels[-1].mask) > _COARSEST:
-        levels.append(_coarsen(levels[-1], h * 2 ** len(levels)))
+    levels = [_level(arms, mask, h, origin)]
+    while np.count_nonzero(mask) > _COARSEST:
+        arms, mask, origin = _coarsen(arms, mask, origin)
+        levels.append(_level(arms, mask, h * 2 ** len(levels), origin))
     box = _bicgstab(levels, rhs)
     u = np.zeros(mesh.node_count)
-    u[:n] = box[mask]
+    u[:n] = box[mesh.mask]
 
-    residual = np.abs(_apply(coeffs, box) - rhs).max()
+    residual = np.abs(_apply(levels[0].coeffs, box) - rhs).max()
     if not np.all(np.isfinite(u)) or residual > RESIDUAL_TOL:
         raise NoConvergence(f"solve residual {residual}")
     return u

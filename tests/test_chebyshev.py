@@ -92,6 +92,35 @@ def test_degenerate_boundary_rejected():
         )
 
 
+def reference_close_ring(points):
+    """The ring rule one SpherePoint pair at a time: a last vertex within
+    1e-12 (chord) of the first is dropped, and so is every vertex within
+    1e-12 of the last one kept."""
+    if len(points) > 1 and points[0].chord_distance(points[-1]) < 1e-12:
+        points = points[:-1]
+    distinct = []
+    for p in points:
+        if not distinct or distinct[-1].chord_distance(p) > 1e-12:
+            distinct.append(p)
+    return distinct
+
+
+def test_close_ring_keeps_the_vertices_of_the_pairwise_rule():
+    # a chain of near-duplicates 0.6e-12 apart: each is compared with the
+    # last vertex kept, not with the one before, so every second one stays
+    chain = [SpherePoint(0.3 + 0.6e-12 * k, 0.2) for k in range(7)]
+    a, b, c = (SpherePoint.from_degrees(*p) for p in [(10, 20), (15, 30), (5, 35)])
+    closing = SpherePoint(a.latitude, a.longitude + 1e-13)
+    ring = [a, a, b, *chain, c, c, c, closing]
+    expected = reference_close_ring(ring)
+    assert expected == [a, b, *chain[::2], c]
+    for vertices in (ring, [(p.latitude, p.longitude) for p in ring]):
+        units = chebyshev._close_ring(vertices)
+        assert np.array_equal(units, [p.unit_vector() for p in expected])
+    with pytest.raises(DegenerateBoundary, match="^boundary has 2 distinct vertices$"):
+        chebyshev._close_ring([a, *chain[:2], closing])
+
+
 def test_self_intersecting_boundary_rejected():
     bowtie = [
         SpherePoint.from_degrees(0, 0),
@@ -343,11 +372,12 @@ def thin_band_mesh():
     return build_region_mesh([SpherePoint(-y * delta, -x * delta) for x, y in corners], delta)
 
 
-def slit_square_mesh():
+def slit_square_mesh(step=1):
     """A square of 21 x 21 chart nodes with a slit, narrower than a grid
     step, cut in from its east side between rows 0 and 1: the nodes on
     either side have short arms that end on the slit, and the node after
-    each such arm is an unknown across it.
+    each such arm is an unknown across it.  ``step`` multiplies the mesh
+    step, not the square.
 
     As in ``thin_band_mesh``, node (row j, column i) sits at latitude
     -j delta and longitude -i delta; the slit's tip at column -a / 2 and a
@@ -355,27 +385,54 @@ def slit_square_mesh():
     a, s0, s1, delta = 10.35, 0.3, 0.6, 2e-5  # half-side; the slit's rows
     corners = [(-a, -a), (a, -a), (a, s0), (-a / 2, s0), (-a / 2, s1), (a, s1), (a, a),
                (-a, a), (-a, -2 * (s0 + s1))]
-    return build_region_mesh([SpherePoint(-y * delta, -x * delta) for x, y in corners], delta)
+    return build_region_mesh([SpherePoint(-y * delta, -x * delta) for x, y in corners], step * delta)
 
 
-def dense_system(mesh):
-    """The Shortley-Weller system of ``mesh``, assembled densely from its
-    box and arm lengths: the weight of an arm is 2 / (h^2 t (t + t')), t'
-    the opposite arm, and the diagonal is minus the sum of the weights; a
-    full arm links unknown k to the unknown at its neighbouring node, and
-    any other arm ends on the boundary and drops out."""
-    n, h = mesh.interior_count, mesh.delta / 2
-    theta = mesh.arms[:, mesh.mask].T
+def tiny_arm_cap_mesh():
+    """A cap at 1 degree whose rim is 1.5e-6 chart steps past the even
+    node 20 steps from the centre on each chart axis: that node's arm
+    halves below _MIN_ARM on the first coarse level."""
+    h = math.radians(1) / 2  # the chart step
+    return build_cap_mesh(2 * math.atan(h * (20 + 1.5e-6)), 2 * h)
+
+
+def around_a_pole_mesh(step=1):
+    corners = [(70, 0), (75, 90), (70, 180), (75, 270)]
+    return build_region_mesh([SpherePoint.from_degrees(*p) for p in corners], step * math.radians(0.8))
+
+
+def neighbours(mask):
+    """Per arm, the row-order number of the unknown at each unknown's
+    neighbouring node, -1 where that node is no unknown."""
+    index = np.full(mask.shape, -1)
+    index[mask] = np.arange(np.count_nonzero(mask))
+    jj, ii = np.nonzero(mask)
+    return [index[jj + dj, ii + di] for dj, di in ARM_SHIFTS]
+
+
+def shortley_weller_matrix(arms, mask, h):
+    """The Shortley-Weller matrix of the unknowns ``mask`` with ``arms`` at
+    chart spacing h, assembled densely: the weight of an arm is
+    2 / (h^2 t (t + t')), t' the opposite arm, and the diagonal is minus
+    the sum of the weights; a full arm links unknown k to the unknown at
+    its neighbouring node, and any other arm ends on the boundary and
+    drops out."""
+    n = np.count_nonzero(mask)
+    theta = arms[:, mask].T
     weights = 2 / (h**2 * theta * (theta + theta[:, [1, 0, 3, 2]]))
     matrix = np.zeros((n, n))
     matrix[np.arange(n), np.arange(n)] = -weights.sum(axis=1)
-    index = np.full(mesh.mask.shape, -1)
-    index[mesh.mask] = np.arange(n)
-    jj, ii = np.nonzero(mesh.mask)
-    for arm, (dj, di) in enumerate(ARM_SHIFTS):
-        k = index[jj + dj, ii + di]
+    for arm, k in enumerate(neighbours(mask)):
         row = np.flatnonzero((theta[:, arm] == 1.0) & (k >= 0))
         matrix[row, k[row]] = weights[row, arm]
+    return matrix
+
+
+def dense_system(mesh):
+    """The Shortley-Weller system of ``mesh``, with the right-hand side at
+    its unknowns."""
+    n = mesh.interior_count
+    matrix = shortley_weller_matrix(mesh.arms, mesh.mask, mesh.delta / 2)
     lat, lon = mesh.latitudes[:n], mesh.longitudes[:n]
     units = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
     return matrix, (1 + units @ mesh.center) ** 2
@@ -390,16 +447,10 @@ def dense_system(mesh):
             True,
             id="offcap-720-gon",
         ),
-        pytest.param(
-            lambda: build_region_mesh(
-                [SpherePoint.from_degrees(lat, lon) for lat, lon in [(70, 0), (75, 90), (70, 180), (75, 270)]],
-                math.radians(0.8),
-            ),
-            True,
-            id="around-a-pole",
-        ),
+        pytest.param(around_a_pole_mesh, True, id="around-a-pole"),
         pytest.param(thin_band_mesh, True, id="thin-band"),
         pytest.param(slit_square_mesh, True, id="slit"),
+        pytest.param(tiny_arm_cap_mesh, True, id="tiny-coarse-arm"),
         # 12 unknowns: the hierarchy is the fine level alone, and the
         # preconditioner Jacobi sweeps alone
         pytest.param(lambda: build_region_mesh(france_boundary(), math.radians(3)), False, id="one-level"),
@@ -417,11 +468,132 @@ def test_solve_matches_dense_reference(build, coarsens):
     assert np.abs(matrix @ u - rhs).max() <= RESIDUAL_TOL
 
 
-def test_thin_band_empties_the_coarse_level():
+def hierarchy(mesh, monkeypatch):
+    """The multigrid levels that ``solve_log_scale`` builds for ``mesh``."""
+    levels, bicgstab = [], chebyshev._bicgstab
+
+    def capture(built, b):
+        levels.extend(built)
+        return bicgstab(built, b)
+
+    monkeypatch.setattr(chebyshev, "_bicgstab", capture)
+    solve_log_scale(mesh)
+    return levels
+
+
+def level_matrix(level):
+    """The operator of a level, as a dense matrix over its unknowns in row
+    order: no arm may link to a node that is no unknown."""
+    mask, n = level.mask, np.count_nonzero(level.mask)
+    matrix = np.zeros((n, n))
+    matrix[np.arange(n), np.arange(n)] = level.coeffs[0][mask]
+    for arm, k in enumerate(neighbours(mask), 1):
+        weight = level.coeffs[arm][mask]
+        assert not np.any(weight[k < 0])
+        matrix[np.flatnonzero(k >= 0), k[k >= 0]] = weight[k >= 0]
+    return matrix
+
+
+def chart_nodes(mask, origin):
+    """Chart-grid row and column of the unknowns, in row order."""
+    return np.argwhere(mask) + origin
+
+
+def test_coarse_arms_follow_the_fine_ones():
+    # the even node (2, 2) of a hand-made box: a short arm east halves; a
+    # full arm west reaches an unknown whose west arm is 0.3; a full arm
+    # north reaches a node that is no unknown, whatever its own arm; a full
+    # arm south reaches an unknown with a full arm, and stays full
+    mask = np.zeros((8, 8), dtype=bool)
+    mask[1:6, 1:6] = True
+    mask[3, 2] = False
+    arms = np.ones((4, 8, 8))
+    arms[0, 2, 2], arms[1, 2, 1] = 0.4, 0.3
+    for origin, coarse_origin, node in (((0, 0), (0, 0), (1, 1)), ((2, 6), (0, 2), (2, 2))):
+        coarse, coarse_mask, at = chebyshev._coarsen(arms, mask, origin)
+        assert at == coarse_origin and coarse_mask[node]
+        assert coarse[(slice(None),) + node].tolist() == [0.2, 0.65, 0.5, 1.0]
+        assert np.count_nonzero(coarse_mask) == 4  # rows and columns 2 and 4
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(
+            lambda step=1: build_cap_mesh(math.radians(10), step * math.radians(0.5)), id="cap-10"
+        ),
+        pytest.param(around_a_pole_mesh, id="around-a-pole"),
+        pytest.param(slit_square_mesh, id="slit"),
+    ],
+)
+def test_coarse_level_is_the_double_step_problem(build, monkeypatch):
+    # level 1 of the hierarchy is the Shortley-Weller problem of the mesh
+    # at twice the step, with no crossing computed again
+    mesh, double = build(), build(2)
+    level = hierarchy(mesh, monkeypatch)[1]
+    arms, mask, origin = chebyshev._coarsen(mesh.arms, mesh.mask, mesh.origin)
+    assert origin == level.origin and np.array_equal(mask, level.mask)
+    assert np.array_equal(chart_nodes(mask, origin), chart_nodes(double.mask, double.origin))
+    assert np.abs(arms[:, mask] - double.arms[:, double.mask]).max() <= 1e-15
+    reference = shortley_weller_matrix(double.arms, double.mask, double.delta / 2)
+    assert np.abs(level_matrix(level) - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_tiny_coarse_arm_is_clamped(monkeypatch):
+    mesh = tiny_arm_cap_mesh()
+    assert chebyshev._MIN_ARM < mesh.arms[:, mesh.mask].min() < 2 * chebyshev._MIN_ARM
+    arms, mask, _ = chebyshev._coarsen(mesh.arms, mesh.mask, mesh.origin)
+    assert arms[:, mask].min() < chebyshev._MIN_ARM
+    level = hierarchy(mesh, monkeypatch)[1]
+    assert np.all(np.isfinite(level.coeffs[0]))
+    # the operator of the coarse arms, each at least _MIN_ARM, at the
+    # coarse chart step: twice delta / 2
+    reference = shortley_weller_matrix(np.maximum(arms, chebyshev._MIN_ARM), mask, mesh.delta)
+    assert np.abs(level_matrix(level) - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_thin_band_empties_the_coarse_level(monkeypatch):
     mesh = thin_band_mesh()
     rows, cols = np.nonzero(mesh.mask) + np.array(mesh.origin)[:, None]
     assert set(rows % 2) == set(cols % 2) == {0, 1}
     assert not np.any((rows % 2 == 0) & (cols % 2 == 0))
+    assert not hierarchy(mesh, monkeypatch)[1].mask.any()
+
+
+@pytest.mark.parametrize(
+    "build, bound",
+    [
+        # a 5-point Laplacian on the coarse levels takes 20, 21, 28 and 4;
+        # the first mesh is a 720-gon in a 10-degree cap at the benchmark's step
+        pytest.param(
+            lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.08)),
+            13,
+            id="720-gon",
+        ),
+        pytest.param(lambda: build_cap_mesh(math.radians(60), math.radians(0.25)), 14, id="cap-60"),
+        pytest.param(
+            lambda: build_region_mesh(
+                [SpherePoint.from_degrees(*p) for p in [(60, 0), (55, 100), (65, 200), (50, 290)]],
+                math.radians(0.1),
+            ),
+            18,
+            id="pole-quadrilateral",
+        ),
+        pytest.param(thin_band_mesh, 4, id="thin-band"),
+    ],
+)
+def test_vcycles_per_solve(build, bound, monkeypatch):
+    # only the top-level calls, which get the whole hierarchy, are the
+    # solve's V-cycles; the others are its coarse corrections
+    depths, vcycle = [], chebyshev._vcycle
+
+    def counted(levels, b):
+        depths.append(len(levels))
+        return vcycle(levels, b)
+
+    monkeypatch.setattr(chebyshev, "_vcycle", counted)
+    solve_log_scale(build())
+    assert depths.count(max(depths)) <= bound
 
 
 # -- distortion ratios ------------------------------------------------------------
