@@ -1,10 +1,13 @@
 """Pointwise dilatation of sphere-to-plane maps and conformality diagnostics.
 
-The dilatation m = sqrt((dx^2 + dy^2) / (ds^2 + q^2 dt^2)) compares image
-displacements against surface arc length, with (s, t) the meridian-arc and
-longitude parameters and q the parallel radius.  It is evaluated both by
-central finite differences on an arbitrary projection callable and in
-closed form for the projection family, the two serving as mutual checks.
+The dilatation m is the ratio of image displacement to surface arc length.
+It is evaluated both by central finite differences on an arbitrary
+projection callable and in closed form for the projection family, the two
+serving as mutual checks; the conformality defect is the deviation from a
+right angle of the images of two perpendicular directions.  Every finite
+difference probes along great circles at arc length h from the sample:
+on the spheroid, great circles of the conformal sphere (chi, lon), which
+the spheroid maps onto conformally with the scale ``conformal_scale``.
 """
 
 from __future__ import annotations
@@ -17,16 +20,23 @@ import numpy as np
 
 from .errors import CartaError, ConfigError, DomainEdge, EmptyRegion, RegionTooSmall
 from .geometry import PlanePoint, SpherePoint, normalize_longitude_array
-from .lagrange import LagrangeProjectionSpec, dilatation_array, dilatation_error, project_array
-from .surfaces import SPHERE
+from .lagrange import (
+    LagrangeProjectionSpec,
+    dilatation_array,
+    dilatation_error,
+    project_array,
+    projection_error,
+)
+from .surfaces import SPHERE, conformal_latitude, conformal_scale, inverse_conformal_latitude
 
 Projection = Callable[[SpherePoint], PlanePoint]
 
 DEFAULT_STEP = 1e-4
 
-# colatitude below which the parallel direction degenerates and probes are
-# taken along two perpendicular meridians through the pole instead
-_POLAR_PROBE_EPS = 1e-7
+# probe bearings, clockwise from north: the meridian and the parallel
+# (pairs along one great circle each), and the two diagonals
+_AXES = np.radians([0.0, 180.0, 90.0, 270.0])
+_DIAGONALS = np.radians([45.0, 225.0, 315.0, 135.0])
 
 # cap_samples refuses layouts of more samples than this, counted before any
 # array is built.  A distortion run peaks at about 60 bytes of RSS per
@@ -46,33 +56,37 @@ def _check_step(h: float) -> None:
         raise ValueError(f"finite-difference step {h} outside [1e-8, 1e-2]")
 
 
-def _offset(lat, lon, dlat, dlon):
-    """Displace points on the parameter grid (arrays broadcast), walking
-    through a pole along the great circle when the latitude passes it.
+def _probes(lat, lon, h: float, bearings: np.ndarray, surface):
+    """(latitudes, longitudes) of the points at arc length h from each
+    sample (lat, lon) along each bearing, one row per bearing.
 
-    Returns the probe latitudes, longitudes, and where a pole was crossed.
+    The probe is p' = cos h p + sin h (cos t north + sin t east), in unit
+    vectors of the (conformal) sphere; the sample's longitude fixes its
+    north and east, at a pole too.
     """
-    lat = lat + dlat
-    lon = lon + dlon
-    north, south = lat > math.pi / 2, lat < -math.pi / 2
-    crossed = north | south
-    lat = np.where(north, math.pi - lat, np.where(south, -math.pi - lat, lat))
-    return lat, normalize_longitude_array(np.where(crossed, lon + math.pi, lon)), crossed
+    chi = conformal_latitude(surface.eccentricity, lat)
+    cos_chi, sin_chi = np.cos(chi), np.sin(chi)
+    cos_lon, sin_lon = np.cos(lon), np.sin(lon)
+    north = np.cos(bearings)[:, None] * math.sin(h)
+    east = np.sin(bearings)[:, None] * math.sin(h)
+    radial = math.cos(h) * cos_chi - north * sin_chi  # toward the sample's meridian
+    x = radial * cos_lon - east * sin_lon
+    y = radial * sin_lon + east * cos_lon
+    z = math.cos(h) * sin_chi + north * cos_chi
+    probe_chi = np.arctan2(z, np.hypot(x, y))
+    return inverse_conformal_latitude(surface.eccentricity, probe_chi), np.arctan2(y, x)
 
 
-def _offset_point(p: SpherePoint, dlat: float, dlon: float, surface) -> SpherePoint:
-    lat, lon, crossed = _offset(p.latitude, p.longitude, dlat, dlon)
-    if crossed and not getattr(surface, "is_sphere", True):
-        raise DomainEdge("probe crosses a pole on a non-spherical surface")
-    return SpherePoint(float(lat), float(lon))
-
-
-def _image(projection: Projection, p: SpherePoint) -> complex:
-    try:
-        q = projection(p)
-    except CartaError as exc:
-        raise DomainEdge(f"probe left the projection domain: {exc}") from exc
-    return q.as_complex()
+def _images(projection: Projection, p: SpherePoint, h: float, bearings, surface) -> np.ndarray:
+    """Images of the probes of ``_probes`` about one point."""
+    lat, lon = _probes([p.latitude], [p.longitude], h, bearings, surface)
+    images = []
+    for a, b in zip(lat[:, 0].tolist(), lon[:, 0].tolist()):
+        try:
+            images.append(projection(SpherePoint(a, b)).as_complex())
+        except CartaError as exc:
+            raise DomainEdge(f"probe left the projection domain: {exc}") from exc
+    return np.array(images)
 
 
 def directional_dilatations(
@@ -83,31 +97,13 @@ def directional_dilatations(
 ) -> tuple[float, float]:
     """Central-difference dilatation along the meridian and the parallel.
 
-    For a conformal map the two values agree to O(h); their split is the
+    For a conformal map the two values agree to O(h^2); their split is the
     raw material of both the dilatation and the isotropy diagnostics.
     """
     _check_step(h)
-    lat = p.latitude
-    mer = abs(
-        _image(projection, _offset_point(p, h, 0.0, surface))
-        - _image(projection, _offset_point(p, -h, 0.0, surface))
-    ) / (2.0 * h * surface.meridian_factor(lat))
-
-    if math.pi / 2 - abs(lat) < _POLAR_PROBE_EPS:
-        # parallel direction degenerates at the pole: use the perpendicular
-        # great circle through it, which has unit metric like the meridian
-        quarter = math.pi / 2
-        par = abs(
-            _image(projection, _offset_point(p, h, quarter, surface))
-            - _image(projection, _offset_point(p, -h, quarter, surface))
-        ) / (2.0 * h)
-    else:
-        q = surface.parallel_radius(lat)
-        par = abs(
-            _image(projection, _offset_point(p, 0.0, h, surface))
-            - _image(projection, _offset_point(p, 0.0, -h, surface))
-        ) / (2.0 * h * q)
-    return mer, par
+    images = _images(projection, p, h, _AXES, surface)
+    scale = conformal_scale(surface, p.latitude) / (2.0 * h)
+    return float(abs(images[0] - images[1]) * scale), float(abs(images[2] - images[3]) * scale)
 
 
 def dilatation_fd(
@@ -129,28 +125,9 @@ def dilatation_analytic(spec: LagrangeProjectionSpec, p: SpherePoint) -> float:
     return float(m[0])
 
 
-def _diagonal_offsets(lat, h: float, surface):
-    """Parameter offsets (dlat, dlon) of the four diagonal probes, in the
-    order (+,+), (-,-), (+,-), (-,+), with one column per latitude.
-
-    At a pole the parallel direction degenerates, and probes along two
-    perpendicular great circles through it serve as the frame instead.
-    """
-    polar = math.pi / 2 - np.abs(lat) < _POLAR_PROBE_EPS
-    regular = np.where(polar, 0.0, lat)
-    half = h / math.sqrt(2.0)
-    dlat = np.where(polar, h, half / surface.meridian_factor(regular))
-    dlon = np.where(polar, 0.0, half / surface.parallel_radius(regular))
-    quarter = np.where(polar, math.pi / 2, 0.0)
-    return (
-        np.stack([dlat, -dlat, dlat, -dlat]),
-        np.stack([dlon, -dlon, quarter - dlon, quarter + dlon]),
-    )
-
-
 def _angle_defect(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deviation from pi/2 of the angle between the two probe chords, from
-    the probe images in ``_diagonal_offsets`` order; and where a chord is
+    the images of the ``_DIAGONALS`` probes; and where a chord is
     degenerate."""
     d_plus = images[0] - images[1]
     d_minus = images[2] - images[3]
@@ -166,35 +143,29 @@ def conformality_defect(
     surface=SPHERE,
 ) -> float:
     """Deviation from pi/2 of the image angle between the two diagonal
-    probe directions (equal meridian and parallel components).
+    directions, at 45 degrees to the meridian.
 
     Diagonals rather than the grid directions: a map may stretch the two
     graticule directions unequally while keeping them orthogonal (the
     plate carree does), and only the diagonals expose that distortion.
     """
     _check_step(h)
-    dlat, dlon = _diagonal_offsets(p.latitude, h, surface)
-    images = np.array(
-        [_image(projection, _offset_point(p, a, b, surface)) for a, b in zip(dlat, dlon)]
-    )
-    defect, degenerate = _angle_defect(images)
+    defect, degenerate = _angle_defect(_images(projection, p, h, _DIAGONALS, surface))
     if degenerate:
         raise DomainEdge("degenerate probe image")
     return float(defect)
 
 
-def _diagonal_defects(
-    spec: LagrangeProjectionSpec, lat: np.ndarray, lon: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``conformality_defect`` of the projection at every point, with all
-    probes in one ``project_array`` call; and where that function raises."""
-    dlat, dlon = _diagonal_offsets(lat, DEFAULT_STEP, spec.surface)
-    probe_lat, probe_lon, crossed = _offset(lat, lon, dlat, dlon)
-    w, code = project_array(spec, probe_lat, probe_lon)
-    with np.errstate(invalid="ignore", over="ignore"):
-        defects, degenerate = _angle_defect(w)
-    failed = (code != 0) | (crossed & (not spec.surface.is_sphere))
-    return defects, failed.any(axis=0) | degenerate
+def _probe_error(spec: LagrangeProjectionSpec, code, lon, w) -> DomainEdge:
+    """The error of a sample whose diagonal probes have the ``project_array``
+    codes, longitudes and outputs given: its first failing probe's, or a
+    degenerate probe image."""
+    failed = np.flatnonzero(code)
+    if not failed.size:
+        return DomainEdge("degenerate probe image")
+    k = failed[0]
+    error = projection_error(spec, int(code[k]), lon[k], w[k])
+    return DomainEdge(f"probe left the projection domain: {error}")
 
 
 @dataclass(frozen=True)
@@ -226,14 +197,17 @@ def distortion_report(
     for start in range(0, lat.size, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
         m[block], code = dilatation_array(spec, lat[block], lon[block])
-        defects[block], failing = _diagonal_defects(spec, lat[block], lon[block])
-        for k in np.flatnonzero((code != 0) | failing).tolist():
-            i = start + k
-            p = SpherePoint(float(lat[i]), float(lon[i]))
+        probe_lat, probe_lon = _probes(
+            lat[block], lon[block], DEFAULT_STEP, _DIAGONALS, spec.surface
+        )
+        w, probe_code = project_array(spec, probe_lat, probe_lon)
+        with np.errstate(invalid="ignore", over="ignore"):
+            defects[block], degenerate = _angle_defect(w)
+        for k in np.flatnonzero((code != 0) | (probe_code != 0).any(axis=0) | degenerate).tolist():
             if code[k]:
-                raise dilatation_error(spec, int(code[k]), p.latitude, p.longitude, float(m[i]))
-            # the per-point function raises the error of this sample or gives its defect
-            defects[i] = conformality_defect(spec.projection(), p, surface=spec.surface)
+                i = start + k
+                raise dilatation_error(spec, int(code[k]), lat[i], lon[i], float(m[i]))
+            raise _probe_error(spec, probe_code[:, k], probe_lon[:, k], w[:, k])
     m_min, m_max = float(m.min()), float(m.max())
     if not m_min > 0.0:
         raise ValueError("dilatation must be positive")

@@ -23,7 +23,6 @@ from .errors import (
     OriginSingularity,
     OutsideImage,
     PointAtInfinity,
-    PoleDegenerate,
     PoleSingularity,
     ProjectionPole,
 )
@@ -42,10 +41,10 @@ from .geometry import (
     stereographic_project,
 )
 from .surfaces import (
-    POLE_LATITUDE_MARGIN,
     SPHERE,
     SurfaceOfRevolution,
     conformal_latitude,
+    conformal_scale,
     inverse_conformal_latitude,
 )
 
@@ -173,7 +172,6 @@ def projection_error(
 
 # failures of dilatation_array, in the order its checks run
 _DILATATION_FAILURES = (
-    (PoleDegenerate, "latitude {lat} too close to a pole"),
     (ProjectionPole, "dilatation diverges at the projection center"),
     (OriginSingularity, "power-map scale is singular at the South pole"),
     (PoleSingularity, "point {w} at the pole of the post-transform"),
@@ -186,21 +184,16 @@ def dilatation_array(
     spec: LagrangeProjectionSpec, lat: np.ndarray, lon: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form dilatation at arrays of latitudes and longitudes
-    (radians): the product of the spheroid-to-sphere factor cos(chi)/q, the
-    stereographic factor 1/(2 sin^2(colat/2)), the power-map factor
-    c rho^(c-1) and the post-transform's stretch.  Returns ``(m, code)``,
+    (radians): the product of the spheroid-to-sphere factor cos(chi)/q
+    (``conformal_scale``), the stereographic factor 1/(2 sin^2(colat/2)),
+    the power-map factor c rho^(c-1) and the post-transform's stretch.  Returns ``(m, code)``,
     code 0 where m is finite and positive (see ``dilatation_error``).
     """
-    geodetic = np.asarray(lat, dtype=float)
-    chi, _, rho, _, _, distance, at_pole = _chart(spec, geodetic, lon)
+    chi, _, rho, _, _, distance, at_pole = _chart(spec, lat, lon)
     c, post = spec.exponent, spec.post_transform
     colat = math.pi / 2 - chi
-    degenerate, surface_factor = np.zeros(colat.shape, dtype=bool), 1.0
+    surface_factor = conformal_scale(spec.surface, lat)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if not spec.surface.is_sphere:
-            degenerate = np.abs(geodetic) > math.pi / 2 - POLE_LATITUDE_MARGIN
-            q = spec.surface.parallel_radius(np.where(degenerate, 0.0, geodetic))
-            surface_factor = np.cos(chi) / q
         stereo_factor = 1.0 / (2.0 * np.sin(colat / 2.0) ** 2)
         power_factor = c if c == 1.0 else c * rho ** (c - 1.0)
         # the post-transform's local stretch |T'(w)|, with det = 1 for a Mobius map
@@ -209,13 +202,12 @@ def dilatation_array(
         m = surface_factor * stereo_factor * power_factor * stretch
     code = np.select(
         [
-            degenerate,
             colat < POLE_COLATITUDE_EPS,
             (rho == 0.0) & (c != 1.0),
             at_pole,
             ~((0.0 < m) & (m < math.inf)),
         ],
-        [1, 2, 3, 4 if isinstance(post, Inversion) else 5, 6],
+        [1, 2, 3 if isinstance(post, Inversion) else 4, 5],
         0,
     )
     return m, code

@@ -1,8 +1,9 @@
 """Surfaces of revolution (sphere, spheroid) and their conformal coordinates.
 
 The spheroid is an ellipse of revolution with semi-major axis 1 and
-eccentricity e; latitudes are geodetic.  All evaluators are singular at the
-poles and clip their domain to |lat| <= pi/2 - 1e-8.  The latitude
+eccentricity e; latitudes are geodetic.  The conformal latitude and scale
+take their limits at the poles; the other evaluators are singular there and
+clip their domain to |lat| <= pi/2 - 1e-8.  The latitude
 functions take a float or a numpy array of latitudes and evaluate with
 numpy either way.
 """
@@ -37,14 +38,6 @@ class SurfaceOfRevolution:
     @property
     def is_sphere(self) -> bool:
         return self.eccentricity == 0.0
-
-    def meridian_factor(self, latitude):
-        """ds/dlat: metres of meridian arc per radian of latitude."""
-        e2 = self.eccentricity**2
-        if e2 == 0.0:
-            return 1.0
-        w2 = 1.0 - e2 * np.sin(latitude) ** 2
-        return (1.0 - e2) / w2**1.5
 
     def parallel_radius(self, latitude):
         """Distance from the surface point to the rotation axis."""
@@ -103,6 +96,21 @@ def conformal_latitude(eccentricity: float, latitude):
     chi = gudermannian(isometric_coordinate(surface, np.where(pole, 0.0, latitude)))
     chi = np.where(pole, np.copysign(math.pi / 2, latitude), chi)
     return np.where(latitude == 0.0, latitude, chi)[()]
+
+
+def conformal_scale(surface: SurfaceOfRevolution, latitude):
+    """cos(chi) / q: the scale at the latitude of the conformal map onto the
+    unit sphere that takes it to its conformal latitude chi; 1 on the
+    sphere.  Both vanish at a pole, so within ``POLE_LATITUDE_MARGIN`` of
+    one it is their limit sqrt(1 - e^2) ((1 + e) / (1 - e))^(e/2)."""
+    if surface.is_sphere:
+        return 1.0
+    e = surface.eccentricity
+    latitude = np.asarray(latitude, dtype=float)
+    pole = np.abs(latitude) >= math.pi / 2 - POLE_LATITUDE_MARGIN
+    regular = np.where(pole, 0.0, latitude)
+    scale = np.cos(conformal_latitude(e, regular)) / surface.parallel_radius(regular)
+    return np.where(pole, math.sqrt(1.0 - e * e) * ((1.0 + e) / (1.0 - e)) ** (e / 2), scale)[()]
 
 
 def inverse_conformal_latitude(eccentricity: float, chi):

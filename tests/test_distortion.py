@@ -1,12 +1,17 @@
 """Dilatation: finite differences vs closed form, conformality defects."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carta import (
+    Inversion,
     LagrangeProjectionSpec,
+    MobiusTransform,
     PlanePoint,
     SpherePoint,
     conformality_defect,
@@ -15,7 +20,9 @@ from carta import (
     directional_dilatations,
     distortion_report,
 )
+from carta.distortion import cap_samples
 from carta.errors import DomainEdge, EmptyRegion
+from carta.surfaces import SPHERE, SurfaceOfRevolution
 
 from conftest import point_columns, random_point_for_spec, random_spec
 
@@ -27,16 +34,8 @@ def stereo_m(colatitude):
     return 1.0 / (2.0 * math.sin(colatitude / 2.0) ** 2)
 
 
-class FlatSurface:
-    """Plane-to-plane harness: unit metric in both grid directions."""
-
-    is_sphere = True
-
-    def meridian_factor(self, lat):
-        return 1.0
-
-    def parallel_radius(self, lat):
-        return 1.0
+def plate_carree(p):
+    return PlanePoint(p.longitude, p.latitude)
 
 
 # -- finite differences ------------------------------------------------------------
@@ -63,12 +62,13 @@ def test_fd_stereographic_equator():
     assert stereo_m(math.pi / 2) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_fd_identity_harness_map():
-    flat = FlatSurface()
-    identity = lambda p: PlanePoint(p.latitude, p.longitude)
+def test_fd_plate_carree():
+    # the meridian keeps its length and the parallel stretches by 1 / cos(lat)
     for lat, lon in [(0.0, 0.0), (0.7, -1.2), (-1.1, 2.0)]:
-        m = dilatation_fd(identity, SpherePoint(lat, lon), 1e-4, surface=flat)
-        assert m == pytest.approx(1.0, abs=1e-9)
+        mer, par = directional_dilatations(plate_carree, SpherePoint(lat, lon), 1e-4)
+        assert (mer, par) == pytest.approx((1.0, 1.0 / math.cos(lat)), rel=1e-7)
+        m = dilatation_fd(plate_carree, SpherePoint(lat, lon), 1e-4)
+        assert m == pytest.approx(math.cos(lat) ** -0.5, rel=1e-7)
 
 
 def test_fd_step_validation():
@@ -84,16 +84,14 @@ def test_fd_domain_edge_at_center():
         dilatation_fd(spec.projection(), SpherePoint(math.pi / 2 - h, 0.0), h)
 
 
-def test_fd_domain_edge_spheroid_pole_crossing():
-    # through-pole probes are only defined on the sphere
-    from carta.surfaces import SurfaceOfRevolution
-
+def test_fd_spheroid_pole_crossing():
+    # probes cross the pole on great circles of the conformal sphere, and the
+    # scale at the pole is the limit of cos(chi) / q
     surface = SurfaceOfRevolution(0.1)
     spec = LagrangeProjectionSpec(exponent=1.0, surface=surface)
-    with pytest.raises(DomainEdge):
-        dilatation_fd(
-            spec.projection(), SpherePoint(-math.pi / 2 + 1e-5, 0.0), 1e-4, surface
-        )
+    for p in (SpherePoint(-math.pi / 2 + 1e-5, 0.3), SpherePoint(-math.pi / 2, 0.0)):
+        m = dilatation_fd(spec.projection(), p, 1e-4, surface)
+        assert m == pytest.approx(dilatation_analytic(spec, p), rel=1e-8)
 
 
 # -- analytic dilatation --------------------------------------------------------------
@@ -145,10 +143,6 @@ def test_directional_isotropy_for_conformal_maps(rng):
 # -- conformality defect --------------------------------------------------------------
 
 
-def plate_carree(p):
-    return PlanePoint(p.longitude, p.latitude)
-
-
 def test_defect_plate_carree_at_60():
     # the diagonal directions map to (±2, 1)/sqrt(5): angle 2 atan 2
     defect = conformality_defect(plate_carree, SpherePoint(math.radians(60), 0.4))
@@ -166,6 +160,50 @@ def test_defect_small_for_lagrange_specs(rng):
         spec = random_spec(rng)
         p = random_point_for_spec(rng, spec)
         assert conformality_defect(spec.projection(), p, 1e-4, spec.surface) < 1e-6
+
+
+# caps about the South pole under exponent 1, where the pole has an image,
+# with post-transforms whose pole stays at least 0.5 outside the cap's
+# image, the disc of radius tan(r / 2)
+@st.composite
+def cap_specs(draw):
+    radius = math.radians(draw(st.floats(5.0, 60.0)))
+    eccentricity = draw(st.sampled_from([0.0, 0.0818191908426, 0.3]))
+    surface = SPHERE if eccentricity == 0.0 else SurfaceOfRevolution(eccentricity)
+    pole = cmath.rect(
+        draw(st.floats(math.tan(radius / 2) + 0.5, 4.0)), draw(st.floats(-math.pi, math.pi))
+    )
+    kind = draw(st.sampled_from(["none", "inversion", "mobius"]))
+    post = None
+    if kind == "inversion":
+        power = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        post = Inversion(PlanePoint.from_complex(pole), power)
+    elif kind == "mobius":
+        a = cmath.rect(draw(st.floats(0.5, 2.0)), draw(st.floats(-math.pi, math.pi)))
+        post = MobiusTransform(a, 0.0, 1.0, -pole)
+    central = math.radians(draw(st.floats(-180.0, 180.0)))
+    return LagrangeProjectionSpec(1.0, central, post, surface), radius
+
+
+@settings(max_examples=60, deadline=None)
+@given(cap=cap_specs(), rings=st.integers(3, 12))
+def test_defect_small_on_caps_about_the_pole(cap, rings):
+    spec, radius = cap
+    report = distortion_report(spec, *cap_samples(radius, radius / rings))
+    assert report.conformality_defect.max() < 1e-7
+
+
+def test_defect_does_not_grow_with_the_sampling():
+    # the worst defect of one map is the same at every sample step
+    spec = LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, -2.8), 2.0))
+    worst = [
+        distortion_report(spec, *cap_samples(math.radians(30), math.radians(delta)))
+        .conformality_defect.max()
+        for delta in (0.4, 0.2, 0.1, 0.05)
+    ]
+    assert max(worst) < 1e-8 and max(worst) < 2 * min(worst)
+    stereographic = distortion_report(STEREO, *cap_samples(math.radians(1), math.radians(0.005)))
+    assert stereographic.conformality_defect.max() < 1e-9
 
 
 # -- distortion report ----------------------------------------------------------------

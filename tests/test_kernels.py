@@ -49,7 +49,6 @@ from carta.errors import (
     NonFiniteValue,
     OriginSingularity,
     PointAtInfinity,
-    PoleDegenerate,
     PoleSingularity,
     ProjectionPole,
     RegionTooSmall,
@@ -65,7 +64,7 @@ from carta.geojson_io import (
 from carta.geometry import POLE_COLATITUDE_EPS, invert_point, normalize_longitude
 from carta.lagrange import dilatation_array, project_array
 from carta.svg_render import svg_text
-from carta.surfaces import SurfaceOfRevolution, conformal_latitude
+from carta.surfaces import SPHERE, SurfaceOfRevolution, conformal_latitude
 
 from conftest import point_columns, random_point_for_spec, random_spec
 
@@ -212,7 +211,7 @@ def test_batched_defect_matches_scalar(rng):
 
 
 def test_batched_defect_at_the_pole():
-    # the polar node is probed along two perpendicular great circles
+    # the pole and a sample next to it are probed along great circles like any other
     spec = LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(3, 0), 2.0))
     points = [SpherePoint(-math.pi / 2, 0.0), SpherePoint(-math.pi / 2 + 5e-8, 1.0)]
     report = distortion_report(spec, *point_columns(points))
@@ -233,42 +232,72 @@ def _report_error(spec, points):
 
 SPHEROID = LagrangeProjectionSpec(1.0, surface=SurfaceOfRevolution(0.1))
 NEAR_SOUTH = SpherePoint(-math.pi / 2 + 1e-5, 0.0)  # diagonal probes cross the pole
-SOUTH = SpherePoint(-math.pi / 2, 0.0)  # dilatation and probes both fail
+SOUTH = SpherePoint(-math.pi / 2, 0.0)
 FINE = SpherePoint(0.3, 0.2)
 NORTH = SpherePoint(math.pi / 2, 0.0)
-PROBE_AT_CENTER = SpherePoint(math.pi / 2 - 1e-4 / math.sqrt(2.0), 0.0)  # a probe hits the pole
+# a sample of exponent 2 just inside the branch window: a diagonal probe leaves it
+BRANCH = LagrangeProjectionSpec(2.0, surface=SurfaceOfRevolution(0.1))
+BRANCH_EDGE = SpherePoint(0.3, math.pi / 2 - 1e-5)
+PROBE_AT_CENTER = SpherePoint(0.4, 0.5)
+
+
+def _inversion_at_probe(p, surface):
+    """Exponent 1 and an inversion centred on the image of p's first
+    diagonal probe."""
+    lat, lon = distortion._probes(
+        [p.latitude], [p.longitude], distortion.DEFAULT_STEP, distortion._DIAGONALS, surface
+    )
+    w, _ = project_array(LagrangeProjectionSpec(1.0, surface=surface), lat[0], lon[0])
+    inversion = Inversion(PlanePoint.from_complex(complex(w[0])), 1.0)
+    return LagrangeProjectionSpec(1.0, post_transform=inversion, surface=surface)
+
+
+CENTER = _inversion_at_probe(PROBE_AT_CENTER, SPHERE)
+SPHEROID_CENTER = _inversion_at_probe(PROBE_AT_CENTER, SPHEROID.surface)
+AT_CENTER = (DomainEdge, "probe left the projection domain: point at the inversion pole")
 
 
 def test_batched_defect_spheroid_pole_crossing():
-    error = _report_error(SPHEROID, [FINE, NEAR_SOUTH])
-    assert error == (DomainEdge, "probe crosses a pole on a non-spherical surface")
-    assert error == _raised(
-        conformality_defect, SPHEROID.projection(), NEAR_SOUTH, surface=SPHEROID.surface
-    )
+    # probes cross the pole on great circles of the conformal sphere, and the
+    # pole has the limit of cos(chi) / q for its scale
+    points = [FINE, NEAR_SOUTH, SOUTH]
+    report = distortion_report(SPHEROID, *point_columns(points))
+    for p, defect in zip(points, report.conformality_defect):
+        scalar = conformality_defect(SPHEROID.projection(), p, surface=SPHEROID.surface)
+        assert defect == pytest.approx(scalar, abs=1e-12) and defect < 1e-7
+    e = SPHEROID.surface.eccentricity
+    limit = math.sqrt(1 - e * e) * ((1 + e) / (1 - e)) ** (e / 2)
+    assert report.m[2] == pytest.approx(limit / 2, rel=1e-15)
 
 
 def test_batched_defect_error_order():
     # within a sample the dilatation fails first; across samples, the first sample
-    assert _report_error(SPHEROID, [FINE, SOUTH])[0] is PoleDegenerate
-    assert _report_error(SPHEROID, [SOUTH, NEAR_SOUTH])[0] is PoleDegenerate
-    assert _report_error(SPHEROID, [NEAR_SOUTH, SOUTH])[0] is DomainEdge
-    center = LagrangeProjectionSpec(1.0)
-    probe_at_center = SpherePoint(math.pi / 2 - 1e-4 / math.sqrt(2.0), 0.0)
-    error = _report_error(center, [FINE, probe_at_center])
-    assert error == _raised(conformality_defect, center.projection(), probe_at_center)
-    assert error[0] is DomainEdge and "projection center" in error[1]
+    assert _raised(conformality_defect, BRANCH.projection(), NORTH)[0] is DomainEdge
+    assert _report_error(BRANCH, [FINE, NORTH])[0] is ProjectionPole
+    assert _report_error(BRANCH, [NORTH, BRANCH_EDGE])[0] is ProjectionPole
+    error = _report_error(BRANCH, [BRANCH_EDGE, NORTH])
+    assert error == _raised(
+        conformality_defect, BRANCH.projection(), BRANCH_EDGE, surface=BRANCH.surface
+    )
+    assert error[0] is DomainEdge and "leaves the single-branch window for c=2.0" in error[1]
+    error = _report_error(CENTER, [FINE, PROBE_AT_CENTER])
+    assert error == _raised(conformality_defect, CENTER.projection(), PROBE_AT_CENTER)
+    assert error == AT_CENTER
+    # every probe image rounds to the inversion's centre: the chords vanish
+    collapse = LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(3, 3), 1e-300))
+    error = _report_error(collapse, [FINE])
+    assert error == _raised(conformality_defect, collapse.projection(), FINE)
+    assert error == (DomainEdge, "degenerate probe image")
 
 
 @pytest.mark.parametrize(
     "spec, failing, expected",
     [
-        (SPHEROID, {300: NEAR_SOUTH, 700: SOUTH},
-         (DomainEdge, "probe crosses a pole on a non-spherical surface")),
-        (SPHEROID, {300: SOUTH, 700: NEAR_SOUTH},
-         (PoleDegenerate, "latitude -1.5707963267948966 too close to a pole")),
-        (LagrangeProjectionSpec(1.0), {500: PROBE_AT_CENTER, 800: NORTH},
-         (DomainEdge, "probe left the projection domain: the projection center has no image")),
-        (LagrangeProjectionSpec(1.0), {500: NORTH, 800: PROBE_AT_CENTER},
+        (SPHEROID_CENTER, {300: PROBE_AT_CENTER, 700: NORTH}, AT_CENTER),
+        (SPHEROID_CENTER, {300: NORTH, 700: PROBE_AT_CENTER},
+         (ProjectionPole, "dilatation diverges at the projection center")),
+        (CENTER, {500: PROBE_AT_CENTER, 800: NORTH}, AT_CENTER),
+        (CENTER, {500: NORTH, 800: PROBE_AT_CENTER},
          (ProjectionPole, "dilatation diverges at the projection center")),
         (LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, 0), 1.0)),
          {600: SpherePoint(0.0, 0.0), 800: SOUTH},
@@ -331,8 +360,8 @@ def test_distortion_path_is_block_invariant(monkeypatch, block):
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize(
     "spec, first, second",
-    [(SPHEROID, NEAR_SOUTH, SOUTH), (SPHEROID, SOUTH, NEAR_SOUTH),
-     (LagrangeProjectionSpec(1.0), PROBE_AT_CENTER, NORTH)],
+    [(SPHEROID_CENTER, PROBE_AT_CENTER, NORTH), (SPHEROID_CENTER, NORTH, PROBE_AT_CENTER),
+     (CENTER, PROBE_AT_CENTER, NORTH)],
     ids=["defect-first", "dilatation-first", "center-probe-first"],
 )
 def test_report_error_past_a_block_boundary(monkeypatch, block, spec, first, second):
@@ -1157,9 +1186,9 @@ def test_dilatation_array_matches_reference(rng, suite):
          ProjectionPole, "dilatation diverges at the projection center"),
         (LagrangeProjectionSpec(0.5), SpherePoint(-math.pi / 2, 0.0),
          OriginSingularity, "power-map scale is singular at the South pole"),
-        (LagrangeProjectionSpec(1.0, surface=SurfaceOfRevolution(0.1)),
+        (LagrangeProjectionSpec(0.5, surface=SurfaceOfRevolution(0.1)),
          SpherePoint(-math.pi / 2, 0.0),
-         PoleDegenerate, "latitude -1.5707963267948966 too close to a pole"),
+         OriginSingularity, "power-map scale is singular at the South pole"),
         (LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, 0), 1.0)),
          SpherePoint(0.0, 0.0),
          PoleSingularity, "point (0.9999999999999999+0j) at the pole of the post-transform"),
@@ -1186,7 +1215,7 @@ def test_projection_ratio_drops_singular_nodes(eccentricity):
     radius, delta = math.radians(30), math.radians(1.0)
     mesh = build_cap_mesh(radius, delta)
     spec = LagrangeProjectionSpec(0.5, surface=SurfaceOfRevolution(eccentricity))
-    with pytest.raises((OriginSingularity, PoleDegenerate)):
+    with pytest.raises(OriginSingularity):
         dilatation_analytic(spec, SpherePoint(-math.pi / 2, 0.0))
     # m(lat) falls away from the pole: the largest regular value is on the
     # four nodes one chart spacing delta / 2 from it, at the geodesic

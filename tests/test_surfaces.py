@@ -16,7 +16,7 @@ from carta import (
     isometric_coordinate,
 )
 from carta.errors import PoleDegenerate
-from carta.surfaces import SPHERE, inverse_conformal_latitude
+from carta.surfaces import SPHERE, conformal_scale, inverse_conformal_latitude
 
 WGS84_E = 0.0818191908
 
@@ -81,8 +81,10 @@ def test_spheroid_gaussian_curvature_is_product_of_principal_curvatures():
 
 
 def _isometric_quadrature(surface, lat):
+    # meridian arc per radian of latitude, (1 - e^2) / (1 - e^2 sin^2)^(3/2), over q
+    e2 = surface.eccentricity**2
     value, err = quad(
-        lambda x: surface.meridian_factor(x) / surface.parallel_radius(x),
+        lambda x: (1 - e2) / (1 - e2 * math.sin(x) ** 2) ** 1.5 / surface.parallel_radius(x),
         0.0,
         lat,
         epsabs=1e-12,
@@ -166,6 +168,22 @@ def test_inverse_conformal_latitude_round_trip():
         for lat in np.linspace(-1.45, 1.45, 40):
             chi = conformal_latitude(e, lat)
             assert inverse_conformal_latitude(e, chi) == pytest.approx(lat, abs=1e-12)
+
+
+@pytest.mark.parametrize("e", [WGS84_E, 0.5, 0.99])
+def test_conformal_scale_takes_its_limit_at_the_poles(e):
+    surface = SurfaceOfRevolution(e)
+    limit = math.sqrt(1 - e * e) * ((1 + e) / (1 - e)) ** (e / 2)
+    for pole in (math.pi / 2, -math.pi / 2):
+        assert conformal_scale(surface, pole) == pytest.approx(limit, rel=1e-15)
+        # cos(chi) / q tends to the limit as the square of the distance to the
+        # pole, down to the rounding of cos(chi), about 2e-16 / distance
+        gap = [
+            abs(conformal_scale(surface, pole - math.copysign(d, pole)) / limit - 1)
+            for d in (1e-3, 1e-4, 1e-5)
+        ]
+        assert gap[1] <= gap[0] * 1.01e-2 + 3e-12 and gap[2] <= gap[0] * 1.01e-4 + 3e-11
+    assert conformal_scale(SPHERE, math.pi / 2) == 1.0
 
 
 @pytest.mark.parametrize("e", [WGS84_E, 0.5, 0.9, 0.99, 0.999])
