@@ -10,13 +10,7 @@ from .chebyshev import (
     distortion_ratio,
     solve_log_scale,
 )
-from .darboux import (
-    Triangle,
-    apollonius_circle,
-    image_triangle_sides,
-    intersect_generalized,
-    inversions_for_sides,
-)
+from .darboux import Triangle, image_triangle_sides, inversions_for_sides
 from .distortion import (
     DistortionReport,
     conformality_defect,

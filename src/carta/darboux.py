@@ -2,7 +2,11 @@
 
 An inversion with pole P and power k maps a segment XY to one of length
 |k| |XY| / (|PX| |PY|), so prescribing the three image side lengths pins P
-to the intersection of two Apollonius circles and |k| to a closed form.
+to the loci |PA| = r |PB| and |PB| = r' |PC| and |k| to a closed form.
+Each locus is a quadric alpha |P|^2 - 2 Re(conj(beta) P) + gamma = 0, a
+circle or, at ratio 1, a line; the poles are the roots of one of them
+along the radical axis of the two, from a quadratic solved without
+cancellation, so they stay accurate as either ratio nears 1.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .errors import (
     NonFiniteValue,
     PoleOnVertex,
 )
-from .geometry import GeneralizedCircle, Inversion, PlanePoint
+from .geometry import Inversion, PlanePoint
 
 
 @dataclass(frozen=True)
@@ -67,79 +71,51 @@ def image_triangle_sides(inv: Inversion, t: Triangle) -> tuple[float, float, flo
     return k * a / (pb * pc), k * b / (pc * pa), k * c / (pa * pb)
 
 
-def apollonius_circle(a: PlanePoint, b: PlanePoint, ratio: float) -> GeneralizedCircle:
-    """Locus of points P with |PA| / |PB| = ratio.
+def _poles(source: Triangle, ratio_ab: float, ratio_bc: float) -> list[PlanePoint]:
+    """The points P with |PA| = ratio_ab |PB| and |PB| = ratio_bc |PC|, the
+    one farther from the foot of B on the radical axis first.
 
-    The perpendicular bisector of AB when the ratio is 1, otherwise a
-    circle with center (A - ratio^2 B) / (1 - ratio^2).
+    Each locus |P - X| = r |P - Y| is the quadric
+    alpha |P|^2 - 2 Re(conj(beta) P) + gamma = 0 with alpha = (1 - r)(1 + r),
+    beta = X - r^2 Y and gamma = |X|^2 - r^2 |Y|^2 (a line when r = 1),
+    taken about B in units of the longest side and divided by 1 + r^2, so
+    no coefficient exceeds 1.  For Q, the quadric of larger |alpha|, and
+    Q1, the other, the radical axis is Q1 - (alpha1 / alpha) Q, or Q1 when
+    both are lines.  Along the axis Q is a s^2 + 2 b s + c, whose roots
+    q / a and c / q, with q = -(b + sign(b) sqrt(b^2 - a c)), do not
+    cancel; a line's root at infinity is dropped.  A discriminant within
+    1e-12 of the size of its terms is a tangency: one pole.
     """
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
-    d = a.distance(b)
-    if d < 1e-14:
+    a_side, _, c_side = sides = source.sides()
+    if min(a_side, c_side) < 1e-14:
         raise CoincidentPoints("Apollonius locus needs two distinct points")
-    if abs(ratio - 1.0) < 1e-12:
-        nx, ny = (b.x - a.x) / d, (b.y - a.y) / d
-        mid_offset = nx * (a.x + b.x) / 2 + ny * (a.y + b.y) / 2
-        return GeneralizedCircle.line((nx, ny), mid_offset)
-    r2 = ratio * ratio
-    center = PlanePoint((a.x - r2 * b.x) / (1 - r2), (a.y - r2 * b.y) / (1 - r2))
-    return GeneralizedCircle.circle(center, ratio * d / abs(1 - r2))
-
-
-def intersect_generalized(
-    g1: GeneralizedCircle, g2: GeneralizedCircle
-) -> list[PlanePoint]:
-    """Intersection points of two generalized circles (0, 1, or 2).
-
-    Circle pairs go through the radical line with a 1e-12 discriminant
-    tolerance; tangency yields a single point.
-    """
-    if g1.kind == "circle" and g2.kind == "line":
-        g1, g2 = g2, g1
-    if g1.kind == "line" and g2.kind == "line":
-        (n1x, n1y), (n2x, n2y) = g1.normal, g2.normal
-        det = n1x * n2y - n1y * n2x
-        if abs(det) < 1e-12:
-            return []
-        x = (g1.offset * n2y - g2.offset * n1y) / det
-        y = (n1x * g2.offset - n2x * g1.offset) / det
-        return [PlanePoint(x, y)]
-    if g1.kind == "line":
-        nx, ny = g1.normal
-        cx, cy, r = g2.center.x, g2.center.y, g2.radius
-        dist = nx * cx + ny * cy - g1.offset
-        foot = PlanePoint(cx - dist * nx, cy - dist * ny)
-        disc = r * r - dist * dist
-        if disc < -1e-12 * r * r:
-            return []
-        if disc <= 1e-12 * r * r:
-            return [foot]
-        t = math.sqrt(disc)
-        return [
-            PlanePoint(foot.x - t * ny, foot.y + t * nx),
-            PlanePoint(foot.x + t * ny, foot.y - t * nx),
-        ]
-    c1, r1 = g1.center, g1.radius
-    c2, r2 = g2.center, g2.radius
-    dist = c1.distance(c2)
-    if dist < 1e-14:
-        return []
-    # radical line: foot of the common chord on the center axis
-    x = (dist * dist + r1 * r1 - r2 * r2) / (2.0 * dist)
-    disc = r1 * r1 - x * x
-    scale = max(r1 * r1, r2 * r2)
-    ex, ey = (c2.x - c1.x) / dist, (c2.y - c1.y) / dist
-    foot = PlanePoint(c1.x + x * ex, c1.y + x * ey)
-    if disc < -1e-12 * scale:
-        return []
-    if disc <= 1e-12 * scale:
-        return [foot]
-    t = math.sqrt(disc)
-    return [
-        PlanePoint(foot.x - t * ey, foot.y + t * ex),
-        PlanePoint(foot.x + t * ey, foot.y - t * ex),
-    ]
+    va, vb, vc = (v.as_complex() for v in source.vertices())
+    unit = max(sides)
+    loci = []
+    for x, y, r in (((va - vb) / unit, 0j, ratio_ab), (0j, (vc - vb) / unit, ratio_bc)):
+        r2, w = r * r, 1.0 + r * r
+        gamma = abs(x) ** 2 - r2 * abs(y) ** 2
+        loci.append(((1.0 - r) * (1.0 + r) / w, (x - r2 * y) / w, gamma / w))
+    (alpha1, beta1, gamma1), (alpha, beta, gamma) = sorted(loci, key=lambda q: abs(q[0]))
+    t = alpha1 / alpha if alpha else 0.0
+    normal = beta1 - t * beta  # the axis: 2 Re(conj(normal) P) = gamma1 - t gamma
+    size = abs(normal)
+    if not 0.0 < size < math.inf:
+        raise NonFiniteValue("radical axis of the pole loci outside the floating-point range")
+    turn = normal / size
+    foot = (gamma1 - t * gamma) / (2.0 * size)  # P = turn (foot + i s)
+    along = turn.conjugate() * beta
+    a, b, c = alpha, -along.imag, (alpha * foot - 2.0 * along.real) * foot + gamma
+    disc = b * b - a * c
+    if not math.isfinite(disc):
+        raise NonFiniteValue("pole loci outside the floating-point range")
+    tol = 1e-12 * max(b * b, abs(a * c))
+    if disc < -tol:
+        return []  # the loci do not meet
+    root = math.sqrt(disc) if disc > tol else 0.0
+    q = -(b + math.copysign(root, b))
+    roots = ([q / a] if a else []) + ([c / q] if root else [])
+    return [PlanePoint.from_complex(vb + unit * turn * complex(foot, s)) for s in roots]
 
 
 def inversions_for_sides(
@@ -148,7 +124,8 @@ def inversions_for_sides(
     """Inversions mapping ``source`` to given (possibly infeasible) side
     lengths, labels matched.  Empty when the two pole loci do not meet.
     Inverted images are mirror copies, so the inversions onto a copy of a
-    triangle T are those for ``T.sides()``.
+    triangle T are those for ``T.sides()``.  The pole farther from the foot
+    of B on the radical axis of the two pole loci comes first.
 
     Any genuine triangle of target sides is attainable (the generalized
     Ptolemy inequalities are exactly the triangle inequalities of the
@@ -164,13 +141,11 @@ def inversions_for_sides(
         ratio_ab, ratio_bc = (a0 * b) / (a * b0), (b0 * c) / (b * c0)  # |PA|/|PB|, |PB|/|PC|
     except ZeroDivisionError:  # a product of sides underflowed
         ratio_ab = ratio_bc = math.inf
-    # apollonius_circle squares the ratios: keep the squares normal floats
+    # _poles squares the ratios: keep the squares normal floats
     if not (1e-150 < ratio_ab < 1e150 and 1e-150 < ratio_bc < 1e150):
         raise NonFiniteValue("side-length ratio too extreme to square in floating point")
-    locus_ab = apollonius_circle(va, vb, ratio_ab)
-    locus_bc = apollonius_circle(vb, vc, ratio_bc)
     solutions = []
-    for pole in intersect_generalized(locus_ab, locus_bc):
+    for pole in _poles(source, ratio_ab, ratio_bc):
         pb = pole.distance(vb)
         pc = pole.distance(vc)
         if min(pole.distance(va), pb, pc) < 1e-12:

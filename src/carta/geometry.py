@@ -149,23 +149,6 @@ class GeneralizedCircle:
             raise ValueError("zero line normal")
         return cls(kind="line", normal=(nx / norm, ny / norm), offset=offset / norm)
 
-    def distance_to(self, p: PlanePoint) -> float:
-        """Orthogonal distance from ``p`` to the curve."""
-        if self.kind == "circle":
-            return abs(p.distance(self.center) - self.radius)
-        nx, ny = self.normal
-        return abs(nx * p.x + ny * p.y - self.offset)
-
-    def point_at(self, t: float) -> PlanePoint:
-        """Parametric point: angle ``t`` on a circle, arc length on a line."""
-        if self.kind == "circle":
-            return PlanePoint(
-                self.center.x + self.radius * math.cos(t),
-                self.center.y + self.radius * math.sin(t),
-            )
-        nx, ny = self.normal
-        return PlanePoint(self.offset * nx - t * ny, self.offset * ny + t * nx)
-
 
 @dataclass(frozen=True)
 class MobiusTransform:
@@ -376,7 +359,7 @@ def circle_fit(x, y) -> tuple[GeneralizedCircle, float]:
         )
     x, y = xy[:, 0], xy[:, 1]
     if fitted.kind == "circle":
-        # math.hypot, as distance_to uses: np.hypot rounds differently
+        # math.hypot keeps the pinned rms bytes: np.hypot rounds differently
         dx, dy = (x - fitted.center.x).tolist(), (y - fitted.center.y).tolist()
         residuals = np.abs(np.fromiter(map(math.hypot, dx, dy), float, len(dx)) - fitted.radius)
     else:

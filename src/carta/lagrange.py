@@ -295,8 +295,10 @@ class GraticuleCurveFit:
 
 
 def _singular_preimages(spec: LagrangeProjectionSpec) -> list[np.ndarray]:
-    """Unit vectors of sphere points whose image is singular."""
-    points = [np.array([0.0, 0.0, 1.0])]  # projection center
+    """Unit vectors of the sphere points other than the projection center
+    (the North pole) whose image is singular: the preimage of the
+    post-transform's pole."""
+    points = []
     post = spec.post_transform
     singular_plane = None
     if isinstance(post, Inversion):
@@ -318,11 +320,12 @@ def _singular_preimages(spec: LagrangeProjectionSpec) -> list[np.ndarray]:
 
 def _clear_samples(avoid: list[np.ndarray], lat: np.ndarray, lon: np.ndarray) -> tuple:
     """The samples of rows of latitudes and longitudes that lie at least
-    ``SAMPLE_CLEARANCE`` from every unit vector of ``avoid``, flattened,
-    and the end of each row among them."""
+    ``SAMPLE_CLEARANCE`` from the projection center, in angle, and from
+    every unit vector of ``avoid``, in chord, flattened, and the end of
+    each row among them."""
     cos_lat = np.cos(lat)
     v = (cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat))
-    clear = np.ones(lat.shape, dtype=bool)
+    clear = lat <= math.pi / 2 - SAMPLE_CLEARANCE
     for s in avoid:  # the Euclidean norm, summed in np.linalg.norm's order
         clear &= np.sqrt(sum((a - b) ** 2 for a, b in zip(v, s))) >= SAMPLE_CLEARANCE
     return lat[clear], lon[clear], np.cumsum(clear.sum(axis=1)).tolist()

@@ -11,7 +11,7 @@ numpy either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,9 +160,9 @@ class GaussSphereMapping:
     central_latitude: float
 
     # derived constants, filled in __post_init__
-    alpha: float = 0.0
-    sphere_radius: float = 0.0
-    log_k: float = 0.0
+    alpha: float = field(init=False)
+    sphere_radius: float = field(init=False)
+    log_k: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.eccentricity < 1.0):
@@ -177,8 +177,8 @@ class GaussSphereMapping:
         log_k = math.asinh(math.tan(psi0)) - alpha * isometric_coordinate(surface, phi0)
         radius = surface.parallel_radius(phi0) / (alpha * math.cos(psi0))
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "sphere_radius", radius)
-        object.__setattr__(self, "log_k", log_k)
+        object.__setattr__(self, "sphere_radius", float(radius))
+        object.__setattr__(self, "log_k", float(log_k))
 
     def sphere_latitude(self, latitude: float) -> float:
         """Latitude on the auxiliary sphere for a spheroid latitude."""

@@ -244,7 +244,7 @@ def test_criterion_6_triangle_inversion_solver():
     verdict(
         6,
         "triangle inversion round trip",
-        false_negatives == 0 and worst < 1e-9,
+        false_negatives == 0 and worst < 1e-12,
         f"{solved}/1000 solved, {false_negatives} false no-solution verdicts, "
         f"worst side error {worst:.2e}",
     )

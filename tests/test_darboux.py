@@ -1,26 +1,19 @@
-"""Triangle inversion solver: distance identity, Apollonius loci, the
-forward-synthesis completeness oracle."""
+"""Triangle inversion solver: distance identity, tangent and near-ratio-1
+pole loci, the forward-synthesis completeness oracle."""
 
 import math
 
-import numpy as np
 import pytest
 
 from carta import (
     Inversion,
     PlanePoint,
     Triangle,
-    apollonius_circle,
     image_triangle_sides,
-    intersect_generalized,
     invert_point,
     inversions_for_sides,
 )
-from carta.errors import (
-    CoincidentPoints,
-    DegenerateTriangle,
-    PoleOnVertex,
-)
+from carta.errors import DegenerateTriangle, PoleOnVertex
 
 
 def random_triangle(rng, span=3.0, min_area=0.1):
@@ -100,60 +93,6 @@ def test_pole_on_vertex():
         image_triangle_sides(Inversion(PlanePoint(0, 0), 1.0), t)
 
 
-# -- Apollonius loci ---------------------------------------------------------------------
-
-
-def test_apollonius_unit_ratio_is_bisector():
-    locus = apollonius_circle(PlanePoint(0, 0), PlanePoint(2, 2), 1.0)
-    assert locus.kind == "line"
-    assert locus.distance_to(PlanePoint(1, 1)) < 1e-12
-    # points on the locus are equidistant
-    p = locus.point_at(1.7)
-    assert p.distance(PlanePoint(0, 0)) == pytest.approx(p.distance(PlanePoint(2, 2)), rel=1e-12)
-
-
-def test_apollonius_worked_example():
-    # |PA| = 2 |PB| with A=(0,0), B=(3,0): expanding |PA|^2 = 4 |PB|^2 and
-    # completing the square gives center (4, 0), radius 2
-    locus = apollonius_circle(PlanePoint(0, 0), PlanePoint(3, 0), 2.0)
-    assert locus.kind == "circle"
-    assert locus.center.distance(PlanePoint(4, 0)) < 1e-12
-    assert locus.radius == pytest.approx(2.0, abs=1e-12)
-    for t in np.linspace(0, 2 * math.pi, 16, endpoint=False):
-        p = locus.point_at(t)
-        assert p.distance(PlanePoint(0, 0)) / p.distance(PlanePoint(3, 0)) == pytest.approx(
-            2.0, abs=1e-12
-        )
-
-
-def test_apollonius_sampled_ratio_randomized(rng):
-    for _ in range(100):
-        a = PlanePoint(*rng.uniform(-2, 2, 2))
-        b = PlanePoint(*rng.uniform(-2, 2, 2))
-        if a.distance(b) < 0.1:
-            continue
-        lam = float(rng.uniform(0.2, 5.0))
-        locus = apollonius_circle(a, b, lam)
-        for t in np.linspace(0, 2 * math.pi, 8, endpoint=False):
-            p = locus.point_at(t if locus.kind == "circle" else t - 3.0)
-            assert p.distance(a) / p.distance(b) == pytest.approx(lam, abs=1e-10)
-
-
-def test_apollonius_coincident_points():
-    with pytest.raises(CoincidentPoints):
-        apollonius_circle(PlanePoint(1, 1), PlanePoint(1, 1), 2.0)
-
-
-def test_intersect_tangent_circles():
-    from carta import GeneralizedCircle
-
-    c1 = GeneralizedCircle.circle(PlanePoint(0, 0), 1.0)
-    c2 = GeneralizedCircle.circle(PlanePoint(2, 0), 1.0)
-    points = intersect_generalized(c1, c2)
-    assert len(points) == 1
-    assert points[0].distance(PlanePoint(1, 0)) < 1e-9
-
-
 # -- the solver ---------------------------------------------------------------------------
 
 
@@ -213,3 +152,36 @@ def test_valid_targets_always_solvable(rng):
             assert max(
                 abs(x - y) / y for x, y in zip(achieved, target.sides())
             ) < 1e-9
+
+
+def side_error(inv, source, target):
+    achieved = image_triangle_sides(inv, source)
+    return max(abs(x - y) / y for x, y in zip(achieved, target))
+
+
+def test_tangent_loci_give_one_pole():
+    # target sides (2, 1, 1) are degenerate: the two loci touch in one pole,
+    # and part or cross as the target moves off the triangle inequality
+    source = Triangle(PlanePoint(0, 0), PlanePoint(2, 0.3), PlanePoint(0.7, 1.8))
+    (tangent,) = inversions_for_sides(source, (2.0, 1.0, 1.0))
+    assert side_error(tangent, source, (2.0, 1.0, 1.0)) < 1e-12
+    assert inversions_for_sides(source, (2.0000001, 1.0, 1.0)) == []
+    crossing = inversions_for_sides(source, (1.9999999, 1.0, 1.0))
+    assert len(crossing) == 2
+    assert all(sol.pole.distance(tangent.pole) < 1e-3 for sol in crossing)
+
+
+def test_near_own_shape_targets_keep_both_poles(rng):
+    # targets within 1e-4 of the source's own sides make both ratios nearly
+    # 1: one pole lies near the triangle, the other up to ~1e14 away
+    for _ in range(5000):
+        source = random_triangle(rng)
+        eps = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-14, -4, 3)
+        target = [s * (1.0 + e) for s, e in zip(source.sides(), eps)]
+        a, b, c = target
+        solutions = inversions_for_sides(source, target)
+        if a < b + c and b < c + a and c < a + b:
+            assert len(solutions) == 2
+            assert max(side_error(sol, source, target) for sol in solutions) <= 1e-13
+        else:
+            assert solutions == []

@@ -345,7 +345,8 @@ def _graticule_per_curve(spec, lat_step, lon_step, samples):
         cos_lat = np.cos(lat)
         v = np.stack([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)], axis=1)
         clear = np.all(
-            [np.linalg.norm(v - s, axis=1) >= lagrange.SAMPLE_CLEARANCE for s in avoid], axis=0
+            [np.linalg.norm(v - s, axis=1) >= lagrange.SAMPLE_CLEARANCE for s in avoid]
+            + [lat <= math.pi / 2 - lagrange.SAMPLE_CLEARANCE], axis=0
         )
         w, code = project_array(spec, lat[clear], lon[clear])
         w = w[code == 0]
@@ -391,8 +392,8 @@ def test_graticule_reference_cases_clip_and_skip():
     # the cases above reach the clipping and skipping they are named for
     spec, lat_step, lon_step, samples = GRATICULE_CASES["inversion-pole-on-curves"]
     fits = graticule_image(spec, math.radians(lat_step), math.radians(lon_step), samples)
-    # every meridian loses its sample next to the projection center
-    clipped = {f.curve_id for f in fits if f.samples_used < samples - (f.curve_id[0] == "m")}
+    # the meridians keep their top sample, SAMPLE_CLEARANCE from the projection center
+    clipped = {f.curve_id for f in fits if f.samples_used < samples}
     assert clipped == {"parallel lat=+0.0", "meridian lon=+0.0"}
     spec, lat_step, lon_step, samples = GRATICULE_CASES["exponent-above-1"]
     fits = graticule_image(spec, math.radians(lat_step), math.radians(lon_step), samples)

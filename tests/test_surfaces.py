@@ -217,6 +217,14 @@ def test_gauss_scale_identity_at_zero_eccentricity():
         assert mapping.sphere_latitude(lat) == lat
 
 
+def test_gauss_constants_are_derived_not_given():
+    mapping = GaussSphereMapping(0.08, 0.8)
+    constants = (mapping.alpha, mapping.sphere_radius, mapping.log_k)
+    assert [type(v) for v in constants] == [float] * 3
+    with pytest.raises(TypeError):
+        GaussSphereMapping(0.08, 0.8, alpha=5.0)
+
+
 def test_gauss_scale_normalized_at_center():
     mapping = GaussSphereMapping(0.0818, math.radians(46.75))
     assert gauss_scale(mapping, math.radians(46.75)) == pytest.approx(1.0, abs=1e-14)
