@@ -15,12 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    CoincidentPoints,
-    DegenerateTriangle,
-    NonFiniteValue,
-    PoleOnVertex,
-)
+from .errors import DegenerateTriangle, NonFiniteValue, PoleOnVertex
 from .geometry import Inversion, PlanePoint
 
 
@@ -34,9 +29,11 @@ class Triangle:
     vertex_c: PlanePoint
 
     def __post_init__(self):
-        if self.area() < 1e-12:
-            raise DegenerateTriangle("triangle area below 1e-12")
         a, b, c = self.sides()
+        area, longest = self.area(), max(a, b, c)
+        # relative to the longest side, so that refusal does not depend on the units
+        if area == 0.0 or area < 1e-12 * longest * longest:
+            raise DegenerateTriangle("triangle area below 1e-12 of its longest side squared")
         if a >= b + c or b >= c + a or c >= a + b:
             raise DegenerateTriangle("side lengths violate the triangle inequality")
 
@@ -58,14 +55,19 @@ class Triangle:
         )
 
 
+def _pole_distances(pole: PlanePoint, t: Triangle) -> tuple[float, float, float]:
+    """|PA|, |PB| and |PC|; PoleOnVertex when one of them is within 1e-12
+    of the longest side."""
+    distances = tuple(pole.distance(v) for v in t.vertices())
+    if min(distances) <= 1e-12 * max(t.sides()):
+        raise PoleOnVertex("inversion pole sits on a vertex")
+    return distances
+
+
 def image_triangle_sides(inv: Inversion, t: Triangle) -> tuple[float, float, float]:
     """Side lengths of the inverted triangle from the distance identity
     |f(X) f(Y)| = |k| |XY| / (|PX| |PY|), without mapping the vertices."""
-    pa = inv.pole.distance(t.vertex_a)
-    pb = inv.pole.distance(t.vertex_b)
-    pc = inv.pole.distance(t.vertex_c)
-    if min(pa, pb, pc) < 1e-12:
-        raise PoleOnVertex("inversion pole sits on a vertex")
+    pa, pb, pc = _pole_distances(inv.pole, t)
     a, b, c = t.sides()
     k = abs(inv.power)
     return k * a / (pb * pc), k * b / (pc * pa), k * c / (pa * pb)
@@ -86,11 +88,8 @@ def _poles(source: Triangle, ratio_ab: float, ratio_bc: float) -> list[PlanePoin
     cancel; a line's root at infinity is dropped.  A discriminant within
     1e-12 of the size of its terms is a tangency: one pole.
     """
-    a_side, _, c_side = sides = source.sides()
-    if min(a_side, c_side) < 1e-14:
-        raise CoincidentPoints("Apollonius locus needs two distinct points")
     va, vb, vc = (v.as_complex() for v in source.vertices())
-    unit = max(sides)
+    unit = max(source.sides())
     loci = []
     for x, y, r in (((va - vb) / unit, 0j, ratio_ab), (0j, (vc - vb) / unit, ratio_bc)):
         r2, w = r * r, 1.0 + r * r
@@ -136,7 +135,11 @@ def inversions_for_sides(
     if min(a0, b0, c0) <= 0:
         raise ValueError("target side lengths must be positive")
     a, b, c = source.sides()
-    va, vb, vc = source.vertices()
+    # the power multiplies two distances to a pole, each at least 1e-12 of the
+    # longest side: below this their product could underflow (an overflow is
+    # caught as an infinite power below)
+    if max(a, b, c) < 1e-140:
+        raise NonFiniteValue("triangle sides below 1e-140: products of two distances underflow")
     try:
         ratio_ab, ratio_bc = (a0 * b) / (a * b0), (b0 * c) / (b * c0)  # |PA|/|PB|, |PB|/|PC|
     except ZeroDivisionError:  # a product of sides underflowed
@@ -146,10 +149,10 @@ def inversions_for_sides(
         raise NonFiniteValue("side-length ratio too extreme to square in floating point")
     solutions = []
     for pole in _poles(source, ratio_ab, ratio_bc):
-        pb = pole.distance(vb)
-        pc = pole.distance(vc)
-        if min(pole.distance(va), pb, pc) < 1e-12:
-            continue  # pole on a vertex: no finite image triangle
+        try:
+            _, pb, pc = _pole_distances(pole, source)
+        except PoleOnVertex:
+            continue  # no finite image triangle
         power = a0 * pb * pc / a
         if not 0.0 < power < math.inf:
             raise NonFiniteValue(f"inversion power {power} outside the floating-point range")

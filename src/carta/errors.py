@@ -129,9 +129,5 @@ class PoleOnVertex(DegenerateInput):
     """Inversion pole coincides with a triangle vertex."""
 
 
-class CoincidentPoints(DegenerateInput):
-    """Distinct points were required but coincide."""
-
-
 class DegenerateTriangle(DegenerateInput):
     """Collinear or zero-area triangle."""

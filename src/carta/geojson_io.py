@@ -49,10 +49,10 @@ def dumps(obj, arrays=(), texts=()) -> str:
     """
     pieces: list[str] = []
     try:
-        _write(obj, pieces, {id(array) for array, _ in arrays})
+        _write(obj, pieces, {id(array): text for (array, _), text in zip(arrays, texts)})
     except RecursionError:  # parsed JSON can nest deeper than the writer recurses
         raise GeoJsonError("input nested too deeply") from None
-    return "".join(pieces) % tuple(texts)
+    return "".join(pieces)
 
 
 def position_texts(arrays, x, y) -> list[str]:
@@ -278,25 +278,26 @@ def _text(words: np.ndarray) -> str:
     return str(data[data != 0].data, "ascii")
 
 
-def _write(obj, pieces: list[str], arrays: set[int]) -> None:
+def _write(obj, pieces: list[str], arrays: dict[int, str]) -> None:
     # most frequent types first; bool is tested before int, of which it is a subclass;
-    # a "%" in text is doubled for dumps' final "%"
+    # an array of positions is its text, looked up by id
     if isinstance(obj, float):
         pieces.append(format_float(obj))
     elif isinstance(obj, str):
-        pieces.append(encode_basestring_ascii(obj).replace("%", "%%"))
+        pieces.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         pieces.append("{")
         for i, (key, value) in enumerate(obj.items()):
             if i:
                 pieces.append(", ")
-            pieces.append(encode_basestring_ascii(str(key)).replace("%", "%%"))
+            pieces.append(encode_basestring_ascii(str(key)))
             pieces.append(": ")
             _write(value, pieces, arrays)
         pieces.append("}")
     elif isinstance(obj, (list, tuple)):
-        if id(obj) in arrays:
-            pieces.append("[%s]")
+        text = arrays.get(id(obj))
+        if text is not None:
+            pieces += ("[", text, "]")
             return
         pieces.append("[")
         for i, value in enumerate(obj):

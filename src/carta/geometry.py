@@ -282,86 +282,115 @@ def spherical_polygon_area(vertices: Sequence[SpherePoint]) -> float:
 # B^2 + C^2 - 4 A D = 1.  Handles the line limit (A -> 0) gracefully and is
 # exact on exact data, so a graticule curve that is a circle fits with a
 # residual at rounding level (criterion 1).
+#
+# Many curves are fitted at once, each from its own points alone: its sums by
+# np.add.reduceat, its eigenproblem as one matrix of a stacked np.linalg.eig,
+# and every product written out (matmul's rounding can depend on the batch),
+# so a curve's fit has the same bits alone or in any batch.
 
-_PRATT_CONSTRAINT = np.array(
-    [
-        [0.0, 0.0, 0.0, -2.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [-2.0, 0.0, 0.0, 0.0],
-    ]
+_FIT_FAILURES = (
+    (NonFiniteValue, "point spread beyond the floating-point range"),
+    (InsufficientPoints, "all points coincide"),
+    (InsufficientPoints, "degenerate configuration: no real fit"),
 )
 
 
-def circle_fit(x, y) -> tuple[GeneralizedCircle, float]:
-    """Fit a generalized circle to the points (x[i], y[i]); returns (curve,
-    rms orthogonal distance).
+def circle_fit(x, y, ends=None):
+    """Fit a generalized circle to each curve of the points (x[i], y[i]).
 
-    Degenerates to a line when the fitted curvature magnitude is below
-    1e-10; raises NonFiniteValue for a non-finite coordinate and
-    InsufficientPoints for < 3 points or coincident data.
+    ``ends`` holds the end of each curve in ``x`` and ``y``, in order, and
+    the result is a list of (curve, rms orthogonal distance), one per curve;
+    without ``ends`` all the points are one curve and the result is its
+    pair.  A fit degenerates to a line when its curvature magnitude is
+    below ``LINE_CURVATURE_EPS``.  The first curve that cannot be fitted
+    raises: NonFiniteValue for a non-finite coordinate, InsufficientPoints
+    for < 3 points, coincident points or no real fit.
     """
-    xy = np.column_stack((x, y)).astype(float, copy=False)
-    finite = np.isfinite(xy).all(axis=1)
-    if not finite.all():
-        bad = xy[np.argmin(finite)]
-        raise NonFiniteValue(f"non-finite plane point ({bad[0]}, {bad[1]})")
-    if len(xy) < 3:
-        raise InsufficientPoints(f"need at least 3 points, got {len(xy)}")
-    centroid = xy.mean(axis=0)
-    shifted = xy - centroid
-    scale = math.sqrt(float(np.mean(np.sum(shifted**2, axis=1))))
-    if not math.isfinite(scale):
-        raise NonFiniteValue("point spread beyond the floating-point range")
-    if scale < 1e-14:
-        raise InsufficientPoints("all points coincide")
-    u = shifted / scale
+    single, ends = ends is None, np.array([len(x)] if ends is None else ends, dtype=np.intp)
+    counts = np.diff(ends, prepend=0)
+    x, y = (np.asarray(v, dtype=float)[:counts.sum()] for v in (x, y))
+    # the curves before the first with a non-finite point or fewer than 3
+    # points are fitted: the first of them that fails raises, or else that curve
+    fitted, failure = len(ends), None
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))[:1]
+    if bad.size:
+        fitted = int(np.searchsorted(ends, bad[0], side="right"))
+        failure = NonFiniteValue(f"non-finite plane point ({x[bad[0]]}, {y[bad[0]]})")
+    short = np.flatnonzero(counts[:fitted] < 3)[:1]
+    if short.size:
+        fitted = int(short[0])
+        failure = InsufficientPoints(f"need at least 3 points, got {counts[fitted]}")
+    if fitted == 0:
+        if failure:
+            raise failure
+        return []
+    counts = counts[:fitted]
+    starts = ends[:fitted] - counts
+    x, y = x[:ends[fitted - 1]], y[:ends[fitted - 1]]
 
-    zz = np.sum(u**2, axis=1)
-    design = np.column_stack([zz, u[:, 0], u[:, 1], np.ones(len(u))])
-    scatter = design.T @ design
-    eigvals, eigvecs = np.linalg.eig(np.linalg.solve(_PRATT_CONSTRAINT, scatter))
+    def sums(v):
+        return np.add.reduceat(v, starts)
 
-    best = None
-    for i in range(4):
-        lam = eigvals[i]
-        if abs(lam.imag) > 1e-8 * (1.0 + abs(lam)):
-            continue
-        vec = np.real(eigvecs[:, i])
-        q = float(vec @ _PRATT_CONSTRAINT @ vec)
-        if q <= 1e-14:
-            continue
-        lam = lam.real
-        if lam < -1e-9:
-            continue
-        if best is None or lam < best[0]:
-            best = (lam, vec / math.sqrt(q))
-    if best is None:
-        raise InsufficientPoints("degenerate configuration: no real fit")
-    A, B, C, D = best[1]
-
-    A, B, C, D = (float(v) for v in (A, B, C, D))
-    cx0, cy0 = float(centroid[0]), float(centroid[1])
-
-    curvature = 2.0 * abs(A) / scale
-    if curvature < LINE_CURVATURE_EPS:
-        # B^2 + C^2 = 1 under the constraint once A ~ 0
-        mag = math.hypot(B, C)
-        normal = (B / mag, C / mag)
-        offset = scale * (-D / mag) + normal[0] * cx0 + normal[1] * cy0
-        fitted = GeneralizedCircle.line(normal, offset)
-    else:
-        cx, cy = -B / (2.0 * A), -C / (2.0 * A)
-        radius_u = math.sqrt(max(cx * cx + cy * cy - D / A, 0.0))
-        fitted = GeneralizedCircle.circle(
-            PlanePoint(cx0 + scale * cx, cy0 + scale * cy),
-            scale * radius_u,
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cx0, cy0 = sums(x) / counts, sums(y) / counts
+        sx, sy = x - np.repeat(cx0, counts), y - np.repeat(cy0, counts)
+        scale = np.sqrt(sums(sx * sx + sy * sy) / counts)
+        code = np.select([~np.isfinite(scale), scale < 1e-14], [1, 2], 0)
+        u, v = sx / np.repeat(scale, counts), sy / np.repeat(scale, counts)
+        zz = u * u + v * v
+        szzzz, szzu, szzv, szz, suu, suv, su, svv, sv = map(
+            sums, (zz * zz, zz * u, zz * v, zz, u * u, u * v, u, v * v, v)
         )
-    x, y = xy[:, 0], xy[:, 1]
-    if fitted.kind == "circle":
-        # math.hypot keeps the pinned rms bytes: np.hypot rounds differently
-        dx, dy = (x - fitted.center.x).tolist(), (y - fitted.center.y).tolist()
-        residuals = np.abs(np.fromiter(map(math.hypot, dx, dy), float, len(dx)) - fitted.radius)
-    else:
-        residuals = np.abs(fitted.normal[0] * x + fitted.normal[1] * y - fitted.offset)
-    return fitted, float(math.sqrt(np.mean(residuals**2)))
+    # the scatter matrix with the constraint's inverse applied, row by row
+    matrices = np.stack([
+        -0.5 * szz, -0.5 * su, -0.5 * sv, -0.5 * counts,
+        szzu, suu, suv, su,
+        szzv, suv, svv, sv,
+        -0.5 * szzzz, -0.5 * szzu, -0.5 * szzv, -0.5 * szz,
+    ], axis=-1).reshape(-1, 4, 4)
+    good = np.flatnonzero(code == 0)
+    lam, vectors = np.linalg.eig(matrices[good])
+    # component j of eigenvector i at [j][:, i]
+    a, b, c, d = np.real(vectors).transpose(1, 0, 2)
+    q = ((a * (-2.0 * d) + b * b) + c * c) + d * (-2.0 * a)  # B^2 + C^2 - 4 A D
+    admissible = np.abs(np.imag(lam)) <= 1e-8 * (1.0 + np.abs(lam))
+    lam = np.real(lam)
+    admissible &= (q > 1e-14) & (lam >= -1e-9)
+    code[good[~admissible.any(axis=1)]] = 3
+    failed = np.flatnonzero(code)[:1]
+    if failed.size:
+        kind, message = _FIT_FAILURES[code[failed[0]] - 1]
+        raise kind(message)
+    if failure:
+        raise failure
+    # the admissible eigenvector of least eigenvalue, normalized to q = 1
+    pick = np.arange(fitted), np.argmin(np.where(admissible, lam, np.inf), axis=1)
+    norm = np.sqrt(q[pick])
+    curves, params = [], []
+    for A, B, C, D, s, x0, y0 in zip(
+        *((t[pick] / norm).tolist() for t in (a, b, c, d)),
+        scale.tolist(), cx0.tolist(), cy0.tolist(),
+    ):
+        if 2.0 * abs(A) / s < LINE_CURVATURE_EPS:
+            # B^2 + C^2 = 1 under the constraint once A ~ 0
+            mag = math.hypot(B, C)
+            normal = (B / mag, C / mag)
+            curve = GeneralizedCircle.line(normal, s * (-D / mag) + normal[0] * x0 + normal[1] * y0)
+            params.append((*curve.normal, curve.offset))
+        else:
+            cx, cy = -B / (2.0 * A), -C / (2.0 * A)
+            radius_u = math.sqrt(max(cx * cx + cy * cy - D / A, 0.0))
+            curve = GeneralizedCircle.circle(PlanePoint(x0 + s * cx, y0 + s * cy), s * radius_u)
+            params.append((curve.center.x, curve.center.y, curve.radius))
+        curves.append(curve)
+    # a circle's (center x, center y, radius) or a line's (normal, offset) at
+    # each point; np.hypot, as every operation here, rounds each point alone
+    p0, p1, p2 = np.repeat(np.array(params), counts, axis=0).T
+    line = np.repeat([curve.kind == "line" for curve in curves], counts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.where(
+            line, np.abs(p0 * x + p1 * y - p2), np.abs(np.hypot(x - p0, y - p1) - p2)
+        )
+        rms = np.sqrt(sums(residuals * residuals) / counts)
+    fits = list(zip(curves, rms.tolist()))
+    return fits[0] if single else fits

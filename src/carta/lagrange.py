@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -328,7 +329,7 @@ def _clear_samples(avoid: list[np.ndarray], lat: np.ndarray, lon: np.ndarray) ->
     clear = lat <= math.pi / 2 - SAMPLE_CLEARANCE
     for s in avoid:  # the Euclidean norm, summed in np.linalg.norm's order
         clear &= np.sqrt(sum((a - b) ** 2 for a, b in zip(v, s))) >= SAMPLE_CLEARANCE
-    return lat[clear], lon[clear], np.cumsum(clear.sum(axis=1)).tolist()
+    return lat[clear], lon[clear], np.cumsum(clear.sum(axis=1))
 
 
 def _in_branch_window(spec: LagrangeProjectionSpec, lon: float) -> bool:
@@ -423,12 +424,25 @@ def graticule_image(
             np.where(parallel[block, None], lon_row, fixed[block, None]),
         )
         w, code = project_array(spec, lat, lon)
-        for curve_id, start, end in zip(ids[block], [0, *ends], ends):
-            image = w[start:end][code[start:end] == 0]
-            if len(image) < 8:
-                continue  # fully clipped curve
-            x, y = image.real, image.imag
-            diameter = math.hypot(np.ptp(x), np.ptp(y))
-            curve, residual = circle_fit(x, y)
-            results.append(GraticuleCurveFit(curve_id, curve, residual, diameter, len(image)))
+        # each curve's projected samples; one of fewer than 8 is fully clipped
+        projected = np.concatenate(([0], np.cumsum(code == 0)))
+        used = np.diff(projected[ends], prepend=0)
+        fitted = used >= 8
+        keep = (code == 0) & np.repeat(fitted, np.diff(ends, prepend=0))
+        x, y = w.real[keep], w.imag[keep]
+        used = used[fitted]
+        curve_ends = np.cumsum(used)
+        starts = curve_ends - used
+        diameters = map(
+            math.hypot,
+            (np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)).tolist(),
+            (np.maximum.reduceat(y, starts) - np.minimum.reduceat(y, starts)).tolist(),
+        )
+        fits = circle_fit(x, y, curve_ends)
+        results += [
+            GraticuleCurveFit(curve_id, curve, residual, diameter, n)
+            for curve_id, (curve, residual), diameter, n in zip(
+                compress(ids[block], fitted), fits, diameters, used.tolist()
+            )
+        ]
     return results

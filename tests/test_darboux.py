@@ -13,7 +13,7 @@ from carta import (
     invert_point,
     inversions_for_sides,
 )
-from carta.errors import DegenerateTriangle, PoleOnVertex
+from carta.errors import DegenerateTriangle, NonFiniteValue, PoleOnVertex
 
 
 def random_triangle(rng, span=3.0, min_area=0.1):
@@ -40,6 +40,34 @@ def random_pole_away_from(rng, triangle, min_dist=0.3, span=4.0):
 def test_degenerate_triangle_rejected():
     with pytest.raises(DegenerateTriangle):
         Triangle(PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(2, 0))
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+def test_degeneracy_is_relative_to_the_triangle(scale):
+    def triangle(*coords):
+        return Triangle(*(PlanePoint(scale * x, scale * y) for x, y in zip(coords[::2], coords[1::2])))
+
+    # a needle with |BC| = d: area d / 2 of the longest side squared
+    with pytest.raises(DegenerateTriangle, match="below 1e-12 of its longest side squared"):
+        triangle(0, 0, 1, 0, 1, 1.8e-12)
+    assert triangle(0, 0, 1, 0, 1, 2e-11).area() == pytest.approx(1e-11 * scale**2)
+    # a pole within 1e-12 of the longest side of a vertex is on it; one farther is not
+    t = triangle(0, 0, 2, 0.3, 0.7, 1.8)
+    with pytest.raises(PoleOnVertex):
+        image_triangle_sides(Inversion(PlanePoint(scale * 1e-13, 0), 1.0), t)
+    near = image_triangle_sides(Inversion(PlanePoint(scale * 1e-11, 0), scale**2), t)
+    unit = Triangle(PlanePoint(0, 0), PlanePoint(2, 0.3), PlanePoint(0.7, 1.8))
+    expected = image_triangle_sides(Inversion(PlanePoint(1e-11, 0), 1.0), unit)
+    assert near == pytest.approx(tuple(scale * side for side in expected), rel=1e-12)
+
+
+def test_solver_refuses_sides_whose_distance_products_underflow():
+    def scaled(s):
+        return Triangle(PlanePoint(0, 0), PlanePoint(2 * s, 0.3 * s), PlanePoint(0.7 * s, 1.8 * s))
+
+    assert len(inversions_for_sides(scaled(1e-139), (1, 1, 1))) == 2
+    with pytest.raises(NonFiniteValue, match="below 1e-140"):
+        inversions_for_sides(scaled(1e-141), (1, 1, 1))
 
 
 def test_sides_labeling():

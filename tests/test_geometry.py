@@ -333,3 +333,70 @@ def test_circle_fit_non_finite(bad):
     y[5] = bad
     with pytest.raises(NonFiniteValue, match=rf"non-finite plane point \({x[5]}, {bad}\)"):
         circle_fit(x, y)
+
+
+def _arc(cx, cy, r, n, start=0.3, stop=2.5):
+    t = np.linspace(start, stop, n)
+    return cx + r * np.cos(t), cy + r * np.sin(t)
+
+
+def test_circle_fit_batch_matches_each_curve_alone(rng):
+    i = np.arange(9.0)
+    curves = [
+        _arc(2.0, -1.0, 3.0, 40),
+        (0.5 * i, 2.0 + 0.25 * i),  # a line
+        _arc(1e3, 5e2, 1e-3, 17, 0.0, 6.0),
+        tuple(v + rng.normal(0.0, 1e-6, 64) for v in _arc(-4.0, 0.5, 0.7, 64)),
+        # an arc so flat that its curvature is below LINE_CURVATURE_EPS
+        _arc(0.0, -1e12, 1e12, 12, math.pi / 2 - 1e-12, math.pi / 2 + 1e-12),
+    ]
+    alone = [circle_fit(x, y) for x, y in curves]
+    assert [curve.kind for curve, _ in alone] == ["circle", "line", "circle", "circle", "line"]
+    x, y = (np.concatenate(c) for c in zip(*curves))
+    ends = np.cumsum([len(cx) for cx, _ in curves])
+    assert circle_fit(x, y, ends) == alone
+    # any sub-batch, and the points after the last end are not read
+    assert circle_fit(x[ends[1]:], y[ends[1]:], ends[2:4] - ends[1]) == alone[2:4]
+    assert circle_fit(x, y, []) == []
+
+
+FIT_FAILURES = {
+    "non-finite": (
+        (np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, math.inf, 0.0])),
+        NonFiniteValue, "non-finite plane point (2.0, inf)",
+    ),
+    "fewer-than-3": ((np.array([0.0, 1.0]), np.array([0.0, 1.0])), InsufficientPoints,
+                     "need at least 3 points, got 2"),
+    "coincident": ((np.full(10, 1.5), np.full(10, -2.0)), InsufficientPoints, "all points coincide"),
+    # its 7 points mark it for the eigensolve below
+    "no-real-fit": (_arc(0.0, 0.0, 1.0, 7), InsufficientPoints,
+                    "degenerate configuration: no real fit"),
+}
+
+
+def _no_real_fit_for_seven_points(monkeypatch):
+    """np.linalg.eig with every eigenvalue negative for the matrices of
+    7-point curves, whose entry [0, 3] is -7 / 2."""
+    eig = np.linalg.eig
+
+    def patched(matrices):
+        lam, vectors = eig(matrices)
+        return np.where(matrices[:, :1, 3] == -3.5, -1.0, lam), vectors
+
+    monkeypatch.setattr(np.linalg, "eig", patched)
+
+
+@pytest.mark.parametrize("second", FIT_FAILURES)
+@pytest.mark.parametrize("first", FIT_FAILURES)
+def test_circle_fit_batch_raises_its_first_failing_curve(monkeypatch, first, second):
+    _no_real_fit_for_seven_points(monkeypatch)
+    (x, y), kind, message = FIT_FAILURES[first]
+    with pytest.raises(kind) as alone:
+        circle_fit(x, y)
+    assert str(alone.value) == message
+    circle = _arc(1.0, 2.0, 0.5, 16)
+    curves = [circle, FIT_FAILURES[first][0], circle, FIT_FAILURES[second][0], circle]
+    x, y = (np.concatenate(c) for c in zip(*curves))
+    with pytest.raises(kind) as batch:
+        circle_fit(x, y, np.cumsum([len(cx) for cx, _ in curves]))
+    assert str(batch.value) == message
