@@ -46,6 +46,8 @@ from .svg_render import svg_text
 
 # the comma-list flags and how many numbers each takes
 _FLOAT_LISTS = {"inversion_pole": 2, "centered_on": 2, "source": 6, "target": 6, "target_sides": 3}
+# positions that project takes per project_array call, to bound its temporaries
+_PROJECT_BLOCK = 1 << 13
 
 
 def _parse_floats(text: str, count: int, flag: str) -> tuple[float, ...]:
@@ -202,7 +204,7 @@ def _graticule(
     *features,
 ) -> list:
     """The fitted graticule curves; with ``--svg``, the map drawn over them
-    and over the ``features`` lines (``svg_text``'s x, y, lines and texts)."""
+    and over the ``features`` lines (``svg_text``'s x, y, lines and polylines)."""
     curves = graticule_image(
         spec, math.radians(args.lat_step_deg), math.radians(args.lon_step_deg), args.samples
     )
@@ -212,30 +214,44 @@ def _graticule(
 
 
 def run_project(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
+    """Project every position of ``--region``, ``_PROJECT_BLOCK`` at a time:
+    the first that fails names the error.  Each image is formatted once,
+    into the GeoJSON's text and the SVG's polyline alike
+    (``geojson_io.position_texts``), and the document's position arrays
+    are emptied once read."""
     spec = projection_spec(args)
     if args.out_path is None and args.svg_path is None:
         raise ConfigError("project needs --out and/or --svg")
 
     def mapper(lon_deg: np.ndarray, lat_deg: np.ndarray):
-        w, code = project_array(spec, np.radians(lat_deg), np.radians(lon_deg))
-        failed = np.flatnonzero(code)
-        if failed.size:
-            i = failed[0]
-            exc = projection_error(spec, code[i], np.radians(lon_deg[i]), w[i])
-            where = f"({fmt(lon_deg[i])}, {fmt(lat_deg[i])})"
-            raise type(exc)(f"cannot project {where}: {exc}") from exc
-        return w.real, w.imag
+        x, y = np.empty(len(lon_deg)), np.empty(len(lon_deg))
+        for start in range(0, len(lon_deg), _PROJECT_BLOCK):
+            block = slice(start, start + _PROJECT_BLOCK)
+            lon, lat = lon_deg[block], lat_deg[block]
+            w, code = project_array(spec, np.radians(lat), np.radians(lon))
+            failed = np.flatnonzero(code)
+            if failed.size:
+                i = failed[0]
+                exc = projection_error(spec, code[i], np.radians(lon[i]), w[i])
+                where = f"({fmt(lon[i])}, {fmt(lat[i])})"
+                raise type(exc)(f"cannot project {where}: {exc}") from exc
+            x[block], y[block] = w.real, w.imag
+        return x, y
 
     document = geojson_io.load(args.region_path)
     arrays, x, y, lines = geojson_io.map_positions(document, mapper)
-    texts = geojson_io.position_texts(arrays, x, y)
+    # dumps writes each array as its text, found by the array's id: the
+    # positions in it are not kept alive while the texts are made
+    for array, _ in arrays:
+        array.clear()
+    texts, polylines = geojson_io.position_texts(arrays, x, y)
     if args.out_path:
         outputs[args.out_path] = (geojson_io.dumps(document, arrays, texts), "\n")
     by_range, end = {}, 0  # the lines are among the arrays, found by their range
-    for (_, count), text in zip(arrays, texts):
+    for (_, count), points in zip(arrays, polylines):
         start, end = end, end + (1 if count is None else count)
-        by_range[start, end] = text
-    del document, arrays, texts  # not kept alive while the SVG text is built
+        by_range[start, end] = points
+    del document, arrays, texts, polylines  # not kept alive while the SVG text is built
     curves = _graticule(args, outputs, spec, x, y, lines, [by_range[line] for line in lines])
     worst = max((c.relative_residual for c in curves), default=0.0)
     return [

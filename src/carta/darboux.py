@@ -30,9 +30,13 @@ class Triangle:
 
     def __post_init__(self):
         a, b, c = self.sides()
-        area, longest = self.area(), max(a, b, c)
-        # relative to the longest side, so that refusal does not depend on the units
-        if area == 0.0 or area < 1e-12 * longest * longest:
+        longest = max(a, b, c) or 1.0  # three vertices at one point: area 0, refused
+        # the area of the triangle scaled to a longest side of 1, so that refusal
+        # depends neither on the units nor on underflow
+        ax, ay = self.vertex_a.x, self.vertex_a.y
+        bx, by = (self.vertex_b.x - ax) / longest, (self.vertex_b.y - ay) / longest
+        cx, cy = (self.vertex_c.x - ax) / longest, (self.vertex_c.y - ay) / longest
+        if 0.5 * abs(bx * cy - cx * by) < 1e-12:
             raise DegenerateTriangle("triangle area below 1e-12 of its longest side squared")
         if a >= b + c or b >= c + a or c >= a + b:
             raise DegenerateTriangle("side lengths violate the triangle inequality")

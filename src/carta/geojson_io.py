@@ -55,13 +55,20 @@ def dumps(obj, arrays=(), texts=()) -> str:
     return "".join(pieces)
 
 
-def position_texts(arrays, x, y) -> list[str]:
-    """The text inside the brackets of each of ``map_positions``' arrays
-    with every position written as its image [x[i], y[i]], without a third
-    element: ``x, y`` for a Point's position, ``[x, y], [x, y]`` for an
-    array of two.  Each position is formatted once for every writer, by
-    the number kernel, ``_ROW_BLOCK`` positions at a time; the first
-    non-finite value raises ``format_float``'s error before any text is made.
+def position_texts(arrays, x, y) -> tuple[list[str], list[str]]:
+    """``(texts, polylines)``, one of each for every one of
+    ``map_positions``' arrays, with every position written as its image
+    (x[i], y[i]).
+
+    A text is what goes inside the array's brackets in the GeoJSON, without
+    a third element: ``x, y`` for a Point's position, ``[x, y], [x, y]``
+    for an array of two.  A polyline is the SVG's points, y negated as the
+    SVG's y grows downward: ``x,-y x,-y``.  The number kernel formats
+    |x| and |y| once, ``_ROW_BLOCK`` positions at a time, and both rows of
+    a position are made from those words, each value's sign written in
+    the literal piece before it: ``%.15g`` of -v is "-" and the text of v.
+    The first non-finite value raises ``format_float``'s error before any
+    text is made.
     """
     _check_finite((x, y))
     counts = [1 if count is None else count for _, count in arrays]
@@ -70,22 +77,32 @@ def position_texts(arrays, x, y) -> list[str]:
     kind = np.zeros(len(x), np.intp)
     kind[ends[np.flatnonzero(counts)] - 1] = 1
     kind[ends[[k for k, (_, count) in enumerate(arrays) if count is None]] - 1] = 2
-    opening = np.concatenate((_words("["), _words("["), np.zeros(1, _WORD)))
-    # a newline ends each array's text
-    closing = np.concatenate((_words("], "), _words("]\n"), _words("\n")))
-    texts, pending = [], []
+    # the GeoJSON's and the SVG's pieces, a word each: the one before x by 2 * kind
+    # + x's sign bit, before y by y's sign bit, and after y by kind
+    pieces = [(["[", "[-"] * 2 + ["", "-"], [", ", ", -"], ["], ", "]\n", "\n"]),
+              (["", "-"] * 3, [",-", ","], [" ", "\n", "\n"])]  # a newline ends an array
+    pieces = [[np.concatenate([_words(piece or "\0") for piece in column]) for column in row]
+              for row in pieces]
+    done, pending = ([], []), ([], [])
     for start in range(0, len(x), _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
-        rows = _row_words((x[block], y[block]), ("[", ", ", "], "))
-        rows[:, 0], rows[:, -1] = opening[kind[block]], closing[kind[block]]
-        first, *done = _text(rows).split("\n")
-        pending.append(first)
-        if done:
-            texts.append("".join(pending))
-            texts += done[:-1]
-            pending = [done[-1]]
-    nonempty = iter(texts)
-    return [next(nonempty) if count else "" for count in counts]
+        xb, yb, row_kind = x[block], y[block], kind[block]
+        # numbers[i, c]: the words of |x[i]| (c = 0) or |y[i]| (c = 1)
+        numbers = _number_words(np.abs(np.concatenate((xb, yb)))).reshape(3, 2, -1).T
+        rows = np.empty((len(xb), 9), _WORD)
+        rows[:, 1:4], rows[:, 5:8] = numbers[:, 0], numbers[:, 1]
+        before_x, before_y = 2 * row_kind + np.signbit(xb), np.signbit(yb).astype(np.intp)
+        for (opening, middle, closing), texts, waiting in zip(pieces, done, pending):
+            rows[:, 0], rows[:, 4], rows[:, 8] = (
+                opening[before_x], middle[before_y], closing[row_kind])
+            first, *lines = _text(rows).split("\n")
+            waiting.append(first)
+            if lines:
+                texts.append("".join(waiting))
+                texts += lines[:-1]
+                waiting[:] = lines[-1:]
+    return tuple([next(nonempty) if count else "" for count in counts]
+                 for nonempty in map(iter, done))
 
 
 def _check_finite(columns) -> None:
@@ -381,16 +398,18 @@ def _columns(positions: list) -> np.ndarray:
     name the first bad one or to read what the check does not take
     (tuples, altitudes, subclasses of float)."""
     count = 2 * len(positions)
-    if (set(map(type, positions)) <= {list} and set(map(len, positions)) <= {2}
-            and set(map(type, chain.from_iterable(positions))) <= {float, int}):
-        try:
-            columns = np.fromiter(chain.from_iterable(positions), dtype=float, count=count)
-        except OverflowError:  # an integer beyond the float range
-            pass
-        else:
-            lon, lat = columns[0::2], columns[1::2]
-            if np.isfinite(lon).all() and ((-90.0 <= lat) & (lat <= 90.0)).all():
-                return columns
+    if set(map(type, positions)) <= {list} and set(map(len, positions)) <= {2}:
+        flat = list(chain.from_iterable(positions))
+        # np.fromiter would read "1.5", None and True as numbers
+        if set(map(type, flat)) <= {float, int}:
+            try:
+                columns = np.fromiter(flat, dtype=float, count=count)
+            except OverflowError:  # an integer beyond the float range
+                pass
+            else:
+                lon, lat = columns[0::2], columns[1::2]
+                if np.isfinite(lon).all() and ((-90.0 <= lat) & (lat <= 90.0)).all():
+                    return columns
     return np.fromiter((v for pos in positions for v in _position(pos)), dtype=float, count=count)
 
 

@@ -49,13 +49,14 @@ def render_svg(path: str, curves: Sequence[GraticuleCurveFit], *features) -> Non
         handle.write(svg_text(curves, *features))
 
 
-def svg_text(curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=(), texts=()) -> str:
+def svg_text(curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=(), polylines=()) -> str:
     """An SVG map: graticule primitives plus projected feature paths.
 
     Feature line k runs through the points (x[i], y[i]) for i in
-    ``range(*lines[k])``, and ``texts[k]`` is its text as ``position_texts``
-    writes it.  The view is the box of the feature lines and of the circles
-    of radius below 1e3, padded by 5%.
+    ``range(*lines[k])``, and ``polylines[k]`` is its points as
+    ``position_texts`` writes them, each (x[i], -y[i]), which is written as
+    given.  The view is the box of the feature lines and of the circles of
+    radius below 1e3, padded by 5%.
     """
     xs, ys = [x[a:b] for a, b in lines], [y[a:b] for a, b in lines]
     for fit in curves:
@@ -107,11 +108,8 @@ def svg_text(curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=(), texts=()
         parts.append(
             f'<g fill="none" stroke="#aa3322" stroke-width="{fmt(1.5 * stroke)}">'
         )
-        for (a, b), text in zip(lines, texts):
+        for (a, b), points in zip(lines, polylines):
             if b - a >= 2:
-                # "[x, y], [x, -y]" becomes "x,-y x,y": the number kernel writes -v
-                # as v's text after a "-" (%.15g rounds |v|), zeros included
-                points = text[1:-1].replace("], [", " ").replace(", -", ",").replace(", ", ",-")
                 parts.append(f'<polyline points="{points}"/>')
         parts.append("</g>")
     parts.append("</svg>")

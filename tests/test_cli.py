@@ -753,6 +753,10 @@ GOLDEN_ERRORS = [
     ("darboux --source 84.71574665855255,-86.07081451038472,-6.081570723336719e-09,"
      "-6.194360155731415e-09,-6.081573245945656e-09,-6.1943675501819736e-09 --target-sides 1,1,1",
      6, "DegenerateTriangle: triangle area below 1e-12 of its longest side squared"),
+    # the well-shaped SOURCE scaled by 1e-300, whose area underflows to 0: refused
+    # for its size, as at 1e-141, and not as degenerate
+    ("darboux --source 0,0,2e-300,3e-301,7e-301,1.8e-300 --target-sides 1,1,1", 4,
+     "NonFiniteValue: triangle sides below 1e-140: products of two distances underflow"),
     ("distortion --region {tmp}/missing.geojson", 2,
      "ConfigError: cannot read {tmp}/missing.geojson: No such file or directory"),
     ("project --region {tmp}/missing.geojson --out {tmp}/out.geojson", 2,

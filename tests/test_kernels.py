@@ -683,7 +683,8 @@ def test_kernel_text_is_format_float(values):
 
 
 def test_kernel_text_is_sign_symmetric():
-    # svg_text writes -y by flipping the sign in the text of y
+    # position_texts writes the kernel's text of |v|, after a "-" where v is
+    # negative, and the SVG's -y by flipping that sign
     rng = np.random.default_rng(24)
     values = np.concatenate([decade_edges(), exact_ties(rng, 2000), [0.0, 5e-324],
                              10 ** rng.uniform(-40, 20, 5000)])
@@ -888,7 +889,7 @@ def test_projected_text_is_dumps_of_projected_copy(document, data):
         return np.array(images[0::2], dtype=float), np.array(images[1::2], dtype=float)
 
     positions, x, y, lines = map_positions(document, mapper)
-    text = dumps(document, positions, position_texts(positions, x, y))
+    text = dumps(document, positions, position_texts(positions, x, y)[0])
     assert document == parsed  # read, not written to
     projected, reference_lines = reference_projection(document, zip(x.tolist(), y.tolist()))
     assert text == dumps(projected)
@@ -906,7 +907,7 @@ def test_projected_text_of_empty_arrays_and_altitudes():
         {"type": "LineString", "coordinates": [[1, 2, 3], [4, 5, 6.5]]},
     ]}
     positions, x, y, lines = map_positions(document, lambda lon, lat: (lon / 3, lat * 0.1 - 1))
-    assert dumps(document, positions, position_texts(positions, x, y)) == (
+    assert dumps(document, positions, position_texts(positions, x, y)[0]) == (
         '{"type": "GeometryCollection", "geometries": ['
         '{"type": "MultiPoint", "coordinates": []}, '
         '{"type": "LineString", "coordinates": []}, '
@@ -957,16 +958,21 @@ def _block_images(block):
 def test_position_texts_are_block_invariant(monkeypatch, block):
     document = _block_document(np.random.default_rng(26))
     arrays, x, y, _ = map_positions(document, _block_images(block))
-    texts = position_texts(arrays, x, y)
+    texts, polylines = position_texts(arrays, x, y)
     text = dumps(document, arrays, texts)
     monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
-    assert position_texts(arrays, x, y) == texts
+    assert position_texts(arrays, x, y) == (texts, polylines)
     assert dumps(document, arrays, texts) == text
     # each position formatted on its own
     positions = iter(zip(map(format_float, x.tolist()), map(format_float, y.tolist())))
     assert texts == [
         "%s, %s" % next(positions) if count is None
         else ", ".join("[%s, %s]" % next(positions) for _ in range(count))
+        for _, count in arrays
+    ]
+    points = iter(zip(x.tolist(), (-y).tolist()))
+    assert polylines == [
+        " ".join("%.15g,%.15g" % next(points) for _ in range(1 if count is None else count))
         for _, count in arrays
     ]
 
@@ -996,6 +1002,45 @@ def test_project_run_is_block_invariant(monkeypatch, tmp_path, capsys, block):
     expected = run("whole")
     monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
     assert run("blocks") == expected
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_project_blocks(monkeypatch, tmp_path, capsys, block):
+    """``run_project`` projects at most ``_PROJECT_BLOCK`` positions per
+    ``project_array`` call, and neither its outputs nor the position its
+    error names depend on the block."""
+    document = _block_document(np.random.default_rng(29))
+    good, bad = tmp_path / "good.geojson", tmp_path / "bad.geojson"
+    good.write_text(json.dumps(document))
+    # positions block and block + 1 (in its LineString, after one Point) and a
+    # later one are at the projection center
+    line = document["features"][1]["geometry"]["coordinates"]
+    line[block - 1][1] = line[block][1] = line[-1][1] = 90.0
+    bad.write_text(json.dumps(document))
+
+    def run(region, tag):
+        paths = [tmp_path / f"{tag}.{suffix}" for suffix in ("geojson", "svg", "txt")]
+        code = cli.main(["project", "--region", str(region), "--exponent", "0.5",
+                         "--out", str(paths[0]), "--svg", str(paths[1]), "--report", str(paths[2])])
+        return code, capsys.readouterr().err, [path.read_bytes() for path in paths if path.exists()]
+
+    expected, failure = run(good, "whole"), run(bad, "whole-bad")
+    assert failure[1] == (
+        "carta: ProjectionPole: cannot project (%s, 90): the projection center has no image\n"
+        % format_float(line[block - 1][0]))
+    assert failure[0] == ProjectionPole.exit_code and failure[2] == []
+    sizes = []
+    project = cli.project_array
+
+    def counted(spec, lat, lon):
+        sizes.append(len(lat))
+        return project(spec, lat, lon)
+
+    monkeypatch.setattr(cli, "project_array", counted)
+    monkeypatch.setattr(cli, "_PROJECT_BLOCK", block)
+    assert run(good, "blocks") == expected
+    assert max(sizes) == block and sum(sizes) == 333
+    assert run(bad, "blocks-bad") == failure
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -1062,13 +1107,13 @@ def test_svg_polylines_are_the_position_texts_with_y_negated(point_lines):
     y = np.array([py for line in point_lines for _, py in line], dtype=float)
     ends = np.cumsum([0, *map(len, point_lines)]).tolist()
     lines = list(zip(ends[:-1], ends[1:]))
-    texts = position_texts([(line, len(line)) for line in point_lines], x, y)
+    _, polylines = position_texts([(line, len(line)) for line in point_lines], x, y)
     try:
         expected = reference_svg(x, y, lines)
     except NonFiniteValue as exc:  # the view spans beyond the floating-point range
-        assert _raised(svg_text, (), x, y, lines, texts) == (NonFiniteValue, str(exc))
+        assert _raised(svg_text, (), x, y, lines, polylines) == (NonFiniteValue, str(exc))
     else:
-        assert svg_text((), x, y, lines, texts) == expected
+        assert svg_text((), x, y, lines, polylines) == expected
 
 
 # what a position may hold in place of a valid one: each is checked in bulk, and
