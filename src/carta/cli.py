@@ -41,7 +41,7 @@ from .lagrange import (
     project_array,
     projection_error,
 )
-from .surfaces import SPHERE, SurfaceOfRevolution
+from .surfaces import SurfaceOfRevolution
 from .svg_render import svg_text
 
 # the comma-list flags and how many numbers each takes
@@ -120,12 +120,11 @@ def projection_spec(args: argparse.Namespace) -> LagrangeProjectionSpec:
     post = None
     if args.inversion_pole is not None:
         post = Inversion(PlanePoint(*args.inversion_pole), args.inversion_power)
-    surface = SPHERE if args.eccentricity == 0.0 else SurfaceOfRevolution(args.eccentricity)
     return LagrangeProjectionSpec(
         exponent=args.exponent,
         central_meridian=math.radians(args.central_meridian_deg),
         post_transform=post,
-        surface=surface,
+        surface=SurfaceOfRevolution(args.eccentricity),
     )
 
 
@@ -216,9 +215,9 @@ def _graticule(
 def run_project(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
     """Project every position of ``--region``, ``_PROJECT_BLOCK`` at a time:
     the first that fails names the error.  Each image is formatted once,
-    into the GeoJSON's text and the SVG's polyline alike
-    (``geojson_io.position_texts``), and the document's position arrays
-    are emptied once read."""
+    into the GeoJSON's text and, on a line with ``--svg``, the SVG's
+    polyline alike (``geojson_io.position_texts``), and the document's
+    position arrays are emptied once read."""
     spec = projection_spec(args)
     if args.out_path is None and args.svg_path is None:
         raise ConfigError("project needs --out and/or --svg")
@@ -244,15 +243,12 @@ def run_project(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> 
     # positions in it are not kept alive while the texts are made
     for array, _ in arrays:
         array.clear()
-    texts, polylines = geojson_io.position_texts(arrays, x, y)
+    # the SVG draws the lines alone, and only an SVG needs their polylines
+    texts, polylines = geojson_io.position_texts(arrays, x, y, lines if args.svg_path else ())
     if args.out_path:
         outputs[args.out_path] = (geojson_io.dumps(document, arrays, texts), "\n")
-    by_range, end = {}, 0  # the lines are among the arrays, found by their range
-    for (_, count), points in zip(arrays, polylines):
-        start, end = end, end + (1 if count is None else count)
-        by_range[start, end] = points
-    del document, arrays, texts, polylines  # not kept alive while the SVG text is built
-    curves = _graticule(args, outputs, spec, x, y, lines, [by_range[line] for line in lines])
+    del document, arrays, texts  # not kept alive while the SVG text is built
+    curves = _graticule(args, outputs, spec, x, y, lines, polylines)
     worst = max((c.relative_residual for c in curves), default=0.0)
     return [
         "project report",

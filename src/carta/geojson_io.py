@@ -55,20 +55,20 @@ def dumps(obj, arrays=(), texts=()) -> str:
     return "".join(pieces)
 
 
-def position_texts(arrays, x, y) -> tuple[list[str], list[str]]:
-    """``(texts, polylines)``, one of each for every one of
-    ``map_positions``' arrays, with every position written as its image
-    (x[i], y[i]).
+def position_texts(arrays, x, y, lines=()) -> tuple[list[str], list[str]]:
+    """``(texts, polylines)``: a text for each of ``map_positions``' arrays
+    and a polyline for each of the ``lines`` among them (``(start, end)``
+    ranges of positions), every position written as its image (x[i], y[i]).
 
     A text is what goes inside the array's brackets in the GeoJSON, without
     a third element: ``x, y`` for a Point's position, ``[x, y], [x, y]``
     for an array of two.  A polyline is the SVG's points, y negated as the
     SVG's y grows downward: ``x,-y x,-y``.  The number kernel formats
     |x| and |y| once, ``_ROW_BLOCK`` positions at a time, and both rows of
-    a position are made from those words, each value's sign written in
-    the literal piece before it: ``%.15g`` of -v is "-" and the text of v.
-    The first non-finite value raises ``format_float``'s error before any
-    text is made.
+    a position on a line are made from those words, each value's sign
+    written in the literal piece before it: ``%.15g`` of -v is "-" and the
+    text of v.  The first non-finite value raises ``format_float``'s error
+    before any text is made.
     """
     _check_finite((x, y))
     counts = [1 if count is None else count for _, count in arrays]
@@ -82,7 +82,14 @@ def position_texts(arrays, x, y) -> tuple[list[str], list[str]]:
     pieces = [(["[", "[-"] * 2 + ["", "-"], [", ", ", -"], ["], ", "]\n", "\n"]),
               (["", "-"] * 3, [",-", ","], [" ", "\n", "\n"])]  # a newline ends an array
     pieces = [[np.concatenate([_words(piece or "\0") for piece in column]) for column in row]
-              for row in pieces]
+              for row in pieces[:1 + bool(lines)]]
+    # the rows each leaves out: none of the GeoJSON's, and the SVG's of the
+    # positions on no line, in the gaps before, between and after the lines
+    skips = [np.empty(0, np.intp)]
+    if lines:
+        lo, hi = np.reshape([0, *np.ravel(lines), len(x)], (-1, 2)).T
+        size = hi - lo
+        skips.append(np.arange(size.sum()) + np.repeat(lo + size - np.cumsum(size), size))
     done, pending = ([], []), ([], [])
     for start in range(0, len(x), _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
@@ -92,17 +99,20 @@ def position_texts(arrays, x, y) -> tuple[list[str], list[str]]:
         rows = np.empty((len(xb), 9), _WORD)
         rows[:, 1:4], rows[:, 5:8] = numbers[:, 0], numbers[:, 1]
         before_x, before_y = 2 * row_kind + np.signbit(xb), np.signbit(yb).astype(np.intp)
-        for (opening, middle, closing), texts, waiting in zip(pieces, done, pending):
+        for (opening, middle, closing), skip, texts, waiting in zip(pieces, skips, done, pending):
             rows[:, 0], rows[:, 4], rows[:, 8] = (
                 opening[before_x], middle[before_y], closing[row_kind])
-            first, *lines = _text(rows).split("\n")
+            if skip.size:
+                first, last = np.searchsorted(skip, (start, start + len(xb)))
+                rows[skip[first:last] - start] = 0  # NUL words, which _text drops
+            first, *rest = _text(rows).split("\n")
             waiting.append(first)
-            if lines:
+            if rest:
                 texts.append("".join(waiting))
-                texts += lines[:-1]
-                waiting[:] = lines[-1:]
-    return tuple([next(nonempty) if count else "" for count in counts]
-                 for nonempty in map(iter, done))
+                texts += rest[:-1]
+                waiting[:] = rest[-1:]
+    return tuple([next(nonempty) if count else "" for count in sizes]
+                 for nonempty, sizes in zip(map(iter, done), (counts, [b - a for a, b in lines])))
 
 
 def _check_finite(columns) -> None:

@@ -3,8 +3,9 @@
 The family is built in three steps: stereographic projection from the
 North pole onto the equator plane, the polar power map
 (rho, omega) -> (rho^c, c omega), and an optional inversion or Mobius
-post-transform in the image plane.  Spheroid input latitudes are replaced
-by conformal latitudes first, so the composite stays conformal.
+post-transform in the image plane.  On the spheroid the stereographic
+radius is that of the conformal latitude, so the composite stays
+conformal.
 """
 
 from __future__ import annotations
@@ -41,13 +42,7 @@ from .geometry import (
     normalize_longitude_array,
     stereographic_project,
 )
-from .surfaces import (
-    SPHERE,
-    SurfaceOfRevolution,
-    conformal_latitude,
-    conformal_scale,
-    inverse_conformal_latitude,
-)
+from .surfaces import SPHERE, SurfaceOfRevolution, _radius_factor, inverse_conformal_latitude
 
 # Samples closer than this (radians) to a singular point of the projection
 # are dropped when tracing graticule curves; any sub-arc determines the
@@ -89,24 +84,25 @@ class LagrangeProjectionSpec:
 
 def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
     """Every step of the projection at arrays of latitudes and longitudes
-    (radians), for the image and for its scale alike: the conformal
-    latitude, the image angle omega = c (lon - central meridian), the
-    radius rho = tan(pi/4 + lat/2), the image w = rho^c e^(i omega) before
-    the post-transform T and T(w) after it, w's distance to T's pole
-    (|w - pole| for an inversion, |c w + d| for a Mobius map) and where
-    w is at that pole.  Closed forms after Snyder, *Map Projections: A
-    Working Manual* (USGS PP 1395)."""
+    (radians), for the image and for its scale alike: the latitude, the
+    image angle omega = c (lon - central meridian), the spheroid's factor F
+    (None on the sphere), the radius rho = tan(pi/4 + lat/2) F, the image
+    w = rho^c e^(i omega) before the post-transform T and T(w) after it,
+    w's distance to T's pole (|w - pole| for an inversion, |c w + d| for a
+    Mobius map) and where w is at that pole.  Closed forms after Snyder,
+    *Map Projections: A Working Manual* (USGS PP 1395), eq. 3-1."""
     lat = np.asarray(lat, dtype=float)
-    if not spec.surface.is_sphere:
-        lat = conformal_latitude(spec.surface.eccentricity, lat)
     lon = normalize_longitude_array(np.asarray(lon, dtype=float))
     omega = spec.exponent * normalize_longitude_array(lon - spec.central_meridian)
     post = spec.post_transform
+    factor = None if spec.surface.is_sphere else _radius_factor(spec.surface.eccentricity, lat)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho = np.tan(math.pi / 4 + lat / 2)
+        if factor is not None:
+            rho *= factor
         w = np.where(rho == 0.0, 0j, rho**spec.exponent * np.exp(1j * omega))
         if post is None:
-            return lat, omega, rho, w, w, None, np.zeros(w.shape, dtype=bool)
+            return lat, omega, factor, rho, w, w, None, np.zeros(w.shape, dtype=bool)
         if isinstance(post, Inversion):
             dx = w.real - post.pole.x
             dy = w.imag - post.pole.y
@@ -119,7 +115,7 @@ def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
             den = post.c * w + post.d
             distance = np.abs(den)
             image = (post.a * w + post.b) / den
-    return lat, omega, rho, w, image, distance, distance < 1e-14
+    return lat, omega, factor, rho, w, image, distance, distance < 1e-14
 
 
 # failures of project_array, in the order its checks run: code k >= 1
@@ -143,7 +139,7 @@ def project_array(
     Where the post-transform's pole stops a point, ``w`` holds the image
     before the post-transform, which the error message quotes.
     """
-    lat, omega, _, w, image, _, at_pole = _chart(spec, lat, lon)
+    lat, omega, _, _, w, image, _, at_pole = _chart(spec, lat, lon)
     code = np.select(
         [
             math.pi / 2 - lat < POLE_COLATITUDE_EPS,
@@ -185,15 +181,17 @@ def dilatation_array(
     spec: LagrangeProjectionSpec, lat: np.ndarray, lon: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form dilatation at arrays of latitudes and longitudes
-    (radians): the product of the spheroid-to-sphere factor cos(chi)/q
-    (``conformal_scale``), the stereographic factor 1/(2 sin^2(colat/2)),
-    the power-map factor c rho^(c-1) and the post-transform's stretch.  Returns ``(m, code)``,
-    code 0 where m is finite and positive (see ``dilatation_error``).
+    (radians): the product of F sqrt(1 - e^2 sin^2 lat) (1 on the sphere)
+    and the stereographic factor 1/(2 sin^2(colat/2)), which is cos(chi)/q
+    (``conformal_scale``) times the stereographic factor of chi, the
+    power-map factor c rho^(c-1) and the post-transform's stretch.  Returns
+    ``(m, code)``, code 0 where m is finite and positive (see
+    ``dilatation_error``).
     """
-    chi, _, rho, _, _, distance, at_pole = _chart(spec, lat, lon)
-    c, post = spec.exponent, spec.post_transform
-    colat = math.pi / 2 - chi
-    surface_factor = conformal_scale(spec.surface, lat)
+    lat, _, factor, rho, _, _, distance, at_pole = _chart(spec, lat, lon)
+    c, post, e = spec.exponent, spec.post_transform, spec.surface.eccentricity
+    colat = math.pi / 2 - lat
+    surface_factor = 1.0 if e == 0.0 else factor * np.sqrt(1.0 - (e * np.sin(lat)) ** 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         stereo_factor = 1.0 / (2.0 * np.sin(colat / 2.0) ** 2)
         power_factor = c if c == 1.0 else c * rho ** (c - 1.0)
@@ -220,7 +218,7 @@ def dilatation_error(
     """The error for failure ``code`` of ``dilatation_array`` at the point
     (``lat``, ``lon``) with dilatation ``m``."""
     kind, message = _DILATATION_FAILURES[code - 1]
-    w = complex(_chart(spec, [lat], [lon])[3][0])
+    w = complex(_chart(spec, [lat], [lon])[4][0])
     return kind(message.format(lat=float(lat), w=w, m=float(m)))
 
 
@@ -251,12 +249,9 @@ def unproject(spec: LagrangeProjectionSpec, q: PlanePoint) -> SpherePoint:
         if abs(omega) > c * math.pi + 1e-12:
             raise OutsideImage(f"angle {omega} outside the image sector of c={c}")
         rho = rho_c ** (1.0 / c)
-        chi = 2.0 * math.atan(rho) - math.pi / 2
-        lat = chi
+        lat = 2.0 * math.atan(rho) - math.pi / 2
         lon = normalize_longitude(omega / c + spec.central_meridian)
-    if not spec.surface.is_sphere:
-        lat = inverse_conformal_latitude(spec.surface.eccentricity, lat)
-    return SpherePoint(lat, lon)
+    return SpherePoint(inverse_conformal_latitude(spec.surface.eccentricity, lat), lon)
 
 
 def centered_stereographic(center: SpherePoint) -> LagrangeProjectionSpec:

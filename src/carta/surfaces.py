@@ -1,11 +1,12 @@
 """Surfaces of revolution (sphere, spheroid) and their conformal coordinates.
 
 The spheroid is an ellipse of revolution with semi-major axis 1 and
-eccentricity e; latitudes are geodetic.  The conformal latitude and scale
-take their limits at the poles; the other evaluators are singular there and
-clip their domain to |lat| <= pi/2 - 1e-8.  The latitude
-functions take a float or a numpy array of latitudes and evaluate with
-numpy either way.
+eccentricity e; latitudes are geodetic.  The isometric and conformal
+latitudes, the inverse of the conformal one and the conformal scale take
+every latitude of [-pi/2, pi/2]; the parallel radius and the Gauss sphere
+reduction, an oracle, clip their domain to |lat| <= pi/2 - 1e-8.  The
+latitude functions take a float or a numpy array of latitudes and
+evaluate with numpy either way.
 """
 
 from __future__ import annotations
@@ -42,16 +43,12 @@ class SurfaceOfRevolution:
     def parallel_radius(self, latitude):
         """Distance from the surface point to the rotation axis."""
         _check_latitude(latitude)
-        if self.is_sphere:
-            return np.cos(latitude)
         e2 = self.eccentricity**2
         return np.cos(latitude) / np.sqrt(1.0 - e2 * np.sin(latitude) ** 2)
 
     def gaussian_curvature(self, latitude: float) -> float:
         """1/(M N), the product of the principal curvatures; 1 on the sphere."""
         e2 = self.eccentricity**2
-        if e2 == 0.0:
-            return 1.0
         w2 = 1.0 - e2 * math.sin(latitude) ** 2
         return w2 * w2 / (1.0 - e2)
 
@@ -64,9 +61,8 @@ def isometric_coordinate(surface: SurfaceOfRevolution, latitude):
 
     Closed forms: asinh(tan lat) for the sphere, minus the eccentricity
     correction e*atanh(e sin lat) for the spheroid.  Strictly increasing
-    and odd in the latitude.
+    and odd in the latitude; finite at the float poles (tan lat ~ 1.6e16).
     """
-    _check_latitude(latitude)
     sigma = np.asinh(np.tan(latitude))
     e = surface.eccentricity
     if e > 0.0:
@@ -79,38 +75,42 @@ def gudermannian(x):
     return np.atan(np.sinh(x))
 
 
+def _radius_factor(eccentricity: float, latitude):
+    """F = ((1 - e sin lat) / (1 + e sin lat))^(e/2), tan(pi/4 + chi/2) over
+    tan(pi/4 + lat/2) for the conformal latitude chi (Snyder, PP 1395, eq. 3-1)."""
+    s = eccentricity * np.sin(latitude)
+    return ((1.0 - s) / (1.0 + s)) ** (eccentricity / 2)
+
+
 def conformal_latitude(eccentricity: float, latitude):
     """Sphere latitude chi making the spheroid->sphere substitution conformal.
 
-    Defined by equal isometric coordinates: tan(pi/4 + chi/2) =
-    tan(pi/4 + lat/2) ((1 - e sin lat)/(1 + e sin lat))^(e/2).  Odd in the
-    latitude; the identity when e = 0.  Exact at both poles.
+    Defined by equal isometric coordinates psi: tan(pi/4 + chi/2) =
+    tan(pi/4 + lat/2) F (``_radius_factor``), evaluated as gd(psi).  Odd in
+    the latitude; the identity when e = 0.  Exact at both poles.
     """
-    if not (0.0 <= eccentricity < 1.0):
-        raise ValueError(f"eccentricity {eccentricity} outside [0, 1)")
-    if eccentricity == 0.0:
+    surface = SurfaceOfRevolution(eccentricity)  # ValueError outside [0, 1)
+    if surface.is_sphere:
         return latitude
     latitude = np.asarray(latitude, dtype=float)
-    pole = np.abs(latitude) >= math.pi / 2 - POLE_LATITUDE_MARGIN
-    surface = SurfaceOfRevolution(eccentricity)
-    chi = gudermannian(isometric_coordinate(surface, np.where(pole, 0.0, latitude)))
-    chi = np.where(pole, np.copysign(math.pi / 2, latitude), chi)
+    chi = gudermannian(isometric_coordinate(surface, latitude))
     return np.where(latitude == 0.0, latitude, chi)[()]
 
 
 def conformal_scale(surface: SurfaceOfRevolution, latitude):
     """cos(chi) / q: the scale at the latitude of the conformal map onto the
     unit sphere that takes it to its conformal latitude chi; 1 on the
-    sphere.  Both vanish at a pole, so within ``POLE_LATITUDE_MARGIN`` of
-    one it is their limit sqrt(1 - e^2) ((1 + e) / (1 - e))^(e/2)."""
+    sphere.  In closed form F sqrt(1 - e^2 sin^2 lat) (1 + r^2) / (1 +
+    (F r)^2), with r = tan(pi/4 + lat/2) and F = ``_radius_factor``: finite
+    at the poles, where it is sqrt(1 - e^2) ((1 + e) / (1 - e))^(e/2)."""
     if surface.is_sphere:
         return 1.0
     e = surface.eccentricity
     latitude = np.asarray(latitude, dtype=float)
-    pole = np.abs(latitude) >= math.pi / 2 - POLE_LATITUDE_MARGIN
-    regular = np.where(pole, 0.0, latitude)
-    scale = np.cos(conformal_latitude(e, regular)) / surface.parallel_radius(regular)
-    return np.where(pole, math.sqrt(1.0 - e * e) * ((1.0 + e) / (1.0 - e)) ** (e / 2), scale)[()]
+    r = np.tan(math.pi / 4 + latitude / 2)
+    factor = _radius_factor(e, latitude)
+    w = np.sqrt(1.0 - (e * np.sin(latitude)) ** 2)
+    return (factor * w * (1.0 + r * r) / (1.0 + (factor * r) ** 2))[()]
 
 
 def inverse_conformal_latitude(eccentricity: float, chi):
@@ -121,14 +121,12 @@ def inverse_conformal_latitude(eccentricity: float, chi):
     cos lat) grows with |lat|.  They start from atan(tan chi / (1 - e^2)),
     never nearer the equator than the answer, so they approach it
     monotonically from the pole side; they stop once every step is within
-    rounding.  Exact at both poles.
+    rounding, and a step past a pole stops at it.  Exact at both poles.
     """
     if eccentricity == 0.0:
         return chi
     e, e2 = eccentricity, eccentricity**2
-    chi = np.asarray(chi, dtype=float)
-    pole = np.abs(chi) >= math.pi / 2 - POLE_LATITUDE_MARGIN
-    tan_chi = np.tan(np.where(pole, 0.0, chi))
+    tan_chi = np.tan(np.asarray(chi, dtype=float))
     target = np.asinh(tan_chi)
     lat = np.atan(tan_chi / (1.0 - e2))
     for _ in range(50):  # at most 18 are taken, for e up to 1 - 1e-12
@@ -136,10 +134,10 @@ def inverse_conformal_latitude(eccentricity: float, chi):
         s = e * np.sin(lat)
         scale = np.cos(lat) / (1.0 - e2)
         step = (sigma - e * np.atanh(s) - target) * (1.0 - s * s) * scale
-        lat = lat - step
+        lat = np.clip(lat - step, -math.pi / 2, math.pi / 2)
         # rounding: a unit of the latitude, and of psi's terms over psi'
         if np.all(np.abs(step) <= 8 * np.finfo(float).eps * (1.0 + (1.0 + np.abs(sigma)) * scale)):
-            return np.where(pole, np.copysign(math.pi / 2, chi), lat)[()]
+            return lat[()]
     raise NoConvergence(f"conformal latitude not inverted at eccentricity {e}")
 
 
@@ -165,15 +163,13 @@ class GaussSphereMapping:
     log_k: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.eccentricity < 1.0):
-            raise ValueError("eccentricity outside [0, 1)")
+        surface = SurfaceOfRevolution(self.eccentricity)  # ValueError outside [0, 1)
         _check_latitude(self.central_latitude)
         e2 = self.eccentricity**2
         ep2 = e2 / (1.0 - e2)
         phi0 = self.central_latitude
         alpha = math.sqrt(1.0 + ep2 * math.cos(phi0) ** 4)
         psi0 = math.asin(math.sin(phi0) / alpha)
-        surface = SurfaceOfRevolution(self.eccentricity)
         log_k = math.asinh(math.tan(psi0)) - alpha * isometric_coordinate(surface, phi0)
         radius = surface.parallel_radius(phi0) / (alpha * math.cos(psi0))
         object.__setattr__(self, "alpha", alpha)
@@ -184,6 +180,7 @@ class GaussSphereMapping:
         """Latitude on the auxiliary sphere for a spheroid latitude."""
         if self.eccentricity == 0.0:
             return latitude
+        _check_latitude(latitude)
         surface = SurfaceOfRevolution(self.eccentricity)
         return gudermannian(self.alpha * isometric_coordinate(surface, latitude) + self.log_k)
 

@@ -133,6 +133,21 @@ def test_project_pole_coordinate_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_project_spheroid_near_the_south_pole(tmp_path, capsys):
+    # 1e-7 degrees from the South pole is not the pole: x is 8.651923741e-10
+    # to 50 digits, and the sphere kernel's tan(pi/4 + lat/2) gives 8.651923438e-10
+    geo = tmp_path / "south.geojson"
+    geo.write_text(json.dumps({"type": "LineString", "coordinates": [
+        [10, -89.9999999], [10, -89.999999], [10, -89.99999]]}))
+    out = tmp_path / "south-out.geojson"
+    code = run_cli("project", "--region", str(geo), "--eccentricity", "0.0818191908426",
+                   "--out", str(out))
+    assert code == 0
+    (x, y), *rest = json.loads(out.read_text())["coordinates"]
+    assert x == pytest.approx(8.651923741e-10, rel=1e-7) and y > 0
+    assert [math.hypot(*p) / math.hypot(x, y) for p in rest] == pytest.approx([10, 100], rel=1e-6)
+
+
 def test_svg_failure_writes_no_output(band_geojson, tmp_path, monkeypatch, capsys):
     # every output is computed before the first one is written
     def fail(*args, **kwargs):

@@ -125,7 +125,7 @@ def test_project_array_matches_reference(rng, suite):
 
 
 def test_conformal_latitude_array_branches():
-    # e = 0, lat = +-0 (sign kept) and the near-pole clamp, elementwise
+    # e = 0, lat = +-0 (sign kept) and near and at the poles, elementwise
     lat = np.array([0.0, -0.0, -math.pi / 2, -math.pi / 2 + 1e-9, math.pi / 2, 1e-300, 0.3, -1.2])
     for e in (0.0, 0.08):
         chi = conformal_latitude(e, lat)
@@ -136,7 +136,10 @@ def test_conformal_latitude_array_branches():
         assert list(chi[:6]) == [conformal_latitude(e, float(la)) for la in lat[:6]]
     spec = LagrangeProjectionSpec(0.8, surface=SurfaceOfRevolution(0.08))
     w, code = project_array(spec, [math.pi / 2 - 1e-9, -math.pi / 2], [0.0, 0.0])
-    assert list(code) == [1, 0] and w[1] == 0
+    # 1e-9 from the North pole is not the pole: rho is about
+    # cot(1e-9 / 2) ((1 - e) / (1 + e))^(e / 2)
+    assert list(code) == [0, 0] and w[1] == 0
+    assert w[0] == pytest.approx((2e9 * (0.92 / 1.08) ** 0.04) ** 0.8, rel=1e-6)
 
 
 # -- error parity -------------------------------------------------------------------
@@ -957,11 +960,13 @@ def _block_images(block):
 @pytest.mark.parametrize("block", BLOCKS)
 def test_position_texts_are_block_invariant(monkeypatch, block):
     document = _block_document(np.random.default_rng(26))
-    arrays, x, y, _ = map_positions(document, _block_images(block))
-    texts, polylines = position_texts(arrays, x, y)
+    document["features"][2]["geometry"]["coordinates"] = [[1.5, 2], [-3, 4.25]]  # a MultiPoint
+    arrays, x, y, lines = map_positions(document, _block_images(block))
+    texts, polylines = position_texts(arrays, x, y, lines)
     text = dumps(document, arrays, texts)
     monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
-    assert position_texts(arrays, x, y) == (texts, polylines)
+    assert position_texts(arrays, x, y, lines) == (texts, polylines)
+    assert position_texts(arrays, x, y) == (texts, [])
     assert dumps(document, arrays, texts) == text
     # each position formatted on its own
     positions = iter(zip(map(format_float, x.tolist()), map(format_float, y.tolist())))
@@ -970,11 +975,28 @@ def test_position_texts_are_block_invariant(monkeypatch, block):
         else ", ".join("[%s, %s]" % next(positions) for _ in range(count))
         for _, count in arrays
     ]
-    points = iter(zip(x.tolist(), (-y).tolist()))
-    assert polylines == [
-        " ".join("%.15g,%.15g" % next(points) for _ in range(1 if count is None else count))
-        for _, count in arrays
-    ]
+    # a polyline for each line and ring alone
+    points = list(zip(x.tolist(), (-y).tolist()))
+    assert polylines == [" ".join("%.15g,%.15g" % p for p in points[a:b]) for a, b in lines]
+
+
+def test_multipoint_texts_make_no_polylines():
+    # the SVG draws no MultiPoint: its positions take the GeoJSON's text alone,
+    # in less memory than the same positions on a line, which take both
+    rng = np.random.default_rng(30)
+    coordinates = np.column_stack((rng.uniform(-170, 170, 20000), rng.uniform(-80, 80, 20000)))
+    peaks = []
+    for kind in ("MultiPoint", "LineString"):
+        document = {"type": kind, "coordinates": coordinates.tolist()}
+        arrays, x, y, lines = map_positions(document, lambda lon, lat: (lon / 7, lat / 3))
+        tracemalloc.start()
+        try:
+            _, polylines = position_texts(arrays, x, y, lines)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(polylines) == len(lines) == (kind == "LineString")
+    assert peaks[0] < 0.85 * peaks[1]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -1107,7 +1129,7 @@ def test_svg_polylines_are_the_position_texts_with_y_negated(point_lines):
     y = np.array([py for line in point_lines for _, py in line], dtype=float)
     ends = np.cumsum([0, *map(len, point_lines)]).tolist()
     lines = list(zip(ends[:-1], ends[1:]))
-    _, polylines = position_texts([(line, len(line)) for line in point_lines], x, y)
+    _, polylines = position_texts([(line, len(line)) for line in point_lines], x, y, lines)
     try:
         expected = reference_svg(x, y, lines)
     except NonFiniteValue as exc:  # the view spans beyond the floating-point range

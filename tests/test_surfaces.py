@@ -202,7 +202,10 @@ def test_inverse_conformal_latitude_evaluates_arrays():
     for e in (WGS84_E, 0.99):
         lat = inverse_conformal_latitude(e, chi)
         assert lat.shape == chi.shape
-        assert lat[[0, 2, -1]].tolist() == [-math.pi / 2, 0.0, math.pi / 2]
+        assert lat[[0, 2]].tolist() == [-math.pi / 2, 0.0]
+        # 1e-9 from the pole is not the pole, and maps back to chi
+        assert lat[-1] < math.pi / 2
+        assert abs(conformal_latitude(e, lat[-1]) - chi[-1]) <= 4e-15 / (1 - e * e)
         scalars = [inverse_conformal_latitude(e, c) for c in chi]
         assert np.abs(lat - scalars).max() <= 1e-15
 
