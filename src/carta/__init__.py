@@ -28,7 +28,6 @@ from .geometry import (
     circle_fit,
     invert_point,
     normalize_longitude,
-    spherical_polygon_area,
     stereographic_project,
 )
 from .lagrange import (
@@ -41,20 +40,10 @@ from .lagrange import (
     project_array,
     unproject,
 )
-from .schwarzian import (
-    AnalyticSample,
-    SchwarzianResult,
-    is_mobius,
-    mobius_deviation,
-    schwarzian,
-    schwarzian_cocycle_residual,
-)
 from .surfaces import (
     SPHERE,
-    GaussSphereMapping,
     SurfaceOfRevolution,
     conformal_latitude,
-    gauss_scale,
     isometric_coordinate,
 )
 

@@ -215,9 +215,9 @@ def _graticule(
 def run_project(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
     """Project every position of ``--region``, ``_PROJECT_BLOCK`` at a time:
     the first that fails names the error.  Each image is formatted once,
-    into the GeoJSON's text and, on a line with ``--svg``, the SVG's
-    polyline alike (``geojson_io.position_texts``), and the document's
-    position arrays are emptied once read."""
+    into the GeoJSON's text with ``--out`` and, on a line with ``--svg``,
+    the SVG's polyline alike (``geojson_io.position_texts``), and the
+    document's position arrays are emptied once read."""
     spec = projection_spec(args)
     if args.out_path is None and args.svg_path is None:
         raise ConfigError("project needs --out and/or --svg")
@@ -243,8 +243,10 @@ def run_project(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> 
     # positions in it are not kept alive while the texts are made
     for array, _ in arrays:
         array.clear()
-    # the SVG draws the lines alone, and only an SVG needs their polylines
-    texts, polylines = geojson_io.position_texts(arrays, x, y, lines if args.svg_path else ())
+    # only the GeoJSON needs the arrays' texts; the SVG draws the lines alone,
+    # and only an SVG needs their polylines
+    texts, polylines = geojson_io.position_texts(
+        arrays if args.out_path else (), x, y, lines if args.svg_path else ())
     if args.out_path:
         outputs[args.out_path] = (geojson_io.dumps(document, arrays, texts), "\n")
     del document, arrays, texts  # not kept alive while the SVG text is built

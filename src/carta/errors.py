@@ -53,10 +53,6 @@ class ProjectionPole(DomainError):
     """Stereographic projection evaluated at its center (the North pole)."""
 
 
-class PoleDegenerate(DomainError):
-    """Surface evaluator called at a rotation-axis pole."""
-
-
 class OriginSingularity(DomainError):
     """Power map z -> z^c evaluated at the origin with c != 1."""
 
@@ -75,10 +71,6 @@ class DomainEdge(DomainError):
 
 class EmptyRegion(DomainError):
     """An operation over a region received no sample points."""
-
-
-class CriticalPoint(DomainError):
-    """|f'| below threshold: Schwarzian derivative undefined."""
 
 
 # -- SolverError: a numerical solve failed (exit 5) -------------------------------
@@ -103,10 +95,6 @@ class DegenerateInput(CartaError):
 
 class DegenerateTransform(DegenerateInput):
     """Mobius coefficients with a vanishing determinant."""
-
-
-class DegeneratePolygon(DegenerateInput):
-    """Spherical polygon with repeated or antipodal consecutive vertices."""
 
 
 class InsufficientPoints(DegenerateInput):

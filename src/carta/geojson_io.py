@@ -57,8 +57,8 @@ def dumps(obj, arrays=(), texts=()) -> str:
 
 def position_texts(arrays, x, y, lines=()) -> tuple[list[str], list[str]]:
     """``(texts, polylines)``: a text for each of ``map_positions``' arrays
-    and a polyline for each of the ``lines`` among them (``(start, end)``
-    ranges of positions), every position written as its image (x[i], y[i]).
+    and a polyline for each of the ``lines`` (``(start, end)`` ranges of
+    positions), every position written as its image (x[i], y[i]).
 
     A text is what goes inside the array's brackets in the GeoJSON, without
     a third element: ``x, y`` for a Point's position, ``[x, y], [x, y]``
@@ -67,41 +67,52 @@ def position_texts(arrays, x, y, lines=()) -> tuple[list[str], list[str]]:
     |x| and |y| once, ``_ROW_BLOCK`` positions at a time, and both rows of
     a position on a line are made from those words, each value's sign
     written in the literal piece before it: ``%.15g`` of -v is "-" and the
-    text of v.  The first non-finite value raises ``format_float``'s error
-    before any text is made.
+    text of v.  Only the rows of the texts asked for are made.  The first
+    non-finite value raises ``format_float``'s error before any text is made.
     """
     _check_finite((x, y))
-    counts = [1 if count is None else count for _, count in arrays]
-    ends = np.cumsum(counts, dtype=np.intp)
-    # each position's row: 0 inside an array, 1 an array's last, 2 a Point's
-    kind = np.zeros(len(x), np.intp)
-    kind[ends[np.flatnonzero(counts)] - 1] = 1
-    kind[ends[[k for k, (_, count) in enumerate(arrays) if count is None]] - 1] = 2
-    # the GeoJSON's and the SVG's pieces, a word each: the one before x by 2 * kind
-    # + x's sign bit, before y by y's sign bit, and after y by kind
-    pieces = [(["[", "[-"] * 2 + ["", "-"], [", ", ", -"], ["], ", "]\n", "\n"]),
-              (["", "-"] * 3, [",-", ","], [" ", "\n", "\n"])]  # a newline ends an array
-    pieces = [[np.concatenate([_words(piece or "\0") for piece in column]) for column in row]
-              for row in pieces[:1 + bool(lines)]]
-    # the rows each leaves out: none of the GeoJSON's, and the SVG's of the
-    # positions on no line, in the gaps before, between and after the lines
-    skips = [np.empty(0, np.intp)]
+
+    def words(*columns):
+        return [np.concatenate([_words(piece or "\0") for piece in column]) for column in columns]
+
+    # each text asked for: its pieces, a word each (the ones before x and
+    # after y by 2 * kind + x's sign bit, the one before y by y's sign bit),
+    # kind2 = 2 * kind of each position's row, the rows it leaves out and
+    # its sizes
+    made = []
+    if arrays:
+        counts = [1 if count is None else count for _, count in arrays]
+        ends = np.cumsum(counts, dtype=np.intp)
+        # kind 0 inside an array, 1 an array's last, 2 a Point's
+        kind2 = np.zeros(len(x), np.int8)
+        kind2[ends[np.flatnonzero(counts)] - 1] = 2
+        kind2[ends[[k for k, (_, count) in enumerate(arrays) if count is None]] - 1] = 4
+        pieces = words(["[", "[-"] * 2 + ["", "-"], [", ", ", -"],
+                       ["], "] * 2 + ["]\n"] * 2 + ["\n"] * 2)
+        made.append((pieces, kind2, np.empty(0, np.intp), counts))
     if lines:
+        # kind 0 inside a line, 1 a line's last; the rows of the positions on
+        # no line, in the gaps before, between and after the lines, are left out
+        kind2 = np.zeros(len(x), np.int8)
+        kind2[[end - 1 for start, end in lines if end > start]] = 2
         lo, hi = np.reshape([0, *np.ravel(lines), len(x)], (-1, 2)).T
         size = hi - lo
-        skips.append(np.arange(size.sum()) + np.repeat(lo + size - np.cumsum(size), size))
-    done, pending = ([], []), ([], [])
-    for start in range(0, len(x), _ROW_BLOCK):
+        skip = np.arange(size.sum()) + np.repeat(lo + size - np.cumsum(size), size)
+        # a newline ends a line
+        pieces = words(["", "-"] * 2, [",-", ","], [" "] * 2 + ["\n"] * 2)
+        made.append((pieces, kind2, skip, [end - start for start, end in lines]))
+    done = [([], []) for _ in made]  # each text's rows, and the part of one not yet ended
+    for start in range(0, len(x) if made else 0, _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
-        xb, yb, row_kind = x[block], y[block], kind[block]
+        xb, yb = x[block], y[block]
         # numbers[i, c]: the words of |x[i]| (c = 0) or |y[i]| (c = 1)
         numbers = _number_words(np.abs(np.concatenate((xb, yb)))).reshape(3, 2, -1).T
         rows = np.empty((len(xb), 9), _WORD)
         rows[:, 1:4], rows[:, 5:8] = numbers[:, 0], numbers[:, 1]
-        before_x, before_y = 2 * row_kind + np.signbit(xb), np.signbit(yb).astype(np.intp)
-        for (opening, middle, closing), skip, texts, waiting in zip(pieces, skips, done, pending):
-            rows[:, 0], rows[:, 4], rows[:, 8] = (
-                opening[before_x], middle[before_y], closing[row_kind])
+        sign_x, sign_y = np.signbit(xb).view(np.int8), np.signbit(yb).astype(np.intp)
+        for ((opening, middle, closing), kind2, skip, _), (texts, waiting) in zip(made, done):
+            row = (kind2[block] + sign_x).astype(np.intp)  # an int8 index is slower
+            rows[:, 0], rows[:, 4], rows[:, 8] = opening[row], middle[sign_y], closing[row]
             if skip.size:
                 first, last = np.searchsorted(skip, (start, start + len(xb)))
                 rows[skip[first:last] - start] = 0  # NUL words, which _text drops
@@ -111,8 +122,9 @@ def position_texts(arrays, x, y, lines=()) -> tuple[list[str], list[str]]:
                 texts.append("".join(waiting))
                 texts += rest[:-1]
                 waiting[:] = rest[-1:]
-    return tuple([next(nonempty) if count else "" for count in sizes]
-                 for nonempty, sizes in zip(map(iter, done), (counts, [b - a for a, b in lines])))
+    results = [[next(nonempty) if size else "" for size in sizes]
+               for (*_, sizes), nonempty in zip(made, (iter(texts) for texts, _ in done))]
+    return results[0] if arrays else [], results[-1] if lines else []
 
 
 def _check_finite(columns) -> None:

@@ -1,5 +1,5 @@
 """Inversive geometry in the plane, the stereographic sphere-plane bridge,
-spherical polygon areas, and a least-squares generalized-circle fit.
+and a least-squares generalized-circle fit.
 
 Conventions used throughout the package:
 
@@ -17,12 +17,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
 from .errors import (
-    DegeneratePolygon,
     DegenerateTransform,
     InsufficientPoints,
     NonFiniteValue,
@@ -82,9 +81,6 @@ class SpherePoint:
         return np.array(
             [cl * math.cos(self.longitude), cl * math.sin(self.longitude), math.sin(self.latitude)]
         )
-
-    def chord_distance(self, other: "SpherePoint") -> float:
-        return float(np.linalg.norm(self.unit_vector() - other.unit_vector()))
 
 
 @dataclass(frozen=True)
@@ -177,26 +173,11 @@ class MobiusTransform:
             object.__setattr__(m, name, value)
         return m
 
-    def determinant(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
     def apply_complex(self, z: complex) -> complex:
         den = self.c * z + self.d
         if abs(den) < 1e-14:
             raise PointAtInfinity(f"point {z} maps to infinity")
         return (self.a * z + self.b) / den
-
-    def __call__(self, z: complex) -> complex:
-        return self.apply_complex(z)
-
-    def compose(self, other: "MobiusTransform") -> "MobiusTransform":
-        """Return self after other: (self . other)(z) = self(other(z))."""
-        return MobiusTransform._normalized(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def inverse(self) -> "MobiusTransform":
         return MobiusTransform._normalized(self.d, -self.b, -self.c, self.a)
@@ -238,42 +219,6 @@ def stereographic_project(p: SpherePoint) -> PlanePoint:
         raise ProjectionPole("the North pole has no stereographic image")
     rho = math.tan(math.pi / 4 + p.latitude / 2)
     return PlanePoint(rho * math.cos(p.longitude), rho * math.sin(p.longitude))
-
-
-# -- spherical polygon area ----------------------------------------------------
-
-
-def spherical_polygon_area(vertices: Sequence[SpherePoint]) -> float:
-    """Area (steradians) of a simple great-circle polygon via angle excess.
-
-    Vertices are traversed with the interior on the left; the result is
-    sum(interior angles) - (n - 2) pi, computed from signed turning angles
-    on unit 3-vectors, which stays stable near the poles.
-    """
-    n = len(vertices)
-    if n < 3:
-        raise DegeneratePolygon("polygon needs at least 3 vertices")
-    v = np.array([p.unit_vector() for p in vertices])
-    nxt = np.roll(v, -1, axis=0)
-    chord = np.linalg.norm(nxt - v, axis=1)
-    anti = np.linalg.norm(nxt + v, axis=1)
-    if np.any(chord < 1e-12):
-        raise DegeneratePolygon("repeated consecutive vertices")
-    if np.any(anti < 1e-9):
-        raise DegeneratePolygon("antipodal consecutive vertices")
-
-    # tangent at each vertex of the outgoing edge: (v x next) x v
-    edge_normal = np.cross(v, nxt)
-    t_out = np.cross(edge_normal, v)
-    t_out /= np.linalg.norm(t_out, axis=1)[:, None]
-    # tangent of arrival at the NEXT vertex along the same edge
-    t_in_next = np.cross(edge_normal, nxt)
-    t_in_next /= np.linalg.norm(t_in_next, axis=1)[:, None]
-    t_in = np.roll(t_in_next, 1, axis=0)
-
-    cross = np.cross(t_in, t_out)
-    turn = np.arctan2(np.einsum("ij,ij->i", cross, v), np.einsum("ij,ij->i", t_in, t_out))
-    return float(TWO_PI - np.sum(turn))
 
 
 # -- least-squares generalized circle fit ---------------------------------------

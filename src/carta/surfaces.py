@@ -3,27 +3,18 @@
 The spheroid is an ellipse of revolution with semi-major axis 1 and
 eccentricity e; latitudes are geodetic.  The isometric and conformal
 latitudes, the inverse of the conformal one and the conformal scale take
-every latitude of [-pi/2, pi/2]; the parallel radius and the Gauss sphere
-reduction, an oracle, clip their domain to |lat| <= pi/2 - 1e-8.  The
-latitude functions take a float or a numpy array of latitudes and
-evaluate with numpy either way.
+every latitude of [-pi/2, pi/2].  The latitude functions take a float or a
+numpy array of latitudes and evaluate with numpy either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, PoleDegenerate
-
-POLE_LATITUDE_MARGIN = 1e-8
-
-
-def _check_latitude(latitude) -> None:
-    if np.any(np.abs(latitude) > math.pi / 2 - POLE_LATITUDE_MARGIN):
-        raise PoleDegenerate(f"latitude {latitude} too close to a pole")
+from .errors import NoConvergence
 
 
 @dataclass(frozen=True)
@@ -39,12 +30,6 @@ class SurfaceOfRevolution:
     @property
     def is_sphere(self) -> bool:
         return self.eccentricity == 0.0
-
-    def parallel_radius(self, latitude):
-        """Distance from the surface point to the rotation axis."""
-        _check_latitude(latitude)
-        e2 = self.eccentricity**2
-        return np.cos(latitude) / np.sqrt(1.0 - e2 * np.sin(latitude) ** 2)
 
     def gaussian_curvature(self, latitude: float) -> float:
         """1/(M N), the product of the principal curvatures; 1 on the sphere."""
@@ -139,62 +124,3 @@ def inverse_conformal_latitude(eccentricity: float, chi):
         if np.all(np.abs(step) <= 8 * np.finfo(float).eps * (1.0 + (1.0 + np.abs(sigma)) * scale)):
             return lat[()]
     raise NoConvergence(f"conformal latitude not inverted at eccentricity {e}")
-
-
-@dataclass(frozen=True)
-class GaussSphereMapping:
-    """Conformal spheroid-to-sphere reduction with stationary scale.
-
-    The spheroid (a = 1, eccentricity e) is mapped conformally onto a
-    sphere of radius R by matching isometric coordinates up to an affine
-    map: sigma_sphere(psi) = alpha * sigma_spheroid(lat) + ln K, with
-    longitudes scaled by the same alpha.  The constants are fixed so the
-    point scale equals 1 at the central latitude with vanishing first and
-    second derivatives there, which keeps the similarity ratio constant
-    along a meridian to third order.
-    """
-
-    eccentricity: float
-    central_latitude: float
-
-    # derived constants, filled in __post_init__
-    alpha: float = field(init=False)
-    sphere_radius: float = field(init=False)
-    log_k: float = field(init=False)
-
-    def __post_init__(self):
-        surface = SurfaceOfRevolution(self.eccentricity)  # ValueError outside [0, 1)
-        _check_latitude(self.central_latitude)
-        e2 = self.eccentricity**2
-        ep2 = e2 / (1.0 - e2)
-        phi0 = self.central_latitude
-        alpha = math.sqrt(1.0 + ep2 * math.cos(phi0) ** 4)
-        psi0 = math.asin(math.sin(phi0) / alpha)
-        log_k = math.asinh(math.tan(psi0)) - alpha * isometric_coordinate(surface, phi0)
-        radius = surface.parallel_radius(phi0) / (alpha * math.cos(psi0))
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "sphere_radius", float(radius))
-        object.__setattr__(self, "log_k", float(log_k))
-
-    def sphere_latitude(self, latitude: float) -> float:
-        """Latitude on the auxiliary sphere for a spheroid latitude."""
-        if self.eccentricity == 0.0:
-            return latitude
-        _check_latitude(latitude)
-        surface = SurfaceOfRevolution(self.eccentricity)
-        return gudermannian(self.alpha * isometric_coordinate(surface, latitude) + self.log_k)
-
-
-def gauss_scale(mapping: GaussSphereMapping, latitude: float) -> float:
-    """Pointwise similarity ratio of the spheroid->sphere conformal map."""
-    _check_latitude(latitude)
-    if mapping.eccentricity == 0.0:
-        return 1.0
-    surface = SurfaceOfRevolution(mapping.eccentricity)
-    psi = mapping.sphere_latitude(latitude)
-    return (
-        mapping.sphere_radius
-        * mapping.alpha
-        * math.cos(psi)
-        / surface.parallel_radius(latitude)
-    )

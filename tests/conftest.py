@@ -22,6 +22,8 @@ from carta import (
 )
 from carta.surfaces import SPHERE, SurfaceOfRevolution
 
+from oracles import parallel_radius
+
 
 @pytest.fixture
 def rng():
@@ -65,7 +67,7 @@ def _pre_post_image_and_scale(spec, p):
     surface_factor = 1.0
     if not spec.surface.is_sphere:
         chi = conformal_latitude(spec.surface.eccentricity, lat)
-        surface_factor = math.cos(chi) / spec.surface.parallel_radius(lat)
+        surface_factor = math.cos(chi) / parallel_radius(spec.surface.eccentricity, lat)
         lat = chi
     colat = math.pi / 2 - lat
     rho = math.tan(math.pi / 4 + lat / 2)

@@ -96,11 +96,14 @@ def reference_close_ring(points):
     """The ring rule one SpherePoint pair at a time: a last vertex within
     1e-12 (chord) of the first is dropped, and so is every vertex within
     1e-12 of the last one kept."""
-    if len(points) > 1 and points[0].chord_distance(points[-1]) < 1e-12:
+    def chord(p, q):
+        return np.linalg.norm(p.unit_vector() - q.unit_vector())
+
+    if len(points) > 1 and chord(points[0], points[-1]) < 1e-12:
         points = points[:-1]
     distinct = []
     for p in points:
-        if not distinct or distinct[-1].chord_distance(p) > 1e-12:
+        if not distinct or chord(distinct[-1], p) > 1e-12:
             distinct.append(p)
     return distinct
 

@@ -241,9 +241,9 @@ def test_ratio_invariant_under_similarity(rng):
 
     base_post = MobiusTransform(1.0, 0.3 + 0.1j, 0.2 - 0.4j, 1.0)
     spec = LagrangeProjectionSpec(exponent=0.7, post_transform=base_post)
-    similarity = MobiusTransform(2.7 * complex(math.cos(0.6), math.sin(0.6)), 0, 0, 1)
+    k = 2.7 * complex(math.cos(0.6), math.sin(0.6))  # z -> k z after the base
     spec_after = LagrangeProjectionSpec(
-        exponent=0.7, post_transform=similarity.compose(base_post)
+        exponent=0.7, post_transform=MobiusTransform(k * 1.0, k * (0.3 + 0.1j), 0.2 - 0.4j, 1.0)
     )
     ratios = []
     for _ in range(60):

@@ -67,6 +67,7 @@ from carta.svg_render import svg_text
 from carta.surfaces import SPHERE, SurfaceOfRevolution, conformal_latitude
 
 from conftest import point_columns, random_point_for_spec, random_spec
+from oracles import parallel_radius
 
 
 def reference_project(spec, p):
@@ -967,6 +968,7 @@ def test_position_texts_are_block_invariant(monkeypatch, block):
     monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
     assert position_texts(arrays, x, y, lines) == (texts, polylines)
     assert position_texts(arrays, x, y) == (texts, [])
+    assert position_texts((), x, y, lines) == ([], polylines)
     assert dumps(document, arrays, texts) == text
     # each position formatted on its own
     positions = iter(zip(map(format_float, x.tolist()), map(format_float, y.tolist())))
@@ -997,6 +999,25 @@ def test_multipoint_texts_make_no_polylines():
             tracemalloc.stop()
         assert len(polylines) == len(lines) == (kind == "LineString")
     assert peaks[0] < 0.85 * peaks[1]
+
+
+def test_svg_polylines_alone_make_no_geojson_rows():
+    # without the arrays (no --out) only the polylines are made, the same
+    # ones, in less memory
+    rng = np.random.default_rng(31)
+    document = {"type": "MultiLineString",
+                "coordinates": rng.uniform(-80, 80, (2000, 100, 2)).tolist()}
+    arrays, x, y, lines = map_positions(document, lambda lon, lat: (lon / 7, lat / 3))
+    peaks, results = [], []
+    for given in ((), arrays):
+        tracemalloc.start()
+        try:
+            results.append(position_texts(given, x, y, lines))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert results[0] == ([], results[1][1])
+    assert peaks[0] < 0.7 * peaks[1]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -1207,7 +1228,7 @@ def reference_dilatation(spec, p):
     surface_factor = 1.0
     if not spec.surface.is_sphere:
         chi = conformal_latitude(spec.surface.eccentricity, lat)
-        surface_factor = math.cos(chi) / spec.surface.parallel_radius(lat)
+        surface_factor = math.cos(chi) / parallel_radius(spec.surface.eccentricity, lat)
         lat = chi
     colat = math.pi / 2 - lat
     stereo_factor = 1.0 / (2.0 * math.sin(colat / 2.0) ** 2)

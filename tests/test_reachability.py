@@ -1,19 +1,21 @@
-"""Each module-level function and class of carta has a caller in the
-package or in the benchmark, or is kept for a named acceptance criterion.
-Unit tests do not count as callers: what only they reach no subcommand runs."""
+"""Each module-level function and class of carta, and each method of its
+classes, has a caller in the package or in the benchmark, or is kept for a
+named acceptance criterion or ROADMAP item.  Unit tests do not count as
+callers: what only they reach no subcommand runs.  The oracles that only
+the tests need live in tests/oracles.py, outside the package."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# definitions that only tests/test_acceptance.py calls
+# definitions that only the tests call
 KEEP = {
-    "dilatation_fd": "criterion 3",
-    "gauss_scale": "criterion 5",
-    "is_mobius": "criterion 7 (the verdict of schwarzian.py)",
-    "schwarzian_cocycle_residual": "criterion 7",
-    "spherical_polygon_area": "criterion 8",
+    "dilatation_fd": "criterion 3; the finite-difference family shares _images with "
+                     "the scalar conformality_defect, and leaves after ROADMAP item 9",
+    "LagrangeProjectionSpec.projection": "criterion 3",
+    "Triangle.area": "criterion 6",
+    "SurfaceOfRevolution.gaussian_curvature": "ROADMAP item 5",
 }
 
 
@@ -28,10 +30,14 @@ def references(tree, skip=None) -> set[str]:
     return found
 
 
-def test_every_definition_is_reached():
+def _trees():
     src = {p.name: ast.parse(p.read_text()) for p in (ROOT / "src" / "carta").glob("*.py")}
     del src["__init__.py"]
-    bench = [ast.parse(p.read_text()) for p in (ROOT / "bench").glob("*.py")]
+    return src, [ast.parse(p.read_text()) for p in (ROOT / "bench").glob("*.py")]
+
+
+def test_every_definition_is_reached():
+    src, bench = _trees()
     unreached, defined = [], set()
     for name, tree in src.items():
         callers = set().union(*map(references, bench + [t for n, t in src.items() if n != name]))
@@ -41,4 +47,27 @@ def test_every_definition_is_reached():
                 if node.name not in KEEP.keys() | callers | references(tree, node):
                     unreached.append(f"{name}:{node.name}")
     assert unreached == []
-    assert KEEP.keys() <= defined
+    assert {name for name in KEEP if "." not in name} <= defined
+
+
+def test_every_method_is_reached():
+    # only attribute references (x.name) count, so that a local variable of
+    # the same name cannot hide a dead method; dunder methods are called by
+    # the language, all but __call__, which a call site names nowhere
+    src, bench = _trees()
+    called = {node.attr for tree in [*src.values(), *bench] for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    unreached, defined = [], set()
+    for name, tree in src.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                method = f"{cls.name}.{node.name}"
+                defined.add(method)
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if (node.name not in called and method not in KEEP
+                        and (not dunder or node.name == "__call__")):
+                    unreached.append(f"{name}:{method}")
+    assert unreached == []
+    assert {name for name in KEEP if "." in name} <= defined
