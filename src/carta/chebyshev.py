@@ -26,6 +26,11 @@ at the chart origin, so the unknowns at even indices are the nodes of the
 grid of twice the step: each coarser level keeps those, with the
 Shortley-Weller stencil of that grid, whose arms follow from the finer
 level's, and every level, the last too, is smoothed by Jacobi sweeps.
+Most unknowns have four full arms that end at unknowns, where the
+operator is the plain 5-point stencil: a level applies that stencil to
+its whole box at once, then writes the Shortley-Weller rows, those of the
+unknowns with an arm that is short or ends at a boundary point, from
+their own coefficients.
 """
 
 from __future__ import annotations
@@ -55,11 +60,12 @@ _MIN_ARM = 1e-6
 _ARM_SHIFTS = ((0, 1), (0, -1), (1, 0), (-1, 0))  # east, west, north, south
 
 # _chart_mesh refuses chart grids of more nodes than this, counted before
-# any array is built.  A chebyshev run with --out peaks at about 0.25 kB
-# of RSS per grid node on top of 30 MB (the 60 and 75 degree caps at the
-# default 0.25 degree step, 533 x 533 and 708 x 708 nodes, took 100 and
-# 154 MB), so a run at the limit stays near 290 MB; every cap the CLI
-# takes (under 90 degrees) fits at the default step.
+# any array is built.  A chebyshev run, with --out or without, peaks at
+# about 0.17 KiB of RSS per grid node on top of 33 MiB (the 60 and 75
+# degree caps at the default 0.25 degree step, 533 x 533 and 708 x 708
+# nodes, took 80.3 and 117.5 MiB), so a run of 533 x 533 nodes stays under
+# 90 MiB and a run at the limit near 210 MiB; every cap the CLI takes
+# (under 90 degrees) fits at the default step.
 CHART_NODE_LIMIT = 1 << 20
 
 
@@ -317,21 +323,11 @@ def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
     np.logical_xor.accumulate(inside, axis=1, out=inside)
     unknown = inside & (arms.min(axis=0) >= _MIN_ARM)
 
-    jj, ii = np.nonzero(unknown)
-    n = len(jj)
+    n = np.count_nonzero(unknown)
     if n < 9:
         raise RegionTooSmall(f"only {n} interior nodes at delta={delta}")
-    theta = arms[:, jj, ii].T
-    dj, di = np.array(_ARM_SHIFTS).T
-    nj, ni = jj[:, None] + dj, ii[:, None] + di
-    full = theta == 1.0
-    # a full arm that does not reach an unknown ends at a node on the boundary
-    edge = np.zeros(shape, dtype=bool)
-    edge[nj[full], ni[full]] = True
-    bj, bi = np.nonzero(edge & ~unknown)
-    # points: the unknowns, the boundary nodes, then the short arms' ends
-    x = h * (i0 + np.concatenate([ii, bi, (ii[:, None] + di * theta)[~full]]))
-    y = h * (j0 + np.concatenate([jj, bj, (jj[:, None] + dj * theta)[~full]]))
+    rows, cols = _mesh_points(unknown, arms)
+    x, y = h * (i0 + cols), h * (j0 + rows)
     rho2 = x * x + y * y
     v = frame.T @ (np.stack([2.0 * x, 2.0 * y, 1.0 - rho2]) / (1.0 + rho2))
     return RegionMesh(
@@ -343,6 +339,27 @@ def _chart_mesh(frame, normals, offsets, ends, delta) -> RegionMesh:
         arms=arms,
         origin=(j0, i0),
     )
+
+
+def _mesh_points(unknown, arms) -> tuple[np.ndarray, np.ndarray]:
+    """Box row and column of the mesh points: the unknowns in row order,
+    the nodes off them where a full arm ends, then the ends of the short
+    arms, ordered by unknown and then by arm."""
+    edge = np.zeros(unknown.shape, dtype=bool)
+    keys, rows, cols = [], [], []
+    for arm, (dj, di) in enumerate(_ARM_SHIFTS):
+        full = arms[arm] == 1.0
+        # a full arm that does not reach an unknown ends at a node on the boundary
+        edge |= np.roll(unknown & full, (dj, di), axis=(0, 1))
+        jj, ii = np.nonzero(unknown & ~full)
+        theta = arms[arm][jj, ii]
+        keys.append(4 * (jj * unknown.shape[1] + ii) + arm)
+        rows.append(jj + dj * theta)
+        cols.append(ii + di * theta)
+    order = np.argsort(np.concatenate(keys))
+    (jj, ii), (bj, bi) = np.nonzero(unknown), np.nonzero(edge & ~unknown)
+    return (np.concatenate([jj, bj, np.concatenate(rows)[order]]),
+            np.concatenate([ii, bi, np.concatenate(cols)[order]]))
 
 
 def build_cap_mesh(radius: float, delta: float) -> RegionMesh:
@@ -396,43 +413,67 @@ _SWEEPS = 3  # smoothing sweeps before and after each coarse correction
 class _Level:
     """One grid of the multigrid hierarchy, in a box of its chart grid whose
     first row and column are at even indices and whose border holds no
-    unknown.  ``coeffs`` are the diagonal and east, west, north and south
-    Shortley-Weller coefficients of each box node, all 0 off the unknowns."""
+    unknown.  An unknown whose four arms are full and end at unknowns has
+    the plain stencil: ``scale`` on each arm and -4 ``scale`` on the
+    diagonal.  ``irregular`` holds the flat box index of every other
+    unknown, and ``coeffs`` its diagonal and east, west, north and south
+    Shortley-Weller coefficients; ``rim`` the nodes off the unknowns next
+    to one."""
 
-    coeffs: np.ndarray  # (5, rows, cols)
+    scale: float
+    irregular: np.ndarray  # (m,) flat box indices
+    coeffs: np.ndarray  # (5, m)
+    rim: np.ndarray  # flat box indices
     mask: np.ndarray  # the unknowns
     step: np.ndarray  # Jacobi weight / diagonal on the unknowns, 0 elsewhere
     origin: tuple[int, int]  # grid row and column of the box's first node
 
 
-def _apply(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The operator of ``coeffs`` times ``u``, on the flattened box: the
-    arms are shifts by one node and by one row, and the empty border keeps
-    them from wrapping from one row to the next."""
-    cols, c, v = u.shape[1], coeffs.reshape(5, -1), u.reshape(-1)
-    out = c[0] * v
-    out[:-1] += c[1, :-1] * v[1:]
-    out[1:] += c[2, 1:] * v[:-1]
-    out[:-cols] += c[3, :-cols] * v[cols:]
-    out[cols:] += c[4, cols:] * v[:-cols]
+def _apply(level: _Level, u: np.ndarray) -> np.ndarray:
+    """The operator of ``level`` times ``u``, which is 0 off the unknowns,
+    on the flattened box: the arms are shifts by one node and by one row,
+    and the empty border keeps them from wrapping from one row to the next.
+
+    The plain stencil runs on the whole box; then the irregular rows are
+    written over, in the same order of terms, and the rim, the only rows
+    off the unknowns that it made other than 0, is zeroed."""
+    cols, v = u.shape[1], u.reshape(-1)
+    kv = level.scale * v
+    out = -4.0 * kv
+    out[:-1] += kv[1:]
+    out[1:] += kv[:-1]
+    out[:-cols] += kv[cols:]
+    out[cols:] += kv[:-cols]
+    k, c = level.irregular, level.coeffs
+    out[k] = (c[0] * v[k] + c[1] * v[k + 1] + c[2] * v[k - 1]
+              + c[3] * v[k + cols] + c[4] * v[k - cols])
+    out[level.rim] = 0.0
     return out.reshape(u.shape)
 
 
 def _level(arms, mask, spacing, origin) -> _Level:
     """The Shortley-Weller level of ``arms``, in steps of ``spacing`` and at least _MIN_ARM."""
     east, west, north, south = np.maximum(arms[:, mask], _MIN_ARM)
-    coeffs = np.zeros((5,) + mask.shape)
-    coeffs[:, mask] = 2.0 / spacing**2 * np.stack(
+    scale = 2.0 / spacing**2
+    coeffs = scale * np.stack(
         [-(1 / (east * west) + 1 / (north * south)),
          1 / (east * (east + west)), 1 / (west * (east + west)),
          1 / (north * (north + south)), 1 / (south * (north + south))]
     )
     # arms ending at boundary points multiply u = 0 and drop out: an arm
     # keeps its coefficient where it is full and the next node is unknown
+    rim = np.zeros(mask.shape, dtype=bool)  # the nodes next to an unknown
     for arm, (dj, di) in enumerate(_ARM_SHIFTS, 1):
-        coeffs[arm] *= (arms[arm - 1] == 1.0) & np.roll(mask, (-dj, -di), axis=(0, 1))
-    step = np.divide(_JACOBI_WEIGHT, coeffs[0], out=np.zeros(mask.shape), where=mask)
-    return _Level(coeffs, mask, step, origin)
+        ahead = np.roll(mask, (-dj, -di), axis=(0, 1))
+        coeffs[arm] *= (arms[arm - 1] == 1.0)[mask] & ahead[mask]
+        rim |= ahead
+    plain = scale * 0.5  # each arm's coefficient where all four are full: 1 / (1 (1 + 1))
+    stencil = np.array([-4.0 * plain, plain, plain, plain, plain])
+    irregular = np.any(coeffs != stencil[:, None], axis=0)
+    step = np.zeros(mask.shape)
+    step[mask] = _JACOBI_WEIGHT / coeffs[0]
+    return _Level(plain, np.flatnonzero(mask)[irregular], coeffs[:, irregular],
+                  np.flatnonzero(rim & ~mask), mask, step, origin)
 
 
 def _coarsen(arms, mask, origin):
@@ -452,10 +493,12 @@ def _coarsen(arms, mask, origin):
 
 
 def _full_weight(r: np.ndarray) -> np.ndarray:
-    """[1, 2, 1] / 4 along axis 0, at the even rows."""
-    m = (len(r) + 1) // 2
-    padded = np.pad(r, [(1, 1)] + [(0, 0)] * (r.ndim - 1))
-    return (padded[0 : 2 * m : 2] + 2.0 * padded[1 : 2 * m : 2] + padded[2 : 2 * m + 1 : 2]) / 4
+    """[1, 2, 1] / 4 along axis 0, at the even rows, with 0 past either end."""
+    out = 2.0 * r[::2]
+    out[1:] += r[1 : len(r) - 1 : 2]
+    out[: len(r) // 2] += r[1::2]
+    out /= 4
+    return out
 
 
 def _interpolate(e: np.ndarray, n: int) -> np.ndarray:
@@ -473,18 +516,26 @@ def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
     level, coarse = levels[0], levels[1:]
     u = level.step * b  # the first sweep, from u = 0
     for _ in range(_SWEEPS - 1):
-        u += level.step * (b - _apply(level.coeffs, u))
+        _sweep(level, b, u)
     if coarse:
         # where this box's even nodes start in the coarse box
         oj, oi = (f // 2 - c for f, c in zip(level.origin, coarse[0].origin))
         rc = np.zeros(coarse[0].mask.shape)
-        r = _full_weight(_full_weight(b - _apply(level.coeffs, u)).T).T
+        r = _full_weight(_full_weight(b - _apply(level, u)).T).T
         rc[oj : oj + r.shape[0], oi : oi + r.shape[1]] = r
         ec = _vcycle(coarse, rc * coarse[0].mask)[oj:, oi:]
         u += _interpolate(_interpolate(ec, b.shape[0]).T, b.shape[1]).T * level.mask
     for _ in range(_SWEEPS):
-        u += level.step * (b - _apply(level.coeffs, u))
+        _sweep(level, b, u)
     return u
+
+
+def _sweep(level: _Level, b: np.ndarray, u: np.ndarray) -> None:
+    """One weighted Jacobi sweep on u in place: u += step (b - A u)."""
+    r = _apply(level, u)
+    np.subtract(b, r, out=r)
+    r *= level.step
+    u += r
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -497,7 +548,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _bicgstab(levels: list[_Level], b: np.ndarray) -> np.ndarray:
     """BiCGSTAB (van der Vorst 1992) right-preconditioned by one V-cycle,
     until the largest residual is at most _STOP."""
-    coeffs = levels[0].coeffs
     x, r, r_hat = np.zeros(b.shape), b.copy(), b.copy()
     p = v = np.zeros(b.shape)
     rho = alpha = omega = 1.0
@@ -507,7 +557,7 @@ def _bicgstab(levels: list[_Level], b: np.ndarray) -> np.ndarray:
             break
         p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
         p_hat = _vcycle(levels, p)
-        v = _apply(coeffs, p_hat)
+        v = _apply(levels[0], p_hat)
         denominator = _dot(r_hat, v)
         if denominator == 0.0:
             break
@@ -517,7 +567,7 @@ def _bicgstab(levels: list[_Level], b: np.ndarray) -> np.ndarray:
         if np.abs(s).max() <= _STOP:
             return x
         s_hat = _vcycle(levels, s)
-        t = _apply(coeffs, s_hat)
+        t = _apply(levels[0], s_hat)
         tt = _dot(t, t)
         if tt == 0.0:
             break
@@ -550,7 +600,7 @@ def solve_log_scale(mesh: RegionMesh) -> np.ndarray:
     u = np.zeros(mesh.node_count)
     u[:n] = box[mesh.mask]
 
-    residual = np.abs(_apply(levels[0].coeffs, box) - rhs).max()
+    residual = np.abs(_apply(levels[0], box) - rhs).max()
     if not np.all(np.isfinite(u)) or residual > RESIDUAL_TOL:
         raise NoConvergence(f"solve residual {residual}")
     return u

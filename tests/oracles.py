@@ -1,7 +1,10 @@
 """Oracles that only the tests use: the numerical Schwarzian derivative,
-Gauss's spheroid-to-sphere reduction and the area of a spherical polygon.
+Gauss's spheroid-to-sphere reduction, the area of a spherical polygon, and
+the chart mesh's points and the Shortley-Weller operator as they were
+first computed, per unknown and arm and from five coefficient boxes.
 
-No subcommand runs them; acceptance criteria 7, 5 and 8 do.
+No subcommand runs them; acceptance criteria 7, 5 and 8 and the
+chebyshev tests do.
 """
 
 import math
@@ -209,3 +212,53 @@ def spherical_polygon_area(vertices) -> float:
     cross = np.cross(t_in, t_out)
     turn = np.arctan2(np.einsum("ij,ij->i", cross, v), np.einsum("ij,ij->i", t_in, t_out))
     return float(TWO_PI - np.sum(turn))
+
+
+# -- the chart mesh and its operator, written plainly ------------------------------
+
+ARM_SHIFTS = ((0, 1), (0, -1), (1, 0), (-1, 0))  # east, west, north, south
+
+
+def mesh_points(unknown, arms):
+    """Box row and column of a chart mesh's points, from (n, 4) arrays of
+    the unknowns' arms: the unknowns in row order, the nodes off them
+    where a full arm ends, then the short arms' ends, by unknown and arm."""
+    jj, ii = np.nonzero(unknown)
+    theta = arms[:, jj, ii].T
+    dj, di = np.array(ARM_SHIFTS).T
+    nj, ni = jj[:, None] + dj, ii[:, None] + di
+    full = theta == 1.0
+    edge = np.zeros(unknown.shape, dtype=bool)
+    edge[nj[full], ni[full]] = True
+    bj, bi = np.nonzero(edge & ~unknown)
+    return (np.concatenate([jj, bj, (jj[:, None] + dj * theta)[~full]]),
+            np.concatenate([ii, bi, (ii[:, None] + di * theta)[~full]]))
+
+
+def shortley_weller_coefficients(arms, mask, spacing, min_arm):
+    """(5, rows, cols): the diagonal and east, west, north and south
+    Shortley-Weller coefficients of each box node, all 0 off the unknowns,
+    for arms in steps of ``spacing`` and at least ``min_arm``; an arm keeps
+    its coefficient where it is full and the next node is unknown."""
+    east, west, north, south = np.maximum(arms[:, mask], min_arm)
+    coeffs = np.zeros((5,) + mask.shape)
+    coeffs[:, mask] = 2.0 / spacing**2 * np.stack(
+        [-(1 / (east * west) + 1 / (north * south)),
+         1 / (east * (east + west)), 1 / (west * (east + west)),
+         1 / (north * (north + south)), 1 / (south * (north + south))]
+    )
+    for arm, (dj, di) in enumerate(ARM_SHIFTS, 1):
+        coeffs[arm] *= (arms[arm - 1] == 1.0) & np.roll(mask, (-dj, -di), axis=(0, 1))
+    return coeffs
+
+
+def apply_coefficients(coeffs, u):
+    """The operator of the coefficient boxes times ``u``, on the flattened
+    box, node by node: the diagonal term, then east, west, north and south."""
+    cols, c, v = u.shape[1], coeffs.reshape(5, -1), u.reshape(-1)
+    out = c[0] * v
+    out[:-1] += c[1, :-1] * v[1:]
+    out[1:] += c[2, 1:] * v[:-1]
+    out[:-cols] += c[3, :-cols] * v[cols:]
+    out[cols:] += c[4, cols:] * v[:-cols]
+    return out.reshape(u.shape)

@@ -7,6 +7,7 @@ the unit-curvature Poisson equation exactly.  Its optimal ratio is
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from carta.errors import (
     RegionTooSmall,
     SelfIntersectingBoundary,
 )
+import oracles
 from conftest import offcap_ring
 
 
@@ -486,15 +488,16 @@ def hierarchy(mesh, monkeypatch):
 
 def level_matrix(level):
     """The operator of a level, as a dense matrix over its unknowns in row
-    order: no arm may link to a node that is no unknown."""
-    mask, n = level.mask, np.count_nonzero(level.mask)
-    matrix = np.zeros((n, n))
-    matrix[np.arange(n), np.arange(n)] = level.coeffs[0][mask]
-    for arm, k in enumerate(neighbours(mask), 1):
-        weight = level.coeffs[arm][mask]
-        assert not np.any(weight[k < 0])
-        matrix[np.flatnonzero(k >= 0), k[k >= 0]] = weight[k >= 0]
-    return matrix
+    order, read off ``_apply`` on the unit vector of each box node: no arm
+    may link to a node that is no unknown."""
+    mask = level.mask
+    columns = np.zeros((mask.size, np.count_nonzero(mask)))
+    for node in range(mask.size):
+        unit = np.zeros(mask.shape)
+        unit.flat[node] = 1.0
+        columns[node] = chebyshev._apply(level, unit)[mask]
+    assert not np.any(columns[~mask.ravel()])
+    return columns[mask.ravel()].T
 
 
 def chart_nodes(mask, origin):
@@ -547,12 +550,12 @@ def test_tiny_coarse_arm_is_clamped(monkeypatch):
     assert chebyshev._MIN_ARM < mesh.arms[:, mesh.mask].min() < 2 * chebyshev._MIN_ARM
     arms, mask, _ = chebyshev._coarsen(mesh.arms, mesh.mask, mesh.origin)
     assert arms[:, mask].min() < chebyshev._MIN_ARM
-    level = hierarchy(mesh, monkeypatch)[1]
-    assert np.all(np.isfinite(level.coeffs[0]))
+    matrix = level_matrix(hierarchy(mesh, monkeypatch)[1])
+    assert np.all(np.isfinite(np.diag(matrix)))
     # the operator of the coarse arms, each at least _MIN_ARM, at the
     # coarse chart step: twice delta / 2
     reference = shortley_weller_matrix(np.maximum(arms, chebyshev._MIN_ARM), mask, mesh.delta)
-    assert np.abs(level_matrix(level) - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert np.abs(matrix - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_thin_band_empties_the_coarse_level(monkeypatch):
@@ -561,6 +564,92 @@ def test_thin_band_empties_the_coarse_level(monkeypatch):
     assert set(rows % 2) == set(cols % 2) == {0, 1}
     assert not np.any((rows % 2 == 0) & (cols % 2 == 0))
     assert not hierarchy(mesh, monkeypatch)[1].mask.any()
+
+
+# meshes whose hierarchies hold plain and irregular unknowns, short arms,
+# arms that end at a boundary node, an empty coarse level and a clamped arm
+HIERARCHY_MESHES = {
+    "cap-10": lambda: build_cap_mesh(math.radians(10), math.radians(0.5)),
+    "offcap-720-gon": lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.5)),
+    "around-a-pole": around_a_pole_mesh,
+    "slit": slit_square_mesh,
+    "thin-band": thin_band_mesh,
+    "tiny-coarse-arm": tiny_arm_cap_mesh,
+}
+
+
+@pytest.mark.parametrize("build", HIERARCHY_MESHES.values(), ids=HIERARCHY_MESHES.keys())
+def test_operator_is_bitwise_the_coefficient_boxes(build, monkeypatch):
+    # on every level, the plain stencil with the irregular rows written
+    # over gives the bits of the five-coefficient operator, on vectors
+    # that vanish off the unknowns
+    mesh = build()
+    arms, mask, origin = mesh.arms, mesh.mask, mesh.origin
+    rng = np.random.default_rng(28)
+    for depth, level in enumerate(hierarchy(mesh, monkeypatch)):
+        if depth:
+            arms, mask, origin = chebyshev._coarsen(arms, mask, origin)
+        assert np.array_equal(mask, level.mask)
+        spacing = mesh.delta / 2 * 2**depth
+        coeffs = oracles.shortley_weller_coefficients(arms, mask, spacing, chebyshev._MIN_ARM)
+        # the rows written over are those whose coefficients are not the plain stencil's
+        k = 2.0 / spacing**2 * 0.5
+        plain = np.all(coeffs == np.array([-4 * k, k, k, k, k])[:, None, None], axis=0)
+        assert np.array_equal(level.irregular, np.flatnonzero(mask & ~plain))
+        for _ in range(3):
+            v = rng.standard_normal(mask.shape) * mask
+            assert np.array_equal(chebyshev._apply(level, v), oracles.apply_coefficients(coeffs, v))
+
+
+@pytest.mark.parametrize("build", HIERARCHY_MESHES.values(), ids=HIERARCHY_MESHES.keys())
+def test_solve_is_bitwise_the_coefficient_box_solve(build, monkeypatch):
+    mesh = build()
+    u = solve_log_scale(mesh)
+    boxes, level = {}, chebyshev._level
+
+    def recorded(arms, mask, spacing, origin):
+        built = level(arms, mask, spacing, origin)
+        boxes[id(built)] = oracles.shortley_weller_coefficients(
+            arms, mask, spacing, chebyshev._MIN_ARM
+        )
+        return built
+
+    monkeypatch.setattr(chebyshev, "_level", recorded)
+    monkeypatch.setattr(
+        chebyshev, "_apply", lambda level, v: oracles.apply_coefficients(boxes[id(level)], v)
+    )
+    assert solve_log_scale(mesh).tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *HIERARCHY_MESHES.values(),
+        lambda: build_region_mesh(france_boundary(), math.radians(3)),
+        lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.08)),
+        lambda: build_cap_mesh(math.radians(60), math.radians(0.25)),
+    ],
+    ids=[*HIERARCHY_MESHES, "one-level", "720-gon-bench", "cap-60"],
+)
+def test_mesh_is_bitwise_the_per_arm_mesh(build, monkeypatch):
+    mesh = build()
+    monkeypatch.setattr(chebyshev, "_mesh_points", oracles.mesh_points)
+    oracle = build()
+    for name in ("latitudes", "longitudes", "mask", "arms"):
+        assert getattr(mesh, name).tobytes() == getattr(oracle, name).tobytes(), name
+
+
+def test_cap_mesh_peak_memory():
+    # the 60 degree cap at the default step, 533 x 533 nodes, 220,029
+    # unknowns: the mesh holds 12.3 MiB and its build peaks at 31.8 MiB;
+    # (n, 4) arrays per unknown, as in oracles.mesh_points, reach 53.0 MiB
+    tracemalloc.start()
+    try:
+        build_cap_mesh(math.radians(60), math.radians(0.25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**20
 
 
 @pytest.mark.parametrize(

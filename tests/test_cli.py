@@ -303,6 +303,42 @@ def test_chebyshev_bytes_do_not_follow_the_blas_thread_count():
     assert len(reports) == 1
 
 
+# SHA-256 of the report and the --out GeoJSON of two chebyshev runs: a
+# polygon with a verdict, and a cap
+CHEBYSHEV_SHA256 = {
+    "region": {
+        "report": "af6a18db5acf8d9ff8873fc40c8e65fdf25e43b3f1daa6a6912a539d0924e63a",
+        "out": "d795151844a69dee197f3254d2c1d30b772dd65c6df7e49b313ab99729d285c4",
+    },
+    "cap": {
+        "report": "b4afdb629e6941541915543e80165747b21d71d1005a9268a623a742d30e1644",
+        "out": "9fd7c0548d69773a27fe8ca31ea0df9da0fa3b7494278bda9f95d09359264d2c",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "case, argv",
+    [
+        ("region", ["--region", "region.geojson", "--centered-on", "45,5", "--delta-deg", "0.5"]),
+        ("cap", ["--cap-deg", "10", "--delta-deg", "0.5"]),
+    ],
+)
+def test_chebyshev_outputs_pinned(tmp_path, capsys, case, argv):
+    region = tmp_path / "region.geojson"
+    region.write_text(json.dumps(
+        {"type": "Polygon", "coordinates": [[[0, 40], [10, 40], [10, 50], [0, 50], [0, 40]]]}
+    ))
+    argv = [str(region) if arg == region.name else arg for arg in argv]
+    paths = {name: tmp_path / name for name in CHEBYSHEV_SHA256[case]}
+    code = run_cli(
+        "chebyshev", *argv, "--out", str(paths["out"]), "--report", str(paths["report"])
+    )
+    assert code == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == CHEBYSHEV_SHA256[case]
+
+
 def test_cli_imports_no_scipy():
     script = (
         "import sys, carta.cli\n"
