@@ -325,10 +325,7 @@ def run_chebyshev(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -
         f"allowance: {fmt(allowance)}",
     ]
     wants_projection = (
-        args.centered_on is not None
-        or args.inversion_pole is not None
-        or args.exponent != 1.0
-        or args.compare_projection
+        args.centered_on is not None or args.inversion_pole is not None or args.exponent != 1.0
     )
     if wants_projection:
         ratio_projection = projection_ratio(mesh, projection_spec(args))
@@ -440,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-deg", type=float)
     p.add_argument("--delta-deg", type=float, default=0.25)
     p.add_argument("--tolerance", type=float)
-    p.add_argument("--compare-projection", action="store_true")
     _add_output_flags(p, "out")
 
     p = subs.add_parser("darboux", help="inversion carrying one triangle to another")

@@ -13,7 +13,7 @@ the spheroid maps onto conformally with the scale ``conformal_scale``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -56,15 +56,15 @@ def _check_step(h: float) -> None:
         raise ValueError(f"finite-difference step {h} outside [1e-8, 1e-2]")
 
 
-def _probes(lat, lon, h: float, bearings: np.ndarray, surface):
-    """(latitudes, longitudes) of the points at arc length h from each
-    sample (lat, lon) along each bearing, one row per bearing.
+def _probes(chi, lon, h: float, bearings: np.ndarray):
+    """(conformal latitudes, longitudes) of the points at arc length h from
+    each sample (chi, lon) of the conformal sphere along each bearing, one
+    row per bearing.
 
     The probe is p' = cos h p + sin h (cos t north + sin t east), in unit
-    vectors of the (conformal) sphere; the sample's longitude fixes its
-    north and east, at a pole too.
+    vectors of the sphere; the sample's longitude fixes its north and east,
+    at a pole too.
     """
-    chi = conformal_latitude(surface.eccentricity, lat)
     cos_chi, sin_chi = np.cos(chi), np.sin(chi)
     cos_lon, sin_lon = np.cos(lon), np.sin(lon)
     north = np.cos(bearings)[:, None] * math.sin(h)
@@ -73,13 +73,15 @@ def _probes(lat, lon, h: float, bearings: np.ndarray, surface):
     x = radial * cos_lon - east * sin_lon
     y = radial * sin_lon + east * cos_lon
     z = math.cos(h) * sin_chi + north * cos_chi
-    probe_chi = np.arctan2(z, np.hypot(x, y))
-    return inverse_conformal_latitude(surface.eccentricity, probe_chi), np.arctan2(y, x)
+    return np.arctan2(z, np.hypot(x, y)), np.arctan2(y, x)
 
 
 def _images(projection: Projection, p: SpherePoint, h: float, bearings, surface) -> np.ndarray:
-    """Images of the probes of ``_probes`` about one point."""
-    lat, lon = _probes([p.latitude], [p.longitude], h, bearings, surface)
+    """Images of the probes of ``_probes`` about one point, each taken back
+    to the surface's geodetic latitude."""
+    e = surface.eccentricity
+    chi, lon = _probes(conformal_latitude(e, [p.latitude]), [p.longitude], h, bearings)
+    lat = inverse_conformal_latitude(e, chi)
     images = []
     for a, b in zip(lat[:, 0].tolist(), lon[:, 0].tolist()):
         try:
@@ -194,13 +196,14 @@ def distortion_report(
     if lat.size == 0:
         raise EmptyRegion("no sample points")
     m, defects = np.empty(lat.size), np.empty(lat.size)
+    # the spheroid's map is the sphere's at the conformal latitude
+    sphere_spec = replace(spec, surface=SPHERE)
     for start in range(0, lat.size, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
         m[block], code = dilatation_array(spec, lat[block], lon[block])
-        probe_lat, probe_lon = _probes(
-            lat[block], lon[block], DEFAULT_STEP, _DIAGONALS, spec.surface
-        )
-        w, probe_code = project_array(spec, probe_lat, probe_lon)
+        chi = conformal_latitude(spec.surface.eccentricity, lat[block])
+        probe_chi, probe_lon = _probes(chi, lon[block], DEFAULT_STEP, _DIAGONALS)
+        w, probe_code = project_array(sphere_spec, probe_chi, probe_lon)
         with np.errstate(invalid="ignore", over="ignore"):
             defects[block], degenerate = _angle_defect(w)
         for k in np.flatnonzero((code != 0) | (probe_code != 0).any(axis=0) | degenerate).tolist():

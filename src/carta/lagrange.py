@@ -30,7 +30,6 @@ from .errors import (
 )
 from .geometry import (
     POLE_COLATITUDE_EPS,
-    TWO_PI,
     GeneralizedCircle,
     Inversion,
     MobiusTransform,
@@ -55,6 +54,10 @@ SAMPLE_CLEARANCE = 1e-3
 # of at most _GRATICULE_BLOCK samples (or one curve), to bound its memory
 GRATICULE_SAMPLE_LIMIT = 1 << 21
 _GRATICULE_BLOCK = 1 << 15
+
+# the power map is single-valued where the image angle |omega| is at most pi;
+# points past this edge (pi, with room for rounding) leave the branch window
+BRANCH_EDGE = math.pi + 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,13 @@ class LagrangeProjectionSpec:
         return lambda p: project(self, p)
 
 
+def _image_angle(spec: LagrangeProjectionSpec, lon) -> np.ndarray:
+    """The image angle omega = c (lon - central meridian) of an array of
+    longitudes (radians), each difference normalized."""
+    lon = normalize_longitude_array(np.asarray(lon, dtype=float))
+    return spec.exponent * normalize_longitude_array(lon - spec.central_meridian)
+
+
 def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
     """Every step of the projection at arrays of latitudes and longitudes
     (radians), for the image and for its scale alike: the latitude, the
@@ -92,8 +102,7 @@ def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
     Mobius map) and where w is at that pole.  Closed forms after Snyder,
     *Map Projections: A Working Manual* (USGS PP 1395), eq. 3-1."""
     lat = np.asarray(lat, dtype=float)
-    lon = normalize_longitude_array(np.asarray(lon, dtype=float))
-    omega = spec.exponent * normalize_longitude_array(lon - spec.central_meridian)
+    omega = _image_angle(spec, lon)
     post = spec.post_transform
     factor = None if spec.surface.is_sphere else _radius_factor(spec.surface.eccentricity, lat)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -143,7 +152,7 @@ def project_array(
     code = np.select(
         [
             math.pi / 2 - lat < POLE_COLATITUDE_EPS,
-            np.abs(omega) > math.pi + 1e-12,
+            np.abs(omega) > BRANCH_EDGE,
             at_pole,
             ~(np.isfinite(image.real) & np.isfinite(image.imag)),
         ],
@@ -327,34 +336,6 @@ def _clear_samples(avoid: list[np.ndarray], lat: np.ndarray, lon: np.ndarray) ->
     return lat[clear], lon[clear], np.cumsum(clear.sum(axis=1))
 
 
-def _in_branch_window(spec: LagrangeProjectionSpec, lon: float) -> bool:
-    """Whether the meridian at ``lon`` lies within pi / c of the central
-    meridian, where the power map is single-valued."""
-    return abs(spec.exponent * normalize_longitude(lon - spec.central_meridian)) <= math.pi
-
-
-def _meridians_in_window(
-    spec: LagrangeProjectionSpec, k_min: int, k_max: int, lon_step: float
-) -> int:
-    """How many of the meridians k * lon_step, k_min <= k <= k_max, lie in
-    the branch window (all of them for c <= 1), counted without listing
-    them.  The window is an interval of longitude, repeated every 2 pi;
-    rounding can move only the meridian nearest each of its edges, so that
-    one is counted by ``_in_branch_window`` itself."""
-    c, center = spec.exponent, spec.central_meridian
-    if c <= 1.0:
-        return k_max - k_min + 1
-    edges = [(center + side * math.pi / c + shift) / lon_step
-             for shift in (-TWO_PI, 0.0, TWO_PI) for side in (-1, 1)]
-    windows = [(math.ceil(lo), math.floor(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
-    count = sum(max(0, min(k_max, hi) - max(k_min, lo) + 1) for lo, hi in windows)
-    for k in {round(edge) for edge in edges}:
-        if k_min <= k <= k_max:
-            counted = any(lo <= k <= hi for lo, hi in windows)
-            count += _in_branch_window(spec, k * lon_step) - counted
-    return count
-
-
 def graticule_image(
     spec: LagrangeProjectionSpec,
     lat_step: float,
@@ -384,7 +365,9 @@ def graticule_image(
         raise ValueError("lat_step yields fewer than 2 parallels")
     k_min = int(math.floor(-math.pi / lon_step)) + 1
     k_max = int(math.floor(math.pi / lon_step))
-    n_curves = 2 * n_parallel_half + 1 + _meridians_in_window(spec, k_min, k_max, lon_step)
+    # every meridian of the step, drawn or not: exact for c <= 1, and an
+    # upper bound for c > 1, where those outside the branch window are skipped
+    n_curves = 2 * n_parallel_half + 1 + k_max - k_min + 1
     if n_curves * samples_per_curve > GRATICULE_SAMPLE_LIMIT:
         raise ConfigError(
             f"graticule of {n_curves} curves x {samples_per_curve} samples is over"
@@ -392,11 +375,11 @@ def graticule_image(
         )
 
     # each curve is a fixed latitude (parallels) or longitude (meridians),
-    # sampled along the other coordinate's row; meridians outside the
-    # branch window are skipped
+    # sampled along the other coordinate's row; meridians whose image angle
+    # is past the branch edge, where project_array fails them, are skipped
     lats = [k * lat_step for k in range(-n_parallel_half, n_parallel_half + 1)]
-    lons = [normalize_longitude(k * lon_step) for k in range(k_min, k_max + 1)
-            if _in_branch_window(spec, k * lon_step)]
+    lons = normalize_longitude_array(np.arange(k_min, k_max + 1) * lon_step)
+    lons = lons[np.abs(_image_angle(spec, lons)) <= BRANCH_EDGE].tolist()
     ids = [f"parallel lat={math.degrees(lat):+.1f}" for lat in lats]
     ids += [f"meridian lon={math.degrees(lon):+.1f}" for lon in lons]
     fixed = np.array(lats + lons)

@@ -184,7 +184,29 @@ def test_graticule_centered_on_north_pole(capsys):
         assert float(line.split("relative=")[1]) < 1e-12, line
 
 
+def test_graticule_exponent_two_draws_the_window_edges(capsys):
+    # at c = 2 the meridians at +-90 degrees lie on the branch window's edge,
+    # where the projection kernel projects them, whatever the step
+    for step in ("1", "3", "7.5", "15"):
+        assert run_cli("graticule", "--exponent", "2", "--lat-step", "30", "--lon-step", step) == 0
+        ids = {line.split(" | ")[0] for line in capsys.readouterr().out.splitlines()}
+        assert {"meridian lon=+90.0", "meridian lon=-90.0"} <= ids, step
+
+
 # -- chebyshev --------------------------------------------------------------------
+
+
+# SHA-256 of the report of the 10-degree cap compared with the plain
+# stereographic projection, which --centered-on=-90,0 selects
+STEREOGRAPHIC_REPORT_SHA256 = "a91f38258857e5880e89625cfa29026612393324bc47cc1ab139ae271a97ca85"
+
+
+def test_chebyshev_south_centered_report_pinned(capsys):
+    code = run_cli("chebyshev", "--cap-deg", "10", "--delta-deg", "0.5", "--centered-on=-90,0")
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "verdict: optimal-matches-projection" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == STEREOGRAPHIC_REPORT_SHA256
 
 
 def test_chebyshev_cap_stereographic_match(tmp_path, capsys):
@@ -193,7 +215,7 @@ def test_chebyshev_cap_stereographic_match(tmp_path, capsys):
         "chebyshev",
         "--cap-deg", "30",
         "--delta-deg", "0.25",
-        "--compare-projection",
+        "--centered-on=-90,0",
         "--report", str(report),
         "--out", str(tmp_path / "field.geojson"),
     )
@@ -591,7 +613,7 @@ def test_bench_tracer_installs_on_current_package(tmp_path):
         assert result.returncode == 0, result.stderr
         return json.loads(record.read_text())["trace"]
 
-    trace = traced("chebyshev", "--cap-deg", "30", "--delta-deg", "5", "--compare-projection")
+    trace = traced("chebyshev", "--cap-deg", "30", "--delta-deg", "5", "--centered-on=-90,0")
     spans = {span["name"] for span in trace["spans"]}
     assert {"cli.main", "chebyshev.build_cap_mesh", "chebyshev.solve_log_scale"} <= spans
     trace = traced("graticule", "--lat-step", "30", "--lon-step", "45")
@@ -644,7 +666,7 @@ DEEP = 600
         ("chebyshev", _polygon("[[[0, 0], [0, 5], [5, 0], [0, 0]]]"), ["--centered-on", "95,0"], 2),
         # the solve has the sphere's metric, so a spheroid's scale cannot be compared with it
         ("chebyshev", _polygon("[[[0, 0], [0, 5], [5, 0], [0, 0]]]"),
-         ["--eccentricity", "0.08", "--compare-projection"], 2),
+         ["--eccentricity", "0.08", "--centered-on=-90,0"], 2),
         ("project", _polygon("[]"), ["--lat-step", "89.99999999"], 2),
         # a zero-length line far out: the SVG padding must not round away
         ("project", '{"type": "LineString", "coordinates": [[0, 0], [0, 0]]}',
@@ -719,7 +741,7 @@ GOLDEN_ERRORS = [
      "ConfigError: non-finite value for delta_deg: nan"),
     ("chebyshev --region {region} --centered-on 95,0", 2,
      "ConfigError: --centered-on latitude 95.0 outside [-90, 90]"),
-    ("chebyshev --region {region} --eccentricity 0.08 --compare-projection", 2,
+    ("chebyshev --region {region} --eccentricity 0.08 --centered-on=-90,0", 2,
      "ConfigError: chebyshev solves with the sphere's metric: --eccentricity must be 0"),
     ("project --region {region} --lat-step 89.99999999 --out {tmp}/out.geojson"
      " --svg {tmp}/out.svg", 2, "ConfigError: --lat-step outside (0, 90)"),
@@ -881,7 +903,7 @@ GOLDEN_ERRORS = [
      "ConfigError: mesh step 1.74533e-302 rad gives over 1048576 grid nodes"),
     ("chebyshev --cap-deg 10 --delta-deg 0.01", 2,
      "ConfigError: chart grid of 2009 x 2009 nodes is over the limit of 1048576 nodes"),
-    ("chebyshev --region {region} --delta-deg 1e-12 --compare-projection", 2,
+    ("chebyshev --region {region} --delta-deg 1e-12 --centered-on=-90,0", 2,
      "ConfigError: mesh step 1.74533e-14 rad gives over 1048576 grid nodes"),
     ("chebyshev --region {region} --delta-deg 0.01 --out {tmp}/field.geojson", 2,
      "ConfigError: chart grid of 1205 x 1081 nodes is over the limit of 1048576 nodes"),
@@ -1202,7 +1224,7 @@ def malformed_documents(draw):
 
 REGION_ARGS = {
     "project": ["--lat-step", "45", "--lon-step", "90", "--samples", "8"],
-    "chebyshev": ["--delta-deg", "5", "--compare-projection"],
+    "chebyshev": ["--delta-deg", "5", "--centered-on=-90,0"],
     "distortion": ["--delta-deg", "5"],
 }
 

@@ -28,6 +28,7 @@ import carta.chebyshev as chebyshev
 import carta.cli as cli
 import carta.distortion as distortion
 import carta.geojson_io as geojson_io
+import carta.lagrange as lagrange
 from carta import (
     Inversion,
     LagrangeProjectionSpec,
@@ -247,11 +248,12 @@ PROBE_AT_CENTER = SpherePoint(0.4, 0.5)
 
 def _inversion_at_probe(p, surface):
     """Exponent 1 and an inversion centred on the image of p's first
-    diagonal probe."""
+    diagonal probe, which distortion_report projects on the conformal sphere."""
+    chi = conformal_latitude(surface.eccentricity, [p.latitude])
     lat, lon = distortion._probes(
-        [p.latitude], [p.longitude], distortion.DEFAULT_STEP, distortion._DIAGONALS, surface
+        chi, [p.longitude], distortion.DEFAULT_STEP, distortion._DIAGONALS
     )
-    w, _ = project_array(LagrangeProjectionSpec(1.0, surface=surface), lat[0], lon[0])
+    w, _ = project_array(LagrangeProjectionSpec(1.0), lat[0], lon[0])
     inversion = Inversion(PlanePoint.from_complex(complex(w[0])), 1.0)
     return LagrangeProjectionSpec(1.0, post_transform=inversion, surface=surface)
 
@@ -272,6 +274,30 @@ def test_batched_defect_spheroid_pole_crossing():
     e = SPHEROID.surface.eccentricity
     limit = math.sqrt(1 - e * e) * ((1 + e) / (1 - e)) ** (e / 2)
     assert report.m[2] == pytest.approx(limit / 2, rel=1e-15)
+
+
+def test_spheroid_report_inverts_no_conformal_latitude(monkeypatch):
+    # the spheroid's map is the sphere's at the conformal latitude, so the
+    # report projects its probes there and takes none back to the spheroid
+    spec = LagrangeProjectionSpec(
+        1.0,
+        post_transform=Inversion(PlanePoint(1, -2.8), 2.0),
+        surface=SurfaceOfRevolution(0.0818191908426),
+    )
+    lat, lon = cap_samples(math.radians(30), math.radians(3))
+    expected = [
+        conformality_defect(spec.projection(), SpherePoint(a, b), surface=spec.surface)
+        for a, b in zip(lat[::10].tolist(), lon[::10].tolist())
+    ]
+
+    def refused(*args):
+        raise AssertionError("inverse_conformal_latitude called")
+
+    for module in (distortion, lagrange):
+        monkeypatch.setattr(module, "inverse_conformal_latitude", refused)
+    report = distortion_report(spec, lat, lon)
+    assert report.conformality_defect[::10] == pytest.approx(expected, abs=1e-10)
+    assert np.array_equal(report.m, dilatation_array(spec, lat, lon)[0])
 
 
 def test_batched_defect_error_order():

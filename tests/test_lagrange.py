@@ -325,11 +325,11 @@ def test_graticule_validation():
 def _graticule_per_curve(spec, lat_step, lon_step, samples):
     """graticule_image as it was written before its curves were batched:
     one clearance test, one project_array call and one circle_fit call per
-    curve, in the same order."""
-    c = spec.exponent
+    curve, in the same order.  Every meridian of the step is projected, and
+    those with fewer than 8 projected samples are skipped."""
     avoid = lagrange._singular_preimages(spec)
     curves = []
-    half_window = min(math.pi, (math.pi - lagrange.SAMPLE_CLEARANCE) / c)
+    half_window = min(math.pi, (math.pi - lagrange.SAMPLE_CLEARANCE) / spec.exponent)
     n_half = int(math.floor((math.pi / 2 - 1e-9) / lat_step))
     for k in range(-n_half, n_half + 1):
         lons = np.linspace(-half_window, half_window, samples) + spec.central_meridian
@@ -337,8 +337,7 @@ def _graticule_per_curve(spec, lat_step, lon_step, samples):
     lats = np.linspace(-math.pi / 2, math.pi / 2 - lagrange.SAMPLE_CLEARANCE, samples)
     for k in range(int(math.floor(-math.pi / lon_step)) + 1, int(math.floor(math.pi / lon_step)) + 1):
         lon = k * lon_step
-        if abs(c * normalize_longitude(lon - spec.central_meridian)) <= math.pi:
-            curves.append((f"meridian lon={math.degrees(normalize_longitude(lon)):+.1f}", lats, lon))
+        curves.append((f"meridian lon={math.degrees(normalize_longitude(lon)):+.1f}", lats, lon))
     fits = []
     for curve_id, lat, lon in curves:
         lat, lon = np.broadcast_arrays(lat, normalize_longitude_array(lon))
@@ -424,11 +423,13 @@ def test_graticule_sample_limit_refused_before_allocating(monkeypatch):
     spec = LagrangeProjectionSpec(exponent=1.5)
     monkeypatch.setattr(lagrange, "_clear_samples", None)  # never reached
     limit = lagrange.GRATICULE_SAMPLE_LIMIT
-    with pytest.raises(ConfigError, match=f"28 curves x {10**11} samples"):
+    with pytest.raises(ConfigError, match=f"35 curves x {10**11} samples"):
         graticule_image(spec, math.radians(15), math.radians(15), 10**11)
-    # just over the limit: 11 parallels and 17 of the 24 meridians
-    with pytest.raises(ConfigError, match=f"28 curves x {limit // 28 + 1} samples"):
-        graticule_image(spec, math.radians(15), math.radians(15), limit // 28 + 1)
+    # just over the limit: 11 parallels and all 24 meridians of the step, as
+    # the budget counts the 7 outside the branch window too (an upper bound
+    # for c > 1, counted without projecting anything)
+    with pytest.raises(ConfigError, match=f"35 curves x {limit // 35 + 1} samples"):
+        graticule_image(spec, math.radians(15), math.radians(15), limit // 35 + 1)
     for step in (1e-300, 5e-324, math.pi / limit / 2):
         with pytest.raises(ConfigError, match="gives over"):
             graticule_image(spec, step, 0.1, 8)
@@ -436,14 +437,20 @@ def test_graticule_sample_limit_refused_before_allocating(monkeypatch):
             graticule_image(spec, 0.1, step, 8)
 
 
-def test_meridian_count_matches_the_drawn_meridians(rng):
+def test_graticule_draws_the_meridians_the_kernel_projects(rng):
     # round values put meridians on the window's edges, where rounding decides
-    for _ in range(2000):
+    for _ in range(500):
         spec = LagrangeProjectionSpec(
             exponent=float(rng.choice([rng.uniform(0.3, 2.0), 2.0, 1.5, 1.25, 1.0, 1 + 1e-9])),
             central_meridian=math.radians(float(rng.choice([rng.uniform(-180, 180), 0, 90, 120, 180]))),
         )
-        lon_step = math.radians(float(rng.choice([rng.uniform(0.5, 180), 3, 10, 15, 30, 90, 180])))
+        lon_step = math.radians(
+            float(rng.choice([rng.uniform(0.5, 180), 1, 3, 7.5, 10, 15, 30, 90, 180]))
+        )
         k_min, k_max = int(math.floor(-math.pi / lon_step)) + 1, int(math.floor(math.pi / lon_step))
-        drawn = sum(lagrange._in_branch_window(spec, k * lon_step) for k in range(k_min, k_max + 1))
-        assert lagrange._meridians_in_window(spec, k_min, k_max, lon_step) == drawn
+        lons = np.arange(k_min, k_max + 1) * lon_step
+        _, code = project_array(spec, np.zeros(lons.size), lons)
+        expected = [f"meridian lon={math.degrees(normalize_longitude(lon)):+.1f}"
+                    for lon in lons[code != 2].tolist()]
+        fits = graticule_image(spec, math.radians(45), lon_step, 8)
+        assert [f.curve_id for f in fits if f.curve_id.startswith("meridian")] == expected, spec
