@@ -10,6 +10,10 @@ integer exactly (Dekker's error-free product with 5**k), lays the digits
 out in fixed or exponent form, and hands the few values it cannot prove
 (|v| below 1e-31 or from 1e15 up, or a near-half that is not an exact
 tie) to ``format_float``, the reference.
+
+A writer call allocates one ``_Workspace`` and makes every block of
+``_ROW_BLOCK`` rows in it; the literal words of a point feature are
+written into its rows once, so a block allocates little more than its text.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ _POSITION_DEPTH = {"Point": 0, "MultiPoint": 1, "LineString": 1,
                    "MultiLineString": 2, "Polygon": 2, "MultiPolygon": 3}
 # rows (positions or features) written per block by the bulk writers
 _ROW_BLOCK = 1 << 11
+# bytes of a block's words compacted at a time
+_TEXT_CHUNK = 1 << 15
 
 
 def format_float(x: float) -> str:
@@ -102,21 +108,31 @@ def position_texts(arrays, x, y, lines=()) -> tuple[list[str], list[str]]:
         pieces = words(["", "-"] * 2, [",-", ","], [" "] * 2 + ["\n"] * 2)
         made.append((pieces, kind2, skip, [end - start for start, end in lines]))
     done = [([], []) for _ in made]  # each text's rows, and the part of one not yet ended
-    for start in range(0, len(x) if made else 0, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
+    # every block is made in the same buffers: its numbers fill columns 1-3
+    # and 5-7 of the rows, then each text its pieces, by row kind and sign
+    block_rows = min(_ROW_BLOCK, len(x)) if made else 0
+    work = _Workspace(block_rows, 2, 9)
+    signs = np.empty((3, block_rows), np.intp)
+    for start in range(0, len(x), block_rows) if block_rows else ():
+        block = slice(start, start + block_rows)
         xb, yb = x[block], y[block]
-        # numbers[i, c]: the words of |x[i]| (c = 0) or |y[i]| (c = 1)
-        numbers = _number_words(np.abs(np.concatenate((xb, yb)))).reshape(3, 2, -1).T
-        rows = np.empty((len(xb), 9), _WORD)
-        rows[:, 1:4], rows[:, 5:8] = numbers[:, 0], numbers[:, 1]
-        sign_x, sign_y = np.signbit(xb).view(np.int8), np.signbit(yb).astype(np.intp)
+        n = len(xb)
+        values = np.concatenate((xb, yb), out=work.values[:2 * n])
+        rows = work.rows[:n]
+        numbers = _number_words(np.abs(values, out=values), work).reshape(3, 2, n)
+        rows[:, 1:4], rows[:, 5:8] = numbers.transpose(1, 2, 0)
+        sign_x, sign_y, row = signs[:, :n]
+        np.signbit(xb, out=sign_x)
+        np.signbit(yb, out=sign_y)
         for ((opening, middle, closing), kind2, skip, _), (texts, waiting) in zip(made, done):
-            row = (kind2[block] + sign_x).astype(np.intp)  # an int8 index is slower
-            rows[:, 0], rows[:, 4], rows[:, 8] = opening[row], middle[sign_y], closing[row]
+            np.add(kind2[block], sign_x, out=row)
+            opening.take(row, out=rows[:, 0], mode="clip")
+            middle.take(sign_y, out=rows[:, 4], mode="clip")
+            closing.take(row, out=rows[:, 8], mode="clip")
             if skip.size:
-                first, last = np.searchsorted(skip, (start, start + len(xb)))
+                first, last = np.searchsorted(skip, (start, start + n))
                 rows[skip[first:last] - start] = 0  # NUL words, which _text drops
-            first, *rest = _text(rows).split("\n")
+            first, *rest = _text(rows, work).split("\n")
             waiting.append(first)
             if rest:
                 texts.append("".join(waiting))
@@ -159,8 +175,9 @@ _DIGITS = np.ascontiguousarray(_DIGITS).view("<u4").ravel()
 
 def _layouts():
     """``(layouts, moves)``: a value's text by 2 * (16 * (decade + 31) +
-    digit count) + negative, as nine words, and by 2 * (decade + 31) +
-    negative the bits that its digits after the point move up.
+    digit count) + negative, as nine words (word j of layout i at [j, i]),
+    and by 2 * (decade + 31) + negative the bits that its digits after the
+    point move up.
 
     The first three words take bytes from the digits moved up by the sign,
     the next three from the digits moved up by all before them, and the last
@@ -190,7 +207,7 @@ def _layouts():
         + dot * ((leading == 0) & (at == point) & (point < length))
         + exponents[decade + 31, np.clip(at - length, 0, 3)]
         * (scientific & (length <= at) & (at < length + 4)),
-    )).astype(np.uint8).view(_WORD).reshape(3, -1, 3).transpose(1, 0, 2).reshape(-1, 9)
+    )).astype(np.uint8).view(_WORD).reshape(3, -1, 3).transpose(0, 2, 1).reshape(9, -1)
     moves = (8 * (np.where(leading > 0, leading, 1) + negative)).astype(_WORD).ravel()
     return layouts, moves
 
@@ -204,89 +221,157 @@ _FIVES_HI = _FIVES.astype(float)
 _FIVES_LO = (_FIVES - np.frompyfunc(int, 1, 1)(_FIVES_HI)).astype(float)
 
 
-def _split(v):
-    """Dekker's split of v into two halves of 26 bits: v = hi + lo exactly."""
-    c = 134217729.0 * v  # 2**27 + 1
-    hi = c - (c - v)
-    return hi, v - hi
+def _split(v, hi, lo):
+    """Dekker's split of v into two halves of 26 bits, v = hi + lo exactly,
+    computed in ``hi`` and ``lo``."""
+    np.multiply(v, 134217729.0, out=hi)  # c = (2**27 + 1) * v
+    np.subtract(hi, np.subtract(hi, v, out=lo), out=hi)  # c - (c - v)
+    return hi, np.subtract(v, hi, out=lo)
 
 
-_FIVES_HH, _FIVES_HL = _split(_FIVES_HI)
+_FIVES_HH, _FIVES_HL = _split(_FIVES_HI, np.empty(46), np.empty(46))
 
 
-def _decade(a: np.ndarray) -> np.ndarray:
-    """floor(log10(a)): an estimate, one off where log10 rounds across an integer."""
-    return np.floor(np.log10(a))
+def _decade(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """floor(log10(a)) into ``out``: an estimate, one off where log10 rounds
+    across an integer."""
+    return np.floor(np.log10(a, out=out), out=out)
 
 
-def _rounded(a: np.ndarray, k: np.ndarray):
+class _Workspace:
+    """A bulk writer's buffers for blocks of up to ``rows`` rows of ``width``
+    words, each row with ``columns`` values.
+
+    The writer lays each block out in ``rows`` and puts its values in
+    ``values``; ``_number_words`` computes every intermediate into the
+    leading ``len(v)`` columns of the other arrays, and ``_text`` compacts
+    the rows into ``text``.  With no block-sized temporaries, the allocator
+    has nothing to hand back to the kernel and fault in again each block.
+    """
+
+    def __init__(self, rows: int, columns: int, width: int):
+        size = rows * columns
+        self.rows = np.empty((rows, width), _WORD)
+        self.text = np.empty(self.rows.nbytes, np.uint8)
+        self.mask = np.empty(_TEXT_CHUNK, bool)
+        self.values = np.empty(size)
+        self.floats = np.empty((9, size))  # reused as words once the digits are out
+        self.ints = np.empty((2, size), np.intp)
+        self.flags = np.empty((6, size), bool)
+        self.groups = np.empty((2, size, 2), np.intp)  # four-digit groups, two to a word
+        self.digits = np.empty((2, size, 2), np.uint32)
+        self.counts = np.empty((2, size), np.uint8)
+
+
+def _rounded(a, k, floats, flags):
     """``(q, rest, unsure)``: q is a * 10**k rounded half-even to an integer,
     rest is a * 10**k - q to within 1e-15, and unsure marks where q is not
-    proven: a rest within 1e-9 of a half that is not an exact tie.
+    proven: a rest within 1e-9 of a half that is not an exact tie.  They are
+    computed in ``floats[:2]`` and ``flags[0]``, the other rows are scratch.
 
     With x = a * 2**k (exact), x * hi = p + e exactly (Dekker's product),
     and a * 10**k = p + e + x * lo, whose last term is below 0.2.  An exact
     tie n + 1/2 has k <= 21, so lo = 0 and e = 0: rint(p) settles it.
     """
-    x = a * np.take(_TWOS, k)
-    p = x * np.take(_FIVES_HI, k)
-    xh, xl = _split(x)
-    hh, hl = np.take(_FIVES_HH, k), np.take(_FIVES_HL, k)
-    q = np.rint(p)
-    rest = (((xh * hh - p) + xh * hl + xl * hh) + xl * hl + (p - q)) + x * np.take(_FIVES_LO, k)
-    step = np.rint(rest)
-    tie = x - np.floor(x) == 0.5  # 5**k is odd
-    unsure = ~tie & (np.abs(np.abs(rest) - 0.5) < 1e-9)
-    return q + step, rest - step, unsure
+    q, rest, x, p, xh, xl, hh, hl = floats
+    unsure, tie = flags
+    # take's mode "clip" (every index is in range) writes into out directly,
+    # where the default mode "raise" would fill a temporary first
+    np.multiply(a, _TWOS.take(k, out=x, mode="clip"), out=x)
+    np.multiply(x, _FIVES_HI.take(k, out=p, mode="clip"), out=p)
+    _split(x, xh, xl)
+    _FIVES_HH.take(k, out=hh, mode="clip")
+    _FIVES_HL.take(k, out=hl, mode="clip")
+    np.rint(p, out=q)
+    # rest = (((xh*hh - p) + xh*hl + xl*hh) + xl*hl + (p - q)) + x*lo, in that order
+    np.subtract(np.multiply(xh, hh, out=rest), p, out=rest)
+    rest += np.multiply(xh, hl, out=xh)
+    rest += np.multiply(xl, hh, out=hh)
+    rest += np.multiply(xl, hl, out=hl)
+    rest += np.subtract(p, q, out=p)
+    rest += np.multiply(x, _FIVES_LO.take(k, out=xh, mode="clip"), out=xh)
+    np.equal(np.subtract(x, np.floor(x, out=xl), out=xl), 0.5, out=tie)  # 5**k is odd
+    np.less(np.abs(np.subtract(np.abs(rest, out=hh), 0.5, out=hh), out=hh), 1e-9, out=unsure)
+    unsure &= np.logical_not(tie, out=tie)
+    step = np.rint(rest, out=hl)
+    q += step
+    rest -= step
+    return q, rest, unsure
 
 
-def _moved(digits, bits):
-    """The two words of digits moved up ``bits`` (0 to 48) into three."""
-    down = _WORD.type(64) - bits
-    return digits[0] << bits, (digits[1] << bits) | (digits[0] >> down), digits[1] >> down
+def _moved(digits, bits, out, down):
+    """The two words of digits moved up ``bits`` (0 to 48), into the three
+    of ``out``; ``down`` is scratch."""
+    np.subtract(_WORD.type(64), bits, out=down)
+    np.left_shift(digits[0], bits, out=out[0])
+    np.bitwise_or(np.left_shift(digits[1], bits, out=out[1]),
+                  np.right_shift(digits[0], down, out=out[2]), out=out[1])
+    np.right_shift(digits[1], down, out=out[2])
 
 
-def _number_words(v: np.ndarray) -> np.ndarray:
+def _number_words(v: np.ndarray, work: _Workspace) -> np.ndarray:
     """The ``format_float`` text of each finite value of ``v`` as three
-    words, word j of value i at [j, i]."""
-    a = np.abs(v)
-    sure = (a >= 1e-31) & (a < 1e15)
-    a = np.where(sure, a, 1.0)  # the others are not computed on
-    k = (14 - np.clip(_decade(a), -31, 14)).astype(np.intp)
-    q, rest, unsure = _rounded(a, k)
+    words, word j of value i at [j, i]: a view of ``work``'s buffers, which
+    the next call overwrites."""
+    n = len(v)
+    a, *floats = work.floats[:, :n]
+    k, index = work.ints[:, :n]
+    sure, other, *flags, zero, negative = work.flags[:, :n]
+    np.abs(v, out=a)
+    np.logical_and(np.greater_equal(a, 1e-31, out=sure), np.less(a, 1e15, out=other), out=sure)
+    np.copyto(a, 1.0, where=np.logical_not(sure, out=other))  # the others are not computed on
+    decade = _decade(a, floats[0])
+    k[:] = np.subtract(14, np.clip(decade, -31, 14, out=decade), out=decade)
+    q, rest, unsure = _rounded(a, k, floats, flags)
     # 10**14 <= a * 10**k < 10**15 fixes the decade; where the estimate was
-    # one off, q is out of that range (or it is 10**14 with a negative rest)
-    off = np.flatnonzero(((q - 1e14) + rest < 0) | (q > 1e15))
+    # one off, q is out of that range (or it is 10**14 with a negative rest);
+    # the test runs in a scratch row of _rounded's and in zero's, not yet set
+    below = np.less(np.add(np.subtract(q, 1e14, out=floats[2]), rest, out=floats[2]), 0, out=other)
+    off = np.flatnonzero(np.logical_or(below, np.greater(q, 1e15, out=zero), out=other))
     if off.size:
         k[off] += np.where(q[off] > 1e15, -1, 1)
-        q[off], rest[off], unsure[off] = _rounded(a[off], k[off])
-    d = 45 - k  # the decade + 31
-    up = q == 1e15  # rounded up into the next decade
-    q[up], d[up] = 1e14, d[up] + 1
-    q[v == 0] = 0.0
+        q[off], rest[off], unsure[off] = _rounded(
+            a[off], k[off], np.empty((8, off.size)), np.empty((2, off.size), bool))
+    d = np.subtract(45, k, out=k)  # the decade + 31
+    up = np.equal(q, 1e15, out=other)  # rounded up into the next decade
+    np.copyto(q, 1e14, where=up)
+    np.add(d, 1, out=d, where=up)
+    np.copyto(q, 0.0, where=np.equal(v, 0, out=zero))
     # the 15 digits as four-digit groups, the last three and a pad, two to a
     # word (floors of quotients: q < 2**50 leaves their rounding below 1e-7)
-    groups = np.empty((2, len(v), 2))
-    head = np.floor(q / 1e7)
-    groups[0, :, 0] = np.floor(head / 1e4)
-    groups[0, :, 1] = head - 1e4 * groups[0, :, 0]
-    tail = q - 1e7 * head
-    groups[1, :, 0] = np.floor(tail / 1e3)
-    groups[1, :, 1] = (tail - 1e3 * groups[1, :, 0]) * 10
-    groups = groups.astype(np.intp)
-    digits = np.take(_DIGITS, groups).view(_WORD)[..., 0]
-    counts = [np.take(_COUNTS[j], groups[j // 2, :, j % 2]) for j in range(4)]
-    counts = np.maximum(np.maximum(counts[0], counts[1]), np.maximum(counts[2], counts[3]))
-    negative = np.signbit(v)
-    keep = _moved(digits, negative * _WORD.type(8))
-    move = _moved(digits, np.take(_MOVES, 2 * d + negative))
-    layout = np.take(_LAYOUTS, 2 * (16 * d + counts) + negative, axis=0)
-    words = np.empty((3, len(v)), _WORD)
-    for j in range(3):
-        words[j] = (keep[j] & layout[:, j]) | (move[j] & layout[:, 3 + j]) | layout[:, 6 + j]
-    for i in np.flatnonzero(~(sure | (v == 0)) | unsure):
-        words[:, i] = np.frombuffer(format_float(float(v[i])).encode().ljust(24, b"\0"), _WORD)
-    return words
+    head, tail, high, low = floats[2:6]
+    groups = work.groups[:, :n]
+    np.floor(np.divide(q, 1e7, out=head), out=head)
+    groups[0, :, 0] = np.floor(np.divide(head, 1e4, out=high), out=high)
+    groups[0, :, 1] = np.subtract(head, np.multiply(high, 1e4, out=low), out=low)
+    np.subtract(q, np.multiply(head, 1e7, out=tail), out=tail)
+    groups[1, :, 0] = np.floor(np.divide(tail, 1e3, out=high), out=high)
+    groups[1, :, 1] = np.multiply(np.subtract(tail, np.multiply(high, 1e3, out=low), out=low),
+                                  10, out=low)
+    digits = _DIGITS.take(groups, out=work.digits[:, :n], mode="clip").view(_WORD)[..., 0]
+    counts, count = work.counts[:, :n]
+    _COUNTS[0].take(groups[0, :, 0], out=counts, mode="clip")
+    for j in range(1, 4):
+        np.maximum(counts, _COUNTS[j].take(groups[j // 2, :, j % 2], out=count, mode="clip"),
+                   out=counts)
+    np.signbit(v, out=negative)
+    # the floats are spent: their rows hold the digits moved up by the sign
+    # (keep), by all before them (move), the shifts and a layout's word
+    keep, move, (shift, down, layout) = np.split(work.floats[:, :n].view(_WORD), (3, 6))
+    _moved(digits, np.multiply(negative, _WORD.type(8), out=shift), keep, down)
+    np.add(np.multiply(d, 2, out=index), negative, out=index)
+    _moved(digits, _MOVES.take(index, out=shift, mode="clip"), move, down)
+    np.add(np.multiply(np.add(np.multiply(d, 16, out=index), counts, out=index), 2, out=index),
+           negative, out=index)
+    for j in range(3):  # word j = keep[j] & layout j | move[j] & layout 3 + j | layout 6 + j
+        keep[j] &= _LAYOUTS[j].take(index, out=layout, mode="clip")
+        keep[j] |= np.bitwise_and(move[j], _LAYOUTS[3 + j].take(index, out=layout, mode="clip"),
+                                  out=move[j])
+        keep[j] |= _LAYOUTS[6 + j].take(index, out=layout, mode="clip")
+    np.logical_or(sure, zero, out=sure)
+    for i in np.flatnonzero(np.logical_or(np.logical_not(sure, out=sure), unsure, out=sure)):
+        keep[:, i] = np.frombuffer(format_float(float(v[i])).encode().ljust(24, b"\0"), _WORD)
+    return keep
 
 
 def _words(text: str) -> np.ndarray:
@@ -295,26 +380,18 @@ def _words(text: str) -> np.ndarray:
     return np.frombuffer(data.rjust(-(-len(data) // 8) * 8, b"\0"), _WORD)
 
 
-def _row_words(columns, pieces) -> np.ndarray:
-    """The words of each row ``pieces[0] columns[0][i] pieces[1] ...
-    columns[-1][i] pieces[-1]``, one row of a 2-D array per i."""
-    literals = [_words(piece) for piece in pieces]
-    numbers = _number_words(np.concatenate(columns)).reshape(3, len(columns), -1)
-    rows = np.empty((numbers.shape[2], 3 * len(columns) + sum(map(len, literals))), _WORD)
-    at = 0
-    for c, literal in enumerate(literals):
-        rows[:, at:at + len(literal)] = literal
-        at += len(literal)
-        if c < len(columns):
-            rows[:, at:at + 3] = numbers[:, c].T
-            at += 3
-    return rows
-
-
-def _text(words: np.ndarray) -> str:
-    """The bytes of ``words`` without their NULs: one boolean compaction."""
-    data = words.view(np.uint8)
-    return str(data[data != 0].data, "ascii")
+def _text(words: np.ndarray, work: _Workspace) -> str:
+    """The bytes of ``words`` without their NULs, compacted into
+    ``work.text`` by a boolean compaction of each ``_TEXT_CHUNK`` bytes, so
+    that no temporary is as large as the text."""
+    data = words.view(np.uint8).ravel()
+    end = 0
+    for start in range(0, data.size, _TEXT_CHUNK):
+        chunk = data[start:start + _TEXT_CHUNK]
+        kept = chunk[np.not_equal(chunk, 0, out=work.mask[:chunk.size])]
+        work.text[end:end + kept.size] = kept
+        end += kept.size
+    return str(work.text[:end].data, "ascii")
 
 
 def _write(obj, pieces: list[str], arrays: dict[int, str]) -> None:
@@ -502,7 +579,8 @@ def point_feature_collection(
 
     Every value is checked before this returns, so the first non-finite
     one raises here.  The text then comes ``_ROW_BLOCK`` features at a
-    time, each block written by the number kernel.
+    time, each block written by the number kernel in the one workspace
+    that the generator makes.
     """
     table = (lon_deg, lat_deg, *columns.values())
     _check_finite(table)
@@ -514,15 +592,31 @@ def point_feature_collection(
         + "}}, "
     ).split("\x01")
     last = _words(pieces[-1][:-2] + "\0\0")  # the last feature of a block has no ", "
+    block_rows = min(_ROW_BLOCK, len(lon_deg))
 
     def text():
+        # the literal words are written into the rows once; each block
+        # writes its values' words after them
+        literals = [_words(piece) for piece in pieces]
+        work = _Workspace(block_rows, len(table), 3 * len(table) + sum(map(len, literals)))
+        slots, at = [], 0  # the column of each value's first word
+        for literal in literals:
+            work.rows[:, at:at + len(literal)] = literal
+            slots.append(at + len(literal))
+            at = slots[-1] + 3
         yield '{"type": "FeatureCollection", "features": ['
-        for start in range(0, len(lon_deg), _ROW_BLOCK):
-            rows = _row_words([column[start:start + _ROW_BLOCK] for column in table], pieces)
+        for start in range(0, len(lon_deg), block_rows) if block_rows else ():
+            n = min(block_rows, len(lon_deg) - start)
+            values = np.concatenate([column[start:start + n] for column in table],
+                                    out=work.values[:len(table) * n])
+            rows = work.rows[:n]
+            for words, at in zip(_number_words(values, work).reshape(3, -1, n).transpose(1, 2, 0),
+                                 slots):
+                rows[:, at:at + 3] = words
             rows[-1, -len(last):] = last
             if start:
                 yield ", "
-            yield _text(rows)
+            yield _text(rows, work)
         yield "]}"
 
     return text()

@@ -11,6 +11,7 @@ points formatted line by line.
 
 import cmath
 import copy
+import itertools
 import json
 import math
 import tracemalloc
@@ -605,13 +606,19 @@ def test_cap_refused_by_ring_count_is_over_any_limit_of_that_root(monkeypatch, r
 # -- the number kernel against format_float ------------------------------------------
 
 
-def kernel_texts(values):
-    """Each value's text as the bulk writers lay it out, one per row; a
-    RuntimeWarning fails the test."""
+def kernel_texts(values, work=None):
+    """Each value's text as the bulk writers lay it out, one per row, made in
+    ``work`` (by default a workspace of its own); a RuntimeWarning fails
+    the test."""
     column = np.asarray(values, dtype=float)
+    if work is None:
+        work = geojson_io._Workspace(column.size, 1, 4)
+    rows = work.rows[:column.size]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return geojson_io._text(geojson_io._row_words((column,), ("", "\n"))).split("\n")[:-1]
+        rows[:, :3] = geojson_io._number_words(column, work).T
+    rows[:, 3] = geojson_io._words("\n")
+    return geojson_io._text(rows, work).split("\n")[:-1]
 
 
 def assert_kernel_is_format_float(values):
@@ -728,11 +735,37 @@ def test_kernel_text_does_not_trust_the_decade_estimate(monkeypatch, shift):
                              [0.0, 1e-31, 9.99999999999999e-31],
                              rng.choice([-1, 1], 5000) * 10 ** rng.uniform(-32, 16, 5000)])
 
-    def estimate(a):  # the exact decade of each value, one off
-        return np.array([Decimal(x).adjusted() + shift for x in a.tolist()], dtype=float)
+    def estimate(a, out):  # the exact decade of each value, one off
+        out[:] = [Decimal(x).adjusted() + shift for x in a.tolist()]
+        return out
 
     monkeypatch.setattr(geojson_io, "_decade", estimate)
     assert_kernel_is_format_float(values)
+
+
+def test_kernel_workspace_reused_for_shorter_blocks():
+    # a writer's workspace takes a full block, then a partial last one; each
+    # value of a shorter block is the text of its own, whatever the longer
+    # one left in the buffers
+    rng = np.random.default_rng(33)
+    bits = rng.integers(0, 1 << 64, 20_000, dtype=np.uint64).view(float)
+    subnormals = rng.integers(1, 1 << 52, 500).astype(np.uint64).view(float)
+    sets = {
+        "bit patterns": bits[np.isfinite(bits)],
+        "ties": exact_ties(rng, 4000),
+        "near halves": np.array(near_halves()),
+        "decade edges": decade_edges(),
+        "zeros": np.array([0.0, -0.0]),
+        "subnormals": np.concatenate([subnormals, -subnormals]),
+        "from 1e15 up": rng.choice([-1, 1], 2000) * 10 ** rng.uniform(15, 308, 2000),
+    }
+    size, names = 2048, list(sets)
+    work = geojson_io._Workspace(size, 1, 4)
+    for k, name in enumerate(names):
+        # a full block of one set, a partial one of the next, a value of the third
+        following = [sets[names[(k + j) % len(names)]] for j in (1, 2)]
+        for block in (np.resize(sets[name], size), np.resize(following[0], 700), following[1][-1:]):
+            assert kernel_texts(block, work) == list(map(format_float, block.tolist())), name
 
 
 # -- columnar point GeoJSON -----------------------------------------------------------
@@ -812,6 +845,53 @@ def test_point_collection_non_finite_value(bad, column):
     error = _raised(point_feature_collection, lon, lat, columns)
     assert error == (NonFiniteValue, f"non-finite value {bad} in output")
     assert error == _raised(dumps, reference_collection(lon, lat, columns))
+
+
+def test_point_collections_drained_in_alternation(monkeypatch):
+    # each call makes its own buffers: two collections of other columns and
+    # lengths, drained a piece of each in turn, give the text of each alone
+    monkeypatch.setattr(geojson_io, "_ROW_BLOCK", 64)
+    rng = np.random.default_rng(34)
+    tables = [
+        (rng.uniform(-180, 180, 300), rng.uniform(-90, 90, 300),
+         {"m": 10 ** rng.uniform(-20, 20, 300)}),
+        (rng.uniform(-1, 1, 150), rng.uniform(-1e-5, 1e-5, 150),
+         {"a": rng.uniform(0, 1, 150), "longer name": -rng.uniform(1e15, 1e17, 150),
+          "c": rng.integers(-5, 5, 150).astype(float)}),
+    ]
+    alone = ["".join(point_feature_collection(*table)) for table in tables]
+    drained = [[], []]
+    for pieces in itertools.zip_longest(*(point_feature_collection(*table) for table in tables)):
+        for piece, text in zip(pieces, drained):
+            if piece is not None:
+                text.append(piece)
+    assert ["".join(text) for text in drained] == alone
+    assert alone == [dumps(reference_collection(*table)) for table in tables]
+
+
+def test_point_text_allocates_only_its_text_per_block():
+    # after the first block has made the buffers, each later block of the
+    # distortion field's text allocates little more than its own text
+    lat, lon = cap_samples(math.radians(30), math.radians(0.2))
+    report = distortion_report(CAP_SPEC, lat, lon)
+    columns = {"m": report.m, "conformality_defect": report.conformality_defect}
+    pieces = point_feature_collection(np.degrees(lon), np.degrees(lat), columns)
+    ratios = []
+    tracemalloc.start()
+    try:
+        next(pieces)  # the opening
+        text = next(pieces)  # the first block
+        while True:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            if next(pieces) == "]}":
+                break
+            text = next(pieces)
+            ratios.append((tracemalloc.get_traced_memory()[1] - before) / len(text))
+    finally:
+        tracemalloc.stop()
+    assert len(ratios) == -(-lat.size // geojson_io._ROW_BLOCK) - 1
+    assert max(ratios) <= 2.5, ratios
 
 
 # -- GeoJSON written from position columns -------------------------------------------
@@ -1006,6 +1086,23 @@ def test_position_texts_are_block_invariant(monkeypatch, block):
     # a polyline for each line and ring alone
     points = list(zip(x.tolist(), (-y).tolist()))
     assert polylines == [" ".join("%.15g,%.15g" % p for p in points[a:b]) for a, b in lines]
+
+
+def test_position_texts_short_block_after_long(monkeypatch):
+    # the last block's rows are fewer and shorter than the first's: nothing
+    # of the first block shows in the last one's text
+    monkeypatch.setattr(geojson_io, "_ROW_BLOCK", 64)
+    rng = np.random.default_rng(35)
+    x = np.concatenate([-rng.uniform(1, 9, 64) * 1e-200, [1.0, -2.0, 0.0, 3.0, -0.0]])
+    y = np.concatenate([rng.uniform(1, 9, 64) * -1e-150, [0.5, 4.0, -0.0, -1.0, 2.0]])
+    arrays, lines = [(None, 64), (None, 3), (None, None), (None, 1)], [(0, 64), (64, 67)]
+    texts, polylines = position_texts(arrays, x, y, lines)
+    points = list(zip(map(format_float, x.tolist()), map(format_float, y.tolist())))
+    assert texts == [", ".join("[%s, %s]" % p for p in points[:64]),
+                     ", ".join("[%s, %s]" % p for p in points[64:67]),
+                     "%s, %s" % points[67], "[%s, %s]" % points[68]]
+    assert polylines == [" ".join("%.15g,%.15g" % (a, -b) for a, b in zip(x[i:j], y[i:j]))
+                         for i, j in lines]
 
 
 def test_multipoint_texts_make_no_polylines():
