@@ -15,8 +15,6 @@ from .distortion import (
     DistortionReport,
     conformality_defect,
     dilatation_analytic,
-    dilatation_fd,
-    directional_dilatations,
     distortion_report,
 )
 from .geometry import (
@@ -28,7 +26,6 @@ from .geometry import (
     circle_fit,
     invert_point,
     normalize_longitude,
-    stereographic_project,
 )
 from .lagrange import (
     GraticuleCurveFit,

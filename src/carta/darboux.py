@@ -51,13 +51,6 @@ class Triangle:
             self.vertex_a.distance(self.vertex_b),
         )
 
-    def area(self) -> float:
-        ax, ay = self.vertex_a.x, self.vertex_a.y
-        return 0.5 * abs(
-            (self.vertex_b.x - ax) * (self.vertex_c.y - ay)
-            - (self.vertex_c.x - ax) * (self.vertex_b.y - ay)
-        )
-
 
 def _pole_distances(pole: PlanePoint, t: Triangle) -> tuple[float, float, float]:
     """|PA|, |PB| and |PC|; PoleOnVertex when one of them is within 1e-12

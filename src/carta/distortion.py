@@ -1,13 +1,11 @@
 """Pointwise dilatation of sphere-to-plane maps and conformality diagnostics.
 
-The dilatation m is the ratio of image displacement to surface arc length.
-It is evaluated both by central finite differences on an arbitrary
-projection callable and in closed form for the projection family, the two
-serving as mutual checks; the conformality defect is the deviation from a
-right angle of the images of two perpendicular directions.  Every finite
-difference probes along great circles at arc length h from the sample:
-on the spheroid, great circles of the conformal sphere (chi, lon), which
-the spheroid maps onto conformally with the scale ``conformal_scale``.
+The dilatation m is the ratio of image displacement to surface arc length,
+evaluated in closed form for the projection family; the conformality
+defect is the deviation from a right angle of the images of two
+perpendicular directions.  Its probes sit along great circles at arc
+length h from the sample: on the spheroid, great circles of the conformal
+sphere (chi, lon), onto which the spheroid maps conformally.
 """
 
 from __future__ import annotations
@@ -27,15 +25,14 @@ from .lagrange import (
     project_array,
     projection_error,
 )
-from .surfaces import SPHERE, conformal_latitude, conformal_scale, inverse_conformal_latitude
+from .surfaces import SPHERE, conformal_latitude, inverse_conformal_latitude
 
 Projection = Callable[[SpherePoint], PlanePoint]
 
 DEFAULT_STEP = 1e-4
 
-# probe bearings, clockwise from north: the meridian and the parallel
-# (pairs along one great circle each), and the two diagonals
-_AXES = np.radians([0.0, 180.0, 90.0, 270.0])
+# probe bearings, clockwise from north: the two diagonals, each pair along
+# one great circle
 _DIAGONALS = np.radians([45.0, 225.0, 315.0, 135.0])
 
 # cap_samples refuses layouts of more samples than this, counted before any
@@ -89,34 +86,6 @@ def _images(projection: Projection, p: SpherePoint, h: float, bearings, surface)
         except CartaError as exc:
             raise DomainEdge(f"probe left the projection domain: {exc}") from exc
     return np.array(images)
-
-
-def directional_dilatations(
-    projection: Projection,
-    p: SpherePoint,
-    h: float = DEFAULT_STEP,
-    surface=SPHERE,
-) -> tuple[float, float]:
-    """Central-difference dilatation along the meridian and the parallel.
-
-    For a conformal map the two values agree to O(h^2); their split is the
-    raw material of both the dilatation and the isotropy diagnostics.
-    """
-    _check_step(h)
-    images = _images(projection, p, h, _AXES, surface)
-    scale = conformal_scale(surface, p.latitude) / (2.0 * h)
-    return float(abs(images[0] - images[1]) * scale), float(abs(images[2] - images[3]) * scale)
-
-
-def dilatation_fd(
-    projection: Projection,
-    p: SpherePoint,
-    h: float = DEFAULT_STEP,
-    surface=SPHERE,
-) -> float:
-    """Finite-difference dilatation: geometric mean of the two directions."""
-    mer, par = directional_dilatations(projection, p, h, surface)
-    return math.sqrt(mer * par)
 
 
 def dilatation_analytic(spec: LagrangeProjectionSpec, p: SpherePoint) -> float:

@@ -522,19 +522,31 @@ def _nested(coords, depth: int):
 
 
 def region_polyline(obj: dict) -> list[SpherePoint]:
-    """Closed boundary polyline from the first usable geometry.
+    """Closed boundary polyline of the one region geometry of ``obj``.
 
-    A Polygon contributes its exterior ring; a LineString is taken as an
-    implicitly closed ring.
+    The region is a Polygon of one ring, a MultiPolygon of one such
+    polygon, or a LineString, taken as an implicitly closed ring.  Other
+    geometries, and polygons without rings, are skipped; a hole, a second
+    polygon or a second region geometry is refused.
     """
+    rings = []  # the exterior ring of each region geometry
     for geom in _geometries(obj):
         kind = geom["type"]
         if kind in ("LineString", "Polygon", "MultiPolygon"):
-            ring = next(_nested(geom.get("coordinates", []), _POSITION_DEPTH[kind] - 1), None)
-            if ring is not None:
-                positions = map(_position, _nested(ring, 1))
-                return [SpherePoint.from_degrees(lat, lon) for lon, lat in positions]
-    raise GeoJsonError("no polygon or line boundary found in input")
+            coords = geom.get("coordinates", [])
+            polygons = {"LineString": [[coords]], "Polygon": [coords]}.get(kind, coords)
+            polygons = [p for p in _array(polygons, "coordinates") if _array(p, "coordinates")]
+            if len(polygons) > 1:
+                raise GeoJsonError(f"{kind} of {len(polygons)} polygons: only one is supported")
+            if polygons and len(polygons[0]) > 1:
+                raise GeoJsonError(f"polygon of {len(polygons[0])} rings: holes are not supported")
+            rings += [p[0] for p in polygons]
+    if len(rings) > 1:
+        raise GeoJsonError(f"{len(rings)} region geometries: only one is supported")
+    if not rings:
+        raise GeoJsonError("no polygon or line boundary found in input")
+    positions = map(_position, _nested(rings[0], 1))
+    return [SpherePoint.from_degrees(lat, lon) for lon, lat in positions]
 
 
 def map_positions(obj, mapper: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]):

@@ -1,5 +1,5 @@
-"""Inversive geometry in the plane, the stereographic sphere-plane bridge,
-and a least-squares generalized-circle fit.
+"""Points of the sphere and the plane, inversive geometry in the plane, and
+a least-squares generalized-circle fit.
 
 Conventions used throughout the package:
 
@@ -25,9 +25,7 @@ from .errors import (
     DegenerateTransform,
     InsufficientPoints,
     NonFiniteValue,
-    PointAtInfinity,
     PoleSingularity,
-    ProjectionPole,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -164,24 +162,6 @@ class MobiusTransform:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, complex(getattr(self, name)) / s)
 
-    @classmethod
-    def _normalized(cls, a: complex, b: complex, c: complex, d: complex) -> "MobiusTransform":
-        """Coefficients with determinant 1 by construction, unguarded: the guard's
-        threshold grows with the largest coefficient and misreads det 1 at ~1e6."""
-        m = object.__new__(cls)
-        for name, value in zip("abcd", (a, b, c, d)):
-            object.__setattr__(m, name, value)
-        return m
-
-    def apply_complex(self, z: complex) -> complex:
-        den = self.c * z + self.d
-        if abs(den) < 1e-14:
-            raise PointAtInfinity(f"point {z} maps to infinity")
-        return (self.a * z + self.b) / den
-
-    def inverse(self) -> "MobiusTransform":
-        return MobiusTransform._normalized(self.d, -self.b, -self.c, self.a)
-
 
 @dataclass(frozen=True)
 class Inversion:
@@ -204,21 +184,6 @@ def invert_point(inv: Inversion, p: PlanePoint) -> PlanePoint:
         raise PoleSingularity("point at the inversion pole")
     s = inv.power / r2
     return PlanePoint(inv.pole.x + s * dx, inv.pole.y + s * dy)
-
-
-# -- stereographic bridge -----------------------------------------------------
-
-
-def stereographic_project(p: SpherePoint) -> PlanePoint:
-    """North-pole stereographic projection onto the equator plane.
-
-    Image radius is cot(theta/2) = tan(pi/4 + lat/2) with theta the
-    colatitude; the South pole maps to the origin.
-    """
-    if p.colatitude < POLE_COLATITUDE_EPS:
-        raise ProjectionPole("the North pole has no stereographic image")
-    rho = math.tan(math.pi / 4 + p.latitude / 2)
-    return PlanePoint(rho * math.cos(p.longitude), rho * math.sin(p.longitude))
 
 
 # -- least-squares generalized circle fit ---------------------------------------

@@ -39,7 +39,6 @@ from .geometry import (
     invert_point,
     normalize_longitude,
     normalize_longitude_array,
-    stereographic_project,
 )
 from .surfaces import SPHERE, SurfaceOfRevolution, _radius_factor, inverse_conformal_latitude
 
@@ -79,10 +78,6 @@ class LagrangeProjectionSpec:
         object.__setattr__(
             self, "central_meridian", normalize_longitude(self.central_meridian)
         )
-
-    def projection(self):
-        """The forward map as a plain callable SpherePoint -> PlanePoint."""
-        return lambda p: project(self, p)
 
 
 def _image_angle(spec: LagrangeProjectionSpec, lon) -> np.ndarray:
@@ -246,8 +241,11 @@ def unproject(spec: LagrangeProjectionSpec, q: PlanePoint) -> SpherePoint:
     if post is not None:
         if isinstance(post, Inversion):
             w = invert_point(post, q).as_complex()  # inversions are involutive
-        else:
-            w = post.inverse().apply_complex(w)
+        else:  # the inverse of a Mobius map with det = 1
+            den = post.a - post.c * w
+            if abs(den) < 1e-14:
+                raise PointAtInfinity(f"point {w} maps to infinity")
+            w = (post.d * w - post.b) / den
     c = spec.exponent
     rho_c = abs(w)
     if rho_c == 0.0:
@@ -275,7 +273,8 @@ def centered_stereographic(center: SpherePoint) -> LagrangeProjectionSpec:
     """
     if center.colatitude < POLE_COLATITUDE_EPS:
         return LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(0, 1, 1, 0))
-    z0 = stereographic_project(center).as_complex()
+    rho = math.tan(math.pi / 4 + center.latitude / 2)
+    z0 = complex(rho * math.cos(center.longitude), rho * math.sin(center.longitude))
     if z0 == 0:
         return LagrangeProjectionSpec(1.0)
     return LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(1, -z0, z0.conjugate(), 1))

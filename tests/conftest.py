@@ -37,6 +37,11 @@ def random_mobius(rng, min_det=1e-3):
             return MobiusTransform(a, b, c, d)
 
 
+def mobius_map(m):
+    """The plane map z -> (a z + b) / (c z + d) of a MobiusTransform."""
+    return lambda z: (m.a * z + m.b) / (m.c * z + m.d)
+
+
 def random_spec(rng, allow_spheroid=True, post_kinds=("none", "inversion", "mobius")):
     c = float(rng.uniform(0.3, 2.0))
     central = float(rng.uniform(-math.pi, math.pi))

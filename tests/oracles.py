@@ -1,18 +1,26 @@
 """Oracles that only the tests use: the numerical Schwarzian derivative,
-Gauss's spheroid-to-sphere reduction, the area of a spherical polygon, and
-the chart mesh's points and the Shortley-Weller operator as they were
-first computed, per unknown and arm and from five coefficient boxes.
+Gauss's spheroid-to-sphere reduction, the area of a spherical polygon, the
+finite-difference dilatation, and the chart mesh's points and the
+Shortley-Weller operator as they were first computed, per unknown and arm
+and from five coefficient boxes.
 
-No subcommand runs them; acceptance criteria 7, 5 and 8 and the
-chebyshev tests do.
+No subcommand runs them; acceptance criteria 7, 5, 8 and 3 and the
+chebyshev and distortion tests do.
 """
 
 import math
 
 import numpy as np
 
-from carta.geometry import TWO_PI
-from carta.surfaces import SurfaceOfRevolution, gudermannian, isometric_coordinate
+from carta.distortion import DEFAULT_STEP, Projection, _check_step, _images
+from carta.geometry import TWO_PI, SpherePoint
+from carta.surfaces import (
+    SPHERE,
+    SurfaceOfRevolution,
+    conformal_scale,
+    gudermannian,
+    isometric_coordinate,
+)
 
 # -- Schwarzian derivative S(f) = f'''/f' - (3/2)(f''/f')^2 ---------------------------
 #
@@ -212,6 +220,45 @@ def spherical_polygon_area(vertices) -> float:
     cross = np.cross(t_in, t_out)
     turn = np.arctan2(np.einsum("ij,ij->i", cross, v), np.einsum("ij,ij->i", t_in, t_out))
     return float(TWO_PI - np.sum(turn))
+
+
+# -- finite-difference dilatation ---------------------------------------------------
+#
+# Central differences of an arbitrary projection callable, probing along
+# great circles of the conformal sphere like the conformality defect: the
+# closed-form dilatation's reference (criterion 3).
+
+# probe bearings, clockwise from north: the meridian and the parallel, each
+# pair along one great circle
+_AXES = np.radians([0.0, 180.0, 90.0, 270.0])
+
+
+def directional_dilatations(
+    projection: Projection,
+    p: SpherePoint,
+    h: float = DEFAULT_STEP,
+    surface=SPHERE,
+) -> tuple[float, float]:
+    """Central-difference dilatation along the meridian and the parallel.
+
+    For a conformal map the two values agree to O(h^2); their split is the
+    raw material of both the dilatation and the isotropy diagnostics.
+    """
+    _check_step(h)
+    images = _images(projection, p, h, _AXES, surface)
+    scale = conformal_scale(surface, p.latitude) / (2.0 * h)
+    return float(abs(images[0] - images[1]) * scale), float(abs(images[2] - images[3]) * scale)
+
+
+def dilatation_fd(
+    projection: Projection,
+    p: SpherePoint,
+    h: float = DEFAULT_STEP,
+    surface=SPHERE,
+) -> float:
+    """Finite-difference dilatation: geometric mean of the two directions."""
+    mer, par = directional_dilatations(projection, p, h, surface)
+    return math.sqrt(mer * par)
 
 
 # -- the chart mesh and its operator, written plainly ------------------------------

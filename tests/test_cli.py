@@ -258,6 +258,66 @@ def test_chebyshev_region_too_small_exit_6(france_geojson, capsys):
     assert "RegionTooSmall" in capsys.readouterr().err
 
 
+SQUARE = [[0, 40], [10, 40], [10, 50], [0, 50], [0, 40]]
+HOLE = [[3, 43], [3, 47], [7, 47], [7, 43], [3, 43]]
+EAST_SQUARE = [[20, 40], [30, 40], [30, 50], [20, 50], [20, 40]]
+
+
+def _feature(geometry_type, coordinates):
+    geometry = {"type": geometry_type, "coordinates": coordinates}
+    return {"type": "Feature", "properties": {}, "geometry": geometry}
+
+
+@pytest.mark.parametrize("command", ["chebyshev", "distortion"])
+@pytest.mark.parametrize(
+    "document, line",
+    [
+        ({"type": "Polygon", "coordinates": [SQUARE, HOLE]},
+         "polygon of 2 rings: holes are not supported"),
+        ({"type": "MultiPolygon", "coordinates": [[SQUARE, HOLE]]},
+         "polygon of 2 rings: holes are not supported"),
+        ({"type": "MultiPolygon", "coordinates": [[SQUARE], [EAST_SQUARE]]},
+         "MultiPolygon of 2 polygons: only one is supported"),
+        ({"type": "FeatureCollection",
+          "features": [_feature("Polygon", [SQUARE]), _feature("Polygon", [EAST_SQUARE])]},
+         "2 region geometries: only one is supported"),
+        ({"type": "GeometryCollection",
+          "geometries": [{"type": "LineString", "coordinates": SQUARE},
+                         {"type": "MultiPolygon", "coordinates": [[EAST_SQUARE]]}]},
+         "2 region geometries: only one is supported"),
+    ],
+    ids=["hole", "multipolygon-hole", "multipolygon", "features", "line-and-polygon"],
+)
+def test_region_refuses_what_the_mesh_would_drop(tmp_path, capsys, command, document, line):
+    region = tmp_path / "region.geojson"
+    region.write_text(json.dumps(document))
+    assert run_cli(command, "--region", str(region), "--delta-deg", "0.5") == 3
+    assert capsys.readouterr().err == f"carta: GeoJsonError: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"type": "MultiPolygon", "coordinates": [[], [SQUARE]]},
+        {"type": "FeatureCollection",
+         "features": [_feature("Point", [1, 1]), _feature("Polygon", [SQUARE]),
+                      _feature("Polygon", []), _feature("MultiPolygon", [])]},
+    ],
+    ids=["multipolygon-of-one", "one-region-among-others"],
+)
+def test_region_of_one_ring_in_any_spelling(tmp_path, capsys, document):
+    # geometries without a ring and geometries of other types are skipped
+    reports = []
+    for name, doc in (("square", {"type": "Polygon", "coordinates": [SQUARE]}), ("doc", document)):
+        region = tmp_path / f"{name}.geojson"
+        region.write_text(json.dumps(doc))
+        assert run_cli("chebyshev", "--region", str(region), "--centered-on", "45,5",
+                       "--delta-deg", "0.5") == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert "nodes: 363\n" in reports[0]
+
+
 def _write_ring(path, lat_lon_deg):
     ring = [[lon, lat] for lat, lon in lat_lon_deg]
     path.write_text(json.dumps({"type": "Polygon", "coordinates": [ring + ring[:1]]}))

@@ -1,6 +1,7 @@
 """Projection family: power map, forward/inverse, graticule circle images."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from carta import (
     circle_fit,
     graticule_image,
     project,
-    stereographic_project,
     unproject,
 )
 from carta import lagrange
@@ -23,6 +23,7 @@ from carta.errors import (
     ConfigError,
     OriginSingularity,
     OutsideImage,
+    PointAtInfinity,
     ProjectionPole,
 )
 from carta.geometry import normalize_longitude, normalize_longitude_array
@@ -34,7 +35,8 @@ from carta.lagrange import (
 )
 from carta.surfaces import SurfaceOfRevolution
 
-from conftest import random_spec
+from conftest import random_point_for_spec, random_spec
+from oracles import dilatation_fd
 
 
 # -- power map -------------------------------------------------------------------
@@ -90,7 +92,8 @@ def test_exponent_one_is_stereographic(rng):
             rng.uniform(-math.pi / 2, math.pi / 2 - 1e-3), rng.uniform(-math.pi, math.pi)
         )
         got = project(spec, p)
-        want = stereographic_project(p)
+        rho = 1.0 / math.tan(p.colatitude / 2)  # the image radius cot(theta / 2)
+        want = PlanePoint(rho * math.cos(p.longitude), rho * math.sin(p.longitude))
         assert math.hypot(got.x - want.x, got.y - want.y) <= 1e-14 * max(
             1.0, math.hypot(want.x, want.y)
         )
@@ -148,6 +151,23 @@ def test_unproject_outside_branch_window():
     spec = LagrangeProjectionSpec(exponent=0.5)
     with pytest.raises(OutsideImage):
         unproject(spec, PlanePoint(-1.0, 1e-3))  # polar angle ~ pi > pi/2
+
+
+def test_unproject_inverts_the_mobius_post_transform(rng):
+    # project(unproject(q)) = q over centred aspects and random Mobius specs;
+    # q = a / c, the post-transform's image of infinity, has no preimage
+    specs = [centered_stereographic(SpherePoint(rng.uniform(-1.5, 1.5), rng.uniform(-3, 3)))
+             for _ in range(2000)]
+    specs += [random_spec(rng, post_kinds=("mobius",)) for _ in range(500)]
+    worst = 0.0
+    for spec in specs:
+        q = project(spec, random_point_for_spec(rng, spec))
+        back = project(spec, unproject(spec, q))
+        worst = max(worst, q.distance(back) / max(1.0, math.hypot(q.x, q.y)))
+        post = spec.post_transform
+        with pytest.raises(PointAtInfinity):
+            unproject(spec, PlanePoint.from_complex(post.a / post.c))
+    assert worst < 1e-14
 
 
 def test_round_trip_over_random_specs(rng):
@@ -215,11 +235,9 @@ def test_centered_stereographic_sends_center_to_origin(rng):
 def test_centered_stereographic_is_rotation_composed(rng):
     # the dilatation of the re-centred spec at its center equals the polar
     # stereographic value at the pole (1/2), since rotations are isometries
-    from carta import dilatation_fd
-
     center = SpherePoint.from_degrees(46.0, 2.0)
     spec = centered_stereographic(center)
-    m = dilatation_fd(spec.projection(), center, h=1e-4)
+    m = dilatation_fd(partial(project, spec), center, h=1e-4)
     assert m == pytest.approx(0.5, rel=1e-7)
 
 

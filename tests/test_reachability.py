@@ -11,11 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # definitions that only the tests call
 KEEP = {
-    "dilatation_fd": "criterion 3; the finite-difference family shares _images with "
-                     "the scalar conformality_defect, and leaves after ROADMAP item 9",
-    "LagrangeProjectionSpec.projection": "criterion 3",
-    "Triangle.area": "criterion 6",
     "SurfaceOfRevolution.gaussian_curvature": "ROADMAP item 5",
+    "conformal_scale": "ROADMAP item 5",
 }
 
 

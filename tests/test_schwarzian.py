@@ -15,7 +15,7 @@ from carta import (
     unproject,
 )
 
-from conftest import random_mobius
+from conftest import mobius_map, random_mobius
 from oracles import CriticalPoint, mobius_deviation, schwarzian, schwarzian_cocycle_residual
 
 
@@ -34,7 +34,7 @@ def test_mobius_kernel_within_reported_bound(rng):
     for _ in range(200):
         m = random_mobius(rng, min_det=1e-2)
         z = sample_away_from_pole(rng, m)
-        value, error_bound = schwarzian(m.apply_complex, z)
+        value, error_bound = schwarzian(mobius_map(m), z)
         assert error_bound < 1e-7
         assert abs(value) <= max(error_bound, 1e-9)
 
@@ -82,7 +82,7 @@ def test_cocycle_left_mobius_invariance(rng):
         g = cmath.exp
         if abs(m.c * g(z) + m.d) < 0.5:
             continue
-        residual = schwarzian_cocycle_residual(m.apply_complex, g, z)
+        residual = schwarzian_cocycle_residual(mobius_map(m), g, z)
         assert residual < 1e-6
 
 
@@ -90,7 +90,7 @@ def test_cocycle_right_mobius(rng):
     for _ in range(25):
         m = random_mobius(rng, min_det=0.3)
         z = sample_away_from_pole(rng, m)
-        residual = schwarzian_cocycle_residual(cmath.exp, m.apply_complex, z)
+        residual = schwarzian_cocycle_residual(cmath.exp, mobius_map(m), z)
         assert residual < 1e-6
 
 
@@ -126,7 +126,7 @@ def test_single_mobius_deviation_small(rng):
     for _ in range(20):
         m = random_mobius(rng, min_det=0.3)
         points = [sample_away_from_pole(rng, m) for _ in range(8)]
-        assert mobius_deviation(m.apply_complex, points) < 1e-7
+        assert mobius_deviation(mobius_map(m), points) < 1e-7
 
 
 def test_deviation_requires_enough_admissible_points():
