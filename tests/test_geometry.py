@@ -176,6 +176,11 @@ def test_stereographic_round_trip(rng):
         assert np.linalg.norm(back.unit_vector() - p.unit_vector()) < 1e-12
 
 
+def test_unproject_origin_is_south_pole():
+    p = unproject(LagrangeProjectionSpec(1.0), PlanePoint(0, 0))
+    assert p.latitude == pytest.approx(-math.pi / 2, abs=1e-15)
+
+
 # -- spherical polygon area ---------------------------------------------------------
 
 
