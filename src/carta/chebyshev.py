@@ -48,7 +48,7 @@ from .errors import (
     RegionTooSmall,
     SelfIntersectingBoundary,
 )
-from .geometry import SpherePoint, normalize_longitude_array
+from .geometry import normalize_longitude_array
 from .lagrange import LagrangeProjectionSpec, dilatation_array
 
 RESIDUAL_TOL = 1e-8
@@ -106,11 +106,11 @@ class RegionMesh:
 # -- region meshing ------------------------------------------------------------
 
 
-def _close_ring(vertices) -> np.ndarray:
+def _close_ring(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     """Unit vectors of the distinct vertices: a last one within 1e-12
     (chord) of the first is dropped, as is each within 1e-12 of the last kept."""
-    pts = (p if isinstance(p, SpherePoint) else SpherePoint(*p) for p in vertices)
-    units = np.array([p.unit_vector() for p in pts]).reshape(-1, 3)
+    cos_lat = np.cos(lat)
+    units = np.column_stack([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)])
     if len(units) > 1 and np.linalg.norm(units[0] - units[-1]) < 1e-12:
         units = units[:-1]
     apart = (np.linalg.norm(np.diff(units, axis=0), axis=1) > 1e-12).tolist()
@@ -132,9 +132,9 @@ def _frame(center: np.ndarray) -> np.ndarray:
 
 
 def _gnomonic_frame(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(frame, vertex images) of the tangent-plane chart about the vertex
-    centroid; great circles map to straight lines, so polygon edges become
-    segments."""
+    """(frame, vertices in it) of the tangent-plane chart about the vertex
+    centroid; great circles map to straight lines through the chart's
+    projection v -> v[:2] / v[2], so polygon edges become segments."""
     center = units.sum(axis=0)
     norm = np.linalg.norm(center)
     if norm < 1e-9:
@@ -143,7 +143,7 @@ def _gnomonic_frame(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     local = units @ frame.T
     if np.any(local[:, 2] < math.cos(math.radians(89.0))):
         raise SelfIntersectingBoundary("region is not contained in one hemisphere (with margin)")
-    return frame, local[:, :2] / local[:, 2:]
+    return frame, local
 
 
 # segment pairs tested at once in _check_simple: each temporary array
@@ -374,18 +374,19 @@ def build_cap_mesh(radius: float, delta: float) -> RegionMesh:
     return _chart_mesh(frame, *circle, None, delta)
 
 
-def build_region_mesh(boundary, delta: float) -> RegionMesh:
-    """Mesh the inside of a closed boundary polyline at spacing delta.
-
-    Vertices may be SpherePoints or (lat, lon) pairs in radians; edges are
-    great-circle arcs.  The chart is centred on the vertex centroid.
-    """
+def build_region_mesh(lat: np.ndarray, lon: np.ndarray, delta: float) -> RegionMesh:
+    """Mesh the inside of the closed boundary polyline through the vertices
+    (lat[i], lon[i]), in radians, at spacing delta: its edges are
+    great-circle arcs, and the chart is centred on the vertex centroid."""
     if delta <= 0:
         raise ValueError("mesh spacing must be positive")
-    units = _close_ring(boundary)
-    frame, poly_xy = _gnomonic_frame(units)
-    _check_simple(poly_xy)
-    starts = units @ frame.T
+    bad = np.flatnonzero(~((np.abs(lat) <= math.pi / 2) & np.isfinite(lon)))
+    if bad.size:
+        raise ValueError(f"boundary vertex ({lat[bad[0]]}, {lon[bad[0]]}): need a finite lon"
+                         " and lat in [-pi/2, pi/2]")
+    units = _close_ring(lat, normalize_longitude_array(lon))
+    frame, starts = _gnomonic_frame(units)
+    _check_simple(starts[:, :2] / starts[:, 2:])
     stops = np.roll(starts, -1, axis=0)
     normals = np.cross(starts, stops)
     normals /= np.linalg.norm(normals, axis=1)[:, None]

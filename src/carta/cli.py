@@ -134,8 +134,7 @@ def _region_mesh(args: argparse.Namespace):
         return build_cap_mesh(math.radians(args.cap_deg), delta)
     if args.region_path is None:
         raise ConfigError("need --region or --cap-deg")
-    boundary = geojson_io.region_polyline(geojson_io.load(args.region_path))
-    return build_region_mesh(boundary, delta)
+    return build_region_mesh(*geojson_io.region_polyline(geojson_io.load(args.region_path)), delta)
 
 
 def _flush_outputs(outputs: dict[str, Iterable[str]]) -> None:
@@ -212,35 +211,40 @@ def _graticule(
     return curves
 
 
+def _project_columns(spec: LagrangeProjectionSpec, lon_deg: np.ndarray, lat_deg: np.ndarray):
+    """Images x, y of the positions (lon_deg[i], lat_deg[i]), projected
+    ``_PROJECT_BLOCK`` at a time: the first that fails names the error."""
+    x, y = np.empty(len(lon_deg)), np.empty(len(lon_deg))
+    for start in range(0, len(lon_deg), _PROJECT_BLOCK):
+        block = slice(start, start + _PROJECT_BLOCK)
+        lon, lat = lon_deg[block], lat_deg[block]
+        w, code = project_array(spec, np.radians(lat), np.radians(lon))
+        failed = np.flatnonzero(code)
+        if failed.size:
+            i = failed[0]
+            exc = projection_error(spec, code[i], np.radians(lon[i]), w[i])
+            where = f"({fmt(lon[i])}, {fmt(lat[i])})"
+            raise type(exc)(f"cannot project {where}: {exc}") from exc
+        x[block], y[block] = w.real, w.imag
+    return x, y
+
+
 def run_project(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
-    """Project every position of ``--region``, ``_PROJECT_BLOCK`` at a time:
-    the first that fails names the error.  Each image is formatted once,
-    into the GeoJSON's text with ``--out`` and, on a line with ``--svg``,
-    the SVG's polyline alike (``geojson_io.position_texts``), and the
-    document's position arrays are emptied once read."""
+    """Project every position of ``--region`` (``_project_columns``).  Each
+    image is formatted once, into the GeoJSON's text with ``--out`` and, on
+    a line with ``--svg``, the SVG's polyline alike
+    (``geojson_io.position_texts``), and the document's position arrays are
+    emptied once read."""
     spec = projection_spec(args)
     if args.out_path is None and args.svg_path is None:
         raise ConfigError("project needs --out and/or --svg")
 
-    def mapper(lon_deg: np.ndarray, lat_deg: np.ndarray):
-        x, y = np.empty(len(lon_deg)), np.empty(len(lon_deg))
-        for start in range(0, len(lon_deg), _PROJECT_BLOCK):
-            block = slice(start, start + _PROJECT_BLOCK)
-            lon, lat = lon_deg[block], lat_deg[block]
-            w, code = project_array(spec, np.radians(lat), np.radians(lon))
-            failed = np.flatnonzero(code)
-            if failed.size:
-                i = failed[0]
-                exc = projection_error(spec, code[i], np.radians(lon[i]), w[i])
-                where = f"({fmt(lon[i])}, {fmt(lat[i])})"
-                raise type(exc)(f"cannot project {where}: {exc}") from exc
-            x[block], y[block] = w.real, w.imag
-        return x, y
-
     document = geojson_io.load(args.region_path)
-    arrays, x, y, lines = geojson_io.map_positions(document, mapper)
-    # dumps writes each array as its text, found by the array's id: the
-    # positions in it are not kept alive while the texts are made
+    arrays, lon_deg, lat_deg, lines = geojson_io.map_positions(document)
+    x, y = _project_columns(spec, lon_deg, lat_deg)
+    # dumps finds each array's text by the array's id: neither its positions
+    # nor their columns are kept alive while the texts are made
+    del lon_deg, lat_deg
     for array, _ in arrays:
         array.clear()
     # only the GeoJSON needs the arrays' texts; the SVG draws the lines alone,

@@ -23,12 +23,11 @@ import math
 import reprlib
 from itertools import chain
 from json.encoder import encode_basestring_ascii  # what json.dumps does to a str
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError, GeoJsonError, NonFiniteValue
-from .geometry import SpherePoint
 
 # nesting depth of the positions in each geometry type's "coordinates"
 _POSITION_DEPTH = {"Point": 0, "MultiPoint": 1, "LineString": 1,
@@ -490,12 +489,11 @@ def _position(pos) -> tuple[float, float]:
     return lon, lat
 
 
-def _columns(positions: list) -> np.ndarray:
-    """The (lon, lat) of every position, one after the other, as ``_position``
-    reads them.  Positions of two ints or floats are checked in bulk;
-    ``_position`` reads them one by one only when that check fails, to
-    name the first bad one or to read what the check does not take
-    (tuples, altitudes, subclasses of float)."""
+def _columns(positions: list) -> tuple[np.ndarray, np.ndarray]:
+    """The lon and lat columns of the positions, as ``_position`` reads them.
+    Positions of two ints or floats are checked in bulk; ``_position`` reads
+    them one by one only when that check fails, to name the first bad one
+    or to read what the check does not take (tuples, altitudes, float subclasses)."""
     count = 2 * len(positions)
     if set(map(type, positions)) <= {list} and set(map(len, positions)) <= {2}:
         flat = list(chain.from_iterable(positions))
@@ -508,8 +506,9 @@ def _columns(positions: list) -> np.ndarray:
             else:
                 lon, lat = columns[0::2], columns[1::2]
                 if np.isfinite(lon).all() and ((-90.0 <= lat) & (lat <= 90.0)).all():
-                    return columns
-    return np.fromiter((v for pos in positions for v in _position(pos)), dtype=float, count=count)
+                    return lon, lat
+    columns = np.fromiter((v for pos in positions for v in _position(pos)), dtype=float, count=count)
+    return columns[0::2], columns[1::2]
 
 
 def _nested(coords, depth: int):
@@ -521,8 +520,8 @@ def _nested(coords, depth: int):
             yield from _nested(item, depth - 1)
 
 
-def region_polyline(obj: dict) -> list[SpherePoint]:
-    """Closed boundary polyline of the one region geometry of ``obj``.
+def region_polyline(obj: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(lat, lon) radians of the closed boundary of the one region geometry of ``obj``.
 
     The region is a Polygon of one ring, a MultiPolygon of one such
     polygon, or a LineString, taken as an implicitly closed ring.  Other
@@ -545,19 +544,18 @@ def region_polyline(obj: dict) -> list[SpherePoint]:
         raise GeoJsonError(f"{len(rings)} region geometries: only one is supported")
     if not rings:
         raise GeoJsonError("no polygon or line boundary found in input")
-    positions = map(_position, _nested(rings[0], 1))
-    return [SpherePoint.from_degrees(lat, lon) for lon, lat in positions]
+    lon, lat = _columns(_array(rings[0], "coordinates"))
+    return np.radians(lat), np.radians(lon)
 
 
-def map_positions(obj, mapper: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]):
+def map_positions(obj):
     """The position arrays of every geometry of a GeoJSON object, their
-    images and the lines among them: ``(arrays, x, y, lines)``.
+    positions and the lines among them: ``(arrays, lon_deg, lat_deg, lines)``.
 
     ``arrays`` pairs each array of positions of ``obj`` (a line, a ring or a
     MultiPoint's coordinates) with its length, and each Point's position with
     None, in document order; ``obj`` is left as it is.  Every position is
-    validated before ``mapper`` runs.  It receives all of them at once as
-    (lon_deg, lat_deg) arrays and returns the image columns x and y.
+    validated, and all of them come back as the columns lon_deg and lat_deg.
     ``lines`` holds the range ``(start, end)`` in them of each line and ring.
     """
     positions, arrays, lines = [], [], []
@@ -577,9 +575,7 @@ def map_positions(obj, mapper: Callable[[np.ndarray, np.ndarray], tuple[np.ndarr
                         lines.append((start, len(positions)))
     except RecursionError:  # parsed JSON can nest deeper than the walk recurses
         raise GeoJsonError("input nested too deeply") from None
-    columns = _columns(positions)
-    x, y = mapper(columns[0::2], columns[1::2])
-    return arrays, x, y, lines
+    return arrays, *_columns(positions), lines
 
 
 def point_feature_collection(

@@ -205,18 +205,17 @@ _FIT_FAILURES = (
 )
 
 
-def circle_fit(x, y, ends=None):
+def circle_fit(x, y, ends):
     """Fit a generalized circle to each curve of the points (x[i], y[i]).
 
     ``ends`` holds the end of each curve in ``x`` and ``y``, in order, and
-    the result is a list of (curve, rms orthogonal distance), one per curve;
-    without ``ends`` all the points are one curve and the result is its
-    pair.  A fit degenerates to a line when its curvature magnitude is
-    below ``LINE_CURVATURE_EPS``.  The first curve that cannot be fitted
-    raises: NonFiniteValue for a non-finite coordinate, InsufficientPoints
-    for < 3 points, coincident points or no real fit.
+    the result is a list of (curve, rms orthogonal distance), one per curve.
+    A fit degenerates to a line when its curvature magnitude is below
+    ``LINE_CURVATURE_EPS``.  The first curve that cannot be fitted raises:
+    NonFiniteValue for a non-finite coordinate, InsufficientPoints for < 3
+    points, coincident points or no real fit.
     """
-    single, ends = ends is None, np.array([len(x)] if ends is None else ends, dtype=np.intp)
+    ends = np.asarray(ends, dtype=np.intp)
     counts = np.diff(ends, prepend=0)
     x, y = (np.asarray(v, dtype=float)[:counts.sum()] for v in (x, y))
     # the curves before the first with a non-finite point or fewer than 3
@@ -302,5 +301,4 @@ def circle_fit(x, y, ends=None):
             line, np.abs(p0 * x + p1 * y - p2), np.abs(np.hypot(x - p0, y - p1) - p2)
         )
         rms = np.sqrt(sums(residuals * residuals) / counts)
-    fits = list(zip(curves, rms.tolist()))
-    return fits[0] if single else fits
+    return list(zip(curves, rms.tolist()))

@@ -148,15 +148,7 @@ def test_criterion_4_chebyshev_theorem():
 
     # (b) optimality over geodesically convex regions
     cap_mesh = build_cap_mesh(math.radians(30), delta)
-    france = build_region_mesh(
-        [
-            SpherePoint.from_degrees(40, -5),
-            SpherePoint.from_degrees(40, 9),
-            SpherePoint.from_degrees(52, 9),
-            SpherePoint.from_degrees(52, -5),
-        ],
-        delta,
-    )
+    france = build_region_mesh(np.radians([40, 40, 52, 52]), np.radians([-5, 9, 9, -5]), delta)
     cap_specs = [
         LagrangeProjectionSpec(1.0),
         LagrangeProjectionSpec(0.5),

@@ -31,7 +31,7 @@ from carta.errors import (
     SelfIntersectingBoundary,
 )
 import oracles
-from conftest import offcap_ring
+from conftest import offcap_ring, point_columns
 
 
 def cap_u_exact(cap_radius, r):
@@ -57,12 +57,8 @@ def worst_cap_error(mesh, u, cap_radius):
 
 
 def france_boundary():
-    return [
-        SpherePoint.from_degrees(40, -5),
-        SpherePoint.from_degrees(40, 9),
-        SpherePoint.from_degrees(52, 9),
-        SpherePoint.from_degrees(52, -5),
-    ]
+    """(lat, lon) radians of the rectangle 40-52N, 5W-9E."""
+    return np.radians([40, 40, 52, 52]), np.radians([-5, 9, 9, -5])
 
 
 # -- mesh construction ---------------------------------------------------------
@@ -88,10 +84,7 @@ def test_cap_boundary_points_lie_on_the_rim():
 
 def test_degenerate_boundary_rejected():
     with pytest.raises(DegenerateBoundary):
-        build_region_mesh(
-            [SpherePoint.from_degrees(0, 0), SpherePoint.from_degrees(10, 10)],
-            math.radians(1),
-        )
+        build_region_mesh(np.radians([0, 10]), np.radians([0, 10]), math.radians(1))
 
 
 def reference_close_ring(points):
@@ -119,27 +112,56 @@ def test_close_ring_keeps_the_vertices_of_the_pairwise_rule():
     ring = [a, a, b, *chain, c, c, c, closing]
     expected = reference_close_ring(ring)
     assert expected == [a, b, *chain[::2], c]
-    for vertices in (ring, [(p.latitude, p.longitude) for p in ring]):
-        units = chebyshev._close_ring(vertices)
-        assert np.array_equal(units, [p.unit_vector() for p in expected])
+    units = chebyshev._close_ring(*point_columns(ring))
+    assert np.array_equal(units, [p.unit_vector() for p in expected])
     with pytest.raises(DegenerateBoundary, match="^boundary has 2 distinct vertices$"):
-        chebyshev._close_ring([a, *chain[:2], closing])
+        chebyshev._close_ring(*point_columns([a, *chain[:2], closing]))
+
+
+def test_ring_unit_vectors_are_those_of_sphere_points(rng, monkeypatch):
+    # the unit vectors that build_region_mesh makes from its columns, its
+    # longitudes normalized, are SpherePoint's bit for bit: at longitudes of
+    # +-pi, 3 pi and -540 degrees and at both poles too
+    lat = rng.uniform(-math.pi / 2, math.pi / 2, 500)
+    lon = rng.uniform(-4 * math.pi, 4 * math.pi, 500)
+    lat[:6] = 0.3, -0.2, 0.7, 1.1, math.pi / 2, -math.pi / 2
+    lon[:6] = math.pi, -math.pi, 3 * math.pi, math.radians(-540), 0.4, 2.0
+    received = []
+
+    def frame(units):
+        received.append(units)
+        raise Reached
+
+    monkeypatch.setattr(chebyshev, "_gnomonic_frame", frame)
+    with pytest.raises(Reached):
+        build_region_mesh(lat, lon, 0.01)
+    expected = [SpherePoint(a, b).unit_vector() for a, b in zip(lat.tolist(), lon.tolist())]
+    assert received[0].tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("lat, lon", [
+    (math.nan, 0.2), (0.1, math.inf), (0.1, -math.inf), (0.1, math.nan),
+    (math.pi / 2 + 1e-15, 0.2), (-2.0, 0.2), (-math.inf, 0.2),
+])
+def test_region_vertex_out_of_range_rejected(lat, lon):
+    # a library caller's vertex needs a finite longitude and a latitude in
+    # [-pi/2, pi/2]: the first that has not is named
+    lats, lons = france_boundary()
+    lats[2], lons[2] = lat, lon
+    message = f"^boundary vertex \\({lat}, {lon}\\): need a finite lon and lat in \\[-pi/2, pi/2\\]$"
+    with pytest.raises(ValueError, match=message):
+        build_region_mesh(lats, lons, math.radians(0.5))
 
 
 def test_self_intersecting_boundary_rejected():
-    bowtie = [
-        SpherePoint.from_degrees(0, 0),
-        SpherePoint.from_degrees(10, 10),
-        SpherePoint.from_degrees(10, 0),
-        SpherePoint.from_degrees(0, 10),
-    ]
+    bowtie = np.radians([0, 10, 10, 0]), np.radians([0, 10, 0, 10])
     with pytest.raises(SelfIntersectingBoundary):
-        build_region_mesh(bowtie, math.radians(1))
+        build_region_mesh(*bowtie, math.radians(1))
 
 
 def test_region_too_small():
     with pytest.raises(RegionTooSmall):
-        build_region_mesh(france_boundary(), math.radians(8))
+        build_region_mesh(*france_boundary(), math.radians(8))
 
 
 # the chart-grid steps of the arms east, west, north and south
@@ -159,7 +181,7 @@ def test_france_mesh_interior_fully_connected():
     # among the mesh points; the rim of the cap passes through grid nodes
     # 40 spacings from the pole, so some arms end on such nodes
     delta = 0.01
-    meshes = (build_region_mesh(france_boundary(), math.radians(0.25)),
+    meshes = (build_region_mesh(*france_boundary(), math.radians(0.25)),
               build_cap_mesh(2 * math.atan(40 * delta / 2), delta))
     ends = 0
     for mesh in meshes:
@@ -181,9 +203,9 @@ def test_france_mesh_interior_fully_connected():
 def test_great_circle_square_below_its_cap():
     # great-circle edges bow inside the parallel through the vertices, so
     # the square is a proper part of the 10-degree cap and does better
-    square = [SpherePoint.from_degrees(-80, lon) for lon in (0, 90, 180, 270)]
+    square = np.radians([-80] * 4), np.radians([0, 90, 180, 270])
     delta = math.radians(0.5)
-    ratio_square = distortion_ratio(solve_log_scale(build_region_mesh(square, delta)))
+    ratio_square = distortion_ratio(solve_log_scale(build_region_mesh(*square, delta)))
     ratio_cap = distortion_ratio(solve_log_scale(build_cap_mesh(math.radians(10), delta)))
     assert 1.0 < ratio_square < ratio_cap
 
@@ -264,7 +286,7 @@ def test_mesh_points_against_per_point_reference(rng):
             )
         delta = math.radians(float(rng.choice([0.5, 1.0, 2.0])))
         try:
-            mesh = build_region_mesh(list(zip(lat, lon)), delta)
+            mesh = build_region_mesh(lat, lon, delta)
         except (RegionTooSmall, SelfIntersectingBoundary):
             continue
         meshed += 1
@@ -298,14 +320,14 @@ def test_boundary_values_exactly_zero():
     mesh = build_cap_mesh(math.radians(25), math.radians(0.5))
     u = solve_log_scale(mesh)
     assert u[mesh.interior_count] == 0.0
-    grid = build_region_mesh(france_boundary(), math.radians(0.5))
+    grid = build_region_mesh(*france_boundary(), math.radians(0.5))
     assert np.all(solve_log_scale(grid)[grid.interior_count :] == 0.0)
 
 
 def test_maximum_principle_interior_strictly_negative():
     for mesh in (
         build_cap_mesh(math.radians(30), math.radians(0.5)),
-        build_region_mesh(france_boundary(), math.radians(0.5)),
+        build_region_mesh(*france_boundary(), math.radians(0.5)),
     ):
         u = solve_log_scale(mesh)
         assert np.all(u[: mesh.interior_count] < 1e-12)
@@ -335,7 +357,7 @@ def test_cap_ratio_converges_at_second_order():
 
 def test_grid_solution_satisfies_stencil_residual():
     # the Shortley-Weller equations hold to 1e-8 at every interior node
-    mesh = build_region_mesh(france_boundary(), math.radians(0.5))
+    mesh = build_region_mesh(*france_boundary(), math.radians(0.5))
     values = solve_log_scale(mesh)
     h = mesh.delta / 2  # the chart spacing
     lat, lon = mesh.node_points()
@@ -374,7 +396,8 @@ def thin_band_mesh():
     end = (5 * k + w) / 4  # where the arms stop, for a mean column of 0
     corners = [(-k - w, -m - w), (end, -m - w), (end, -m + w), (-k + w, -m + w),
                (-k + w, m - w), (end, m - w), (end, m + w), (-k - w, m + w), (-k - w, 0)]
-    return build_region_mesh([SpherePoint(-y * delta, -x * delta) for x, y in corners], delta)
+    x, y = np.transpose(corners)
+    return build_region_mesh(-y * delta, -x * delta, delta)
 
 
 def slit_square_mesh(step=1):
@@ -390,7 +413,8 @@ def slit_square_mesh(step=1):
     a, s0, s1, delta = 10.35, 0.3, 0.6, 2e-5  # half-side; the slit's rows
     corners = [(-a, -a), (a, -a), (a, s0), (-a / 2, s0), (-a / 2, s1), (a, s1), (a, a),
                (-a, a), (-a, -2 * (s0 + s1))]
-    return build_region_mesh([SpherePoint(-y * delta, -x * delta) for x, y in corners], step * delta)
+    x, y = np.transpose(corners)
+    return build_region_mesh(-y * delta, -x * delta, step * delta)
 
 
 def tiny_arm_cap_mesh():
@@ -403,7 +427,7 @@ def tiny_arm_cap_mesh():
 
 def around_a_pole_mesh(step=1):
     corners = [(70, 0), (75, 90), (70, 180), (75, 270)]
-    return build_region_mesh([SpherePoint.from_degrees(*p) for p in corners], step * math.radians(0.8))
+    return build_region_mesh(*np.radians(corners).T, step * math.radians(0.8))
 
 
 def neighbours(mask):
@@ -448,7 +472,7 @@ def dense_system(mesh):
     [
         pytest.param(lambda: build_cap_mesh(math.radians(10), math.radians(0.5)), True, id="cap-10"),
         pytest.param(
-            lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.5)),
+            lambda: build_region_mesh(*offcap_ring(720), math.radians(0.5)),
             True,
             id="offcap-720-gon",
         ),
@@ -458,7 +482,7 @@ def dense_system(mesh):
         pytest.param(tiny_arm_cap_mesh, True, id="tiny-coarse-arm"),
         # 12 unknowns: the hierarchy is the fine level alone, and the
         # preconditioner Jacobi sweeps alone
-        pytest.param(lambda: build_region_mesh(france_boundary(), math.radians(3)), False, id="one-level"),
+        pytest.param(lambda: build_region_mesh(*france_boundary(), math.radians(3)), False, id="one-level"),
     ],
 )
 def test_solve_matches_dense_reference(build, coarsens):
@@ -570,7 +594,7 @@ def test_thin_band_empties_the_coarse_level(monkeypatch):
 # arms that end at a boundary node, an empty coarse level and a clamped arm
 HIERARCHY_MESHES = {
     "cap-10": lambda: build_cap_mesh(math.radians(10), math.radians(0.5)),
-    "offcap-720-gon": lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.5)),
+    "offcap-720-gon": lambda: build_region_mesh(*offcap_ring(720), math.radians(0.5)),
     "around-a-pole": around_a_pole_mesh,
     "slit": slit_square_mesh,
     "thin-band": thin_band_mesh,
@@ -625,8 +649,8 @@ def test_solve_is_bitwise_the_coefficient_box_solve(build, monkeypatch):
     "build",
     [
         *HIERARCHY_MESHES.values(),
-        lambda: build_region_mesh(france_boundary(), math.radians(3)),
-        lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.08)),
+        lambda: build_region_mesh(*france_boundary(), math.radians(3)),
+        lambda: build_region_mesh(*offcap_ring(720), math.radians(0.08)),
         lambda: build_cap_mesh(math.radians(60), math.radians(0.25)),
     ],
     ids=[*HIERARCHY_MESHES, "one-level", "720-gon-bench", "cap-60"],
@@ -658,15 +682,14 @@ def test_cap_mesh_peak_memory():
         # a 5-point Laplacian on the coarse levels takes 20, 21, 28 and 4;
         # the first mesh is a 720-gon in a 10-degree cap at the benchmark's step
         pytest.param(
-            lambda: build_region_mesh(list(zip(*offcap_ring(720))), math.radians(0.08)),
+            lambda: build_region_mesh(*offcap_ring(720), math.radians(0.08)),
             13,
             id="720-gon",
         ),
         pytest.param(lambda: build_cap_mesh(math.radians(60), math.radians(0.25)), 14, id="cap-60"),
         pytest.param(
             lambda: build_region_mesh(
-                [SpherePoint.from_degrees(*p) for p in [(60, 0), (55, 100), (65, 200), (50, 290)]],
-                math.radians(0.1),
+                *np.radians([(60, 0), (55, 100), (65, 200), (50, 290)]).T, math.radians(0.1)
             ),
             18,
             id="pole-quadrilateral",
@@ -729,7 +752,7 @@ def test_cap_half_exponent_strictly_suboptimal():
 
 
 def test_france_rectangle_optimality():
-    mesh = build_region_mesh(france_boundary(), math.radians(0.25))
+    mesh = build_region_mesh(*france_boundary(), math.radians(0.25))
     spec = centered_stereographic(SpherePoint.from_degrees(46, 2))
     ratio_opt = distortion_ratio(solve_log_scale(mesh))
     ratio_proj = projection_ratio(mesh, spec)
@@ -779,7 +802,7 @@ def test_chart_grid_refused_before_allocating(monkeypatch, delta):
     with pytest.raises(ConfigError, match=f"^mesh step {delta:g} rad gives over {limit} grid "):
         build_cap_mesh(math.radians(10), delta)
     with pytest.raises(ConfigError, match=f"^mesh step {delta:g} rad gives over {limit} grid "):
-        build_region_mesh(list(zip(*offcap_ring(720))), delta)
+        build_region_mesh(*offcap_ring(720), delta)
     # counted: a span within the limit, the grid over it
     with pytest.raises(ConfigError, match="^chart grid of 2009 x 2009 nodes is over "):
         build_cap_mesh(math.radians(10), math.radians(0.01))

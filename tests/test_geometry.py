@@ -262,9 +262,14 @@ def test_degenerate_polygons():
 # -- circle fit ----------------------------------------------------------------------
 
 
+def fit_one(x, y):
+    """The (curve, rms) pair of the points as one curve."""
+    return circle_fit(x, y, [len(x)])[0]
+
+
 def test_circle_fit_exact_circle():
     t = np.linspace(0, 2 * math.pi, 8, endpoint=False)
-    fitted, residual = circle_fit(np.cos(t), np.sin(t))
+    fitted, residual = fit_one(np.cos(t), np.sin(t))
     assert fitted.kind == "circle"
     assert fitted.center.distance(PlanePoint(0, 0)) < 1e-12
     assert fitted.radius == pytest.approx(1.0, abs=1e-12)
@@ -273,7 +278,7 @@ def test_circle_fit_exact_circle():
 
 def test_circle_fit_collinear_points():
     i = np.arange(8)
-    fitted, residual = circle_fit(0.5 * i, 2.0 + 0.25 * i)
+    fitted, residual = fit_one(0.5 * i, 2.0 + 0.25 * i)
     assert fitted.kind == "line"
     assert residual < 1e-12
 
@@ -283,16 +288,16 @@ def test_circle_fit_radial_noise(rng):
     for _ in range(50):
         radii = 1.0 + rng.uniform(-1e-6, 1e-6, 16)
         angles = np.linspace(0, 2 * math.pi, 16, endpoint=False)
-        fitted, _ = circle_fit(radii * np.cos(angles), radii * np.sin(angles))
+        fitted, _ = fit_one(radii * np.cos(angles), radii * np.sin(angles))
         worst = max(worst, abs(fitted.radius - 1.0))
     assert worst < 1e-5
 
 
 def test_circle_fit_insufficient():
     with pytest.raises(InsufficientPoints):
-        circle_fit(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        fit_one(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(InsufficientPoints):
-        circle_fit(np.ones(10), np.ones(10))
+        fit_one(np.ones(10), np.ones(10))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -300,7 +305,7 @@ def test_circle_fit_non_finite(bad):
     x, y = np.cos(np.arange(8.0)), np.sin(np.arange(8.0))
     y[5] = bad
     with pytest.raises(NonFiniteValue, match=rf"non-finite plane point \({x[5]}, {bad}\)"):
-        circle_fit(x, y)
+        fit_one(x, y)
 
 
 def _arc(cx, cy, r, n, start=0.3, stop=2.5):
@@ -318,7 +323,7 @@ def test_circle_fit_batch_matches_each_curve_alone(rng):
         # an arc so flat that its curvature is below LINE_CURVATURE_EPS
         _arc(0.0, -1e12, 1e12, 12, math.pi / 2 - 1e-12, math.pi / 2 + 1e-12),
     ]
-    alone = [circle_fit(x, y) for x, y in curves]
+    alone = [fit_one(x, y) for x, y in curves]
     assert [curve.kind for curve, _ in alone] == ["circle", "line", "circle", "circle", "line"]
     x, y = (np.concatenate(c) for c in zip(*curves))
     ends = np.cumsum([len(cx) for cx, _ in curves])
@@ -360,7 +365,7 @@ def test_circle_fit_batch_raises_its_first_failing_curve(monkeypatch, first, sec
     _no_real_fit_for_seven_points(monkeypatch)
     (x, y), kind, message = FIT_FAILURES[first]
     with pytest.raises(kind) as alone:
-        circle_fit(x, y)
+        fit_one(x, y)
     assert str(alone.value) == message
     circle = _arc(1.0, 2.0, 0.5, 16)
     curves = [circle, FIT_FAILURES[first][0], circle, FIT_FAILURES[second][0], circle]

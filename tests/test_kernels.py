@@ -999,7 +999,8 @@ def test_projected_text_is_dumps_of_projected_copy(document, data):
         images = data.draw(st.lists(finite_floats, min_size=2 * len(lon), max_size=2 * len(lon)))
         return np.array(images[0::2], dtype=float), np.array(images[1::2], dtype=float)
 
-    positions, x, y, lines = map_positions(document, mapper)
+    positions, lon, lat, lines = map_positions(document)
+    x, y = mapper(lon, lat)
     text = dumps(document, positions, position_texts(positions, x, y)[0])
     assert document == parsed  # read, not written to
     projected, reference_lines = reference_projection(document, zip(x.tolist(), y.tolist()))
@@ -1017,7 +1018,8 @@ def test_projected_text_of_empty_arrays_and_altitudes():
         {"type": "Point", "coordinates": [5, 6, 100]},
         {"type": "LineString", "coordinates": [[1, 2, 3], [4, 5, 6.5]]},
     ]}
-    positions, x, y, lines = map_positions(document, lambda lon, lat: (lon / 3, lat * 0.1 - 1))
+    positions, lon, lat, lines = map_positions(document)
+    x, y = lon / 3, lat * 0.1 - 1
     assert dumps(document, positions, position_texts(positions, x, y)[0]) == (
         '{"type": "GeometryCollection", "geometries": ['
         '{"type": "MultiPoint", "coordinates": []}, '
@@ -1069,7 +1071,8 @@ def _block_images(block):
 def test_position_texts_are_block_invariant(monkeypatch, block):
     document = _block_document(np.random.default_rng(26))
     document["features"][2]["geometry"]["coordinates"] = [[1.5, 2], [-3, 4.25]]  # a MultiPoint
-    arrays, x, y, lines = map_positions(document, _block_images(block))
+    arrays, lon, lat, lines = map_positions(document)
+    x, y = _block_images(block)(lon, lat)
     texts, polylines = position_texts(arrays, x, y, lines)
     text = dumps(document, arrays, texts)
     monkeypatch.setattr(geojson_io, "_ROW_BLOCK", block)
@@ -1114,7 +1117,8 @@ def test_multipoint_texts_make_no_polylines():
     peaks = []
     for kind in ("MultiPoint", "LineString"):
         document = {"type": kind, "coordinates": coordinates.tolist()}
-        arrays, x, y, lines = map_positions(document, lambda lon, lat: (lon / 7, lat / 3))
+        arrays, lon, lat, lines = map_positions(document)
+        x, y = lon / 7, lat / 3
         tracemalloc.start()
         try:
             _, polylines = position_texts(arrays, x, y, lines)
@@ -1131,7 +1135,8 @@ def test_svg_polylines_alone_make_no_geojson_rows():
     rng = np.random.default_rng(31)
     document = {"type": "MultiLineString",
                 "coordinates": rng.uniform(-80, 80, (2000, 100, 2)).tolist()}
-    arrays, x, y, lines = map_positions(document, lambda lon, lat: (lon / 7, lat / 3))
+    arrays, lon, lat, lines = map_positions(document)
+    x, y = lon / 7, lat / 3
     peaks, results = [], []
     for given in ((), arrays):
         tracemalloc.start()
@@ -1324,10 +1329,38 @@ def test_bulk_position_check_matches_position_by_position(lines, defect, data):
     try:
         expected = [repr(v) for pos in positions for v in geojson_io._position(pos)]
     except GeoJsonError as exc:
-        assert _raised(map_positions, document, None) == (GeoJsonError, str(exc))
+        assert _raised(map_positions, document) == (GeoJsonError, str(exc))
     else:
-        lon, lat = map_positions(document, lambda lon, lat: (lon, lat))[1:3]
+        lon, lat = map_positions(document)[1:3]
         assert [repr(v) for pair in zip(lon.tolist(), lat.tolist()) for v in pair] == expected
+
+
+# region rings as load parses them, and the message each is refused with:
+# ``_position``'s for the first bad position, or ``_array``'s
+REGION_REFUSALS = {
+    "boolean": ('[[[0, 40], [true, 40], [10, 50], [0, 40]]]',
+                "non-numeric value in position [True, 40]"),
+    "1e400": ('[[[0, 40], [1e400, 40], [10, 50], [0, 40]]]',
+              "position [inf, 40]: need a finite lon and lat in [-90, 90]"),
+    "latitude 95": ('[[[0, 40], [10, 95], [10, 50], [0, 40]]]',
+                    "position [10, 95]: need a finite lon and lat in [-90, 90]"),
+    "one number": ('[[[0, 40], [5], [10, 50], [0, 40]]]', "malformed position [5]"),
+    "ring not an array": ('[5]', "coordinates is not an array"),
+}
+
+
+@pytest.mark.parametrize("case", REGION_REFUSALS)
+def test_region_ring_refusals_keep_their_messages(case):
+    coordinates, message = REGION_REFUSALS[case]
+    document = json.loads('{"type": "Polygon", "coordinates": %s}' % coordinates)
+    assert _raised(geojson_io.region_polyline, document) == (GeoJsonError, message)
+
+
+def test_region_ring_with_altitudes_reads_its_latitudes_and_longitudes():
+    ring = [[0, 40, 5], [10, 40, 7.5], [10, 50], [0, 40, -3]]
+    lat, lon = geojson_io.region_polyline({"type": "Polygon", "coordinates": [ring]})
+    assert lat.tobytes() == np.radians([40.0, 40.0, 50.0, 40.0]).tobytes()
+    assert lon.tobytes() == np.radians([0.0, 10.0, 10.0, 0.0]).tobytes()
 
 
 def test_nesting_beyond_the_recursion_limit_is_a_geojson_error():
@@ -1335,7 +1368,7 @@ def test_nesting_beyond_the_recursion_limit_is_a_geojson_error():
     document = {"type": "Point", "coordinates": [1, 2]}
     for _ in range(5000):
         document = {"type": "GeometryCollection", "geometries": [document]}
-    assert _raised(map_positions, document, None) == (GeoJsonError, "input nested too deeply")
+    assert _raised(map_positions, document) == (GeoJsonError, "input nested too deeply")
     properties = []
     for _ in range(5000):
         properties = [properties]

@@ -120,7 +120,7 @@ def test_central_meridian_maps_to_positive_x_axis():
         project(spec, SpherePoint(lat, 0.7))
         for lat in np.linspace(-math.pi / 2, math.pi / 2 - 1e-3, 64)
     ]
-    fitted, residual = circle_fit([q.x for q in images], [q.y for q in images])
+    [(fitted, residual)] = circle_fit([q.x for q in images], [q.y for q in images], [len(images)])
     assert fitted.kind == "line"
     assert residual < 1e-12
     assert all(q.x >= 0 and abs(q.y) < 1e-12 * max(1.0, q.x) for q in images)
@@ -369,7 +369,7 @@ def _graticule_per_curve(spec, lat_step, lon_step, samples):
         w = w[code == 0]
         if len(w) >= 8:
             diameter = math.hypot(np.ptp(w.real), np.ptp(w.imag))
-            image, rms = circle_fit(w.real, w.imag)
+            [(image, rms)] = circle_fit(w.real, w.imag, [len(w)])
             fits.append(GraticuleCurveFit(curve_id, image, rms, diameter, len(w)))
     return fits
 
