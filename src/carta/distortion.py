@@ -181,10 +181,6 @@ def distortion_report(
                 raise dilatation_error(spec, int(code[k]), lat[i], lon[i], float(m[i]))
             raise _probe_error(spec, probe_code[:, k], probe_lon[:, k], w[:, k])
     m_min, m_max = float(m.min()), float(m.max())
-    if not m_min > 0.0:
-        raise ValueError("dilatation must be positive")
-    if defects.min() < 0.0:
-        raise ValueError("conformality defect must be >= 0")
     return DistortionReport(m, defects, m_min, m_max, m_max / m_min)
 
 

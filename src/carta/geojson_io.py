@@ -82,7 +82,7 @@ def position_texts(arrays, x, y, lines=()) -> tuple[list[str], list[str]]:
 
     # each text asked for: its pieces, a word each (the ones before x and
     # after y by 2 * kind + x's sign bit, the one before y by y's sign bit),
-    # kind2 = 2 * kind of each position's row, the rows it leaves out and
+    # kind2 = 2 * kind of each position's row, where it leaves rows out and
     # its sizes
     made = []
     if arrays:
@@ -94,18 +94,17 @@ def position_texts(arrays, x, y, lines=()) -> tuple[list[str], list[str]]:
         kind2[ends[[k for k, (_, count) in enumerate(arrays) if count is None]] - 1] = 4
         pieces = words(["[", "[-"] * 2 + ["", "-"], [", ", ", -"],
                        ["], "] * 2 + ["]\n"] * 2 + ["\n"] * 2)
-        made.append((pieces, kind2, np.empty(0, np.intp), counts))
+        made.append((pieces, kind2, np.zeros(len(x), bool), counts))
     if lines:
         # kind 0 inside a line, 1 a line's last; the rows of the positions on
         # no line, in the gaps before, between and after the lines, are left out
         kind2 = np.zeros(len(x), np.int8)
         kind2[[end - 1 for start, end in lines if end > start]] = 2
-        lo, hi = np.reshape([0, *np.ravel(lines), len(x)], (-1, 2)).T
-        size = hi - lo
-        skip = np.arange(size.sum()) + np.repeat(lo + size - np.cumsum(size), size)
+        gaps = np.arange(2 * len(lines) + 1) % 2 == 0
+        off = np.repeat(gaps, np.diff([0, *np.ravel(lines), len(x)]))
         # a newline ends a line
         pieces = words(["", "-"] * 2, [",-", ","], [" "] * 2 + ["\n"] * 2)
-        made.append((pieces, kind2, skip, [end - start for start, end in lines]))
+        made.append((pieces, kind2, off, [end - start for start, end in lines]))
     done = [([], []) for _ in made]  # each text's rows, and the part of one not yet ended
     # every block is made in the same buffers: its numbers fill columns 1-3
     # and 5-7 of the rows, then each text its pieces, by row kind and sign
@@ -123,14 +122,12 @@ def position_texts(arrays, x, y, lines=()) -> tuple[list[str], list[str]]:
         sign_x, sign_y, row = signs[:, :n]
         np.signbit(xb, out=sign_x)
         np.signbit(yb, out=sign_y)
-        for ((opening, middle, closing), kind2, skip, _), (texts, waiting) in zip(made, done):
+        for ((opening, middle, closing), kind2, off, _), (texts, waiting) in zip(made, done):
             np.add(kind2[block], sign_x, out=row)
             opening.take(row, out=rows[:, 0], mode="clip")
             middle.take(sign_y, out=rows[:, 4], mode="clip")
             closing.take(row, out=rows[:, 8], mode="clip")
-            if skip.size:
-                first, last = np.searchsorted(skip, (start, start + n))
-                rows[skip[first:last] - start] = 0  # NUL words, which _text drops
+            rows[off[block]] = 0  # NUL words, which _text drops
             first, *rest = _text(rows, work).split("\n")
             waiting.append(first)
             if rest:
@@ -521,7 +518,8 @@ def _nested(coords, depth: int):
 
 
 def region_polyline(obj: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(lat, lon) radians of the closed boundary of the one region geometry of ``obj``.
+    """(lat, lon) radians of the closed boundary of the one region geometry
+    of ``obj``, every longitude in (-pi, pi].
 
     The region is a Polygon of one ring, a MultiPolygon of one such
     polygon, or a LineString, taken as an implicitly closed ring.  Other
@@ -545,6 +543,10 @@ def region_polyline(obj: dict) -> tuple[np.ndarray, np.ndarray]:
     if not rings:
         raise GeoJsonError("no polygon or line boundary found in input")
     lon, lat = _columns(_array(rings[0], "coordinates"))
+    # longitudes reduced to (-180, 180] before they become radians, with
+    # exact steps, so that a ring moved by whole turns reads the same radians
+    lon = np.fmod(lon, 360.0)
+    lon = np.where(lon <= -180.0, lon + 360.0, np.where(lon > 180.0, lon - 360.0, lon))
     return np.radians(lat), np.radians(lon)
 
 

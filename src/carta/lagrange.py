@@ -11,7 +11,7 @@ conformal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 
 import numpy as np
@@ -298,41 +298,34 @@ class GraticuleCurveFit:
         return self.rms_residual / self.diameter if self.diameter > 0 else math.inf
 
 
-def _singular_preimages(spec: LagrangeProjectionSpec) -> list[np.ndarray]:
-    """Unit vectors of the sphere points other than the projection center
-    (the North pole) whose image is singular: the preimage of the
-    post-transform's pole."""
-    points = []
+def _singular_preimage(spec: LagrangeProjectionSpec) -> np.ndarray | None:
+    """The unit vector of the sphere point other than the projection center
+    (the North pole) whose image is singular, the preimage of the
+    post-transform's pole, or None where there is none."""
     post = spec.post_transform
-    singular_plane = None
     if isinstance(post, Inversion):
-        singular_plane = post.pole
+        pole = post.pole
     elif isinstance(post, MobiusTransform) and abs(post.c) > 1e-14:
-        singular_plane = PlanePoint.from_complex(-post.d / post.c)
-    if singular_plane is not None:
-        bare = LagrangeProjectionSpec(
-            exponent=spec.exponent,
-            central_meridian=spec.central_meridian,
-            surface=spec.surface,
-        )
-        try:
-            points.append(unproject(bare, singular_plane).unit_vector())
-        except (CartaError, ValueError, OverflowError):
-            pass  # outside the image, or numerically at the (avoided) center
-    return points
+        pole = PlanePoint.from_complex(-post.d / post.c)
+    else:
+        return None
+    try:
+        return unproject(replace(spec, post_transform=None), pole).unit_vector()
+    except (CartaError, ValueError, OverflowError):
+        return None  # outside the image, or numerically at the (avoided) center
 
 
-def _clear_samples(avoid: list[np.ndarray], lat: np.ndarray, lon: np.ndarray) -> tuple:
-    """The samples of rows of latitudes and longitudes that lie at least
-    ``SAMPLE_CLEARANCE`` from the projection center, in angle, and from
-    every unit vector of ``avoid``, in chord, flattened, and the end of
-    each row among them."""
-    cos_lat = np.cos(lat)
-    v = (cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat))
+def _clear(singular: np.ndarray | None, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Where the samples of latitudes and longitudes lie at least
+    ``SAMPLE_CLEARANCE`` from the projection center, in angle, and from the
+    unit vector ``singular``, if any, in chord."""
     clear = lat <= math.pi / 2 - SAMPLE_CLEARANCE
-    for s in avoid:  # the Euclidean norm, summed in np.linalg.norm's order
-        clear &= np.sqrt(sum((a - b) ** 2 for a, b in zip(v, s))) >= SAMPLE_CLEARANCE
-    return lat[clear], lon[clear], np.cumsum(clear.sum(axis=1))
+    if singular is not None:
+        cos_lat = np.cos(lat)
+        v = (cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat))
+        # the Euclidean norm, summed in np.linalg.norm's order
+        clear &= np.sqrt(sum((a - b) ** 2 for a, b in zip(v, singular))) >= SAMPLE_CLEARANCE
+    return clear
 
 
 def graticule_image(
@@ -390,22 +383,19 @@ def graticule_image(
     )
     lat_row = np.linspace(-math.pi / 2, math.pi / 2 - SAMPLE_CLEARANCE, samples_per_curve)
 
-    avoid = _singular_preimages(spec)
+    singular = _singular_preimage(spec)
     results: list[GraticuleCurveFit] = []
     rows = max(1, _GRATICULE_BLOCK // samples_per_curve)
     for first in range(0, len(ids), rows):
         block = slice(first, first + rows)
-        lat, lon, ends = _clear_samples(
-            avoid,
-            np.where(parallel[block, None], fixed[block, None], lat_row),
-            np.where(parallel[block, None], lon_row, fixed[block, None]),
-        )
+        lat = np.where(parallel[block, None], fixed[block, None], lat_row)
+        lon = np.where(parallel[block, None], lon_row, fixed[block, None])
         w, code = project_array(spec, lat, lon)
-        # each curve's projected samples; one of fewer than 8 is fully clipped
-        projected = np.concatenate(([0], np.cumsum(code == 0)))
-        used = np.diff(projected[ends], prepend=0)
+        # each curve's clear, projected samples; one of fewer than 8 is fully clipped
+        keep = _clear(singular, lat, lon) & (code == 0)
+        used = keep.sum(axis=1)
         fitted = used >= 8
-        keep = (code == 0) & np.repeat(fitted, np.diff(ends, prepend=0))
+        keep &= fitted[:, None]
         x, y = w.real[keep], w.imag[keep]
         used = used[fitted]
         curve_ends = np.cumsum(used)

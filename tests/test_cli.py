@@ -318,6 +318,21 @@ def test_region_of_one_ring_in_any_spelling(tmp_path, capsys, document):
     assert "nodes: 363\n" in reports[0]
 
 
+def test_region_moved_by_whole_turns_gives_the_same_bytes(tmp_path, capsys):
+    # the 0-10E x 40-50N square, and again at 360-370E and at -720...-710E:
+    # longitudes reduced in degrees, exactly, give the same radians
+    outputs = []
+    for shift in (0, 360, -720):
+        region = tmp_path / f"region{shift}.geojson"
+        square = [[lon + shift, lat] for lon, lat in SQUARE]
+        region.write_text(json.dumps({"type": "Polygon", "coordinates": [square]}))
+        out = tmp_path / f"field{shift}.geojson"
+        assert run_cli("chebyshev", "--region", str(region), "--centered-on", "45,5",
+                       "--delta-deg", "0.5", "--out", str(out)) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def _write_ring(path, lat_lon_deg):
     ring = [[lon, lat] for lat, lon in lat_lon_deg]
     path.write_text(json.dumps({"type": "Polygon", "coordinates": [ring + ring[:1]]}))

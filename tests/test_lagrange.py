@@ -9,6 +9,7 @@ import pytest
 from carta import (
     Inversion,
     LagrangeProjectionSpec,
+    MobiusTransform,
     PlanePoint,
     SpherePoint,
     centered_stereographic,
@@ -345,7 +346,7 @@ def _graticule_per_curve(spec, lat_step, lon_step, samples):
     one clearance test, one project_array call and one circle_fit call per
     curve, in the same order.  Every meridian of the step is projected, and
     those with fewer than 8 projected samples are skipped."""
-    avoid = lagrange._singular_preimages(spec)
+    avoid = [s for s in [lagrange._singular_preimage(spec)] if s is not None]
     curves = []
     half_window = min(math.pi, (math.pi - lagrange.SAMPLE_CLEARANCE) / spec.exponent)
     n_half = int(math.floor((math.pi / 2 - 1e-9) / lat_step))
@@ -393,6 +394,14 @@ GRATICULE_CASES = {
         3, 3, 256,
     ),
     "mobius": (centered_stereographic(SpherePoint.from_degrees(40, 20)), 10, 12, 40),
+    # the inversion's pole lies outside the image of c = 0.5: nothing is clipped around it
+    "inversion-pole-outside-image": (
+        LagrangeProjectionSpec(0.5, post_transform=Inversion(PlanePoint(-1, 0.5), 1.0)), 15, 15, 40
+    ),
+    # a Mobius map with c = 0 sends no point to infinity
+    "mobius-without-pole": (
+        LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(2, 0, 0, 0.5)), 15, 15, 40
+    ),
 }
 
 
@@ -425,7 +434,7 @@ def test_graticule_blocks_do_not_change_the_fits(monkeypatch, block):
     calls = []
 
     def counted(*args):
-        calls.append(len(args[1]))
+        calls.append(np.size(args[1]))
         return project_array(*args)
 
     monkeypatch.setattr(lagrange, "_GRATICULE_BLOCK", block)
@@ -439,7 +448,7 @@ def test_graticule_blocks_do_not_change_the_fits(monkeypatch, block):
 
 def test_graticule_sample_limit_refused_before_allocating(monkeypatch):
     spec = LagrangeProjectionSpec(exponent=1.5)
-    monkeypatch.setattr(lagrange, "_clear_samples", None)  # never reached
+    monkeypatch.setattr(lagrange, "_clear", None)  # never reached
     limit = lagrange.GRATICULE_SAMPLE_LIMIT
     with pytest.raises(ConfigError, match=f"35 curves x {10**11} samples"):
         graticule_image(spec, math.radians(15), math.radians(15), 10**11)
