@@ -24,7 +24,6 @@ from .geometry import (
     PlanePoint,
     SpherePoint,
     circle_fit,
-    invert_point,
     normalize_longitude,
 )
 from .lagrange import (
@@ -35,7 +34,6 @@ from .lagrange import (
     graticule_image,
     project,
     project_array,
-    unproject,
 )
 from .surfaces import (
     SPHERE,

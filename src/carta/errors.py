@@ -61,10 +61,6 @@ class BranchOverflow(DomainError):
     """Recentred longitude leaves the single-branch window of the power map."""
 
 
-class OutsideImage(DomainError):
-    """Plane point outside the image of the projection."""
-
-
 class DomainEdge(DomainError):
     """Finite-difference probe left the projection domain."""
 

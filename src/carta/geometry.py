@@ -21,12 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import (
-    DegenerateTransform,
-    InsufficientPoints,
-    NonFiniteValue,
-    PoleSingularity,
-)
+from .errors import DegenerateTransform, InsufficientPoints, NonFiniteValue
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,6 +59,8 @@ class SpherePoint:
     def __post_init__(self):
         if not (-math.pi / 2 <= self.latitude <= math.pi / 2):
             raise ValueError(f"latitude {self.latitude} outside [-pi/2, pi/2]")
+        if not math.isfinite(self.longitude):
+            raise ValueError(f"longitude {self.longitude} is not finite")
         object.__setattr__(self, "longitude", normalize_longitude(self.longitude))
 
     @classmethod
@@ -73,12 +70,6 @@ class SpherePoint:
     @property
     def colatitude(self) -> float:
         return math.pi / 2 - self.latitude
-
-    def unit_vector(self) -> np.ndarray:
-        cl = math.cos(self.latitude)
-        return np.array(
-            [cl * math.cos(self.longitude), cl * math.sin(self.longitude), math.sin(self.latitude)]
-        )
 
 
 @dataclass(frozen=True)
@@ -173,17 +164,6 @@ class Inversion:
     def __post_init__(self):
         if self.power == 0.0 or not math.isfinite(self.power):
             raise ValueError("inversion power must be finite and non-zero")
-
-
-def invert_point(inv: Inversion, p: PlanePoint) -> PlanePoint:
-    """Apply an inversion to a point; involutive away from the pole."""
-    dx = p.x - inv.pole.x
-    dy = p.y - inv.pole.y
-    r2 = dx * dx + dy * dy
-    if math.sqrt(r2) < 1e-14:
-        raise PoleSingularity("point at the inversion pole")
-    s = inv.power / r2
-    return PlanePoint(inv.pole.x + s * dx, inv.pole.y + s * dy)
 
 
 # -- least-squares generalized circle fit ---------------------------------------

@@ -11,19 +11,17 @@ conformal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
 from .errors import (
     BranchOverflow,
-    CartaError,
     ConfigError,
     DomainError,
     NonFiniteValue,
     OriginSingularity,
-    OutsideImage,
     PointAtInfinity,
     PoleSingularity,
     ProjectionPole,
@@ -36,16 +34,16 @@ from .geometry import (
     PlanePoint,
     SpherePoint,
     circle_fit,
-    invert_point,
     normalize_longitude,
     normalize_longitude_array,
 )
-from .surfaces import SPHERE, SurfaceOfRevolution, _radius_factor, inverse_conformal_latitude
+from .surfaces import SPHERE, SurfaceOfRevolution, _radius_factor
 
-# Samples closer than this (radians) to a singular point of the projection
-# are dropped when tracing graticule curves; any sub-arc determines the
-# image circle, and staying off the singularities keeps the fit
-# well-conditioned.
+# Graticule samples closer than this to a singular point of the projection
+# are dropped: in radians from the projection center, and in the kernel's
+# distance to the post-transform's pole, measured before the post-transform;
+# any sub-arc determines the image circle, and staying off the
+# singularities keeps the fit well-conditioned.
 SAMPLE_CLEARANCE = 1e-3
 
 # graticule_image refuses graticules of more samples than this (16 MB per
@@ -75,6 +73,8 @@ class LagrangeProjectionSpec:
     def __post_init__(self):
         if not (0.0 < self.exponent <= 2.0):
             raise ValueError(f"exponent {self.exponent} outside (0, 2]")
+        if not math.isfinite(self.central_meridian):
+            raise ValueError(f"central meridian {self.central_meridian} is not finite")
         object.__setattr__(
             self, "central_meridian", normalize_longitude(self.central_meridian)
         )
@@ -234,33 +234,6 @@ def project(spec: LagrangeProjectionSpec, p: SpherePoint) -> PlanePoint:
     return PlanePoint(float(w[0].real), float(w[0].imag))
 
 
-def unproject(spec: LagrangeProjectionSpec, q: PlanePoint) -> SpherePoint:
-    """Inverse projection; raises OutsideImage off the principal branch."""
-    w = q.as_complex()
-    post = spec.post_transform
-    if post is not None:
-        if isinstance(post, Inversion):
-            w = invert_point(post, q).as_complex()  # inversions are involutive
-        else:  # the inverse of a Mobius map with det = 1
-            den = post.a - post.c * w
-            if abs(den) < 1e-14:
-                raise PointAtInfinity(f"point {w} maps to infinity")
-            w = (post.d * w - post.b) / den
-    c = spec.exponent
-    rho_c = abs(w)
-    if rho_c == 0.0:
-        lat = -math.pi / 2
-        lon = spec.central_meridian
-    else:
-        omega = math.atan2(w.imag, w.real)
-        if abs(omega) > c * math.pi + 1e-12:
-            raise OutsideImage(f"angle {omega} outside the image sector of c={c}")
-        rho = rho_c ** (1.0 / c)
-        lat = 2.0 * math.atan(rho) - math.pi / 2
-        lon = normalize_longitude(omega / c + spec.central_meridian)
-    return SpherePoint(inverse_conformal_latitude(spec.surface.eccentricity, lat), lon)
-
-
 def centered_stereographic(center: SpherePoint) -> LagrangeProjectionSpec:
     """Stereographic projection re-centred on an arbitrary sphere point.
 
@@ -298,33 +271,21 @@ class GraticuleCurveFit:
         return self.rms_residual / self.diameter if self.diameter > 0 else math.inf
 
 
-def _singular_preimage(spec: LagrangeProjectionSpec) -> np.ndarray | None:
-    """The unit vector of the sphere point other than the projection center
-    (the North pole) whose image is singular, the preimage of the
-    post-transform's pole, or None where there is none."""
-    post = spec.post_transform
-    if isinstance(post, Inversion):
-        pole = post.pole
-    elif isinstance(post, MobiusTransform) and abs(post.c) > 1e-14:
-        pole = PlanePoint.from_complex(-post.d / post.c)
-    else:
-        return None
-    try:
-        return unproject(replace(spec, post_transform=None), pole).unit_vector()
-    except (CartaError, ValueError, OverflowError):
-        return None  # outside the image, or numerically at the (avoided) center
-
-
-def _clear(singular: np.ndarray | None, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """Where the samples of latitudes and longitudes lie at least
-    ``SAMPLE_CLEARANCE`` from the projection center, in angle, and from the
-    unit vector ``singular``, if any, in chord."""
+def _clear(
+    post: Inversion | MobiusTransform | None, lat: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """Where the samples of latitudes ``lat`` lie at least ``SAMPLE_CLEARANCE``
+    from the projection center, in angle, and their images before the
+    post-transform ``post`` lie that far from its pole in the kernel's
+    distance (|w - p|, or |c w + d|), read from their images ``w`` after it:
+    |T(w) - p| |w - p| = |k| for an inversion, and
+    |T(w) - a/c| |c w + d| = 1/|c| for a Mobius map with det = 1."""
     clear = lat <= math.pi / 2 - SAMPLE_CLEARANCE
-    if singular is not None:
-        cos_lat = np.cos(lat)
-        v = (cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat))
-        # the Euclidean norm, summed in np.linalg.norm's order
-        clear &= np.sqrt(sum((a - b) ** 2 for a, b in zip(v, singular))) >= SAMPLE_CLEARANCE
+    if isinstance(post, Inversion):
+        clear &= np.abs(w - post.pole.as_complex()) <= abs(post.power) / SAMPLE_CLEARANCE
+    # |c| <= 1e-14 counts as no pole, which keeps |c| SAMPLE_CLEARANCE above 0
+    elif isinstance(post, MobiusTransform) and abs(post.c) > 1e-14:
+        clear &= np.abs(w - post.a / post.c) <= 1 / (abs(post.c) * SAMPLE_CLEARANCE)
     return clear
 
 
@@ -383,7 +344,6 @@ def graticule_image(
     )
     lat_row = np.linspace(-math.pi / 2, math.pi / 2 - SAMPLE_CLEARANCE, samples_per_curve)
 
-    singular = _singular_preimage(spec)
     results: list[GraticuleCurveFit] = []
     rows = max(1, _GRATICULE_BLOCK // samples_per_curve)
     for first in range(0, len(ids), rows):
@@ -392,7 +352,7 @@ def graticule_image(
         lon = np.where(parallel[block, None], lon_row, fixed[block, None])
         w, code = project_array(spec, lat, lon)
         # each curve's clear, projected samples; one of fewer than 8 is fully clipped
-        keep = _clear(singular, lat, lon) & (code == 0)
+        keep = _clear(spec.post_transform, lat, w) & (code == 0)
         used = keep.sum(axis=1)
         fitted = used >= 8
         keep &= fitted[:, None]

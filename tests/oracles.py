@@ -1,11 +1,12 @@
-"""Oracles that only the tests use: the numerical Schwarzian derivative,
-Gauss's spheroid-to-sphere reduction, the area of a spherical polygon, the
-finite-difference dilatation, and the chart mesh's points and the
-Shortley-Weller operator as they were first computed, per unknown and arm
-and from five coefficient boxes.
+"""Oracles that only the tests use: the inverse projection, the numerical
+Schwarzian derivative, Gauss's spheroid-to-sphere reduction, the area of a
+spherical polygon, the finite-difference dilatation, and the chart mesh's
+points and the Shortley-Weller operator as they were first computed, per
+unknown and arm and from five coefficient boxes.
 
-No subcommand runs them; acceptance criteria 7, 5, 8 and 3 and the
-chebyshev and distortion tests do.
+No subcommand runs them; acceptance criteria 7, 5, 8 and 3, the round
+trips through the projection kernel, and the chebyshev and distortion
+tests do.
 """
 
 import math
@@ -13,14 +14,72 @@ import math
 import numpy as np
 
 from carta.distortion import DEFAULT_STEP, Projection, _check_step, _images
-from carta.geometry import TWO_PI, SpherePoint
+from carta.errors import DomainError, PointAtInfinity, PoleSingularity
+from carta.geometry import TWO_PI, Inversion, PlanePoint, SpherePoint, normalize_longitude
+from carta.lagrange import LagrangeProjectionSpec
 from carta.surfaces import (
     SPHERE,
     SurfaceOfRevolution,
     conformal_scale,
     gudermannian,
+    inverse_conformal_latitude,
     isometric_coordinate,
 )
+
+# -- the inverse projection -----------------------------------------------------------
+#
+# The scalar inverse of the projection kernel, which the round-trip tests
+# check project_array against; no subcommand runs a map backwards.
+
+
+class OutsideImage(DomainError):
+    """Plane point outside the image of the projection."""
+
+
+def unit_vector(p: SpherePoint) -> np.ndarray:
+    cl = math.cos(p.latitude)
+    return np.array(
+        [cl * math.cos(p.longitude), cl * math.sin(p.longitude), math.sin(p.latitude)]
+    )
+
+
+def invert_point(inv: Inversion, p: PlanePoint) -> PlanePoint:
+    """Apply an inversion to a point; involutive away from the pole."""
+    dx = p.x - inv.pole.x
+    dy = p.y - inv.pole.y
+    r2 = dx * dx + dy * dy
+    if math.sqrt(r2) < 1e-14:
+        raise PoleSingularity("point at the inversion pole")
+    s = inv.power / r2
+    return PlanePoint(inv.pole.x + s * dx, inv.pole.y + s * dy)
+
+
+def unproject(spec: LagrangeProjectionSpec, q: PlanePoint) -> SpherePoint:
+    """Inverse projection; raises OutsideImage off the principal branch."""
+    w = q.as_complex()
+    post = spec.post_transform
+    if post is not None:
+        if isinstance(post, Inversion):
+            w = invert_point(post, q).as_complex()  # inversions are involutive
+        else:  # the inverse of a Mobius map with det = 1
+            den = post.a - post.c * w
+            if abs(den) < 1e-14:
+                raise PointAtInfinity(f"point {w} maps to infinity")
+            w = (post.d * w - post.b) / den
+    c = spec.exponent
+    rho_c = abs(w)
+    if rho_c == 0.0:
+        lat = -math.pi / 2
+        lon = spec.central_meridian
+    else:
+        omega = math.atan2(w.imag, w.real)
+        if abs(omega) > c * math.pi + 1e-12:
+            raise OutsideImage(f"angle {omega} outside the image sector of c={c}")
+        rho = rho_c ** (1.0 / c)
+        lat = 2.0 * math.atan(rho) - math.pi / 2
+        lon = normalize_longitude(omega / c + spec.central_meridian)
+    return SpherePoint(inverse_conformal_latitude(spec.surface.eccentricity, lat), lon)
+
 
 # -- Schwarzian derivative S(f) = f'''/f' - (3/2)(f''/f')^2 ---------------------------
 #
@@ -199,7 +258,7 @@ def spherical_polygon_area(vertices) -> float:
     n = len(vertices)
     if n < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    v = np.array([p.unit_vector() for p in vertices])
+    v = np.array([unit_vector(p) for p in vertices])
     nxt = np.roll(v, -1, axis=0)
     chord = np.linalg.norm(nxt - v, axis=1)
     anti = np.linalg.norm(nxt + v, axis=1)

@@ -27,10 +27,8 @@ from carta import (
     graticule_image,
     image_triangle_sides,
     inversions_for_sides,
-    invert_point,
     project,
     solve_log_scale,
-    unproject,
 )
 from carta.chebyshev import projection_ratio
 
@@ -40,10 +38,12 @@ from oracles import (
     derivative,
     dilatation_fd,
     gauss_scale,
+    invert_point,
     mobius_deviation,
     schwarzian,
     schwarzian_cocycle_residual,
     spherical_polygon_area,
+    unproject,
 )
 from test_geometry import band_area_excess, band_area_oracle
 

@@ -10,10 +10,11 @@ from carta import (
     PlanePoint,
     Triangle,
     image_triangle_sides,
-    invert_point,
     inversions_for_sides,
 )
 from carta.errors import DegenerateTriangle, NonFiniteValue, PoleOnVertex
+
+from oracles import invert_point
 
 
 def random_triangle(rng, span=3.0, min_area=0.1):

@@ -15,9 +15,7 @@ from carta import (
     PlanePoint,
     SpherePoint,
     circle_fit,
-    invert_point,
     project,
-    unproject,
 )
 from carta.errors import (
     DegenerateTransform,
@@ -27,7 +25,7 @@ from carta.errors import (
     ProjectionPole,
 )
 
-from oracles import spherical_polygon_area
+from oracles import invert_point, spherical_polygon_area, unit_vector, unproject
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -134,11 +132,19 @@ def test_mobius_normalization_invariance(rng):
 
 def _stereographic_oracle(p):
     """Intersect the ray North pole -> surface point with the plane z = 0."""
-    v = p.unit_vector()
+    v = unit_vector(p)
     n = np.array([0.0, 0.0, 1.0])
     t = 1.0 / (1.0 - v[2])
     hit = n + t * (v - n)
     return hit[0], hit[1]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_value_types_refuse_non_finite_longitudes(value):
+    with pytest.raises(ValueError, match=f"^longitude {value} is not finite$"):
+        SpherePoint(0.0, value)
+    with pytest.raises(ValueError, match=f"^central meridian {value} is not finite$"):
+        LagrangeProjectionSpec(1.0, central_meridian=value)
 
 
 def test_stereographic_south_pole_to_origin():
@@ -173,7 +179,7 @@ def test_stereographic_round_trip(rng):
             rng.uniform(-math.pi / 2, math.pi / 2 - 1e-6), rng.uniform(-math.pi, math.pi)
         )
         back = unproject(STEREO, project(STEREO, p))
-        assert np.linalg.norm(back.unit_vector() - p.unit_vector()) < 1e-12
+        assert np.linalg.norm(unit_vector(back) - unit_vector(p)) < 1e-12
 
 
 def test_unproject_origin_is_south_pole():

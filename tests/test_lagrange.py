@@ -1,6 +1,7 @@
 """Projection family: power map, forward/inverse, graticule circle images."""
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -16,14 +17,12 @@ from carta import (
     circle_fit,
     graticule_image,
     project,
-    unproject,
 )
 from carta import lagrange
 from carta.errors import (
     BranchOverflow,
     ConfigError,
     OriginSingularity,
-    OutsideImage,
     PointAtInfinity,
     ProjectionPole,
 )
@@ -37,7 +36,7 @@ from carta.lagrange import (
 from carta.surfaces import SurfaceOfRevolution
 
 from conftest import random_point_for_spec, random_spec
-from oracles import dilatation_fd
+from oracles import OutsideImage, dilatation_fd, unit_vector, unproject
 
 
 # -- power map -------------------------------------------------------------------
@@ -193,7 +192,7 @@ def test_round_trip_over_random_specs(rng):
             except Exception:
                 continue
             back = unproject(spec, q)
-            worst = max(worst, np.linalg.norm(back.unit_vector() - p.unit_vector()))
+            worst = max(worst, np.linalg.norm(unit_vector(back) - unit_vector(p)))
     assert worst < 1e-10
 
 
@@ -207,7 +206,7 @@ def test_round_trip_spheroid():
         for lon_deg in (-150, -20, 0, 45, 179):
             p = SpherePoint.from_degrees(lat_deg, lon_deg)
             back = unproject(spec, project(spec, p))
-            assert np.linalg.norm(back.unit_vector() - p.unit_vector()) < 1e-10
+            assert np.linalg.norm(unit_vector(back) - unit_vector(p)) < 1e-10
 
 
 def test_project_unproject_round_trip_high_eccentricity():
@@ -246,7 +245,7 @@ def _rotated_image(center, p):
     """Stereographic image of R p, with R the minimal rotation taking
     ``center`` to the South pole by Rodrigues' formula; at the North pole
     itself, where no rotation is minimal, the half turn about the x axis."""
-    v, south = center.unit_vector(), np.array([0.0, 0.0, -1.0])
+    v, south = unit_vector(center), np.array([0.0, 0.0, -1.0])
     if center.latitude == math.pi / 2:
         rot = np.diag([1.0, -1.0, -1.0])
     elif center.latitude == -math.pi / 2:
@@ -258,7 +257,7 @@ def _rotated_image(center, p):
         kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
         angle = math.atan2(s, float(v @ south))
         rot = np.eye(3) + math.sin(angle) * kx + (1 - math.cos(angle)) * (kx @ kx)
-    x, y, z = rot @ p.unit_vector()
+    x, y, z = rot @ unit_vector(p)
     return complex(x, y) / (1.0 - z)
 
 
@@ -342,11 +341,12 @@ def test_graticule_validation():
 
 
 def _graticule_per_curve(spec, lat_step, lon_step, samples):
-    """graticule_image as it was written before its curves were batched:
-    one clearance test, one project_array call and one circle_fit call per
-    curve, in the same order.  Every meridian of the step is projected, and
-    those with fewer than 8 projected samples are skipped."""
-    avoid = [s for s in [lagrange._singular_preimage(spec)] if s is not None]
+    """graticule_image one curve at a time: a clearance test on the curve's
+    images before the post-transform, one project_array call and one
+    circle_fit call per curve, in the same order.  Every meridian of the
+    step is projected, and those with fewer than 8 projected samples are
+    skipped."""
+    post = spec.post_transform
     curves = []
     half_window = min(math.pi, (math.pi - lagrange.SAMPLE_CLEARANCE) / spec.exponent)
     n_half = int(math.floor((math.pi / 2 - 1e-9) / lat_step))
@@ -360,12 +360,13 @@ def _graticule_per_curve(spec, lat_step, lon_step, samples):
     fits = []
     for curve_id, lat, lon in curves:
         lat, lon = np.broadcast_arrays(lat, normalize_longitude_array(lon))
-        cos_lat = np.cos(lat)
-        v = np.stack([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)], axis=1)
-        clear = np.all(
-            [np.linalg.norm(v - s, axis=1) >= lagrange.SAMPLE_CLEARANCE for s in avoid]
-            + [lat <= math.pi / 2 - lagrange.SAMPLE_CLEARANCE], axis=0
-        )
+        # the kernel's distance from the image before the post-transform to its pole
+        bare, _ = project_array(replace(spec, post_transform=None), lat, lon)
+        clear = lat <= math.pi / 2 - lagrange.SAMPLE_CLEARANCE
+        if isinstance(post, Inversion):
+            clear &= np.abs(bare - post.pole.as_complex()) >= lagrange.SAMPLE_CLEARANCE
+        elif isinstance(post, MobiusTransform) and abs(post.c) > 1e-14:
+            clear &= np.abs(post.c * bare + post.d) >= lagrange.SAMPLE_CLEARANCE
         w, code = project_array(spec, lat[clear], lon[clear])
         w = w[code == 0]
         if len(w) >= 8:
@@ -374,6 +375,9 @@ def _graticule_per_curve(spec, lat_step, lon_step, samples):
             fits.append(GraticuleCurveFit(curve_id, image, rms, diameter, len(w)))
     return fits
 
+
+# the latitudes of a meridian's 65 samples
+LAT_ROW_65 = np.linspace(-math.pi / 2, math.pi / 2 - lagrange.SAMPLE_CLEARANCE, 65)
 
 # (spec, lat step, lon step, samples per curve)
 GRATICULE_CASES = {
@@ -398,9 +402,25 @@ GRATICULE_CASES = {
     "inversion-pole-outside-image": (
         LagrangeProjectionSpec(0.5, post_transform=Inversion(PlanePoint(-1, 0.5), 1.0)), 15, 15, 40
     ),
+    # the pole is the image of a point 0.7e-3 north of meridian 0's sample 43,
+    # which lies 1.4e-3 from it in the plane before the inversion: the sample is kept
+    "inversion-pole-near-a-sample": (
+        LagrangeProjectionSpec(
+            1.0,
+            post_transform=Inversion(
+                project(LagrangeProjectionSpec(1.0), SpherePoint(LAT_ROW_65[43] + 0.0007, 0.0)),
+                1.0,
+            ),
+        ),
+        15, 15, 65,
+    ),
     # a Mobius map with c = 0 sends no point to infinity
     "mobius-without-pole": (
         LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(2, 0, 0, 0.5)), 15, 15, 40
+    ),
+    # ... nor one with c = 1e-322, where |c| SAMPLE_CLEARANCE would underflow to 0
+    "mobius-with-subnormal-c": (
+        LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(2, 0, 1e-322, 0.5)), 15, 15, 40
     ),
 }
 
@@ -421,6 +441,9 @@ def test_graticule_reference_cases_clip_and_skip():
     # the meridians keep their top sample, SAMPLE_CLEARANCE from the projection center
     clipped = {f.curve_id for f in fits if f.samples_used < samples}
     assert clipped == {"parallel lat=+0.0", "meridian lon=+0.0"}
+    spec, lat_step, lon_step, samples = GRATICULE_CASES["inversion-pole-near-a-sample"]
+    fits = graticule_image(spec, math.radians(lat_step), math.radians(lon_step), samples)
+    assert {f.curve_id: f.samples_used for f in fits}["meridian lon=+0.0"] == 65
     spec, lat_step, lon_step, samples = GRATICULE_CASES["exponent-above-1"]
     fits = graticule_image(spec, math.radians(lat_step), math.radians(lon_step), samples)
     assert sum(f.curve_id.startswith("meridian") for f in fits) < 360 // lon_step

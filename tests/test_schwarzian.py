@@ -12,11 +12,16 @@ from carta import (
     PlanePoint,
     SpherePoint,
     project,
-    unproject,
 )
 
 from conftest import mobius_map, random_mobius
-from oracles import CriticalPoint, mobius_deviation, schwarzian, schwarzian_cocycle_residual
+from oracles import (
+    CriticalPoint,
+    mobius_deviation,
+    schwarzian,
+    schwarzian_cocycle_residual,
+    unproject,
+)
 
 
 def sample_away_from_pole(rng, mobius, margin=1.0):
