@@ -31,7 +31,7 @@ from .chebyshev import (
 )
 from .distortion import cap_samples, distortion_report
 from .darboux import Triangle, image_triangle_sides, inversions_for_sides
-from .errors import CartaError, ConfigError
+from .errors import CartaError, ConfigError, GeoJsonError, NonFiniteValue
 from .geojson_io import format_float as fmt
 from .geometry import Inversion, PlanePoint, SpherePoint
 from .lagrange import (
@@ -252,7 +252,10 @@ def run_project(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> 
     texts, polylines = geojson_io.position_texts(
         arrays if args.out_path else (), x, y, lines if args.svg_path else ())
     if args.out_path:
-        outputs[args.out_path] = (geojson_io.dumps(document, arrays, texts), "\n")
+        try:
+            outputs[args.out_path] = (geojson_io.dumps(document, arrays, texts), "\n")
+        except NonFiniteValue as exc:  # the positions are texts: a non-finite number of another member
+            raise GeoJsonError(f"{exc} from {args.region_path}") from None
     del document, arrays, texts  # not kept alive while the SVG text is built
     curves = _graticule(args, outputs, spec, x, y, lines, polylines)
     worst = max((c.relative_residual for c in curves), default=0.0)

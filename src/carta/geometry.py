@@ -122,18 +122,6 @@ class GeneralizedCircle:
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
 
-    @classmethod
-    def circle(cls, center: PlanePoint, radius: float) -> "GeneralizedCircle":
-        return cls(kind="circle", center=center, radius=radius)
-
-    @classmethod
-    def line(cls, normal: tuple[float, float], offset: float) -> "GeneralizedCircle":
-        nx, ny = normal
-        norm = math.hypot(nx, ny)
-        if norm < 1e-300:
-            raise ValueError("zero line normal")
-        return cls(kind="line", normal=(nx / norm, ny / norm), offset=offset / norm)
-
 
 @dataclass(frozen=True)
 class MobiusTransform:
@@ -179,6 +167,8 @@ class Inversion:
 # so a curve's fit has the same bits alone or in any batch.
 
 _FIT_FAILURES = (
+    (NonFiniteValue, "non-finite plane point ({x[0]}, {y[0]})"),
+    (InsufficientPoints, "need at least 3 points, got {n}"),
     (NonFiniteValue, "point spread beyond the floating-point range"),
     (InsufficientPoints, "all points coincide"),
     (InsufficientPoints, "degenerate configuration: no real fit"),
@@ -192,52 +182,43 @@ def circle_fit(x, y, ends):
     the result is a list of (curve, rms orthogonal distance), one per curve.
     A fit degenerates to a line when its curvature magnitude is below
     ``LINE_CURVATURE_EPS``.  The first curve that cannot be fitted raises:
-    NonFiniteValue for a non-finite coordinate, InsufficientPoints for < 3
-    points, coincident points or no real fit.
+    NonFiniteValue for a non-finite coordinate, else InsufficientPoints for
+    < 3 points, else the fit's own failure: a spread beyond the float range,
+    coincident points or no real fit.
     """
     ends = np.asarray(ends, dtype=np.intp)
     counts = np.diff(ends, prepend=0)
     x, y = (np.asarray(v, dtype=float)[:counts.sum()] for v in (x, y))
-    # the curves before the first with a non-finite point or fewer than 3
-    # points are fitted: the first of them that fails raises, or else that curve
-    fitted, failure = len(ends), None
-    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))[:1]
-    if bad.size:
-        fitted = int(np.searchsorted(ends, bad[0], side="right"))
-        failure = NonFiniteValue(f"non-finite plane point ({x[bad[0]]}, {y[bad[0]]})")
-    short = np.flatnonzero(counts[:fitted] < 3)[:1]
-    if short.size:
-        fitted = int(short[0])
-        failure = InsufficientPoints(f"need at least 3 points, got {counts[fitted]}")
-    if fitted == 0:
-        if failure:
-            raise failure
-        return []
-    counts = counts[:fitted]
-    starts = ends[:fitted] - counts
-    x, y = x[:ends[fitted - 1]], y[:ends[fitted - 1]]
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    # each curve's index in _FIT_FAILURES plus one, or 0; the curves with no
+    # code yet are fitted from their own points, gathered
+    code = np.where(counts < 3, 2, 0)
+    code[np.searchsorted(ends, bad, side="right")] = 1
+    fitted = code == 0
+    n = counts[fitted]
+    fx, fy = (v[np.repeat(fitted, counts)] for v in (x, y))
 
     def sums(v):
-        return np.add.reduceat(v, starts)
+        return np.add.reduceat(v, np.cumsum(n) - n)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cx0, cy0 = sums(x) / counts, sums(y) / counts
-        sx, sy = x - np.repeat(cx0, counts), y - np.repeat(cy0, counts)
-        scale = np.sqrt(sums(sx * sx + sy * sy) / counts)
-        code = np.select([~np.isfinite(scale), scale < 1e-14], [1, 2], 0)
-        u, v = sx / np.repeat(scale, counts), sy / np.repeat(scale, counts)
+        cx0, cy0 = sums(fx) / n, sums(fy) / n
+        sx, sy = fx - np.repeat(cx0, n), fy - np.repeat(cy0, n)
+        scale = np.sqrt(sums(sx * sx + sy * sy) / n)
+        fit_code = np.select([~np.isfinite(scale), scale < 1e-14], [3, 4], 0)
+        u, v = sx / np.repeat(scale, n), sy / np.repeat(scale, n)
         zz = u * u + v * v
         szzzz, szzu, szzv, szz, suu, suv, su, svv, sv = map(
             sums, (zz * zz, zz * u, zz * v, zz, u * u, u * v, u, v * v, v)
         )
     # the scatter matrix with the constraint's inverse applied, row by row
     matrices = np.stack([
-        -0.5 * szz, -0.5 * su, -0.5 * sv, -0.5 * counts,
+        -0.5 * szz, -0.5 * su, -0.5 * sv, -0.5 * n,
         szzu, suu, suv, su,
         szzv, suv, svv, sv,
         -0.5 * szzzz, -0.5 * szzu, -0.5 * szzv, -0.5 * szz,
     ], axis=-1).reshape(-1, 4, 4)
-    good = np.flatnonzero(code == 0)
+    good = np.flatnonzero(fit_code == 0)
     lam, vectors = np.linalg.eig(matrices[good])
     # component j of eigenvector i at [j][:, i]
     a, b, c, d = np.real(vectors).transpose(1, 0, 2)
@@ -245,40 +226,44 @@ def circle_fit(x, y, ends):
     admissible = np.abs(np.imag(lam)) <= 1e-8 * (1.0 + np.abs(lam))
     lam = np.real(lam)
     admissible &= (q > 1e-14) & (lam >= -1e-9)
-    code[good[~admissible.any(axis=1)]] = 3
+    fit_code[good[~admissible.any(axis=1)]] = 5
+    code[fitted] = fit_code
     failed = np.flatnonzero(code)[:1]
     if failed.size:
+        # a curve with a non-finite point holds the first of them
         kind, message = _FIT_FAILURES[code[failed[0]] - 1]
-        raise kind(message)
-    if failure:
-        raise failure
-    # the admissible eigenvector of least eigenvalue, normalized to q = 1
-    pick = np.arange(fitted), np.argmin(np.where(admissible, lam, np.inf), axis=1)
-    norm = np.sqrt(q[pick])
-    curves, params = [], []
-    for A, B, C, D, s, x0, y0 in zip(
-        *((t[pick] / norm).tolist() for t in (a, b, c, d)),
-        scale.tolist(), cx0.tolist(), cy0.tolist(),
-    ):
-        if 2.0 * abs(A) / s < LINE_CURVATURE_EPS:
-            # B^2 + C^2 = 1 under the constraint once A ~ 0
-            mag = math.hypot(B, C)
-            normal = (B / mag, C / mag)
-            curve = GeneralizedCircle.line(normal, s * (-D / mag) + normal[0] * x0 + normal[1] * y0)
-            params.append((*curve.normal, curve.offset))
-        else:
-            cx, cy = -B / (2.0 * A), -C / (2.0 * A)
-            radius_u = math.sqrt(max(cx * cx + cy * cy - D / A, 0.0))
-            curve = GeneralizedCircle.circle(PlanePoint(x0 + s * cx, y0 + s * cy), s * radius_u)
-            params.append((curve.center.x, curve.center.y, curve.radius))
-        curves.append(curve)
-    # a circle's (center x, center y, radius) or a line's (normal, offset) at
-    # each point; np.hypot, as every operation here, rounds each point alone
-    p0, p1, p2 = np.repeat(np.array(params), counts, axis=0).T
-    line = np.repeat([curve.kind == "line" for curve in curves], counts)
-    with np.errstate(over="ignore", invalid="ignore"):
+        raise kind(message.format(x=x[bad], y=y[bad], n=counts[failed[0]]))
+    # every curve is fitted: fx, fy and n are x, y and counts.  The admissible
+    # eigenvector of least eigenvalue, normalized to q = 1
+    pick = np.arange(len(n)), np.argmin(np.where(admissible, lam, np.inf), axis=1)
+    A, B, C, D = (t[pick] / np.sqrt(q[pick]) for t in (a, b, c, d))
+    # the printed line normals and offsets take math.hypot's rounding, which
+    # np.hypot does not always give
+    hypot = np.frompyfunc(math.hypot, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        line = 2.0 * np.abs(A) / scale < LINE_CURVATURE_EPS
+        # a line's normal: B^2 + C^2 = 1 under the constraint once A ~ 0, and
+        # its unit vector once more
+        mag = hypot(B, C).astype(float)
+        nx, ny = B / mag, C / mag
+        unit = hypot(nx, ny).astype(float)
+        cx, cy = -B / (2.0 * A), -C / (2.0 * A)
+        # a circle's (center x, center y, radius) or a line's (normal, offset)
+        params = (
+            np.where(line, nx / unit, cx0 + scale * cx),
+            np.where(line, ny / unit, cy0 + scale * cy),
+            np.where(line, (scale * (-D / mag) + nx * cx0 + ny * cy0) / unit,
+                     scale * np.sqrt(np.maximum(cx * cx + cy * cy - D / A, 0.0))),
+        )
+        # at each point; np.hypot, as every operation here, rounds each point alone
+        p0, p1, p2, on_line = (np.repeat(t, counts) for t in (*params, line))
         residuals = np.where(
-            line, np.abs(p0 * x + p1 * y - p2), np.abs(np.hypot(x - p0, y - p1) - p2)
+            on_line, np.abs(p0 * x + p1 * y - p2), np.abs(np.hypot(x - p0, y - p1) - p2)
         )
         rms = np.sqrt(sums(residuals * residuals) / counts)
+    curves = [
+        GeneralizedCircle("line", normal=(s, t), offset=w) if flat
+        else GeneralizedCircle("circle", center=PlanePoint(s, t), radius=w)
+        for flat, s, t, w in zip(*(t.tolist() for t in (line, *params)))
+    ]
     return list(zip(curves, rms.tolist()))

@@ -718,6 +718,11 @@ def _polygon(coordinates_json):
     return '{"type": "Polygon", "coordinates": %s}' % coordinates_json
 
 
+def _feature(member_json):
+    return ('{"type": "Feature", %s, "geometry": {"type": "LineString", "coordinates": '
+            '[[0, 0], [1, 1]]}}' % member_json)
+
+
 # loads as JSON; project writes the parsed document itself, whose writer
 # takes one frame a level, so these properties project (exit 0)
 DEEP = 600
@@ -737,6 +742,10 @@ DEEP = 600
         ("project", '{"type": "Feature", "geometry": null, "properties": %s}'
          % ("[" * DEEP + "]" * DEEP), [], 0),
         ("project", _polygon("[" * 5000 + "]" * 5000), [], 3),
+        # a non-finite number outside the positions, which project --out writes
+        ("project", _feature('"properties": {"v": NaN}'), [], 3),
+        ("project", _feature('"properties": {"v": 1e400}'), [], 3),
+        ("project", _feature('"bbox": [Infinity, 0, 1, 1]'), [], 3),
         ("chebyshev", _polygon("[[[0, 0], [0, 1], [1, 0], [0, 0]]]"), ["--delta-deg", "nan"], 2),
         ("chebyshev", _polygon("[[[0, 0], [0, 5], [5, 0], [0, 0]]]"), ["--centered-on", "95,0"], 2),
         # the solve has the sphere's metric, so a spheroid's scale cannot be compared with it
@@ -751,6 +760,7 @@ DEEP = 600
     ids=[
         "coordinates-5-chebyshev", "coordinates-5-project", "string", "nan-project",
         "nan-chebyshev", "1e400", "bools", "short-position", "deep-properties", "deep-json",
+        "nan-property", "1e400-property", "infinity-bbox",
         "delta-nan", "centered-on-95", "chebyshev-eccentricity", "lat-step-edge", "zero-extent-svg",
     ],
 )
@@ -761,6 +771,10 @@ def test_pinned_inputs_exit_codes(tmp_path, capsys, command, document, extra, ex
     if command == "project":
         argv += ["--out", str(tmp_path / "out.geojson"), "--svg", str(tmp_path / "out.svg")]
     assert run_cli(*argv) == expected
+    if expected:
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("carta: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["in.geojson"]
 
 
 EXTREME_FLAG_VALUES = [

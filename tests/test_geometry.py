@@ -379,3 +379,49 @@ def test_circle_fit_batch_raises_its_first_failing_curve(monkeypatch, first, sec
     with pytest.raises(kind) as batch:
         circle_fit(x, y, np.cumsum([len(cx) for cx, _ in curves]))
     assert str(batch.value) == message
+
+
+def _batch(*curves):
+    """The points of the curves, one after another, and their ends."""
+    x, y = (np.concatenate(c) for c in zip(*curves))
+    return x, y, np.cumsum([len(cx) for cx, _ in curves])
+
+
+def _with(curve, i, bad):
+    """The curve with its point i's y replaced by ``bad``."""
+    x, y = (v.copy() for v in curve)
+    y[i] = bad
+    return x, y
+
+
+ARC = _arc(1.0, 2.0, 0.5, 16)
+# a curve's non-finite point comes before its point count, which comes before
+# the fit's own failures; the first curve with any of them raises
+FIT_PRECEDENCE = {
+    "non-finite-short": (_batch(ARC, (np.array([0.0, 1.0]), np.array([math.nan, 1.0]))),
+                         NonFiniteValue, "non-finite plane point (0.0, nan)"),
+    "empty-between-arcs": (_batch(ARC, (np.array([]), np.array([])), ARC),
+                           InsufficientPoints, "need at least 3 points, got 0"),
+    "no-points": ((*ARC, [0]), InsufficientPoints, "need at least 3 points, got 0"),
+    "short-before-non-finite": (
+        _batch((np.array([0.0, 1.0]), np.array([0.0, 1.0])), _with(ARC, 3, math.nan)),
+        InsufficientPoints, "need at least 3 points, got 2",
+    ),
+    "coincident-before-non-finite": (
+        _batch((np.full(5, 1.5), np.full(5, -2.0)), _with(ARC, 7, math.inf)),
+        InsufficientPoints, "all points coincide",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FIT_PRECEDENCE)
+def test_circle_fit_failure_precedence(case):
+    (x, y, ends), kind, message = FIT_PRECEDENCE[case]
+    with pytest.raises(kind) as failure:
+        circle_fit(x, y, ends)
+    assert str(failure.value) == message
+
+
+def test_circle_fit_reads_no_point_after_the_last_end():
+    x, y = (np.append(v, math.nan) for v in ARC)
+    assert circle_fit(x, y, [len(ARC[0])]) == [fit_one(*ARC)]
