@@ -21,10 +21,7 @@ from .geometry import (
     GeneralizedCircle,
     Inversion,
     MobiusTransform,
-    PlanePoint,
-    SpherePoint,
     circle_fit,
-    normalize_longitude,
 )
 from .lagrange import (
     GraticuleCurveFit,

@@ -33,7 +33,7 @@ from .distortion import cap_samples, distortion_report
 from .darboux import Triangle, image_triangle_sides, inversions_for_sides
 from .errors import CartaError, ConfigError, GeoJsonError, NonFiniteValue
 from .geojson_io import format_float as fmt
-from .geometry import Inversion, PlanePoint, SpherePoint
+from .geometry import Inversion
 from .lagrange import (
     LagrangeProjectionSpec,
     centered_stereographic,
@@ -116,10 +116,10 @@ def validate(args: argparse.Namespace) -> None:
 
 def projection_spec(args: argparse.Namespace) -> LagrangeProjectionSpec:
     if args.centered_on is not None:
-        return centered_stereographic(SpherePoint.from_degrees(*args.centered_on))
+        return centered_stereographic(*map(math.radians, args.centered_on))
     post = None
     if args.inversion_pole is not None:
-        post = Inversion(PlanePoint(*args.inversion_pole), args.inversion_power)
+        post = Inversion(complex(*args.inversion_pole), args.inversion_power)
     return LagrangeProjectionSpec(
         exponent=args.exponent,
         central_meridian=math.radians(args.central_meridian_deg),
@@ -279,7 +279,7 @@ def run_graticule(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -
     for fit in curves:
         if fit.image.kind == "circle":
             shape = (
-                f"circle center=({fmt(fit.image.center.x)}, {fmt(fit.image.center.y)})"
+                f"circle center=({fmt(fit.image.center.real)}, {fmt(fit.image.center.imag)})"
                 f" radius={fmt(fit.image.radius)}"
             )
         else:
@@ -333,6 +333,7 @@ def run_chebyshev(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -
     ]
     wants_projection = (
         args.centered_on is not None or args.inversion_pole is not None or args.exponent != 1.0
+        or args.central_meridian_deg != 0.0
     )
     if wants_projection:
         ratio_projection = projection_ratio(mesh, projection_spec(args))
@@ -358,7 +359,7 @@ def run_chebyshev(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -
 
 
 def _triangle(xy: tuple[float, ...]) -> Triangle:
-    return Triangle(*(PlanePoint(xy[i], xy[i + 1]) for i in (0, 2, 4)))
+    return Triangle(*(complex(xy[i], xy[i + 1]) for i in (0, 2, 4)))
 
 
 def run_darboux(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> list[str]:
@@ -380,7 +381,7 @@ def run_darboux(args: argparse.Namespace, outputs: dict[str, Iterable[str]]) -> 
         achieved = image_triangle_sides(inv, source)
         errs = tuple(abs(x - y) / y for x, y in zip(achieved, target_sides))
         lines.append(
-            f"inversion pole=({fmt(inv.pole.x)}, {fmt(inv.pole.y)})"
+            f"inversion pole=({fmt(inv.pole.real)}, {fmt(inv.pole.imag)})"
             f" power={fmt(inv.power)}"
             f" side-errors=({fmt(errs[0])}, {fmt(errs[1])}, {fmt(errs[2])})"
         )

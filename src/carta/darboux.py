@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateTriangle, NonFiniteValue, PoleOnVertex
-from .geometry import Inversion, PlanePoint
+from .geometry import Inversion, plane_point
 
 
 @dataclass(frozen=True)
@@ -24,38 +24,37 @@ class Triangle:
     """Non-degenerate plane triangle with the usual side labels a=|BC|,
     b=|CA|, c=|AB|."""
 
-    vertex_a: PlanePoint
-    vertex_b: PlanePoint
-    vertex_c: PlanePoint
+    vertex_a: complex
+    vertex_b: complex
+    vertex_c: complex
 
     def __post_init__(self):
+        for name in ("vertex_a", "vertex_b", "vertex_c"):
+            object.__setattr__(self, name, plane_point(getattr(self, name)))
         a, b, c = self.sides()
         longest = max(a, b, c) or 1.0  # three vertices at one point: area 0, refused
         # the area of the triangle scaled to a longest side of 1, so that refusal
         # depends neither on the units nor on underflow
-        ax, ay = self.vertex_a.x, self.vertex_a.y
-        bx, by = (self.vertex_b.x - ax) / longest, (self.vertex_b.y - ay) / longest
-        cx, cy = (self.vertex_c.x - ax) / longest, (self.vertex_c.y - ay) / longest
-        if 0.5 * abs(bx * cy - cx * by) < 1e-12:
+        va, vb, vc = self.vertices()
+        u, v = (vb - va) / longest, (vc - va) / longest
+        if 0.5 * abs(u.real * v.imag - v.real * u.imag) < 1e-12:
             raise DegenerateTriangle("triangle area below 1e-12 of its longest side squared")
         if a >= b + c or b >= c + a or c >= a + b:
             raise DegenerateTriangle("side lengths violate the triangle inequality")
 
-    def vertices(self) -> tuple[PlanePoint, PlanePoint, PlanePoint]:
+    def vertices(self) -> tuple[complex, complex, complex]:
         return self.vertex_a, self.vertex_b, self.vertex_c
 
-    def sides(self) -> tuple[float, float, float]:
-        return (
-            self.vertex_b.distance(self.vertex_c),
-            self.vertex_c.distance(self.vertex_a),
-            self.vertex_a.distance(self.vertex_b),
-        )
+    def sides(self) -> tuple[float, ...]:
+        # lengths by math.hypot, whose rounding abs() of a complex does not always give
+        va, vb, vc = self.vertices()
+        return tuple(math.hypot(d.real, d.imag) for d in (vb - vc, vc - va, va - vb))
 
 
-def _pole_distances(pole: PlanePoint, t: Triangle) -> tuple[float, float, float]:
+def _pole_distances(pole: complex, t: Triangle) -> tuple[float, float, float]:
     """|PA|, |PB| and |PC|; PoleOnVertex when one of them is within 1e-12
     of the longest side."""
-    distances = tuple(pole.distance(v) for v in t.vertices())
+    distances = tuple(math.hypot(d.real, d.imag) for d in (pole - v for v in t.vertices()))
     if min(distances) <= 1e-12 * max(t.sides()):
         raise PoleOnVertex("inversion pole sits on a vertex")
     return distances
@@ -70,7 +69,7 @@ def image_triangle_sides(inv: Inversion, t: Triangle) -> tuple[float, float, flo
     return k * a / (pb * pc), k * b / (pc * pa), k * c / (pa * pb)
 
 
-def _poles(source: Triangle, ratio_ab: float, ratio_bc: float) -> list[PlanePoint]:
+def _poles(source: Triangle, ratio_ab: float, ratio_bc: float) -> list[complex]:
     """The points P with |PA| = ratio_ab |PB| and |PB| = ratio_bc |PC|, the
     one farther from the foot of B on the radical axis first.
 
@@ -85,7 +84,7 @@ def _poles(source: Triangle, ratio_ab: float, ratio_bc: float) -> list[PlanePoin
     cancel; a line's root at infinity is dropped.  A discriminant within
     1e-12 of the size of its terms is a tangency: one pole.
     """
-    va, vb, vc = (v.as_complex() for v in source.vertices())
+    va, vb, vc = source.vertices()
     unit = max(source.sides())
     loci = []
     for x, y, r in (((va - vb) / unit, 0j, ratio_ab), (0j, (vc - vb) / unit, ratio_bc)):
@@ -111,7 +110,7 @@ def _poles(source: Triangle, ratio_ab: float, ratio_bc: float) -> list[PlanePoin
     root = math.sqrt(disc) if disc > tol else 0.0
     q = -(b + math.copysign(root, b))
     roots = ([q / a] if a else []) + ([c / q] if root else [])
-    return [PlanePoint.from_complex(vb + unit * turn * complex(foot, s)) for s in roots]
+    return [plane_point(vb + unit * turn * complex(foot, s)) for s in roots]
 
 
 def inversions_for_sides(

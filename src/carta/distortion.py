@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CartaError, ConfigError, DomainEdge, EmptyRegion, RegionTooSmall
-from .geometry import PlanePoint, SpherePoint, normalize_longitude_array
+from .geometry import normalize_longitude_array
 from .lagrange import (
     LagrangeProjectionSpec,
     dilatation_array,
@@ -27,7 +27,8 @@ from .lagrange import (
 )
 from .surfaces import SPHERE, conformal_latitude, inverse_conformal_latitude
 
-Projection = Callable[[SpherePoint], PlanePoint]
+# a map of (latitude, longitude) in radians to the image plane
+Projection = Callable[[float, float], complex]
 
 DEFAULT_STEP = 1e-4
 
@@ -73,26 +74,28 @@ def _probes(chi, lon, h: float, bearings: np.ndarray):
     return np.arctan2(z, np.hypot(x, y)), np.arctan2(y, x)
 
 
-def _images(projection: Projection, p: SpherePoint, h: float, bearings, surface) -> np.ndarray:
-    """Images of the probes of ``_probes`` about one point, each taken back
-    to the surface's geodetic latitude."""
+def _images(
+    projection: Projection, lat: float, lon: float, h: float, bearings, surface
+) -> np.ndarray:
+    """Images of the probes of ``_probes`` about the point (lat, lon), each
+    taken back to the surface's geodetic latitude."""
     e = surface.eccentricity
-    chi, lon = _probes(conformal_latitude(e, [p.latitude]), [p.longitude], h, bearings)
+    chi, lon = _probes(conformal_latitude(e, [lat]), [lon], h, bearings)
     lat = inverse_conformal_latitude(e, chi)
     images = []
     for a, b in zip(lat[:, 0].tolist(), lon[:, 0].tolist()):
         try:
-            images.append(projection(SpherePoint(a, b)).as_complex())
+            images.append(projection(a, b))
         except CartaError as exc:
             raise DomainEdge(f"probe left the projection domain: {exc}") from exc
     return np.array(images)
 
 
-def dilatation_analytic(spec: LagrangeProjectionSpec, p: SpherePoint) -> float:
-    """Closed-form dilatation at one point (see ``dilatation_array``)."""
-    m, code = dilatation_array(spec, [p.latitude], [p.longitude])
+def dilatation_analytic(spec: LagrangeProjectionSpec, lat: float, lon: float) -> float:
+    """Closed-form dilatation at one point, in radians (see ``dilatation_array``)."""
+    m, code = dilatation_array(spec, [lat], [lon])
     if code[0]:
-        raise dilatation_error(spec, code[0], p.latitude, p.longitude, m[0])
+        raise dilatation_error(spec, code[0], lat, lon, m[0])
     return float(m[0])
 
 
@@ -109,19 +112,20 @@ def _angle_defect(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def conformality_defect(
     projection: Projection,
-    p: SpherePoint,
+    lat: float,
+    lon: float,
     h: float = DEFAULT_STEP,
     surface=SPHERE,
 ) -> float:
     """Deviation from pi/2 of the image angle between the two diagonal
-    directions, at 45 degrees to the meridian.
+    directions, at 45 degrees to the meridian, at the point (lat, lon).
 
     Diagonals rather than the grid directions: a map may stretch the two
     graticule directions unequally while keeping them orthogonal (the
     plate carree does), and only the diagonals expose that distortion.
     """
     _check_step(h)
-    defect, degenerate = _angle_defect(_images(projection, p, h, _DIAGONALS, surface))
+    defect, degenerate = _angle_defect(_images(projection, lat, lon, h, _DIAGONALS, surface))
     if degenerate:
         raise DomainEdge("degenerate probe image")
     return float(defect)

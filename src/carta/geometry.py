@@ -1,10 +1,11 @@
-"""Points of the sphere and the plane, inversive geometry in the plane, and
-a least-squares generalized-circle fit.
+"""Longitudes, points of the plane, inversive geometry in the plane, and a
+least-squares generalized-circle fit.
 
 Conventions used throughout the package:
 
-* the sphere is the unit sphere; latitude in [-pi/2, pi/2], longitude
-  normalized to (-pi, pi];
+* a point of the unit sphere is two floats in radians, its latitude in
+  [-pi/2, pi/2] and its longitude, which is read normalized to (-pi, pi];
+* a point of the image plane is the complex number x + iy;
 * the stereographic projection is centred at the North pole and maps onto
   the equator plane, so the South pole goes to the origin and the equator
   to the unit circle;
@@ -33,65 +34,18 @@ POLE_COLATITUDE_EPS = 1e-12
 LINE_CURVATURE_EPS = 1e-10
 
 
-def normalize_longitude(lon: float) -> float:
-    """Wrap a longitude into the half-open interval (-pi, pi]."""
-    lon = math.fmod(lon, TWO_PI)
-    if lon <= -math.pi:
-        lon += TWO_PI
-    elif lon > math.pi:
-        lon -= TWO_PI
-    return lon
-
-
 def normalize_longitude_array(lon: np.ndarray) -> np.ndarray:
-    """``normalize_longitude`` elementwise, with the same arithmetic."""
+    """Wrap each longitude into the half-open interval (-pi, pi]."""
     lon = np.fmod(lon, TWO_PI)
     return np.where(lon <= -math.pi, lon + TWO_PI, np.where(lon > math.pi, lon - TWO_PI, lon))
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """Position on the unit sphere, latitude/longitude in radians."""
-
-    latitude: float
-    longitude: float
-
-    def __post_init__(self):
-        if not (-math.pi / 2 <= self.latitude <= math.pi / 2):
-            raise ValueError(f"latitude {self.latitude} outside [-pi/2, pi/2]")
-        if not math.isfinite(self.longitude):
-            raise ValueError(f"longitude {self.longitude} is not finite")
-        object.__setattr__(self, "longitude", normalize_longitude(self.longitude))
-
-    @classmethod
-    def from_degrees(cls, lat_deg: float, lon_deg: float) -> "SpherePoint":
-        return cls(math.radians(lat_deg), math.radians(lon_deg))
-
-    @property
-    def colatitude(self) -> float:
-        return math.pi / 2 - self.latitude
-
-
-@dataclass(frozen=True)
-class PlanePoint:
-    """Point of the image plane in rectangular coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise NonFiniteValue(f"non-finite plane point ({self.x}, {self.y})")
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "PlanePoint":
-        return cls(z.real, z.imag)
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
-    def distance(self, other: "PlanePoint") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
+def plane_point(z: complex) -> complex:
+    """``z`` as a complex point of the plane; NonFiniteValue unless finite."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise NonFiniteValue(f"non-finite plane point ({z.real}, {z.imag})")
+    return z
 
 
 @dataclass(frozen=True)
@@ -103,7 +57,7 @@ class GeneralizedCircle:
     """
 
     kind: Literal["circle", "line"]
-    center: PlanePoint | None = None
+    center: complex | None = None
     radius: float | None = None
     normal: tuple[float, float] | None = None
     offset: float | None = None
@@ -146,10 +100,11 @@ class MobiusTransform:
 class Inversion:
     """Inversion p -> pole + k (p - pole) / |p - pole|^2 with power k != 0."""
 
-    pole: PlanePoint
+    pole: complex
     power: float
 
     def __post_init__(self):
+        object.__setattr__(self, "pole", plane_point(self.pole))
         if self.power == 0.0 or not math.isfinite(self.power):
             raise ValueError("inversion power must be finite and non-zero")
 
@@ -197,15 +152,20 @@ def circle_fit(x, y, ends):
     fitted = code == 0
     n = counts[fitted]
     fx, fy = (v[np.repeat(fitted, counts)] for v in (x, y))
+    starts = np.cumsum(n) - n
 
     def sums(v):
-        return np.add.reduceat(v, np.cumsum(n) - n)
+        return np.add.reduceat(v, starts)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cx0, cy0 = sums(fx) / n, sums(fy) / n
         sx, sy = fx - np.repeat(cx0, n), fy - np.repeat(cy0, n)
         scale = np.sqrt(sums(sx * sx + sy * sy) / n)
-        fit_code = np.select([~np.isfinite(scale), scale < 1e-14], [3, 4], 0)
+        # the centroid's rounding leaves a spread that grows with the
+        # coordinates: points that all equal the first coincide exactly
+        first = (fx == np.repeat(fx[starts], n)) & (fy == np.repeat(fy[starts], n))
+        coincide = (scale < 1e-14) | np.logical_and.reduceat(first, starts)
+        fit_code = np.select([~np.isfinite(scale), coincide], [3, 4], 0)
         u, v = sx / np.repeat(scale, n), sy / np.repeat(scale, n)
         zz = u * u + v * v
         szzzz, szzu, szzv, szz, suu, suv, su, svv, sv = map(
@@ -263,7 +223,7 @@ def circle_fit(x, y, ends):
         rms = np.sqrt(sums(residuals * residuals) / counts)
     curves = [
         GeneralizedCircle("line", normal=(s, t), offset=w) if flat
-        else GeneralizedCircle("circle", center=PlanePoint(s, t), radius=w)
+        else GeneralizedCircle("circle", center=complex(s, t), radius=w)
         for flat, s, t, w in zip(*(t.tolist() for t in (line, *params)))
     ]
     return list(zip(curves, rms.tolist()))

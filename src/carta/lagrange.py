@@ -31,10 +31,7 @@ from .geometry import (
     GeneralizedCircle,
     Inversion,
     MobiusTransform,
-    PlanePoint,
-    SpherePoint,
     circle_fit,
-    normalize_longitude,
     normalize_longitude_array,
 )
 from .surfaces import SPHERE, SurfaceOfRevolution, _radius_factor
@@ -76,7 +73,7 @@ class LagrangeProjectionSpec:
         if not math.isfinite(self.central_meridian):
             raise ValueError(f"central meridian {self.central_meridian} is not finite")
         object.__setattr__(
-            self, "central_meridian", normalize_longitude(self.central_meridian)
+            self, "central_meridian", float(normalize_longitude_array(self.central_meridian))
         )
 
 
@@ -108,13 +105,13 @@ def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
         if post is None:
             return lat, omega, factor, rho, w, w, None, np.zeros(w.shape, dtype=bool)
         if isinstance(post, Inversion):
-            dx = w.real - post.pole.x
-            dy = w.imag - post.pole.y
+            dx = w.real - post.pole.real
+            dy = w.imag - post.pole.imag
             distance = np.hypot(dx, dy)
             s = post.power / (dx * dx + dy * dy)
             image = np.empty_like(w)
-            image.real = post.pole.x + s * dx
-            image.imag = post.pole.y + s * dy
+            image.real = post.pole.real + s * dx
+            image.imag = post.pole.imag + s * dy
         else:  # Mobius with det = 1
             den = post.c * w + post.d
             distance = np.abs(den)
@@ -166,7 +163,7 @@ def projection_error(
     w = complex(w)
     return kind(
         message.format(
-            lon=normalize_longitude(float(lon)), c=spec.exponent, w=w, x=w.real, y=w.imag
+            lon=float(normalize_longitude_array(lon)), c=spec.exponent, w=w, x=w.real, y=w.imag
         )
     )
 
@@ -226,28 +223,33 @@ def dilatation_error(
     return kind(message.format(lat=float(lat), w=w, m=float(m)))
 
 
-def project(spec: LagrangeProjectionSpec, p: SpherePoint) -> PlanePoint:
-    """Forward projection of a sphere (or spheroid) point."""
-    w, code = project_array(spec, [p.latitude], [p.longitude])
+def project(spec: LagrangeProjectionSpec, lat: float, lon: float) -> complex:
+    """Complex image of the sphere (or spheroid) point (lat, lon), in radians."""
+    w, code = project_array(spec, [lat], [lon])
     if code[0]:
-        raise projection_error(spec, code[0], p.longitude, w[0])
-    return PlanePoint(float(w[0].real), float(w[0].imag))
+        raise projection_error(spec, code[0], lon, w[0])
+    return complex(w[0])
 
 
-def centered_stereographic(center: SpherePoint) -> LagrangeProjectionSpec:
-    """Stereographic projection re-centred on an arbitrary sphere point.
+def centered_stereographic(lat: float, lon: float) -> LagrangeProjectionSpec:
+    """Stereographic projection re-centred on the sphere point (lat, lon).
 
-    The rotation taking ``center``, of stereographic image z0, to the South
+    The rotation taking the centre, of stereographic image z0, to the South
     pole acts on the image plane as z -> (z - z0) / (conj(z0) z + 1)
     (Needham, *Visual Complex Analysis*, ch. 6), so the oblique aspect
     stays inside the projection family as exponent 1 plus that Mobius
-    post-transform; ``center`` maps to the origin.  At the North pole the
+    post-transform; the centre maps to the origin.  At the North pole the
     rotation is the half turn about the x axis, z -> 1 / z.
     """
-    if center.colatitude < POLE_COLATITUDE_EPS:
+    if not -math.pi / 2 <= lat <= math.pi / 2:
+        raise ValueError(f"latitude {lat} outside [-pi/2, pi/2]")
+    if not math.isfinite(lon):
+        raise ValueError(f"longitude {lon} is not finite")
+    if math.pi / 2 - lat < POLE_COLATITUDE_EPS:
         return LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(0, 1, 1, 0))
-    rho = math.tan(math.pi / 4 + center.latitude / 2)
-    z0 = complex(rho * math.cos(center.longitude), rho * math.sin(center.longitude))
+    rho = math.tan(math.pi / 4 + lat / 2)
+    lon = float(normalize_longitude_array(lon))
+    z0 = complex(rho * math.cos(lon), rho * math.sin(lon))
     if z0 == 0:
         return LagrangeProjectionSpec(1.0)
     return LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(1, -z0, z0.conjugate(), 1))
@@ -282,7 +284,7 @@ def _clear(
     |T(w) - a/c| |c w + d| = 1/|c| for a Mobius map with det = 1."""
     clear = lat <= math.pi / 2 - SAMPLE_CLEARANCE
     if isinstance(post, Inversion):
-        clear &= np.abs(w - post.pole.as_complex()) <= abs(post.power) / SAMPLE_CLEARANCE
+        clear &= np.abs(w - post.pole) <= abs(post.power) / SAMPLE_CLEARANCE
     # |c| <= 1e-14 counts as no pole, which keeps |c| SAMPLE_CLEARANCE above 0
     elif isinstance(post, MobiusTransform) and abs(post.c) > 1e-14:
         clear &= np.abs(w - post.a / post.c) <= 1 / (abs(post.c) * SAMPLE_CLEARANCE)

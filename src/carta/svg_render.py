@@ -62,8 +62,8 @@ def svg_text(curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=(), polyline
     for fit in curves:
         circle = fit.image
         if circle.kind == "circle" and circle.radius < 1e3:
-            xs.append([circle.center.x - circle.radius, circle.center.x + circle.radius])
-            ys.append([circle.center.y - circle.radius, circle.center.y + circle.radius])
+            xs.append([circle.center.real - circle.radius, circle.center.real + circle.radius])
+            ys.append([circle.center.imag - circle.radius, circle.center.imag + circle.radius])
     xs, ys = np.concatenate([[], *xs]), np.concatenate([[], *ys])
     if not xs.size:
         xs, ys = np.array([-1.0, 1.0]), np.array([-1.0, 1.0])
@@ -91,7 +91,7 @@ def svg_text(curves: Sequence[GraticuleCurveFit], x=(), y=(), lines=(), polyline
         )
         if fit.image.kind == "circle":
             parts.append(
-                f'<circle cx="{fmt(fit.image.center.x)}" cy="{fmt(-fit.image.center.y)}" '
+                f'<circle cx="{fmt(fit.image.center.real)}" cy="{fmt(-fit.image.center.imag)}" '
                 f'r="{fmt(fit.image.radius)}"><title>{label}</title></circle>'
             )
         else:

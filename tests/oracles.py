@@ -15,7 +15,7 @@ import numpy as np
 
 from carta.distortion import DEFAULT_STEP, Projection, _check_step, _images
 from carta.errors import DomainError, PointAtInfinity, PoleSingularity
-from carta.geometry import TWO_PI, Inversion, PlanePoint, SpherePoint, normalize_longitude
+from carta.geometry import TWO_PI, Inversion, normalize_longitude_array
 from carta.lagrange import LagrangeProjectionSpec
 from carta.surfaces import (
     SPHERE,
@@ -36,31 +36,28 @@ class OutsideImage(DomainError):
     """Plane point outside the image of the projection."""
 
 
-def unit_vector(p: SpherePoint) -> np.ndarray:
-    cl = math.cos(p.latitude)
-    return np.array(
-        [cl * math.cos(p.longitude), cl * math.sin(p.longitude), math.sin(p.latitude)]
-    )
+def unit_vector(lat: float, lon: float) -> np.ndarray:
+    cl = math.cos(lat)
+    return np.array([cl * math.cos(lon), cl * math.sin(lon), math.sin(lat)])
 
 
-def invert_point(inv: Inversion, p: PlanePoint) -> PlanePoint:
+def invert_point(inv: Inversion, p: complex) -> complex:
     """Apply an inversion to a point; involutive away from the pole."""
-    dx = p.x - inv.pole.x
-    dy = p.y - inv.pole.y
-    r2 = dx * dx + dy * dy
+    d = p - inv.pole
+    r2 = d.real * d.real + d.imag * d.imag
     if math.sqrt(r2) < 1e-14:
         raise PoleSingularity("point at the inversion pole")
     s = inv.power / r2
-    return PlanePoint(inv.pole.x + s * dx, inv.pole.y + s * dy)
+    return complex(inv.pole.real + s * d.real, inv.pole.imag + s * d.imag)
 
 
-def unproject(spec: LagrangeProjectionSpec, q: PlanePoint) -> SpherePoint:
-    """Inverse projection; raises OutsideImage off the principal branch."""
-    w = q.as_complex()
+def unproject(spec: LagrangeProjectionSpec, w: complex) -> tuple[float, float]:
+    """Inverse projection to (latitude, longitude), in radians; raises
+    OutsideImage off the principal branch."""
     post = spec.post_transform
     if post is not None:
         if isinstance(post, Inversion):
-            w = invert_point(post, q).as_complex()  # inversions are involutive
+            w = invert_point(post, w)  # inversions are involutive
         else:  # the inverse of a Mobius map with det = 1
             den = post.a - post.c * w
             if abs(den) < 1e-14:
@@ -77,8 +74,8 @@ def unproject(spec: LagrangeProjectionSpec, q: PlanePoint) -> SpherePoint:
             raise OutsideImage(f"angle {omega} outside the image sector of c={c}")
         rho = rho_c ** (1.0 / c)
         lat = 2.0 * math.atan(rho) - math.pi / 2
-        lon = normalize_longitude(omega / c + spec.central_meridian)
-    return SpherePoint(inverse_conformal_latitude(spec.surface.eccentricity, lat), lon)
+        lon = float(normalize_longitude_array(omega / c + spec.central_meridian))
+    return inverse_conformal_latitude(spec.surface.eccentricity, lat), lon
 
 
 # -- Schwarzian derivative S(f) = f'''/f' - (3/2)(f''/f')^2 ---------------------------
@@ -248,8 +245,8 @@ def gauss_scale(eccentricity: float, central_latitude: float, latitude: float) -
 
 
 def spherical_polygon_area(vertices) -> float:
-    """Area (steradians) of a simple great-circle polygon of SpherePoints
-    via angle excess.
+    """Area (steradians) of a simple great-circle polygon of (latitude,
+    longitude) vertices via angle excess.
 
     Vertices are traversed with the interior on the left; the result is
     sum(interior angles) - (n - 2) pi, computed from signed turning angles
@@ -258,7 +255,7 @@ def spherical_polygon_area(vertices) -> float:
     n = len(vertices)
     if n < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    v = np.array([unit_vector(p) for p in vertices])
+    v = np.array([unit_vector(*p) for p in vertices])
     nxt = np.roll(v, -1, axis=0)
     chord = np.linalg.norm(nxt - v, axis=1)
     anti = np.linalg.norm(nxt + v, axis=1)
@@ -294,7 +291,8 @@ _AXES = np.radians([0.0, 180.0, 90.0, 270.0])
 
 def directional_dilatations(
     projection: Projection,
-    p: SpherePoint,
+    lat: float,
+    lon: float,
     h: float = DEFAULT_STEP,
     surface=SPHERE,
 ) -> tuple[float, float]:
@@ -304,19 +302,20 @@ def directional_dilatations(
     raw material of both the dilatation and the isotropy diagnostics.
     """
     _check_step(h)
-    images = _images(projection, p, h, _AXES, surface)
-    scale = conformal_scale(surface, p.latitude) / (2.0 * h)
+    images = _images(projection, lat, lon, h, _AXES, surface)
+    scale = conformal_scale(surface, lat) / (2.0 * h)
     return float(abs(images[0] - images[1]) * scale), float(abs(images[2] - images[3]) * scale)
 
 
 def dilatation_fd(
     projection: Projection,
-    p: SpherePoint,
+    lat: float,
+    lon: float,
     h: float = DEFAULT_STEP,
     surface=SPHERE,
 ) -> float:
     """Finite-difference dilatation: geometric mean of the two directions."""
-    mer, par = directional_dilatations(projection, p, h, surface)
+    mer, par = directional_dilatations(projection, lat, lon, h, surface)
     return math.sqrt(mer * par)
 
 

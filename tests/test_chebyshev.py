@@ -14,7 +14,6 @@ import pytest
 
 from carta import (
     LagrangeProjectionSpec,
-    SpherePoint,
     build_cap_mesh,
     build_region_mesh,
     centered_stereographic,
@@ -24,6 +23,7 @@ from carta import (
 )
 import carta.chebyshev as chebyshev
 from carta.chebyshev import RESIDUAL_TOL, projection_ratio
+from carta.geometry import normalize_longitude_array
 from carta.errors import (
     ConfigError,
     DegenerateBoundary,
@@ -88,11 +88,11 @@ def test_degenerate_boundary_rejected():
 
 
 def reference_close_ring(points):
-    """The ring rule one SpherePoint pair at a time: a last vertex within
+    """The ring rule one (lat, lon) pair at a time: a last vertex within
     1e-12 (chord) of the first is dropped, and so is every vertex within
     1e-12 of the last one kept."""
     def chord(p, q):
-        return np.linalg.norm(oracles.unit_vector(p) - oracles.unit_vector(q))
+        return np.linalg.norm(oracles.unit_vector(*p) - oracles.unit_vector(*q))
 
     if len(points) > 1 and chord(points[0], points[-1]) < 1e-12:
         points = points[:-1]
@@ -106,22 +106,22 @@ def reference_close_ring(points):
 def test_close_ring_keeps_the_vertices_of_the_pairwise_rule():
     # a chain of near-duplicates 0.6e-12 apart: each is compared with the
     # last vertex kept, not with the one before, so every second one stays
-    chain = [SpherePoint(0.3 + 0.6e-12 * k, 0.2) for k in range(7)]
-    a, b, c = (SpherePoint.from_degrees(*p) for p in [(10, 20), (15, 30), (5, 35)])
-    closing = SpherePoint(a.latitude, a.longitude + 1e-13)
+    chain = [(0.3 + 0.6e-12 * k, 0.2) for k in range(7)]
+    a, b, c = (tuple(map(math.radians, p)) for p in [(10, 20), (15, 30), (5, 35)])
+    closing = (a[0], a[1] + 1e-13)
     ring = [a, a, b, *chain, c, c, c, closing]
     expected = reference_close_ring(ring)
     assert expected == [a, b, *chain[::2], c]
     units = chebyshev._close_ring(*point_columns(ring))
-    assert np.array_equal(units, [oracles.unit_vector(p) for p in expected])
+    assert np.array_equal(units, [oracles.unit_vector(*p) for p in expected])
     with pytest.raises(DegenerateBoundary, match="^boundary has 2 distinct vertices$"):
         chebyshev._close_ring(*point_columns([a, *chain[:2], closing]))
 
 
 def test_ring_unit_vectors_are_those_of_sphere_points(rng, monkeypatch):
     # the unit vectors that build_region_mesh makes from its columns, its
-    # longitudes normalized, are SpherePoint's bit for bit: at longitudes of
-    # +-pi, 3 pi and -540 degrees and at both poles too
+    # longitudes normalized, are those of the points (lat, lon) bit for bit:
+    # at longitudes of +-pi, 3 pi and -540 degrees and at both poles too
     lat = rng.uniform(-math.pi / 2, math.pi / 2, 500)
     lon = rng.uniform(-4 * math.pi, 4 * math.pi, 500)
     lat[:6] = 0.3, -0.2, 0.7, 1.1, math.pi / 2, -math.pi / 2
@@ -135,7 +135,8 @@ def test_ring_unit_vectors_are_those_of_sphere_points(rng, monkeypatch):
     monkeypatch.setattr(chebyshev, "_gnomonic_frame", frame)
     with pytest.raises(Reached):
         build_region_mesh(lat, lon, 0.01)
-    expected = [oracles.unit_vector(SpherePoint(a, b)) for a, b in zip(lat.tolist(), lon.tolist())]
+    lon = normalize_longitude_array(lon)
+    expected = [oracles.unit_vector(a, b) for a, b in zip(lat.tolist(), lon.tolist())]
     assert received[0].tobytes() == np.array(expected).tobytes()
 
 
@@ -378,7 +379,7 @@ def test_grid_solution_satisfies_stencil_residual():
             + (north / tn + south / ts) / (tn + ts) - u / (tn * ts)
         )
         # in the stereographic chart, Delta_z u = 4 / (1 + |z|^2)^2 = (1 + cos angle)^2
-        cos_angle = oracles.unit_vector(SpherePoint(lat[node], lon[node])) @ mesh.center
+        cos_angle = oracles.unit_vector(lat[node], lon[node]) @ mesh.center
         worst = max(worst, abs(laplacian - (1 + cos_angle) ** 2))
     assert worst < 1e-8
 
@@ -753,7 +754,7 @@ def test_cap_half_exponent_strictly_suboptimal():
 
 def test_france_rectangle_optimality():
     mesh = build_region_mesh(*france_boundary(), math.radians(0.25))
-    spec = centered_stereographic(SpherePoint.from_degrees(46, 2))
+    spec = centered_stereographic(math.radians(46), math.radians(2))
     ratio_opt = distortion_ratio(solve_log_scale(mesh))
     ratio_proj = projection_ratio(mesh, spec)
     assert ratio_opt <= ratio_proj + discretization_allowance(mesh)

@@ -250,6 +250,18 @@ def test_chebyshev_half_exponent_suboptimal(capsys, tmp_path):
     assert gap > 0
 
 
+def test_chebyshev_lone_central_meridian_compares_the_projection(capsys):
+    # a central meridian alone selects a projection: the stereographic map
+    # turned about the pole, which the cap's optimum matches
+    code = run_cli("chebyshev", "--cap-deg", "10", "--delta-deg", "1", "--central-meridian", "40")
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.count("verdict: ") == 1 and "verdict: optimal-matches-projection" in out
+    gap = float(out.split("gap: ")[1].split()[0])
+    allowance = float(out.split("allowance: ")[1].split()[0])
+    assert "ratio-projection: " in out and abs(gap) < 1e-3 * allowance
+
+
 def test_chebyshev_region_too_small_exit_6(france_geojson, capsys):
     code = run_cli(
         "chebyshev", "--region", france_geojson, "--delta-deg", "8",
@@ -996,6 +1008,10 @@ GOLDEN_ERRORS = [
      "ConfigError: mesh step 1.74533e-14 rad gives over 1048576 grid nodes"),
     ("chebyshev --region {region} --delta-deg 0.01 --out {tmp}/field.geojson", 2,
      "ConfigError: chart grid of 1205 x 1081 nodes is over the limit of 1048576 nodes"),
+    # every image is (1e150, 0): each curve's points coincide, which the
+    # centroid's rounding does not hide
+    ("graticule --inversion-pole 1e150,0 --inversion-power 1e-300", 6,
+     "InsufficientPoints: all points coincide"),
 ]
 
 

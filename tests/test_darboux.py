@@ -2,12 +2,12 @@
 pole loci, the forward-synthesis completeness oracle."""
 
 import math
+import re
 
 import pytest
 
 from carta import (
     Inversion,
-    PlanePoint,
     Triangle,
     image_triangle_sides,
     inversions_for_sides,
@@ -19,20 +19,20 @@ from oracles import invert_point
 
 def random_triangle(rng, span=3.0, min_area=0.1):
     while True:
-        pts = [PlanePoint(*rng.uniform(-span, span, 2)) for _ in range(3)]
+        pts = [complex(*rng.uniform(-span, span, 2)) for _ in range(3)]
         try:
             t = Triangle(*pts)
         except DegenerateTriangle:
             continue
         a, b, c = pts
-        if 0.5 * abs((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)) >= min_area:
+        if 0.5 * abs(((b - a).conjugate() * (c - a)).imag) >= min_area:
             return t
 
 
 def random_pole_away_from(rng, triangle, min_dist=0.3, span=4.0):
     while True:
-        pole = PlanePoint(*rng.uniform(-span, span, 2))
-        if min(pole.distance(v) for v in triangle.vertices()) >= min_dist:
+        pole = complex(*rng.uniform(-span, span, 2))
+        if min(abs(pole - v) for v in triangle.vertices()) >= min_dist:
             return pole
 
 
@@ -41,13 +41,13 @@ def random_pole_away_from(rng, triangle, min_dist=0.3, span=4.0):
 
 def test_degenerate_triangle_rejected():
     with pytest.raises(DegenerateTriangle):
-        Triangle(PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(2, 0))
+        Triangle(0j, 1 + 0j, 2 + 0j)
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
 def test_degeneracy_is_relative_to_the_triangle(scale):
     def triangle(*coords):
-        return Triangle(*(PlanePoint(scale * x, scale * y) for x, y in zip(coords[::2], coords[1::2])))
+        return Triangle(*(complex(scale * x, scale * y) for x, y in zip(coords[::2], coords[1::2])))
 
     # a needle with |BC| = d: area d / 2 of the longest side squared
     with pytest.raises(DegenerateTriangle, match="below 1e-12 of its longest side squared"):
@@ -56,16 +56,16 @@ def test_degeneracy_is_relative_to_the_triangle(scale):
     # a pole within 1e-12 of the longest side of a vertex is on it; one farther is not
     t = triangle(0, 0, 2, 0.3, 0.7, 1.8)
     with pytest.raises(PoleOnVertex):
-        image_triangle_sides(Inversion(PlanePoint(scale * 1e-13, 0), 1.0), t)
-    near = image_triangle_sides(Inversion(PlanePoint(scale * 1e-11, 0), scale**2), t)
-    unit = Triangle(PlanePoint(0, 0), PlanePoint(2, 0.3), PlanePoint(0.7, 1.8))
-    expected = image_triangle_sides(Inversion(PlanePoint(1e-11, 0), 1.0), unit)
+        image_triangle_sides(Inversion(complex(scale * 1e-13, 0), 1.0), t)
+    near = image_triangle_sides(Inversion(complex(scale * 1e-11, 0), scale**2), t)
+    unit = Triangle(0j, 2 + 0.3j, 0.7 + 1.8j)
+    expected = image_triangle_sides(Inversion(1e-11 + 0j, 1.0), unit)
     assert near == pytest.approx(tuple(scale * side for side in expected), rel=1e-12)
 
 
 def test_solver_refuses_sides_whose_distance_products_underflow():
     def scaled(s):
-        return Triangle(PlanePoint(0, 0), PlanePoint(2 * s, 0.3 * s), PlanePoint(0.7 * s, 1.8 * s))
+        return Triangle(0j, complex(2 * s, 0.3 * s), complex(0.7 * s, 1.8 * s))
 
     assert len(inversions_for_sides(scaled(1e-139), (1, 1, 1))) == 2
     with pytest.raises(NonFiniteValue, match="below 1e-140"):
@@ -73,9 +73,45 @@ def test_solver_refuses_sides_whose_distance_products_underflow():
 
 
 def test_sides_labeling():
-    t = Triangle(PlanePoint(0, 0), PlanePoint(3, 0), PlanePoint(0, 4))
+    t = Triangle(0j, 3 + 0j, 4j)
     a, b, c = t.sides()
     assert (a, b, c) == pytest.approx((5.0, 4.0, 3.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("point, shown", [
+    (complex(math.inf, 0.5), "(inf, 0.5)"), (complex(0.5, math.nan), "(0.5, nan)"),
+])
+def test_non_finite_vertex_or_pole_refused(point, shown):
+    message = f"^{re.escape(f'non-finite plane point {shown}')}$"
+    with pytest.raises(NonFiniteValue, match=message):
+        Triangle(0j, point, 1j)
+    with pytest.raises(NonFiniteValue, match=message):
+        Inversion(point, 1.0)
+
+
+def test_lengths_take_the_rounding_of_math_hypot(rng):
+    # sides and image sides are math.hypot of the coordinate differences,
+    # bit for bit; abs() of a complex difference rounds otherwise at times
+    def hypot(p, q):
+        return math.hypot(p.real - q.real, p.imag - q.imag)
+
+    for _ in range(10_000):
+        va, vb, vc = (complex(*rng.uniform(-3, 3, 2)) for _ in range(3))
+        try:
+            t = Triangle(va, vb, vc)
+        except DegenerateTriangle:
+            continue
+        assert t.sides() == (hypot(vb, vc), hypot(vc, va), hypot(va, vb))
+        pole = complex(*rng.uniform(-4, 4, 2))
+        inv = Inversion(pole, float(rng.uniform(0.3, 2.5)))
+        try:
+            image = image_triangle_sides(inv, t)
+        except PoleOnVertex:
+            continue
+        a, b, c = t.sides()
+        pa, pb, pc = (hypot(pole, v) for v in (va, vb, vc))
+        k = inv.power
+        assert image == (k * a / (pb * pc), k * b / (pc * pa), k * c / (pa * pb))
 
 
 # -- image side lengths ----------------------------------------------------------------
@@ -90,27 +126,27 @@ def test_image_sides_match_pointwise_inversion(rng):
         formula = image_triangle_sides(inv, t)
         vertices = [invert_point(inv, v) for v in t.vertices()]
         direct = (
-            vertices[1].distance(vertices[2]),
-            vertices[2].distance(vertices[0]),
-            vertices[0].distance(vertices[1]),
+            abs(vertices[1] - vertices[2]),
+            abs(vertices[2] - vertices[0]),
+            abs(vertices[0] - vertices[1]),
         )
         worst = max(worst, max(abs(f - d) for f, d in zip(formula, direct)))
     assert worst < 1e-12
 
 
 def test_far_pole_approximates_rigid_copy():
-    t = Triangle(PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0.4, 0.9))
+    t = Triangle(0j, 1 + 0j, 0.4 + 0.9j)
     far = 1e6
-    inv = Inversion(PlanePoint(far, 0), far**2)
+    inv = Inversion(complex(far, 0), far**2)
     sides = image_triangle_sides(inv, t)
     for got, want in zip(sides, t.sides()):
         assert got == pytest.approx(want, rel=1e-4)
 
 
 def test_image_sides_linear_in_power():
-    t = Triangle(PlanePoint(0, 0), PlanePoint(2, 0.3), PlanePoint(0.7, 1.8))
-    inv1 = Inversion(PlanePoint(3, 3), 1.0)
-    inv2 = Inversion(PlanePoint(3, 3), 2.0)
+    t = Triangle(0j, 2 + 0.3j, 0.7 + 1.8j)
+    inv1 = Inversion(3 + 3j, 1.0)
+    inv2 = Inversion(3 + 3j, 2.0)
     s1 = image_triangle_sides(inv1, t)
     s2 = image_triangle_sides(inv2, t)
     for one, two in zip(s1, s2):
@@ -118,9 +154,9 @@ def test_image_sides_linear_in_power():
 
 
 def test_pole_on_vertex():
-    t = Triangle(PlanePoint(0, 0), PlanePoint(2, 0.3), PlanePoint(0.7, 1.8))
+    t = Triangle(0j, 2 + 0.3j, 0.7 + 1.8j)
     with pytest.raises(PoleOnVertex):
-        image_triangle_sides(Inversion(PlanePoint(0, 0), 1.0), t)
+        image_triangle_sides(Inversion(0j, 1.0), t)
 
 
 # -- the solver ---------------------------------------------------------------------------
@@ -143,7 +179,7 @@ def test_forward_synthesis_round_trip(rng):
                 abs(x - y) / y for x, y in zip(achieved, target.sides())
             )
             best_side_err = min(best_side_err, err)
-            if sol.pole.distance(pole) < 1e-6:
+            if abs(sol.pole - pole) < 1e-6:
                 pole_recovered = True
         assert best_side_err < 1e-9
         # the synthesizing pole is one of the (at most two) intersections
@@ -152,13 +188,13 @@ def test_forward_synthesis_round_trip(rng):
 
 def test_equilateral_self_solution():
     side = 1.0
-    eq = Triangle(PlanePoint(0, 0), PlanePoint(side, 0), PlanePoint(side / 2, side * math.sqrt(3) / 2))
+    eq = Triangle(0j, complex(side, 0), complex(side / 2, side * math.sqrt(3) / 2))
     solutions = inversions_for_sides(eq, eq.sides())
     assert len(solutions) == 1
     sol = solutions[0]
     # both loci are perpendicular bisectors: the pole is the circumcenter
-    circumcenter = PlanePoint(0.5, 1.0 / (2.0 * math.sqrt(3)))
-    assert sol.pole.distance(circumcenter) < 1e-12
+    circumcenter = complex(0.5, 1.0 / (2.0 * math.sqrt(3)))
+    assert abs(sol.pole - circumcenter) < 1e-12
     achieved = image_triangle_sides(sol, eq)
     assert max(abs(s - side) for s in achieved) < 1e-10
 
@@ -166,7 +202,7 @@ def test_equilateral_self_solution():
 def test_infeasible_side_triple_gives_empty():
     # target sides violating the triangle inequality are unreachable: by
     # Ptolemy's inequality the two pole loci are disjoint
-    source = Triangle(PlanePoint(0, 0), PlanePoint(2, 0.3), PlanePoint(0.7, 1.8))
+    source = Triangle(0j, 2 + 0.3j, 0.7 + 1.8j)
     assert inversions_for_sides(source, (5.0, 1.0, 1.0)) == []
 
 
@@ -192,13 +228,13 @@ def side_error(inv, source, target):
 def test_tangent_loci_give_one_pole():
     # target sides (2, 1, 1) are degenerate: the two loci touch in one pole,
     # and part or cross as the target moves off the triangle inequality
-    source = Triangle(PlanePoint(0, 0), PlanePoint(2, 0.3), PlanePoint(0.7, 1.8))
+    source = Triangle(0j, 2 + 0.3j, 0.7 + 1.8j)
     (tangent,) = inversions_for_sides(source, (2.0, 1.0, 1.0))
     assert side_error(tangent, source, (2.0, 1.0, 1.0)) < 1e-12
     assert inversions_for_sides(source, (2.0000001, 1.0, 1.0)) == []
     crossing = inversions_for_sides(source, (1.9999999, 1.0, 1.0))
     assert len(crossing) == 2
-    assert all(sol.pole.distance(tangent.pole) < 1e-3 for sol in crossing)
+    assert all(abs(sol.pole - tangent.pole) < 1e-3 for sol in crossing)
 
 
 def test_near_own_shape_targets_keep_both_poles(rng):

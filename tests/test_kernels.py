@@ -35,8 +35,6 @@ from carta import (
     Inversion,
     LagrangeProjectionSpec,
     MobiusTransform,
-    PlanePoint,
-    SpherePoint,
     centered_stereographic,
     conformality_defect,
     distortion_report,
@@ -64,7 +62,7 @@ from carta.geojson_io import (
     point_feature_collection,
     position_texts,
 )
-from carta.geometry import POLE_COLATITUDE_EPS, normalize_longitude
+from carta.geometry import POLE_COLATITUDE_EPS, normalize_longitude_array
 from carta.lagrange import dilatation_array, project_array
 from carta.svg_render import svg_text
 from carta.surfaces import SPHERE, SurfaceOfRevolution, conformal_latitude
@@ -73,31 +71,28 @@ from conftest import point_columns, random_point_for_spec, random_spec
 from oracles import invert_point, parallel_radius
 
 
-def reference_project(spec, p):
+def reference_project(spec, lat, lon):
     """The per-point forward projection, step by step."""
-    lat = p.latitude
     if not spec.surface.is_sphere:
         lat = conformal_latitude(spec.surface.eccentricity, lat)
     if math.pi / 2 - lat < POLE_COLATITUDE_EPS:
         raise ProjectionPole("the projection center has no image")
-    omega = spec.exponent * normalize_longitude(p.longitude - spec.central_meridian)
+    omega = spec.exponent * float(normalize_longitude_array(lon - spec.central_meridian))
     if abs(omega) > math.pi + 1e-12:
         raise BranchOverflow("branch")
     rho = math.tan(math.pi / 4 + lat / 2)
     w = 0.0j if rho == 0.0 else rho**spec.exponent * cmath.exp(1j * omega)
     post = spec.post_transform
     if isinstance(post, Inversion):
-        w = invert_point(post, PlanePoint.from_complex(w)).as_complex()
+        w = invert_point(post, w)
     elif post is not None:
         w = (post.a * w + post.b) / (post.c * w + post.d)
-    return PlanePoint.from_complex(w)
+    return w
 
 
 def _suite(rng, name):
     if name == "centered_stereographic":
-        return centered_stereographic(
-            SpherePoint(rng.uniform(-1.4, 1.4), rng.uniform(-math.pi, math.pi))
-        )
+        return centered_stereographic(rng.uniform(-1.4, 1.4), rng.uniform(-math.pi, math.pi))
     post_kinds = {"inversion": ("inversion",), "mobius": ("mobius",)}.get(name, ("none",))
     spec = random_spec(rng, allow_spheroid=False, post_kinds=post_kinds)
     if name == "spheroid":
@@ -116,14 +111,13 @@ def test_project_array_matches_reference(rng, suite):
     for _ in range(40):
         spec = _suite(rng, suite)
         points = [random_point_for_spec(rng, spec) for _ in range(50)]
-        lat = np.array([p.latitude for p in points])
-        lon = np.array([p.longitude for p in points])
+        lat, lon = np.array(points).T
         w, code = project_array(spec, lat, lon)
         assert not code.any()
         for p, got in zip(points, w):
-            want = reference_project(spec, p).as_complex()
+            want = reference_project(spec, *p)
             worst = max(worst, abs(got - want) / abs(want))
-            scalar = project(spec, p).as_complex()
+            scalar = project(spec, *p)
             assert abs(scalar - got) <= 1e-15 * abs(got)  # the wrapper adds no arithmetic
     assert worst <= 1e-13
 
@@ -185,20 +179,20 @@ def test_malformed_position_wins_over_unprojectable_one(tmp_path, capsys):
     "spec, point, kind, message",
     [
         (LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(1, 0, 1, -1)),
-         SpherePoint(0.0, 0.0), PointAtInfinity, "point (0.9999999999999999+0j) maps to infinity"),
-        (LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, 0), 1.0)),
-         SpherePoint(0.0, 0.0), PoleSingularity, "point at the inversion pole"),
+         (0.0, 0.0), PointAtInfinity, "point (0.9999999999999999+0j) maps to infinity"),
+        (LagrangeProjectionSpec(1.0, post_transform=Inversion(1 + 0j, 1.0)),
+         (0.0, 0.0), PoleSingularity, "point at the inversion pole"),
         (LagrangeProjectionSpec(1.0, surface=SurfaceOfRevolution(0.1),
-                                post_transform=Inversion(PlanePoint(1, 0), 1e300)),
-         SpherePoint(0.0, 1e-11), NonFiniteValue, "non-finite plane point (-inf, inf)"),
-        (LagrangeProjectionSpec(2.0, central_meridian=1.0), SpherePoint(0.0, -3.0),
+                                post_transform=Inversion(1 + 0j, 1e300)),
+         (0.0, 1e-11), NonFiniteValue, "non-finite plane point (-inf, inf)"),
+        (LagrangeProjectionSpec(2.0, central_meridian=1.0), (0.0, -3.0),
          BranchOverflow, "longitude -3.0 leaves the single-branch window for c=2.0"),
     ],
     ids=["mobius-pole", "inversion-pole", "overflow", "branch"],
 )
 def test_scalar_project_errors(spec, point, kind, message):
     with pytest.raises(kind) as info:
-        project(spec, point)
+        project(spec, *point)
     assert type(info.value) is kind and str(info.value) == message
 
 
@@ -212,18 +206,18 @@ def test_batched_defect_matches_scalar(rng):
         points = [random_point_for_spec(rng, spec) for _ in range(40)]
         report = distortion_report(spec, *point_columns(points))
         for p, defect in zip(points, report.conformality_defect):
-            scalar = conformality_defect(partial(project, spec), p, surface=spec.surface)
+            scalar = conformality_defect(partial(project, spec), *p, surface=spec.surface)
             worst = max(worst, abs(defect - scalar))
     assert worst <= 1e-9
 
 
 def test_batched_defect_at_the_pole():
     # the pole and a sample next to it are probed along great circles like any other
-    spec = LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(3, 0), 2.0))
-    points = [SpherePoint(-math.pi / 2, 0.0), SpherePoint(-math.pi / 2 + 5e-8, 1.0)]
+    spec = LagrangeProjectionSpec(1.0, post_transform=Inversion(3 + 0j, 2.0))
+    points = [(-math.pi / 2, 0.0), (-math.pi / 2 + 5e-8, 1.0)]
     report = distortion_report(spec, *point_columns(points))
     for p, defect in zip(points, report.conformality_defect):
-        scalar = conformality_defect(partial(project, spec), p)
+        scalar = conformality_defect(partial(project, spec), *p)
         assert defect == pytest.approx(scalar, abs=1e-9)
 
 
@@ -238,25 +232,23 @@ def _report_error(spec, points):
 
 
 SPHEROID = LagrangeProjectionSpec(1.0, surface=SurfaceOfRevolution(0.1))
-NEAR_SOUTH = SpherePoint(-math.pi / 2 + 1e-5, 0.0)  # diagonal probes cross the pole
-SOUTH = SpherePoint(-math.pi / 2, 0.0)
-FINE = SpherePoint(0.3, 0.2)
-NORTH = SpherePoint(math.pi / 2, 0.0)
+NEAR_SOUTH = (-math.pi / 2 + 1e-5, 0.0)  # diagonal probes cross the pole
+SOUTH = (-math.pi / 2, 0.0)
+FINE = (0.3, 0.2)
+NORTH = (math.pi / 2, 0.0)
 # a sample of exponent 2 just inside the branch window: a diagonal probe leaves it
 BRANCH = LagrangeProjectionSpec(2.0, surface=SurfaceOfRevolution(0.1))
-BRANCH_EDGE = SpherePoint(0.3, math.pi / 2 - 1e-5)
-PROBE_AT_CENTER = SpherePoint(0.4, 0.5)
+BRANCH_EDGE = (0.3, math.pi / 2 - 1e-5)
+PROBE_AT_CENTER = (0.4, 0.5)
 
 
 def _inversion_at_probe(p, surface):
     """Exponent 1 and an inversion centred on the image of p's first
     diagonal probe, which distortion_report projects on the conformal sphere."""
-    chi = conformal_latitude(surface.eccentricity, [p.latitude])
-    lat, lon = distortion._probes(
-        chi, [p.longitude], distortion.DEFAULT_STEP, distortion._DIAGONALS
-    )
+    chi = conformal_latitude(surface.eccentricity, [p[0]])
+    lat, lon = distortion._probes(chi, [p[1]], distortion.DEFAULT_STEP, distortion._DIAGONALS)
     w, _ = project_array(LagrangeProjectionSpec(1.0), lat[0], lon[0])
-    inversion = Inversion(PlanePoint.from_complex(complex(w[0])), 1.0)
+    inversion = Inversion(w[0], 1.0)
     return LagrangeProjectionSpec(1.0, post_transform=inversion, surface=surface)
 
 
@@ -271,7 +263,7 @@ def test_batched_defect_spheroid_pole_crossing():
     points = [FINE, NEAR_SOUTH, SOUTH]
     report = distortion_report(SPHEROID, *point_columns(points))
     for p, defect in zip(points, report.conformality_defect):
-        scalar = conformality_defect(partial(project, SPHEROID), p, surface=SPHEROID.surface)
+        scalar = conformality_defect(partial(project, SPHEROID), *p, surface=SPHEROID.surface)
         assert defect == pytest.approx(scalar, abs=1e-12) and defect < 1e-7
     e = SPHEROID.surface.eccentricity
     limit = math.sqrt(1 - e * e) * ((1 + e) / (1 - e)) ** (e / 2)
@@ -283,12 +275,12 @@ def test_spheroid_report_inverts_no_conformal_latitude(monkeypatch):
     # report projects its probes there and takes none back to the spheroid
     spec = LagrangeProjectionSpec(
         1.0,
-        post_transform=Inversion(PlanePoint(1, -2.8), 2.0),
+        post_transform=Inversion(1 - 2.8j, 2.0),
         surface=SurfaceOfRevolution(0.0818191908426),
     )
     lat, lon = cap_samples(math.radians(30), math.radians(3))
     expected = [
-        conformality_defect(partial(project, spec), SpherePoint(a, b), surface=spec.surface)
+        conformality_defect(partial(project, spec), a, b, surface=spec.surface)
         for a, b in zip(lat[::10].tolist(), lon[::10].tolist())
     ]
 
@@ -303,21 +295,21 @@ def test_spheroid_report_inverts_no_conformal_latitude(monkeypatch):
 
 def test_batched_defect_error_order():
     # within a sample the dilatation fails first; across samples, the first sample
-    assert _raised(conformality_defect, partial(project, BRANCH), NORTH)[0] is DomainEdge
+    assert _raised(conformality_defect, partial(project, BRANCH), *NORTH)[0] is DomainEdge
     assert _report_error(BRANCH, [FINE, NORTH])[0] is ProjectionPole
     assert _report_error(BRANCH, [NORTH, BRANCH_EDGE])[0] is ProjectionPole
     error = _report_error(BRANCH, [BRANCH_EDGE, NORTH])
     assert error == _raised(
-        conformality_defect, partial(project, BRANCH), BRANCH_EDGE, surface=BRANCH.surface
+        conformality_defect, partial(project, BRANCH), *BRANCH_EDGE, surface=BRANCH.surface
     )
     assert error[0] is DomainEdge and "leaves the single-branch window for c=2.0" in error[1]
     error = _report_error(CENTER, [FINE, PROBE_AT_CENTER])
-    assert error == _raised(conformality_defect, partial(project, CENTER), PROBE_AT_CENTER)
+    assert error == _raised(conformality_defect, partial(project, CENTER), *PROBE_AT_CENTER)
     assert error == AT_CENTER
     # every probe image rounds to the inversion's centre: the chords vanish
-    collapse = LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(3, 3), 1e-300))
+    collapse = LagrangeProjectionSpec(1.0, post_transform=Inversion(3 + 3j, 1e-300))
     error = _report_error(collapse, [FINE])
-    assert error == _raised(conformality_defect, partial(project, collapse), FINE)
+    assert error == _raised(conformality_defect, partial(project, collapse), *FINE)
     assert error == (DomainEdge, "degenerate probe image")
 
 
@@ -330,8 +322,8 @@ def test_batched_defect_error_order():
         (CENTER, {500: PROBE_AT_CENTER, 800: NORTH}, AT_CENTER),
         (CENTER, {500: NORTH, 800: PROBE_AT_CENTER},
          (ProjectionPole, "dilatation diverges at the projection center")),
-        (LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, 0), 1.0)),
-         {600: SpherePoint(0.0, 0.0), 800: SOUTH},
+        (LagrangeProjectionSpec(1.0, post_transform=Inversion(1 + 0j, 1.0)),
+         {600: (0.0, 0.0), 800: SOUTH},
          (PoleSingularity, "point (0.9999999999999999+0j) at the pole of the post-transform")),
     ],
     ids=["defect-first", "dilatation-first", "center-probe-first", "center-first", "inversion"],
@@ -341,7 +333,7 @@ def test_report_error_mid_array(spec, failing, expected):
     # raises, with the parent's class and message
     rng = np.random.default_rng(7)
     points = [
-        SpherePoint(float(a), float(b))
+        (float(a), float(b))
         for a, b in zip(rng.uniform(-1.2, 1.2, 1000), rng.uniform(-3, 3, 1000))
     ]
     for i, p in failing.items():
@@ -399,7 +391,7 @@ def test_report_error_past_a_block_boundary(monkeypatch, block, spec, first, sec
     # the first failing sample opens the second block, and another follows it
     rng = np.random.default_rng(7)
     points = [
-        SpherePoint(float(a), float(b))
+        (float(a), float(b))
         for a, b in zip(rng.uniform(-1.2, 1.2, 200), rng.uniform(-3, 3, 200))
     ]
     points[block], points[block + 1] = first, second
@@ -560,7 +552,7 @@ def reference_cap_samples(radius, delta):
         count = 1 if i == 0 else max(1, round(length / step))
         for j in range(count):
             lat.append(-math.pi / 2 + r)
-            lon.append(normalize_longitude(2 * math.pi * j / count))
+            lon.append(float(normalize_longitude_array(2 * math.pi * j / count)))
     return np.array(lat), np.array(lon)
 
 
@@ -1378,9 +1370,8 @@ def test_nesting_beyond_the_recursion_limit_is_a_geojson_error():
 # -- closed-form dilatation ---------------------------------------------------------
 
 
-def reference_dilatation(spec, p):
+def reference_dilatation(spec, lat, lon):
     """The per-point closed form: the product of the step scale factors."""
-    lat = p.latitude
     surface_factor = 1.0
     if not spec.surface.is_sphere:
         chi = conformal_latitude(spec.surface.eccentricity, lat)
@@ -1394,10 +1385,10 @@ def reference_dilatation(spec, p):
     post = spec.post_transform
     post_factor = 1.0
     if post is not None:
-        dlon = normalize_longitude(p.longitude - spec.central_meridian)
+        dlon = float(normalize_longitude_array(lon - spec.central_meridian))
         w = rho**c * complex(math.cos(c * dlon), math.sin(c * dlon))
         if isinstance(post, Inversion):
-            post_factor = abs(post.power) / abs(w - post.pole.as_complex()) ** 2
+            post_factor = abs(post.power) / abs(w - post.pole) ** 2
         else:  # Mobius with det = 1
             post_factor = 1.0 / abs(post.c * w + post.d) ** 2
     return surface_factor * stereo_factor * power_factor * post_factor
@@ -1411,14 +1402,13 @@ def test_dilatation_array_matches_reference(rng, suite):
     for _ in range(40):
         spec = _suite(rng, suite)
         points = [random_point_for_spec(rng, spec) for _ in range(50)]
-        lat = np.array([p.latitude for p in points])
-        lon = np.array([p.longitude for p in points])
+        lat, lon = np.array(points).T
         m, code = dilatation_array(spec, lat, lon)
         assert not code.any()
         for p, got in zip(points, m.tolist()):
-            want = reference_dilatation(spec, p)
+            want = reference_dilatation(spec, *p)
             worst = max(worst, abs(got - want) / want)
-            assert dilatation_analytic(spec, p) == got  # the wrapper adds no arithmetic
+            assert dilatation_analytic(spec, *p) == got  # the wrapper adds no arithmetic
     assert worst <= 1e-13
 
 
@@ -1426,28 +1416,28 @@ def test_dilatation_array_matches_reference(rng, suite):
 @pytest.mark.parametrize(
     "spec, point, kind, message",
     [
-        (LagrangeProjectionSpec(0.7), SpherePoint(math.pi / 2, 0.3),
+        (LagrangeProjectionSpec(0.7), (math.pi / 2, 0.3),
          ProjectionPole, "dilatation diverges at the projection center"),
-        (LagrangeProjectionSpec(0.5), SpherePoint(-math.pi / 2, 0.0),
+        (LagrangeProjectionSpec(0.5), (-math.pi / 2, 0.0),
          OriginSingularity, "power-map scale is singular at the South pole"),
         (LagrangeProjectionSpec(0.5, surface=SurfaceOfRevolution(0.1)),
-         SpherePoint(-math.pi / 2, 0.0),
+         (-math.pi / 2, 0.0),
          OriginSingularity, "power-map scale is singular at the South pole"),
-        (LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, 0), 1.0)),
-         SpherePoint(0.0, 0.0),
+        (LagrangeProjectionSpec(1.0, post_transform=Inversion(1 + 0j, 1.0)),
+         (0.0, 0.0),
          PoleSingularity, "point (0.9999999999999999+0j) at the pole of the post-transform"),
         (LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(1, 0, 1, -1)),
-         SpherePoint(0.0, 0.0),
+         (0.0, 0.0),
          PointAtInfinity, "point (0.9999999999999999+0j) at the pole of the post-transform"),
-        (LagrangeProjectionSpec(1.0, post_transform=Inversion(PlanePoint(1, 0), 1e300)),
-         SpherePoint(0.0, 1e-11),
+        (LagrangeProjectionSpec(1.0, post_transform=Inversion(1 + 0j, 1e300)),
+         (0.0, 1e-11),
          NonFiniteValue, "dilatation inf outside the floating-point range"),
     ],
     ids=["center", "south-pole", "spheroid-pole", "inversion-pole", "mobius-pole", "overflow"],
 )
 def test_dilatation_errors(spec, point, kind, message):
     with pytest.raises(kind) as info:
-        dilatation_analytic(spec, point)
+        dilatation_analytic(spec, *point)
     assert type(info.value) is kind and str(info.value) == message
     # the report raises the same error for its first failing sample
     assert _report_error(spec, [FINE, point]) == (kind, message)
@@ -1460,11 +1450,11 @@ def test_projection_ratio_drops_singular_nodes(eccentricity):
     mesh = build_cap_mesh(radius, delta)
     spec = LagrangeProjectionSpec(0.5, surface=SurfaceOfRevolution(eccentricity))
     with pytest.raises(OriginSingularity):
-        dilatation_analytic(spec, SpherePoint(-math.pi / 2, 0.0))
+        dilatation_analytic(spec, -math.pi / 2, 0.0)
     # m(lat) falls away from the pole: the largest regular value is on the
     # four nodes one chart spacing delta / 2 from it, at the geodesic
     # distance 2 atan(delta / 2); the smallest is on the rim
-    nearest = SpherePoint(-math.pi / 2 + 2 * math.atan(delta / 2), 0.0)
-    rim = SpherePoint(-math.pi / 2 + radius, 0.0)
-    ratio = reference_dilatation(spec, nearest) / reference_dilatation(spec, rim)
+    nearest = -math.pi / 2 + 2 * math.atan(delta / 2), 0.0
+    rim = -math.pi / 2 + radius, 0.0
+    ratio = reference_dilatation(spec, *nearest) / reference_dilatation(spec, *rim)
     assert projection_ratio(mesh, spec) == pytest.approx(ratio, rel=1e-12)

@@ -21,7 +21,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from carta import Inversion, PlanePoint, SpherePoint, centered_stereographic
+from carta import Inversion, centered_stereographic
 from carta.lagrange import LagrangeProjectionSpec, _chart, dilatation_array, project_array
 from carta.surfaces import (
     SurfaceOfRevolution,
@@ -157,11 +157,11 @@ def test_spheroid_image_and_dilatation_have_the_spheres_error(e, c):
 U = 2.0**-53
 POST_SPECS = {
     "inversion-sphere": LagrangeProjectionSpec(
-        0.5, post_transform=Inversion(PlanePoint(2.0, 0.0), 1.0)),
+        0.5, post_transform=Inversion(2.0 + 0j, 1.0)),
     "inversion-spheroid": LagrangeProjectionSpec(
-        0.5, post_transform=Inversion(PlanePoint(2.0, 0.0), 1.0),
+        0.5, post_transform=Inversion(2.0 + 0j, 1.0),
         surface=SurfaceOfRevolution(0.0818191908426)),
-    "mobius": centered_stereographic(SpherePoint.from_degrees(46, 2)),
+    "mobius": centered_stereographic(math.radians(46), math.radians(2)),
 }
 
 
@@ -172,7 +172,7 @@ def _post_reference(spec, lat, lon):
     w = rho**c * mpmath.expj(c * (lon - mpmath.mpf(spec.central_meridian)))
     post = spec.post_transform
     if isinstance(post, Inversion):
-        pole, power = mpmath.mpc(post.pole.x, post.pole.y), mpmath.mpf(post.power)
+        pole, power = mpmath.mpc(post.pole), mpmath.mpf(post.power)
         image, stretch = pole + power * (w - pole) / abs(w - pole) ** 2, abs(power / (w - pole) ** 2)
     else:  # the stored coefficients, exact, with their own determinant
         a, b, cc, d = (mpmath.mpc(v) for v in (post.a, post.b, post.c, post.d))
@@ -185,7 +185,7 @@ def _pole_preimage(spec):
     post-transform's pole."""
     post = spec.post_transform
     if isinstance(post, Inversion):
-        pole = mpmath.mpc(post.pole.x, post.pole.y)
+        pole = mpmath.mpc(post.pole)
     else:
         pole = -mpmath.mpc(post.d) / mpmath.mpc(post.c)
     c, e = mpmath.mpf(spec.exponent), mpmath.mpf(spec.surface.eccentricity)

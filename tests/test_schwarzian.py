@@ -6,13 +6,7 @@ import math
 
 import pytest
 
-from carta import (
-    Inversion,
-    LagrangeProjectionSpec,
-    PlanePoint,
-    SpherePoint,
-    project,
-)
+from carta import Inversion, LagrangeProjectionSpec, project
 
 from conftest import mobius_map, random_mobius
 from oracles import (
@@ -142,8 +136,7 @@ def test_deviation_requires_enough_admissible_points():
 
 def transition_map(spec_from, spec_to):
     def t(z):
-        p = unproject(spec_from, PlanePoint(z.real, z.imag))
-        return project(spec_to, p).as_complex()
+        return project(spec_to, *unproject(spec_from, z))
 
     return t
 
@@ -156,8 +149,7 @@ def sample_transition_points(rng, spec_from, spec_to=None, count=8):
     while len(points) < count:
         lat = rng.uniform(math.radians(-75), math.radians(45))
         dlon = rng.uniform(-2.0, 2.0)
-        p = SpherePoint(lat, spec_from.central_meridian + dlon)
-        z = project(spec_from, p).as_complex()
+        z = project(spec_from, lat, spec_from.central_meridian + dlon)
         if not (0.5 < abs(z) < 4.0):
             continue
         if t is not None:
@@ -175,10 +167,10 @@ def test_same_exponent_transitions_are_mobius(rng):
     # so both charts send the graticule to circles
     for c in (0.5, 1.0, 1.4):
         spec1 = LagrangeProjectionSpec(
-            exponent=c, post_transform=Inversion(PlanePoint(2.0, 1.0), 1.3)
+            exponent=c, post_transform=Inversion(2.0 + 1.0j, 1.3)
         )
         spec2 = LagrangeProjectionSpec(
-            exponent=c, post_transform=Inversion(PlanePoint(-1.5, 2.0), -0.8)
+            exponent=c, post_transform=Inversion(-1.5 + 2.0j, -0.8)
         )
         points = sample_transition_points(rng, spec1, spec2)
         deviation = mobius_deviation(transition_map(spec1, spec2), points)
@@ -200,7 +192,7 @@ def test_criterion_ties_back_to_graticule(rng):
     from carta import graticule_image
 
     spec1 = LagrangeProjectionSpec(
-        exponent=0.75, post_transform=Inversion(PlanePoint(1.8, -0.4), 1.1)
+        exponent=0.75, post_transform=Inversion(1.8 - 0.4j, 1.1)
     )
     spec2 = LagrangeProjectionSpec(exponent=0.75)
     points = sample_transition_points(rng, spec1, spec2)
