@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CartaError, ConfigError, DomainEdge, EmptyRegion, RegionTooSmall
-from .geometry import normalize_longitude_array
+from .geometry import normalize_longitude_array, sphere_point
 from .lagrange import (
     LagrangeProjectionSpec,
     dilatation_array,
@@ -93,6 +93,7 @@ def _images(
 
 def dilatation_analytic(spec: LagrangeProjectionSpec, lat: float, lon: float) -> float:
     """Closed-form dilatation at one point, in radians (see ``dilatation_array``)."""
+    lat, lon = sphere_point(lat, lon)
     m, code = dilatation_array(spec, [lat], [lon])
     if code[0]:
         raise dilatation_error(spec, code[0], lat, lon, m[0])
@@ -125,6 +126,7 @@ def conformality_defect(
     plate carree does), and only the diagonals expose that distortion.
     """
     _check_step(h)
+    lat, lon = sphere_point(lat, lon)
     defect, degenerate = _angle_defect(_images(projection, lat, lon, h, _DIAGONALS, surface))
     if degenerate:
         raise DomainEdge("degenerate probe image")

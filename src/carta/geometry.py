@@ -40,6 +40,16 @@ def normalize_longitude_array(lon: np.ndarray) -> np.ndarray:
     return np.where(lon <= -math.pi, lon + TWO_PI, np.where(lon > math.pi, lon - TWO_PI, lon))
 
 
+def sphere_point(lat: float, lon: float) -> tuple[float, float]:
+    """(lat, lon) in radians with the longitude normalized; ValueError for
+    a latitude outside [-pi/2, pi/2] or a non-finite longitude."""
+    if not -math.pi / 2 <= lat <= math.pi / 2:
+        raise ValueError(f"latitude {lat} outside [-pi/2, pi/2]")
+    if not math.isfinite(lon):
+        raise ValueError(f"longitude {lon} is not finite")
+    return lat, float(normalize_longitude_array(lon))
+
+
 def plane_point(z: complex) -> complex:
     """``z`` as a complex point of the plane; NonFiniteValue unless finite."""
     z = complex(z)

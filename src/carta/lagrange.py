@@ -33,6 +33,7 @@ from .geometry import (
     MobiusTransform,
     circle_fit,
     normalize_longitude_array,
+    sphere_point,
 )
 from .surfaces import SPHERE, SurfaceOfRevolution, _radius_factor
 
@@ -225,6 +226,7 @@ def dilatation_error(
 
 def project(spec: LagrangeProjectionSpec, lat: float, lon: float) -> complex:
     """Complex image of the sphere (or spheroid) point (lat, lon), in radians."""
+    lat, lon = sphere_point(lat, lon)
     w, code = project_array(spec, [lat], [lon])
     if code[0]:
         raise projection_error(spec, code[0], lon, w[0])
@@ -241,14 +243,10 @@ def centered_stereographic(lat: float, lon: float) -> LagrangeProjectionSpec:
     post-transform; the centre maps to the origin.  At the North pole the
     rotation is the half turn about the x axis, z -> 1 / z.
     """
-    if not -math.pi / 2 <= lat <= math.pi / 2:
-        raise ValueError(f"latitude {lat} outside [-pi/2, pi/2]")
-    if not math.isfinite(lon):
-        raise ValueError(f"longitude {lon} is not finite")
+    lat, lon = sphere_point(lat, lon)
     if math.pi / 2 - lat < POLE_COLATITUDE_EPS:
         return LagrangeProjectionSpec(1.0, post_transform=MobiusTransform(0, 1, 1, 0))
     rho = math.tan(math.pi / 4 + lat / 2)
-    lon = float(normalize_longitude_array(lon))
     z0 = complex(rho * math.cos(lon), rho * math.sin(lon))
     if z0 == 0:
         return LagrangeProjectionSpec(1.0)

@@ -1,8 +1,9 @@
-"""Oracles that only the tests use: the inverse projection, the numerical
-Schwarzian derivative, Gauss's spheroid-to-sphere reduction, the area of a
-spherical polygon, the finite-difference dilatation, and the chart mesh's
-points and the Shortley-Weller operator as they were first computed, per
-unknown and arm and from five coefficient boxes.
+"""Oracles that only the tests use: a scalar longitude wrap, the inverse
+projection, the numerical Schwarzian derivative, Gauss's spheroid-to-sphere
+reduction, the area of a spherical polygon, the finite-difference
+dilatation, and the chart mesh's points and the Shortley-Weller operator as
+they were first computed, per unknown and arm and from five coefficient
+boxes.
 
 No subcommand runs them; acceptance criteria 7, 5, 8 and 3, the round
 trips through the projection kernel, and the chebyshev and distortion
@@ -15,7 +16,7 @@ import numpy as np
 
 from carta.distortion import DEFAULT_STEP, Projection, _check_step, _images
 from carta.errors import DomainError, PointAtInfinity, PoleSingularity
-from carta.geometry import TWO_PI, Inversion, normalize_longitude_array
+from carta.geometry import TWO_PI, Inversion
 from carta.lagrange import LagrangeProjectionSpec
 from carta.surfaces import (
     SPHERE,
@@ -25,6 +26,17 @@ from carta.surfaces import (
     inverse_conformal_latitude,
     isometric_coordinate,
 )
+
+def wrap_longitude(lon: float) -> float:
+    """One longitude wrapped into (-pi, pi] by scalar arithmetic, apart
+    from the package's ``normalize_longitude_array``."""
+    lon = math.fmod(lon, TWO_PI)
+    if lon <= -math.pi:
+        lon += TWO_PI
+    elif lon > math.pi:
+        lon -= TWO_PI
+    return lon
+
 
 # -- the inverse projection -----------------------------------------------------------
 #
@@ -74,7 +86,7 @@ def unproject(spec: LagrangeProjectionSpec, w: complex) -> tuple[float, float]:
             raise OutsideImage(f"angle {omega} outside the image sector of c={c}")
         rho = rho_c ** (1.0 / c)
         lat = 2.0 * math.atan(rho) - math.pi / 2
-        lon = float(normalize_longitude_array(omega / c + spec.central_meridian))
+        lon = wrap_longitude(omega / c + spec.central_meridian)
     return inverse_conformal_latitude(spec.surface.eccentricity, lat), lon
 
 

@@ -14,6 +14,8 @@ from carta import (
     MobiusTransform,
     centered_stereographic,
     circle_fit,
+    conformality_defect,
+    dilatation_analytic,
     project,
 )
 from carta.errors import (
@@ -23,8 +25,9 @@ from carta.errors import (
     PoleSingularity,
     ProjectionPole,
 )
+from carta.geometry import normalize_longitude_array
 
-from oracles import invert_point, spherical_polygon_area, unit_vector, unproject
+from oracles import invert_point, spherical_polygon_area, unit_vector, unproject, wrap_longitude
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -146,10 +149,82 @@ def test_value_types_refuse_non_finite_longitudes(value):
         LagrangeProjectionSpec(1.0, central_meridian=value)
 
 
-@pytest.mark.parametrize("lat", [math.nan, math.pi / 2 + 1e-15, -2.0, -math.inf])
-def test_centered_stereographic_refuses_latitudes_off_the_sphere(lat):
+# the scalar entries that take a sphere point as (lat, lon)
+SPHERE_POINT_ENTRIES = {
+    "centered_stereographic": centered_stereographic,
+    "project": lambda lat, lon: project(STEREO, lat, lon),
+    "dilatation_analytic": lambda lat, lon: dilatation_analytic(STEREO, lat, lon),
+    "conformality_defect": lambda lat, lon: conformality_defect(
+        lambda a, b: complex(b, a), lat, lon
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", SPHERE_POINT_ENTRIES)
+@pytest.mark.parametrize("lat", [-2.0, math.pi / 2 + 1e-15, math.nan, -math.inf])
+def test_scalar_entries_refuse_latitudes_off_the_sphere(entry, lat):
     with pytest.raises(ValueError, match=rf"^latitude {lat} outside \[-pi/2, pi/2\]$"):
-        centered_stereographic(lat, 0.3)
+        SPHERE_POINT_ENTRIES[entry](lat, 0.3)
+
+
+@pytest.mark.parametrize("entry", SPHERE_POINT_ENTRIES)
+@pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+def test_scalar_entries_refuse_non_finite_longitudes(entry, lon):
+    with pytest.raises(ValueError, match=f"^longitude {lon} is not finite$"):
+        SPHERE_POINT_ENTRIES[entry](0.2, lon)
+
+
+@pytest.mark.parametrize("entry", SPHERE_POINT_ENTRIES)
+def test_scalar_entries_read_the_longitude_normalized(entry):
+    # a longitude and its turns give the same value, bit for bit
+    f = SPHERE_POINT_ENTRIES[entry]
+    for lon in [3 * math.pi, math.radians(-540), 0.4 + 2 * math.pi, -2.5 - 6 * math.pi]:
+        assert f(0.3, lon) == f(0.3, wrap_longitude(lon)), lon
+
+
+# (longitude, its value in (-pi, pi]), the sign of zero included
+WRAPPED_LONGITUDES = [
+    (math.pi, 3.141592653589793),
+    (-math.pi, 3.141592653589793),
+    (3 * math.pi, 3.141592653589793),
+    (-3 * math.pi, 3.141592653589793),
+    (math.radians(-540), 3.141592653589793),
+    (math.nextafter(math.pi, 4), -3.1415926535897927),
+    (math.nextafter(-math.pi, 0), -3.1415926535897927),
+    (2 * math.pi, 0.0),
+    (-2 * math.pi, -0.0),
+    (0.0, 0.0),
+    (-0.0, -0.0),
+    (1e300, -0.7234267005270212),
+    (-1e300, 0.7234267005270212),
+    (1.0, 1.0),
+    (-1.0, -1.0),
+    (4.0, -2.2831853071795862),
+    (7.0, 0.7168146928204138),
+    (-7.0, -0.7168146928204138),
+]
+
+
+def test_normalize_longitude_array_pinned():
+    lon, expected = np.array(WRAPPED_LONGITUDES).T
+    got = normalize_longitude_array(lon)
+    assert got.tobytes() == expected.tobytes()
+    for value, want in WRAPPED_LONGITUDES:
+        got = float(normalize_longitude_array(value))
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), value
+
+
+def test_normalize_longitude_array_matches_scalar_wrap(rng):
+    lon = np.concatenate([
+        rng.uniform(-20.0, 20.0, 4000),
+        rng.uniform(-1e6, 1e6, 2000),
+        np.ldexp(rng.uniform(-1.0, 1.0, 2000), rng.integers(-60, 1020, 2000)),
+        np.arange(-64, 65) * math.pi,
+        np.arange(-64, 65) * (2 * math.pi),
+        [0.0, -0.0],
+    ])
+    expected = np.array([wrap_longitude(v) for v in lon.tolist()])
+    assert normalize_longitude_array(lon).tobytes() == expected.tobytes()
 
 
 def test_stereographic_south_pole_to_origin():

@@ -62,13 +62,13 @@ from carta.geojson_io import (
     point_feature_collection,
     position_texts,
 )
-from carta.geometry import POLE_COLATITUDE_EPS, normalize_longitude_array
+from carta.geometry import POLE_COLATITUDE_EPS
 from carta.lagrange import dilatation_array, project_array
 from carta.svg_render import svg_text
 from carta.surfaces import SPHERE, SurfaceOfRevolution, conformal_latitude
 
 from conftest import point_columns, random_point_for_spec, random_spec
-from oracles import invert_point, parallel_radius
+from oracles import invert_point, parallel_radius, wrap_longitude
 
 
 def reference_project(spec, lat, lon):
@@ -77,7 +77,7 @@ def reference_project(spec, lat, lon):
         lat = conformal_latitude(spec.surface.eccentricity, lat)
     if math.pi / 2 - lat < POLE_COLATITUDE_EPS:
         raise ProjectionPole("the projection center has no image")
-    omega = spec.exponent * float(normalize_longitude_array(lon - spec.central_meridian))
+    omega = spec.exponent * wrap_longitude(lon - spec.central_meridian)
     if abs(omega) > math.pi + 1e-12:
         raise BranchOverflow("branch")
     rho = math.tan(math.pi / 4 + lat / 2)
@@ -552,7 +552,7 @@ def reference_cap_samples(radius, delta):
         count = 1 if i == 0 else max(1, round(length / step))
         for j in range(count):
             lat.append(-math.pi / 2 + r)
-            lon.append(float(normalize_longitude_array(2 * math.pi * j / count)))
+            lon.append(wrap_longitude(2 * math.pi * j / count))
     return np.array(lat), np.array(lon)
 
 
@@ -1385,7 +1385,7 @@ def reference_dilatation(spec, lat, lon):
     post = spec.post_transform
     post_factor = 1.0
     if post is not None:
-        dlon = float(normalize_longitude_array(lon - spec.central_meridian))
+        dlon = wrap_longitude(lon - spec.central_meridian)
         w = rho**c * complex(math.cos(c * dlon), math.sin(c * dlon))
         if isinstance(post, Inversion):
             post_factor = abs(post.power) / abs(w - post.pole) ** 2

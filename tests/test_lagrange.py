@@ -34,7 +34,7 @@ from carta.lagrange import (
 from carta.surfaces import SurfaceOfRevolution
 
 from conftest import random_point_for_spec, random_spec
-from oracles import OutsideImage, dilatation_fd, unit_vector, unproject
+from oracles import OutsideImage, dilatation_fd, unit_vector, unproject, wrap_longitude
 
 
 # -- power map -------------------------------------------------------------------
@@ -362,7 +362,7 @@ def _graticule_per_curve(spec, lat_step, lon_step, samples):
     lats = np.linspace(-math.pi / 2, math.pi / 2 - lagrange.SAMPLE_CLEARANCE, samples)
     for k in range(int(math.floor(-math.pi / lon_step)) + 1, int(math.floor(math.pi / lon_step)) + 1):
         lon = k * lon_step
-        label = math.degrees(float(normalize_longitude_array(lon)))
+        label = math.degrees(wrap_longitude(lon))
         curves.append((f"meridian lon={label:+.1f}", lats, lon))
     fits = []
     for curve_id, lat, lon in curves:
@@ -507,7 +507,7 @@ def test_graticule_draws_the_meridians_the_kernel_projects(rng):
         k_min, k_max = int(math.floor(-math.pi / lon_step)) + 1, int(math.floor(math.pi / lon_step))
         lons = np.arange(k_min, k_max + 1) * lon_step
         _, code = project_array(spec, np.zeros(lons.size), lons)
-        expected = [f"meridian lon={math.degrees(float(normalize_longitude_array(lon))):+.1f}"
+        expected = [f"meridian lon={math.degrees(wrap_longitude(lon)):+.1f}"
                     for lon in lons[code != 2].tolist()]
         fits = graticule_image(spec, math.radians(45), lon_step, 8)
         assert [f.curve_id for f in fits if f.curve_id.startswith("meridian")] == expected, spec
