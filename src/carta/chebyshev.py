@@ -30,7 +30,9 @@ Most unknowns have four full arms that end at unknowns, where the
 operator is the plain 5-point stencil: a level applies that stencil to
 its whole box at once, then writes the Shortley-Weller rows, those of the
 unknowns with an arm that is short or ends at a boundary point, from
-their own coefficients.
+their own coefficients.  A level keeps coefficients and neighbour indices
+for those irregular rows only, and finds and fills them without computing
+any coefficient of the plain rows.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ _ARM_SHIFTS = ((0, 1), (0, -1), (1, 0), (-1, 0))  # east, west, north, south
 
 # _chart_mesh refuses chart grids of more nodes than this, counted before
 # any array is built.  A chebyshev run, with --out or without, peaks at
-# about 0.17 KiB of RSS per grid node on top of 33 MiB (the 60 and 75
+# about 0.17 KiB of RSS per grid node on top of 34 MiB (the 60 and 75
 # degree caps at the default 0.25 degree step, 533 x 533 and 708 x 708
-# nodes, took 80.3 and 117.5 MiB), so a run of 533 x 533 nodes stays under
+# nodes, took 80.8 and 118.6 MiB), so a run of 533 x 533 nodes stays under
 # 90 MiB and a run at the limit near 210 MiB; every cap the CLI takes
 # (under 90 degrees) fits at the default step.
 CHART_NODE_LIMIT = 1 << 20
@@ -416,18 +418,24 @@ class _Level:
     first row and column are at even indices and whose border holds no
     unknown.  An unknown whose four arms are full and end at unknowns has
     the plain stencil: ``scale`` on each arm and -4 ``scale`` on the
-    diagonal.  ``irregular`` holds the flat box index of every other
-    unknown, and ``coeffs`` its diagonal and east, west, north and south
-    Shortley-Weller coefficients; ``rim`` the nodes off the unknowns next
-    to one."""
+    diagonal.  Only the other unknowns, the irregular ones, keep arrays of
+    their own: ``neighbours`` holds the flat box index of each, then of its
+    east, west, north and south nodes, and ``coeffs`` its diagonal and
+    east, west, north and south Shortley-Weller coefficients; ``rim`` the
+    nodes off the unknowns next to one."""
 
     scale: float
-    irregular: np.ndarray  # (m,) flat box indices
+    neighbours: np.ndarray  # (5, m) flat box indices
     coeffs: np.ndarray  # (5, m)
     rim: np.ndarray  # flat box indices
     mask: np.ndarray  # the unknowns
     step: np.ndarray  # Jacobi weight / diagonal on the unknowns, 0 elsewhere
     origin: tuple[int, int]  # grid row and column of the box's first node
+
+    @property
+    def irregular(self) -> np.ndarray:
+        """(m,) flat box indices of the irregular unknowns."""
+        return self.neighbours[0]
 
 
 def _apply(level: _Level, u: np.ndarray) -> np.ndarray:
@@ -436,8 +444,9 @@ def _apply(level: _Level, u: np.ndarray) -> np.ndarray:
     and the empty border keeps them from wrapping from one row to the next.
 
     The plain stencil runs on the whole box; then the irregular rows are
-    written over, in the same order of terms, and the rim, the only rows
-    off the unknowns that it made other than 0, is zeroed."""
+    written over from one gather of their five nodes, in the same order of
+    terms, and the rim, the only rows off the unknowns that it made other
+    than 0, is zeroed."""
     cols, v = u.shape[1], u.reshape(-1)
     kv = level.scale * v
     out = -4.0 * kv
@@ -445,45 +454,56 @@ def _apply(level: _Level, u: np.ndarray) -> np.ndarray:
     out[1:] += kv[:-1]
     out[:-cols] += kv[cols:]
     out[cols:] += kv[:-cols]
-    k, c = level.irregular, level.coeffs
-    out[k] = (c[0] * v[k] + c[1] * v[k + 1] + c[2] * v[k - 1]
-              + c[3] * v[k + cols] + c[4] * v[k - cols])
+    terms = level.coeffs * v[level.neighbours]
+    out[level.irregular] = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
     out[level.rim] = 0.0
     return out.reshape(u.shape)
 
 
 def _level(arms, mask, spacing, origin) -> _Level:
     """The Shortley-Weller level of ``arms``, in steps of ``spacing`` and at least _MIN_ARM."""
-    east, west, north, south = np.maximum(arms[:, mask], _MIN_ARM)
+    # an unknown is irregular where an arm is short or ends at a node that
+    # is no unknown: an arm ending at a boundary point multiplies u = 0 and
+    # drops out, so an arm keeps its coefficient where it is full and the
+    # next node is unknown
+    rim = np.zeros(mask.shape, dtype=bool)  # the nodes next to an unknown
+    regular = mask.copy()
+    for full, (dj, di) in zip(arms == 1.0, _ARM_SHIFTS):
+        ahead = np.roll(mask, (-dj, -di), axis=(0, 1))
+        regular &= full & ahead
+        rim |= ahead
+    k = np.flatnonzero(mask & ~regular)
+    cols = mask.shape[1]
+    neighbours = k + np.array([0, 1, -1, cols, -cols])[:, None]  # itself, east, west, north, south
+    theta = arms.reshape(4, -1)[:, k]
+    east, west, north, south = np.maximum(theta, _MIN_ARM)
     scale = 2.0 / spacing**2
     coeffs = scale * np.stack(
         [-(1 / (east * west) + 1 / (north * south)),
          1 / (east * (east + west)), 1 / (west * (east + west)),
          1 / (north * (north + south)), 1 / (south * (north + south))]
     )
-    # arms ending at boundary points multiply u = 0 and drop out: an arm
-    # keeps its coefficient where it is full and the next node is unknown
-    rim = np.zeros(mask.shape, dtype=bool)  # the nodes next to an unknown
-    for arm, (dj, di) in enumerate(_ARM_SHIFTS, 1):
-        ahead = np.roll(mask, (-dj, -di), axis=(0, 1))
-        coeffs[arm] *= (arms[arm - 1] == 1.0)[mask] & ahead[mask]
-        rim |= ahead
-    plain = scale * 0.5  # each arm's coefficient where all four are full: 1 / (1 (1 + 1))
-    stencil = np.array([-4.0 * plain, plain, plain, plain, plain])
-    irregular = np.any(coeffs != stencil[:, None], axis=0)
+    coeffs[1:] *= (theta == 1.0) & mask.reshape(-1)[neighbours[1:]]
     step = np.zeros(mask.shape)
-    step[mask] = _JACOBI_WEIGHT / coeffs[0]
-    return _Level(plain, np.flatnonzero(mask)[irregular], coeffs[:, irregular],
-                  np.flatnonzero(rim & ~mask), mask, step, origin)
+    step[mask] = _JACOBI_WEIGHT / (scale * -2.0)  # the plain diagonal, -(1 / (1 1) + 1 / (1 1))
+    step.flat[k] = _JACOBI_WEIGHT / coeffs[0]
+    plain = scale * 0.5  # each arm's coefficient where all four are full: 1 / (1 (1 + 1))
+    return _Level(plain, neighbours, coeffs, np.flatnonzero(rim & ~mask), mask, step, origin)
 
 
 def _coarsen(arms, mask, origin):
     """(arms, mask, origin) of the unknowns at even indices, on the grid of
     twice the step: a short arm halves, a full one to an unknown goes on
     along that node's arm, and any other ends half a coarse step away."""
-    ahead = np.stack(  # each arm of the next node, 0 where that is no unknown
-        [np.roll(a * mask, (-dj, -di), (0, 1))[::2, ::2] for a, (dj, di) in zip(arms, _ARM_SHIFTS)]
-    )
+    rows, cols = ((n + 1) // 2 for n in mask.shape)
+    ahead = np.zeros((4, rows, cols))  # each arm of the next node, 0 where that is no unknown
+    for out, a, (dj, di) in zip(ahead, arms, _ARM_SHIFTS):
+        # the next nodes are the fine rows and columns of the shift's
+        # parity; for a shift back, the first even node's lies before the box
+        parity = tuple(slice(d % 2, None, 2) for d in (dj, di))
+        back_j, back_i = int(dj < 0), int(di < 0)
+        near = (a[parity] * mask[parity])[: rows - back_j, : cols - back_i]
+        out[back_j : back_j + near.shape[0], back_i : back_i + near.shape[1]] = near
     coarse = np.where(arms[:, ::2, ::2] < 1.0, arms[:, ::2, ::2], 1.0 + ahead) / 2
     # a row or column before brings the origin to even indices, and one
     # after keeps the border empty

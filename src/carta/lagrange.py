@@ -93,8 +93,14 @@ def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
     w = rho^c e^(i omega) before the post-transform T and T(w) after it,
     w's distance to T's pole (|w - pole| for an inversion, |c w + d| for a
     Mobius map) and where w is at that pole.  Closed forms after Snyder,
-    *Map Projections: A Working Manual* (USGS PP 1395), eq. 3-1."""
+    *Map Projections: A Working Manual* (USGS PP 1395), eq. 3-1.
+
+    A latitude outside [-pi/2, pi/2] raises ValueError, the first of them
+    named; a NaN passes, to fail in its caller's codes."""
     lat = np.asarray(lat, dtype=float)
+    off = np.abs(lat) > math.pi / 2
+    if off.any():
+        raise ValueError(f"latitude {float(lat[off][0])} outside [-pi/2, pi/2]")
     omega = _image_angle(spec, lon)
     post = spec.post_transform
     factor = None if spec.surface.is_sphere else _radius_factor(spec.surface.eccentricity, lat)
@@ -138,8 +144,9 @@ def project_array(
 
     Returns ``(w, code)``: the complex images and a per-point failure code,
     0 where the point projects (see ``projection_error`` for the others).
-    Where the post-transform's pole stops a point, ``w`` holds the image
-    before the post-transform, which the error message quotes.
+    A latitude outside [-pi/2, pi/2] raises ValueError.  Where the
+    post-transform's pole stops a point, ``w`` holds the image before the
+    post-transform, which the error message quotes.
     """
     lat, omega, _, _, w, image, _, at_pole = _chart(spec, lat, lon)
     code = np.select(
@@ -188,7 +195,8 @@ def dilatation_array(
     (``conformal_scale``) times the stereographic factor of chi, the
     power-map factor c rho^(c-1) and the post-transform's stretch.  Returns
     ``(m, code)``, code 0 where m is finite and positive (see
-    ``dilatation_error``).
+    ``dilatation_error``); a latitude outside [-pi/2, pi/2] raises
+    ValueError.
     """
     lat, _, factor, rho, _, _, distance, at_pole = _chart(spec, lat, lon)
     c, post, e = spec.exponent, spec.post_transform, spec.surface.eccentricity

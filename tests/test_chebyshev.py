@@ -620,12 +620,20 @@ def test_operator_is_bitwise_the_coefficient_boxes(build, monkeypatch):
         k = 2.0 / spacing**2 * 0.5
         plain = np.all(coeffs == np.array([-4 * k, k, k, k, k])[:, None, None], axis=0)
         assert np.array_equal(level.irregular, np.flatnonzero(mask & ~plain))
+        # the Jacobi step of every unknown, the plain ones' from the scalar diagonal too
+        step = np.zeros(mask.shape)
+        step[mask] = chebyshev._JACOBI_WEIGHT / coeffs[0][mask]
+        assert level.step.tobytes() == step.tobytes()
         for _ in range(3):
             v = rng.standard_normal(mask.shape) * mask
             assert np.array_equal(chebyshev._apply(level, v), oracles.apply_coefficients(coeffs, v))
 
 
-@pytest.mark.parametrize("build", HIERARCHY_MESHES.values(), ids=HIERARCHY_MESHES.keys())
+@pytest.mark.parametrize(
+    "build",
+    [*HIERARCHY_MESHES.values(), lambda: build_region_mesh(*offcap_ring(720), math.radians(0.08))],
+    ids=[*HIERARCHY_MESHES, "720-gon-bench"],
+)
 def test_solve_is_bitwise_the_coefficient_box_solve(build, monkeypatch):
     mesh = build()
     u = solve_log_scale(mesh)

@@ -122,6 +122,18 @@ def test_project_array_matches_reference(rng, suite):
     assert worst <= 1e-13
 
 
+@pytest.mark.parametrize("kernel", [project_array, dilatation_array])
+def test_kernels_refuse_latitudes_off_the_sphere(kernel):
+    # the first finite latitude past a pole is named, as the scalar entries
+    # name theirs; a NaN keeps its failure code, and the poles pass the check
+    spec = LagrangeProjectionSpec(1.0)
+    for lat, named in (([0.1, -2.0, 3.0], -2.0), ([math.pi / 2 + 1e-15, 0.1], math.pi / 2 + 1e-15)):
+        with pytest.raises(ValueError, match=rf"^latitude {named} outside \[-pi/2, pi/2\]$"):
+            kernel(spec, lat, [0.3] * len(lat))
+    _, code = kernel(spec, [math.nan, -math.pi / 2, math.pi / 2], [0.3] * 3)
+    assert code.tolist() == [5, 0, 1]
+
+
 def test_conformal_latitude_array_branches():
     # e = 0, lat = +-0 (sign kept) and near and at the poles, elementwise
     lat = np.array([0.0, -0.0, -math.pi / 2, -math.pi / 2 + 1e-9, math.pi / 2, 1e-300, 0.3, -1.2])
