@@ -369,7 +369,7 @@ def build_cap_mesh(radius: float, delta: float) -> RegionMesh:
     a disc about the pole in the chart."""
     if not (0.0 < radius < math.pi / 2):
         raise ValueError(f"cap radius {radius} outside (0, pi/2)")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("mesh spacing must be positive")
     frame = _frame(np.array([0.0, 0.0, -1.0]))
     circle = np.array([[0.0, 0.0, 1.0]]), np.array([math.cos(radius)])  # n = pole, d = cos R
@@ -380,7 +380,7 @@ def build_region_mesh(lat: np.ndarray, lon: np.ndarray, delta: float) -> RegionM
     """Mesh the inside of the closed boundary polyline through the vertices
     (lat[i], lon[i]), in radians, at spacing delta: its edges are
     great-circle arcs, and the chart is centred on the vertex centroid."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("mesh spacing must be positive")
     bad = np.flatnonzero(~((np.abs(lat) <= math.pi / 2) & np.isfinite(lon)))
     if bad.size:
@@ -432,11 +432,6 @@ class _Level:
     step: np.ndarray  # Jacobi weight / diagonal on the unknowns, 0 elsewhere
     origin: tuple[int, int]  # grid row and column of the box's first node
 
-    @property
-    def irregular(self) -> np.ndarray:
-        """(m,) flat box indices of the irregular unknowns."""
-        return self.neighbours[0]
-
 
 def _apply(level: _Level, u: np.ndarray) -> np.ndarray:
     """The operator of ``level`` times ``u``, which is 0 off the unknowns,
@@ -455,7 +450,7 @@ def _apply(level: _Level, u: np.ndarray) -> np.ndarray:
     out[:-cols] += kv[cols:]
     out[cols:] += kv[:-cols]
     terms = level.coeffs * v[level.neighbours]
-    out[level.irregular] = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
+    out[level.neighbours[0]] = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
     out[level.rim] = 0.0
     return out.reshape(u.shape)
 

@@ -4,19 +4,18 @@ The dilatation m is the ratio of image displacement to surface arc length,
 evaluated in closed form for the projection family; the conformality
 defect is the deviation from a right angle of the images of two
 perpendicular directions.  Its probes sit along great circles at arc
-length h from the sample: on the spheroid, great circles of the conformal
-sphere (chi, lon), onto which the spheroid maps conformally.
+length ``DEFAULT_STEP`` from the sample: on the spheroid, great circles of
+the conformal sphere (chi, lon), onto which the spheroid maps conformally.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .errors import CartaError, ConfigError, DomainEdge, EmptyRegion, RegionTooSmall
+from .errors import ConfigError, DomainEdge, EmptyRegion, RegionTooSmall
 from .geometry import normalize_longitude_array, sphere_point
 from .lagrange import (
     LagrangeProjectionSpec,
@@ -25,10 +24,7 @@ from .lagrange import (
     project_array,
     projection_error,
 )
-from .surfaces import SPHERE, conformal_latitude, inverse_conformal_latitude
-
-# a map of (latitude, longitude) in radians to the image plane
-Projection = Callable[[float, float], complex]
+from .surfaces import SPHERE, conformal_latitude
 
 DEFAULT_STEP = 1e-4
 
@@ -47,11 +43,6 @@ CAP_SAMPLE_LIMIT = 1 << 21
 # samples that distortion_report evaluates at once: its probes and their
 # temporaries take a fixed amount of memory, whatever the sample count
 _SAMPLE_BLOCK = 1 << 13
-
-
-def _check_step(h: float) -> None:
-    if not (1e-8 <= h <= 1e-2):
-        raise ValueError(f"finite-difference step {h} outside [1e-8, 1e-2]")
 
 
 def _probes(chi, lon, h: float, bearings: np.ndarray):
@@ -74,23 +65,6 @@ def _probes(chi, lon, h: float, bearings: np.ndarray):
     return np.arctan2(z, np.hypot(x, y)), np.arctan2(y, x)
 
 
-def _images(
-    projection: Projection, lat: float, lon: float, h: float, bearings, surface
-) -> np.ndarray:
-    """Images of the probes of ``_probes`` about the point (lat, lon), each
-    taken back to the surface's geodetic latitude."""
-    e = surface.eccentricity
-    chi, lon = _probes(conformal_latitude(e, [lat]), [lon], h, bearings)
-    lat = inverse_conformal_latitude(e, chi)
-    images = []
-    for a, b in zip(lat[:, 0].tolist(), lon[:, 0].tolist()):
-        try:
-            images.append(projection(a, b))
-        except CartaError as exc:
-            raise DomainEdge(f"probe left the projection domain: {exc}") from exc
-    return np.array(images)
-
-
 def dilatation_analytic(spec: LagrangeProjectionSpec, lat: float, lon: float) -> float:
     """Closed-form dilatation at one point, in radians (see ``dilatation_array``)."""
     lat, lon = sphere_point(lat, lon)
@@ -111,38 +85,45 @@ def _angle_defect(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(np.abs(np.arctan2(cross, dot)) - math.pi / 2), (d_plus == 0) | (d_minus == 0)
 
 
-def conformality_defect(
-    projection: Projection,
-    lat: float,
-    lon: float,
-    h: float = DEFAULT_STEP,
-    surface=SPHERE,
-) -> float:
+def _defects(spec: LagrangeProjectionSpec, lat, lon):
+    """Conformality defects at the points (lat, lon), from one
+    ``project_array`` call for all their diagonal probes; where a point
+    fails; and the ``DomainEdge`` of failing point k: its first failing
+    probe's error, or a degenerate probe image.
+
+    The spheroid's map is the sphere's at the conformal latitude, so the
+    probes are projected there, on the sphere."""
+    chi = conformal_latitude(spec.surface.eccentricity, lat)
+    probe_chi, probe_lon = _probes(chi, lon, DEFAULT_STEP, _DIAGONALS)
+    w, code = project_array(replace(spec, surface=SPHERE), probe_chi, probe_lon)
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect, degenerate = _angle_defect(w)
+
+    def error(k: int) -> DomainEdge:
+        failed = np.flatnonzero(code[:, k])
+        if not failed.size:
+            return DomainEdge("degenerate probe image")
+        j = failed[0]
+        cause = projection_error(spec, int(code[j, k]), probe_lon[j, k], w[j, k])
+        return DomainEdge(f"probe left the projection domain: {cause}")
+
+    return defect, (code != 0).any(axis=0) | degenerate, error
+
+
+def conformality_defect(spec: LagrangeProjectionSpec, lat: float, lon: float) -> float:
     """Deviation from pi/2 of the image angle between the two diagonal
-    directions, at 45 degrees to the meridian, at the point (lat, lon).
+    directions, at 45 degrees to the meridian, at the point (lat, lon):
+    the probes of ``distortion_report`` for one point.
 
     Diagonals rather than the grid directions: a map may stretch the two
     graticule directions unequally while keeping them orthogonal (the
     plate carree does), and only the diagonals expose that distortion.
     """
-    _check_step(h)
     lat, lon = sphere_point(lat, lon)
-    defect, degenerate = _angle_defect(_images(projection, lat, lon, h, _DIAGONALS, surface))
-    if degenerate:
-        raise DomainEdge("degenerate probe image")
-    return float(defect)
-
-
-def _probe_error(spec: LagrangeProjectionSpec, code, lon, w) -> DomainEdge:
-    """The error of a sample whose diagonal probes have the ``project_array``
-    codes, longitudes and outputs given: its first failing probe's, or a
-    degenerate probe image."""
-    failed = np.flatnonzero(code)
-    if not failed.size:
-        return DomainEdge("degenerate probe image")
-    k = failed[0]
-    error = projection_error(spec, int(code[k]), lon[k], w[k])
-    return DomainEdge(f"probe left the projection domain: {error}")
+    defect, failed, error = _defects(spec, [lat], [lon])
+    if failed[0]:
+        raise error(0)
+    return float(defect[0])
 
 
 @dataclass(frozen=True)
@@ -171,21 +152,15 @@ def distortion_report(
     if lat.size == 0:
         raise EmptyRegion("no sample points")
     m, defects = np.empty(lat.size), np.empty(lat.size)
-    # the spheroid's map is the sphere's at the conformal latitude
-    sphere_spec = replace(spec, surface=SPHERE)
     for start in range(0, lat.size, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
         m[block], code = dilatation_array(spec, lat[block], lon[block])
-        chi = conformal_latitude(spec.surface.eccentricity, lat[block])
-        probe_chi, probe_lon = _probes(chi, lon[block], DEFAULT_STEP, _DIAGONALS)
-        w, probe_code = project_array(sphere_spec, probe_chi, probe_lon)
-        with np.errstate(invalid="ignore", over="ignore"):
-            defects[block], degenerate = _angle_defect(w)
-        for k in np.flatnonzero((code != 0) | (probe_code != 0).any(axis=0) | degenerate).tolist():
+        defects[block], failed, error = _defects(spec, lat[block], lon[block])
+        for k in np.flatnonzero((code != 0) | failed).tolist():
             if code[k]:
                 i = start + k
                 raise dilatation_error(spec, int(code[k]), lat[i], lon[i], float(m[i]))
-            raise _probe_error(spec, probe_code[:, k], probe_lon[:, k], w[:, k])
+            raise error(k)
     m_min, m_max = float(m.min()), float(m.max())
     return DistortionReport(m, defects, m_min, m_max, m_max / m_min)
 
@@ -197,6 +172,10 @@ def cap_samples(radius: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
 
     A layout of more than ``CAP_SAMPLE_LIMIT`` samples is refused before
     anything of its size is built."""
+    if not (0.0 < radius < math.pi / 2):
+        raise ValueError(f"cap radius {radius} outside (0, pi/2)")
+    if not delta > 0:
+        raise ValueError("mesh spacing must be positive")
     # ring i of n holds round(2 pi sin(i step) / step) >= 4 i samples, as
     # sin x >= 2 x / pi below pi / 2, so n >= 4 rings hold over (n + 1)**2:
     # a radius / delta above the square root of the limit is refused without

@@ -1,9 +1,9 @@
 """Oracles that only the tests use: a scalar longitude wrap, the inverse
 projection, the numerical Schwarzian derivative, Gauss's spheroid-to-sphere
-reduction, the area of a spherical polygon, the finite-difference
-dilatation, and the chart mesh's points and the Shortley-Weller operator as
-they were first computed, per unknown and arm and from five coefficient
-boxes.
+reduction, the area of a spherical polygon, the conformality defect of any
+projection callable and the finite-difference dilatation that probes like
+it, and the chart mesh's points and the Shortley-Weller operator as they
+were first computed, per unknown and arm and from five coefficient boxes.
 
 No subcommand runs them; acceptance criteria 7, 5, 8 and 3, the round
 trips through the projection kernel, and the chebyshev and distortion
@@ -11,16 +11,24 @@ tests do.
 """
 
 import math
+from typing import Callable
 
 import numpy as np
 
-from carta.distortion import DEFAULT_STEP, Projection, _check_step, _images
-from carta.errors import DomainError, PointAtInfinity, PoleSingularity
-from carta.geometry import TWO_PI, Inversion
+from carta.distortion import DEFAULT_STEP, _DIAGONALS, _angle_defect, _probes
+from carta.errors import (
+    CartaError,
+    DomainEdge,
+    DomainError,
+    PointAtInfinity,
+    PoleSingularity,
+)
+from carta.geometry import TWO_PI, Inversion, sphere_point
 from carta.lagrange import LagrangeProjectionSpec
 from carta.surfaces import (
     SPHERE,
     SurfaceOfRevolution,
+    conformal_latitude,
     conformal_scale,
     gudermannian,
     inverse_conformal_latitude,
@@ -288,6 +296,61 @@ def spherical_polygon_area(vertices) -> float:
     cross = np.cross(t_in, t_out)
     turn = np.arctan2(np.einsum("ij,ij->i", cross, v), np.einsum("ij,ij->i", t_in, t_out))
     return float(TWO_PI - np.sum(turn))
+
+
+# -- the conformality defect of any projection callable ------------------------------
+#
+# The probes of the package's batched conformality defect about one point,
+# each taken back to the surface's geodetic latitude and passed to a
+# callable one at a time: the reference the batched defect is tested
+# against, and the probing of the finite-difference dilatation below.
+
+# a map of (latitude, longitude) in radians to the image plane
+Projection = Callable[[float, float], complex]
+
+
+def _check_step(h: float) -> None:
+    if not (1e-8 <= h <= 1e-2):
+        raise ValueError(f"finite-difference step {h} outside [1e-8, 1e-2]")
+
+
+def _images(
+    projection: Projection, lat: float, lon: float, h: float, bearings, surface
+) -> np.ndarray:
+    """Images of the probes of ``_probes`` about the point (lat, lon), each
+    taken back to the surface's geodetic latitude."""
+    e = surface.eccentricity
+    chi, lon = _probes(conformal_latitude(e, [lat]), [lon], h, bearings)
+    lat = inverse_conformal_latitude(e, chi)
+    images = []
+    for a, b in zip(lat[:, 0].tolist(), lon[:, 0].tolist()):
+        try:
+            images.append(projection(a, b))
+        except CartaError as exc:
+            raise DomainEdge(f"probe left the projection domain: {exc}") from exc
+    return np.array(images)
+
+
+def conformality_defect(
+    projection: Projection,
+    lat: float,
+    lon: float,
+    h: float = DEFAULT_STEP,
+    surface=SPHERE,
+) -> float:
+    """Deviation from pi/2 of the image angle between the two diagonal
+    directions, at 45 degrees to the meridian, at the point (lat, lon).
+
+    Diagonals rather than the grid directions: a map may stretch the two
+    graticule directions unequally while keeping them orthogonal (the
+    plate carree does), and only the diagonals expose that distortion.
+    """
+    _check_step(h)
+    lat, lon = sphere_point(lat, lon)
+    defect, degenerate = _angle_defect(_images(projection, lat, lon, h, _DIAGONALS, surface))
+    if degenerate:
+        raise DomainEdge("degenerate probe image")
+    return float(defect)
 
 
 # -- finite-difference dilatation ---------------------------------------------------

@@ -619,7 +619,7 @@ def test_operator_is_bitwise_the_coefficient_boxes(build, monkeypatch):
         # the rows written over are those whose coefficients are not the plain stencil's
         k = 2.0 / spacing**2 * 0.5
         plain = np.all(coeffs == np.array([-4 * k, k, k, k, k])[:, None, None], axis=0)
-        assert np.array_equal(level.irregular, np.flatnonzero(mask & ~plain))
+        assert np.array_equal(level.neighbours[0], np.flatnonzero(mask & ~plain))
         # the Jacobi step of every unknown, the plain ones' from the scalar diagonal too
         step = np.zeros(mask.shape)
         step[mask] = chebyshev._JACOBI_WEIGHT / coeffs[0][mask]

@@ -13,7 +13,6 @@ from carta import (
     Inversion,
     LagrangeProjectionSpec,
     MobiusTransform,
-    conformality_defect,
     dilatation_analytic,
     distortion_report,
     project,
@@ -23,7 +22,7 @@ from carta.errors import DomainEdge, EmptyRegion
 from carta.surfaces import SPHERE, SurfaceOfRevolution
 
 from conftest import point_columns, random_point_for_spec, random_spec
-from oracles import dilatation_fd, directional_dilatations
+from oracles import conformality_defect, dilatation_fd, directional_dilatations
 
 STEREO = LagrangeProjectionSpec(exponent=1.0)
 

@@ -154,9 +154,7 @@ SPHERE_POINT_ENTRIES = {
     "centered_stereographic": centered_stereographic,
     "project": lambda lat, lon: project(STEREO, lat, lon),
     "dilatation_analytic": lambda lat, lon: dilatation_analytic(STEREO, lat, lon),
-    "conformality_defect": lambda lat, lon: conformality_defect(
-        lambda a, b: complex(b, a), lat, lon
-    ),
+    "conformality_defect": lambda lat, lon: conformality_defect(STEREO, lat, lon),
 }
 
 

@@ -3,10 +3,10 @@
 The per-point forward projection, the per-point closed-form dilatation,
 the double loop and the all-pairs blocks of the boundary self-intersection
 test and the ring loop of the cap sample layout are kept here as oracles;
-the batched conformality probes are checked against the public per-point
-``conformality_defect``, the columnar GeoJSON writers against ``dumps``
-of the same document built as objects, and the SVG polylines against
-points formatted line by line.
+the batched conformality probes are checked against the per-point
+``conformality_defect`` of any projection callable in the oracles, the
+columnar GeoJSON writers against ``dumps`` of the same document built as
+objects, and the SVG polylines against points formatted line by line.
 """
 
 import cmath
@@ -31,16 +31,16 @@ import carta.cli as cli
 import carta.distortion as distortion
 import carta.geojson_io as geojson_io
 import carta.lagrange as lagrange
+import carta.surfaces as surfaces
 from carta import (
     Inversion,
     LagrangeProjectionSpec,
     MobiusTransform,
     centered_stereographic,
-    conformality_defect,
     distortion_report,
     project,
 )
-from carta.chebyshev import _check_simple, build_cap_mesh, projection_ratio
+from carta.chebyshev import _check_simple, build_cap_mesh, build_region_mesh, projection_ratio
 from carta.distortion import cap_samples, dilatation_analytic
 from carta.errors import (
     BranchOverflow,
@@ -68,7 +68,7 @@ from carta.svg_render import svg_text
 from carta.surfaces import SPHERE, SurfaceOfRevolution, conformal_latitude
 
 from conftest import point_columns, random_point_for_spec, random_spec
-from oracles import invert_point, parallel_radius, wrap_longitude
+from oracles import conformality_defect, invert_point, parallel_radius, wrap_longitude
 
 
 def reference_project(spec, lat, lon):
@@ -299,7 +299,7 @@ def test_spheroid_report_inverts_no_conformal_latitude(monkeypatch):
     def refused(*args):
         raise AssertionError("inverse_conformal_latitude called")
 
-    monkeypatch.setattr(distortion, "inverse_conformal_latitude", refused)
+    monkeypatch.setattr(surfaces, "inverse_conformal_latitude", refused)
     report = distortion_report(spec, lat, lon)
     assert report.conformality_defect[::10] == pytest.approx(expected, abs=1e-10)
     assert np.array_equal(report.m, dilatation_array(spec, lat, lon)[0])
@@ -323,6 +323,29 @@ def test_batched_defect_error_order():
     error = _report_error(collapse, [FINE])
     assert error == _raised(conformality_defect, partial(project, collapse), *FINE)
     assert error == (DomainEdge, "degenerate probe image")
+
+
+def test_scalar_defect_wraps_the_report(rng):
+    # the package's one-point defect adds no arithmetic to the report's
+    for _ in range(30):
+        spec = random_spec(rng)
+        points = [random_point_for_spec(rng, spec) for _ in range(10)]
+        report = distortion_report(spec, *point_columns(points))
+        for p, defect in zip(points, report.conformality_defect.tolist()):
+            assert distortion.conformality_defect(spec, *p) == defect
+
+
+@pytest.mark.parametrize(
+    "spec, point",
+    [
+        (BRANCH, BRANCH_EDGE),
+        (CENTER, PROBE_AT_CENTER),
+        (LagrangeProjectionSpec(1.0, post_transform=Inversion(3 + 3j, 1e-300)), FINE),
+    ],
+    ids=["branch-edge", "probe-at-center", "collapse"],
+)
+def test_scalar_defect_raises_the_report_error(spec, point):
+    assert _raised(distortion.conformality_defect, spec, *point) == _report_error(spec, [point])
 
 
 @pytest.mark.parametrize(
@@ -591,6 +614,33 @@ def test_cap_sample_limit_is_exact(monkeypatch):
     message = f"^cap of 10 rings and {total} samples is over the limit of {total - 1} samples$"
     with pytest.raises(ConfigError, match=message):
         cap_samples(radius, delta)
+
+
+SPACING = "mesh spacing must be positive"
+TRIANGLE = np.radians([10.0, 10.0, 20.0]), np.radians([0.0, 10.0, 5.0])
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (cap_samples, (0.5, 0.0), SPACING),
+        (cap_samples, (0.5, -0.1), SPACING),
+        (cap_samples, (0.5, math.nan), SPACING),
+        (cap_samples, (4.0, 0.1), "cap radius 4.0 outside (0, pi/2)"),
+        (cap_samples, (math.nan, 0.1), "cap radius nan outside (0, pi/2)"),
+        (build_cap_mesh, (0.5, math.nan), SPACING),
+        (build_cap_mesh, (math.nan, 0.1), "cap radius nan outside (0, pi/2)"),
+        (build_region_mesh, (*TRIANGLE, math.nan), SPACING),
+    ],
+    ids=["samples-zero-step", "samples-negative-step", "samples-nan-step",
+         "samples-radius-4", "samples-nan-radius", "cap-mesh-nan-step",
+         "cap-mesh-nan-radius", "region-mesh-nan-step"],
+)
+def test_builders_refuse_a_step_or_radius_out_of_range(build, args, message):
+    # refused as the CLI's validate refuses them, before any budget is counted
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 @pytest.mark.parametrize("radius_deg", [1, 45, 89.99])

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 KEEP = {
     "SurfaceOfRevolution.gaussian_curvature": "ROADMAP item 5",
     "conformal_scale": "ROADMAP item 5",
+    "inverse_conformal_latitude": "ROADMAP item 5",
 }
 
 
