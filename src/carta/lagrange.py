@@ -39,9 +39,10 @@ from .surfaces import SPHERE, SurfaceOfRevolution, _radius_factor
 
 # Graticule samples closer than this to a singular point of the projection
 # are dropped: in radians from the projection center, and in the kernel's
-# distance to the post-transform's pole, measured before the post-transform;
-# any sub-arc determines the image circle, and staying off the
-# singularities keeps the fit well-conditioned.
+# own distance from the image before the post-transform to its pole
+# (|w - p| for an inversion, |c w + d| for a Mobius map); any sub-arc
+# determines the image circle, and staying off the singularities keeps
+# the fit well-conditioned.
 SAMPLE_CLEARANCE = 1e-3
 
 # graticule_image refuses graticules of more samples than this (16 MB per
@@ -126,8 +127,18 @@ def _chart(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
     return lat, omega, factor, rho, w, image, distance, distance < 1e-14
 
 
-# failures of project_array, in the order its checks run: code k >= 1
-# stands for _FAILURES[k - 1], the error class and message of scalar project
+def _codes(spec: LagrangeProjectionSpec, lat, second, at_pole, bad) -> np.ndarray:
+    """A point kernel's failure codes: 0, or the first that holds of 1 at the
+    projection center (colatitude below ``POLE_COLATITUDE_EPS``), 2 the
+    kernel's own condition ``second``, 3 (inversion) or 4 (Mobius map) at
+    the post-transform's pole, and 5 the kernel's own test ``bad`` of its result."""
+    pole = 3 if isinstance(spec.post_transform, Inversion) else 4
+    conditions = [math.pi / 2 - lat < POLE_COLATITUDE_EPS, second, at_pole, bad]
+    return np.select(conditions, [1, 2, pole, 5], 0)
+
+
+# failures of project_array, in _codes' order: code k >= 1 stands for
+# _FAILURES[k - 1], the error class and message of scalar project
 _FAILURES = (
     (ProjectionPole, "the projection center has no image"),
     (BranchOverflow, "longitude {lon} leaves the single-branch window for c={c}"),
@@ -135,6 +146,15 @@ _FAILURES = (
     (PointAtInfinity, "point {w} maps to infinity"),
     (NonFiniteValue, "non-finite plane point ({x}, {y})"),
 )
+
+
+def _project(spec: LagrangeProjectionSpec, lat, lon) -> tuple:
+    """``project_array``'s ``(w, code)`` and the kernel's distance from each
+    image before the post-transform to its pole (None without one)."""
+    lat, omega, _, _, w, image, distance, at_pole = _chart(spec, lat, lon)
+    finite = np.isfinite(image.real) & np.isfinite(image.imag)
+    code = _codes(spec, lat, np.abs(omega) > BRANCH_EDGE, at_pole, ~finite)
+    return np.where(at_pole, w, image), code, distance
 
 
 def project_array(
@@ -148,18 +168,7 @@ def project_array(
     post-transform's pole stops a point, ``w`` holds the image before the
     post-transform, which the error message quotes.
     """
-    lat, omega, _, _, w, image, _, at_pole = _chart(spec, lat, lon)
-    code = np.select(
-        [
-            math.pi / 2 - lat < POLE_COLATITUDE_EPS,
-            np.abs(omega) > BRANCH_EDGE,
-            at_pole,
-            ~(np.isfinite(image.real) & np.isfinite(image.imag)),
-        ],
-        [1, 2, 3 if isinstance(spec.post_transform, Inversion) else 4, 5],
-        0,
-    )
-    return np.where(at_pole, w, image), code
+    return _project(spec, lat, lon)[:2]
 
 
 def projection_error(
@@ -176,7 +185,7 @@ def projection_error(
     )
 
 
-# failures of dilatation_array, in the order its checks run
+# failures of dilatation_array, in _codes' order
 _DILATATION_FAILURES = (
     (ProjectionPole, "dilatation diverges at the projection center"),
     (OriginSingularity, "power-map scale is singular at the South pole"),
@@ -209,16 +218,7 @@ def dilatation_array(
         power = abs(post.power) if isinstance(post, Inversion) else 1.0
         stretch = 1.0 if post is None else power / distance**2
         m = surface_factor * stereo_factor * power_factor * stretch
-    code = np.select(
-        [
-            colat < POLE_COLATITUDE_EPS,
-            (rho == 0.0) & (c != 1.0),
-            at_pole,
-            ~((0.0 < m) & (m < math.inf)),
-        ],
-        [1, 2, 3 if isinstance(post, Inversion) else 4, 5],
-        0,
-    )
+    code = _codes(spec, lat, (rho == 0.0) & (c != 1.0), at_pole, ~((0.0 < m) & (m < math.inf)))
     return m, code
 
 
@@ -277,24 +277,6 @@ class GraticuleCurveFit:
     @property
     def relative_residual(self) -> float:
         return self.rms_residual / self.diameter if self.diameter > 0 else math.inf
-
-
-def _clear(
-    post: Inversion | MobiusTransform | None, lat: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """Where the samples of latitudes ``lat`` lie at least ``SAMPLE_CLEARANCE``
-    from the projection center, in angle, and their images before the
-    post-transform ``post`` lie that far from its pole in the kernel's
-    distance (|w - p|, or |c w + d|), read from their images ``w`` after it:
-    |T(w) - p| |w - p| = |k| for an inversion, and
-    |T(w) - a/c| |c w + d| = 1/|c| for a Mobius map with det = 1."""
-    clear = lat <= math.pi / 2 - SAMPLE_CLEARANCE
-    if isinstance(post, Inversion):
-        clear &= np.abs(w - post.pole) <= abs(post.power) / SAMPLE_CLEARANCE
-    # |c| <= 1e-14 counts as no pole, which keeps |c| SAMPLE_CLEARANCE above 0
-    elif isinstance(post, MobiusTransform) and abs(post.c) > 1e-14:
-        clear &= np.abs(w - post.a / post.c) <= 1 / (abs(post.c) * SAMPLE_CLEARANCE)
-    return clear
 
 
 def graticule_image(
@@ -358,9 +340,11 @@ def graticule_image(
         block = slice(first, first + rows)
         lat = np.where(parallel[block, None], fixed[block, None], lat_row)
         lon = np.where(parallel[block, None], lon_row, fixed[block, None])
-        w, code = project_array(spec, lat, lon)
+        w, code, distance = _project(spec, lat, lon)
         # each curve's clear, projected samples; one of fewer than 8 is fully clipped
-        keep = _clear(spec.post_transform, lat, w) & (code == 0)
+        keep = (lat <= math.pi / 2 - SAMPLE_CLEARANCE) & (code == 0)
+        if distance is not None:
+            keep &= distance >= SAMPLE_CLEARANCE
         used = keep.sum(axis=1)
         fitted = used >= 8
         keep &= fitted[:, None]

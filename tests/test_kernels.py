@@ -199,8 +199,11 @@ def test_malformed_position_wins_over_unprojectable_one(tmp_path, capsys):
          (0.0, 1e-11), NonFiniteValue, "non-finite plane point (-inf, inf)"),
         (LagrangeProjectionSpec(2.0, central_meridian=1.0), (0.0, -3.0),
          BranchOverflow, "longitude -3.0 leaves the single-branch window for c=2.0"),
+        # the projection center comes first, past the branch window too
+        (LagrangeProjectionSpec(2.0), (math.pi / 2, 2.0),
+         ProjectionPole, "the projection center has no image"),
     ],
-    ids=["mobius-pole", "inversion-pole", "overflow", "branch"],
+    ids=["mobius-pole", "inversion-pole", "overflow", "branch", "center-past-branch"],
 )
 def test_scalar_project_errors(spec, point, kind, message):
     with pytest.raises(kind) as info:
@@ -1494,8 +1497,13 @@ def test_dilatation_array_matches_reference(rng, suite):
         (LagrangeProjectionSpec(1.0, post_transform=Inversion(1 + 0j, 1e300)),
          (0.0, 1e-11),
          NonFiniteValue, "dilatation inf outside the floating-point range"),
+        # the South pole's power-map scale comes before the inversion's pole there
+        (LagrangeProjectionSpec(0.5, post_transform=Inversion(0j, 1.0)),
+         (-math.pi / 2, 0.0),
+         OriginSingularity, "power-map scale is singular at the South pole"),
     ],
-    ids=["center", "south-pole", "spheroid-pole", "inversion-pole", "mobius-pole", "overflow"],
+    ids=["center", "south-pole", "spheroid-pole", "inversion-pole", "mobius-pole", "overflow",
+         "south-pole-at-inversion-pole"],
 )
 def test_dilatation_errors(spec, point, kind, message):
     with pytest.raises(kind) as info:

@@ -462,13 +462,14 @@ def test_graticule_blocks_do_not_change_the_fits(monkeypatch, block):
     steps = math.radians(lat_step), math.radians(lon_step)
     expected = graticule_image(spec, *steps, samples)
     calls = []
+    project_with_distance = lagrange._project
 
     def counted(*args):
         calls.append(np.size(args[1]))
-        return project_array(*args)
+        return project_with_distance(*args)
 
     monkeypatch.setattr(lagrange, "_GRATICULE_BLOCK", block)
-    monkeypatch.setattr(lagrange, "project_array", counted)
+    monkeypatch.setattr(lagrange, "_project", counted)
     assert graticule_image(spec, *steps, samples) == expected
     # 11 parallels and 24 meridians, whole curves in each block
     rows = max(1, block // samples)
@@ -478,7 +479,7 @@ def test_graticule_blocks_do_not_change_the_fits(monkeypatch, block):
 
 def test_graticule_sample_limit_refused_before_allocating(monkeypatch):
     spec = LagrangeProjectionSpec(exponent=1.5)
-    monkeypatch.setattr(lagrange, "_clear", None)  # never reached
+    monkeypatch.setattr(lagrange, "_project", None)  # never reached
     limit = lagrange.GRATICULE_SAMPLE_LIMIT
     with pytest.raises(ConfigError, match=f"35 curves x {10**11} samples"):
         graticule_image(spec, math.radians(15), math.radians(15), 10**11)
